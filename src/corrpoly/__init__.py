@@ -50,7 +50,14 @@ from .polytope import (
     mix,
     sample_member,
 )
-from .lp import LinearProgram, LPSolution, in_convex_hull, solve_lp_min
+from .lp import (
+    FeasibleStart,
+    LinearProgram,
+    LPSolution,
+    feasible_start,
+    in_convex_hull,
+    solve_lp_min,
+)
 from .capacity import (
     Capacity,
     capacity_of,

@@ -3,14 +3,20 @@
 For an event E the capacity is the worst-case probability min p(E) over all
 couplings.  It is normalized, monotone and exact (its core recovers the
 correlation set) but in general not convex, which is what drives a wedge
-between Choquet and maxmin evaluation of acts.  Every value is computed
-twice, by exact LP and as a minimum over the enumerated extreme points, and
-the two must agree.
+between Choquet and maxmin evaluation of acts.
+
+Every value is an exact LP minimum over the set's marginal system.  Simplex
+phase 1 does not depend on the event, so a `Capacity` runs it once, on its
+first miss, and starts every solve's phase 2 from that feasible basis; each
+solve checks its exact dual certificate (see `lp`).  The value is also
+cross-checked against the minimum over the enumerated extreme points, a sum
+of vertex weights over the event's states, and the two must agree.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -31,13 +37,16 @@ class Capacity:
 
     Values are keyed by the event bitmask (a Python int, so any desk-scale
     state count fits).  Queries are pure: identical events return identical
-    exact rationals.
+    exact rationals.  The phase-1 start of the set's marginal system is
+    built on the first miss and reused by every later one.
     """
 
     def __init__(self, cs: CorrelationSet):
         self.cs = cs
         self.space = cs.space
         self._memo: dict[int, Fraction] = {}
+        self._start: Optional[lp.FeasibleStart] = None
+        self._scaled_vertices: Optional[tuple[int, list[list[int]]]] = None
 
     def value(self, event: Event) -> Fraction:
         if event.space.subspace_sizes != self.space.subspace_sizes:
@@ -49,21 +58,46 @@ class Capacity:
         if not event.members:
             val = Fraction(0)
         else:
-            indicator = [
-                Fraction(1) if mask >> k & 1 else Fraction(0)
-                for k in range(self.space.total_size)
-            ]
-            lp_val = lp.minimize_over_system(
-                self.cs.system.matrix, self.cs.system.rhs, indicator
-            ).optimum
-            vertex_val = min(p.prob_event(event) for p in self.cs.vertices())
+            n = self.space.total_size
+            program = lp.LinearProgram(
+                tuple(mask >> k & 1 for k in range(n)),
+                self.cs.system.matrix,
+                self.cs.system.rhs,
+            )
+            if self._start is None:
+                self._start = lp.feasible_start(program)
+            try:
+                lp_val = lp.solve_lp_min(program, self._start).optimum
+            except ConsistencyError as exc:
+                raise ConsistencyError(f"capacity {exc}", **self._reproducer(mask)) from exc
+            vertex_val = self._vertex_minimum([k for k in range(n) if mask >> k & 1])
             if lp_val != vertex_val:
                 raise ConsistencyError(
-                    f"LP capacity {lp_val} disagrees with vertex minimum {vertex_val}"
+                    f"LP capacity {lp_val} disagrees with vertex minimum {vertex_val}",
+                    **self._reproducer(mask),
                 )
             val = lp_val
         self._memo[mask] = val
         return val
+
+    def _vertex_minimum(self, members: list[int]) -> Fraction:
+        """min p(E) over the vertices: integer sums of the vertex weights
+        scaled to their common denominator, over the members of E."""
+        if self._scaled_vertices is None:
+            vertices = self.cs.vertices()
+            denom = math.lcm(*(w.denominator for p in vertices for w in p.weights))
+            self._scaled_vertices = (denom, [
+                [w.numerator * (denom // w.denominator) for w in p.weights] for p in vertices
+            ])
+        denom, scaled = self._scaled_vertices
+        return Fraction(min(sum(row[k] for k in members) for row in scaled), denom)
+
+    def _reproducer(self, mask: int) -> dict:
+        return {
+            "shape": self.space.subspace_sizes,
+            "marginals": [[str(w) for w in m.weights] for m in self.cs.marginals],
+            "mask": mask,
+        }
 
 
 def capacity_of(cs: CorrelationSet) -> Capacity:

@@ -38,7 +38,15 @@ class ConsistencyError(CorrpolyError):
     """An internal cross-check that must hold mathematically failed.
 
     Raised when two independent computations of the same quantity
-    disagree; always indicates a bug, never bad user input."""
+    disagree or a certificate fails; always indicates a bug, never bad user
+    input.  Keyword ``context`` (the inputs that reproduce the failure) is
+    appended to the message and kept as the ``context`` attribute."""
+
+    def __init__(self, message: str, **context):
+        if context:
+            message += " (" + ", ".join(f"{k}={v}" for k, v in context.items()) + ")"
+        super().__init__(message)
+        self.context = context
 
 
 class ScenarioError(CorrpolyError):

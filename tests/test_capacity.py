@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from corrpoly import (
     Act,
+    ConsistencyError,
     CorrelationSet,
     CorrpolyError,
     Event,
+    LinearProgram,
     Marginal,
     ProductSpace,
     capacity_of,
@@ -20,8 +22,10 @@ from corrpoly import (
     cylinder_additivity_check,
     event_from_mask,
     expectation,
+    feasible_start,
     find_convexity_violation,
 )
+from bruteforce import oracle_vertices
 from conftest import random_correlation_set
 
 F = Fraction
@@ -213,3 +217,69 @@ def test_lp_vertex_agreement_full_sweep():
         n = cs.space.total_size
         for mask in range(2 ** n):
             cap.value(event_from_mask(cs.space, mask))  # raises on disagreement
+
+
+@pytest.mark.parametrize(
+    "sizes, weights",
+    [
+        ((1, 3), [(1,), (F(1, 6), F(1, 3), F(1, 2))]),
+        ((2, 3), [(F(1, 4), F(3, 4)), (F(1, 2), F(0), F(1, 2))]),
+        ((2, 2, 2), [(F(1), F(0)), (F(1, 3), F(2, 3)), (F(1, 2), F(1, 2))]),
+    ],
+)
+def test_capacity_matches_oracle_on_degenerate_sets(sizes, weights):
+    # a 1-state subspace, a zero-weight state, a point-mass marginal; the
+    # sweep includes the empty and the full event
+    space = ProductSpace(sizes)
+    cs = CorrelationSet(space, [Marginal(i, w) for i, w in enumerate(weights)])
+    vertices = oracle_vertices(sizes, weights)
+    cap = capacity_of(cs)
+    for mask in range(2 ** space.total_size):
+        expected = min(
+            sum((w for k, w in enumerate(v) if mask >> k & 1), F(0)) for v in vertices
+        )
+        assert cap.value(event_from_mask(space, mask)) == expected
+
+
+def test_capacity_reuses_an_unchanged_start(uniform_cube):
+    cap = capacity_of(uniform_cube)
+    space = uniform_cube.space
+    cap.value(event_from_mask(space, 0b10010110))
+    start = cap._start
+    fresh = feasible_start(
+        LinearProgram((F(0),) * 8, uniform_cube.system.matrix, uniform_cube.system.rhs)
+    )
+    assert start == fresh
+    for mask in (0b1, 0b11000011, 0b01111110):
+        cap.value(event_from_mask(space, mask))
+    assert cap._start is start and start == fresh
+
+
+def test_capacity_with_a_corrupted_start_raises(uniform_cube):
+    cap = capacity_of(uniform_cube)
+    space = uniform_cube.space
+    cap.value(event_from_mask(space, 0b1))
+    cap._start = cap._start._replace(
+        rhs=tuple(b + F(1, 5) for b in cap._start.rhs)
+    )
+    with pytest.raises(ConsistencyError) as info:
+        cap.value(event_from_mask(space, 0b110))
+    assert info.value.context == {
+        "shape": (2, 2, 2),
+        "marginals": [["1/2", "1/2"]] * 3,
+        "mask": 0b110,
+    }
+    assert 0b110 not in cap._memo
+
+
+def test_capacity_vertex_disagreement_names_the_event(uniform_2x2):
+    uniform_2x2._vertices = uniform_2x2.vertices()[:1]
+    cap = capacity_of(uniform_2x2)
+    with pytest.raises(ConsistencyError, match="vertex minimum") as info:
+        for mask in range(16):
+            cap.value(event_from_mask(uniform_2x2.space, mask))
+    assert info.value.context == {
+        "shape": (2, 2),
+        "marginals": [["1/2", "1/2"]] * 2,
+        "mask": mask,  # the query that failed
+    }
