@@ -93,11 +93,7 @@ class Capacity:
         return Fraction(min(sum(row[k] for k in members) for row in scaled), denom)
 
     def _reproducer(self, mask: int) -> dict:
-        return {
-            "shape": self.space.subspace_sizes,
-            "marginals": [[str(w) for w in m.weights] for m in self.cs.marginals],
-            "mask": mask,
-        }
+        return {**self.cs.reproducer(), "mask": mask}
 
 
 def capacity_of(cs: CorrelationSet) -> Capacity:
@@ -137,7 +133,6 @@ def check_exactness(
     space = cs.space
     n = space.total_size
     cap = capacity_of(cs)
-    vertices = cs.vertices()
 
     if cap.value(Event.empty(space)) != 0:
         return False
@@ -159,9 +154,8 @@ def check_exactness(
             cyl_masks, (rng.getrandbits(n) for _ in range(samples))
         )
     for mask in masks:
-        event = event_from_mask(space, mask)
-        v = cap.value(event)
-        if any(p.prob_event(event) < v for p in vertices):
+        v = cap.value(event_from_mask(space, mask))
+        if cap._vertex_minimum([k for k in range(n) if mask >> k & 1]) < v:
             return False
     return True
 

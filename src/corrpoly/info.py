@@ -5,6 +5,18 @@ product of its marginals: zero exactly at independence, strictly convex on
 the correlation set, and locally maximal exactly at the extreme points.
 These are the only floating-point quantities in the package; equality-style
 identities carry a 1e-9 tolerance and strictness checks a 1e-12 slack.
+
+Mutual information is evaluated from integer weights over a common
+denominator: ``float(w)`` is taken as ``n / D`` and ``float(w / w_ind)`` as
+``(n * D_ind) / (D * i)``.  Integer true division is correctly rounded, as
+``Fraction.__float__`` is, so every value equals, float for float, the
+divergence computed on the exact rationals; each evaluation still
+cross-checks it, within ``DECOMPOSITION_TOL``, against the entropy
+decomposition.  Membership is checked
+once per point: `mutual_information` checks its argument, and
+`certify_local_max_mi` checks ``p`` and each probe point once.  The ladder
+points between them are convex combinations of two members, hence
+members, and are evaluated directly from their integer weights.
 """
 
 from __future__ import annotations
@@ -14,8 +26,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, NotInCorrelationSetError
-from .polytope import CorrelationSet, mix, sample_member
+from .errors import ConsistencyError, CorrpolyError, NotInCorrelationSetError
+from .polytope import CorrelationSet, _integer_weights, sample_member
+from .polytope import mix  # noqa: F401  (still importable from corrpoly.info)
 from .space import JointDistribution, Marginal
 
 DECOMPOSITION_TOL = 1e-9
@@ -57,13 +70,50 @@ def mutual_information(cs: CorrelationSet, p: JointDistribution) -> float:
     sum_i H(p_i) - H(p)."""
     if not cs.contains(p):
         raise NotInCorrelationSetError("distribution does not have the prescribed marginals")
-    value = kl_divergence(p, cs.independent_product)
-    decomposition = sum(marginal_entropy(m) for m in cs.marginals) - entropy(p)
-    if abs(value - decomposition) > DECOMPOSITION_TOL:
-        raise ConsistencyError(
-            f"mutual information {value} disagrees with entropy decomposition {decomposition}"
-        )
-    return value
+    return _mi_kernel(cs)(*_integer_weights(p.weights))
+
+
+def _mi_kernel(cs: CorrelationSet):
+    """Mutual information on ``cs`` as a function of a member's integer
+    weights ``nums`` over their common denominator ``denom``.
+
+    The per-set constants (the summed marginal entropies and the integer
+    weights of the independent product) are computed once here.  The
+    divergence is summed in the order of `kl_divergence`, so the returned
+    value equals it bit for bit.  The entropy term is a plain running sum
+    and may differ from `entropy` (whose builtin ``sum`` compensates on
+    Python 3.12 and later) in the last bits; it only feeds the
+    decomposition cross-check."""
+    marginal_sum = sum(marginal_entropy(m) for m in cs.marginals)
+    ind, ind_denom = _integer_weights(cs.independent_product.weights)
+    log2 = math.log2
+
+    def evaluate(nums, denom: int) -> float:
+        kl = 0.0
+        unbounded = False
+        plogp = 0
+        for n, i in zip(nums, ind):
+            if n == 0:
+                continue
+            x = n / denom
+            if i == 0:
+                unbounded = True
+            else:
+                kl += x * log2(n * ind_denom / (denom * i))
+            plogp += x * log2(x)
+        value = math.inf if unbounded else kl
+        entropy_p = -plogp
+        decomposition = marginal_sum - entropy_p
+        if abs(value - decomposition) > DECOMPOSITION_TOL:
+            raise ConsistencyError(
+                f"mutual information {value} disagrees with entropy decomposition "
+                f"{decomposition}",
+                **cs.reproducer(),
+                weights=[str(Fraction(n, denom)) for n in nums],
+            )
+        return value
+
+    return evaluate
 
 
 def _max_step(p: JointDistribution, direction) -> Fraction:
@@ -153,7 +203,11 @@ def certify_local_max_mi(
     through ``p`` exists and strict convexity makes one of its senses
     non-decreasing.
     """
-    base = mutual_information(cs, p)
+    if not cs.contains(p):
+        raise NotInCorrelationSetError("distribution does not have the prescribed marginals")
+    mutual_info = _mi_kernel(cs)
+    a, a_denom = _integer_weights(p.weights)
+    base = mutual_info(a, a_denom)
     rng = random.Random(seed)
     step = Fraction(step)
     is_local_max = True
@@ -161,18 +215,30 @@ def certify_local_max_mi(
     evaluated = 0
     for q in _probe_points(cs, p, probes, rng):
         evaluated += 1
+        if not cs.contains(q):
+            raise NotInCorrelationSetError("probe point does not have the prescribed marginals")
+        b, b_denom = _integer_weights(q.weights)
+        # (1 - s/t) p + (s/t) q has the numerators (t - s) a b_denom + s b a_denom
+        # over t a_denom b_denom
+        a_scaled = [x * b_denom for x in a]
+        b_scaled = [x * a_denom for x in b]
+        ab_denom = a_denom * b_denom
+        s, t = step.numerator, step.denominator
         decreases_somewhere = False
-        lam = step
         run = 0
         for _ in range(max_halvings + 3):
-            delta = mutual_information(cs, mix(p, q, lam)) - base
+            if not 0 <= s <= t:
+                raise CorrpolyError("mixing weight must lie in [0, 1]")
+            r = t - s
+            mixed = [r * x + s * y for x, y in zip(a_scaled, b_scaled)]
+            delta = mutual_info(mixed, t * ab_denom) - base
             if delta > max_increase:
                 max_increase = delta
             run = run + 1 if delta < -STRICTNESS_SLACK else 0
             if run == 3:
                 decreases_somewhere = True
                 break
-            lam /= 2
+            t *= 2
         if not decreases_somewhere:
             is_local_max = False
             break

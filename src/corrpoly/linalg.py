@@ -116,6 +116,3 @@ def solve_unique(
 def mat_vec(rows: Sequence[Row], x: Sequence[Fraction | int]) -> Vector:
     return tuple(sum(a * b for a, b in zip(row, x)) for row in rows)
 
-
-def dot(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> Fraction:
-    return sum((Fraction(x) * y for x, y in zip(a, b)), Fraction(0))

@@ -12,6 +12,7 @@ down uniquely.
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -33,7 +34,6 @@ from .space import (
     ProductSpace,
     independent_product,
     hamming_distance,
-    marginalize,
 )
 
 
@@ -50,10 +50,6 @@ class MarginalSystem:
     marginals: tuple[Marginal, ...]
     matrix: tuple[tuple[int, ...], ...]
     rhs: tuple[Fraction, ...]
-
-    def row_index(self, subspace_index: int, coord: int) -> int:
-        offset = sum(self.space.subspace_sizes[:subspace_index])
-        return offset + coord
 
 
 def _sorted_marginals(space: ProductSpace, marginals: Sequence[Marginal]) -> tuple[Marginal, ...]:
@@ -86,9 +82,9 @@ def build_marginal_system(space: ProductSpace, marginals: Sequence[Marginal]) ->
 @dataclass(frozen=True)
 class KernelBasis:
     """A basis of the homogeneous system's solution space: mass shifts that
-    leave every marginal unchanged."""
+    leave every marginal unchanged.  Entries are the integers 0, 1 and -1."""
 
-    basis_vectors: tuple[tuple[Fraction, ...], ...]
+    basis_vectors: tuple[tuple[int, ...], ...]
     dim: int
 
 
@@ -128,7 +124,7 @@ def kernel_basis_rectangles(
         corner_ij = list(state)
         corner_ij[i] = anchor[i]
         corner_ij[j] = anchor[j]
-        v = [Fraction(0)] * n
+        v = [0] * n
         v[space.ravel(state)] += 1
         v[space.ravel(tuple(corner_ij))] += 1
         v[space.ravel(tuple(corner_i))] -= 1
@@ -137,7 +133,9 @@ def kernel_basis_rectangles(
     expected = dimension_formula(space.subspace_sizes)
     if len(vectors) != expected:
         raise ConsistencyError(
-            f"rectangle basis has {len(vectors)} vectors, expected {expected}"
+            f"rectangle basis has {len(vectors)} vectors, expected {expected}",
+            shape=space.subspace_sizes,
+            anchor=anchor,
         )
     return KernelBasis(tuple(vectors), len(vectors))
 
@@ -152,6 +150,7 @@ class CorrelationSet:
         self.kernel = kernel_basis_rectangles(space)
         self._independent_product: Optional[JointDistribution] = None
         self._vertices: Optional[tuple[JointDistribution, ...]] = None
+        self._rows: Optional[tuple[tuple[list[int], int, int], ...]] = None
         self._capacity = None  # attached by corrpoly.capacity
 
     @property
@@ -161,17 +160,39 @@ class CorrelationSet:
         return self._independent_product
 
     def contains(self, p: JointDistribution) -> bool:
+        """Whether ``p`` has the prescribed marginals: each row of the
+        marginal system, summed over the integer weights of ``p`` on their
+        common denominator, must equal its right-hand side."""
         if p.space.subspace_sizes != self.space.subspace_sizes:
             raise SpaceMismatchError("distribution lives on a different space")
-        for i, m in enumerate(self.marginals):
-            if marginalize(p, [i]).weights != m.weights:
-                return False
-        return True
+        if self._rows is None:
+            self._rows = tuple(
+                ([k for k, x in enumerate(row) if x], b.numerator, b.denominator)
+                for row, b in zip(self.system.matrix, self.system.rhs)
+            )
+        nums, denom = _integer_weights(p.weights)
+        return all(
+            sum(nums[k] for k in states) * b_den == b_num * denom
+            for states, b_num, b_den in self._rows
+        )
 
     def vertices(self, guard: int = 4096) -> tuple[JointDistribution, ...]:
         if self._vertices is None:
             self._vertices = tuple(enumerate_extreme_points(self, guard=guard))
         return self._vertices
+
+    def reproducer(self) -> dict:
+        """The inputs that rebuild this set, as `ConsistencyError` context."""
+        return {
+            "shape": self.space.subspace_sizes,
+            "marginals": [[str(w) for w in m.weights] for m in self.marginals],
+        }
+
+
+def _integer_weights(weights: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Exact weights as integer numerators over their common denominator."""
+    denom = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (denom // w.denominator) for w in weights], denom
 
 
 def build_correlation_set(space: ProductSpace, marginals: Sequence[Marginal]) -> CorrelationSet:
@@ -211,7 +232,7 @@ def dimension(cs: CorrelationSet) -> int:
     rank_based = len(positive_cols) - linalg.rank(restricted)
     if closed != rank_based:
         raise ConsistencyError(
-            f"dimension formula {closed} != rank computation {rank_based}"
+            f"dimension formula {closed} != rank computation {rank_based}", **cs.reproducer()
         )
     return closed
 
@@ -329,7 +350,11 @@ def decompose(cs: CorrelationSet, p: JointDistribution):
     p_ind = cs.independent_product
     shift = tuple(a - b for a, b in zip(p.weights, p_ind.weights))
     if any(x != 0 for x in linalg.mat_vec(cs.system.matrix, shift)):
-        raise ConsistencyError("decomposition shift is not in the homogeneous kernel")
+        raise ConsistencyError(
+            "decomposition shift is not in the homogeneous kernel",
+            **cs.reproducer(),
+            weights=[str(w) for w in p.weights],
+        )
     return p_ind, shift
 
 
@@ -337,29 +362,37 @@ def sample_member(
     cs: CorrelationSet, rng: random.Random, resolution: int = 16
 ) -> JointDistribution:
     """A random coupling: a kernel perturbation of the independent product,
-    scaled back to feasibility.  Exact rationals; deterministic given ``rng``."""
+    scaled back to feasibility.  Exact rationals; deterministic given ``rng``.
+
+    The direction is an integer combination of the rectangle kernel (the
+    draws divided by ``resolution``); the step is a random multiple
+    ``u / resolution`` of the largest feasible one, found by comparing
+    the integer weights of the product over their common denominator."""
     p_ind = cs.independent_product
     if cs.kernel.dim == 0:
         return p_ind
-    coeffs = [Fraction(rng.randint(-resolution, resolution), resolution)
-              for _ in range(cs.kernel.dim)]
-    direction = [Fraction(0)] * cs.space.total_size
+    coeffs = [rng.randint(-resolution, resolution) for _ in range(cs.kernel.dim)]
+    direction = [0] * cs.space.total_size
     for c, vec in zip(coeffs, cs.kernel.basis_vectors):
-        if c != 0:
+        if c:
             for k, x in enumerate(vec):
-                direction[k] += c * x
-    if all(x == 0 for x in direction):
+                if x:
+                    direction[k] += c * x
+    if not any(direction):
         return p_ind
-    t_max = None
-    for w, d in zip(p_ind.weights, direction):
-        if d < 0:
-            bound = w / -d
-            t_max = bound if t_max is None else min(t_max, bound)
-    if t_max is None or t_max == 0:
+    ind, denom = _integer_weights(p_ind.weights)
+    # the largest feasible step is resolution * (num / den) / denom
+    num = den = None
+    for w, d in zip(ind, direction):
+        if d < 0 and (num is None or w * den < num * -d):
+            num, den = w, -d
+    if num is None or num == 0:
         return p_ind
-    t = t_max * Fraction(rng.randint(0, resolution), resolution)
-    weights = tuple(w + t * d for w, d in zip(p_ind.weights, direction))
-    return JointDistribution(cs.space, weights)
+    u = rng.randint(0, resolution)
+    scale = den * resolution
+    return JointDistribution(cs.space, tuple(
+        Fraction(w * scale + num * u * d, scale * denom) for w, d in zip(ind, direction)
+    ))
 
 
 def mix(p: JointDistribution, q: JointDistribution, lam: Fraction) -> JointDistribution:

@@ -74,6 +74,16 @@ def test_exactness_singleton_set():
     assert check_exactness(cs)
 
 
+def test_exactness_checks_vertex_dominance(uniform_2x2):
+    # once every value is memoized, only the sweep's own vertex check sees a
+    # vertex that puts less mass on an event than the capacity
+    cap = capacity_of(uniform_2x2)
+    assert check_exactness(uniform_2x2)
+    denom, scaled = cap._scaled_vertices
+    cap._scaled_vertices = (denom, scaled + [[denom, 0, 0, 0]])
+    assert not check_exactness(uniform_2x2)
+
+
 def test_exactness_sampled_branch(uniform_2x2):
     # force the cylinder-plus-random-events path of the sweep
     assert check_exactness(uniform_2x2, exhaustive_limit=4, samples=60, seed=5)

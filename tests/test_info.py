@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from corrpoly import (
+    ConsistencyError,
     CorrelationSet,
+    CorrpolyError,
     JointDistribution,
     Marginal,
     NotInCorrelationSetError,
@@ -18,6 +20,7 @@ from corrpoly import (
     sample_member,
 )
 from conftest import random_correlation_set
+from bruteforce import certify_local_max_mi_reference, mutual_information_reference
 
 F = Fraction
 
@@ -169,3 +172,88 @@ def test_triangle_on_random_instances():
                 continue
             assert not is_maximally_zero(cs, p)
             assert not certify_local_max_mi(cs, p, probes=32).is_local_max
+
+
+def _certificate_points(cs, rng):
+    """Vertices, the independent product, vertex midpoints and sampled members."""
+    vertices = list(cs.vertices())
+    points = vertices + [cs.independent_product]
+    for _ in range(min(3, len(vertices) - 1)):
+        a, b = rng.sample(vertices, 2)
+        points.append(mix(a, b, F(1, 2)))
+    points += [sample_member(cs, rng) for _ in range(3)]
+    return points
+
+
+def _degenerate_sets():
+    """Zero-weight marginal states and 1-state subspaces."""
+    half, third = F(1, 2), F(1, 3)
+    yield CorrelationSet(
+        ProductSpace((2, 3)), [Marginal(0, (half, half)), Marginal(1, (half, 0, half))]
+    )
+    yield CorrelationSet(
+        ProductSpace((3, 3)),
+        [Marginal(0, (0, third, 2 * third)), Marginal(1, (F(1, 4), F(3, 4), 0))],
+    )
+    yield CorrelationSet(
+        ProductSpace((2, 1, 3)),
+        [Marginal(0, (F(1, 4), F(3, 4))), Marginal(1, (F(1),)),
+         Marginal(2, (F(1, 6), F(1, 2), third))],
+    )
+    yield CorrelationSet(ProductSpace((1, 1)), [Marginal(0, (F(1),)), Marginal(1, (F(1),))])
+
+
+def _random_sets():
+    rng = random.Random(31)
+    for sizes in ((1, 3), (2, 2), (2, 3), (3, 3), (2, 2, 2)):
+        yield random_correlation_set(sizes, rng)
+
+
+@pytest.mark.parametrize("cs", [*_random_sets(), *_degenerate_sets()],
+                         ids=lambda cs: "x".join(map(str, cs.space.subspace_sizes)))
+def test_certificate_equals_per_step_reference(cs):
+    # the integer ladder reports exactly, float for float, what evaluating
+    # mutual_information(cs, mix(p, q, lam)) over Fractions at every rung does
+    rng = random.Random(32)
+    for p in _certificate_points(cs, rng):
+        assert mutual_information(cs, p) == mutual_information_reference(cs, p)
+        for probes, step, seed in ((8, F(1, 8), 7), (rng.randint(0, 12), F(rng.randint(1, 7), 7), 3)):
+            got = certify_local_max_mi(cs, p, probes=probes, step=step, seed=seed)
+            want = certify_local_max_mi_reference(cs, p, probes=probes, step=step, seed=seed)
+            assert got == want
+
+
+def test_certificate_rejects_steps_outside_the_unit_interval(skew_2x2):
+    cs = skew_2x2
+    p = cs.independent_product
+    for step in (F(9, 8), F(-1, 8)):
+        for certify in (certify_local_max_mi, certify_local_max_mi_reference):
+            with pytest.raises(CorrpolyError, match="mixing weight"):
+                certify(cs, p, probes=2, step=step)
+    # with no probe point the step is never used, then as now
+    singleton = CorrelationSet(ProductSpace((3,)), [Marginal(0, (F(1, 2), F(1, 3), F(1, 6)))])
+    assert certify_local_max_mi(singleton, singleton.vertices()[0], step=F(2)).probe_count == 0
+
+
+def test_certificate_checks_each_probe_point(skew_2x2, monkeypatch):
+    # ladder points are not re-checked, so a probe point off the set must be
+    # caught when it enters the loop
+    import corrpoly.info as info
+
+    outsider = _joint(skew_2x2.space, 1, 0, 0, 0)
+    monkeypatch.setattr(info, "sample_member", lambda cs, rng: outsider)
+    with pytest.raises(NotInCorrelationSetError):
+        certify_local_max_mi(skew_2x2, skew_2x2.independent_product, probes=1)
+
+
+def test_decomposition_mismatch_carries_reproducer(skew_2x2, monkeypatch):
+    import corrpoly.info as info
+
+    monkeypatch.setattr(info, "marginal_entropy", lambda m: 1.0)
+    with pytest.raises(ConsistencyError, match="entropy decomposition") as exc:
+        mutual_information(skew_2x2, skew_2x2.independent_product)
+    assert exc.value.context == {
+        "shape": (2, 2),
+        "marginals": [["1/3", "2/3"], ["1/4", "3/4"]],
+        "weights": ["1/12", "1/4", "1/6", "1/2"],
+    }

@@ -11,6 +11,7 @@ from corrpoly import (
     Marginal,
     NotInCorrelationSetError,
     ProductSpace,
+    SpaceMismatchError,
     decompose,
     dimension,
     dimension_formula,
@@ -23,7 +24,7 @@ from corrpoly import (
     sample_member,
 )
 from conftest import random_correlation_set
-from bruteforce import oracle_vertices
+from bruteforce import contains_reference, oracle_vertices, sample_member_reference
 
 F = Fraction
 
@@ -214,5 +215,57 @@ def test_dimension_consistency_is_checked(uniform_2x2, monkeypatch):
     import corrpoly.polytope as poly
 
     monkeypatch.setattr(poly, "dimension_formula", lambda sizes: 99)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError) as exc:
         poly.dimension(uniform_2x2)
+    assert exc.value.context == {"shape": (2, 2), "marginals": [["1/2", "1/2"]] * 2}
+    with pytest.raises(ConsistencyError, match="rectangle basis") as exc:
+        CorrelationSet(uniform_2x2.space, uniform_2x2.marginals)
+    assert exc.value.context == {"shape": (2, 2), "anchor": (0, 0)}
+
+
+def test_decompose_shift_check_carries_reproducer(skew_2x2, monkeypatch):
+    monkeypatch.setattr(linalg, "mat_vec", lambda rows, x: (1,))
+    with pytest.raises(ConsistencyError, match="homogeneous kernel") as exc:
+        decompose(skew_2x2, skew_2x2.independent_product)
+    assert exc.value.context == {
+        "shape": (2, 2),
+        "marginals": [["1/3", "2/3"], ["1/4", "3/4"]],
+        "weights": ["1/12", "1/4", "1/6", "1/2"],
+    }
+
+
+@pytest.mark.parametrize("sizes", [(1, 3), (2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 1, 2)])
+def test_contains_matches_marginalizing(sizes):
+    rng = random.Random(sum(sizes))
+    for _ in range(3):
+        cs = random_correlation_set(sizes, rng)
+        members = list(cs.vertices()) + [sample_member(cs, rng) for _ in range(5)]
+        for p in members:
+            assert cs.contains(p) and contains_reference(cs, p)
+            # moving mass between two states changes the marginals of every
+            # coordinate where they differ
+            for _ in range(4):
+                i, j = rng.sample(range(cs.space.total_size), 2)
+                eps = min(p.weights[i], F(1, 97))
+                weights = list(p.weights)
+                weights[i] -= eps
+                weights[j] += eps
+                q = JointDistribution(cs.space, weights)
+                assert cs.contains(q) == contains_reference(cs, q)
+                if eps:
+                    assert not cs.contains(q)
+        flat = JointDistribution(ProductSpace((cs.space.total_size,)), p.weights)
+        with pytest.raises(SpaceMismatchError):
+            cs.contains(flat)
+
+
+@pytest.mark.parametrize("sizes", [(1, 3), (2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 1, 2)])
+def test_sample_member_matches_fraction_kernel_combination(sizes):
+    rng = random.Random(100 + sum(sizes))
+    cs = random_correlation_set(sizes, rng)
+    for resolution in (1, 4, 16):
+        for seed in range(20):
+            a, b = random.Random(seed), random.Random(seed)
+            assert sample_member(cs, a, resolution).weights == \
+                sample_member_reference(cs, b, resolution).weights
+            assert a.random() == b.random()  # the same draws were made
