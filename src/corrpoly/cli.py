@@ -142,7 +142,12 @@ def cmd_mi(args) -> int:
 
         p = JointDistribution(scn.space, tuple(weights))
     elif args.vertex is not None:
-        p = cs.vertices()[args.vertex]
+        vertices = cs.vertices()
+        if not 0 <= args.vertex < len(vertices):
+            raise CorrpolyError(
+                f"--vertex {args.vertex} out of range: the set has {len(vertices)} vertices"
+            )
+        p = vertices[args.vertex]
     else:
         prior = scn.prior_set(cs, param_value=value)
         if len(prior.vertices) != 1:
@@ -150,9 +155,11 @@ def cmd_mi(args) -> int:
                 "non-singleton prior: pick a distribution with --vertex or --weights"
             )
         p = prior.vertices[0]
-    report = info.certify_local_max_mi(
-        cs, p, probes=args.probes, step=Fraction(args.step), seed=args.seed
-    )
+    try:
+        step = Fraction(args.step)
+    except (ValueError, ZeroDivisionError):
+        raise CorrpolyError(f"--step must be a rational number, got {args.step!r}") from None
+    report = info.certify_local_max_mi(cs, p, probes=args.probes, step=step, seed=args.seed)
     rows = [
         ["mutual_information_bits", report.value],
         ["entropy_bits", info.entropy(p)],

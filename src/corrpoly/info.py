@@ -203,13 +203,17 @@ def certify_local_max_mi(
     through ``p`` exists and strict convexity makes one of its senses
     non-decreasing.
     """
+    step = Fraction(step)
+    if probes < 0:
+        raise CorrpolyError(f"probes must be nonnegative, got {probes}")
+    if step <= 0:
+        raise CorrpolyError(f"the first mixing weight (step) must be positive, got {step}")
     if not cs.contains(p):
         raise NotInCorrelationSetError("distribution does not have the prescribed marginals")
     mutual_info = _mi_kernel(cs)
     a, a_denom = _integer_weights(p.weights)
     base = mutual_info(a, a_denom)
     rng = random.Random(seed)
-    step = Fraction(step)
     is_local_max = True
     max_increase = 0.0
     evaluated = 0

@@ -8,6 +8,18 @@ quantifiers and corroborate with seeded behavioral searches: consistency
 means every prior has the subspace marginals, full subspace independence
 pins the prior set to the independent product, and collection independence
 is exactly independence of the single prior on the collection.
+
+The independence checkers read integer cell tables: a distribution's
+weights as numerators over a common denominator D (one D for all vertices
+of a prior set), summed into one row per state of one group of subspaces
+and one column per state of another, the rest summed out.  The probability
+of a product event E x F is then a cell sum over D, and the worst-case
+value of an act on one subspace, spliced with a constant off a cylinder,
+is a minimum of integer dot products.  Nothing is sampled or skipped: the
+scan still tests every (event, cylinder) pair up to its first violated
+identity, every behavioral trial is evaluated, and every event quadruple
+within ``quad_limit`` is compared.  Events, acts and exact `Fraction`
+values are built only for the witness or counterexample that is returned.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from .errors import (
     SpaceMismatchError,
 )
 from .independence import is_independent_on
-from .polytope import CorrelationSet
+from .polytope import CorrelationSet, _integer_weights
 from .space import (
     Act,
     Collection,
@@ -37,7 +49,6 @@ from .space import (
     JointDistribution,
     Marginal,
     ProductSpace,
-    embed_act,
     embed_cylinder,
     expectation,
     independent_product,
@@ -211,35 +222,76 @@ class AxiomCounterexample:
     conditioned_values: tuple[Fraction, Fraction]
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _conditioned_pair(
-    prior: PriorSet,
-    subspace_index: int,
-    f_i: Act,
-    g_i: Act,
-    e_minus: Event,
-    outside: Fraction,
-) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    space = prior.space
-    others = [j for j in range(space.n_subspaces) if j != subspace_index]
-    cyl = embed_cylinder(e_minus, space, others)
-    filler = Act.constant(space, outside)
-    f_full = embed_act(f_i, space, [subspace_index])
-    g_full = embed_act(g_i, space, [subspace_index])
-    return (
-        meu_value(prior, f_full),
-        meu_value(prior, g_full),
-        meu_value(prior, f_full.splice(cyl, filler)),
-        meu_value(prior, g_full.splice(cyl, filler)),
-    )
+def _cell_table(
+    nums: Sequence[int], space: ProductSpace, rows: Sequence[int], cols: Sequence[int]
+) -> list[list[int]]:
+    """Integer weights of a distribution on ``space`` summed into cells: one
+    row per state of the sub-product over ``rows``, one column per state of
+    the sub-product over ``cols`` (both row-major), every other subspace
+    summed out.  Cell sums over E x F are then the numerators of p([E x F])."""
+    sizes = space.subspace_sizes
+    n_cols = math.prod(sizes[j] for j in cols)
+    table = [[0] * n_cols for _ in range(math.prod(sizes[i] for i in rows))]
+    for state, n in zip(space.states(), nums):
+        if n:
+            r = c = 0
+            for i in rows:
+                r = r * sizes[i] + state[i]
+            for j in cols:
+                c = c * sizes[j] + state[j]
+            table[r][c] += n
+    return table
 
 
-def _violation(values: tuple[Fraction, Fraction, Fraction, Fraction]) -> bool:
+def _prior_numerators(prior: PriorSet) -> tuple[list[list[int]], int]:
+    """Every vertex's weights as integer numerators over one common denominator."""
+    size = prior.space.total_size
+    flat, denom = _integer_weights([w for v in prior.vertices for w in v.weights])
+    return [flat[k : k + size] for k in range(0, len(flat), size)], denom
+
+
+def _subspace_tables(prior: PriorSet, vertex_nums: Sequence[Sequence[int]], i: int):
+    """Per vertex, the table of subspace ``i`` against the rest of the space."""
+    others = [j for j in range(prior.space.n_subspaces) if j != i]
+    return [_cell_table(nums, prior.space, [i], others) for nums in vertex_nums]
+
+
+def _meu_values(tables, denom: int, f, g, chosen, outside) -> tuple[int, int, int, int]:
+    """Worst-case expected utilities over the vertices whose subspace tables
+    are ``tables``: of the subspace acts ``f`` and ``g``, then of each spliced
+    with the constant ``outside`` off the cylinder of the ``chosen`` columns.
+    Utilities are integers over a common scale s; the values are integers
+    over s * denom."""
+    best = None
+    for table in tables:
+        marg = [sum(row) for row in table]
+        col = [sum(row[b] for b in chosen) for row in table]
+        off = outside * (denom - sum(col))
+        values = (
+            sum(m * u for m, u in zip(marg, f)),
+            sum(m * u for m, u in zip(marg, g)),
+            sum(m * u for m, u in zip(col, f)) + off,
+            sum(m * u for m, u in zip(col, g)) + off,
+        )
+        best = values if best is None else tuple(map(min, best, values))
+    return best
+
+
+def _violation(values) -> bool:
     base_f, base_g, cond_f, cond_g = values
     return _sign(base_f - base_g) != _sign(cond_f - cond_g)
+
+
+def _prior_context(prior: PriorSet) -> dict:
+    """The inputs that rebuild a prior set, as `ConsistencyError` context."""
+    return {
+        "shape": prior.space.subspace_sizes,
+        "vertices": [[str(w) for w in v.weights] for v in prior.vertices],
+    }
 
 
 def _independence_scan(
@@ -250,51 +302,100 @@ def _independence_scan(
     every product event to split as marginal weight times the worst case of
     its complementary part, so any prior set other than the independent
     product breaks one of these identities, which converts into an explicit
-    pair of acts via a bet and its certainty equivalent."""
+    pair of acts via a bet and its certainty equivalent.
+
+    The worst cases alpha and beta are minima of cell sums of each vertex's
+    table (subspace i against the rest); the acts, the conditioning event
+    and the exact values are built only for the first violated identity."""
     space = prior.space
     n = space.n_subspaces
+    vertex_nums, denom = _prior_numerators(prior)
     for i in range(n):
         size = space.subspace_sizes[i]
-        others = [j for j in range(n) if j != i]
-        comp_space = space.subspace(others)
-        sub_space = space.subspace([i])
-        comp_states = list(comp_space.states())
+        tables = _subspace_tables(prior, vertex_nums, i)
+        n_comp = len(tables[0][0])
         for r in range(1, size):
             for coords in itertools.combinations(range(size), r):
-                e_i = Event.from_states(sub_space, [(c,) for c in coords])
                 pi = marginals[i].prob_of(coords)
-                cyl_i = embed_cylinder(e_i, space, [i])
-                for rr in range(1, len(comp_states) + 1):
-                    for chosen in itertools.combinations(comp_states, rr):
-                        e_minus = Event.from_states(comp_space, chosen)
-                        cyl_minus = embed_cylinder(e_minus, space, others)
-                        if prior.is_null(cyl_minus):
-                            continue
-                        beta = meu_value(prior, Act.bet(space, cyl_minus, 1, 0))
-                        alpha = meu_value(prior, Act.bet(space, cyl_i & cyl_minus, 1, 0))
+                for rr in range(1, n_comp + 1):
+                    for chosen in itertools.combinations(range(n_comp), rr):
+                        cols = [[sum(row[b] for b in chosen) for row in t] for t in tables]
+                        betas = [sum(col) for col in cols]
+                        if not any(betas):
+                            continue  # the cylinder is null
+                        beta = min(betas)
+                        alpha = min(sum(col[a] for a in coords) for col in cols)
                         if beta == 0:
                             z = (pi + 1) / 2 if pi < 1 else pi / 2
-                        elif alpha != pi * beta:
-                            z = (alpha / beta + pi) / 2
+                        elif alpha * pi.denominator != pi.numerator * beta:
+                            z = (Fraction(alpha, beta) + pi) / 2
                         else:
                             continue
-                        f_i = Act.bet(sub_space, e_i, 1, 0)
-                        g_i = Act.constant(sub_space, z)
-                        values = _conditioned_pair(prior, i, f_i, g_i, e_minus, Fraction(0))
-                        if not _violation(values):
-                            raise ConsistencyError(
-                                "constructed tuple failed to witness the violation"
-                            )
-                        return AxiomCounterexample(
-                            subspace_index=i,
-                            f_i=f_i,
-                            g_i=g_i,
-                            conditioning_event=e_minus,
-                            outside_value=Fraction(0),
-                            base_values=(values[0], values[1]),
-                            conditioned_values=(values[2], values[3]),
+                        return _scan_counterexample(
+                            prior, tables, denom, i, coords, chosen, z
                         )
     return None
+
+
+def _scan_counterexample(prior, tables, denom, i, coords, chosen, z) -> AxiomCounterexample:
+    """The bet on ``coords`` against the constant ``z``, conditioned on the
+    cylinder of the ``chosen`` complementary states with 0 outside, checked
+    to flip the ranking."""
+    space = prior.space
+    sub_space = space.subspace([i])
+    comp_space = space.subspace([j for j in range(space.n_subspaces) if j != i])
+    comp_states = list(comp_space.states())
+    f_i = Act.bet(sub_space, Event.from_states(sub_space, [(c,) for c in coords]), 1, 0)
+    g_i = Act.constant(sub_space, z)
+    nums, scale = _integer_weights([*f_i.values, *g_i.values])
+    size = len(f_i.values)
+    scaled = _meu_values(tables, denom, nums[:size], nums[size:], chosen, 0)
+    if not _violation(scaled):
+        raise ConsistencyError(
+            "constructed tuple failed to witness the violation",
+            **_prior_context(prior),
+            subspace=i,
+        )
+    values = [Fraction(v, scale * denom) for v in scaled]
+    return AxiomCounterexample(
+        subspace_index=i,
+        f_i=f_i,
+        g_i=g_i,
+        conditioning_event=Event.from_states(comp_space, [comp_states[b] for b in chosen]),
+        outside_value=Fraction(0),
+        base_values=(values[0], values[1]),
+        conditioned_values=(values[2], values[3]),
+    )
+
+
+def _behavioral_trials(prior: PriorSet, trials: int, seed: int):
+    """Seeded random act tuples for the subspace-independence axiom.
+
+    Each trial draws a subspace, two subspace acts and an outside value on
+    the grid k/8 and a complementary event; trials whose cylinder is null
+    are skipped.  Yields the trial index and the four worst-case values
+    (base f, base g, conditioned f, conditioned g) as integers over
+    8 * D, D the prior's common denominator."""
+    space = prior.space
+    n = space.n_subspaces
+    if trials > 0 and n < 2:
+        raise CorrpolyError("behavioral trials need at least two subspaces")
+    vertex_nums, denom = _prior_numerators(prior)
+    tables = [_subspace_tables(prior, vertex_nums, i) for i in range(n)]
+    rng = random.Random(seed)
+    for trial in range(trials):
+        i = rng.randrange(n)
+        size = space.subspace_sizes[i]
+        f = [rng.randint(0, 8) for _ in range(size)]
+        g = [rng.randint(0, 8) for _ in range(size)]
+        n_comp = len(tables[i][0][0])
+        chosen = [b for b in range(n_comp) if rng.random() < 0.5]
+        if not chosen:
+            chosen = [rng.randrange(n_comp)]
+        if not any(row[b] for t in tables[i] for row in t for b in chosen):
+            continue  # the cylinder is null
+        x = rng.randint(0, 8)
+        yield trial, _meu_values(tables[i], denom, f, g, chosen, x)
 
 
 def check_subspace_independence_axiom(
@@ -308,6 +409,8 @@ def check_subspace_independence_axiom(
     holds, ``trials`` seeded random act tuples corroborate that no violation
     exists (any hit would be an internal error, not a verdict change).
     """
+    if trials < 0:
+        raise CorrpolyError(f"trials must be nonnegative, got {trials}")
     marginals = prior.shared_marginals()
     p_ind = independent_product(marginals, prior.space)
     verdict = len(prior.vertices) == 1 and prior.vertices[0].weights == p_ind.weights
@@ -316,33 +419,18 @@ def check_subspace_independence_axiom(
         if counterexample is None:
             raise ConsistencyError(
                 "prior set differs from the independent product but no "
-                "violating tuple was found"
+                "violating tuple was found",
+                **_prior_context(prior),
             )
         return False, counterexample
-
-    space = prior.space
-    n = space.n_subspaces
-    rng = random.Random(seed)
-    for _ in range(trials):
-        i = rng.randrange(n)
-        sub_space = space.subspace([i])
-        others = [j for j in range(n) if j != i]
-        comp_space = space.subspace(others)
-        f_i = Act(sub_space, [Fraction(rng.randint(0, 8), 8) for _ in range(sub_space.total_size)])
-        g_i = Act(sub_space, [Fraction(rng.randint(0, 8), 8) for _ in range(sub_space.total_size)])
-        comp_states = list(comp_space.states())
-        chosen = [s for s in comp_states if rng.random() < 0.5]
-        if not chosen:
-            chosen = [comp_states[rng.randrange(len(comp_states))]]
-        e_minus = Event.from_states(comp_space, chosen)
-        if prior.is_null(embed_cylinder(e_minus, space, others)):
-            continue
-        x = Fraction(rng.randint(0, 8), 8)
-        values = _conditioned_pair(prior, i, f_i, g_i, e_minus, x)
+    for trial, values in _behavioral_trials(prior, trials, seed):
         if _violation(values):
             raise ConsistencyError(
                 "behavioral trial violated the axiom although the prior set "
-                "is the independent product"
+                "is the independent product",
+                **_prior_context(prior),
+                seed=seed,
+                trial=trial,
             )
     return True, None
 
@@ -361,47 +449,66 @@ class ProductIdentityWitness:
     rhs: Fraction
 
 
+def _nonempty_subsets(size: int) -> list[tuple[int, ...]]:
+    """Non-empty subsets of range(size), by size, then lexicographically."""
+    return [
+        combo for r in range(1, size + 1) for combo in itertools.combinations(range(size), r)
+    ]
+
+
 def _product_identity_witness(
     p: JointDistribution, coll: Collection, factorization_only: bool
 ) -> Optional[ProductIdentityWitness]:
+    """The first event quadruple, member by member, that breaks the product
+    identity.  The events are the non-empty subsets of the member's
+    sub-product (E, E') and of the rest of the collection (F, F'), each by
+    size, then lexicographically; with ``factorization_only`` E' and F' are
+    the full events.  Every pair's numerator of p([E x F]) is summed once
+    from the cell table, so each quadruple costs two integer products."""
     space = p.space
+    nums, denom = _integer_weights(p.weights)
     for member in coll.members:
         idx = sorted(member)
         j0 = sorted(coll.union() - member)
-        sub_a = space.subspace(idx)
-        sub_b = space.subspace(j0)
-        a_events = [
-            Event.from_states(sub_a, combo)
-            for r in range(1, sub_a.total_size + 1)
-            for combo in itertools.combinations(list(sub_a.states()), r)
-        ]
-        b_events = [
-            Event.from_states(sub_b, combo)
-            for r in range(1, sub_b.total_size + 1)
-            for combo in itertools.combinations(list(sub_b.states()), r)
-        ]
-        full_a = Event.full(sub_a)
-        full_b = Event.full(sub_b)
+        table = _cell_table(nums, space, idx, j0)
+        a_events = _nonempty_subsets(len(table))
+        b_events = _nonempty_subsets(len(table[0]))
+        mass = []
+        for ea in a_events:
+            row = [sum(col) for col in zip(*(table[a] for a in ea))]
+            mass.append([sum(row[b] for b in eb) for eb in b_events])
+        xs, ys = range(len(a_events)), range(len(b_events))
         if factorization_only:
-            quads = ((ea, full_a, eb, full_b) for ea in a_events for eb in b_events)
+            quads = ((x, xs[-1], y, ys[-1]) for x in xs for y in ys)
         else:
-            quads = (
-                (ea, ea2, eb, eb2)
-                for ea in a_events
-                for ea2 in a_events
-                for eb in b_events
-                for eb2 in b_events
-            )
-        for ea, ea2, eb, eb2 in quads:
-            pa = embed_cylinder(ea, space, idx)
-            pa2 = embed_cylinder(ea2, space, idx)
-            pb = embed_cylinder(eb, space, j0)
-            pb2 = embed_cylinder(eb2, space, j0)
-            lhs = p.prob_event(pa & pb) * p.prob_event(pa2 & pb2)
-            rhs = p.prob_event(pa & pb2) * p.prob_event(pa2 & pb)
+            quads = ((x, x2, y, y2) for x in xs for x2 in xs for y in ys for y2 in ys)
+        for x, x2, y, y2 in quads:
+            lhs = mass[x][y] * mass[x2][y2]
+            rhs = mass[x][y2] * mass[x2][y]
             if lhs != rhs:
-                return ProductIdentityWitness(member, ea, ea2, eb, eb2, lhs, rhs)
+                sub_a = space.subspace(idx)
+                sub_b = space.subspace(j0)
+                a_states = list(sub_a.states())
+                b_states = list(sub_b.states())
+                return ProductIdentityWitness(
+                    member,
+                    Event.from_states(sub_a, [a_states[a] for a in a_events[x]]),
+                    Event.from_states(sub_a, [a_states[a] for a in a_events[x2]]),
+                    Event.from_states(sub_b, [b_states[b] for b in b_events[y]]),
+                    Event.from_states(sub_b, [b_states[b] for b in b_events[y2]]),
+                    Fraction(lhs, denom * denom),
+                    Fraction(rhs, denom * denom),
+                )
     return None
+
+
+def _point_context(p: JointDistribution, coll: Collection) -> dict:
+    """The inputs of a collection check, as `ConsistencyError` context."""
+    return {
+        "shape": p.space.subspace_sizes,
+        "weights": [str(w) for w in p.weights],
+        "collection": [sorted(m) for m in coll.members],
+    }
 
 
 def check_collection_independence_axiom(
@@ -423,7 +530,8 @@ def check_collection_independence_axiom(
             witness = _product_identity_witness(p, coll, factorization_only=False)
         if witness is None:
             raise ConsistencyError(
-                "dependent distribution admitted no product-identity witness"
+                "dependent distribution admitted no product-identity witness",
+                **_point_context(p, coll),
             )
         return False, witness
     total = 0
@@ -435,7 +543,8 @@ def check_collection_independence_axiom(
     witness = _product_identity_witness(p, coll, factorization_only=factorization_only)
     if witness is not None:
         raise ConsistencyError(
-            "independent distribution violated the product identity"
+            "independent distribution violated the product identity",
+            **_point_context(p, coll),
         )
     return True, None
 

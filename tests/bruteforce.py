@@ -6,7 +6,10 @@ cover every positive marginal row, and a uniquely solvable support cannot
 exceed the system rank).  Used to freeze expected values and to cross-check
 the production enumeration path.  The mutual-information references at the
 end keep the package's earlier Fraction-based membership test, sampler and
-per-step certificate, which the integer versions must match exactly.
+per-step certificate, which the integer versions must match exactly.  The
+axiom-checker references keep the package's earlier Event/Act versions of
+the subspace-independence scan and trials and of the product-identity
+search, which the cell-table versions must match field for field.
 """
 
 from __future__ import annotations
@@ -205,3 +208,194 @@ def certify_local_max_mi_reference(
         probe_count=evaluated,
         max_observed_increase=max_increase,
     )
+
+
+# -- independence-axiom references ------------------------------------------
+#
+# The axiom checkers as they were before they read integer cell tables:
+# one Event, cylinder and Act per probe and Fraction expectations for every
+# worst-case value.  The package's checkers must report exactly what these
+# report.
+
+
+def conditioned_pair_reference(prior, subspace_index, f_i, g_i, e_minus, outside):
+    """Worst-case values of f and g, then of each spliced with ``outside``
+    off the cylinder of ``e_minus``."""
+    from corrpoly import Act, embed_act, embed_cylinder, meu_value
+
+    space = prior.space
+    others = [j for j in range(space.n_subspaces) if j != subspace_index]
+    cyl = embed_cylinder(e_minus, space, others)
+    filler = Act.constant(space, outside)
+    f_full = embed_act(f_i, space, [subspace_index])
+    g_full = embed_act(g_i, space, [subspace_index])
+    return (
+        meu_value(prior, f_full),
+        meu_value(prior, g_full),
+        meu_value(prior, f_full.splice(cyl, filler)),
+        meu_value(prior, g_full.splice(cyl, filler)),
+    )
+
+
+def _flips(values):
+    base_f, base_g, cond_f, cond_g = values
+    sign = lambda x: (x > 0) - (x < 0)
+    return sign(base_f - base_g) != sign(cond_f - cond_g)
+
+
+def independence_scan_reference(prior, marginals):
+    """The first violating tuple of the deterministic scan, or None."""
+    from corrpoly import Act, AxiomCounterexample, Event, embed_cylinder, meu_value
+
+    space = prior.space
+    n = space.n_subspaces
+    for i in range(n):
+        size = space.subspace_sizes[i]
+        others = [j for j in range(n) if j != i]
+        comp_space = space.subspace(others)
+        sub_space = space.subspace([i])
+        comp_states = list(comp_space.states())
+        for r in range(1, size):
+            for coords in itertools.combinations(range(size), r):
+                e_i = Event.from_states(sub_space, [(c,) for c in coords])
+                pi = marginals[i].prob_of(coords)
+                cyl_i = embed_cylinder(e_i, space, [i])
+                for rr in range(1, len(comp_states) + 1):
+                    for chosen in itertools.combinations(comp_states, rr):
+                        e_minus = Event.from_states(comp_space, chosen)
+                        cyl_minus = embed_cylinder(e_minus, space, others)
+                        if prior.is_null(cyl_minus):
+                            continue
+                        beta = meu_value(prior, Act.bet(space, cyl_minus, 1, 0))
+                        alpha = meu_value(prior, Act.bet(space, cyl_i & cyl_minus, 1, 0))
+                        if beta == 0:
+                            z = (pi + 1) / 2 if pi < 1 else pi / 2
+                        elif alpha != pi * beta:
+                            z = (alpha / beta + pi) / 2
+                        else:
+                            continue
+                        f_i = Act.bet(sub_space, e_i, 1, 0)
+                        g_i = Act.constant(sub_space, z)
+                        values = conditioned_pair_reference(
+                            prior, i, f_i, g_i, e_minus, Fraction(0)
+                        )
+                        if not _flips(values):
+                            raise AssertionError("constructed tuple does not flip the ranking")
+                        return AxiomCounterexample(
+                            subspace_index=i,
+                            f_i=f_i,
+                            g_i=g_i,
+                            conditioning_event=e_minus,
+                            outside_value=Fraction(0),
+                            base_values=(values[0], values[1]),
+                            conditioned_values=(values[2], values[3]),
+                        )
+    return None
+
+
+def subspace_independence_trials_reference(prior, trials, seed):
+    """Yield (trial index, the four worst-case values) for every seeded
+    random act tuple whose conditioning cylinder is not null."""
+    import random
+
+    from corrpoly import Act, Event, embed_cylinder
+
+    space = prior.space
+    n = space.n_subspaces
+    rng = random.Random(seed)
+    for trial in range(trials):
+        i = rng.randrange(n)
+        sub_space = space.subspace([i])
+        others = [j for j in range(n) if j != i]
+        comp_space = space.subspace(others)
+        f_i = Act(sub_space, [Fraction(rng.randint(0, 8), 8) for _ in range(sub_space.total_size)])
+        g_i = Act(sub_space, [Fraction(rng.randint(0, 8), 8) for _ in range(sub_space.total_size)])
+        comp_states = list(comp_space.states())
+        chosen = [s for s in comp_states if rng.random() < 0.5]
+        if not chosen:
+            chosen = [comp_states[rng.randrange(len(comp_states))]]
+        e_minus = Event.from_states(comp_space, chosen)
+        if prior.is_null(embed_cylinder(e_minus, space, others)):
+            continue
+        x = Fraction(rng.randint(0, 8), 8)
+        yield trial, conditioned_pair_reference(prior, i, f_i, g_i, e_minus, x)
+
+
+def check_subspace_independence_axiom_reference(prior, trials=10000, seed=0):
+    from corrpoly import independent_product
+
+    marginals = prior.shared_marginals()
+    p_ind = independent_product(marginals, prior.space)
+    if not (len(prior.vertices) == 1 and prior.vertices[0].weights == p_ind.weights):
+        counterexample = independence_scan_reference(prior, marginals)
+        if counterexample is None:
+            raise AssertionError("dependent prior set without a violating tuple")
+        return False, counterexample
+    for _, values in subspace_independence_trials_reference(prior, trials, seed):
+        if _flips(values):
+            raise AssertionError("a trial flipped the ranking under the independent product")
+    return True, None
+
+
+def product_identity_witness_reference(p, coll, factorization_only):
+    """The first event quadruple breaking p(ExF) p(E'xF') = p(ExF') p(E'xF)."""
+    from corrpoly import Event, ProductIdentityWitness, embed_cylinder
+
+    space = p.space
+    for member in coll.members:
+        idx = sorted(member)
+        j0 = sorted(coll.union() - member)
+        sub_a = space.subspace(idx)
+        sub_b = space.subspace(j0)
+        a_events = [
+            Event.from_states(sub_a, combo)
+            for r in range(1, sub_a.total_size + 1)
+            for combo in itertools.combinations(list(sub_a.states()), r)
+        ]
+        b_events = [
+            Event.from_states(sub_b, combo)
+            for r in range(1, sub_b.total_size + 1)
+            for combo in itertools.combinations(list(sub_b.states()), r)
+        ]
+        full_a = Event.full(sub_a)
+        full_b = Event.full(sub_b)
+        if factorization_only:
+            quads = ((ea, full_a, eb, full_b) for ea in a_events for eb in b_events)
+        else:
+            quads = (
+                (ea, ea2, eb, eb2)
+                for ea in a_events
+                for ea2 in a_events
+                for eb in b_events
+                for eb2 in b_events
+            )
+        for ea, ea2, eb, eb2 in quads:
+            pa = embed_cylinder(ea, space, idx)
+            pa2 = embed_cylinder(ea2, space, idx)
+            pb = embed_cylinder(eb, space, j0)
+            pb2 = embed_cylinder(eb2, space, j0)
+            lhs = p.prob_event(pa & pb) * p.prob_event(pa2 & pb2)
+            rhs = p.prob_event(pa & pb2) * p.prob_event(pa2 & pb)
+            if lhs != rhs:
+                return ProductIdentityWitness(member, ea, ea2, eb, eb2, lhs, rhs)
+    return None
+
+
+def check_collection_independence_axiom_reference(p, coll, quad_limit=200000):
+    from corrpoly import is_independent_on
+
+    if not is_independent_on(p, coll).holds:
+        witness = product_identity_witness_reference(p, coll, factorization_only=True)
+        if witness is None:
+            witness = product_identity_witness_reference(p, coll, factorization_only=False)
+        if witness is None:
+            raise AssertionError("dependent distribution without a product-identity witness")
+        return False, witness
+    total = 0
+    for member in coll.members:
+        a = 2 ** p.space.subspace([*member]).total_size
+        b = 2 ** p.space.subspace(sorted(coll.union() - member)).total_size
+        total += a * a * b * b
+    if product_identity_witness_reference(p, coll, total > quad_limit) is not None:
+        raise AssertionError("independent distribution broke the product identity")
+    return True, None

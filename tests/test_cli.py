@@ -209,3 +209,27 @@ def test_error_paths(capsys):
     assert code == 1
     code, _, err = run(capsys, "evaluate", FINANCE)  # unbound parameter
     assert code == 1 and "--at" in err
+
+
+def test_mi_bad_input_is_an_error(capsys):
+    for args in (
+        ("--vertex", "0", "--step", "abc"),
+        ("--vertex", "0", "--step", "1/0"),
+        ("--vertex", "0", "--step", "0"),
+        ("--vertex", "0", "--probes", "-3"),
+        ("--vertex", "99"),
+        ("--vertex", "-1"),
+    ):
+        code, out, err = run(capsys, "mi", CLIMATE, *args)
+        assert code == 1, args
+        assert out == "" and err.startswith("error: "), args
+    code, out, err = run(capsys, "mi", CLIMATE, "--vertex", "1", "--step", "0.125")
+    assert code == 0 and "is_local_max" in out
+
+
+def test_check_axiom_rejects_negative_trials(capsys):
+    args = ("check-axiom", FINANCE, "--axiom", "subspace-independence", "--at", "1/6")
+    code, out, err = run(capsys, *args, "--trials", "-5")
+    assert code == 1 and out == "" and "trials must be nonnegative" in err
+    code, out, _ = run(capsys, *args, "--trials", "0")
+    assert code == 0 and out == "holds: True\n"

@@ -235,6 +235,17 @@ def test_certificate_rejects_steps_outside_the_unit_interval(skew_2x2):
     assert certify_local_max_mi(singleton, singleton.vertices()[0], step=F(2)).probe_count == 0
 
 
+def test_certificate_rejects_negative_probes_and_nonpositive_steps(skew_2x2):
+    p = skew_2x2.independent_product
+    with pytest.raises(CorrpolyError, match="probes must be nonnegative"):
+        certify_local_max_mi(skew_2x2, p, probes=-3)
+    for step in (F(0), F(-1, 8)):
+        with pytest.raises(CorrpolyError, match="must be positive"):
+            certify_local_max_mi(skew_2x2, p, step=step)
+    # no random probes is valid: the face directions are still probed
+    assert certify_local_max_mi(skew_2x2, p, probes=0).value == 0.0
+
+
 def test_certificate_checks_each_probe_point(skew_2x2, monkeypatch):
     # ladder points are not re-checked, so a probe point off the set must be
     # caught when it enters the loop

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from corrpoly import (
     Act,
     Collection,
+    ConsistencyError,
     CorrelationSet,
+    CorrpolyError,
     Event,
     JointDistribution,
     Marginal,
@@ -31,9 +33,17 @@ from corrpoly import (
     meu_minimizer,
     meu_value,
     more_correlation_averse,
+    sample_member,
     seu_subspace_value,
 )
+from corrpoly import preferences
 from conftest import random_correlation_set
+from bruteforce import (
+    check_collection_independence_axiom_reference,
+    check_subspace_independence_axiom_reference,
+    product_identity_witness_reference,
+    subspace_independence_trials_reference,
+)
 
 F = Fraction
 
@@ -277,3 +287,191 @@ def test_meu_equals_ceu_equals_seu_for_singletons(values, seed):
     prior = PriorSet.singleton(p)
     assert meu_value(prior, act) == expectation(p, act) == ceu_value(cs, act)
     del rng
+
+
+# -- the cell-table checkers against their Event/Act references ------------
+
+AXIOM_SHAPES = ((2, 2), (2, 3), (2, 2, 2), (1, 3))
+COLLECTIONS = {
+    2: [Collection.of({0}, {1})],
+    3: [
+        Collection.of({0}, {1}),
+        Collection.of({0}, {2}),
+        Collection.of({0, 1}, {2}),
+        Collection.of({0}, {1, 2}),
+        Collection.of({0}, {1}, {2}),
+    ],
+}
+
+
+@st.composite
+def axiom_sets(draw):
+    """Correlation sets whose marginals may put zero weight on some states
+    (down to point masses, which make every vertex a point mass there)."""
+    shape = draw(st.sampled_from(AXIOM_SHAPES))
+    marginals = []
+    for i, size in enumerate(shape):
+        parts = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any))
+        marginals.append(Marginal(i, tuple(F(x, sum(parts)) for x in parts)))
+    return CorrelationSet(ProductSpace(shape), marginals)
+
+
+def _priors(cs, data):
+    vertices = cs.vertices()
+    picks = data.draw(st.lists(st.integers(0, len(vertices) - 1), min_size=1, max_size=3))
+    return [
+        PriorSet.from_correlation_set(cs),
+        PriorSet.singleton(cs.independent_product),
+        PriorSet.singleton(vertices[picks[0]]),
+        PriorSet(cs.space, [vertices[k] for k in picks]),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(axiom_sets(), st.data())
+def test_subspace_independence_equals_reference(cs, data):
+    seed = data.draw(st.integers(0, 1000))
+    for prior in _priors(cs, data):
+        got = check_subspace_independence_axiom(prior, trials=20, seed=seed)
+        want = check_subspace_independence_axiom_reference(prior, trials=20, seed=seed)
+        # dataclass equality: every field, exact Fractions, the same first hit
+        assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(axiom_sets(), st.data())
+def test_behavioral_trials_equal_reference(cs, data):
+    # on equal seeds every trial draws the same tuple and reaches the same
+    # four worst-case values; the trials also run on non-product priors here
+    seed = data.draw(st.integers(0, 1000))
+    for prior in _priors(cs, data)[:3]:
+        scale = 8 * preferences._prior_numerators(prior)[1]
+        got = [
+            (trial, tuple(F(v, scale) for v in values))
+            for trial, values in preferences._behavioral_trials(prior, 30, seed)
+        ]
+        assert got == list(subspace_independence_trials_reference(prior, 30, seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(axiom_sets(), st.data())
+def test_collection_independence_equals_reference(cs, data):
+    coll = data.draw(st.sampled_from(COLLECTIONS[cs.space.n_subspaces]))
+    points = [cs.independent_product, *cs.vertices()]
+    points.append(sample_member(cs, random.Random(data.draw(st.integers(0, 1000)))))
+    p = data.draw(st.sampled_from(points))
+    # a budget that keeps every quadruple on (2,2), (2,3), (1,3) and on
+    # (2,2,2) with {0},{1} or {0},{2}, and the factorization pairs elsewhere
+    got = check_collection_independence_axiom(p, coll, quad_limit=5000)
+    assert got == check_collection_independence_axiom_reference(p, coll, quad_limit=5000)
+    factorization = preferences._product_identity_witness(p, coll, factorization_only=True)
+    assert factorization == product_identity_witness_reference(p, coll, True)
+    if not got[0]:  # on an independent point the full search ran in the check
+        full = preferences._product_identity_witness(p, coll, factorization_only=False)
+        assert full == product_identity_witness_reference(p, coll, False)
+
+
+def test_collection_independence_equals_reference_at_the_default_budget():
+    # every quadruple of a 4-state member against a 2-state rest, as on the
+    # finance scenario's {1,2},{3}
+    cs = random_correlation_set((2, 2, 2), random.Random(41))
+    coll = Collection.of({0, 1}, {2})
+    vertex = cs.vertices()[0]
+    for p in (cs.independent_product, vertex):
+        got = check_collection_independence_axiom(p, coll)
+        assert got == check_collection_independence_axiom_reference(p, coll)
+    full = preferences._product_identity_witness(vertex, coll, factorization_only=False)
+    assert full is not None and full == product_identity_witness_reference(vertex, coll, False)
+
+
+def _with_table(monkeypatch, change):
+    original = preferences._cell_table
+
+    def changed(nums, space, rows, cols):
+        return change(original(nums, space, rows, cols))
+
+    monkeypatch.setattr(preferences, "_cell_table", changed)
+
+
+def _bump_first_cell(table):
+    table[0][0] += 1
+    return table
+
+
+def _diagonal(table):
+    # the same total mass, all of it on the first and the last cell
+    total = sum(map(sum, table))
+    out = [[0] * len(table[0]) for _ in table]
+    out[0][0] = total // 2
+    out[-1][-1] = total - total // 2
+    return out
+
+
+def test_corrupted_table_breaks_the_product_identity(uniform_cube, monkeypatch):
+    _with_table(monkeypatch, _bump_first_cell)
+    p = uniform_cube.independent_product
+    with pytest.raises(ConsistencyError, match="independent distribution violated") as exc:
+        check_collection_independence_axiom(p, Collection.of({0, 1}, {2}))
+    assert exc.value.context == {
+        "shape": (2, 2, 2),
+        "weights": ["1/8"] * 8,
+        "collection": [[0, 1], [2]],
+    }
+
+
+def test_corrupted_table_fails_a_behavioral_trial(uniform_2x2, monkeypatch):
+    _with_table(monkeypatch, _diagonal)
+    prior = PriorSet.singleton(uniform_2x2.independent_product)
+    with pytest.raises(ConsistencyError, match="behavioral trial") as exc:
+        check_subspace_independence_axiom(prior, trials=200, seed=5)
+    context = exc.value.context
+    assert context["shape"] == (2, 2) and context["vertices"] == [["1/4"] * 4]
+    assert context["seed"] == 5 and 0 <= context["trial"] < 200
+
+
+def test_scan_and_trial_errors_carry_reproducer(uniform_2x2, monkeypatch):
+    full = PriorSet.from_correlation_set(uniform_2x2)
+    vertices = [[str(w) for w in v.weights] for v in full.vertices]
+    monkeypatch.setattr(preferences, "_violation", lambda values: False)
+    with pytest.raises(ConsistencyError, match="failed to witness") as exc:
+        check_subspace_independence_axiom(full, trials=0)
+    assert exc.value.context == {"shape": (2, 2), "vertices": vertices, "subspace": 0}
+
+    monkeypatch.setattr(preferences, "_violation", lambda values: True)
+    product = PriorSet.singleton(uniform_2x2.independent_product)
+    with pytest.raises(ConsistencyError, match="behavioral trial") as exc:
+        check_subspace_independence_axiom(product, trials=5, seed=4)
+    assert exc.value.context == {
+        "shape": (2, 2), "vertices": [["1/4"] * 4], "seed": 4, "trial": 0
+    }
+
+    monkeypatch.setattr(preferences, "_independence_scan", lambda prior, marginals: None)
+    with pytest.raises(ConsistencyError, match="no violating tuple") as exc:
+        check_subspace_independence_axiom(full, trials=0)
+    assert exc.value.context == {"shape": (2, 2), "vertices": vertices}
+
+
+def test_missing_witness_carries_reproducer(monkeypatch):
+    monkeypatch.setattr(preferences, "_product_identity_witness", lambda p, coll, factorization_only: None)
+    diag = JointDistribution(ProductSpace((2, 2)), (F(1, 2), 0, 0, F(1, 2)))
+    with pytest.raises(ConsistencyError, match="no product-identity witness") as exc:
+        check_collection_independence_axiom(diag, Collection.of({0}, {1}))
+    assert exc.value.context == {
+        "shape": (2, 2),
+        "weights": ["1/2", "0", "0", "1/2"],
+        "collection": [[0], [1]],
+    }
+
+
+def test_subspace_independence_rejects_negative_trials(uniform_2x2):
+    product = PriorSet.singleton(uniform_2x2.independent_product)
+    full = PriorSet.from_correlation_set(uniform_2x2)
+    for prior in (product, full):
+        with pytest.raises(CorrpolyError, match="trials must be nonnegative"):
+            check_subspace_independence_axiom(prior, trials=-5)
+    assert check_subspace_independence_axiom(product, trials=0) == (True, None)
+    # a single subspace has no complement to condition on
+    line = PriorSet.singleton(JointDistribution(ProductSpace((2,)), (F(1, 3), F(2, 3))))
+    assert check_subspace_independence_axiom(line, trials=0) == (True, None)
+    with pytest.raises(CorrpolyError):
+        check_subspace_independence_axiom(line, trials=1)
