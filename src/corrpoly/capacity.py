@@ -7,10 +7,12 @@ between Choquet and maxmin evaluation of acts.
 
 Every value is an exact LP minimum over the set's marginal system.  Simplex
 phase 1 does not depend on the event, so a `Capacity` runs it once, on its
-first miss, and starts every solve's phase 2 from that feasible basis; each
-solve checks its exact dual certificate (see `lp`).  The value is also
-cross-checked against the minimum over the enumerated extreme points, a sum
-of vertex weights over the event's states, and the two must agree.
+first miss, and starts every solve's phase 2 from that feasible basis; the
+constraint rows are converted to Fractions on that miss too and shared by
+every later program.  Each solve checks its exact dual certificate (see
+`lp`).  The value is also cross-checked against the minimum over the
+enumerated extreme points, a sum of vertex weights over the event's states,
+and the two must agree.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .polytope import CorrelationSet
 from .space import Act, Event, ProductSpace, embed_cylinder
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def event_from_mask(space: ProductSpace, mask: int) -> Event:
     members = [space.unravel(k) for k in range(space.total_size) if mask >> k & 1]
     return Event.from_states(space, members)
@@ -37,8 +42,9 @@ class Capacity:
 
     Values are keyed by the event bitmask (a Python int, so any desk-scale
     state count fits).  Queries are pure: identical events return identical
-    exact rationals.  The phase-1 start of the set's marginal system is
-    built on the first miss and reused by every later one.
+    exact rationals.  The set's constraint rows, as Fractions, and the
+    phase-1 start of its marginal system are built on the first miss and
+    shared by the `lp.LinearProgram` of every later one.
     """
 
     def __init__(self, cs: CorrelationSet):
@@ -46,6 +52,7 @@ class Capacity:
         self.space = cs.space
         self._memo: dict[int, Fraction] = {}
         self._start: Optional[lp.FeasibleStart] = None
+        self._constraints: Optional[tuple] = None
         self._scaled_vertices: Optional[tuple[int, list[list[int]]]] = None
 
     def value(self, event: Event) -> Fraction:
@@ -59,11 +66,14 @@ class Capacity:
             val = Fraction(0)
         else:
             n = self.space.total_size
-            program = lp.LinearProgram(
-                tuple(mask >> k & 1 for k in range(n)),
-                self.cs.system.matrix,
-                self.cs.system.rhs,
-            )
+            objective = tuple(_ONE if mask >> k & 1 else _ZERO for k in range(n))
+            if self._constraints is None:
+                matrix = self.cs.system.matrix  # 0/1 entries
+                self._constraints = (
+                    tuple(tuple(_ONE if a else _ZERO for a in row) for row in matrix),
+                    self.cs.system.rhs,
+                )
+            program = lp.LinearProgram(objective, *self._constraints)
             if self._start is None:
                 self._start = lp.feasible_start(program)
             try:
@@ -90,7 +100,7 @@ class Capacity:
                 [w.numerator * (denom // w.denominator) for w in p.weights] for p in vertices
             ])
         denom, scaled = self._scaled_vertices
-        return Fraction(min(sum(row[k] for k in members) for row in scaled), denom)
+        return Fraction(min(sum(map(row.__getitem__, members)) for row in scaled), denom)
 
     def _reproducer(self, mask: int) -> dict:
         return {**self.cs.reproducer(), "mask": mask}

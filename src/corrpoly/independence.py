@@ -164,12 +164,14 @@ def partition_factorize(
             Marginal(pos, cs.marginals[i].weights) for pos, i in enumerate(idx)
         ]
         components.append(CorrelationSet(sub_space, sub_marginals))
+    context = {**cs.reproducer(), "collection": [sorted(m) for m in coll.members]}
     dim_sum = sum(dimension(comp) for comp in components)
     if sum(1 for m in coll.members if len(m) >= 2) <= 1:
         restricted = restricted_dimension(cs, coll)
         if restricted != dim_sum:
             raise ConsistencyError(
-                f"partition dimension {dim_sum} disagrees with linear-system rank {restricted}"
+                f"partition dimension {dim_sum} disagrees with linear-system rank {restricted}",
+                **context,
             )
     if verify:
         vertex_lists = [comp.vertices() for comp in components]
@@ -180,12 +182,14 @@ def partition_factorize(
             for combo in itertools.product(*vertex_lists):
                 joint = product_of_components(cs.space, coll, combo)
                 if not cs.contains(joint):
-                    raise ConsistencyError("component product left the correlation set")
+                    raise ConsistencyError("component product left the correlation set", **context)
                 if not is_independent_on(joint, coll).holds:
-                    raise ConsistencyError("component product is not independent on the partition")
+                    raise ConsistencyError(
+                        "component product is not independent on the partition", **context
+                    )
                 for comp, v in zip(components, combo):
                     if not is_maximally_zero(comp, v):
-                        raise ConsistencyError("component vertex is not maximally zero")
+                        raise ConsistencyError("component vertex is not maximally zero", **context)
     return components
 
 

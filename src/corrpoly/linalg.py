@@ -56,7 +56,12 @@ def nullspace(rows: Sequence[Row]) -> list[Vector]:
     if not rows:
         return []
     m, pivots = rref(rows)
-    n_cols = len(rows[0])
+    return _kernel(m, pivots, len(rows[0]))
+
+
+def _kernel(m: list[list[Fraction]], pivots: list[int], n_cols: int) -> list[Vector]:
+    """The kernel basis of the first ``n_cols`` columns of an rref ``m``,
+    one vector per free column."""
     pivot_set = set(pivots)
     free_cols = [c for c in range(n_cols) if c not in pivot_set]
     basis = []
@@ -87,16 +92,7 @@ def solve_affine(
     sol = [Fraction(0)] * n_cols
     for r, pc in enumerate(pivots):
         sol[pc] = m[r][n_cols]
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(tuple(v))
-    return tuple(sol), basis
+    return tuple(sol), _kernel(m, pivots, n_cols)
 
 
 def solve_unique(

@@ -1,37 +1,58 @@
 """Exact linear programming over the rationals.
 
 A small dense two-phase simplex in standard equality form (min c.x subject
-to A x = b, x >= 0) with Bland's anti-cycling rule.  Every pivot is a
-Fraction operation, so optima and minimizers are exact and the returned
-minimizer is a basic feasible solution, i.e. a vertex of the feasible
-polytope.  Problem sizes here are tiny; no sparsity or revised-simplex
-machinery is warranted.
+to A x = b, x >= 0) with Bland's anti-cycling rule.  The tableau is kept
+fraction-free: each row is an integer vector, the row of the rational
+tableau scaled by the lcm of its denominators, so its basic entry is its
+positive scale.  A pivot combines integer rows without division, as in
+Bareiss (1968), and then divides each changed row by its gcd (rows keep
+their own scales, so there is no common previous pivot to divide by).
+Bland's rule reads only signs: the reduced costs form one more integer
+row of positive scale, and the ratio test compares rhs/entry ratios by
+cross-multiplication, ties going to the lower basis index.  So the pivots
+are those of the simplex on Fractions, optima and minimizers are exact,
+and the returned minimizer is a basic feasible solution, i.e. a vertex of
+the feasible polytope.  Problem sizes here are tiny; no sparsity or
+revised-simplex machinery is warranted.
 
 Phase 1 ignores the objective, so it is its own step: `feasible_start`
 runs it once for a system ``A x = b`` and returns the basic feasible
-tableau it ends on, and `solve_lp_min` runs phase 2 on a copy of that
-start.  A caller that minimizes many objectives over one system (the
+integer tableau it ends on, and `solve_lp_min` runs phase 2 on a copy of
+that start.  A caller that minimizes many objectives over one system (the
 capacity of a correlation set) builds the start once and passes it to
 every solve; a solve given no start builds its own.  Both take the same
 path, so both end on the same vertex.
 
-Every solve is certified.  The artificial columns of the final tableau
-hold B^-1, from which the exact dual ``y`` is read; rows negated to make
-``b >= 0`` negate their dual entry, and redundant rows dropped in phase 1
-carry no basic cost, so they add nothing to ``y``.  The solve then checks
-``A x = b``, ``x >= 0``, ``A^T y <= c`` and ``b.y = c.x``, which together
-prove ``x`` optimal (Applegate, Cook, Dash & Espinoza 2007).  A failed
+Every solve is certified.  The reduced costs of the artificial columns
+give the exact dual ``y``; rows negated to make ``b >= 0`` negate their
+dual entry, and redundant rows dropped in phase 1 carry no basic cost, so
+they add nothing to ``y``.  The solve then checks ``A x = b``, ``x >= 0``,
+``A^T y <= c`` and ``b.y = c.x`` in integers over one common denominator,
+which together prove ``x`` optimal (Applegate, Cook, Dash & Espinoza
+2007).  Fractions are built only for the returned `LPSolution`.  A failed
 check can only come from a start that does not belong to the program, and
 raises ConsistencyError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from itertools import chain
+from operator import mul
+from typing import NamedTuple, NoReturn, Optional, Sequence
 
 from .errors import ConsistencyError, CorrpolyError, InfeasibleError, UnboundedError
+
+_ZERO = Fraction(0)
+
+
+def _fraction_tuple(values) -> tuple[Fraction, ...]:
+    """``values`` as a tuple of Fractions; one that already is one is kept."""
+    if type(values) is tuple and set(map(type, values)) <= {Fraction}:
+        return values
+    return tuple(map(Fraction, values))
 
 
 @dataclass(frozen=True)
@@ -43,11 +64,9 @@ class LinearProgram:
     eq_rhs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", tuple(Fraction(c) for c in self.objective))
-        object.__setattr__(
-            self, "eq_matrix", tuple(tuple(Fraction(a) for a in row) for row in self.eq_matrix)
-        )
-        object.__setattr__(self, "eq_rhs", tuple(Fraction(b) for b in self.eq_rhs))
+        object.__setattr__(self, "objective", _fraction_tuple(self.objective))
+        object.__setattr__(self, "eq_matrix", tuple(map(_fraction_tuple, self.eq_matrix)))
+        object.__setattr__(self, "eq_rhs", _fraction_tuple(self.eq_rhs))
         n = len(self.objective)
         if len(self.eq_matrix) != len(self.eq_rhs):
             raise CorrpolyError("constraint matrix and rhs sizes differ")
@@ -65,88 +84,118 @@ class LPSolution:
     dual: tuple[Fraction, ...]
 
 
+class _IntegerSystem(NamedTuple):
+    """The constraints ``A x = b`` of a program, as given (``source``) and
+    scaled by the common denominator ``scale`` of all their entries."""
+
+    source: tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]
+    scale: int
+    rows: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
+    rhs: tuple[int, ...]
+
+
+def _integer_system(lp: LinearProgram) -> _IntegerSystem:
+    scale = math.lcm(
+        *(a.denominator for row in lp.eq_matrix for a in row),
+        *(b.denominator for b in lp.eq_rhs),
+    )
+    rows = tuple(
+        tuple(a.numerator * (scale // a.denominator) for a in row) for row in lp.eq_matrix
+    )
+    rhs = tuple(b.numerator * (scale // b.denominator) for b in lp.eq_rhs)
+    columns = tuple(zip(*rows)) if rows else ((),) * len(lp.objective)
+    return _IntegerSystem((lp.eq_matrix, lp.eq_rhs), scale, rows, columns, rhs)
+
+
 class FeasibleStart(NamedTuple):
     """The basic feasible tableau that simplex phase 1 ends on for
-    ``A x = b, x >= 0``.
+    ``A x = b, x >= 0``, in integers.
 
     With ``A' x = b'`` the system whose ``flipped`` rows are negated so that
-    ``b' >= 0``, ``rows`` is B^-1 [A' | I] and ``rhs`` is B^-1 b': the
+    ``b' >= 0``, row r of ``rows`` and ``rhs[r]`` are row r of the rational
+    tableau B^-1 [A' | I] and of B^-1 b', scaled by the lcm of the row's
+    denominators; its entry in column ``basis[r]`` is that scale.  The
     trailing identity block holds one artificial column per original row,
     ``width`` counts all columns, and rows found redundant are dropped.
-    Every column in ``basis`` is an original one.
+    Every column in ``basis`` is an original one.  ``system`` is the
+    program's constraints that the start was built for.
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
+    rows: tuple[tuple[int, ...], ...]
+    rhs: tuple[int, ...]
     basis: tuple[int, ...]
     width: int
     flipped: tuple[bool, ...]
+    system: _IntegerSystem
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [a // g for a in row] if g > 1 else row
 
 
 class _Tableau:
-    def __init__(
-        self,
-        rows: Sequence[Sequence[Fraction]],
-        rhs: Sequence[Fraction],
-        basis: Sequence[int],
-        width: int,
-    ):
-        self.rows = [list(row) for row in rows]
-        self.rhs = list(rhs)
-        self.basis = list(basis)
-        self.m = len(self.rows)
-        self.n = width
+    """Integer rows, rhs last, and the objective row ``z`` whose entries
+    are the reduced costs (the rhs the negated objective) times ``1/scale``."""
+
+    def __init__(self, rows: list[Sequence[int]], basis: list[int]):
+        self.rows = rows
+        self.basis = basis
+        self.z: list[int] = []
+        self.scale = 1
+
+    def price(self, cost: Sequence[int], cost_scale: int) -> None:
+        """Set ``z`` to the reduced costs of ``cost / cost_scale``, one entry
+        per column: z_j = c_j - sum_r c_B(r) a_rj / s_r, scaled by the lcm
+        of the scales s_r of the priced rows."""
+        priced = [(row, cost[bv], row[bv]) for row, bv in zip(self.rows, self.basis) if cost[bv]]
+        lcm = math.lcm(*(s for _, _, s in priced))
+        z = [c * lcm for c in cost] + [0]
+        for row, cb, s in priced:
+            f = cb * (lcm // s)
+            z = [a - f * b for a, b in zip(z, row)]
+        g = math.gcd(cost_scale * lcm, *z)
+        self.z = [a // g for a in z]
+        self.scale = cost_scale * lcm // g
 
     def pivot(self, row: int, col: int) -> None:
-        pv = self.rows[row][col]
-        inv = 1 / pv
-        self.rows[row] = [a * inv for a in self.rows[row]]
-        self.rhs[row] *= inv
-        for r in range(self.m):
-            if r != row and self.rows[r][col] != 0:
-                f = self.rows[r][col]
-                prow = self.rows[row]
-                self.rows[r] = [a - f * b for a, b in zip(self.rows[r], prow)]
-                self.rhs[r] -= f * self.rhs[row]
+        prow = self.rows[row]
+        p = prow[col]
+        if p < 0:
+            prow = self.rows[row] = [-a for a in prow]
+            p = -p
+        for r, other in enumerate(self.rows):
+            f = other[col]
+            if f and r != row:
+                self.rows[r] = _primitive([p * a - f * b for a, b in zip(other, prow)])
+        f = self.z[col] if self.z else 0
+        if f:
+            z = [p * a - f * b for a, b in zip(self.z, prow)]
+            g = math.gcd(self.scale * p, *z)
+            self.z = [a // g for a in z]
+            self.scale = self.scale * p // g
         self.basis[row] = col
 
-    def reduced_costs(self, cost: Sequence[Fraction]) -> list[Fraction]:
-        # price out the basic columns: z_j = c_j - sum_r c_B(r) * a_rj
-        red = list(cost)
-        for r, bv in enumerate(self.basis):
-            cb = cost[bv]
-            if cb != 0:
-                row = self.rows[r]
-                for j in range(self.n):
-                    if row[j] != 0:
-                        red[j] -= cb * row[j]
-        return red
-
-    def objective_value(self, cost: Sequence[Fraction]) -> Fraction:
-        return sum((cost[bv] * self.rhs[r] for r, bv in enumerate(self.basis)), Fraction(0))
-
-    def run_simplex(self, cost: list[Fraction], allowed: Sequence[bool]) -> None:
-        """Minimize cost over the tableau by Bland's rule, restricted to
-        ``allowed`` entering columns.  Raises UnboundedError when a negative
-        reduced-cost column has no positive entry."""
+    def run_simplex(self, entering_limit: int) -> None:
+        """Minimize by Bland's rule over entering columns ``< entering_limit``.
+        Raises UnboundedError when a negative reduced-cost column has no
+        positive entry."""
         while True:
-            red = self.reduced_costs(cost)
-            entering = next(
-                (j for j in range(self.n) if allowed[j] and red[j] < 0), None
-            )
+            z = self.z
+            entering = next((j for j in range(entering_limit) if z[j] < 0), None)
             if entering is None:
                 return
             leaving = None
-            best = None
-            for r in range(self.m):
-                a = self.rows[r][entering]
+            for r, row in enumerate(self.rows):
+                a = row[entering]
                 if a > 0:
-                    ratio = self.rhs[r] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[r] < self.basis[leaving]
-                    ):
-                        best = ratio
-                        leaving = r
+                    if leaving is None:
+                        leaving, best_rhs, best_a = r, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * best_a, best_rhs * a
+                    if lhs < rhs or (lhs == rhs and self.basis[r] < self.basis[leaving]):
+                        leaving, best_rhs, best_a = r, row[-1], a
             if leaving is None:
                 raise UnboundedError("objective is unbounded below")
             self.pivot(leaving, entering)
@@ -160,32 +209,36 @@ def feasible_start(lp: LinearProgram) -> FeasibleStart:
     """
     n = len(lp.objective)
     m = len(lp.eq_rhs)
-    flipped = tuple(b < 0 for b in lp.eq_rhs)
-    rows = [
-        [-a if flip else a for a in row] + [Fraction(1 if i == r else 0) for i in range(m)]
-        for r, (row, flip) in enumerate(zip(lp.eq_matrix, flipped))
-    ]
-    rhs = [-b if flip else b for b, flip in zip(lp.eq_rhs, flipped)]
-    tab = _Tableau(rows, rhs, range(n, n + m), n + m)
-
-    phase1_cost = [Fraction(0)] * n + [Fraction(1)] * m
-    tab.run_simplex(phase1_cost, [True] * tab.n)
-    if tab.objective_value(phase1_cost) != 0:
+    system = _integer_system(lp)
+    flipped = tuple(b < 0 for b in system.rhs)
+    rows = []
+    for r, (row, b, flip) in enumerate(zip(system.rows, system.rhs, flipped)):
+        sign = -1 if flip else 1
+        artificial = [system.scale if i == r else 0 for i in range(m)]
+        rows.append(_primitive([sign * a for a in row] + artificial + [sign * b]))
+    tab = _Tableau(rows, list(range(n, n + m)))
+    tab.price([0] * n + [1] * m, 1)
+    tab.run_simplex(n + m)
+    if tab.z[-1] != 0:
         raise InfeasibleError("equality constraints admit no nonnegative solution")
 
     # drive remaining artificials out of the basis; drop redundant rows
-    for r in range(tab.m - 1, -1, -1):
+    tab.z = []
+    for r in range(len(tab.rows) - 1, -1, -1):
         if tab.basis[r] >= n:
-            col = next(
-                (j for j in range(n) if tab.rows[r][j] != 0), None
-            )
+            row = tab.rows[r]
+            col = next((j for j in range(n) if row[j] != 0), None)
             if col is None:
-                del tab.rows[r], tab.rhs[r], tab.basis[r]
-                tab.m -= 1
+                del tab.rows[r], tab.basis[r]
             else:
                 tab.pivot(r, col)
     return FeasibleStart(
-        tuple(map(tuple, tab.rows)), tuple(tab.rhs), tuple(tab.basis), tab.n, flipped
+        tuple(tuple(row[:-1]) for row in tab.rows),
+        tuple(row[-1] for row in tab.rows),
+        tuple(tab.basis),
+        n + m,
+        flipped,
+        system,
     )
 
 
@@ -206,51 +259,88 @@ def solve_lp_min(lp: LinearProgram, start: Optional[FeasibleStart] = None) -> LP
         raise CorrpolyError(
             f"start of width {start.width} does not fit a {m}x{n} program"
         )
-    tab = _Tableau(start.rows, start.rhs, start.basis, start.width)
-    cost = list(lp.objective) + [Fraction(0)] * m
-    tab.run_simplex(cost, [j < n for j in range(tab.n)])
+    if start.system.source != (lp.eq_matrix, lp.eq_rhs):
+        _fail(lp, "the start was built for other constraints")
+    rows = [row + (b,) for row, b in zip(start.rows, start.rhs)]
+    if not _is_feasible_basis(rows, start.basis, n):
+        _fail(lp, "the start is not a feasible integer basis")
+    cost_scale = math.lcm(*(c.denominator for c in lp.objective))
+    cost = [c.numerator * (cost_scale // c.denominator) for c in lp.objective]
+    tab = _Tableau(rows, list(start.basis))
+    tab.price(cost + [0] * m, cost_scale)
+    tab.run_simplex(n)
 
-    x = [Fraction(0)] * n
-    y = [Fraction(0)] * m
-    for r, bv in enumerate(tab.basis):
-        if bv < n:
-            x[bv] = tab.rhs[r]
-        cb = cost[bv]
-        if cb != 0:
-            row = tab.rows[r]
-            for i in range(m):
-                if row[n + i] != 0:
-                    y[i] += cb * row[n + i]
-    y = [-v if flip else v for v, flip in zip(y, start.flipped)]
-    optimum = sum((c * v for c, v in zip(lp.objective, x)), Fraction(0))
-    _certify(lp, x, y, optimum)
-    return LPSolution(optimum, tuple(x), tuple(y))
+    # x = xs / x_scale; y = ys / tab.scale
+    scales = [row[bv] for row, bv in zip(tab.rows, tab.basis)]
+    x_scale = math.lcm(*scales)
+    xs = [0] * n
+    for row, bv, s in zip(tab.rows, tab.basis, scales):
+        xs[bv] = row[-1] * (x_scale // s)
+    ys = [z if flip else -z for z, flip in zip(tab.z[n:n + m], start.flipped)]
+    cx = sum(map(mul, cost, xs))
+    _certify(lp, start.system, xs, x_scale, ys, tab.scale, cost, cost_scale, cx)
+    return LPSolution(
+        Fraction(cx, cost_scale * x_scale),
+        tuple(Fraction(v, x_scale) if v else _ZERO for v in xs),
+        tuple(Fraction(v, tab.scale) if v else _ZERO for v in ys),
+    )
+
+
+def _is_feasible_basis(rows: Sequence[Sequence], basis: Sequence[int], n: int) -> bool:
+    """Whether ``rows`` hold integers, a nonnegative rhs and, in the columns
+    of ``basis`` (all original ones), a positive diagonal and zeros elsewhere."""
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        return False
+    if len(basis) != len(rows) or any(not 0 <= bv < n for bv in basis):
+        return False
+    zeros = len(basis) - 1
+    for row, bv in zip(rows, basis):
+        in_basis = [row[b] for b in basis]
+        if row[-1] < 0 or row[bv] <= 0 or in_basis.count(0) != zeros:
+            return False
+    return True
 
 
 def _certify(
-    lp: LinearProgram, x: Sequence[Fraction], y: Sequence[Fraction], optimum: Fraction
+    lp: LinearProgram,
+    system: _IntegerSystem,
+    xs: Sequence[int],
+    x_scale: int,
+    ys: Sequence[int],
+    y_scale: int,
+    cost: Sequence[int],
+    cost_scale: int,
+    cx: int,
 ) -> None:
     """Raise ConsistencyError unless x is feasible, y is dual feasible and
-    their objectives agree: weak duality then makes both optimal."""
-    support = [(j, v) for j, v in enumerate(x) if v != 0]
-    if any(v < 0 for _, v in support):
+    their objectives agree: weak duality then makes both optimal.
+
+    With A = rows / L, b = rhs / L, c = cost / C, x = xs / X and y = ys / Y
+    the four conditions read, over integers: xs >= 0, rows . xs = rhs * X,
+    C * (columns . ys) <= L * Y * cost and C * X * (rhs . ys) = L * Y * (cost . xs).
+    """
+    dual_bound = system.scale * y_scale
+    if min(xs, default=0) < 0:
         failure = "x has a negative entry"
     elif any(
-        sum((row[j] * v for j, v in support if row[j] != 0), Fraction(0)) != b
-        for row, b in zip(lp.eq_matrix, lp.eq_rhs)
+        sum(map(mul, row, xs)) != b * x_scale for row, b in zip(system.rows, system.rhs)
     ):
         failure = "A x != b"
     elif any(
-        sum((row[j] * yi for row, yi in zip(lp.eq_matrix, y) if row[j] != 0), Fraction(0)) > c
-        for j, c in enumerate(lp.objective)
+        cost_scale * sum(map(mul, column, ys)) > dual_bound * c
+        for column, c in zip(system.columns, cost)
     ):
         failure = "A^T y <= c fails"
-    elif sum((b * yi for b, yi in zip(lp.eq_rhs, y)), Fraction(0)) != optimum:
+    elif cost_scale * x_scale * sum(map(mul, system.rhs, ys)) != dual_bound * cx:
         failure = "b.y != c.x"
     else:
         return
+    _fail(lp, f"LP certificate failed: {failure}")
+
+
+def _fail(lp: LinearProgram, message: str) -> NoReturn:
     raise ConsistencyError(
-        f"LP certificate failed: {failure}",
+        message,
         size=f"{len(lp.eq_rhs)}x{len(lp.objective)}",
         objective=[str(c) for c in lp.objective],
         eq_rhs=[str(b) for b in lp.eq_rhs],

@@ -535,9 +535,9 @@ def check_collection_independence_axiom(
             )
         return False, witness
     total = 0
-    for member in coll.members:
-        a = 2 ** p.space.subspace([*member]).total_size
-        b = 2 ** p.space.subspace(sorted(coll.union() - member)).total_size
+    for member in coll.members:  # quadruples of non-empty events, as compared
+        a = 2 ** p.space.subspace([*member]).total_size - 1
+        b = 2 ** p.space.subspace(sorted(coll.union() - member)).total_size - 1
         total += a * a * b * b
     factorization_only = total > quad_limit
     witness = _product_identity_witness(p, coll, factorization_only=factorization_only)

@@ -9,7 +9,9 @@ end keep the package's earlier Fraction-based membership test, sampler and
 per-step certificate, which the integer versions must match exactly.  The
 axiom-checker references keep the package's earlier Event/Act versions of
 the subspace-independence scan and trials and of the product-identity
-search, which the cell-table versions must match field for field.
+search, which the cell-table versions must match field for field.  The LP
+references keep the package's earlier two-phase simplex on Fractions,
+whose phase-1 tableau and solutions the integer simplex must match.
 """
 
 from __future__ import annotations
@@ -393,9 +395,123 @@ def check_collection_independence_axiom_reference(p, coll, quad_limit=200000):
         return False, witness
     total = 0
     for member in coll.members:
-        a = 2 ** p.space.subspace([*member]).total_size
-        b = 2 ** p.space.subspace(sorted(coll.union() - member)).total_size
+        a = 2 ** p.space.subspace([*member]).total_size - 1
+        b = 2 ** p.space.subspace(sorted(coll.union() - member)).total_size - 1
         total += a * a * b * b
     if product_identity_witness_reference(p, coll, total > quad_limit) is not None:
         raise AssertionError("independent distribution broke the product identity")
     return True, None
+
+
+# --- the package's earlier Fraction simplex, kept as the LP reference -------
+
+
+class _FractionTableau:
+    def __init__(self, rows, rhs, basis, width):
+        self.rows = [list(row) for row in rows]
+        self.rhs = list(rhs)
+        self.basis = list(basis)
+        self.m = len(self.rows)
+        self.n = width
+
+    def pivot(self, row, col):
+        inv = 1 / self.rows[row][col]
+        self.rows[row] = [a * inv for a in self.rows[row]]
+        self.rhs[row] *= inv
+        for r in range(self.m):
+            if r != row and self.rows[r][col] != 0:
+                f = self.rows[r][col]
+                prow = self.rows[row]
+                self.rows[r] = [a - f * b for a, b in zip(self.rows[r], prow)]
+                self.rhs[r] -= f * self.rhs[row]
+        self.basis[row] = col
+
+    def reduced_costs(self, cost):
+        red = list(cost)
+        for r, bv in enumerate(self.basis):
+            if cost[bv] != 0:
+                for j in range(self.n):
+                    red[j] -= cost[bv] * self.rows[r][j]
+        return red
+
+    def run_simplex(self, cost, allowed):
+        from corrpoly import UnboundedError
+
+        while True:
+            red = self.reduced_costs(cost)
+            entering = next((j for j in range(self.n) if allowed[j] and red[j] < 0), None)
+            if entering is None:
+                return
+            leaving = best = None
+            for r in range(self.m):
+                a = self.rows[r][entering]
+                if a > 0:
+                    ratio = self.rhs[r] / a
+                    if best is None or ratio < best or (
+                        ratio == best and self.basis[r] < self.basis[leaving]
+                    ):
+                        best, leaving = ratio, r
+            if leaving is None:
+                raise UnboundedError("objective is unbounded below")
+            self.pivot(leaving, entering)
+
+
+def feasible_start_reference(program):
+    """Phase 1 on Fractions: (rows B^-1 [A' | I], rhs B^-1 b', basis,
+    width, flipped), as the package's `FeasibleStart` holds them once each
+    integer row is divided by its basic entry."""
+    from corrpoly import InfeasibleError
+
+    n, m = len(program.objective), len(program.eq_rhs)
+    flipped = tuple(b < 0 for b in program.eq_rhs)
+    rows = [
+        [-a if flip else a for a in row] + [Fraction(int(i == r)) for i in range(m)]
+        for r, (row, flip) in enumerate(zip(program.eq_matrix, flipped))
+    ]
+    rhs = [-b if flip else b for b, flip in zip(program.eq_rhs, flipped)]
+    tab = _FractionTableau(rows, rhs, range(n, n + m), n + m)
+    phase1_cost = [Fraction(0)] * n + [Fraction(1)] * m
+    tab.run_simplex(phase1_cost, [True] * tab.n)
+    if sum(phase1_cost[bv] * tab.rhs[r] for r, bv in enumerate(tab.basis)) != 0:
+        raise InfeasibleError("equality constraints admit no nonnegative solution")
+    for r in range(tab.m - 1, -1, -1):
+        if tab.basis[r] >= n:
+            col = next((j for j in range(n) if tab.rows[r][j] != 0), None)
+            if col is None:
+                del tab.rows[r], tab.rhs[r], tab.basis[r]
+                tab.m -= 1
+            else:
+                tab.pivot(r, col)
+    return (
+        tuple(map(tuple, tab.rows)), tuple(tab.rhs), tuple(tab.basis), tab.n, flipped
+    )
+
+
+def solve_lp_min_reference(program):
+    """Phase 2 on Fractions from `feasible_start_reference`, the dual read
+    from the artificial columns, and the certificate checked over
+    Fractions; returns the package's `LPSolution`."""
+    from corrpoly import LPSolution
+
+    rows, rhs, basis, width, flipped = feasible_start_reference(program)
+    n, m = len(program.objective), len(program.eq_rhs)
+    tab = _FractionTableau(rows, rhs, basis, width)
+    cost = list(program.objective) + [Fraction(0)] * m
+    tab.run_simplex(cost, [j < n for j in range(tab.n)])
+    x = [Fraction(0)] * n
+    y = [Fraction(0)] * m
+    for r, bv in enumerate(tab.basis):
+        x[bv] = tab.rhs[r]
+        for i in range(m):
+            y[i] += cost[bv] * tab.rows[r][n + i]
+    y = [-v if flip else v for v, flip in zip(y, flipped)]
+    optimum = sum((c * v for c, v in zip(program.objective, x)), Fraction(0))
+    matrix = program.eq_matrix
+    assert all(v >= 0 for v in x)
+    assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(matrix, program.eq_rhs))
+    assert all(
+        sum((row[j] * yi for row, yi in zip(matrix, y)), Fraction(0)) <= c
+        for j, c in enumerate(program.objective)
+    )
+    assert sum((b * yi for b, yi in zip(program.eq_rhs, y)), Fraction(0)) == optimum
+    return LPSolution(optimum, tuple(x), tuple(y))

@@ -1,11 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from corrpoly import (
     Collection,
+    ConsistencyError,
     CorrelationSet,
     CorrpolyError,
     Event,
@@ -24,6 +26,7 @@ from corrpoly import (
     restricted_dimension,
     sample_partition_member,
 )
+from corrpoly import independence
 from conftest import random_correlation_set, random_marginal
 
 F = Fraction
@@ -167,6 +170,38 @@ def test_partition_factorize_dimensions(uniform_cube):
     )
     comps33 = partition_factorize(cs33, Collection.of({0}, {1}))
     assert [dimension(c) for c in comps33] == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "target, name, patched, message",
+    [
+        (independence, "restricted_dimension", lambda cs, coll: 99, "disagrees with linear-system rank"),
+        (CorrelationSet, "contains", lambda self, p: False, "left the correlation set"),
+        (
+            independence,
+            "is_independent_on",
+            lambda p, coll: SimpleNamespace(holds=False),
+            "not independent on the partition",
+        ),
+        (independence, "is_maximally_zero", lambda cs, p: False, "not maximally zero"),
+    ],
+)
+def test_partition_factorize_errors_carry_the_inputs(
+    skew_2x2, monkeypatch, target, name, patched, message
+):
+    space = ProductSpace((2, 2, 3))
+    cs = CorrelationSet(
+        space,
+        [*skew_2x2.marginals, Marginal(2, (F(1, 2), F(1, 3), F(1, 6)))],
+    )
+    monkeypatch.setattr(target, name, patched)
+    with pytest.raises(ConsistencyError, match=message) as info:
+        partition_factorize(cs, Collection.of({2}, {0, 1}))
+    assert info.value.context == {
+        "shape": (2, 2, 3),
+        "marginals": [["1/3", "2/3"], ["1/4", "3/4"], ["1/2", "1/3", "1/6"]],
+        "collection": [[0, 1], [2]],
+    }
 
 
 def test_partition_factorize_requires_partition(uniform_cube):

@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from corrpoly import (
 )
 from corrpoly.linalg import rank
 from corrpoly.lp import minimize_over_system
+from bruteforce import feasible_start_reference, solve_lp_min_reference
 from conftest import random_correlation_set
 
 F = Fraction
@@ -66,8 +69,10 @@ def test_argmin_is_a_coupling_vertex():
 def test_infeasible_detection():
     # marginal rows demanding different totals cannot both hold
     matrix = ((F(1), F(1)), (F(1), F(1)))
+    program = LinearProgram((F(0), F(0)), matrix, (F(1), F(2)))
     with pytest.raises(InfeasibleError):
-        solve_lp_min(LinearProgram((F(0), F(0)), matrix, (F(1), F(2))))
+        solve_lp_min(program)
+    _assert_matches_reference(program, [program.objective])
 
 
 def test_unbounded_detection():
@@ -75,6 +80,7 @@ def test_unbounded_detection():
     lp = LinearProgram((F(-1), F(0)), ((F(1), F(-1)),), (F(0),))
     with pytest.raises(UnboundedError):
         solve_lp_min(lp)
+    _assert_matches_reference(lp, [lp.objective, (F(1), F(1, 2))])
 
 
 def test_dimension_mismatch_rejected():
@@ -194,6 +200,30 @@ def test_corrupted_start_raises_consistency_error():
         assert info.value.context["size"] == "6x9"
 
 
+def test_integer_corrupted_start_fails_the_certificate():
+    # integer changes keep the start a feasible basic tableau, so phase 2
+    # runs to its end and only the certificate can tell
+    rng = random.Random(17)
+    cs = random_correlation_set((3, 3), rng)
+    program = _program(cs, [1, 0, 1, 0, 0, 1, 1, 1, 0])
+    start = feasible_start(program)
+    assert start.basis == (2, 5, 7, 6, 4)
+
+    def bump(row, col):  # one artificial-column entry of one row
+        rows = [list(r) for r in start.rows]
+        rows[row][col] += 1
+        return start._replace(rows=tuple(map(tuple, rows)))
+
+    bumped_rhs = start._replace(rhs=start.rhs[:1] + (start.rhs[1] + 1,) + start.rhs[2:])
+    for corrupt, failure in (
+        (bumped_rhs, "A x != b"),
+        (bump(0, 9), "A^T y <= c fails"),
+        (bump(2, 9), "b.y != c.x"),
+    ):
+        with pytest.raises(ConsistencyError, match=f"LP certificate failed: {re.escape(failure)}"):
+            solve_lp_min(program, corrupt)
+
+
 def test_start_of_another_size_is_rejected(uniform_2x2, uniform_cube):
     start = feasible_start(_program(uniform_cube, [0] * 8))
     with pytest.raises(CorrpolyError):
@@ -238,3 +268,95 @@ def test_matches_scipy_linprog(sizes, consistent, seed):
     assert reference.status == 0
     sol = solve_lp_min(program)
     assert abs(float(sol.optimum) - reference.fun) <= 1e-9
+
+
+def _outcome(solve, program):
+    try:
+        return solve(program)
+    except (InfeasibleError, UnboundedError) as exc:
+        return type(exc)
+
+
+def _assert_matches_reference(program, objectives):
+    """The integer phase-1 start is the Fraction reference's tableau, each
+    row scaled by the lcm of its denominators, and every solve (warm and
+    cold) returns the reference's `LPSolution` or raises its error."""
+    try:
+        rows, rhs, basis, width, flipped = feasible_start_reference(program)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            feasible_start(program)
+        return
+    start = feasible_start(program)
+    assert (start.basis, start.width, start.flipped) == (basis, width, flipped)
+    scales = [row[bv] for row, bv in zip(start.rows, start.basis)]
+    assert all(s > 0 and math.gcd(*row, b) == 1 for s, row, b in zip(scales, start.rows, start.rhs))
+    assert [tuple(F(a, s) for a in row) for row, s in zip(start.rows, scales)] == list(rows)
+    assert [F(b, s) for b, s in zip(start.rhs, scales)] == list(rhs)
+    for objective in objectives:
+        changed = LinearProgram(tuple(objective), program.eq_matrix, program.eq_rhs)
+        expected = _outcome(solve_lp_min_reference, changed)
+        assert _outcome(lambda p: solve_lp_min(p, start), changed) == expected
+        assert _outcome(solve_lp_min, changed) == expected
+
+
+@st.composite
+def _marginal_programs(draw):
+    """Marginal systems with zero-weight states, 1-state subspaces and, when
+    ``tied``, equal marginals on subspaces of equal size; one in four has an
+    inconsistent rhs."""
+    sizes = draw(st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 1, 2), (2, 2, 2), (1, 1), (3, 3), (2, 4)]))
+    denominator = draw(st.sampled_from([2, 4, 6, 12]))
+    tied = draw(st.booleans())
+    by_size = {}
+    marginals = []
+    for i, size in enumerate(sizes):
+        cuts = sorted(draw(st.lists(st.integers(0, denominator), min_size=size - 1, max_size=size - 1)))
+        parts = tuple(F(b - a, denominator) for a, b in zip([0] + cuts, cuts + [denominator]))
+        if tied:
+            parts = by_size.setdefault(size, parts)
+        marginals.append(Marginal(i, parts))
+    cs = CorrelationSet(ProductSpace(sizes), marginals)
+    n = cs.space.total_size
+    objectives = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        | st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        min_size=1, max_size=4,
+    ))
+    rhs = list(cs.system.rhs)
+    if draw(st.integers(0, 3)) == 0:
+        # the last subspace's rows no longer sum to 1: infeasible
+        rhs[-1] += F(1, denominator)
+    return LinearProgram(tuple(objectives[0]), cs.system.matrix, tuple(rhs)), objectives
+
+
+@settings(max_examples=80, deadline=None)
+@given(_marginal_programs())
+def test_marginal_programs_match_the_fraction_reference(drawn):
+    program, objectives = drawn
+    _assert_matches_reference(program, objectives)
+
+
+_SMALL_FRACTIONS = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def _rational_programs(draw):
+    """Rational systems ``A x = A x0`` with negative rhs entries; a perturbed
+    rhs may be infeasible and a cost with negative entries unbounded."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    matrix = draw(st.lists(st.lists(_SMALL_FRACTIONS, min_size=n, max_size=n), min_size=m, max_size=m))
+    x0 = draw(st.lists(st.builds(F, st.integers(0, 3), st.sampled_from([1, 2])), min_size=n, max_size=n))
+    rhs = [sum(a * v for a, v in zip(row, x0)) for row in matrix]
+    if draw(st.booleans()):
+        rhs[draw(st.integers(0, m - 1))] += draw(_SMALL_FRACTIONS)
+    objectives = draw(st.lists(st.lists(_SMALL_FRACTIONS, min_size=n, max_size=n), min_size=1, max_size=4))
+    return LinearProgram(tuple(objectives[0]), matrix, rhs), objectives
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_programs())
+def test_rational_programs_match_the_fraction_reference(drawn):
+    program, objectives = drawn
+    _assert_matches_reference(program, objectives)
+

@@ -361,7 +361,8 @@ def test_collection_independence_equals_reference(cs, data):
     points.append(sample_member(cs, random.Random(data.draw(st.integers(0, 1000)))))
     p = data.draw(st.sampled_from(points))
     # a budget that keeps every quadruple on (2,2), (2,3), (1,3) and on
-    # (2,2,2) with {0},{1} or {0},{2}, and the factorization pairs elsewhere
+    # (2,2,2) with {0},{1}, {0},{2} or a 4-state member against a 2-state
+    # rest (4 050 quadruples), and the factorization pairs elsewhere
     got = check_collection_independence_axiom(p, coll, quad_limit=5000)
     assert got == check_collection_independence_axiom_reference(p, coll, quad_limit=5000)
     factorization = preferences._product_identity_witness(p, coll, factorization_only=True)
@@ -382,6 +383,28 @@ def test_collection_independence_equals_reference_at_the_default_budget():
         assert got == check_collection_independence_axiom_reference(p, coll)
     full = preferences._product_identity_witness(vertex, coll, factorization_only=False)
     assert full is not None and full == product_identity_witness_reference(vertex, coll, False)
+
+
+def test_collection_budget_counts_the_quadruples_it_compares(uniform_cube, monkeypatch):
+    # {0,1},{2} on (2,2,2), the shape of the finance scenario's {1,2},{3}:
+    # 2 * 15^2 * 3^2 = 4 050 quadruples of non-empty events, so every budget
+    # from 4 050 up (and below 8 192, the count with empty events) runs the
+    # full search
+    searches = []
+    original = preferences._product_identity_witness
+
+    def spy(p, coll, factorization_only):
+        searches.append(factorization_only)
+        return original(p, coll, factorization_only)
+
+    monkeypatch.setattr(preferences, "_product_identity_witness", spy)
+    p = uniform_cube.independent_product
+    coll = Collection.of({0, 1}, {2})
+    for budget, factorization_only in ((4049, True), (4050, False), (5000, False), (8191, False)):
+        searches.clear()
+        assert check_collection_independence_axiom(p, coll, quad_limit=budget) == (True, None)
+        assert check_collection_independence_axiom_reference(p, coll, quad_limit=budget) == (True, None)
+        assert searches == [factorization_only]
 
 
 def _with_table(monkeypatch, change):
