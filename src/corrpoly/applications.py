@@ -15,7 +15,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ConsistencyError, CorrpolyError, MarginalMismatchError
 from .preferences import PriorSet, RiskUtility, meu_minimizer
@@ -55,6 +55,14 @@ class ReportRow:
         param: Optional[Fraction] = None,
     ) -> "ReportRow":
         return cls(name, value, decimal_string(value), argmin_vertex, param)
+
+
+def _maxmin_rows(
+    prior: PriorSet, acts: Iterable[tuple[str, Act]], param: Optional[Fraction] = None
+) -> list[ReportRow]:
+    """One row per act: its worst-case expected utility over the prior set
+    and the index of a minimizing vertex."""
+    return [ReportRow.of(name, *meu_minimizer(prior, act), param=param) for name, act in acts]
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +115,11 @@ def run_climate(
         ),
     )
 
-    rows = []
-    for name, act in (
+    rows = _maxmin_rows(prior, [
         ("business_as_usual", bau),
         ("mitigation", mitigation),
         ("climate_engineering", engineering),
-    ):
-        value, argmin = meu_minimizer(prior, act)
-        rows.append(ReportRow.of(name, value, argmin))
-
+    ])
     if rows[0].value != -p_bad * damage:
         raise ConsistencyError("inaction value disagrees with its closed form")
     if rows[1].value != -mitigation_cost - p_bad * mitigated_damage:
@@ -338,9 +342,7 @@ def sweep_rows(
     for value in grid:
         value = Fraction(value)
         prior = scenario.prior_set(cs, param_value=value)
-        for name, act in scenario.acts(param_value=value).items():
-            meu, argmin = meu_minimizer(prior, act)
-            rows.append(ReportRow.of(name, meu, argmin, param=value))
+        rows += _maxmin_rows(prior, scenario.acts(param_value=value).items(), value)
     return rows
 
 

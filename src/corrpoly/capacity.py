@@ -18,15 +18,15 @@ and the two must agree.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import lp
 from .errors import ConsistencyError, CorrpolyError
+from .linalg import integer_numerators
 from .polytope import CorrelationSet
-from .space import Act, Event, ProductSpace, embed_cylinder
+from .space import Act, Event, ProductSpace, cylinder, embed_cylinder
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -94,11 +94,9 @@ class Capacity:
         """min p(E) over the vertices: integer sums of the vertex weights
         scaled to their common denominator, over the members of E."""
         if self._scaled_vertices is None:
-            vertices = self.cs.vertices()
-            denom = math.lcm(*(w.denominator for p in vertices for w in p.weights))
-            self._scaled_vertices = (denom, [
-                [w.numerator * (denom // w.denominator) for w in p.weights] for p in vertices
-            ])
+            n = self.space.total_size
+            flat, denom = integer_numerators([w for p in self.cs.vertices() for w in p.weights])
+            self._scaled_vertices = (denom, [flat[k : k + n] for k in range(0, len(flat), n)])
         denom, scaled = self._scaled_vertices
         return Fraction(min(sum(map(row.__getitem__, members)) for row in scaled), denom)
 
@@ -149,10 +147,8 @@ def check_exactness(
     if cap.value(Event.full(space)) != 1:
         return False
     for i, m in enumerate(cs.marginals):
-        sub = space.subspace([i])
         for coord in range(m.size):
-            cyl = embed_cylinder(Event.from_states(sub, [(coord,)]), space, [i])
-            if cap.value(cyl) != m.weights[coord]:
+            if cap.value(cylinder(space, {i: coord})) != m.weights[coord]:
                 return False
 
     if 2 ** n <= exhaustive_limit:

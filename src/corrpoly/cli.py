@@ -2,8 +2,10 @@
 
     corrpoly dim|vertices|capacity|mi|independence|evaluate|check-axiom|compare|sweep
 
-All subcommands take a scenario file; randomized checks take --seed and the
-tabular ones --format csv|table.  Exit codes: 0 on success, 2 when a check
+All subcommands take a scenario file; the randomized ones (mi, check-axiom)
+take --seed, those that evaluate a prior set at a sweep value (mi,
+independence, evaluate, check-axiom, compare) take --at, and the tabular
+ones --format csv|table.  Exit codes: 0 on success, 2 when a check
 subcommand reaches a negative verdict, 1 on any error.
 """
 
@@ -46,10 +48,6 @@ def _render(columns: Sequence[str], rows: Sequence[Sequence], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load(path: str) -> scenario.Scenario:
-    return scenario.load(path)
-
-
 def _param_value(scn: scenario.Scenario, raw: Optional[str]) -> Optional[Fraction]:
     if raw is None:
         if scn.parameters():
@@ -74,7 +72,10 @@ def _parse_family(scn: scenario.Scenario, text: str):
         head, _, expr = part.partition(":")
         if not expr:
             raise CorrpolyError("family members look like '1,2:<event expr>'")
-        idx = sorted(int(t) - 1 for t in head.replace(" ", "").split(","))
+        try:
+            idx = sorted(int(t) - 1 for t in head.replace(" ", "").split(","))
+        except ValueError:
+            raise CorrpolyError(f"family indices must be integers in {part!r}") from None
         if any(not 0 <= i < scn.space.n_subspaces for i in idx):
             raise CorrpolyError(f"family indices out of range in {part!r}")
         sub = scn.space.subspace(idx)
@@ -86,7 +87,7 @@ def _parse_family(scn: scenario.Scenario, text: str):
 
 
 def cmd_dim(args) -> int:
-    scn = _load(args.scenario)
+    scn = scenario.load(args.scenario)
     cs = scn.correlation_set()
     rows = [["dimension", polytope.dimension(cs)]]
     colls = [parse_collection_spec(c, scn.space.n_subspaces) for c in args.collection or []]
@@ -107,7 +108,7 @@ def cmd_dim(args) -> int:
 
 
 def cmd_vertices(args) -> int:
-    scn = _load(args.scenario)
+    scn = scenario.load(args.scenario)
     cs = scn.correlation_set()
     vertices = cs.vertices(guard=args.guard)
     if args.format == "prior":
@@ -123,7 +124,7 @@ def cmd_vertices(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    scn = _load(args.scenario)
+    scn = scenario.load(args.scenario)
     cs = scn.correlation_set()
     event = _event_from_arg(scn, args.event)
     value = capacity.capacity_value(cs, event)
@@ -133,7 +134,7 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_mi(args) -> int:
-    scn = _load(args.scenario)
+    scn = scenario.load(args.scenario)
     cs = scn.correlation_set()
     value = _param_value(scn, args.at)
     if args.weights is not None:
@@ -176,7 +177,7 @@ def cmd_mi(args) -> int:
 
 
 def cmd_independence(args) -> int:
-    scn = _load(args.scenario)
+    scn = scenario.load(args.scenario)
     cs = scn.correlation_set()
     value = _param_value(scn, args.at)
     coll = parse_collection_spec(args.collection, scn.space.n_subspaces)
@@ -200,7 +201,7 @@ def cmd_independence(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    scn = _load(args.scenario)
+    scn = scenario.load(args.scenario)
     cs = scn.correlation_set()
     value = _param_value(scn, args.at)
     prior = scn.prior_set(cs, param_value=value)
@@ -236,7 +237,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_check_axiom(args) -> int:
-    scn = _load(args.scenario)
+    scn = scenario.load(args.scenario)
     cs = scn.correlation_set()
     value = _param_value(scn, args.at)
     prior = scn.prior_set(cs, param_value=value)
@@ -288,8 +289,8 @@ def cmd_check_axiom(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    first = _load(args.scenario)
-    second = _load(args.second)
+    first = scenario.load(args.scenario)
+    second = scenario.load(args.second)
     cs = first.correlation_set()
     value_a = _param_value(first, args.at)
     value_b = _param_value(second, args.at_second)
@@ -314,7 +315,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    scn = _load(args.scenario)
+    scn = scenario.load(args.scenario)
     text = applications.sweep_csv(scn, parameter=args.param)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -332,29 +333,29 @@ def build_parser() -> _Parser:
         p.add_argument("scenario", help="scenario file")
         if fmt:
             p.add_argument("--format", choices=["csv", "table"], default="table")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--at", help="value of the sweep parameter", default=None)
 
     p = sub.add_parser("dim", help="polytope dimension, optionally restricted by collections")
-    common(p)
+    p.add_argument("scenario", help="scenario file")
+    p.add_argument("--format", choices=["csv", "table"], default="table")
     p.add_argument("--collection", action="append", help="e.g. '{1},{2,3}' (repeatable)")
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("vertices", help="enumerate extreme points")
     p.add_argument("scenario")
     p.add_argument("--format", choices=["csv", "table", "prior"], default="table")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--at", default=None)
     p.add_argument("--guard", type=int, default=4096)
     p.set_defaults(func=cmd_vertices)
 
     p = sub.add_parser("capacity", help="worst-case probability of an event")
-    common(p)
+    p.add_argument("scenario", help="scenario file")
+    p.add_argument("--format", choices=["csv", "table"], default="table")
     p.add_argument("--event", required=True, help="event name or expression")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("mi", help="mutual information and local-max certificate")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--weights", help="inline distribution, row-major rationals")
     p.add_argument("--vertex", type=int, help="index into the vertex list")
     p.add_argument("--probes", type=int, default=64)
@@ -373,6 +374,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("check-axiom", help="axiom checkers with counterexamples")
     common(p, fmt=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--axiom",
         required=True,
@@ -393,7 +395,6 @@ def build_parser() -> _Parser:
     p.add_argument("scenario")
     p.add_argument("--param", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sweep)
 
     return parser

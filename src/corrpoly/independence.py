@@ -85,15 +85,17 @@ def is_independent_on(p: JointDistribution, coll: Collection) -> IndependenceVer
     return IndependenceVerdict(coll, witness is None, witness, max_defect)
 
 
-def check_event_level_independence(
+def event_family(
     p: JointDistribution, coll: Collection, events: Sequence[Event]
-) -> bool:
-    """Exact product identity for one family of events (one per member)."""
+) -> tuple[Event, Fraction]:
+    """The intersection cylinder of a family of events (one non-empty event
+    per collection member, on that member's sub-product) and the product of
+    the members' marginal probabilities of their events under ``p``."""
     coll.check_space(p.space)
     if len(events) != len(coll.members):
         raise CorrpolyError("need exactly one event per collection member")
-    lhs_event = Event.full(p.space)
-    rhs = Fraction(1)
+    target = Event.full(p.space)
+    product = Fraction(1)
     for member, ev in zip(coll.members, events):
         idx = sorted(member)
         sub = p.space.subspace(idx)
@@ -101,9 +103,17 @@ def check_event_level_independence(
             raise CorrpolyError("event does not live on its member's sub-product")
         if not ev.members:
             raise CorrpolyError("member events must be non-empty")
-        lhs_event = lhs_event & embed_cylinder(ev, p.space, idx)
-        rhs *= marginalize(p, idx).prob_event(ev)
-    return p.prob_event(lhs_event) == rhs
+        target = target & embed_cylinder(ev, p.space, idx)
+        product *= marginalize(p, idx).prob_event(ev)
+    return target, product
+
+
+def check_event_level_independence(
+    p: JointDistribution, coll: Collection, events: Sequence[Event]
+) -> bool:
+    """Exact product identity for one family of events (one per member)."""
+    target, product = event_family(p, coll, events)
+    return p.prob_event(target) == product
 
 
 def inherited_collections(coll: Collection) -> Iterator[Collection]:

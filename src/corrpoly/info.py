@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, CorrpolyError, NotInCorrelationSetError
-from .polytope import CorrelationSet, _integer_weights, sample_member
+from .linalg import integer_numerators, nullspace
+from .polytope import CorrelationSet, sample_member
 from .polytope import mix  # noqa: F401  (still importable from corrpoly.info)
 from .space import JointDistribution, Marginal
 
@@ -70,7 +71,7 @@ def mutual_information(cs: CorrelationSet, p: JointDistribution) -> float:
     sum_i H(p_i) - H(p)."""
     if not cs.contains(p):
         raise NotInCorrelationSetError("distribution does not have the prescribed marginals")
-    return _mi_kernel(cs)(*_integer_weights(p.weights))
+    return _mi_kernel(cs)(*integer_numerators(p.weights))
 
 
 def _mi_kernel(cs: CorrelationSet):
@@ -85,7 +86,7 @@ def _mi_kernel(cs: CorrelationSet):
     Python 3.12 and later) in the last bits; it only feeds the
     decomposition cross-check."""
     marginal_sum = sum(marginal_entropy(m) for m in cs.marginals)
-    ind, ind_denom = _integer_weights(cs.independent_product.weights)
+    ind, ind_denom = integer_numerators(cs.independent_product.weights)
     log2 = math.log2
 
     def evaluate(nums, denom: int) -> float:
@@ -136,8 +137,6 @@ def _probe_points(cs, p, probes, rng):
     senses.  At an extreme point the restricted kernel is trivial and no
     reflection is feasible, so only outward directions remain.
     """
-    from . import linalg
-
     points = []
 
     def push(q):
@@ -155,7 +154,7 @@ def _probe_points(cs, p, probes, rng):
 
     support = [k for k, w in enumerate(p.weights) if w > 0]
     restricted = [[row[k] for k in support] for row in cs.system.matrix]
-    face_basis = linalg.nullspace(restricted)
+    face_basis = nullspace(restricted)
     resolution = 8
     face_directions = [list(fv) for fv in face_basis]
     for _ in range(4 if face_basis else 0):
@@ -211,7 +210,7 @@ def certify_local_max_mi(
     if not cs.contains(p):
         raise NotInCorrelationSetError("distribution does not have the prescribed marginals")
     mutual_info = _mi_kernel(cs)
-    a, a_denom = _integer_weights(p.weights)
+    a, a_denom = integer_numerators(p.weights)
     base = mutual_info(a, a_denom)
     rng = random.Random(seed)
     is_local_max = True
@@ -221,7 +220,7 @@ def certify_local_max_mi(
         evaluated += 1
         if not cs.contains(q):
             raise NotInCorrelationSetError("probe point does not have the prescribed marginals")
-        b, b_denom = _integer_weights(q.weights)
+        b, b_denom = integer_numerators(q.weights)
         # (1 - s/t) p + (s/t) q has the numerators (t - s) a b_denom + s b a_denom
         # over t a_denom b_denom
         a_scaled = [x * b_denom for x in a]

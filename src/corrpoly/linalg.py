@@ -3,11 +3,14 @@
 All routines take matrices as sequences of rows whose entries are ints or
 ``fractions.Fraction`` and never round: ranks, kernels and solutions are
 exact.  Matrices here are tiny (tens of rows/columns), so the plain dense
-reduced-row-echelon algorithm is the right tool.
+reduced-row-echelon algorithm is the right tool.  `integer_numerators`
+puts exact rationals over one common denominator; it is the one scaling
+that the integer code paths of the other modules start from.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -15,13 +18,15 @@ Row = Sequence[Fraction | int]
 Vector = tuple[Fraction, ...]
 
 
-def _copy(rows: Sequence[Row]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+def integer_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Exact rationals as integer numerators over their common denominator."""
+    denom = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 def rref(rows: Sequence[Row]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form.  Returns (reduced matrix, pivot columns)."""
-    m = _copy(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
     if not m:
         return m, []
     n_rows, n_cols = len(m), len(m[0])
@@ -93,20 +98,6 @@ def solve_affine(
     for r, pc in enumerate(pivots):
         sol[pc] = m[r][n_cols]
     return tuple(sol), _kernel(m, pivots, n_cols)
-
-
-def solve_unique(
-    rows: Sequence[Row], rhs: Sequence[Fraction | int]
-) -> Optional[Vector]:
-    """The unique solution of ``rows @ x = rhs``, or ``None`` if the system
-    is inconsistent or underdetermined."""
-    res = solve_affine(rows, rhs)
-    if res is None:
-        return None
-    sol, basis = res
-    if basis:
-        return None
-    return sol
 
 
 def mat_vec(rows: Sequence[Row], x: Sequence[Fraction | int]) -> Vector:

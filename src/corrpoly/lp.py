@@ -44,6 +44,7 @@ from operator import mul
 from typing import NamedTuple, NoReturn, Optional, Sequence
 
 from .errors import ConsistencyError, CorrpolyError, InfeasibleError, UnboundedError
+from .linalg import integer_numerators
 
 _ZERO = Fraction(0)
 
@@ -96,14 +97,10 @@ class _IntegerSystem(NamedTuple):
 
 
 def _integer_system(lp: LinearProgram) -> _IntegerSystem:
-    scale = math.lcm(
-        *(a.denominator for row in lp.eq_matrix for a in row),
-        *(b.denominator for b in lp.eq_rhs),
-    )
-    rows = tuple(
-        tuple(a.numerator * (scale // a.denominator) for a in row) for row in lp.eq_matrix
-    )
-    rhs = tuple(b.numerator * (scale // b.denominator) for b in lp.eq_rhs)
+    n, m = len(lp.objective), len(lp.eq_rhs)
+    flat, scale = integer_numerators([*chain.from_iterable(lp.eq_matrix), *lp.eq_rhs])
+    rows = tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(m))
+    rhs = tuple(flat[m * n :])
     columns = tuple(zip(*rows)) if rows else ((),) * len(lp.objective)
     return _IntegerSystem((lp.eq_matrix, lp.eq_rhs), scale, rows, columns, rhs)
 
@@ -264,8 +261,7 @@ def solve_lp_min(lp: LinearProgram, start: Optional[FeasibleStart] = None) -> LP
     rows = [row + (b,) for row, b in zip(start.rows, start.rhs)]
     if not _is_feasible_basis(rows, start.basis, n):
         _fail(lp, "the start is not a feasible integer basis")
-    cost_scale = math.lcm(*(c.denominator for c in lp.objective))
-    cost = [c.numerator * (cost_scale // c.denominator) for c in lp.objective]
+    cost, cost_scale = integer_numerators(lp.objective)
     tab = _Tableau(rows, list(start.basis))
     tab.price(cost + [0] * m, cost_scale)
     tab.run_simplex(n)
@@ -347,35 +343,17 @@ def _fail(lp: LinearProgram, message: str) -> NoReturn:
     )
 
 
-def minimize_over_system(
-    matrix: Sequence[Sequence[Fraction | int]],
-    rhs: Sequence[Fraction],
-    objective: Sequence[Fraction | int],
-) -> LPSolution:
-    return solve_lp_min(
-        LinearProgram(tuple(objective), tuple(tuple(row) for row in matrix), tuple(rhs))
-    )
-
-
-def is_feasible(
-    matrix: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction]
-) -> bool:
-    """Whether ``matrix @ x = rhs`` has a nonnegative solution."""
-    try:
-        minimize_over_system(matrix, rhs, [0] * len(matrix[0]))
-    except InfeasibleError:
-        return False
-    return True
-
-
 def in_convex_hull(
     point: Sequence[Fraction], vertices: Sequence[Sequence[Fraction]]
 ) -> bool:
-    """Exact membership of ``point`` in the convex hull of ``vertices``."""
+    """Exact membership of ``point`` in the convex hull of ``vertices``:
+    whether some convex weights on the vertices sum to it."""
     if not vertices:
         return False
-    dim = len(point)
-    matrix = [[Fraction(v[k]) for v in vertices] for k in range(dim)]
-    matrix.append([Fraction(1)] * len(vertices))
-    rhs = [Fraction(x) for x in point] + [Fraction(1)]
-    return is_feasible(matrix, rhs)
+    matrix = [[v[k] for v in vertices] for k in range(len(point))]
+    matrix.append([1] * len(vertices))
+    try:
+        solve_lp_min(LinearProgram((0,) * len(vertices), matrix, (*point, 1)))
+    except InfeasibleError:
+        return False
+    return True

@@ -12,7 +12,6 @@ down uniquely.
 
 from __future__ import annotations
 
-import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -82,10 +81,13 @@ def build_marginal_system(space: ProductSpace, marginals: Sequence[Marginal]) ->
 @dataclass(frozen=True)
 class KernelBasis:
     """A basis of the homogeneous system's solution space: mass shifts that
-    leave every marginal unchanged.  Entries are the integers 0, 1 and -1."""
+    leave every marginal unchanged.  Entries are the integers 0, 1 and -1;
+    ``len`` is the number of vectors."""
 
     basis_vectors: tuple[tuple[int, ...], ...]
-    dim: int
+
+    def __len__(self) -> int:
+        return len(self.basis_vectors)
 
 
 def dimension_formula(subspace_sizes: Sequence[int]) -> int:
@@ -137,7 +139,7 @@ def kernel_basis_rectangles(
             shape=space.subspace_sizes,
             anchor=anchor,
         )
-    return KernelBasis(tuple(vectors), len(vectors))
+    return KernelBasis(tuple(vectors))
 
 
 class CorrelationSet:
@@ -170,7 +172,7 @@ class CorrelationSet:
                 ([k for k, x in enumerate(row) if x], b.numerator, b.denominator)
                 for row, b in zip(self.system.matrix, self.system.rhs)
             )
-        nums, denom = _integer_weights(p.weights)
+        nums, denom = linalg.integer_numerators(p.weights)
         return all(
             sum(nums[k] for k in states) * b_den == b_num * denom
             for states, b_num, b_den in self._rows
@@ -187,12 +189,6 @@ class CorrelationSet:
             "shape": self.space.subspace_sizes,
             "marginals": [[str(w) for w in m.weights] for m in self.marginals],
         }
-
-
-def _integer_weights(weights: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Exact weights as integer numerators over their common denominator."""
-    denom = math.lcm(*(w.denominator for w in weights))
-    return [w.numerator * (denom // w.denominator) for w in weights], denom
 
 
 def build_correlation_set(space: ProductSpace, marginals: Sequence[Marginal]) -> CorrelationSet:
@@ -369,9 +365,9 @@ def sample_member(
     ``u / resolution`` of the largest feasible one, found by comparing
     the integer weights of the product over their common denominator."""
     p_ind = cs.independent_product
-    if cs.kernel.dim == 0:
+    if len(cs.kernel) == 0:
         return p_ind
-    coeffs = [rng.randint(-resolution, resolution) for _ in range(cs.kernel.dim)]
+    coeffs = [rng.randint(-resolution, resolution) for _ in range(len(cs.kernel))]
     direction = [0] * cs.space.total_size
     for c, vec in zip(coeffs, cs.kernel.basis_vectors):
         if c:
@@ -380,7 +376,7 @@ def sample_member(
                     direction[k] += c * x
     if not any(direction):
         return p_ind
-    ind, denom = _integer_weights(p_ind.weights)
+    ind, denom = linalg.integer_numerators(p_ind.weights)
     # the largest feasible step is resolution * (num / den) / denom
     num = den = None
     for w, d in zip(ind, direction):

@@ -40,8 +40,9 @@ from .errors import (
     MarginalMismatchError,
     SpaceMismatchError,
 )
-from .independence import is_independent_on
-from .polytope import CorrelationSet, _integer_weights
+from .independence import event_family, is_independent_on
+from .linalg import integer_numerators
+from .polytope import CorrelationSet
 from .space import (
     Act,
     Collection,
@@ -49,7 +50,6 @@ from .space import (
     JointDistribution,
     Marginal,
     ProductSpace,
-    embed_cylinder,
     expectation,
     independent_product,
     marginalize,
@@ -250,7 +250,7 @@ def _cell_table(
 def _prior_numerators(prior: PriorSet) -> tuple[list[list[int]], int]:
     """Every vertex's weights as integer numerators over one common denominator."""
     size = prior.space.total_size
-    flat, denom = _integer_weights([w for v in prior.vertices for w in v.weights])
+    flat, denom = integer_numerators([w for v in prior.vertices for w in v.weights])
     return [flat[k : k + size] for k in range(0, len(flat), size)], denom
 
 
@@ -347,7 +347,7 @@ def _scan_counterexample(prior, tables, denom, i, coords, chosen, z) -> AxiomCou
     comp_states = list(comp_space.states())
     f_i = Act.bet(sub_space, Event.from_states(sub_space, [(c,) for c in coords]), 1, 0)
     g_i = Act.constant(sub_space, z)
-    nums, scale = _integer_weights([*f_i.values, *g_i.values])
+    nums, scale = integer_numerators([*f_i.values, *g_i.values])
     size = len(f_i.values)
     scaled = _meu_values(tables, denom, nums[:size], nums[size:], chosen, 0)
     if not _violation(scaled):
@@ -466,7 +466,7 @@ def _product_identity_witness(
     the full events.  Every pair's numerator of p([E x F]) is summed once
     from the cell table, so each quadruple costs two integer products."""
     space = p.space
-    nums, denom = _integer_weights(p.weights)
+    nums, denom = integer_numerators(p.weights)
     for member in coll.members:
         idx = sorted(member)
         j0 = sorted(coll.union() - member)
@@ -574,25 +574,6 @@ class RevealedCorrelation(enum.Enum):
     EQUAL = "equal"
 
 
-def _family_cylinder(
-    p_space: ProductSpace, coll: Collection, events: Sequence[Event]
-) -> tuple[Event, list[Fraction]]:
-    if len(events) != len(coll.members):
-        raise CorrpolyError("need exactly one event per collection member")
-    target = Event.full(p_space)
-    subs = []
-    for member, ev in zip(coll.members, events):
-        idx = sorted(member)
-        sub = p_space.subspace(idx)
-        if ev.space.subspace_sizes != sub.subspace_sizes:
-            raise CorrpolyError("event does not live on its member's sub-product")
-        if not ev.members:
-            raise CorrpolyError("member events must be non-empty")
-        target = target & embed_cylinder(ev, p_space, idx)
-        subs.append(idx)
-    return target, subs
-
-
 def compare_revealed_correlation(
     p: JointDistribution,
     other: JointDistribution,
@@ -607,7 +588,7 @@ def compare_revealed_correlation(
     for i in range(p.space.n_subspaces):
         if marginalize(p, [i]).weights != marginalize(other, [i]).weights:
             raise MarginalMismatchError("beliefs with different marginals are incomparable")
-    target, _ = _family_cylinder(p.space, coll, events)
+    target, _ = event_family(p, coll, events)
     a = p.prob_event(target)
     b = other.prob_event(target)
     if a > b:
@@ -622,14 +603,8 @@ def absolute_revealed_correlation(
 ) -> int:
     """Sign of the belief's correlation on the event family relative to the
     independent benchmark built from its own marginals: +1, 0 or -1."""
-    coll.check_space(p.space)
-    target, _ = _family_cylinder(p.space, coll, events)
-    lhs = p.prob_event(target)
-    rhs = Fraction(1)
-    for member, ev in zip(coll.members, events):
-        idx = sorted(member)
-        rhs *= marginalize(p, idx).prob_event(ev)
-    return _sign(lhs - rhs)
+    target, product = event_family(p, coll, events)
+    return _sign(p.prob_event(target) - product)
 
 
 def ceu_value(cs: CorrelationSet, f: Act) -> Fraction:

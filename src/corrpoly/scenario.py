@@ -7,6 +7,8 @@ plain integers); floating literals are rejected outside the UTILITY
 section.  Act payoffs and explicit prior vertices may be linear expressions
 in the single sweep parameter.  ``serialize`` emits the canonical form;
 loading a canonical file and serializing it again is byte-identical.
+``UTILITY`` is parsed into a `RiskUtility` and round-tripped, but no
+command applies it: act values are already utilities (see `space.Act`).
 
 Event expressions combine atoms with ``~`` (complement), ``&`` and ``|``
 and parentheses.  Atoms are either ``subspace=label`` cylinders or
@@ -16,6 +18,7 @@ coordinate.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +28,7 @@ from .errors import CorrpolyError, ScenarioError
 from .independence import partition_factorize, product_of_components
 from .polytope import CorrelationSet
 from .preferences import PriorSet, RiskUtility
-from .space import Act, Collection, Event, JointDistribution, Marginal, ProductSpace
+from .space import Act, Collection, Event, JointDistribution, Marginal, ProductSpace, cylinder
 
 _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?$")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -76,6 +79,8 @@ def parse_expr(text: str, line: Optional[int] = None) -> LinExpr:
     if not s:
         raise ScenarioError("empty expression", line)
     terms = re.findall(r"[+-]?[^+-]+", s)
+    if "".join(terms) != s:
+        raise ScenarioError(f"stray sign in expression {s!r}", line)
     const = Fraction(0)
     coeff = Fraction(0)
     param: Optional[str] = None
@@ -179,12 +184,7 @@ class _EventParser:
             else:
                 pattern.append(self.space.coordinate_of_label(i, tok))
         self.take("]")
-        members = [
-            s
-            for s in self.space.states()
-            if all(p is None or s[i] == p for i, p in enumerate(pattern))
-        ]
-        return Event.from_states(self.space, members)
+        return cylinder(self.space, {i: c for i, c in enumerate(pattern) if c is not None})
 
     def cylinder_atom(self) -> Event:
         name = self.take()
@@ -193,13 +193,14 @@ class _EventParser:
         i = self.space.subspace_names.index(name)
         self.take("=")
         label = self.take()
-        coord = self.space.coordinate_of_label(i, label)
-        members = [s for s in self.space.states() if s[i] == coord]
-        return Event.from_states(self.space, members)
+        return cylinder(self.space, {i: self.space.coordinate_of_label(i, label)})
 
 
 def parse_event(space: ProductSpace, text: str) -> Event:
-    return _EventParser(space, text).parse()
+    try:
+        return _EventParser(space, text).parse()
+    except RecursionError:
+        raise CorrpolyError("event expression nested too deeply") from None
 
 
 def parse_collection_spec(text: str, n_subspaces: int) -> Collection:
@@ -209,7 +210,7 @@ def parse_collection_spec(text: str, n_subspaces: int) -> Collection:
         raise CorrpolyError(f"malformed collection spec {text!r}")
     members = []
     for g in groups:
-        idx = [int(t) - 1 for t in g.replace(" ", "").split(",") if t]
+        idx = [int(t) - 1 for t in "".join(g.split()).split(",") if t]
         if any(not 0 <= i < n_subspaces for i in idx):
             raise CorrpolyError(f"collection index out of range in {text!r}")
         members.append(frozenset(idx))
@@ -291,19 +292,10 @@ class Scenario:
             return PriorSet(self.space, vertices)
         if self.prior.kind == "partition":
             components = partition_factorize(cs, self.prior.partition, verify=False)
-            vertex_lists = [comp.vertices() for comp in components]
-            joints = []
-            stack = [([], 0)]
-            while stack:
-                chosen, k = stack.pop()
-                if k == len(vertex_lists):
-                    joints.append(
-                        product_of_components(self.space, self.prior.partition, chosen)
-                    )
-                    continue
-                for v in vertex_lists[k]:
-                    stack.append((chosen + [v], k + 1))
-            return PriorSet(self.space, joints)
+            return PriorSet(self.space, [
+                product_of_components(self.space, self.prior.partition, chosen)
+                for chosen in itertools.product(*(comp.vertices() for comp in components))
+            ])
         raise CorrpolyError(f"unknown prior kind {self.prior.kind!r}")
 
 
@@ -384,6 +376,8 @@ def loads(text: str) -> Scenario:
         if name not in names:
             raise ScenarioError(f"unknown subspace {name!r} in MARGINALS", lineno)
         i = names.index(name)
+        if any(m.subspace_index == i for m in marginals):
+            raise ScenarioError(f"second MARGINALS line for {name!r}", lineno)
         if len(weights) != space.subspace_sizes[i]:
             raise ScenarioError(f"marginal for {name!r} has wrong length", lineno)
         try:
@@ -508,7 +502,11 @@ def _parse_sweep(sweep_lines) -> SweepSpec:
 
 def load(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+    return loads(text)
 
 
 # ---------------------------------------------------------------------------

@@ -149,10 +149,10 @@ def sample_member_reference(cs, rng, resolution=16):
     from corrpoly import JointDistribution
 
     p_ind = cs.independent_product
-    if cs.kernel.dim == 0:
+    if len(cs.kernel) == 0:
         return p_ind
     coeffs = [Fraction(rng.randint(-resolution, resolution), resolution)
-              for _ in range(cs.kernel.dim)]
+              for _ in range(len(cs.kernel))]
     direction = [Fraction(0)] * cs.space.total_size
     for c, vec in zip(coeffs, cs.kernel.basis_vectors):
         if c != 0:

@@ -1,5 +1,8 @@
 import csv
 import io
+from pathlib import Path
+
+import pytest
 
 from corrpoly.cli import main
 from conftest import SCENARIO_DIR
@@ -233,3 +236,24 @@ def test_check_axiom_rejects_negative_trials(capsys):
     assert code == 1 and out == "" and "trials must be nonnegative" in err
     code, out, _ = run(capsys, *args, "--trials", "0")
     assert code == 0 and out == "holds: True\n"
+
+
+def test_compare_bad_family_index_is_an_error(capsys):
+    code, out, err = run(
+        capsys, "compare", INSURANCE, NEGLECT, "--at", "0", "--at-second", "0",
+        "--family", "a:[B];2:[F]",
+    )
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ("dim",), ("vertices",), ("capacity", "--event", "catastrophe"), ("mi",),
+    ("independence", "--collection", "{1},{2}"), ("evaluate",),
+    ("check-axiom", "--axiom", "subspace-consistency"), ("compare", CLIMATE), ("sweep",),
+])
+def test_non_utf8_scenario_is_an_error(capsys, tmp_path, args):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(Path(CLIMATE).read_bytes().replace(b"Hcs", b"H\xe9cs"))
+    code, out, err = run(capsys, args[0], str(path), *args[1:])
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert "not UTF-8" in err

@@ -23,15 +23,15 @@ def test_nullspace_dimensions():
         assert all(x == 0 for x in linalg.mat_vec(m, v))
 
 
-def test_solve_unique_and_affine():
+def test_solve_affine_unique_and_underdetermined():
     m = [[1, 0], [0, 1]]
-    assert linalg.solve_unique(m, [F(1, 2), F(1, 3)]) == (F(1, 2), F(1, 3))
+    assert linalg.solve_affine(m, [F(1, 2), F(1, 3)]) == ((F(1, 2), F(1, 3)), [])
     wide = [[1, 1]]
     res = linalg.solve_affine(wide, [F(1)])
     assert res is not None
     sol, basis = res
     assert sum(sol) == 1 and len(basis) == 1
-    assert linalg.solve_unique(wide, [F(1)]) is None
+    assert linalg.solve_affine(wide, [F(1)])[1] != []  # not unique
     inconsistent = [[1, 0], [1, 0]]
     assert linalg.solve_affine(inconsistent, [F(1), F(2)]) is None
 

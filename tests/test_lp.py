@@ -22,7 +22,6 @@ from corrpoly import (
     solve_lp_min,
 )
 from corrpoly.linalg import rank
-from corrpoly.lp import minimize_over_system
 from bruteforce import feasible_start_reference, solve_lp_min_reference
 from conftest import random_correlation_set
 
@@ -39,25 +38,25 @@ def _uniform_2x2_system():
 
 def test_min_single_state_probability_is_zero():
     cs = _uniform_2x2_system()
-    sol = minimize_over_system(cs.system.matrix, cs.system.rhs, [1, 0, 0, 0])
+    sol = solve_lp_min(LinearProgram((1, 0, 0, 0), cs.system.matrix, cs.system.rhs))
     assert sol.optimum == 0
 
 
 def test_min_constant_zero_objective():
     cs = _uniform_2x2_system()
-    sol = minimize_over_system(cs.system.matrix, cs.system.rhs, [0, 0, 0, 0])
+    sol = solve_lp_min(LinearProgram((0, 0, 0, 0), cs.system.matrix, cs.system.rhs))
     assert sol.optimum == 0
 
 
 def test_min_full_event_is_one():
     cs = _uniform_2x2_system()
-    sol = minimize_over_system(cs.system.matrix, cs.system.rhs, [1, 1, 1, 1])
+    sol = solve_lp_min(LinearProgram((1, 1, 1, 1), cs.system.matrix, cs.system.rhs))
     assert sol.optimum == 1
 
 
 def test_argmin_is_a_coupling_vertex():
     cs = _uniform_2x2_system()
-    sol = minimize_over_system(cs.system.matrix, cs.system.rhs, [1, 0, 0, 1])
+    sol = solve_lp_min(LinearProgram((1, 0, 0, 1), cs.system.matrix, cs.system.rhs))
     from corrpoly import JointDistribution
 
     p = JointDistribution(cs.space, sol.argmin)
@@ -101,7 +100,7 @@ def test_in_convex_hull():
 def test_lp_matches_vertex_minimum_on_random_objectives(objective, seed):
     rng = random.Random(seed)
     cs = random_correlation_set((2, 2, 2), rng)
-    sol = minimize_over_system(cs.system.matrix, cs.system.rhs, objective)
+    sol = solve_lp_min(LinearProgram(tuple(objective), cs.system.matrix, cs.system.rhs))
     vertex_min = min(
         sum(c * w for c, w in zip(objective, v.weights)) for v in cs.vertices()
     )

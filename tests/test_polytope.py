@@ -71,7 +71,7 @@ def test_contains(uniform_2x2):
 
 def test_kernel_basis_2x2():
     basis = kernel_basis_rectangles(ProductSpace((2, 2)))
-    assert basis.dim == 1
+    assert len(basis) == 1
     assert basis.basis_vectors[0] == (F(1), F(-1), F(-1), F(1))
 
 
@@ -81,7 +81,7 @@ def test_kernel_basis_2x2():
 def test_kernel_basis_counts_and_membership(sizes, expected_dim):
     space = ProductSpace(sizes)
     basis = kernel_basis_rectangles(space)
-    assert basis.dim == expected_dim == dimension_formula(sizes)
+    assert len(basis) == expected_dim == dimension_formula(sizes)
     # every vector solves the homogeneous marginal system
     states = list(space.states())
     for vec in basis.basis_vectors:
@@ -89,7 +89,7 @@ def test_kernel_basis_counts_and_membership(sizes, expected_dim):
             for coord in range(sizes[i]):
                 assert sum(vec[k] for k, s in enumerate(states) if s[i] == coord) == 0
     # and they are linearly independent
-    assert linalg.rank(list(basis.basis_vectors)) == basis.dim
+    assert linalg.rank(list(basis.basis_vectors)) == len(basis)
 
 
 def test_kernel_basis_spans_member_differences():

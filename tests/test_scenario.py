@@ -1,8 +1,17 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from corrpoly import ScenarioError, check_subspace_consistency, SubspacePreference
+from corrpoly import (
+    Collection,
+    CorrpolyError,
+    ScenarioError,
+    SubspacePreference,
+    check_subspace_consistency,
+)
 from corrpoly import scenario as sc
 from conftest import SCENARIO_DIR
 
@@ -99,6 +108,19 @@ def test_linear_expressions_round_trip():
         sc.parse_expr("0.5")
 
 
+@pytest.mark.parametrize("text", ["+", "-", "--3", "3-", "+-2", "1/2+-a", "a-"])
+def test_stray_signs_rejected(text):
+    with pytest.raises(ScenarioError, match="stray sign"):
+        sc.parse_expr(text)
+
+
+def test_second_marginals_line_for_a_subspace_rejected():
+    text = "SPACE\na: x y\nb: u v\n\nMARGINALS\na: 1/2 1/2\na: 1/3 2/3\n"
+    with pytest.raises(ScenarioError, match="line 7: second MARGINALS line") as exc:
+        sc.loads(text)
+    assert exc.value.line == 7
+
+
 def test_event_expressions():
     scn = sc.load(SCENARIO_DIR / "finance.scn")
     space = scn.space
@@ -174,3 +196,113 @@ def test_sweep_section_errors():
         sc.loads(base + "grid: 1/2\n")  # missing param
     scn = sc.loads(base + "param: a\ngrid: 0 1/2 1\n")
     assert scn.sweep.grid == (F(0), F(1, 2), F(1))
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the front end
+
+_GRAMMAR = "0123456789/+-*=[](){},|&~:#_ abxyAB\t\n"
+_texts = st.one_of(st.text(max_size=60), st.text(alphabet=_GRAMMAR, max_size=60))
+_scenario_texts = st.one_of(
+    _texts,
+    st.lists(st.one_of(st.sampled_from(sc.SECTIONS), _texts), max_size=12).map("\n".join),
+)
+_FINANCE_SPACE = sc.load(SCENARIO_DIR / "finance.scn").space
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scenario_texts)
+def test_loads_raises_only_corrpoly_errors(text):
+    try:
+        sc.loads(text)
+    except CorrpolyError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts, st.integers(1, 4))
+@example("{1\t2},{3}", 3)  # whitespace inside an index
+def test_expression_grammars_raise_only_corrpoly_errors(text, n_subspaces):
+    for parse in (
+        lambda: sc.parse_expr(text),
+        lambda: sc.parse_event(_FINANCE_SPACE, text),
+        lambda: sc.parse_collection_spec(text, n_subspaces),
+    ):
+        try:
+            parse()
+        except CorrpolyError:
+            pass
+
+
+def test_deeply_nested_event_is_an_error():
+    with pytest.raises(CorrpolyError, match="nested too deeply"):
+        sc.parse_event(_FINANCE_SPACE, "(" * 5000 + "inflation=H_infl" + ")" * 5000)
+
+
+_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@st.composite
+def canonical_scenarios(draw):
+    """Canonical scenario text: at most 3 subspaces of at most 3 labels."""
+    names = draw(st.lists(_names, min_size=1, max_size=3, unique=True))
+    labels = [draw(st.lists(_names, min_size=1, max_size=3, unique=True)) for _ in names]
+    total = math.prod(len(ls) for ls in labels)
+    param = draw(st.none() | _names)
+
+    def exprs():
+        return " ".join(
+            str(sc.LinExpr(draw(_rationals), draw(_rationals) if param else F(0), param))
+            for _ in range(total)
+        )
+
+    out = ["SPACE", *(f"{n}: {' '.join(ls)}" for n, ls in zip(names, labels)), "", "MARGINALS"]
+    for n, ls in zip(names, labels):
+        counts = draw(st.lists(st.integers(0, 4), min_size=len(ls), max_size=len(ls)))
+        counts[0] += 1
+        out.append(f"{n}: {' '.join(str(F(c, sum(counts))) for c in counts)}")
+    acts = draw(st.lists(_names, max_size=2, unique=True))
+    if acts:
+        out += ["", "ACTS", *(f"{a}: {exprs()}" for a in acts)]
+    events = draw(st.lists(_names, max_size=2, unique=True))
+    if events:
+        out += ["", "EVENTS"]
+        for e in events:
+            atoms = []
+            for _ in range(draw(st.integers(1, 3))):
+                i = draw(st.integers(0, len(names) - 1))
+                if draw(st.booleans()):
+                    atoms.append(f"{names[i]}={draw(st.sampled_from(labels[i]))}")
+                else:
+                    coords = [draw(st.sampled_from(["*", *ls])) for ls in labels]
+                    atoms.append(f"~[{','.join(coords)}]")
+            out.append(f"{e}: {draw(st.sampled_from([' | ', ' & ', '&'])).join(atoms)}")
+    out += ["", "PRIOR"]
+    kinds = ["full", "independent", "vertices"] + (["partition"] if len(names) > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "partition":
+        groups = draw(st.lists(st.integers(0, 1), min_size=len(names), max_size=len(names)))
+        groups[0], groups[-1] = 0, 1
+        coll = Collection.of(*({i for i, g in enumerate(groups) if g == k} for k in (0, 1)))
+        out.append(f"partition: {sc.format_collection_spec(coll)}")
+    elif kind == "vertices":
+        out += [f"vertex: {exprs()}" for _ in range(draw(st.integers(1, 2)))]
+    else:
+        out.append(kind)
+    out += ["", "UTILITY"]
+    if draw(st.booleans()):
+        out.append("identity")
+    else:
+        rho, scale = (draw(st.floats(allow_nan=False, allow_infinity=False)) for _ in range(2))
+        out.append(f"crra rho={rho} scale={scale}")
+    if param:
+        grid = draw(st.lists(_rationals, min_size=1, max_size=3))
+        out += ["", "SWEEP", f"param: {param}", f"grid: {' '.join(map(str, grid))}"]
+    return "\n".join(out) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(canonical_scenarios())
+def test_canonical_scenarios_round_trip(text):
+    assert sc.serialize(sc.loads(text)) == text
