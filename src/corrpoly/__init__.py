@@ -29,6 +29,7 @@ from .space import (
     cylinder,
     embed_act,
     embed_cylinder,
+    event_from_mask,
     expectation,
     hamming_distance,
     independent_product,
@@ -65,7 +66,6 @@ from .capacity import (
     check_exactness,
     choquet_integral,
     cylinder_additivity_check,
-    event_from_mask,
     find_convexity_violation,
 )
 from .info import (

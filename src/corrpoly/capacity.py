@@ -5,19 +5,28 @@ couplings.  It is normalized, monotone and exact (its core recovers the
 correlation set) but in general not convex, which is what drives a wedge
 between Choquet and maxmin evaluation of acts.
 
+Queries are answered on event bitmasks (bit k set when the state with flat
+index k is in E; see `Event.bitmask` and `event_from_mask`), and the sweeps
+below (`check_exactness`, `find_convexity_violation`, the level sets of
+`choquet_integral`) build no `Event` per query.
+
 Every value is an exact LP minimum over the set's marginal system.  Simplex
 phase 1 does not depend on the event, so a `Capacity` runs it once, on its
-first miss, and starts every solve's phase 2 from that feasible basis; the
-constraint rows are converted to Fractions on that miss too and shared by
-every later program.  Each solve checks its exact dual certificate (see
-`lp`).  The value is also cross-checked against the minimum over the
-enumerated extreme points, a sum of vertex weights over the event's states,
-and the two must agree.
+first miss, and checks once that the start is a feasible integer basis.
+Each miss then runs `lp._phase2`, the core `lp.solve_lp_min` runs too, from
+that start with the event's 0/1 indicator as its integer cost: no
+`LinearProgram` and no Fraction minimizer or dual.  Each solve checks its
+exact dual certificate in integers (see `lp`).  The value is also
+cross-checked against the minimum over the enumerated extreme points, an
+integer sum of vertex weights over the event's states, and the two must
+agree.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -26,15 +35,10 @@ from . import lp
 from .errors import ConsistencyError, CorrpolyError
 from .linalg import integer_numerators
 from .polytope import CorrelationSet
-from .space import Act, Event, ProductSpace, cylinder, embed_cylinder
+from .space import Act, Event, cylinder, embed_cylinder, event_from_mask
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
-def event_from_mask(space: ProductSpace, mask: int) -> Event:
-    members = [space.unravel(k) for k in range(space.total_size) if mask >> k & 1]
-    return Event.from_states(space, members)
+_ZERO = Fraction(0)
 
 
 class Capacity:
@@ -42,66 +46,84 @@ class Capacity:
 
     Values are keyed by the event bitmask (a Python int, so any desk-scale
     state count fits).  Queries are pure: identical events return identical
-    exact rationals.  The set's constraint rows, as Fractions, and the
-    phase-1 start of its marginal system are built on the first miss and
-    shared by the `lp.LinearProgram` of every later one.
+    exact rationals.  The first miss builds what every later miss reads:
+    the phase-1 start of the marginal system, the vertex weights over
+    their common denominator and the set's reproducer context.  The
+    capacity then drops its reference to the set, so a set and the
+    capacity it holds form no reference cycle and are freed as soon as
+    nothing else refers to them.
     """
 
     def __init__(self, cs: CorrelationSet):
-        self.cs = cs
+        self._cs: Optional[CorrelationSet] = cs  # until the first miss
         self.space = cs.space
         self._memo: dict[int, Fraction] = {}
         self._start: Optional[lp.FeasibleStart] = None
-        self._constraints: Optional[tuple] = None
-        self._scaled_vertices: Optional[tuple[int, list[list[int]]]] = None
+        self._system = None  # the integer marginal system, certified against on every miss
+        self._checked: tuple = (None, None)  # the start last checked, and its tableau rows
+        # vertex weights over their common denominator, one tuple per state
+        self._vertex_columns: Optional[tuple[int, list[tuple[int, ...]]]] = None
+        self._context: dict = {}
 
     def value(self, event: Event) -> Fraction:
         if event.space.subspace_sizes != self.space.subspace_sizes:
             raise CorrpolyError("event lives on a different space")
-        mask = event.bitmask()
-        cached = self._memo.get(mask)
-        if cached is not None:
-            return cached
-        if not event.members:
-            val = Fraction(0)
-        else:
-            n = self.space.total_size
-            objective = tuple(_ONE if mask >> k & 1 else _ZERO for k in range(n))
-            if self._constraints is None:
-                matrix = self.cs.system.matrix  # 0/1 entries
-                self._constraints = (
-                    tuple(tuple(_ONE if a else _ZERO for a in row) for row in matrix),
-                    self.cs.system.rhs,
-                )
-            program = lp.LinearProgram(objective, *self._constraints)
-            if self._start is None:
-                self._start = lp.feasible_start(program)
-            try:
-                lp_val = lp.solve_lp_min(program, self._start).optimum
-            except ConsistencyError as exc:
-                raise ConsistencyError(f"capacity {exc}", **self._reproducer(mask)) from exc
-            vertex_val = self._vertex_minimum([k for k in range(n) if mask >> k & 1])
-            if lp_val != vertex_val:
-                raise ConsistencyError(
-                    f"LP capacity {lp_val} disagrees with vertex minimum {vertex_val}",
-                    **self._reproducer(mask),
-                )
-            val = lp_val
-        self._memo[mask] = val
+        return self._mask_value(event.bitmask())
+
+    def _mask_value(self, mask: int) -> Fraction:
+        """The capacity of the event with bitmask ``mask``, memoized."""
+        val = self._memo.get(mask)
+        if val is None:
+            val = self._solve(mask) if mask else _ZERO
+            self._memo[mask] = val
         return val
 
-    def _vertex_minimum(self, members: list[int]) -> Fraction:
-        """min p(E) over the vertices: integer sums of the vertex weights
-        scaled to their common denominator, over the members of E."""
-        if self._scaled_vertices is None:
-            n = self.space.total_size
-            flat, denom = integer_numerators([w for p in self.cs.vertices() for w in p.weights])
-            self._scaled_vertices = (denom, [flat[k : k + n] for k in range(0, len(flat), n)])
-        denom, scaled = self._scaled_vertices
-        return Fraction(min(sum(map(row.__getitem__, members)) for row in scaled), denom)
+    def _solve(self, mask: int) -> Fraction:
+        """min p(E) by phase 2 from the cached start, certified, and checked
+        against the vertex minimum."""
+        if self._cs is not None:
+            self._prepare()
+        start = self._start
+        checked, rows = self._checked
+        if checked is not start:
+            rows = lp._tableau_rows(start, self.space.total_size)
+            if rows is None:
+                raise ConsistencyError(
+                    "capacity start is not a feasible integer basis", **self._reproducer(mask)
+                )
+            self._checked = (start, rows)
+        members = [k for k in range(self.space.total_size) if mask >> k & 1]
+        cost = [0] * self.space.total_size
+        for k in members:
+            cost[k] = 1
+        try:
+            cx, _, x_scale, _, _ = lp._phase2(start, rows, self._system, cost, 1)
+        except ConsistencyError as exc:
+            raise ConsistencyError(f"capacity {exc}", **self._reproducer(mask)) from exc
+        denom, columns = self._vertex_columns
+        vertex_min = min(map(sum, zip(*[columns[k] for k in members])))
+        if cx * denom != vertex_min * x_scale:
+            raise ConsistencyError(
+                f"LP capacity {Fraction(cx, x_scale)} disagrees with vertex minimum "
+                f"{Fraction(vertex_min, denom)}",
+                **self._reproducer(mask),
+            )
+        return Fraction(cx, x_scale)
+
+    def _prepare(self) -> None:
+        """Build the start, the vertex table and the reproducer context from
+        the set, then drop the set."""
+        cs = self._cs
+        n = self.space.total_size
+        start = lp.feasible_start(lp.LinearProgram((_ZERO,) * n, cs.system.matrix, cs.system.rhs))
+        flat, denom = integer_numerators([w for p in cs.vertices() for w in p.weights])
+        self._vertex_columns = (denom, [tuple(flat[k::n]) for k in range(n)])
+        self._start, self._system = start, start.system
+        self._context = cs.reproducer()
+        self._cs = None
 
     def _reproducer(self, mask: int) -> dict:
-        return {**self.cs.reproducer(), "mask": mask}
+        return {**self._context, "mask": mask}
 
 
 def capacity_of(cs: CorrelationSet) -> Capacity:
@@ -114,16 +136,6 @@ def capacity_value(cs: CorrelationSet, event: Event) -> Fraction:
     return capacity_of(cs).value(event)
 
 
-def _cylinder_events(space: ProductSpace) -> Iterable[tuple[int, tuple[int, ...], Event]]:
-    for i in range(space.n_subspaces):
-        size = space.subspace_sizes[i]
-        for r in range(1, size + 1):
-            for coords in itertools.combinations(range(size), r):
-                sub = space.subspace([i])
-                sub_event = Event.from_states(sub, [(c,) for c in coords])
-                yield i, coords, embed_cylinder(sub_event, space, [i])
-
-
 def check_exactness(
     cs: CorrelationSet,
     exhaustive_limit: int = 65536,
@@ -134,35 +146,41 @@ def check_exactness(
 
     Every vertex must dominate the capacity event-wise, and the capacity of
     each single-coordinate cylinder must equal the marginal weight (which
-    forces any core member back onto the prescribed marginals).  The event
-    sweep is exhaustive when 2^N is small and otherwise covers all cylinder
-    events plus a seeded random sample.
+    forces any core member back onto the prescribed marginals).  Each value
+    is checked against the minimum over the vertices as it is computed, so
+    a vertex below the capacity on a swept event raises ConsistencyError.
+    The event sweep is exhaustive when 2^N is small and otherwise covers
+    all cylinder events plus a seeded random sample.
     """
     space = cs.space
     n = space.total_size
-    cap = capacity_of(cs)
+    value = capacity_of(cs)._mask_value
 
-    if cap.value(Event.empty(space)) != 0:
+    if value((1 << n) - 1) != 1:
         return False
-    if cap.value(Event.full(space)) != 1:
-        return False
-    for i, m in enumerate(cs.marginals):
-        for coord in range(m.size):
-            if cap.value(cylinder(space, {i: coord})) != m.weights[coord]:
-                return False
+    coordinate_masks = [
+        [cylinder(space, {i: c}).bitmask() for c in range(size)]
+        for i, size in enumerate(space.subspace_sizes)
+    ]
+    for m, masks_i in zip(cs.marginals, coordinate_masks):
+        if [value(mask) for mask in masks_i] != list(m.weights):
+            return False
 
     if 2 ** n <= exhaustive_limit:
         masks: Iterable[int] = range(2 ** n)
     else:
         rng = random.Random(seed)
-        cyl_masks = [ev.bitmask() for _, _, ev in _cylinder_events(space)]
+        cylinder_masks = [
+            functools.reduce(operator.or_, coords)
+            for masks_i in coordinate_masks
+            for r in range(1, len(masks_i) + 1)
+            for coords in itertools.combinations(masks_i, r)
+        ]
         masks = itertools.chain(
-            cyl_masks, (rng.getrandbits(n) for _ in range(samples))
+            cylinder_masks, (rng.getrandbits(n) for _ in range(samples))
         )
     for mask in masks:
-        v = cap.value(event_from_mask(space, mask))
-        if cap._vertex_minimum([k for k in range(n) if mask >> k & 1]) < v:
-            return False
+        value(mask)
     return True
 
 
@@ -182,7 +200,8 @@ def cylinder_additivity_check(
         raise CorrpolyError("the cylinder must be contained in the event")
     cap = capacity_of(cs)
     marginal_part = cs.marginals[subspace_index].prob_of(coords)
-    return cap.value(event) == marginal_part + cap.value(event - cyl)
+    rest = event.bitmask() & ~cyl.bitmask()
+    return cap.value(event) == marginal_part + cap._mask_value(rest)
 
 
 def find_convexity_violation(
@@ -194,17 +213,14 @@ def find_convexity_violation(
     inequality with equality)."""
     space = cs.space
     n = space.total_size
-    cap = capacity_of(cs)
+    value = capacity_of(cs)._mask_value
     n_events = 2 ** n
 
     def violates(emask: int, fmask: int) -> bool:
-        if emask & fmask == emask or emask & fmask == fmask:
+        both = emask & fmask
+        if both == emask or both == fmask:
             return False  # nested
-        e = event_from_mask(space, emask)
-        f = event_from_mask(space, fmask)
-        lhs = cap.value(e | f) + cap.value(e & f)
-        rhs = cap.value(e) + cap.value(f)
-        return lhs < rhs
+        return value(emask | fmask) + value(both) < value(emask) + value(fmask)
 
     if n_events * (n_events - 1) // 2 <= pair_budget:
         for emask in range(1, n_events):
@@ -226,14 +242,14 @@ def choquet_integral(cap: Capacity, f: Act) -> Fraction:
     upper level sets: sum of v_j (cap(f >= v_j) - cap(f >= v_{j-1}))."""
     if f.space.subspace_sizes != cap.space.subspace_sizes:
         raise CorrpolyError("act lives on a different space")
-    levels = sorted(set(f.values), reverse=True)
-    total = Fraction(0)
-    prev = Fraction(0)
-    members: set = set()
-    states = [cap.space.unravel(k) for k in range(cap.space.total_size)]
-    for v in levels:
-        members |= {s for s in states if f.value(s) == v}
-        cur = cap.value(Event.from_states(cap.space, members))
+    level_masks: dict[Fraction, int] = {}
+    for k, v in enumerate(f.values):
+        level_masks[v] = level_masks.get(v, 0) | 1 << k
+    total = prev = _ZERO
+    mask = 0
+    for v in sorted(level_masks, reverse=True):
+        mask |= level_masks[v]
+        cur = cap._mask_value(mask)
         total += v * (cur - prev)
         prev = cur
     return total

@@ -17,11 +17,13 @@ revised-simplex machinery is warranted.
 
 Phase 1 ignores the objective, so it is its own step: `feasible_start`
 runs it once for a system ``A x = b`` and returns the basic feasible
-integer tableau it ends on, and `solve_lp_min` runs phase 2 on a copy of
-that start.  A caller that minimizes many objectives over one system (the
-capacity of a correlation set) builds the start once and passes it to
-every solve; a solve given no start builds its own.  Both take the same
-path, so both end on the same vertex.
+integer tableau it ends on.  `solve_lp_min` checks the start it is given
+(or builds its own), runs phase 2 on a copy of it in `_phase2` and turns
+the integer result into Fractions.  The capacity of a correlation set
+minimizes many 0/1 costs over one system: it builds and checks its start
+once (`_tableau_rows`) and calls `_phase2` directly with an integer cost,
+with no `LinearProgram` and no Fractions per solve.  There is one phase 2,
+so every caller ends on the same vertex for the same objective.
 
 Every solve is certified.  The reduced costs of the artificial columns
 give the exact dual ``y``; rows negated to make ``b >= 0`` negate their
@@ -243,10 +245,11 @@ def solve_lp_min(lp: LinearProgram, start: Optional[FeasibleStart] = None) -> LP
     """Exact optimum, a vertex minimizer and its dual certificate.
 
     ``start`` is `feasible_start` of a program with the same constraints;
-    when omitted it is built here.  Raises InfeasibleError when the
-    constraints admit no nonnegative solution, UnboundedError when the
-    objective has no finite minimum, and ConsistencyError when the
-    certificate fails.
+    when omitted it is built here.  The start is checked, `_phase2` runs
+    and certifies the solve in integers, and only then are Fractions built.
+    Raises InfeasibleError when the constraints admit no nonnegative
+    solution, UnboundedError when the objective has no finite minimum, and
+    ConsistencyError when the start or the certificate fails.
     """
     if start is None:
         start = feasible_start(lp)
@@ -258,15 +261,52 @@ def solve_lp_min(lp: LinearProgram, start: Optional[FeasibleStart] = None) -> LP
         )
     if start.system.source != (lp.eq_matrix, lp.eq_rhs):
         _fail(lp, "the start was built for other constraints")
-    rows = [row + (b,) for row, b in zip(start.rows, start.rhs)]
-    if not _is_feasible_basis(rows, start.basis, n):
+    rows = _tableau_rows(start, n)
+    if rows is None:
         _fail(lp, "the start is not a feasible integer basis")
     cost, cost_scale = integer_numerators(lp.objective)
-    tab = _Tableau(rows, list(start.basis))
+    try:
+        cx, xs, x_scale, ys, y_scale = _phase2(start, rows, start.system, cost, cost_scale)
+    except ConsistencyError as exc:
+        _fail(lp, str(exc))
+    return LPSolution(
+        Fraction(cx, cost_scale * x_scale),
+        tuple(Fraction(v, x_scale) if v else _ZERO for v in xs),
+        tuple(Fraction(v, y_scale) if v else _ZERO for v in ys),
+    )
+
+
+def _tableau_rows(start: FeasibleStart, n: int) -> Optional[list[tuple[int, ...]]]:
+    """The rows of ``start`` with their rhs appended, the tableau `_phase2`
+    starts from, or None unless they form a feasible integer basis over
+    ``n`` original columns.  A caller that keeps one start for many solves
+    checks it once and passes these rows to each."""
+    rows = [row + (b,) for row, b in zip(start.rows, start.rhs)]
+    return rows if _is_feasible_basis(rows, start.basis, n) else None
+
+
+def _phase2(
+    start: FeasibleStart,
+    rows: Sequence[tuple[int, ...]],
+    system: _IntegerSystem,
+    cost: list[int],
+    cost_scale: int,
+) -> tuple[int, list[int], int, list[int], int]:
+    """Phase 2 for the cost ``cost / cost_scale`` from the checked tableau
+    ``rows`` of ``start`` (see `_tableau_rows`), certified against
+    ``system``, all in integers.
+
+    Returns ``(cx, xs, x_scale, ys, y_scale)``: the minimizer is
+    ``xs / x_scale``, the dual ``ys / y_scale`` and the optimum
+    ``cx / (cost_scale * x_scale)``.  Raises UnboundedError when the cost
+    has no finite minimum and ConsistencyError, without context, when the
+    certificate fails.
+    """
+    n, m = len(cost), len(start.flipped)
+    tab = _Tableau(list(rows), list(start.basis))
     tab.price(cost + [0] * m, cost_scale)
     tab.run_simplex(n)
 
-    # x = xs / x_scale; y = ys / tab.scale
     scales = [row[bv] for row, bv in zip(tab.rows, tab.basis)]
     x_scale = math.lcm(*scales)
     xs = [0] * n
@@ -274,12 +314,8 @@ def solve_lp_min(lp: LinearProgram, start: Optional[FeasibleStart] = None) -> LP
         xs[bv] = row[-1] * (x_scale // s)
     ys = [z if flip else -z for z, flip in zip(tab.z[n:n + m], start.flipped)]
     cx = sum(map(mul, cost, xs))
-    _certify(lp, start.system, xs, x_scale, ys, tab.scale, cost, cost_scale, cx)
-    return LPSolution(
-        Fraction(cx, cost_scale * x_scale),
-        tuple(Fraction(v, x_scale) if v else _ZERO for v in xs),
-        tuple(Fraction(v, tab.scale) if v else _ZERO for v in ys),
-    )
+    _certify(system, xs, x_scale, ys, tab.scale, cost, cost_scale, cx)
+    return cx, xs, x_scale, ys, tab.scale
 
 
 def _is_feasible_basis(rows: Sequence[Sequence], basis: Sequence[int], n: int) -> bool:
@@ -298,7 +334,6 @@ def _is_feasible_basis(rows: Sequence[Sequence], basis: Sequence[int], n: int) -
 
 
 def _certify(
-    lp: LinearProgram,
     system: _IntegerSystem,
     xs: Sequence[int],
     x_scale: int,
@@ -331,7 +366,7 @@ def _certify(
         failure = "b.y != c.x"
     else:
         return
-    _fail(lp, f"LP certificate failed: {failure}")
+    raise ConsistencyError(f"LP certificate failed: {failure}")
 
 
 def _fail(lp: LinearProgram, message: str) -> NoReturn:

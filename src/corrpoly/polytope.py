@@ -325,6 +325,7 @@ def enumerate_extreme_points(
             recurse(pos + 1, support + (k,), mask | col_mask[k], pivots + [(pr, v)])
 
     recurse(0, (), 0, [])
+    del recurse  # it refers to itself: a cycle that would keep cs alive until a collection
     return [found[key] for key in sorted(found)]
 
 

@@ -32,6 +32,8 @@ from .space import Act, Collection, Event, JointDistribution, Marginal, ProductS
 
 _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?$")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+# a name, an operator, or (group 2) any other character that is not white space
+_EVENT_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|[=\[\],()|&~*])|(\S))")
 
 SECTIONS = ("SPACE", "MARGINALS", "ACTS", "EVENTS", "PRIOR", "UTILITY", "SWEEP")
 
@@ -39,12 +41,14 @@ SECTIONS = ("SPACE", "MARGINALS", "ACTS", "EVENTS", "PRIOR", "UTILITY", "SWEEP")
 def parse_rational(token: str, line: Optional[int] = None) -> Fraction:
     if not _RATIONAL_RE.match(token):
         raise ScenarioError(f"not an exact rational: {token!r}", line)
-    if "/" in token:
-        num, den = token.split("/")
-        if int(den) == 0:
-            raise ScenarioError(f"zero denominator in {token!r}", line)
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+    num, _, den = token.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # longer than int()'s digit limit
+        raise ScenarioError(f"too many digits in rational {token[:20]}...", line) from None
+    if den == 0:
+        raise ScenarioError(f"zero denominator in {token!r}", line)
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,12 @@ class _EventParser:
 
     @staticmethod
     def _tokenize(text: str) -> list[str]:
-        return re.findall(r"[A-Za-z_][A-Za-z0-9_]*|[=\[\],()|&~*]", text)
+        tokens = []
+        for token, unknown in _EVENT_TOKEN_RE.findall(text):
+            if unknown:
+                raise CorrpolyError(f"unexpected character {unknown!r} in event expression")
+            tokens.append(token)
+        return tokens
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -210,7 +219,10 @@ def parse_collection_spec(text: str, n_subspaces: int) -> Collection:
         raise CorrpolyError(f"malformed collection spec {text!r}")
     members = []
     for g in groups:
-        idx = [int(t) - 1 for t in "".join(g.split()).split(",") if t]
+        try:
+            idx = [int(t) - 1 for t in "".join(g.split()).split(",") if t]
+        except ValueError:  # longer than int()'s digit limit
+            raise CorrpolyError(f"collection index too long in {text[:40]!r}...") from None
         if any(not 0 <= i < n_subspaces for i in idx):
             raise CorrpolyError(f"collection index out of range in {text!r}")
         members.append(frozenset(idx))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -66,6 +67,12 @@ class ProductSpace:
     def states(self) -> Iterator[MultiIndex]:
         """All states in row-major order (subspace 0 slowest)."""
         return itertools.product(*(range(s) for s in self.subspace_sizes))
+
+    @cached_property
+    def state_table(self) -> tuple[MultiIndex, ...]:
+        """All states in row-major order, built once per space: entry k is
+        ``unravel(k)``."""
+        return tuple(self.states())
 
     def ravel(self, state: MultiIndex) -> int:
         self.check_state(state)
@@ -186,7 +193,11 @@ class JointDistribution:
 
 @dataclass(frozen=True)
 class Event:
-    """A set of states."""
+    """A set of states.
+
+    `bitmask` computes the event's integer key once and keeps it; an event
+    made by `event_from_mask` keeps the mask it was made from.
+    """
 
     space: ProductSpace
     members: frozenset[MultiIndex]
@@ -236,10 +247,32 @@ class Event:
 
     def bitmask(self) -> int:
         """Canonical integer key: bit k set iff the state with flat index k is a member."""
-        mask = 0
-        for s in self.members:
-            mask |= 1 << self.space.ravel(s)
+        mask = self.__dict__.get("_mask")
+        if mask is None:
+            mask = 0
+            for s in self.members:
+                mask |= 1 << self.space.ravel(s)
+            object.__setattr__(self, "_mask", mask)
         return mask
+
+
+def event_from_mask(space: ProductSpace, mask: int) -> Event:
+    """The event whose members are the states with a set bit in ``mask``
+    (the inverse of `Event.bitmask`).  The states come from the space's
+    `state_table`, so they need no check, and the event keeps ``mask``.
+    Raises CorrpolyError unless 0 <= mask < 2^N."""
+    table = space.state_table
+    if not 0 <= mask < 1 << len(table):
+        raise CorrpolyError(
+            f"mask {mask} is not an event of a space with {len(table)} states"
+        )
+    event = object.__new__(Event)
+    object.__setattr__(event, "space", space)
+    object.__setattr__(
+        event, "members", frozenset([table[k] for k in range(len(table)) if mask >> k & 1])
+    )
+    object.__setattr__(event, "_mask", mask)
+    return event
 
 
 @dataclass(frozen=True)

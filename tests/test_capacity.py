@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,7 @@ from corrpoly import (
     feasible_start,
     find_convexity_violation,
 )
-from bruteforce import oracle_vertices
+from bruteforce import oracle_vertices, solve_lp_min_reference
 from conftest import random_correlation_set
 
 F = Fraction
@@ -75,13 +77,16 @@ def test_exactness_singleton_set():
 
 
 def test_exactness_checks_vertex_dominance(uniform_2x2):
-    # once every value is memoized, only the sweep's own vertex check sees a
-    # vertex that puts less mass on an event than the capacity
+    # every swept value is checked against the vertex minimum as it is
+    # computed, so a vertex that puts less mass on an event than the LP
+    # minimum (here a point mass on (0, 0)) makes the sweep raise
     cap = capacity_of(uniform_2x2)
-    assert check_exactness(uniform_2x2)
-    denom, scaled = cap._scaled_vertices
-    cap._scaled_vertices = (denom, scaled + [[denom, 0, 0, 0]])
-    assert not check_exactness(uniform_2x2)
+    cap.value(_event(uniform_2x2.space, (0, 0)))  # builds the vertex table
+    denom, columns = cap._vertex_columns
+    point_mass = (denom, 0, 0, 0)
+    cap._vertex_columns = (denom, [col + (w,) for col, w in zip(columns, point_mass)])
+    with pytest.raises(ConsistencyError, match="vertex minimum"):
+        check_exactness(uniform_2x2)
 
 
 def test_exactness_sampled_branch(uniform_2x2):
@@ -235,11 +240,14 @@ def test_lp_vertex_agreement_full_sweep():
         ((1, 3), [(1,), (F(1, 6), F(1, 3), F(1, 2))]),
         ((2, 3), [(F(1, 4), F(3, 4)), (F(1, 2), F(0), F(1, 2))]),
         ((2, 2, 2), [(F(1), F(0)), (F(1, 3), F(2, 3)), (F(1, 2), F(1, 2))]),
+        ((2, 2, 2), [(F(0), F(1)), (F(1), F(0)), (F(0), F(1))]),
     ],
 )
 def test_capacity_matches_oracle_on_degenerate_sets(sizes, weights):
-    # a 1-state subspace, a zero-weight state, a point-mass marginal; the
-    # sweep includes the empty and the full event
+    # a 1-state subspace, a zero-weight state, a point-mass marginal and a
+    # set whose one vertex is a point mass; the sweep of the mask path
+    # includes the empty and the full event, and each value is also the
+    # optimum of the Fraction reference simplex
     space = ProductSpace(sizes)
     cs = CorrelationSet(space, [Marginal(i, w) for i, w in enumerate(weights)])
     vertices = oracle_vertices(sizes, weights)
@@ -248,7 +256,50 @@ def test_capacity_matches_oracle_on_degenerate_sets(sizes, weights):
         expected = min(
             sum((w for k, w in enumerate(v) if mask >> k & 1), F(0)) for v in vertices
         )
+        indicator = tuple(mask >> k & 1 for k in range(space.total_size))
+        program = LinearProgram(indicator, cs.system.matrix, cs.system.rhs)
+        assert solve_lp_min_reference(program).optimum == expected
         assert cap.value(event_from_mask(space, mask)) == expected
+
+
+def test_event_from_mask_is_the_inverse_of_bitmask():
+    space = ProductSpace((2, 3))
+    for mask in range(2 ** 6):
+        event = event_from_mask(space, mask)
+        states = [space.unravel(k) for k in range(6) if mask >> k & 1]
+        assert event == Event.from_states(space, states)
+        assert event.bitmask() == mask
+        assert Event.from_states(space, states).bitmask() == mask
+
+
+@pytest.mark.parametrize("mask", [-1, -16, 2 ** 4, 2 ** 4 + 1])
+def test_event_from_mask_rejects_masks_outside_the_space(mask):
+    with pytest.raises(CorrpolyError, match="not an event"):
+        event_from_mask(ProductSpace((2, 2)), mask)
+
+
+def test_an_unreferenced_set_is_freed_without_the_cycle_collector():
+    rng = random.Random(3)
+    gc.disable()
+    try:
+        cs = random_correlation_set((2, 3), rng)
+        capacity_value(cs, event_from_mask(cs.space, 0b010110))
+        set_ref, capacity_ref = weakref.ref(cs), weakref.ref(capacity_of(cs))
+        del cs
+        assert set_ref() is None and capacity_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_capacity_outlives_its_set():
+    # the set is referenced only by its capacity until the first miss
+    sizes = (2, 3)
+    marginals = random_correlation_set(sizes, random.Random(5)).marginals
+    cap = capacity_of(CorrelationSet(ProductSpace(sizes), marginals))
+    vertices = oracle_vertices(sizes, [m.weights for m in marginals])
+    for mask in range(2 ** 6):
+        expected = min(sum((w for k, w in enumerate(v) if mask >> k & 1), F(0)) for v in vertices)
+        assert cap.value(event_from_mask(cap.space, mask)) == expected
 
 
 def test_capacity_reuses_an_unchanged_start(uniform_cube):
@@ -280,6 +331,19 @@ def test_capacity_with_a_corrupted_start_raises(uniform_cube):
         "mask": 0b110,
     }
     assert 0b110 not in cap._memo
+
+
+def test_capacity_certificate_fails_on_an_integer_corrupted_start(uniform_cube):
+    # an integer change keeps the start a feasible basis, so only the
+    # certificate of the next miss can tell
+    cap = capacity_of(uniform_cube)
+    space = uniform_cube.space
+    cap.value(event_from_mask(space, 0b1))
+    cap._start = cap._start._replace(rhs=(cap._start.rhs[0] + 1,) + cap._start.rhs[1:])
+    with pytest.raises(ConsistencyError, match="certificate failed") as info:
+        cap.value(event_from_mask(space, 0b10010110))
+    assert info.value.context["mask"] == 0b10010110
+    assert 0b10010110 not in cap._memo
 
 
 def test_capacity_vertex_disagreement_names_the_event(uniform_2x2):

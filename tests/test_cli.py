@@ -214,6 +214,16 @@ def test_error_paths(capsys):
     assert code == 1 and "--at" in err
 
 
+@pytest.mark.parametrize("args", [
+    ("evaluate", FINANCE, "--at", "1/" + "3" * 5000),
+    ("dim", FINANCE, "--collection", "{" + "1" * 5000 + "},{2}"),
+    ("capacity", FINANCE, "--event", "inflation=H_infl $ 42"),
+])
+def test_overlong_numbers_and_unknown_characters_are_errors(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
 def test_mi_bad_input_is_an_error(capsys):
     for args in (
         ("--vertex", "0", "--step", "abc"),

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,10 @@ def test_event_expressions():
         sc.parse_event(space, "[H_infl,H_unc]")
     with pytest.raises(Exception):
         sc.parse_event(space, "bogus=H_infl")
+    for text in ("inflation=H_infl $ 42", "inflation=H_inflé", "[H_infl,H_unc,*] + 1"):
+        with pytest.raises(CorrpolyError, match="unexpected character"):
+            sc.parse_event(space, text)
+    assert sc.parse_event(space, " \tinflation = H_infl\n") == sc.parse_event(space, "inflation=H_infl")
 
 
 def test_collection_spec_parsing():
@@ -148,6 +153,17 @@ def test_collection_spec_parsing():
         sc.parse_collection_spec("{0},{1}", 3)  # 1-based indexing
     with pytest.raises(Exception):
         sc.parse_collection_spec("nonsense", 3)
+    with pytest.raises(CorrpolyError, match="too long"):
+        sc.parse_collection_spec("{" + "1" * 5000 + "},{2}", 3)
+
+
+@pytest.mark.parametrize("token", ["3" * 5000, "1/" + "3" * 5000, "-" + "7" * 4400 + "/2"])
+def test_rationals_beyond_the_int_digit_limit_are_scenario_errors(token):
+    with pytest.raises(ScenarioError, match="too many digits"):
+        sc.parse_rational(token)
+    marginals = "MARGINALS\nx: " + token + " 1/2\n"
+    with pytest.raises(ScenarioError, match="line 5: too many digits"):
+        sc.loads("SPACE\nx: a b\n\n" + marginals)
 
 
 def test_partition_prior_spec():
@@ -212,6 +228,7 @@ _FINANCE_SPACE = sc.load(SCENARIO_DIR / "finance.scn").space
 
 @settings(max_examples=300, deadline=None)
 @given(_scenario_texts)
+@example("SPACE\nx: a b\nMARGINALS\nx: 1/" + "3" * 5000 + " 1/2")
 def test_loads_raises_only_corrpoly_errors(text):
     try:
         sc.loads(text)
@@ -222,6 +239,9 @@ def test_loads_raises_only_corrpoly_errors(text):
 @settings(max_examples=300, deadline=None)
 @given(_texts, st.integers(1, 4))
 @example("{1\t2},{3}", 3)  # whitespace inside an index
+@example("1/" + "3" * 5000, 2)  # beyond int()'s digit limit
+@example("{" + "1" * 5000 + "},{2}", 2)
+@example("inflation=H_infl $ 42", 3)
 def test_expression_grammars_raise_only_corrpoly_errors(text, n_subspaces):
     for parse in (
         lambda: sc.parse_expr(text),
@@ -232,6 +252,18 @@ def test_expression_grammars_raise_only_corrpoly_errors(text, n_subspaces):
             parse()
         except CorrpolyError:
             pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts)
+@example("inflation=H_infl $ 42")
+@example("inflation=H_infl #")
+def test_events_are_made_only_of_known_characters(text):
+    try:
+        sc.parse_event(_FINANCE_SPACE, text)
+    except CorrpolyError:
+        return
+    assert re.fullmatch(r"[A-Za-z0-9_=\[\],()|&~*\s]*", text)
 
 
 def test_deeply_nested_event_is_an_error():
