@@ -120,13 +120,21 @@ def run_climate(
         ("mitigation", mitigation),
         ("climate_engineering", engineering),
     ])
+    context = {
+        "damage": str(damage),
+        "mitigation_cost": str(mitigation_cost),
+        "mitigated_damage": str(mitigated_damage),
+        "engineering_cost": str(engineering_cost),
+        "side_loss": str(side_loss),
+        "vertices": [[str(w) for w in v.weights] for v in prior.vertices],
+    }
     if rows[0].value != -p_bad * damage:
-        raise ConsistencyError("inaction value disagrees with its closed form")
+        raise ConsistencyError("inaction value disagrees with its closed form", **context)
     if rows[1].value != -mitigation_cost - p_bad * mitigated_damage:
-        raise ConsistencyError("mitigation value disagrees with its closed form")
+        raise ConsistencyError("mitigation value disagrees with its closed form", **context)
     worst_joint = max(v.prob((0, 0)) for v in prior.vertices)
     if rows[2].value != -engineering_cost - side_loss * worst_joint:
-        raise ConsistencyError("engineering value disagrees with its closed form")
+        raise ConsistencyError("engineering value disagrees with its closed form", **context)
     return rows
 
 
@@ -181,11 +189,21 @@ def run_insurance(
     insurer_reservation = -expectation(p, insurer_cover)
     insuree_reservation = expectation(ph, insuree_cover) - expectation(ph, insuree_no_cover)
 
+    context = {
+        "house_value": str(v),
+        "double_damage_share": str(x),
+        "insurer_belief": [str(w) for w in p.weights],
+        "insuree_belief": [str(w) for w in ph.weights],
+    }
     p1_burn = marginalize(p, [0]).weights[0]
     if insurer_reservation != v * (x * p1_burn + (1 - x) * p.prob((0, 1))):
-        raise ConsistencyError("insurer reservation price disagrees with its closed form")
+        raise ConsistencyError(
+            "insurer reservation price disagrees with its closed form", **context
+        )
     if insuree_reservation != v * (x * p1_burn + (1 - x) * ph.prob((0, 1))):
-        raise ConsistencyError("insuree reservation price disagrees with its closed form")
+        raise ConsistencyError(
+            "insuree reservation price disagrees with its closed form", **context
+        )
 
     both = p.prob((0, 0))
     both_hat = ph.prob((0, 0))
@@ -200,7 +218,9 @@ def run_insurance(
         interval = (insurer_reservation, insuree_reservation)
     profit = v * (1 - x) * (ph.prob((0, 1)) - p.prob((0, 1)))
     if profit != insuree_reservation - insurer_reservation:
-        raise ConsistencyError("profit at the insuree's price disagrees with the price gap")
+        raise ConsistencyError(
+            "profit at the insuree's price disagrees with the price gap", **context
+        )
     return InsuranceReport(
         insurer_reservation, insuree_reservation, interval, verdict, profit
     )
@@ -265,6 +285,7 @@ def run_finance(
     a = Fraction(a)
     if not 0 <= a <= Fraction(1, 3):
         raise CorrpolyError("the correlation weight a must lie in [0, 1/3]")
+    context = {"a": str(a), "rho": str(rho), "wealth": str(wealth)}
     space = finance_space()
     full_act = Act(space, FINANCE_RETURNS)
     deposit_weights = FINANCE_MARGINALS[2]
@@ -279,7 +300,7 @@ def run_finance(
         averaged.append(avg)
     averaged = tuple(averaged)
     if averaged != (Fraction(6), Fraction(0), Fraction(0), Fraction(-3)):
-        raise ConsistencyError("averaged return table disagrees with (6, 0, 0, -3)")
+        raise ConsistencyError("averaged return table disagrees with (6, 0, 0, -3)", **context)
 
     belief = finance_belief(a)
     expected = expectation(belief, full_act)
@@ -288,7 +309,9 @@ def run_finance(
         (w * r for w, r in zip(pair_belief.weights, averaged)), Fraction(0)
     )
     if expected != averaged_expected or expected != 3 * a - Fraction(1, 2):
-        raise ConsistencyError("expected return disagrees with its closed form 3a - 1/2")
+        raise ConsistencyError(
+            "expected return disagrees with its closed form 3a - 1/2", **context
+        )
 
     threshold = None
     if a > 0:
@@ -310,7 +333,7 @@ def run_finance(
         margin = math.inf if threshold is None else abs(rho - threshold)
         if margin > 1e-9 and direct_buy != buy:
             raise ConsistencyError(
-                "threshold verdict disagrees with the direct expected-utility check"
+                "threshold verdict disagrees with the direct expected-utility check", **context
             )
     return FinanceReport(averaged, expected, rho, threshold, buy)
 

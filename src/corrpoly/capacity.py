@@ -5,14 +5,14 @@ couplings.  It is normalized, monotone and exact (its core recovers the
 correlation set) but in general not convex, which is what drives a wedge
 between Choquet and maxmin evaluation of acts.
 
-Queries are answered on event bitmasks (bit k set when the state with flat
-index k is in E; see `Event.bitmask` and `event_from_mask`), and the sweeps
-below (`check_exactness`, `find_convexity_violation`, the level sets of
+Queries are answered on the event's bitmask (`Event.mask`: bit k set when
+the state with flat index k is in E), and the sweeps below
+(`check_exactness`, `find_convexity_violation`, the level sets of
 `choquet_integral`) build no `Event` per query.
 
 Every value is an exact LP minimum over the set's marginal system.  Simplex
-phase 1 does not depend on the event, so a `Capacity` runs it once, on its
-first miss, and checks once that the start is a feasible integer basis.
+phase 1 does not depend on the event, so a `Capacity` runs it once, when it
+is built, and checks once that the start is a feasible integer basis.
 Each miss then runs `lp._phase2`, the core `lp.solve_lp_min` runs too, from
 that start with the event's 0/1 indicator as its integer cost: no
 `LinearProgram` and no Fraction minimizer or dual.  Each solve checks its
@@ -35,7 +35,7 @@ from . import lp
 from .errors import ConsistencyError, CorrpolyError
 from .linalg import integer_numerators
 from .polytope import CorrelationSet
-from .space import Act, Event, cylinder, embed_cylinder, event_from_mask
+from .space import Act, Event, cylinder, embed_cylinder
 
 
 _ZERO = Fraction(0)
@@ -46,29 +46,32 @@ class Capacity:
 
     Values are keyed by the event bitmask (a Python int, so any desk-scale
     state count fits).  Queries are pure: identical events return identical
-    exact rationals.  The first miss builds what every later miss reads:
-    the phase-1 start of the marginal system, the vertex weights over
-    their common denominator and the set's reproducer context.  The
-    capacity then drops its reference to the set, so a set and the
-    capacity it holds form no reference cycle and are freed as soon as
-    nothing else refers to them.
+    exact rationals.  Construction builds what every miss reads: the
+    phase-1 start of the marginal system, the vertex weights over their
+    common denominator and the set's reproducer context.  The capacity
+    keeps no reference to the set, so a set and the capacity it holds form
+    no reference cycle and are freed as soon as nothing else refers to them.
     """
 
     def __init__(self, cs: CorrelationSet):
-        self._cs: Optional[CorrelationSet] = cs  # until the first miss
         self.space = cs.space
+        n = self.space.total_size
         self._memo: dict[int, Fraction] = {}
-        self._start: Optional[lp.FeasibleStart] = None
-        self._system = None  # the integer marginal system, certified against on every miss
+        self._start = lp.feasible_start(
+            lp.LinearProgram((_ZERO,) * n, cs.system.matrix, cs.system.rhs)
+        )
+        # the integer marginal system, certified against on every miss
+        self._system = self._start.system
         self._checked: tuple = (None, None)  # the start last checked, and its tableau rows
         # vertex weights over their common denominator, one tuple per state
-        self._vertex_columns: Optional[tuple[int, list[tuple[int, ...]]]] = None
-        self._context: dict = {}
+        flat, denom = integer_numerators([w for p in cs.vertices() for w in p.weights])
+        self._vertex_columns = (denom, [tuple(flat[k::n]) for k in range(n)])
+        self._context = cs.reproducer()
 
     def value(self, event: Event) -> Fraction:
         if event.space.subspace_sizes != self.space.subspace_sizes:
             raise CorrpolyError("event lives on a different space")
-        return self._mask_value(event.bitmask())
+        return self._mask_value(event.mask)
 
     def _mask_value(self, mask: int) -> Fraction:
         """The capacity of the event with bitmask ``mask``, memoized."""
@@ -81,8 +84,6 @@ class Capacity:
     def _solve(self, mask: int) -> Fraction:
         """min p(E) by phase 2 from the cached start, certified, and checked
         against the vertex minimum."""
-        if self._cs is not None:
-            self._prepare()
         start = self._start
         checked, rows = self._checked
         if checked is not start:
@@ -109,18 +110,6 @@ class Capacity:
                 **self._reproducer(mask),
             )
         return Fraction(cx, x_scale)
-
-    def _prepare(self) -> None:
-        """Build the start, the vertex table and the reproducer context from
-        the set, then drop the set."""
-        cs = self._cs
-        n = self.space.total_size
-        start = lp.feasible_start(lp.LinearProgram((_ZERO,) * n, cs.system.matrix, cs.system.rhs))
-        flat, denom = integer_numerators([w for p in cs.vertices() for w in p.weights])
-        self._vertex_columns = (denom, [tuple(flat[k::n]) for k in range(n)])
-        self._start, self._system = start, start.system
-        self._context = cs.reproducer()
-        self._cs = None
 
     def _reproducer(self, mask: int) -> dict:
         return {**self._context, "mask": mask}
@@ -159,7 +148,7 @@ def check_exactness(
     if value((1 << n) - 1) != 1:
         return False
     coordinate_masks = [
-        [cylinder(space, {i: c}).bitmask() for c in range(size)]
+        [cylinder(space, {i: c}).mask for c in range(size)]
         for i, size in enumerate(space.subspace_sizes)
     ]
     for m, masks_i in zip(cs.marginals, coordinate_masks):
@@ -200,7 +189,7 @@ def cylinder_additivity_check(
         raise CorrpolyError("the cylinder must be contained in the event")
     cap = capacity_of(cs)
     marginal_part = cs.marginals[subspace_index].prob_of(coords)
-    rest = event.bitmask() & ~cyl.bitmask()
+    rest = event.mask & ~cyl.mask
     return cap.value(event) == marginal_part + cap._mask_value(rest)
 
 
@@ -226,14 +215,14 @@ def find_convexity_violation(
         for emask in range(1, n_events):
             for fmask in range(emask + 1, n_events):
                 if violates(emask, fmask):
-                    return event_from_mask(space, emask), event_from_mask(space, fmask)
+                    return Event(space, emask), Event(space, fmask)
         return None
     rng = random.Random(seed)
     for _ in range(pair_budget):
         emask = rng.getrandbits(n)
         fmask = rng.getrandbits(n)
         if emask and fmask and violates(emask, fmask):
-            return event_from_mask(space, emask), event_from_mask(space, fmask)
+            return Event(space, emask), Event(space, fmask)
     return None
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import linalg
 from .errors import ConsistencyError, CorrpolyError, NonlinearCollectionError
-from .polytope import CorrelationSet, dimension, is_maximally_zero, sample_member
+from .polytope import CorrelationSet, dimension, sample_member
 from .space import (
     Collection,
     Event,
@@ -101,7 +101,7 @@ def event_family(
         sub = p.space.subspace(idx)
         if ev.space.subspace_sizes != sub.subspace_sizes:
             raise CorrpolyError("event does not live on its member's sub-product")
-        if not ev.members:
+        if not ev.mask:
             raise CorrpolyError("member events must be non-empty")
         target = target & embed_cylinder(ev, p.space, idx)
         product *= marginalize(p, idx).prob_event(ev)
@@ -146,24 +146,22 @@ def product_of_components(
     the full space that makes the members independent."""
     if not coll.is_partition_of(space):
         raise CorrpolyError("collection is not a partition of the subspaces")
-    subs = [sorted(m) for m in coll.members]
-    if len(components) != len(subs):
+    if len(components) != len(coll.members):
         raise CorrpolyError("need exactly one component distribution per member")
-    weights = []
-    for state in space.states():
-        w = Fraction(1)
-        for idx, comp in zip(subs, components):
-            w *= comp.prob(tuple(state[i] for i in idx))
-        weights.append(w)
+    weights = [Fraction(1)] * space.total_size
+    for member, comp in zip(coll.members, components):
+        if comp.space.subspace_sizes != space.subspace(member).subspace_sizes:
+            raise CorrpolyError("component does not live on its member's sub-product")
+        for k, j in enumerate(space.project(member)):
+            weights[k] *= comp.weights[j]
     return JointDistribution(space, tuple(weights))
 
 
-def partition_factorize(
-    cs: CorrelationSet, coll: Collection, verify: bool = True, combo_limit: int = 256
-) -> list[CorrelationSet]:
+def partition_factorize(cs: CorrelationSet, coll: Collection) -> list[CorrelationSet]:
     """Split the independence-restricted set along a partition into one
     correlation set per member; the restricted set is exactly the product of
-    the components and its dimension is the sum of theirs."""
+    the components and its dimension is the sum of theirs, which is checked
+    against `restricted_dimension` when at most one member is non-singleton."""
     if not coll.is_partition_of(cs.space):
         raise CorrpolyError("collection is not a partition of the subspaces")
     components = []
@@ -174,32 +172,15 @@ def partition_factorize(
             Marginal(pos, cs.marginals[i].weights) for pos, i in enumerate(idx)
         ]
         components.append(CorrelationSet(sub_space, sub_marginals))
-    context = {**cs.reproducer(), "collection": [sorted(m) for m in coll.members]}
     dim_sum = sum(dimension(comp) for comp in components)
     if sum(1 for m in coll.members if len(m) >= 2) <= 1:
         restricted = restricted_dimension(cs, coll)
         if restricted != dim_sum:
             raise ConsistencyError(
                 f"partition dimension {dim_sum} disagrees with linear-system rank {restricted}",
-                **context,
+                **cs.reproducer(),
+                collection=[sorted(m) for m in coll.members],
             )
-    if verify:
-        vertex_lists = [comp.vertices() for comp in components]
-        n_combos = 1
-        for vl in vertex_lists:
-            n_combos *= len(vl)
-        if n_combos <= combo_limit:
-            for combo in itertools.product(*vertex_lists):
-                joint = product_of_components(cs.space, coll, combo)
-                if not cs.contains(joint):
-                    raise ConsistencyError("component product left the correlation set", **context)
-                if not is_independent_on(joint, coll).holds:
-                    raise ConsistencyError(
-                        "component product is not independent on the partition", **context
-                    )
-                for comp, v in zip(components, combo):
-                    if not is_maximally_zero(comp, v):
-                        raise ConsistencyError("component vertex is not maximally zero", **context)
     return components
 
 
@@ -208,7 +189,7 @@ def sample_partition_member(
 ) -> JointDistribution:
     """A random coupling independent on the partition: sample each component
     correlation set and take the product."""
-    components = partition_factorize(cs, coll, verify=False)
+    components = partition_factorize(cs, coll)
     draws = [sample_member(comp, rng) for comp in components]
     return product_of_components(cs.space, coll, draws)
 
@@ -234,7 +215,6 @@ def restricted_dimension(
             raise CorrpolyError("restricted dimension requires full-support marginals")
 
     space = cs.space
-    states = list(space.states())
     rows: list[list[Fraction]] = [
         [Fraction(x) for x in row] for row in cs.system.matrix
     ]
@@ -246,27 +226,25 @@ def restricted_dimension(
                 "independence constraints are nonlinear for collections with "
                 "two or more non-singleton members; only membership testing applies"
             )
-        subs, tuples = _member_tuples(space, coll)
-        for combo in tuples:
-            assignment = {}
-            for idx, coords in zip(subs, combo):
-                for i, c in zip(idx, coords):
-                    assignment[i] = c
-            row = [
-                Fraction(1) if all(s[i] == c for i, c in assignment.items()) else Fraction(0)
-                for s in states
-            ]
+        # one row per cell (one sub-product state per member, in collection
+        # order): p(cell) - prod of its singleton marginals * p(big part)
+        projections = [space.project(m) for m in coll.members]
+        keys = list(zip(*projections))
+        cells = itertools.product(*(range(space.subspace(m).total_size) for m in coll.members))
+        for cell in cells:
+            row = [Fraction(1) if key == cell else Fraction(0) for key in keys]
             singleton_const = Fraction(1)
-            big_assignment = None
-            for member, coords in zip(coll.members, combo):
+            big_part = None
+            for member, proj, j in zip(coll.members, projections, cell):
                 if len(member) >= 2:
-                    big_assignment = dict(zip(sorted(member), coords))
+                    big_part = (proj, j)
                 else:
                     (i,) = member
-                    singleton_const *= cs.marginals[i].weights[coords[0]]
-            if big_assignment is not None:
-                for k, s in enumerate(states):
-                    if all(s[i] == c for i, c in big_assignment.items()):
+                    singleton_const *= cs.marginals[i].weights[j]
+            if big_part is not None:
+                proj, j = big_part
+                for k, jk in enumerate(proj):
+                    if jk == j:
                         row[k] -= singleton_const
             rows.append(row)
     return space.total_size - linalg.rank(rows)

@@ -44,13 +44,23 @@ class MutualInformationReport:
     max_observed_increase: float
 
 
+def _sum_left_to_right(terms) -> float:
+    """The float sum of ``terms`` in their order.  The builtin ``sum``
+    compensates rounding from Python 3.12 on, so it would print different
+    last digits on different supported versions."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
 def entropy(p: JointDistribution) -> float:
     """Shannon entropy in bits, with the 0 log 0 = 0 convention."""
-    return -sum(float(w) * math.log2(float(w)) for w in p.weights if w > 0)
+    return -_sum_left_to_right(float(w) * math.log2(float(w)) for w in p.weights if w > 0)
 
 
 def marginal_entropy(m: Marginal) -> float:
-    return -sum(float(w) * math.log2(float(w)) for w in m.weights if w > 0)
+    return -_sum_left_to_right(float(w) * math.log2(float(w)) for w in m.weights if w > 0)
 
 
 def kl_divergence(p: JointDistribution, q: JointDistribution) -> float:
@@ -81,11 +91,9 @@ def _mi_kernel(cs: CorrelationSet):
     The per-set constants (the summed marginal entropies and the integer
     weights of the independent product) are computed once here.  The
     divergence is summed in the order of `kl_divergence`, so the returned
-    value equals it bit for bit.  The entropy term is a plain running sum
-    and may differ from `entropy` (whose builtin ``sum`` compensates on
-    Python 3.12 and later) in the last bits; it only feeds the
-    decomposition cross-check."""
-    marginal_sum = sum(marginal_entropy(m) for m in cs.marginals)
+    value equals it bit for bit.  The entropy term is a running sum too; it
+    only feeds the decomposition cross-check."""
+    marginal_sum = _sum_left_to_right(marginal_entropy(m) for m in cs.marginals)
     ind, ind_denom = integer_numerators(cs.independent_product.weights)
     log2 = math.log2
 

@@ -68,12 +68,12 @@ def _sorted_marginals(space: ProductSpace, marginals: Sequence[Marginal]) -> tup
 
 def build_marginal_system(space: ProductSpace, marginals: Sequence[Marginal]) -> MarginalSystem:
     ms = _sorted_marginals(space, marginals)
-    states = list(space.states())
     rows = []
     rhs = []
     for i in range(space.n_subspaces):
+        proj = space.project([i])
         for coord in range(space.subspace_sizes[i]):
-            rows.append(tuple(1 if s[i] == coord else 0 for s in states))
+            rows.append(tuple(1 if c == coord else 0 for c in proj))
             rhs.append(ms[i].weights[coord])
     return MarginalSystem(space, ms, tuple(rows), tuple(rhs))
 

@@ -236,13 +236,8 @@ def _cell_table(
     sizes = space.subspace_sizes
     n_cols = math.prod(sizes[j] for j in cols)
     table = [[0] * n_cols for _ in range(math.prod(sizes[i] for i in rows))]
-    for state, n in zip(space.states(), nums):
+    for r, c, n in zip(space.project(rows), space.project(cols), nums):
         if n:
-            r = c = 0
-            for i in rows:
-                r = r * sizes[i] + state[i]
-            for j in cols:
-                c = c * sizes[j] + state[j]
             table[r][c] += n
     return table
 
@@ -344,8 +339,7 @@ def _scan_counterexample(prior, tables, denom, i, coords, chosen, z) -> AxiomCou
     space = prior.space
     sub_space = space.subspace([i])
     comp_space = space.subspace([j for j in range(space.n_subspaces) if j != i])
-    comp_states = list(comp_space.states())
-    f_i = Act.bet(sub_space, Event.from_states(sub_space, [(c,) for c in coords]), 1, 0)
+    f_i = Act.bet(sub_space, Event(sub_space, sum(1 << c for c in coords)), 1, 0)
     g_i = Act.constant(sub_space, z)
     nums, scale = integer_numerators([*f_i.values, *g_i.values])
     size = len(f_i.values)
@@ -361,7 +355,7 @@ def _scan_counterexample(prior, tables, denom, i, coords, chosen, z) -> AxiomCou
         subspace_index=i,
         f_i=f_i,
         g_i=g_i,
-        conditioning_event=Event.from_states(comp_space, [comp_states[b] for b in chosen]),
+        conditioning_event=Event(comp_space, sum(1 << b for b in chosen)),
         outside_value=Fraction(0),
         base_values=(values[0], values[1]),
         conditioned_values=(values[2], values[3]),
@@ -488,14 +482,12 @@ def _product_identity_witness(
             if lhs != rhs:
                 sub_a = space.subspace(idx)
                 sub_b = space.subspace(j0)
-                a_states = list(sub_a.states())
-                b_states = list(sub_b.states())
                 return ProductIdentityWitness(
                     member,
-                    Event.from_states(sub_a, [a_states[a] for a in a_events[x]]),
-                    Event.from_states(sub_a, [a_states[a] for a in a_events[x2]]),
-                    Event.from_states(sub_b, [b_states[b] for b in b_events[y]]),
-                    Event.from_states(sub_b, [b_states[b] for b in b_events[y2]]),
+                    Event(sub_a, sum(1 << a for a in a_events[x])),
+                    Event(sub_a, sum(1 << a for a in a_events[x2])),
+                    Event(sub_b, sum(1 << b for b in b_events[y])),
+                    Event(sub_b, sum(1 << b for b in b_events[y2])),
                     Fraction(lhs, denom * denom),
                     Fraction(rhs, denom * denom),
                 )

@@ -303,7 +303,7 @@ class Scenario:
                     )
             return PriorSet(self.space, vertices)
         if self.prior.kind == "partition":
-            components = partition_factorize(cs, self.prior.partition, verify=False)
+            components = partition_factorize(cs, self.prior.partition)
             return PriorSet(self.space, [
                 product_of_components(self.space, self.prior.partition, chosen)
                 for chosen in itertools.product(*(comp.vertices() for comp in components))

@@ -2,8 +2,11 @@
 
 A state space is a Cartesian product of finite subspaces.  States are
 multi-indices (tuples of coordinates, one per subspace), serialized in
-row-major order with subspace 0 slowest.  Probabilities and act payoffs
-are exact rationals throughout; nothing in this module rounds.
+row-major order with subspace 0 slowest.  An event is an integer bitmask
+over these flat indices (bit k for the state with flat index k), and every
+map from states to a sub-product goes through `ProductSpace.project`.
+Probabilities and act payoffs are exact rationals throughout; nothing in
+this module rounds.
 """
 
 from __future__ import annotations
@@ -94,6 +97,21 @@ class ProductSpace:
         ):
             raise CorrpolyError(f"state {state} not in a space of shape {self.subspace_sizes}")
 
+    def project(self, indices: Iterable[int]) -> tuple[int, ...]:
+        """The map from states to the sub-product over ``indices``: entry k
+        is the flat index, in ``subspace(indices)``, of the state with flat
+        index k.  All zeros when ``indices`` is empty."""
+        idx = set(indices)
+        if any(not 0 <= i < self.n_subspaces for i in idx):
+            raise CorrpolyError(f"invalid subspace indices {sorted(idx)}")
+        flat = [0]
+        for i, size in enumerate(self.subspace_sizes):
+            if i in idx:
+                flat = [f * size + c for f in flat for c in range(size)]
+            else:
+                flat = [f for f in flat for _ in range(size)]
+        return tuple(flat)
+
     def subspace(self, indices: Iterable[int]) -> "ProductSpace":
         """The sub-product over the given subspace indices (ascending order)."""
         idx = sorted(set(indices))
@@ -181,7 +199,8 @@ class JointDistribution:
 
     def prob_event(self, event: "Event") -> Fraction:
         _require_same_space(self.space, event.space)
-        return sum((self.prob(s) for s in event.members), Fraction(0))
+        mask = event.mask
+        return sum((w for k, w in enumerate(self.weights) if mask >> k & 1), Fraction(0))
 
     def support(self) -> frozenset[MultiIndex]:
         return frozenset(s for s in self.space.states() if self.prob(s) > 0)
@@ -193,86 +212,78 @@ class JointDistribution:
 
 @dataclass(frozen=True)
 class Event:
-    """A set of states.
-
-    `bitmask` computes the event's integer key once and keeps it; an event
-    made by `event_from_mask` keeps the mask it was made from.
-    """
+    """A set of states, held as a bitmask: bit k of ``mask`` is set iff the
+    state with flat index k is a member."""
 
     space: ProductSpace
-    members: frozenset[MultiIndex]
+    mask: int
 
     def __post_init__(self):
-        members = frozenset(tuple(m) for m in self.members)
-        object.__setattr__(self, "members", members)
-        for m in members:
-            self.space.check_state(m)
+        if not 0 <= self.mask < 1 << self.space.total_size:
+            raise CorrpolyError(
+                f"mask {self.mask} is not an event of a space with "
+                f"{self.space.total_size} states"
+            )
 
     @classmethod
     def from_states(cls, space: ProductSpace, states: Iterable[MultiIndex]) -> "Event":
-        return cls(space, frozenset(tuple(s) for s in states))
+        mask = 0
+        for s in states:
+            mask |= 1 << space.ravel(tuple(s))
+        return cls(space, mask)
 
     @classmethod
     def empty(cls, space: ProductSpace) -> "Event":
-        return cls(space, frozenset())
+        return cls(space, 0)
 
     @classmethod
     def full(cls, space: ProductSpace) -> "Event":
-        return cls(space, frozenset(space.states()))
+        return cls(space, (1 << space.total_size) - 1)
+
+    @property
+    def members(self) -> frozenset[MultiIndex]:
+        """The member states, read from the space's `state_table`."""
+        table = self.space.state_table
+        return frozenset([table[k] for k in range(len(table)) if self.mask >> k & 1])
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __contains__(self, state: MultiIndex) -> bool:
-        return tuple(state) in self.members
+        try:
+            return bool(self.mask >> self.space.ravel(tuple(state)) & 1)
+        except CorrpolyError:
+            return False
 
     def __or__(self, other: "Event") -> "Event":
         _require_same_space(self.space, other.space)
-        return Event(self.space, self.members | other.members)
+        return Event(self.space, self.mask | other.mask)
 
     def __and__(self, other: "Event") -> "Event":
         _require_same_space(self.space, other.space)
-        return Event(self.space, self.members & other.members)
+        return Event(self.space, self.mask & other.mask)
 
     def __sub__(self, other: "Event") -> "Event":
         _require_same_space(self.space, other.space)
-        return Event(self.space, self.members - other.members)
+        return Event(self.space, self.mask & ~other.mask)
 
     def __invert__(self) -> "Event":
-        return Event(self.space, frozenset(self.space.states()) - self.members)
+        return Event(self.space, self.mask ^ ((1 << self.space.total_size) - 1))
 
     def issubset(self, other: "Event") -> bool:
         _require_same_space(self.space, other.space)
-        return self.members <= other.members
+        return self.mask & ~other.mask == 0
 
     def bitmask(self) -> int:
         """Canonical integer key: bit k set iff the state with flat index k is a member."""
-        mask = self.__dict__.get("_mask")
-        if mask is None:
-            mask = 0
-            for s in self.members:
-                mask |= 1 << self.space.ravel(s)
-            object.__setattr__(self, "_mask", mask)
-        return mask
+        return self.mask
 
 
 def event_from_mask(space: ProductSpace, mask: int) -> Event:
     """The event whose members are the states with a set bit in ``mask``
-    (the inverse of `Event.bitmask`).  The states come from the space's
-    `state_table`, so they need no check, and the event keeps ``mask``.
-    Raises CorrpolyError unless 0 <= mask < 2^N."""
-    table = space.state_table
-    if not 0 <= mask < 1 << len(table):
-        raise CorrpolyError(
-            f"mask {mask} is not an event of a space with {len(table)} states"
-        )
-    event = object.__new__(Event)
-    object.__setattr__(event, "space", space)
-    object.__setattr__(
-        event, "members", frozenset([table[k] for k in range(len(table)) if mask >> k & 1])
-    )
-    object.__setattr__(event, "_mask", mask)
-    return event
+    (the inverse of `Event.bitmask`).  Raises CorrpolyError unless
+    0 <= mask < 2^N."""
+    return Event(space, mask)
 
 
 @dataclass(frozen=True)
@@ -347,11 +358,8 @@ class Act:
         """The binary act paying ``win`` on the event and ``lose`` off it."""
         _require_same_space(space, event.space)
         w, l = Fraction(win), Fraction(lose)
-        values = [
-            w if space.unravel(k) in event.members else l
-            for k in range(space.total_size)
-        ]
-        return cls(space, tuple(values))
+        mask = event.mask
+        return cls(space, tuple(w if mask >> k & 1 else l for k in range(space.total_size)))
 
     def value(self, state: MultiIndex) -> Fraction:
         return self.values[self.space.ravel(state)]
@@ -360,9 +368,10 @@ class Act:
         """The act equal to ``self`` on the event and to ``other`` off it."""
         _require_same_space(self.space, event.space)
         _require_same_space(self.space, other.space)
+        mask = event.mask
         values = [
-            self.values[k] if self.space.unravel(k) in event.members else other.values[k]
-            for k in range(self.space.total_size)
+            mine if mask >> k & 1 else theirs
+            for k, (mine, theirs) in enumerate(zip(self.values, other.values))
         ]
         return Act(self.space, tuple(values))
 
@@ -391,12 +400,10 @@ def independent_product(
     else:
         if tuple(m.size for m in by_index) != space.subspace_sizes:
             raise SpaceMismatchError("marginal sizes do not match the space shape")
-    weights = []
-    for state in space.states():
-        w = Fraction(1)
-        for i, c in enumerate(state):
-            w *= by_index[i].weights[c]
-        weights.append(w)
+    weights = [Fraction(1)] * space.total_size
+    for i, m in enumerate(by_index):
+        for k, c in enumerate(space.project([i])):
+            weights[k] *= m.weights[c]
     return JointDistribution(space, tuple(weights))
 
 
@@ -407,9 +414,8 @@ def marginalize(p: JointDistribution, indices: Iterable[int]) -> JointDistributi
         raise CorrpolyError("cannot marginalize onto an empty index set")
     sub = p.space.subspace(idx)
     weights = [Fraction(0)] * sub.total_size
-    for state in p.space.states():
-        key = tuple(state[i] for i in idx)
-        weights[sub.ravel(key)] += p.prob(state)
+    for j, w in zip(p.space.project(idx), p.weights):
+        weights[j] += w
     return JointDistribution(sub, tuple(weights))
 
 
@@ -420,12 +426,8 @@ def embed_cylinder(
     idx = sorted(set(indices))
     sub = space.subspace(idx)
     _require_same_space(sub_event.space, sub)
-    members = [
-        state
-        for state in space.states()
-        if tuple(state[i] for i in idx) in sub_event.members
-    ]
-    return Event.from_states(space, members)
+    sub_mask = sub_event.mask
+    return Event(space, sum(1 << k for k, j in enumerate(space.project(idx)) if sub_mask >> j & 1))
 
 
 def cylinder(space: ProductSpace, assignment: dict[int, int]) -> Event:
@@ -433,12 +435,10 @@ def cylinder(space: ProductSpace, assignment: dict[int, int]) -> Event:
     for i, c in assignment.items():
         if not 0 <= i < space.n_subspaces or not 0 <= c < space.subspace_sizes[i]:
             raise CorrpolyError(f"invalid cylinder assignment {assignment}")
-    members = [
-        state
-        for state in space.states()
-        if all(state[i] == c for i, c in assignment.items())
-    ]
-    return Event.from_states(space, members)
+    proj = space.project(assignment)
+    # the sub-product index of the assignment, read off one state that has it
+    target = proj[space.ravel(tuple(assignment.get(i, 0) for i in range(space.n_subspaces)))]
+    return Event(space, sum(1 << k for k, j in enumerate(proj) if j == target))
 
 
 def embed_act(sub_act: Act, space: ProductSpace, indices: Iterable[int]) -> Act:
@@ -446,26 +446,16 @@ def embed_act(sub_act: Act, space: ProductSpace, indices: Iterable[int]) -> Act:
     idx = sorted(set(indices))
     sub = space.subspace(idx)
     _require_same_space(sub_act.space, sub)
-    values = [
-        sub_act.values[sub.ravel(tuple(state[i] for i in idx))]
-        for state in space.states()
-    ]
-    return Act(space, tuple(values))
+    return Act(space, tuple(sub_act.values[j] for j in space.project(idx)))
 
 
 def is_independent_of(f: Act, indices: Iterable[int]) -> bool:
     """True iff ``f`` is a function of the subspaces in ``indices`` alone,
     i.e. f(w) == f(w') whenever the two states agree on those coordinates."""
-    idx = sorted(set(indices))
-    seen: dict[tuple[int, ...], Fraction] = {}
-    for state in f.space.states():
-        key = tuple(state[i] for i in idx)
-        v = f.value(state)
-        if key in seen:
-            if seen[key] != v:
-                return False
-        else:
-            seen[key] = v
+    seen: dict[int, Fraction] = {}
+    for j, v in zip(f.space.project(indices), f.values):
+        if seen.setdefault(j, v) != v:
+            return False
     return True
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from corrpoly import (
     Act,
+    ConsistencyError,
     CorrelationSet,
     InsuranceVerdict,
     JointDistribution,
@@ -26,6 +27,7 @@ from corrpoly import (
     sweep_csv,
     sweep_rows,
 )
+from corrpoly import applications
 from corrpoly import scenario as sc
 from corrpoly.applications import SWEEP_CSV_HEADER
 from conftest import SCENARIO_DIR
@@ -87,6 +89,21 @@ def test_climate_requires_2x2():
         run_climate(F(10), F(2), F(4), F(1), F(8), PriorSet.from_correlation_set(cs))
 
 
+def test_climate_errors_carry_the_inputs(monkeypatch):
+    prior = PriorSet.from_correlation_set(_climate_cs())
+    monkeypatch.setattr(applications, "meu_minimizer", lambda prior, f: (F(99), 0))
+    with pytest.raises(ConsistencyError, match="inaction value") as info:
+        run_climate(F(10), F(2), F(4), F(1), F(8), prior)
+    assert info.value.context == {
+        "damage": "10",
+        "mitigation_cost": "2",
+        "mitigated_damage": "4",
+        "engineering_cost": "1",
+        "side_loss": "8",
+        "vertices": [[str(w) for w in v.weights] for v in prior.vertices],
+    }
+
+
 def _insurance_beliefs(joint_bf):
     space = ProductSpace((2, 2), (("B", "NB"), ("F", "NF")), ("burn", "flood"))
     b, f = F(1, 4), F(1, 4)
@@ -129,6 +146,27 @@ def test_insurance_marginal_mismatch_rejected():
     other = JointDistribution(space, (F(1, 3), F(1, 6), F(1, 6), F(1, 3)))
     with pytest.raises(MarginalMismatchError):
         run_insurance(F(100), F(1, 2), p, other)
+
+
+def test_insurance_errors_carry_the_inputs(monkeypatch):
+    p = _insurance_beliefs(F(1, 8))
+    ph = _insurance_beliefs(F(1, 16))
+    monkeypatch.setattr(applications, "expectation", lambda belief, act: F(0))
+    with pytest.raises(ConsistencyError, match="insurer reservation price") as info:
+        run_insurance(F(100), F(1, 2), p, ph)
+    assert info.value.context == {
+        "house_value": "100",
+        "double_damage_share": "1/2",
+        "insurer_belief": ["1/8", "1/8", "1/8", "5/8"],
+        "insuree_belief": ["1/16", "3/16", "3/16", "9/16"],
+    }
+
+
+def test_finance_errors_carry_the_inputs(monkeypatch):
+    monkeypatch.setattr(applications, "expectation", lambda belief, act: F(99))
+    with pytest.raises(ConsistencyError, match="expected return") as info:
+        run_finance(F(1, 12), rho=0.5, wealth=F(7))
+    assert info.value.context == {"a": "1/12", "rho": "0.5", "wealth": "7"}
 
 
 def test_finance_expected_return_is_linear_in_a():

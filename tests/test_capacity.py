@@ -280,19 +280,25 @@ def test_event_from_mask_rejects_masks_outside_the_space(mask):
 
 def test_an_unreferenced_set_is_freed_without_the_cycle_collector():
     rng = random.Random(3)
+    queries = [
+        lambda cs: capacity_value(cs, event_from_mask(cs.space, 0b010110)),  # one miss
+        lambda cs: capacity_value(cs, Event.empty(cs.space)),  # no miss
+        capacity_of,  # no query
+    ]
     gc.disable()
     try:
-        cs = random_correlation_set((2, 3), rng)
-        capacity_value(cs, event_from_mask(cs.space, 0b010110))
-        set_ref, capacity_ref = weakref.ref(cs), weakref.ref(capacity_of(cs))
-        del cs
-        assert set_ref() is None and capacity_ref() is None
+        for query in queries:
+            cs = random_correlation_set((2, 3), rng)
+            query(cs)
+            set_ref, capacity_ref = weakref.ref(cs), weakref.ref(capacity_of(cs))
+            del cs
+            assert set_ref() is None and capacity_ref() is None
     finally:
         gc.enable()
 
 
 def test_a_capacity_outlives_its_set():
-    # the set is referenced only by its capacity until the first miss
+    # the capacity keeps no reference to its set, which is freed at once
     sizes = (2, 3)
     marginals = random_correlation_set(sizes, random.Random(5)).marginals
     cap = capacity_of(CorrelationSet(ProductSpace(sizes), marginals))

@@ -1,7 +1,6 @@
 import itertools
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -176,14 +175,6 @@ def test_partition_factorize_dimensions(uniform_cube):
     "target, name, patched, message",
     [
         (independence, "restricted_dimension", lambda cs, coll: 99, "disagrees with linear-system rank"),
-        (CorrelationSet, "contains", lambda self, p: False, "left the correlation set"),
-        (
-            independence,
-            "is_independent_on",
-            lambda p, coll: SimpleNamespace(holds=False),
-            "not independent on the partition",
-        ),
-        (independence, "is_maximally_zero", lambda cs, p: False, "not maximally zero"),
     ],
 )
 def test_partition_factorize_errors_carry_the_inputs(
@@ -209,15 +200,22 @@ def test_partition_factorize_requires_partition(uniform_cube):
         partition_factorize(uniform_cube, Collection.of({0}, {1}))
 
 
-def test_product_of_components_recombines(uniform_cube):
-    coll = Collection.of({0}, {1, 2})
-    comps = partition_factorize(uniform_cube, coll, verify=False)
-    for va in comps[0].vertices():
-        for vb in comps[1].vertices():
-            joint = product_of_components(uniform_cube.space, coll, [va, vb])
-            assert uniform_cube.contains(joint)
+def test_product_of_components_recombines(uniform_cube, skew_2x2):
+    skew_223 = CorrelationSet(
+        ProductSpace((2, 2, 3)),
+        [*skew_2x2.marginals, Marginal(2, (F(1, 2), F(1, 3), F(1, 6)))],
+    )
+    for cs, coll in [
+        (uniform_cube, Collection.of({0}, {1, 2})),
+        (skew_223, Collection.of({2}, {0, 1})),
+    ]:
+        comps = partition_factorize(cs, coll)
+        for comp in comps:
+            assert all(is_maximally_zero(comp, v) for v in comp.vertices())
+        for combo in itertools.product(*(comp.vertices() for comp in comps)):
+            joint = product_of_components(cs.space, coll, combo)
+            assert cs.contains(joint)
             assert is_independent_on(joint, coll).holds
-            assert is_maximally_zero(comps[1], vb)
 
 
 def test_restricted_dimension_cube(uniform_cube):

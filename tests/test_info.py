@@ -14,6 +14,7 @@ from corrpoly import (
     ProductSpace,
     certify_local_max_mi,
     entropy,
+    finance_belief,
     kl_divergence,
     mix,
     mutual_information,
@@ -34,6 +35,17 @@ def test_entropy_basics():
     assert entropy(_joint(space, 1, 0, 0, 0)) == 0.0
     assert entropy(_joint(space, F(1, 4), F(1, 4), F(1, 4), F(1, 4))) == pytest.approx(2.0)
     assert entropy(_joint(space, F(1, 2), F(1, 2), 0, 0)) == pytest.approx(1.0)
+
+
+def test_entropy_sums_left_to_right():
+    # on the finance belief at a = 1/12 a compensated sum (the builtin
+    # ``sum`` from Python 3.12 on) rounds to 2.63628933528331
+    p = finance_belief(F(1, 12))
+    expected = 0.0
+    for w in p.weights:
+        expected += float(w) * math.log2(float(w))
+    assert entropy(p) == -expected
+    assert repr(entropy(p)) == "2.6362893352833097"
 
 
 def test_kl_divergence_basics():

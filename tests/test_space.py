@@ -22,6 +22,7 @@ from corrpoly import (
     independent_product,
     is_independent_of,
     marginalize,
+    product_of_components,
 )
 
 F = Fraction
@@ -260,3 +261,116 @@ def test_expectation_is_exact_rational(marginals, mask):
     val = expectation(p, f)
     assert isinstance(val, F)
     assert val == sum(w * v for w, v in zip(p.weights, f.values))
+
+
+# Reference definitions, state by state: a state is a tuple, an event the
+# set of its member tuples, and the projection onto index set ``idx`` the
+# tuple of the state's coordinates at ``idx``.
+
+EVENT_SHAPES = [(1, 3), (2, 1, 2), (2, 3), (2, 2, 2)]
+
+
+def _all_states(sizes):
+    return list(itertools.product(*(range(s) for s in sizes)))
+
+
+def _members(sizes, mask):
+    return {s for k, s in enumerate(_all_states(sizes)) if mask >> k & 1}
+
+
+def _key(state, idx):
+    return tuple(state[i] for i in idx)
+
+
+def _draw_weights(data, n):
+    raw = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    raw[data.draw(st.integers(0, n - 1))] += 1  # a nonzero total
+    return tuple(F(r, sum(raw)) for r in raw)
+
+
+def _draw_indices(data, n):
+    return sorted(data.draw(st.sets(st.integers(0, n - 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(EVENT_SHAPES), st.data())
+def test_events_match_their_state_sets(sizes, data):
+    space = ProductSpace(sizes)
+    states = _all_states(sizes)
+    n = len(states)
+    masks = st.integers(0, 2 ** n - 1)
+    e_mask, f_mask = data.draw(masks), data.draw(masks)
+    e, f = Event(space, e_mask), Event(space, f_mask)
+    e_ref, f_ref = _members(sizes, e_mask), _members(sizes, f_mask)
+    assert e.members == e_ref
+    assert (e | f).members == e_ref | f_ref
+    assert (e & f).members == e_ref & f_ref
+    assert (e - f).members == e_ref - f_ref
+    assert (~e).members == set(states) - e_ref
+    assert e.issubset(f) == (e_ref <= f_ref)
+    assert len(e) == len(e_ref)
+    for s in states:
+        assert (s in e) == (s in e_ref)
+    assert tuple(sizes) not in e and (0,) * (len(sizes) + 1) not in e
+    round_trip = Event.from_states(space, e_ref)
+    assert round_trip == e and round_trip.bitmask() == e_mask
+
+    p = JointDistribution(space, _draw_weights(data, n))
+    assert p.prob_event(e) == sum((p.prob(s) for s in e_ref), F(0))
+    bet = Act.bet(space, e, 3, F(-1, 2))
+    assert bet.values == tuple(F(3) if s in e_ref else F(-1, 2) for s in states)
+    a = Act(space, tuple(F(k) for k in range(n)))
+    b = Act(space, tuple(F(-k) for k in range(n)))
+    spliced = a.splice(e, b)
+    assert spliced.values == tuple(
+        a.value(s) if s in e_ref else b.value(s) for s in states
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(EVENT_SHAPES), st.data())
+def test_projections_match_their_state_maps(sizes, data):
+    space = ProductSpace(sizes)
+    states = _all_states(sizes)
+    n_sub = len(sizes)
+    p = JointDistribution(space, _draw_weights(data, len(states)))
+
+    idx = _draw_indices(data, n_sub)
+    f = Act(space, tuple(F(data.draw(st.integers(0, 1))) for _ in states))
+    assert is_independent_of(f, idx) == all(
+        f.value(s) == f.value(t) for s in states for t in states if _key(s, idx) == _key(t, idx)
+    )
+    assignment = {i: data.draw(st.integers(0, sizes[i] - 1)) for i in idx}
+    assert cylinder(space, assignment).members == {
+        s for s in states if all(s[i] == c for i, c in assignment.items())
+    }
+    if not idx:
+        return
+    sub = space.subspace(idx)
+    sub_states = _all_states(sub.subspace_sizes)
+    marginal = marginalize(p, idx)
+    for t in sub_states:
+        assert marginal.prob(t) == sum((p.prob(s) for s in states if _key(s, idx) == t), F(0))
+    sub_mask = data.draw(st.integers(0, 2 ** len(sub_states) - 1))
+    sub_ref = _members(sub.subspace_sizes, sub_mask)
+    assert embed_cylinder(Event(sub, sub_mask), space, idx).members == {
+        s for s in states if _key(s, idx) in sub_ref
+    }
+    sub_act = Act(sub, tuple(F(data.draw(st.integers(-3, 3))) for _ in sub_states))
+    embedded = embed_act(sub_act, space, idx)
+    assert embedded.values == tuple(sub_act.value(_key(s, idx)) for s in states)
+    assert is_independent_of(embedded, idx)
+
+    rest = [i for i in range(n_sub) if i not in idx]
+    if rest:
+        coll = Collection.of(idx, rest)
+        components = [
+            JointDistribution(space.subspace(m), _draw_weights(data, space.subspace(m).total_size))
+            for m in coll.members
+        ]
+        product = product_of_components(space, coll, components)
+        for s in states:
+            expected = F(1)
+            for m, comp in zip(coll.members, components):
+                expected *= comp.prob(_key(s, sorted(m)))
+            assert product.prob(s) == expected
