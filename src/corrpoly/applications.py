@@ -31,9 +31,9 @@ from .space import (
 )
 
 
-def decimal_string(value: Fraction, digits: int = 12) -> str:
-    """Decimal rendering with fixed significant digits, round half to even."""
-    ctx = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN)
+def decimal_string(value: Fraction) -> str:
+    """Decimal rendering to 12 significant digits, round half to even."""
+    ctx = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN)
     d = ctx.divide(decimal.Decimal(value.numerator), decimal.Decimal(value.denominator))
     return str(d)
 

@@ -12,14 +12,14 @@ the state with flat index k is in E), and the sweeps below
 
 Every value is an exact LP minimum over the set's marginal system.  Simplex
 phase 1 does not depend on the event, so a `Capacity` runs it once, when it
-is built, and checks once that the start is a feasible integer basis.
-Each miss then runs `lp._phase2`, the core `lp.solve_lp_min` runs too, from
-that start with the event's 0/1 indicator as its integer cost: no
-`LinearProgram` and no Fraction minimizer or dual.  Each solve checks its
-exact dual certificate in integers (see `lp`).  The value is also
-cross-checked against the minimum over the enumerated extreme points, an
-integer sum of vertex weights over the event's states, and the two must
-agree.
+is built, and keeps the start, which checks itself once, on the first miss
+(see `lp.FeasibleStart`).  Each miss then goes through `lp.phase2`, the one
+door into phase 2 that `lp.solve_lp_min` uses too, with the event's 0/1
+indicator as its integer cost: no `LinearProgram` and no Fraction
+minimizer or dual.  Each solve checks its exact dual certificate in
+integers (see `lp`).  The value is also cross-checked against the minimum
+over the enumerated extreme points, an integer sum of vertex weights over
+the event's states, and the two must agree.
 """
 
 from __future__ import annotations
@@ -60,9 +60,6 @@ class Capacity:
         self._start = lp.feasible_start(
             lp.LinearProgram((_ZERO,) * n, cs.system.matrix, cs.system.rhs)
         )
-        # the integer marginal system, certified against on every miss
-        self._system = self._start.system
-        self._checked: tuple = (None, None)  # the start last checked, and its tableau rows
         # vertex weights over their common denominator, one tuple per state
         flat, denom = integer_numerators([w for p in cs.vertices() for w in p.weights])
         self._vertex_columns = (denom, [tuple(flat[k::n]) for k in range(n)])
@@ -84,21 +81,12 @@ class Capacity:
     def _solve(self, mask: int) -> Fraction:
         """min p(E) by phase 2 from the cached start, certified, and checked
         against the vertex minimum."""
-        start = self._start
-        checked, rows = self._checked
-        if checked is not start:
-            rows = lp._tableau_rows(start, self.space.total_size)
-            if rows is None:
-                raise ConsistencyError(
-                    "capacity start is not a feasible integer basis", **self._reproducer(mask)
-                )
-            self._checked = (start, rows)
         members = [k for k in range(self.space.total_size) if mask >> k & 1]
         cost = [0] * self.space.total_size
         for k in members:
             cost[k] = 1
         try:
-            cx, _, x_scale, _, _ = lp._phase2(start, rows, self._system, cost, 1)
+            cx, _, x_scale, _, _ = lp.phase2(self._start, cost)
         except ConsistencyError as exc:
             raise ConsistencyError(f"capacity {exc}", **self._reproducer(mask)) from exc
         denom, columns = self._vertex_columns

@@ -47,41 +47,32 @@ class IndependenceVerdict:
     max_abs_defect: Fraction
 
 
-def _member_tuples(space: ProductSpace, coll: Collection):
-    subs = [sorted(m) for m in coll.members]
-    ranges = [
-        itertools.product(*(range(space.subspace_sizes[i]) for i in idx))
-        for idx in subs
-    ]
-    return subs, itertools.product(*ranges)
-
-
 def is_independent_on(p: JointDistribution, coll: Collection) -> IndependenceVerdict:
     """Element-wise independence test: every cylinder tuple over the
-    collection must carry exactly the product of its member marginals."""
+    collection must carry exactly the product of its member marginals.
+
+    Cells (one sub-product state per member) are walked with the members in
+    collection order, each member's states row-major over its sorted
+    indices, so the witness is the first violating cell in that order."""
     coll.check_space(p.space)
-    union = sorted(coll.union())
-    joint_on_union = marginalize(p, union)
-    member_marginals = [marginalize(p, sorted(m)) for m in coll.members]
-    subs, tuples = _member_tuples(p.space, coll)
-    pos_in_union = {i: k for k, i in enumerate(union)}
+    projections = [p.space.project(m) for m in coll.members]
+    joint: dict[tuple[int, ...], Fraction] = {}
+    for cell, w in zip(zip(*projections), p.weights):
+        joint[cell] = joint.get(cell, 0) + w
+    member_weights = [marginalize(p, m).weights for m in coll.members]
+    states = [p.space.subspace(m).state_table for m in coll.members]
 
     witness = None
     max_defect = Fraction(0)
-    for combo in tuples:
-        key = [0] * len(union)
-        for idx, coords in zip(subs, combo):
-            for i, c in zip(idx, coords):
-                key[pos_in_union[i]] = c
-        lhs = joint_on_union.prob(tuple(key))
+    for cell in itertools.product(*(range(len(ws)) for ws in member_weights)):
         rhs = Fraction(1)
-        for mdist, coords in zip(member_marginals, combo):
-            rhs *= mdist.prob(coords)
-        defect = abs(lhs - rhs)
+        for ws, j in zip(member_weights, cell):
+            rhs *= ws[j]
+        defect = abs(joint[cell] - rhs)
         if defect > max_defect:
             max_defect = defect
         if defect != 0 and witness is None:
-            witness = combo
+            witness = tuple(table[j] for table, j in zip(states, cell))
     return IndependenceVerdict(coll, witness is None, witness, max_defect)
 
 

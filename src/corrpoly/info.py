@@ -34,6 +34,7 @@ from .space import JointDistribution, Marginal
 
 DECOMPOSITION_TOL = 1e-9
 STRICTNESS_SLACK = 1e-12
+MAX_HALVINGS = 20  # a certificate's step ladder has MAX_HALVINGS + 3 rungs
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,6 @@ def certify_local_max_mi(
     probes: int = 64,
     step: Fraction = Fraction(1, 8),
     seed: int = 0,
-    max_halvings: int = 20,
 ) -> MutualInformationReport:
     """Seeded local-maximality certificate for mutual information.
 
@@ -237,7 +237,7 @@ def certify_local_max_mi(
         s, t = step.numerator, step.denominator
         decreases_somewhere = False
         run = 0
-        for _ in range(max_halvings + 3):
+        for _ in range(MAX_HALVINGS + 3):
             if not 0 <= s <= t:
                 raise CorrpolyError("mixing weight must lie in [0, 1]")
             r = t - s

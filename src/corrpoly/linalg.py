@@ -6,16 +6,22 @@ exact.  Matrices here are tiny (tens of rows/columns), so the plain dense
 reduced-row-echelon algorithm is the right tool.  `integer_numerators`
 puts exact rationals over one common denominator; it is the one scaling
 that the integer code paths of the other modules start from.
+`fraction_tuple` is the one conversion of input values to Fractions.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Row = Sequence[Fraction | int]
 Vector = tuple[Fraction, ...]
+
+
+def fraction_tuple(values: Iterable) -> tuple[Fraction, ...]:
+    """``values`` as Fractions; a value that already is one is kept."""
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def integer_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -17,13 +17,16 @@ revised-simplex machinery is warranted.
 
 Phase 1 ignores the objective, so it is its own step: `feasible_start`
 runs it once for a system ``A x = b`` and returns the basic feasible
-integer tableau it ends on.  `solve_lp_min` checks the start it is given
-(or builds its own), runs phase 2 on a copy of it in `_phase2` and turns
-the integer result into Fractions.  The capacity of a correlation set
-minimizes many 0/1 costs over one system: it builds and checks its start
-once (`_tableau_rows`) and calls `_phase2` directly with an integer cost,
-with no `LinearProgram` and no Fractions per solve.  There is one phase 2,
-so every caller ends on the same vertex for the same objective.
+integer tableau it ends on.  A `FeasibleStart` checks itself, once, on
+first use: its `tableau` is a feasible integer basis or raises.  `phase2`
+is the one door into phase 2: it runs the simplex from a start for an
+integer cost and certifies the result against the start's own
+constraints.  `solve_lp_min` is `feasible_start`, then `phase2`, then
+Fractions.  The capacity of a correlation set minimizes many 0/1 costs
+over one system: it keeps one start and calls `phase2` with each event's
+indicator, with no `LinearProgram` and no Fractions per solve.  There is
+one phase 2, so every caller ends on the same vertex for the same
+objective.
 
 Every solve is certified.  The reduced costs of the artificial columns
 give the exact dual ``y``; rows negated to make ``b >= 0`` negate their
@@ -41,21 +44,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from operator import mul
-from typing import NamedTuple, NoReturn, Optional, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 from .errors import ConsistencyError, CorrpolyError, InfeasibleError, UnboundedError
-from .linalg import integer_numerators
+from .linalg import fraction_tuple, integer_numerators
 
 _ZERO = Fraction(0)
-
-
-def _fraction_tuple(values) -> tuple[Fraction, ...]:
-    """``values`` as a tuple of Fractions; one that already is one is kept."""
-    if type(values) is tuple and set(map(type, values)) <= {Fraction}:
-        return values
-    return tuple(map(Fraction, values))
 
 
 @dataclass(frozen=True)
@@ -67,9 +64,9 @@ class LinearProgram:
     eq_rhs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", _fraction_tuple(self.objective))
-        object.__setattr__(self, "eq_matrix", tuple(map(_fraction_tuple, self.eq_matrix)))
-        object.__setattr__(self, "eq_rhs", _fraction_tuple(self.eq_rhs))
+        object.__setattr__(self, "objective", fraction_tuple(self.objective))
+        object.__setattr__(self, "eq_matrix", tuple(map(fraction_tuple, self.eq_matrix)))
+        object.__setattr__(self, "eq_rhs", fraction_tuple(self.eq_rhs))
         n = len(self.objective)
         if len(self.eq_matrix) != len(self.eq_rhs):
             raise CorrpolyError("constraint matrix and rhs sizes differ")
@@ -88,10 +85,9 @@ class LPSolution:
 
 
 class _IntegerSystem(NamedTuple):
-    """The constraints ``A x = b`` of a program, as given (``source``) and
-    scaled by the common denominator ``scale`` of all their entries."""
+    """The constraints ``A x = b`` of a program, scaled by the common
+    denominator ``scale`` of all their entries."""
 
-    source: tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]
     scale: int
     rows: tuple[tuple[int, ...], ...]
     columns: tuple[tuple[int, ...], ...]
@@ -104,10 +100,11 @@ def _integer_system(lp: LinearProgram) -> _IntegerSystem:
     rows = tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(m))
     rhs = tuple(flat[m * n :])
     columns = tuple(zip(*rows)) if rows else ((),) * len(lp.objective)
-    return _IntegerSystem((lp.eq_matrix, lp.eq_rhs), scale, rows, columns, rhs)
+    return _IntegerSystem(scale, rows, columns, rhs)
 
 
-class FeasibleStart(NamedTuple):
+@dataclass(frozen=True)
+class FeasibleStart:
     """The basic feasible tableau that simplex phase 1 ends on for
     ``A x = b, x >= 0``, in integers.
 
@@ -116,17 +113,26 @@ class FeasibleStart(NamedTuple):
     tableau B^-1 [A' | I] and of B^-1 b', scaled by the lcm of the row's
     denominators; its entry in column ``basis[r]`` is that scale.  The
     trailing identity block holds one artificial column per original row,
-    ``width`` counts all columns, and rows found redundant are dropped.
-    Every column in ``basis`` is an original one.  ``system`` is the
-    program's constraints that the start was built for.
+    and rows found redundant are dropped.  Every column in ``basis`` is an
+    original one.  ``system`` is the program's constraints that the start
+    was built for, and that every solve from it is certified against.
     """
 
     rows: tuple[tuple[int, ...], ...]
     rhs: tuple[int, ...]
     basis: tuple[int, ...]
-    width: int
     flipped: tuple[bool, ...]
     system: _IntegerSystem
+
+    @cached_property
+    def tableau(self) -> tuple[tuple[int, ...], ...]:
+        """The rows with their rhs appended, which `phase2` starts from,
+        checked on first use to form a feasible integer basis.  Raises
+        ConsistencyError, without context, when they do not."""
+        rows = tuple(row + (b,) for row, b in zip(self.rows, self.rhs))
+        if not _is_feasible_basis(rows, self.basis, len(self.system.columns)):
+            raise ConsistencyError("LP start is not a feasible integer basis")
+        return rows
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -144,19 +150,19 @@ class _Tableau:
         self.z: list[int] = []
         self.scale = 1
 
-    def price(self, cost: Sequence[int], cost_scale: int) -> None:
-        """Set ``z`` to the reduced costs of ``cost / cost_scale``, one entry
-        per column: z_j = c_j - sum_r c_B(r) a_rj / s_r, scaled by the lcm
-        of the scales s_r of the priced rows."""
+    def price(self, cost: Sequence[int]) -> None:
+        """Set ``z`` to the reduced costs of ``cost``, one entry per column:
+        z_j = c_j - sum_r c_B(r) a_rj / s_r, scaled by the lcm of the
+        scales s_r of the priced rows."""
         priced = [(row, cost[bv], row[bv]) for row, bv in zip(self.rows, self.basis) if cost[bv]]
         lcm = math.lcm(*(s for _, _, s in priced))
         z = [c * lcm for c in cost] + [0]
         for row, cb, s in priced:
             f = cb * (lcm // s)
             z = [a - f * b for a, b in zip(z, row)]
-        g = math.gcd(cost_scale * lcm, *z)
+        g = math.gcd(lcm, *z)
         self.z = [a // g for a in z]
-        self.scale = cost_scale * lcm // g
+        self.scale = lcm // g
 
     def pivot(self, row: int, col: int) -> None:
         prow = self.rows[row]
@@ -216,7 +222,7 @@ def feasible_start(lp: LinearProgram) -> FeasibleStart:
         artificial = [system.scale if i == r else 0 for i in range(m)]
         rows.append(_primitive([sign * a for a in row] + artificial + [sign * b]))
     tab = _Tableau(rows, list(range(n, n + m)))
-    tab.price([0] * n + [1] * m, 1)
+    tab.price([0] * n + [1] * m)
     tab.run_simplex(n + m)
     if tab.z[-1] != 0:
         raise InfeasibleError("equality constraints admit no nonnegative solution")
@@ -235,76 +241,48 @@ def feasible_start(lp: LinearProgram) -> FeasibleStart:
         tuple(tuple(row[:-1]) for row in tab.rows),
         tuple(row[-1] for row in tab.rows),
         tuple(tab.basis),
-        n + m,
         flipped,
         system,
     )
 
 
-def solve_lp_min(lp: LinearProgram, start: Optional[FeasibleStart] = None) -> LPSolution:
+def solve_lp_min(lp: LinearProgram) -> LPSolution:
     """Exact optimum, a vertex minimizer and its dual certificate.
 
-    ``start`` is `feasible_start` of a program with the same constraints;
-    when omitted it is built here.  The start is checked, `_phase2` runs
-    and certifies the solve in integers, and only then are Fractions built.
-    Raises InfeasibleError when the constraints admit no nonnegative
-    solution, UnboundedError when the objective has no finite minimum, and
+    `feasible_start`, then `phase2` on the objective's numerators over
+    their common denominator, and only then Fractions.  Raises
+    InfeasibleError when the constraints admit no nonnegative solution,
+    UnboundedError when the objective has no finite minimum, and
     ConsistencyError when the start or the certificate fails.
     """
-    if start is None:
-        start = feasible_start(lp)
-    n = len(lp.objective)
-    m = len(lp.eq_rhs)
-    if start.width != n + m or len(start.flipped) != m:
-        raise CorrpolyError(
-            f"start of width {start.width} does not fit a {m}x{n} program"
-        )
-    if start.system.source != (lp.eq_matrix, lp.eq_rhs):
-        _fail(lp, "the start was built for other constraints")
-    rows = _tableau_rows(start, n)
-    if rows is None:
-        _fail(lp, "the start is not a feasible integer basis")
     cost, cost_scale = integer_numerators(lp.objective)
     try:
-        cx, xs, x_scale, ys, y_scale = _phase2(start, rows, start.system, cost, cost_scale)
+        cx, xs, x_scale, ys, y_scale = phase2(feasible_start(lp), cost)
     except ConsistencyError as exc:
         _fail(lp, str(exc))
     return LPSolution(
         Fraction(cx, cost_scale * x_scale),
         tuple(Fraction(v, x_scale) if v else _ZERO for v in xs),
-        tuple(Fraction(v, y_scale) if v else _ZERO for v in ys),
+        tuple(Fraction(v, cost_scale * y_scale) if v else _ZERO for v in ys),
     )
 
 
-def _tableau_rows(start: FeasibleStart, n: int) -> Optional[list[tuple[int, ...]]]:
-    """The rows of ``start`` with their rhs appended, the tableau `_phase2`
-    starts from, or None unless they form a feasible integer basis over
-    ``n`` original columns.  A caller that keeps one start for many solves
-    checks it once and passes these rows to each."""
-    rows = [row + (b,) for row, b in zip(start.rows, start.rhs)]
-    return rows if _is_feasible_basis(rows, start.basis, n) else None
-
-
-def _phase2(
-    start: FeasibleStart,
-    rows: Sequence[tuple[int, ...]],
-    system: _IntegerSystem,
-    cost: list[int],
-    cost_scale: int,
+def phase2(
+    start: FeasibleStart, cost: Sequence[int]
 ) -> tuple[int, list[int], int, list[int], int]:
-    """Phase 2 for the cost ``cost / cost_scale`` from the checked tableau
-    ``rows`` of ``start`` (see `_tableau_rows`), certified against
-    ``system``, all in integers.
+    """Phase 2 for the integer ``cost`` (one entry per original column)
+    from ``start``, certified against the start's constraints, all in
+    integers.
 
     Returns ``(cx, xs, x_scale, ys, y_scale)``: the minimizer is
     ``xs / x_scale``, the dual ``ys / y_scale`` and the optimum
-    ``cx / (cost_scale * x_scale)``.  Raises UnboundedError when the cost
-    has no finite minimum and ConsistencyError, without context, when the
-    certificate fails.
+    ``cx / x_scale``.  Raises UnboundedError when the cost has no finite
+    minimum and ConsistencyError, without context, when the start is not a
+    feasible integer basis or the certificate fails.
     """
     n, m = len(cost), len(start.flipped)
-    tab = _Tableau(list(rows), list(start.basis))
-    tab.price(cost + [0] * m, cost_scale)
+    tab = _Tableau(list(start.tableau), list(start.basis))
+    tab.price([*cost, *[0] * m])
     tab.run_simplex(n)
 
     scales = [row[bv] for row, bv in zip(tab.rows, tab.basis)]
@@ -314,7 +292,7 @@ def _phase2(
         xs[bv] = row[-1] * (x_scale // s)
     ys = [z if flip else -z for z, flip in zip(tab.z[n:n + m], start.flipped)]
     cx = sum(map(mul, cost, xs))
-    _certify(system, xs, x_scale, ys, tab.scale, cost, cost_scale, cx)
+    _certify(start.system, xs, x_scale, ys, tab.scale, cost, cx)
     return cx, xs, x_scale, ys, tab.scale
 
 
@@ -340,15 +318,14 @@ def _certify(
     ys: Sequence[int],
     y_scale: int,
     cost: Sequence[int],
-    cost_scale: int,
     cx: int,
 ) -> None:
     """Raise ConsistencyError unless x is feasible, y is dual feasible and
     their objectives agree: weak duality then makes both optimal.
 
-    With A = rows / L, b = rhs / L, c = cost / C, x = xs / X and y = ys / Y
-    the four conditions read, over integers: xs >= 0, rows . xs = rhs * X,
-    C * (columns . ys) <= L * Y * cost and C * X * (rhs . ys) = L * Y * (cost . xs).
+    With A = rows / L, b = rhs / L, x = xs / X and y = ys / Y the four
+    conditions read, over integers: xs >= 0, rows . xs = rhs * X,
+    columns . ys <= L * Y * cost and X * (rhs . ys) = L * Y * (cost . xs).
     """
     dual_bound = system.scale * y_scale
     if min(xs, default=0) < 0:
@@ -358,11 +335,11 @@ def _certify(
     ):
         failure = "A x != b"
     elif any(
-        cost_scale * sum(map(mul, column, ys)) > dual_bound * c
+        sum(map(mul, column, ys)) > dual_bound * c
         for column, c in zip(system.columns, cost)
     ):
         failure = "A^T y <= c fails"
-    elif cost_scale * x_scale * sum(map(mul, system.rhs, ys)) != dual_bound * cx:
+    elif x_scale * sum(map(mul, system.rhs, ys)) != dual_bound * cx:
         failure = "b.y != c.x"
     else:
         return

@@ -29,7 +29,6 @@ from .errors import (
 from .space import (
     JointDistribution,
     Marginal,
-    MultiIndex,
     ProductSpace,
     independent_product,
     hamming_distance,
@@ -97,10 +96,8 @@ def dimension_formula(subspace_sizes: Sequence[int]) -> int:
     return total - 1 - sum(s - 1 for s in subspace_sizes)
 
 
-def kernel_basis_rectangles(
-    space: ProductSpace, anchor: Optional[MultiIndex] = None
-) -> KernelBasis:
-    """Rectangle-shift kernel basis anchored at a reference state.
+def kernel_basis_rectangles(space: ProductSpace) -> KernelBasis:
+    """Rectangle-shift kernel basis anchored at the zero state.
 
     For every state at Hamming distance >= 2 from the anchor, pick its two
     smallest coordinates disagreeing with the anchor and shift one unit of
@@ -110,9 +107,7 @@ def kernel_basis_rectangles(
     distance (hence independent), and their count equals the polytope
     dimension, so they form a basis.
     """
-    if anchor is None:
-        anchor = tuple([0] * space.n_subspaces)
-    space.check_state(anchor)
+    anchor = (0,) * space.n_subspaces
     n = space.total_size
     vectors = []
     for state in space.states():
@@ -137,7 +132,6 @@ def kernel_basis_rectangles(
         raise ConsistencyError(
             f"rectangle basis has {len(vectors)} vectors, expected {expected}",
             shape=space.subspace_sizes,
-            anchor=anchor,
         )
     return KernelBasis(tuple(vectors))
 

@@ -18,12 +18,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CorrpolyError, SpaceMismatchError
+from .linalg import fraction_tuple
 
 MultiIndex = tuple[int, ...]
-
-
-def _fractions(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,7 @@ class Marginal:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _fractions(self.weights))
+        object.__setattr__(self, "weights", fraction_tuple(self.weights))
         if any(w < 0 for w in self.weights):
             raise CorrpolyError("marginal weights must be nonnegative")
         if sum(self.weights) != 1:
@@ -184,7 +181,7 @@ class JointDistribution:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _fractions(self.weights))
+        object.__setattr__(self, "weights", fraction_tuple(self.weights))
         if len(self.weights) != self.space.total_size:
             raise CorrpolyError(
                 f"need {self.space.total_size} weights, got {len(self.weights)}"
@@ -334,7 +331,7 @@ class Act:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _fractions(self.values))
+        object.__setattr__(self, "values", fraction_tuple(self.values))
         if len(self.values) != self.space.total_size:
             raise CorrpolyError(
                 f"need {self.space.total_size} values, got {len(self.values)}"

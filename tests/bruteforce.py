@@ -9,7 +9,8 @@ end keep the package's earlier Fraction-based membership test, sampler and
 per-step certificate, which the integer versions must match exactly.  The
 axiom-checker references keep the package's earlier Event/Act versions of
 the subspace-independence scan and trials and of the product-identity
-search, which the cell-table versions must match field for field.  The LP
+search, and of the element-wise independence test, which the cell-table
+versions must match field for field.  The LP
 references keep the package's earlier two-phase simplex on Fractions,
 whose phase-1 tableau and solutions the integer simplex must match.
 """
@@ -401,6 +402,38 @@ def check_collection_independence_axiom_reference(p, coll, quad_limit=200000):
     if product_identity_witness_reference(p, coll, total > quad_limit) is not None:
         raise AssertionError("independent distribution broke the product identity")
     return True, None
+
+
+def is_independent_on_reference(p, coll):
+    """The package's earlier element-wise test: each cell rebuilt as a
+    state of the union, coordinate by coordinate, and read with `prob`."""
+    from corrpoly import IndependenceVerdict, marginalize
+
+    union = sorted(coll.union())
+    joint_on_union = marginalize(p, union)
+    member_marginals = [marginalize(p, sorted(m)) for m in coll.members]
+    subs = [sorted(m) for m in coll.members]
+    pos_in_union = {i: k for k, i in enumerate(union)}
+    ranges = [
+        itertools.product(*(range(p.space.subspace_sizes[i]) for i in idx)) for idx in subs
+    ]
+    witness = None
+    max_defect = Fraction(0)
+    for combo in itertools.product(*ranges):
+        key = [0] * len(union)
+        for idx, coords in zip(subs, combo):
+            for i, c in zip(idx, coords):
+                key[pos_in_union[i]] = c
+        lhs = joint_on_union.prob(tuple(key))
+        rhs = Fraction(1)
+        for mdist, coords in zip(member_marginals, combo):
+            rhs *= mdist.prob(coords)
+        defect = abs(lhs - rhs)
+        if defect > max_defect:
+            max_defect = defect
+        if defect != 0 and witness is None:
+            witness = combo
+    return IndependenceVerdict(coll, witness is None, witness, max_defect)
 
 
 # --- the package's earlier Fraction simplex, kept as the LP reference -------

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -27,6 +28,7 @@ from corrpoly import (
     feasible_start,
     find_convexity_violation,
 )
+from corrpoly import lp
 from bruteforce import oracle_vertices, solve_lp_min_reference
 from conftest import random_correlation_set
 
@@ -308,7 +310,15 @@ def test_a_capacity_outlives_its_set():
         assert cap.value(event_from_mask(cap.space, mask)) == expected
 
 
-def test_capacity_reuses_an_unchanged_start(uniform_cube):
+def test_capacity_reuses_an_unchanged_start(uniform_cube, monkeypatch):
+    checks = []
+
+    def counted(*args):
+        checks.append(args)
+        return is_feasible_basis(*args)
+
+    is_feasible_basis = lp._is_feasible_basis
+    monkeypatch.setattr(lp, "_is_feasible_basis", counted)
     cap = capacity_of(uniform_cube)
     space = uniform_cube.space
     cap.value(event_from_mask(space, 0b10010110))
@@ -320,23 +330,28 @@ def test_capacity_reuses_an_unchanged_start(uniform_cube):
     for mask in (0b1, 0b11000011, 0b01111110):
         cap.value(event_from_mask(space, mask))
     assert cap._start is start and start == fresh
+    assert len(checks) == 1  # the start checked itself on the first miss only
 
 
 def test_capacity_with_a_corrupted_start_raises(uniform_cube):
     cap = capacity_of(uniform_cube)
     space = uniform_cube.space
     cap.value(event_from_mask(space, 0b1))
-    cap._start = cap._start._replace(
-        rhs=tuple(b + F(1, 5) for b in cap._start.rhs)
-    )
-    with pytest.raises(ConsistencyError) as info:
-        cap.value(event_from_mask(space, 0b110))
-    assert info.value.context == {
-        "shape": (2, 2, 2),
-        "marginals": [["1/2", "1/2"]] * 3,
-        "mask": 0b110,
-    }
-    assert 0b110 not in cap._memo
+    start = cap._start
+    for corrupt in (
+        dataclasses.replace(start, rhs=tuple(b + F(1, 5) for b in start.rhs)),
+        dataclasses.replace(start, basis=(start.basis[1], start.basis[0]) + start.basis[2:]),
+        dataclasses.replace(start, rhs=(-1,) + start.rhs[1:]),
+    ):
+        cap._start = corrupt
+        with pytest.raises(ConsistencyError, match="not a feasible integer basis") as info:
+            cap.value(event_from_mask(space, 0b110))
+        assert info.value.context == {
+            "shape": (2, 2, 2),
+            "marginals": [["1/2", "1/2"]] * 3,
+            "mask": 0b110,
+        }
+        assert 0b110 not in cap._memo
 
 
 def test_capacity_certificate_fails_on_an_integer_corrupted_start(uniform_cube):
@@ -345,7 +360,7 @@ def test_capacity_certificate_fails_on_an_integer_corrupted_start(uniform_cube):
     cap = capacity_of(uniform_cube)
     space = uniform_cube.space
     cap.value(event_from_mask(space, 0b1))
-    cap._start = cap._start._replace(rhs=(cap._start.rhs[0] + 1,) + cap._start.rhs[1:])
+    cap._start = dataclasses.replace(cap._start, rhs=(cap._start.rhs[0] + 1,) + cap._start.rhs[1:])
     with pytest.raises(ConsistencyError, match="certificate failed") as info:
         cap.value(event_from_mask(space, 0b10010110))
     assert info.value.context["mask"] == 0b10010110

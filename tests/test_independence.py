@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrpoly import (
     Collection,
@@ -26,6 +28,7 @@ from corrpoly import (
     sample_partition_member,
 )
 from corrpoly import independence
+from bruteforce import is_independent_on_reference
 from conftest import random_correlation_set, random_marginal
 
 F = Fraction
@@ -254,3 +257,51 @@ def test_sampled_partition_members_stay_inside(uniform_cube):
         p = sample_partition_member(uniform_cube, coll, rng)
         assert uniform_cube.contains(p)
         assert is_independent_on(p, coll).holds
+
+
+_COLLECTIONS = {
+    2: [Collection.of({0}, {1})],
+    3: [
+        Collection.of({0}, {1}),
+        Collection.of({0, 2}, {1}),  # a non-contiguous member first
+        Collection.of({0}, {1, 2}),
+        Collection.of({0}, {1}, {2}),
+    ],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(2, 2), (1, 3), (2, 3), (2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 3, 2), (1, 3, 2)]),
+    st.data(),
+)
+def test_is_independent_on_equals_reference(shape, data):
+    # marginals may put zero weight on some states; vertices are mostly
+    # dependent, the product and its mixtures independent on the partition
+    marginals = []
+    for i, size in enumerate(shape):
+        parts = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any))
+        marginals.append(Marginal(i, tuple(F(x, sum(parts)) for x in parts)))
+    cs = CorrelationSet(ProductSpace(shape), marginals)
+    vertices = cs.vertices()
+    picks = data.draw(st.lists(st.integers(0, len(vertices) - 1), min_size=1, max_size=3))
+    points = [cs.independent_product, *(vertices[k] for k in picks)]
+    points.append(JointDistribution(cs.space, tuple(
+        (w + v) / 2 for w, v in zip(points[0].weights, points[1].weights)
+    )))
+    for coll in _COLLECTIONS[len(shape)]:
+        for p in points:
+            # dataclass equality: the verdict, the first witness, the defect
+            assert is_independent_on(p, coll) == is_independent_on_reference(p, coll)
+
+
+def test_witness_walks_members_in_collection_order():
+    # member {0, 2} comes first: cell ((0, 0), (1,)) precedes ((0, 1), (0,)),
+    # although state (0, 0, 1) precedes (0, 1, 0) in the space's own order
+    space = ProductSpace((2, 3, 2))
+    weights = [F(1, 10), F(3, 10), F(3, 20), 0, 0, F(1, 5), 0, 0, F(1, 4), 0, 0, 0]
+    p = JointDistribution(space, tuple(map(F, weights)))
+    coll = Collection.of({0, 2}, {1})
+    verdict = is_independent_on(p, coll)
+    assert verdict.witness == ((0, 0), (1,))
+    assert verdict == is_independent_on_reference(p, coll)

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 
 from corrpoly import (
     ConsistencyError,
-    CorrpolyError,
     InfeasibleError,
     LinearProgram,
     Marginal,
@@ -21,6 +22,7 @@ from corrpoly import (
     marginalize,
     solve_lp_min,
 )
+from corrpoly import lp
 from corrpoly.linalg import rank
 from bruteforce import feasible_start_reference, solve_lp_min_reference
 from conftest import random_correlation_set
@@ -127,6 +129,12 @@ def _program(cs, objective):
     return LinearProgram(tuple(objective), cs.system.matrix, cs.system.rhs)
 
 
+def _solve_from(start, program):
+    """`solve_lp_min` of ``program`` with its phase 2 run from ``start``."""
+    with mock.patch.object(lp, "feasible_start", lambda _: start):
+        return solve_lp_min(program)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from([(2, 2, 2), (3, 3), (2, 4)]), st.integers(0, 10 ** 6))
 def test_warm_start_equals_cold_solve(sizes, seed):
@@ -139,7 +147,7 @@ def test_warm_start_equals_cold_solve(sizes, seed):
     start = feasible_start(_program(cs, objectives[0]))
     for objective in objectives:
         program = _program(cs, objective)
-        warm = solve_lp_min(program, start)
+        warm = _solve_from(start, program)
         cold = solve_lp_min(program)
         assert warm == cold
         _assert_certified(program, warm)
@@ -157,7 +165,7 @@ def test_certificate_with_negated_rows(m, n, seed):
     program = LinearProgram(tuple(rng.randint(-3, 3) for _ in range(n)), matrix, rhs)
     start = feasible_start(program)
     try:
-        sol = solve_lp_min(program, start)
+        sol = _solve_from(start, program)
     except UnboundedError:
         with pytest.raises(UnboundedError):
             solve_lp_min(program)
@@ -175,28 +183,49 @@ def test_redundant_rows_are_dropped():
     program = _program(cs, [3, -1, 2, 0, 1, -2])
     start = feasible_start(program)
     assert len(start.rows) == rank(cs.system.matrix) < len(cs.system.matrix)
-    _assert_certified(program, solve_lp_min(program, start))
+    _assert_certified(program, _solve_from(start, program))
 
 
 def test_corrupted_start_raises_consistency_error():
+    # phase 2 on such a start would raise TypeError (a Fraction rhs) or
+    # ZeroDivisionError (swapped labels); the start's own check comes first
     rng = random.Random(17)
     cs = random_correlation_set((3, 3), rng)
-    other = random_correlation_set((3, 3), rng)
-    assert other.marginals != cs.marginals
     program = _program(cs, [1, 0, 1, 0, 0, 1, 1, 1, 0])
-    wrong_system = feasible_start(_program(other, [0] * 9))
     start = feasible_start(program)
     bumped_rhs = start.rhs[:1] + (start.rhs[1] + F(1, 7),) + start.rhs[2:]
     swapped = (start.basis[1], start.basis[0]) + start.basis[2:]
+    negative_rhs = (-1,) + start.rhs[1:]
+    message = "LP start is not a feasible integer basis"
     for corrupt in (
-        wrong_system,
-        start._replace(rhs=bumped_rhs),
-        start._replace(basis=swapped),
+        dataclasses.replace(start, rhs=bumped_rhs),
+        dataclasses.replace(start, basis=swapped),
+        dataclasses.replace(start, rhs=negative_rhs),
     ):
-        with pytest.raises(ConsistencyError) as info:
-            solve_lp_min(program, corrupt)
+        with pytest.raises(ConsistencyError, match=message) as info:
+            _solve_from(corrupt, program)
         assert info.value.context["objective"] == [str(c) for c in program.objective]
         assert info.value.context["size"] == "6x9"
+        with pytest.raises(ConsistencyError, match=message):
+            lp.phase2(corrupt, [1] * 9)
+
+
+def test_a_start_checks_itself_once(monkeypatch):
+    checks = []
+
+    def counted(*args):
+        checks.append(args)
+        return is_feasible_basis(*args)
+
+    is_feasible_basis = lp._is_feasible_basis
+    monkeypatch.setattr(lp, "_is_feasible_basis", counted)
+    cs = random_correlation_set((2, 3), random.Random(3))
+    start = feasible_start(_program(cs, [0] * 6))
+    for objective in ([1, 0, 0, 0, 1, 1], [0, 1, 1, 0, 0, 0], [2, -1, 0, 1, 0, 3]):
+        lp.phase2(start, objective)
+    assert len(checks) == 1
+    solve_lp_min(_program(cs, [1] * 6))
+    assert len(checks) == 2  # a fresh start of its own
 
 
 def test_integer_corrupted_start_fails_the_certificate():
@@ -211,22 +240,16 @@ def test_integer_corrupted_start_fails_the_certificate():
     def bump(row, col):  # one artificial-column entry of one row
         rows = [list(r) for r in start.rows]
         rows[row][col] += 1
-        return start._replace(rows=tuple(map(tuple, rows)))
+        return dataclasses.replace(start, rows=tuple(map(tuple, rows)))
 
-    bumped_rhs = start._replace(rhs=start.rhs[:1] + (start.rhs[1] + 1,) + start.rhs[2:])
+    bumped_rhs = dataclasses.replace(start, rhs=start.rhs[:1] + (start.rhs[1] + 1,) + start.rhs[2:])
     for corrupt, failure in (
         (bumped_rhs, "A x != b"),
         (bump(0, 9), "A^T y <= c fails"),
         (bump(2, 9), "b.y != c.x"),
     ):
         with pytest.raises(ConsistencyError, match=f"LP certificate failed: {re.escape(failure)}"):
-            solve_lp_min(program, corrupt)
-
-
-def test_start_of_another_size_is_rejected(uniform_2x2, uniform_cube):
-    start = feasible_start(_program(uniform_cube, [0] * 8))
-    with pytest.raises(CorrpolyError):
-        solve_lp_min(_program(uniform_2x2, [1, 0, 0, 0]), start)
+            _solve_from(corrupt, program)
 
 
 def test_unconstrained_program():
@@ -287,7 +310,8 @@ def _assert_matches_reference(program, objectives):
             feasible_start(program)
         return
     start = feasible_start(program)
-    assert (start.basis, start.width, start.flipped) == (basis, width, flipped)
+    assert (start.basis, start.flipped) == (basis, flipped)
+    assert width == len(program.objective) + len(flipped)
     scales = [row[bv] for row, bv in zip(start.rows, start.basis)]
     assert all(s > 0 and math.gcd(*row, b) == 1 for s, row, b in zip(scales, start.rows, start.rhs))
     assert [tuple(F(a, s) for a in row) for row, s in zip(start.rows, scales)] == list(rows)
@@ -295,7 +319,7 @@ def _assert_matches_reference(program, objectives):
     for objective in objectives:
         changed = LinearProgram(tuple(objective), program.eq_matrix, program.eq_rhs)
         expected = _outcome(solve_lp_min_reference, changed)
-        assert _outcome(lambda p: solve_lp_min(p, start), changed) == expected
+        assert _outcome(lambda p: _solve_from(start, p), changed) == expected
         assert _outcome(solve_lp_min, changed) == expected
 
 

@@ -220,7 +220,7 @@ def test_dimension_consistency_is_checked(uniform_2x2, monkeypatch):
     assert exc.value.context == {"shape": (2, 2), "marginals": [["1/2", "1/2"]] * 2}
     with pytest.raises(ConsistencyError, match="rectangle basis") as exc:
         CorrelationSet(uniform_2x2.space, uniform_2x2.marginals)
-    assert exc.value.context == {"shape": (2, 2), "anchor": (0, 0)}
+    assert exc.value.context == {"shape": (2, 2)}
 
 
 def test_decompose_shift_check_carries_reproducer(skew_2x2, monkeypatch):
