@@ -5,8 +5,9 @@
 All subcommands take a scenario file; the randomized ones (mi, check-axiom)
 take --seed, those that evaluate a prior set at a sweep value (mi,
 independence, evaluate, check-axiom, compare) take --at, and the tabular
-ones --format csv|table.  Exit codes: 0 on success, 2 when a check
-subcommand reaches a negative verdict, 1 on any error.
+ones --format csv|table.  Collections and event families use 1-based
+subspace indices.  Exit codes: 0 on success, 2 when a check subcommand
+reaches a negative verdict, 1 on any error.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import Optional, Sequence
 from . import applications, capacity, independence, info, polytope, preferences, scenario
 from .applications import decimal_string
 from .errors import CorrpolyError, NonlinearCollectionError
-from .scenario import parse_collection_spec, parse_event
-from .space import Event, expectation
+from .scenario import parse_collection_spec, parse_event, parse_family_spec
+from .space import Event, JointDistribution, expectation
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,32 +59,32 @@ def _param_value(scn: scenario.Scenario, raw: Optional[str]) -> Optional[Fractio
     return scenario.parse_rational(raw)
 
 
+def _prior_at(
+    scn: scenario.Scenario, raw: Optional[str], cs: Optional[polytope.CorrelationSet] = None
+) -> preferences.PriorSet:
+    """The scenario's prior set with the sweep parameter bound to ``--at``."""
+    return scn.prior_set(cs, param_value=_param_value(scn, raw))
+
+
+def _single_vertex(prior: preferences.PriorSet, message: str) -> JointDistribution:
+    """The one vertex of a singleton prior set; ``message`` is the error otherwise."""
+    if len(prior.vertices) != 1:
+        raise CorrpolyError(message)
+    return prior.vertices[0]
+
+
+def _restricted_dimension(cs: polytope.CorrelationSet, collections) -> int | str:
+    """`independence.restricted_dimension`, or "nonlinear" where it does not apply."""
+    try:
+        return independence.restricted_dimension(cs, collections)
+    except NonlinearCollectionError:
+        return "nonlinear"
+
+
 def _event_from_arg(scn: scenario.Scenario, text: str) -> Event:
     if text in scn.events:
         return scn.event(text)
     return parse_event(scn.space, text)
-
-
-def _parse_family(scn: scenario.Scenario, text: str):
-    """Parse '1:[Hcs];2:[Ha]|[La]' into a collection and one event per member."""
-    members = []
-    events = []
-    for part in text.split(";"):
-        head, _, expr = part.partition(":")
-        if not expr:
-            raise CorrpolyError("family members look like '1,2:<event expr>'")
-        try:
-            idx = sorted(int(t) - 1 for t in head.replace(" ", "").split(","))
-        except ValueError:
-            raise CorrpolyError(f"family indices must be integers in {part!r}") from None
-        if any(not 0 <= i < scn.space.n_subspaces for i in idx):
-            raise CorrpolyError(f"family indices out of range in {part!r}")
-        sub = scn.space.subspace(idx)
-        members.append(frozenset(idx))
-        events.append(parse_event(sub, expr.strip()))
-    from .space import Collection
-
-    return Collection(tuple(members)), events
 
 
 def cmd_dim(args) -> int:
@@ -92,17 +93,9 @@ def cmd_dim(args) -> int:
     rows = [["dimension", polytope.dimension(cs)]]
     colls = [parse_collection_spec(c, scn.space.n_subspaces) for c in args.collection or []]
     for spec, coll in zip(args.collection or [], colls):
-        try:
-            rows.append([f"dimension[{spec}]", independence.restricted_dimension(cs, coll)])
-        except NonlinearCollectionError:
-            rows.append([f"dimension[{spec}]", "nonlinear"])
+        rows.append([f"dimension[{spec}]", _restricted_dimension(cs, coll)])
     if len(colls) > 1:
-        try:
-            rows.append(
-                ["dimension[intersection]", independence.restricted_dimension(cs, colls)]
-            )
-        except NonlinearCollectionError:
-            rows.append(["dimension[intersection]", "nonlinear"])
+        rows.append(["dimension[intersection]", _restricted_dimension(cs, colls)])
     sys.stdout.write(_render(["quantity", "value"], rows, args.format))
     return 0
 
@@ -136,11 +129,9 @@ def cmd_capacity(args) -> int:
 def cmd_mi(args) -> int:
     scn = scenario.load(args.scenario)
     cs = scn.correlation_set()
-    value = _param_value(scn, args.at)
+    _param_value(scn, args.at)  # checked even where --weights or --vertex leave it unused
     if args.weights is not None:
         weights = [scenario.parse_rational(t) for t in args.weights.split()]
-        from .space import JointDistribution
-
         p = JointDistribution(scn.space, tuple(weights))
     elif args.vertex is not None:
         vertices = cs.vertices()
@@ -150,12 +141,10 @@ def cmd_mi(args) -> int:
             )
         p = vertices[args.vertex]
     else:
-        prior = scn.prior_set(cs, param_value=value)
-        if len(prior.vertices) != 1:
-            raise CorrpolyError(
-                "non-singleton prior: pick a distribution with --vertex or --weights"
-            )
-        p = prior.vertices[0]
+        p = _single_vertex(
+            _prior_at(scn, args.at, cs),
+            "non-singleton prior: pick a distribution with --vertex or --weights",
+        )
     try:
         step = Fraction(args.step)
     except (ValueError, ZeroDivisionError):
@@ -179,12 +168,9 @@ def cmd_mi(args) -> int:
 def cmd_independence(args) -> int:
     scn = scenario.load(args.scenario)
     cs = scn.correlation_set()
-    value = _param_value(scn, args.at)
+    prior = _prior_at(scn, args.at, cs)
     coll = parse_collection_spec(args.collection, scn.space.n_subspaces)
-    prior = scn.prior_set(cs, param_value=value)
-    if len(prior.vertices) != 1:
-        raise CorrpolyError("independence verdicts need a singleton prior")
-    p = prior.vertices[0]
+    p = _single_vertex(prior, "independence verdicts need a singleton prior")
     verdict = independence.is_independent_on(p, coll)
     rows = [
         ["holds", verdict.holds],
@@ -192,10 +178,7 @@ def cmd_independence(args) -> int:
     ]
     if verdict.witness is not None:
         rows.append(["witness", " x ".join(str(t) for t in verdict.witness)])
-    try:
-        rows.append(["dimension", independence.restricted_dimension(cs, coll)])
-    except NonlinearCollectionError:
-        rows.append(["dimension", "nonlinear"])
+    rows.append(["dimension", _restricted_dimension(cs, coll)])
     sys.stdout.write(_render(["quantity", "value"], rows, args.format))
     return 0 if verdict.holds else 2
 
@@ -238,9 +221,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_check_axiom(args) -> int:
     scn = scenario.load(args.scenario)
-    cs = scn.correlation_set()
-    value = _param_value(scn, args.at)
-    prior = scn.prior_set(cs, param_value=value)
+    prior = _prior_at(scn, args.at)
     if args.axiom == "subspace-consistency":
         subs = [
             preferences.SubspacePreference(i, m) for i, m in enumerate(scn.marginals)
@@ -271,11 +252,8 @@ def cmd_check_axiom(args) -> int:
         if not args.collection:
             raise CorrpolyError("collection-independence needs --collection")
         coll = parse_collection_spec(args.collection, scn.space.n_subspaces)
-        if len(prior.vertices) != 1:
-            raise CorrpolyError("collection independence is checked for a singleton prior")
-        holds, witness = preferences.check_collection_independence_axiom(
-            prior.vertices[0], coll
-        )
+        p = _single_vertex(prior, "collection independence is checked for a singleton prior")
+        holds, witness = preferences.check_collection_independence_axiom(p, coll)
         print(f"holds: {holds}")
         if witness is not None:
             print(f"witness on member {sorted(witness.anchor_member)}:")
@@ -291,24 +269,20 @@ def cmd_check_axiom(args) -> int:
 def cmd_compare(args) -> int:
     first = scenario.load(args.scenario)
     second = scenario.load(args.second)
-    cs = first.correlation_set()
-    value_a = _param_value(first, args.at)
-    value_b = _param_value(second, args.at_second)
-    prior_a = first.prior_set(cs, param_value=value_a)
-    prior_b = second.prior_set(param_value=value_b)
+    prior_a = _prior_at(first, args.at)
+    prior_b = _prior_at(second, args.at_second)
     rows = [
         ["first_more_correlation_averse", preferences.more_correlation_averse(prior_a, prior_b)],
         ["second_more_correlation_averse", preferences.more_correlation_averse(prior_b, prior_a)],
     ]
     if args.family:
-        coll, events = _parse_family(first, args.family)
-        if len(prior_a.vertices) != 1 or len(prior_b.vertices) != 1:
-            raise CorrpolyError("revealed correlation compares singleton priors")
-        ordering = preferences.compare_revealed_correlation(
-            prior_a.vertices[0], prior_b.vertices[0], coll, events
-        )
+        coll, events = parse_family_spec(args.family, first.space)
+        message = "revealed correlation compares singleton priors"
+        p_a = _single_vertex(prior_a, message)
+        p_b = _single_vertex(prior_b, message)
+        ordering = preferences.compare_revealed_correlation(p_a, p_b, coll, events)
         rows.append(["revealed_correlation", ordering.value])
-        sign = preferences.absolute_revealed_correlation(prior_a.vertices[0], coll, events)
+        sign = preferences.absolute_revealed_correlation(p_a, coll, events)
         rows.append(["first_absolute_sign", sign])
     sys.stdout.write(_render(["quantity", "value"], rows, args.format))
     return 0
@@ -329,27 +303,26 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="corrpoly", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt: bool = True):
+    def common(p, formats=("csv", "table"), at: bool = True):
+        """The scenario file, ``--format`` (when ``formats``) and ``--at``."""
         p.add_argument("scenario", help="scenario file")
-        if fmt:
-            p.add_argument("--format", choices=["csv", "table"], default="table")
-        p.add_argument("--at", help="value of the sweep parameter", default=None)
+        if formats:
+            p.add_argument("--format", choices=formats, default="table")
+        if at:
+            p.add_argument("--at", help="value of the sweep parameter", default=None)
 
     p = sub.add_parser("dim", help="polytope dimension, optionally restricted by collections")
-    p.add_argument("scenario", help="scenario file")
-    p.add_argument("--format", choices=["csv", "table"], default="table")
+    common(p, at=False)
     p.add_argument("--collection", action="append", help="e.g. '{1},{2,3}' (repeatable)")
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("vertices", help="enumerate extreme points")
-    p.add_argument("scenario")
-    p.add_argument("--format", choices=["csv", "table", "prior"], default="table")
+    common(p, formats=("csv", "table", "prior"), at=False)
     p.add_argument("--guard", type=int, default=4096)
     p.set_defaults(func=cmd_vertices)
 
     p = sub.add_parser("capacity", help="worst-case probability of an event")
-    p.add_argument("scenario", help="scenario file")
-    p.add_argument("--format", choices=["csv", "table"], default="table")
+    common(p, at=False)
     p.add_argument("--event", required=True, help="event name or expression")
     p.set_defaults(func=cmd_capacity)
 
@@ -373,7 +346,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("check-axiom", help="axiom checkers with counterexamples")
-    common(p, fmt=False)
+    common(p, formats=())
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--axiom",
@@ -392,7 +365,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="parameter sweep as CSV")
-    p.add_argument("scenario")
+    common(p, formats=(), at=False)
     p.add_argument("--param", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)

@@ -7,7 +7,8 @@ Independence is inherited by sub-collections (each member shrunk inside a
 distinct member of the original), partitions factor the restricted set into
 a product of smaller correlation sets, and when at most one member is
 non-singleton the independence constraints are linear, so the restricted
-set has a computable affine dimension.
+set has a computable affine dimension (zero-weight marginal states
+included: it is computed on the states of positive weight).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import linalg
 from .errors import ConsistencyError, CorrpolyError, NonlinearCollectionError
-from .polytope import CorrelationSet, dimension, sample_member
+from .polytope import CorrelationSet, dimension, positive_state_columns, sample_member
 from .space import (
     Collection,
     Event,
@@ -195,19 +196,22 @@ def restricted_dimension(
     singleton marginals are fixed constants, so the product constraints are
     linear and can be appended to the marginal system, whose kernel rank is
     then the dimension.  Anything else is nonlinear and refused.
+
+    Every row is restricted to the states of positive marginal weight (the
+    others carry no mass).  The independent product satisfies every row and
+    is positive on exactly those states, so it lies in the relative interior
+    and the kernel rank there is the dimension, zero-weight states or not.
     """
     if isinstance(collections, Collection):
         collections = [collections]
     colls = list(collections)
     if not colls:
         raise CorrpolyError("need at least one collection")
-    for m in cs.marginals:
-        if not m.full_support:
-            raise CorrpolyError("restricted dimension requires full-support marginals")
 
     space = cs.space
+    cols = positive_state_columns(cs)
     rows: list[list[Fraction]] = [
-        [Fraction(x) for x in row] for row in cs.system.matrix
+        [Fraction(row[k]) for k in cols] for row in cs.system.matrix
     ]
     for coll in colls:
         coll.check_space(space)
@@ -223,7 +227,7 @@ def restricted_dimension(
         keys = list(zip(*projections))
         cells = itertools.product(*(range(space.subspace(m).total_size) for m in coll.members))
         for cell in cells:
-            row = [Fraction(1) if key == cell else Fraction(0) for key in keys]
+            row = [Fraction(1) if keys[k] == cell else Fraction(0) for k in cols]
             singleton_const = Fraction(1)
             big_part = None
             for member, proj, j in zip(coll.members, projections, cell):
@@ -234,8 +238,8 @@ def restricted_dimension(
                     singleton_const *= cs.marginals[i].weights[j]
             if big_part is not None:
                 proj, j = big_part
-                for k, jk in enumerate(proj):
-                    if jk == j:
-                        row[k] -= singleton_const
+                for pos, k in enumerate(cols):
+                    if proj[k] == j:
+                        row[pos] -= singleton_const
             rows.append(row)
-    return space.total_size - linalg.rank(rows)
+    return len(cols) - linalg.rank(rows)

@@ -6,7 +6,9 @@ exact.  Matrices here are tiny (tens of rows/columns), so the plain dense
 reduced-row-echelon algorithm is the right tool.  `integer_numerators`
 puts exact rationals over one common denominator; it is the one scaling
 that the integer code paths of the other modules start from.
-`fraction_tuple` is the one conversion of input values to Fractions.
+`fraction_tuple` is the one conversion of input values to Fractions, and
+the one place that turns a value that is no finite rational into
+`CorrpolyError`.
 """
 
 from __future__ import annotations
@@ -15,13 +17,20 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .errors import CorrpolyError
+
 Row = Sequence[Fraction | int]
 Vector = tuple[Fraction, ...]
 
 
 def fraction_tuple(values: Iterable) -> tuple[Fraction, ...]:
-    """``values`` as Fractions; a value that already is one is kept."""
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    """``values`` as Fractions; a value that already is one is kept.  A value
+    that is no finite rational (``"abc"``, ``"1/0"``, nan, inf, None) raises
+    CorrpolyError."""
+    try:
+        return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
+        raise CorrpolyError(f"not a finite rational: {exc}") from None
 
 
 def integer_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -362,6 +362,8 @@ def in_convex_hull(
     whether some convex weights on the vertices sum to it."""
     if not vertices:
         return False
+    if any(len(v) != len(point) for v in vertices):
+        raise CorrpolyError("every vertex needs as many coordinates as the point")
     matrix = [[v[k] for v in vertices] for k in range(len(point))]
     matrix.append([1] * len(vertices))
     try:

@@ -215,7 +215,7 @@ def dimension(cs: CorrelationSet) -> int:
             stacklevel=2,
         )
     closed = dimension_formula(red)
-    positive_cols = _positive_state_columns(cs)
+    positive_cols = positive_state_columns(cs)
     restricted = [
         tuple(row[k] for k in positive_cols) for row in cs.system.matrix
     ]
@@ -227,7 +227,9 @@ def dimension(cs: CorrelationSet) -> int:
     return closed
 
 
-def _positive_state_columns(cs: CorrelationSet) -> list[int]:
+def positive_state_columns(cs: CorrelationSet) -> list[int]:
+    """Flat indices of the states whose every coordinate has positive
+    marginal weight: the only states a member of ``cs`` can charge."""
     cols = []
     for k, state in enumerate(cs.space.states()):
         if all(cs.marginals[i].weights[c] > 0 for i, c in enumerate(state)):
@@ -255,7 +257,7 @@ def enumerate_extreme_points(
     matrix = cs.system.matrix
     rhs = cs.system.rhs
     n_rows = len(matrix)
-    candidates = _positive_state_columns(cs)
+    candidates = positive_state_columns(cs)
     required_mask = 0
     for r in range(n_rows):
         if rhs[r] > 0:

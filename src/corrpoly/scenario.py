@@ -10,15 +10,22 @@ loading a canonical file and serializing it again is byte-identical.
 ``UTILITY`` is parsed into a `RiskUtility` and round-tripped, but no
 command applies it: act values are already utilities (see `space.Act`).
 
+`loads` collects the ``(line, payload)`` pairs of each section in one
+table and parses each section in one place; an error about a line names
+it (``line N: ...``).
+
 Event expressions combine atoms with ``~`` (complement), ``&`` and ``|``
 and parentheses.  Atoms are either ``subspace=label`` cylinders or
 bracketed state tuples like ``[H_infl,*,G]`` with ``*`` as a free
-coordinate.
+coordinate.  Collections (``{1},{2,3}``) and event families
+(``1:[Hcs];2,3:[Ha,*]``) name subspaces by 1-based indices, read by one
+helper.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -100,17 +107,15 @@ def parse_expr(text: str, line: Optional[int] = None) -> LinExpr:
             mag, name = (t.strip() for t in term.split("*", 1))
             if not _NAME_RE.match(name):
                 raise ScenarioError(f"bad parameter name {name!r}", line)
-            if param is not None and param != name:
-                raise ScenarioError("at most one parameter per expression", line)
-            param = name
-            coeff += sign * parse_rational(mag, line)
         elif _NAME_RE.match(term):
-            if param is not None and param != term:
-                raise ScenarioError("at most one parameter per expression", line)
-            param = term
-            coeff += sign
+            mag, name = "1", term
         else:
             const += sign * parse_rational(term, line)
+            continue
+        if param is not None and param != name:
+            raise ScenarioError("at most one parameter per expression", line)
+        param = name
+        coeff += sign * parse_rational(mag, line)
     if coeff == 0:
         param = None
     return LinExpr(const, coeff, param)
@@ -212,21 +217,41 @@ def parse_event(space: ProductSpace, text: str) -> Event:
         raise CorrpolyError("event expression nested too deeply") from None
 
 
+def _subspace_indices(group: str, n_subspaces: int, text: str) -> frozenset[int]:
+    """The 0-based subspace indices of a comma-separated list of 1-based
+    ones; white space and empty entries are skipped.  ``text`` is the
+    spec that errors quote."""
+    try:
+        idx = frozenset(int(t) - 1 for t in "".join(group.split()).split(",") if t)
+    except ValueError:  # not an integer, or longer than int()'s digit limit
+        raise CorrpolyError(f"subspace index not an integer or too long in {text[:40]!r}") from None
+    if any(not 0 <= i < n_subspaces for i in idx):
+        raise CorrpolyError(f"subspace index out of range in {text[:40]!r}")
+    return idx
+
+
 def parse_collection_spec(text: str, n_subspaces: int) -> Collection:
     """Parse a collection written with 1-based indices, e.g. ``{1},{2,3}``."""
     groups = re.findall(r"\{([0-9,\s]+)\}", text)
     if not groups or "".join(text.split()) != ",".join("{%s}" % "".join(g.split()) for g in groups):
         raise CorrpolyError(f"malformed collection spec {text!r}")
-    members = []
-    for g in groups:
-        try:
-            idx = [int(t) - 1 for t in "".join(g.split()).split(",") if t]
-        except ValueError:  # longer than int()'s digit limit
-            raise CorrpolyError(f"collection index too long in {text[:40]!r}...") from None
-        if any(not 0 <= i < n_subspaces for i in idx):
-            raise CorrpolyError(f"collection index out of range in {text!r}")
-        members.append(frozenset(idx))
-    return Collection(tuple(members))
+    return Collection(tuple(_subspace_indices(g, n_subspaces, text) for g in groups))
+
+
+def parse_family_spec(text: str, space: ProductSpace) -> tuple[Collection, list[Event]]:
+    """Parse an event family written with 1-based indices, e.g.
+    ``1:[Hcs];2:[Ha]|[La]``: one event per member on that member's
+    sub-product, returned in the order of the collection's members."""
+    members, events = [], []
+    for part in text.split(";"):
+        head, _, expr = part.partition(":")
+        if not expr:
+            raise CorrpolyError("family members look like '1,2:<event expr>'")
+        members.append(_subspace_indices(head, space.n_subspaces, part))
+        events.append(parse_event(space.subspace(members[-1]), expr.strip()))
+    coll = Collection(tuple(members))  # sorts its members, rejects overlaps
+    event_of = dict(zip(members, events))
+    return coll, [event_of[m] for m in coll.members]
 
 
 def format_collection_spec(coll: Collection) -> str:
@@ -315,76 +340,79 @@ class Scenario:
 # loading
 
 
-def _section_lines(text: str):
+def _sections(text: str) -> dict[str, list[tuple[int, str]]]:
+    """The ``(line, payload)`` pairs of each section present, keyed by its
+    header; comments, blank lines and surrounding white space are dropped."""
+    sections: dict[str, list[tuple[int, str]]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        if line.strip() in SECTIONS:
-            current = line.strip()
-            yield lineno, current, None
-            continue
-        if current is None:
+        if line in SECTIONS:
+            if line in sections:
+                raise ScenarioError(f"duplicate section {line}", lineno)
+            current = sections[line] = []
+        elif current is None:
             raise ScenarioError("content before the first section header", lineno)
-        yield lineno, current, line.strip()
+        else:
+            current.append((lineno, line))
+    return sections
+
+
+def _named(rows):
+    """``(line, name, rest)`` for each ``name: rest`` payload, both stripped."""
+    for lineno, payload in rows:
+        name, _, rest = payload.partition(":")
+        yield lineno, name.strip(), rest.strip()
 
 
 def loads(text: str) -> Scenario:
-    names: list[str] = []
-    labels: list[tuple[str, ...]] = []
-    marginal_rows: list[tuple[str, tuple[Fraction, ...], int]] = []
-    act_rows: list[tuple[str, tuple[LinExpr, ...]]] = []
-    event_rows: list[tuple[str, str]] = []
-    prior_lines: list[tuple[int, str]] = []
-    utility_lines: list[tuple[int, str]] = []
-    sweep_lines: list[tuple[int, str]] = []
-    seen_sections = []
+    sections = _sections(text)
+    space = _parse_space(sections.get("SPACE", []))
+    scenario = Scenario(
+        space,
+        _parse_marginals(sections.get("MARGINALS", []), space),
+        _parse_acts(sections.get("ACTS", []), space),
+        _parse_events(sections.get("EVENTS", []), space),
+        _parse_prior(sections.get("PRIOR", []), space),
+        _parse_utility(sections.get("UTILITY", [])),
+        _parse_sweep(sections.get("SWEEP", [])),
+    )
+    params = scenario.parameters()
+    if len(params) > 1:
+        raise ScenarioError(f"multiple sweep parameters used: {sorted(params)}")
+    if params and (scenario.sweep is None or scenario.sweep.param not in params):
+        raise ScenarioError(
+            f"parameter {sorted(params)[0]!r} is used but not declared in SWEEP"
+        )
+    return scenario
 
-    for lineno, section, payload in _section_lines(text):
-        if payload is None:
-            if section in seen_sections:
-                raise ScenarioError(f"duplicate section {section}", lineno)
-            seen_sections.append(section)
-            continue
-        if section == "SPACE":
-            name, _, rest = payload.partition(":")
-            name = name.strip()
-            toks = rest.split()
-            if not name or not toks:
-                raise ScenarioError("SPACE lines read 'name: label label ...'", lineno)
-            if not _NAME_RE.match(name) or any(not _NAME_RE.match(t) for t in toks):
-                raise ScenarioError("subspace and state names must be identifiers", lineno)
-            names.append(name)
-            labels.append(tuple(toks))
-        elif section == "MARGINALS":
-            name, _, rest = payload.partition(":")
-            weights = tuple(parse_rational(t, lineno) for t in rest.split())
-            marginal_rows.append((name.strip(), weights, lineno))
-        elif section == "ACTS":
-            name, _, rest = payload.partition(":")
-            exprs = tuple(parse_expr(t, lineno) for t in rest.split())
-            act_rows.append((name.strip(), exprs))
-        elif section == "EVENTS":
-            name, _, rest = payload.partition(":")
-            event_rows.append((name.strip(), rest.strip()))
-        elif section == "PRIOR":
-            prior_lines.append((lineno, payload))
-        elif section == "UTILITY":
-            utility_lines.append((lineno, payload))
-        elif section == "SWEEP":
-            sweep_lines.append((lineno, payload))
 
+def _parse_space(rows) -> ProductSpace:
+    names, labels = [], []
+    for lineno, name, rest in _named(rows):
+        toks = rest.split()
+        if not name or not toks:
+            raise ScenarioError("SPACE lines read 'name: label label ...'", lineno)
+        if not _NAME_RE.match(name) or any(not _NAME_RE.match(t) for t in toks):
+            raise ScenarioError("subspace and state names must be identifiers", lineno)
+        if name in names:
+            raise ScenarioError(f"duplicate subspace name {name!r}", lineno)
+        if len(set(toks)) != len(toks):
+            raise ScenarioError(f"duplicate labels on subspace {name!r}", lineno)
+        names.append(name)
+        labels.append(tuple(toks))
     if not names:
         raise ScenarioError("missing SPACE section")
-    space = ProductSpace(
-        tuple(len(ls) for ls in labels), tuple(labels), tuple(names)
-    )
+    return ProductSpace(tuple(len(ls) for ls in labels), tuple(labels), tuple(names))
 
-    if len(marginal_rows) != len(names):
-        raise ScenarioError("need exactly one MARGINALS line per subspace")
-    marginals = []
-    for name, weights, lineno in marginal_rows:
+
+def _parse_marginals(rows, space: ProductSpace) -> tuple[Marginal, ...]:
+    names = space.subspace_names
+    marginals: list[Marginal] = []
+    for lineno, name, rest in _named(rows):
+        weights = tuple(parse_rational(t, lineno) for t in rest.split())
         if name not in names:
             raise ScenarioError(f"unknown subspace {name!r} in MARGINALS", lineno)
         i = names.index(name)
@@ -396,50 +424,45 @@ def loads(text: str) -> Scenario:
             marginals.append(Marginal(i, weights))
         except CorrpolyError as exc:
             raise ScenarioError(str(exc), lineno) from exc
-    marginals.sort(key=lambda m: m.subspace_index)
+    if len(marginals) != len(names):
+        raise ScenarioError("need exactly one MARGINALS line per subspace")
+    return tuple(sorted(marginals, key=lambda m: m.subspace_index))
 
-    scenario = Scenario(space, tuple(marginals))
 
-    for name, exprs in act_rows:
+def _parse_acts(rows, space: ProductSpace) -> dict[str, tuple[LinExpr, ...]]:
+    acts: dict[str, tuple[LinExpr, ...]] = {}
+    for lineno, name, rest in _named(rows):
+        exprs = tuple(parse_expr(t, lineno) for t in rest.split())
         if len(exprs) != space.total_size:
             raise ScenarioError(
-                f"act {name!r} needs {space.total_size} values, got {len(exprs)}"
+                f"act {name!r} needs {space.total_size} values, got {len(exprs)}", lineno
             )
-        if name in scenario.act_exprs:
-            raise ScenarioError(f"duplicate act {name!r}")
-        scenario.act_exprs[name] = exprs
+        if name in acts:
+            raise ScenarioError(f"duplicate act {name!r}", lineno)
+        acts[name] = exprs
+    return acts
 
-    for name, expr_text in event_rows:
-        if name in scenario.events:
-            raise ScenarioError(f"duplicate event {name!r}")
+
+def _parse_events(rows, space: ProductSpace) -> dict[str, str]:
+    events: dict[str, str] = {}
+    for lineno, name, rest in _named(rows):
+        if name in events:
+            raise ScenarioError(f"duplicate event {name!r}", lineno)
         try:
-            parse_event(space, expr_text)
+            parse_event(space, rest)
         except CorrpolyError as exc:
-            raise ScenarioError(f"bad event {name!r}: {exc}") from exc
-        scenario.events[name] = expr_text
-
-    if prior_lines:
-        scenario.prior = _parse_prior(prior_lines, space)
-    if utility_lines:
-        scenario.utility = _parse_utility(utility_lines)
-    if sweep_lines:
-        scenario.sweep = _parse_sweep(sweep_lines)
-
-    params = scenario.parameters()
-    if len(params) > 1:
-        raise ScenarioError(f"multiple sweep parameters used: {sorted(params)}")
-    if params and (scenario.sweep is None or scenario.sweep.param not in params):
-        raise ScenarioError(
-            f"parameter {sorted(params)[0]!r} is used but not declared in SWEEP"
-        )
-    return scenario
+            raise ScenarioError(f"bad event {name!r}: {exc}", lineno) from exc
+        events[name] = rest
+    return events
 
 
-def _parse_prior(prior_lines, space: ProductSpace) -> PriorSpec:
-    first_line, first = prior_lines[0]
+def _parse_prior(rows, space: ProductSpace) -> PriorSpec:
+    if not rows:
+        return PriorSpec("full")
+    first_line, first = rows[0]
     if first in ("full", "independent"):
-        if len(prior_lines) > 1:
-            raise ScenarioError("extra lines after prior kind", prior_lines[1][0])
+        if len(rows) > 1:
+            raise ScenarioError("extra lines after prior kind", rows[1][0])
         return PriorSpec(first)
     if first.startswith("partition:"):
         spec = first.partition(":")[2].strip()
@@ -451,7 +474,7 @@ def _parse_prior(prior_lines, space: ProductSpace) -> PriorSpec:
             raise ScenarioError("prior partition must cover all subspaces", first_line)
         return PriorSpec("partition", partition=coll)
     vertices = []
-    for lineno, payload in prior_lines:
+    for lineno, payload in rows:
         if not payload.startswith("vertex:"):
             raise ScenarioError(
                 "PRIOR is 'full', 'independent', 'partition: ...' or 'vertex: ...' lines",
@@ -466,41 +489,40 @@ def _parse_prior(prior_lines, space: ProductSpace) -> PriorSpec:
     return PriorSpec("vertices", vertex_exprs=tuple(vertices))
 
 
-def _parse_utility(utility_lines) -> RiskUtility:
-    lineno, payload = utility_lines[0]
-    if len(utility_lines) > 1:
-        raise ScenarioError("UTILITY takes a single line", utility_lines[1][0])
-    if payload == "identity":
+def _parse_utility(rows) -> RiskUtility:
+    if len(rows) > 1:
+        raise ScenarioError("UTILITY takes a single line", rows[1][0])
+    if not rows or rows[0][1] == "identity":
         return RiskUtility()
+    lineno, payload = rows[0]
     toks = payload.split()
     if toks[0] != "crra":
         raise ScenarioError("UTILITY is 'identity' or 'crra rho=... scale=...'", lineno)
-    rho = None
-    scale = 1.0
+    fields = {"rho": None, "scale": 1.0}
     for tok in toks[1:]:
         key, _, val = tok.partition("=")
+        if key not in fields:
+            raise ScenarioError(f"unknown utility field {key!r}", lineno)
         try:
-            if key == "rho":
-                rho = float(val)
-            elif key == "scale":
-                scale = float(val)
-            else:
-                raise ScenarioError(f"unknown utility field {key!r}", lineno)
+            fields[key] = float(val)
         except ValueError:
             raise ScenarioError(f"bad utility number {val!r}", lineno) from None
+    rho, scale = fields["rho"], fields["scale"]
     if rho is None:
         raise ScenarioError("crra utility needs rho=...", lineno)
+    if not math.isfinite(rho) or not (math.isfinite(scale) and scale > 0):
+        raise ScenarioError("crra rho must be finite and scale finite and positive", lineno)
     return RiskUtility(rho=rho, scale=scale)
 
 
-def _parse_sweep(sweep_lines) -> SweepSpec:
+def _parse_sweep(rows) -> Optional[SweepSpec]:
+    if not rows:
+        return None
     param = None
     grid = None
-    for lineno, payload in sweep_lines:
-        key, _, rest = payload.partition(":")
-        key = key.strip()
+    for lineno, key, rest in _named(rows):
         if key == "param":
-            param = rest.strip()
+            param = rest
             if not _NAME_RE.match(param):
                 raise ScenarioError(f"bad parameter name {param!r}", lineno)
         elif key == "grid":

@@ -12,6 +12,7 @@ this module rounds.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -32,7 +33,13 @@ class ProductSpace:
     subspace_names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "subspace_sizes", tuple(int(s) for s in self.subspace_sizes))
+        try:
+            sizes = tuple(operator.index(s) for s in self.subspace_sizes)
+        except TypeError:
+            raise CorrpolyError(
+                f"subspace sizes must be integers, got {self.subspace_sizes!r}"
+            ) from None
+        object.__setattr__(self, "subspace_sizes", sizes)
         if len(self.subspace_sizes) < 1:
             raise CorrpolyError("a product space needs at least one subspace")
         if any(s < 1 for s in self.subspace_sizes):
@@ -90,7 +97,7 @@ class ProductSpace:
 
     def check_state(self, state: MultiIndex) -> None:
         if len(state) != self.n_subspaces or any(
-            not 0 <= c < s for c, s in zip(state, self.subspace_sizes)
+            not isinstance(c, int) or not 0 <= c < s for c, s in zip(state, self.subspace_sizes)
         ):
             raise CorrpolyError(f"state {state} not in a space of shape {self.subspace_sizes}")
 
@@ -249,7 +256,7 @@ class Event:
     def __contains__(self, state: MultiIndex) -> bool:
         try:
             return bool(self.mask >> self.space.ravel(tuple(state)) & 1)
-        except CorrpolyError:
+        except (CorrpolyError, TypeError):  # not a state of this space
             return False
 
     def __or__(self, other: "Event") -> "Event":
@@ -339,7 +346,7 @@ class Act:
 
     @classmethod
     def constant(cls, space: ProductSpace, value) -> "Act":
-        return cls(space, tuple([Fraction(value)] * space.total_size))
+        return cls(space, fraction_tuple((value,)) * space.total_size)
 
     @classmethod
     def from_state_values(cls, space: ProductSpace, mapping: dict) -> "Act":
@@ -347,14 +354,14 @@ class Act:
         if len(mapping) != space.total_size:
             raise CorrpolyError("state/value mapping must cover every state")
         for state, v in mapping.items():
-            values[space.ravel(tuple(state))] = Fraction(v)
+            values[space.ravel(tuple(state))] = v
         return cls(space, tuple(values))
 
     @classmethod
     def bet(cls, space: ProductSpace, event: Event, win, lose) -> "Act":
         """The binary act paying ``win`` on the event and ``lose`` off it."""
         _require_same_space(space, event.space)
-        w, l = Fraction(win), Fraction(lose)
+        w, l = fraction_tuple((win, lose))
         mask = event.mask
         return cls(space, tuple(w if mask >> k & 1 else l for k in range(space.total_size)))
 

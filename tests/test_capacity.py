@@ -195,6 +195,15 @@ def test_choquet_integral_paper_acts(uniform_2x2):
     assert choquet_integral(cap, g) == F(3, 2)
 
 
+def test_capacity_rejects_events_and_acts_of_another_space(uniform_2x2):
+    cap = capacity_of(uniform_2x2)
+    other = ProductSpace((2, 3))
+    with pytest.raises(CorrpolyError, match="event lives on a different space"):
+        cap.value(Event.full(other))
+    with pytest.raises(CorrpolyError, match="act lives on a different space"):
+        choquet_integral(cap, Act.constant(other, 1))
+
+
 def test_choquet_constant_act(uniform_cube):
     cap = capacity_of(uniform_cube)
     c = Act.constant(uniform_cube.space, F(7, 3))

@@ -267,3 +267,19 @@ def test_non_utf8_scenario_is_an_error(capsys, tmp_path, args):
     code, out, err = run(capsys, args[0], str(path), *args[1:])
     assert code == 1 and out == "" and err.startswith("error: ")
     assert "not UTF-8" in err
+
+
+@pytest.mark.filterwarnings("ignore:marginals have zero-weight states")
+def test_zero_weight_states_have_restricted_dimensions(capsys, tmp_path):
+    path = tmp_path / "zero.scn"
+    path.write_text(
+        "SPACE\na: x y\nb: u v\nc: s t\n\n"
+        "MARGINALS\na: 1/2 1/2\nb: 1 0\nc: 1/2 1/2\n\n"
+        "ACTS\nf: 1 2 3 4 5 6 7 8\n\nPRIOR\npartition: {1,2},{3}\n"
+    )
+    code, out, _ = run(capsys, "dim", str(path), "--collection", "{1},{3}", "--format", "csv")
+    assert (code, out) == (0, 'quantity,value\ndimension,1\n"dimension[{1},{3}]",0\n')
+    code, out, _ = run(capsys, "independence", str(path), "--collection", "{1,2},{3}")
+    assert code == 0 and out.splitlines()[-1].split() == ["dimension", "0"]
+    code, out, _ = run(capsys, "evaluate", str(path), "--format", "csv")
+    assert (code, out.splitlines()[1]) == (0, "f,7/2,7/2,3.5,3,3,0")

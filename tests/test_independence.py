@@ -270,6 +270,15 @@ _COLLECTIONS = {
 }
 
 
+def draw_marginals(shape, data):
+    """One marginal per subspace, some of whose states may have zero weight."""
+    marginals = []
+    for i, size in enumerate(shape):
+        parts = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any))
+        marginals.append(Marginal(i, tuple(F(x, sum(parts)) for x in parts)))
+    return marginals
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([(2, 2), (1, 3), (2, 3), (2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 3, 2), (1, 3, 2)]),
@@ -278,11 +287,7 @@ _COLLECTIONS = {
 def test_is_independent_on_equals_reference(shape, data):
     # marginals may put zero weight on some states; vertices are mostly
     # dependent, the product and its mixtures independent on the partition
-    marginals = []
-    for i, size in enumerate(shape):
-        parts = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any))
-        marginals.append(Marginal(i, tuple(F(x, sum(parts)) for x in parts)))
-    cs = CorrelationSet(ProductSpace(shape), marginals)
+    cs = CorrelationSet(ProductSpace(shape), draw_marginals(shape, data))
     vertices = cs.vertices()
     picks = data.draw(st.lists(st.integers(0, len(vertices) - 1), min_size=1, max_size=3))
     points = [cs.independent_product, *(vertices[k] for k in picks)]
@@ -305,3 +310,36 @@ def test_witness_walks_members_in_collection_order():
     verdict = is_independent_on(p, coll)
     assert verdict.witness == ((0, 0), (1,))
     assert verdict == is_independent_on_reference(p, coll)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 3), (2, 2, 2), (3, 3)]), st.data())
+def test_restricted_dimension_is_that_of_the_reduced_shape(shape, data):
+    # zero-weight states carry no mass, so dropping them from the shape
+    # (a full-support set) keeps every restricted dimension
+    marginals = draw_marginals(shape, data)
+    cs = CorrelationSet(ProductSpace(shape), marginals)
+    kept = [[w for w in m.weights if w > 0] for m in marginals]
+    reduced = CorrelationSet(
+        ProductSpace(tuple(len(ws) for ws in kept)),
+        [Marginal(i, ws) for i, ws in enumerate(kept)],
+    )
+    colls = _COLLECTIONS[len(shape)]
+    for coll in colls:
+        assert restricted_dimension(cs, coll) == restricted_dimension(reduced, coll)
+    assert restricted_dimension(cs, colls) == restricted_dimension(reduced, colls)
+
+
+def test_partitions_with_zero_weight_states():
+    half = F(1, 2)
+    cs = CorrelationSet(
+        ProductSpace((2, 2, 2)), [Marginal(0, (half, half)), Marginal(1, (1, 0)), Marginal(2, (half, half))]
+    )
+    coll = Collection.of({0, 1}, {2})
+    assert restricted_dimension(cs, Collection.of({0}, {2})) == 0
+    with pytest.warns(UserWarning, match="reduced shape"):
+        assert dimension(cs) == 1
+        assert [dimension(comp) for comp in partition_factorize(cs, coll)] == [0, 0]
+        p = sample_partition_member(cs, coll, random.Random(5))
+    assert cs.contains(p)
+    assert is_independent_on(p, coll).holds

@@ -1,11 +1,18 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrpoly import linalg
+from corrpoly import CorrpolyError, linalg
 
 F = Fraction
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", "0.5.1", float("nan"), float("inf"), None])
+def test_fraction_tuple_rejects_what_is_no_finite_rational(value):
+    with pytest.raises(CorrpolyError, match="not a finite rational"):
+        linalg.fraction_tuple((F(1, 2), value))
 
 
 def test_rref_and_rank():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from corrpoly import (
     ConsistencyError,
+    CorrpolyError,
     InfeasibleError,
     LinearProgram,
     Marginal,
@@ -383,3 +384,13 @@ def test_rational_programs_match_the_fraction_reference(drawn):
     program, objectives = drawn
     _assert_matches_reference(program, objectives)
 
+
+
+@pytest.mark.parametrize("point, vertices", [
+    ([1], [[1, 2]]),
+    ([1, 2], [[1]]),
+    ([1, 0], [[1, 0], [0]]),
+])
+def test_in_convex_hull_rejects_vertices_of_another_length(point, vertices):
+    with pytest.raises(CorrpolyError, match="as many coordinates as the point"):
+        in_convex_hull(point, vertices)

@@ -122,6 +122,71 @@ def test_second_marginals_line_for_a_subspace_rejected():
     assert exc.value.line == 7
 
 
+_B2 = "SPACE\na: x y\nb: u v\n\nMARGINALS\na: 1/2 1/2\nb: 1/2 1/2\n"
+_B3 = "SPACE\na: x y\nb: u v\nc: s t\n\nMARGINALS\na: 1/2 1/2\nb: 1/2 1/2\nc: 1/2 1/2\n"
+
+
+# (text, expected line or None when the error names no line, message fragment)
+@pytest.mark.parametrize("text, line, message", [
+    ("SPACE\n1a: x y\n\nMARGINALS\n1a: 1/2 1/2\n", 2, "must be identifiers"),
+    ("SPACE\na: x y\na: u v\n\nMARGINALS\na: 1/2 1/2\n", 3, "duplicate subspace name 'a'"),
+    ("SPACE\na: x y\nb: u u\n\nMARGINALS\na: 1/2 1/2\n", 3, "duplicate labels on subspace 'b'"),
+    ("SPACE\na: x y\nb: u v\n\nMARGINALS\na: 1/2 1/2\n", None, "exactly one MARGINALS line"),
+    ("SPACE\na: x y\n\nMARGINALS\na: 1/3 1/3 1/3\n", 5, "wrong length"),
+    ("SPACE\na: x y\n\nMARGINALS\na: 1/0 1/2\n", 5, "zero denominator"),
+    (_B2 + "\nACTS\nf: 1 2 3\n", 10, "needs 4 values, got 3"),
+    (_B2 + "\nACTS\nf: 1 2 3 4\nf: 4 3 2 1\n", 11, "duplicate act 'f'"),
+    (_B2 + "\nACTS\nf: a+b 0 0 0\n", 10, "at most one parameter"),
+    (_B2 + "\nACTS\nf: a 0 0 0\ng: b 0 0 0\n", None, "multiple sweep parameters"),
+    (_B2 + "\nACTS\nf: a 0 0 0\n", None, "not declared in SWEEP"),
+    (_B2 + "\nEVENTS\nE: a=x\nE: b=u\n", 11, "duplicate event 'E'"),
+    (_B2 + "\nEVENTS\nE: a=z\n", 10, "bad event 'E': unknown label 'z'"),
+    (_B2 + "\nPRIOR\nfull\nindependent\n", 11, "extra lines after prior kind"),
+    (_B3 + "\nPRIOR\npartition: {1}{2,3}\n", 12, "malformed collection spec"),
+    (_B3 + "\nPRIOR\npartition: {1},{2}\n", 12, "must cover all subspaces"),
+    (_B2 + "\nPRIOR\nvertex: 1/2 1/2\n", 10, "prior vertex needs 4 weights"),
+    (_B2 + "\nUTILITY\nidentity\nidentity\n", 11, "single line"),
+    (_B2 + "\nUTILITY\ncrra rho=1 gamma=2\n", 10, "unknown utility field 'gamma'"),
+    (_B2 + "\nUTILITY\ncrra rho=abc\n", 10, "bad utility number 'abc'"),
+    (_B2 + "\nUTILITY\ncrra rho=nan\n", 10, "rho must be finite"),
+    (_B2 + "\nUTILITY\ncrra rho=inf scale=2\n", 10, "rho must be finite"),
+    (_B2 + "\nUTILITY\ncrra rho=1 scale=0\n", 10, "scale finite and positive"),
+    (_B2 + "\nUTILITY\ncrra rho=1 scale=-2\n", 10, "scale finite and positive"),
+    (_B2 + "\nUTILITY\ncrra rho=1 scale=inf\n", 10, "scale finite and positive"),
+    (_B2 + "\nSWEEP\nparam: 1a\ngrid: 0\n", 10, "bad parameter name '1a'"),
+    (_B2 + "\nSWEEP\nparam: a\nstep: 1\n", 11, "SWEEP lines are"),
+])
+def test_loads_errors_name_their_line(text, line, message):
+    with pytest.raises(ScenarioError, match=re.escape(message)) as exc:
+        sc.loads(text)
+    assert exc.value.line == line
+
+
+def test_serialize_names_an_unlabeled_space():
+    from corrpoly import Marginal, ProductSpace
+
+    scn = sc.Scenario(
+        ProductSpace((2, 3)),
+        (Marginal(0, (F(1, 2), F(1, 2))), Marginal(1, (F(1, 3), F(1, 3), F(1, 3)))),
+    )
+    assert sc.serialize(scn) == (
+        "SPACE\ns0: 0 1\ns1: 0 1 2\n\nMARGINALS\ns0: 1/2 1/2\ns1: 1/3 1/3 1/3\n\n"
+        "PRIOR\nfull\n\nUTILITY\nidentity\n"
+    )
+
+
+@pytest.mark.parametrize("tail", [
+    "PRIOR\npartition: {1,3},{2}\n\nUTILITY\nidentity\n",
+    "PRIOR\nfull\n\nUTILITY\ncrra rho=0.5 scale=6.0\n",
+    "PRIOR\nindependent\n\nUTILITY\ncrra rho=2.0 scale=1.0\n",
+])
+def test_serialize_round_trips_partitions_and_crra(tail):
+    text = _B3 + "\n" + tail
+    scn = sc.loads(text)
+    assert sc.serialize(scn) == text
+    assert sc.loads(sc.serialize(scn)) == scn
+
+
 def test_event_expressions():
     scn = sc.load(SCENARIO_DIR / "finance.scn")
     space = scn.space
@@ -155,6 +220,33 @@ def test_collection_spec_parsing():
         sc.parse_collection_spec("nonsense", 3)
     with pytest.raises(CorrpolyError, match="too long"):
         sc.parse_collection_spec("{" + "1" * 5000 + "},{2}", 3)
+
+
+def test_family_spec_pairs_each_event_with_its_member():
+    space = sc.load(SCENARIO_DIR / "finance.scn").space
+    for text in ("3:[NG];1, 2:[H_infl,*]", "1,,2:[H_infl,*];3:[NG]"):
+        coll, events = sc.parse_family_spec(text, space)
+        assert coll.members == (frozenset({0, 1}), frozenset({2}))
+        assert events[0].space.subspace_names == ("inflation", "uncertainty")
+        assert events[0].members == {(0, 0), (0, 1)}
+        assert events[1].space.subspace_names == ("deposit",)
+        assert events[1].members == {(1,)}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a:[G];1:[H_infl]", "not an integer or too long"),
+    ("1" * 5000 + ":[G];1:[H_infl]", "not an integer or too long"),
+    ("4:[G];1:[H_infl]", "out of range"),
+    ("0:[G];1:[H_infl]", "out of range"),
+    ("1:[H_infl];1:[L_infl]", "pairwise disjoint"),
+    ("1:[H_infl]", "at least two members"),
+    ("1[H_infl];3:[G]", "family members look like"),
+    ("1:[G];3:[G]", "unknown label 'G'"),
+])
+def test_bad_family_specs_are_errors(text, message):
+    space = sc.load(SCENARIO_DIR / "finance.scn").space
+    with pytest.raises(CorrpolyError, match=re.escape(message)):
+        sc.parse_family_spec(text, space)
 
 
 @pytest.mark.parametrize("token", ["3" * 5000, "1/" + "3" * 5000, "-" + "7" * 4400 + "/2"])
@@ -242,11 +334,13 @@ def test_loads_raises_only_corrpoly_errors(text):
 @example("1/" + "3" * 5000, 2)  # beyond int()'s digit limit
 @example("{" + "1" * 5000 + "},{2}", 2)
 @example("inflation=H_infl $ 42", 3)
+@example("1:[H_infl];2,3:[H_unc,G]", 3)
 def test_expression_grammars_raise_only_corrpoly_errors(text, n_subspaces):
     for parse in (
         lambda: sc.parse_expr(text),
         lambda: sc.parse_event(_FINANCE_SPACE, text),
         lambda: sc.parse_collection_spec(text, n_subspaces),
+        lambda: sc.parse_family_spec(text, _FINANCE_SPACE),
     ):
         try:
             parse()
@@ -326,7 +420,8 @@ def canonical_scenarios(draw):
     if draw(st.booleans()):
         out.append("identity")
     else:
-        rho, scale = (draw(st.floats(allow_nan=False, allow_infinity=False)) for _ in range(2))
+        rho = draw(st.floats(allow_nan=False, allow_infinity=False))
+        scale = draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
         out.append(f"crra rho={rho} scale={scale}")
     if param:
         grid = draw(st.lists(_rationals, min_size=1, max_size=3))

@@ -183,6 +183,55 @@ def test_event_operators():
     assert e.bitmask() == 0b0011
 
 
+_TWO = ProductSpace((2,))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Marginal(0, ("x", "1/2")),
+    lambda: Marginal(0, ("1/0", 1)),
+    lambda: Act(_TWO, ("abc", 1)),
+    lambda: Act.constant(_TWO, "x"),
+    lambda: Act.bet(_TWO, Event.full(_TWO), float("inf"), 0),
+    lambda: Act.from_state_values(_TWO, {(0,): None, (1,): 1}),
+    lambda: JointDistribution(_TWO, (float("nan"), 1)),
+    lambda: JointDistribution(_TWO, (float("inf"), 0)),
+    lambda: ProductSpace((2.5,)),
+    lambda: ProductSpace(("a",)),
+    lambda: ProductSpace((2, 2)).check_state((0.5, 1)),
+    lambda: JointDistribution(_TWO, (1, 0)).prob((0.5,)),
+])
+def test_malformed_values_are_corrpoly_errors(make):
+    with pytest.raises(CorrpolyError):
+        make()
+
+
+def test_event_difference_and_membership():
+    space = ProductSpace((2, 3))
+    e = cylinder(space, {0: 1})
+    f = cylinder(space, {1: 2})
+    assert (e - f).members == {(1, 0), (1, 1)}
+    assert (e - e).mask == 0
+    assert (1, 2) in e and (0, 2) not in e
+    assert [1, 0] in e  # any sequence of coordinates
+    for outside in ((1, 3), (2, 0), (1,), (1, 0, 0), (-1, 0)):
+        assert outside not in e
+    for junk in (5, ("a", "b"), (1.0, 0), (0.5, 1), None):
+        assert junk not in e
+    with pytest.raises(CorrpolyError):
+        e - cylinder(ProductSpace((3, 2)), {0: 1})
+
+
+def test_support_marginal_and_unlabeled_labels():
+    space = ProductSpace((2, 3))
+    p = JointDistribution(space, (F(1, 2), F(0), F(0), F(0), F(1, 4), F(1, 4)))
+    assert p.support() == {(0, 0), (1, 1), (1, 2)}
+    assert p.marginal(0) == Marginal(0, (F(1, 2), F(1, 2)))
+    assert p.marginal(1) == Marginal(1, (F(1, 2), F(1, 4), F(1, 4)))
+    assert space.label_of((1, 2)) == ("1", "2")
+    with pytest.raises(CorrpolyError, match="no labels"):
+        space.coordinate_of_label(0, "x")
+
+
 def test_is_independent_of():
     space = ProductSpace((2, 2))
     constant = Act.constant(space, 5)
