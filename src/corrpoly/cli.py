@@ -129,7 +129,8 @@ def cmd_capacity(args) -> int:
 def cmd_mi(args) -> int:
     scn = scenario.load(args.scenario)
     cs = scn.correlation_set()
-    _param_value(scn, args.at)  # checked even where --weights or --vertex leave it unused
+    if args.at is not None:
+        scenario.parse_rational(args.at)  # parsed even where --weights or --vertex leave it unused
     if args.weights is not None:
         weights = [scenario.parse_rational(t) for t in args.weights.split()]
         p = JointDistribution(scn.space, tuple(weights))

@@ -21,7 +21,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import linalg
 from .errors import ConsistencyError, CorrpolyError, NonlinearCollectionError
-from .polytope import CorrelationSet, dimension, positive_state_columns, sample_member
+from .polytope import CorrelationSet, dimension, positive_state_columns, restricted_rows
+from .polytope import sample_member
 from .space import (
     Collection,
     Event,
@@ -210,9 +211,7 @@ def restricted_dimension(
 
     space = cs.space
     cols = positive_state_columns(cs)
-    rows: list[list[Fraction]] = [
-        [Fraction(row[k]) for k in cols] for row in cs.system.matrix
-    ]
+    rows: list[list[int | Fraction]] = restricted_rows(cs, cols)
     for coll in colls:
         coll.check_space(space)
         big = [m for m in coll.members if len(m) >= 2]

@@ -4,7 +4,8 @@ Mutual information of a coupling is its divergence from the independent
 product of its marginals: zero exactly at independence, strictly convex on
 the correlation set, and locally maximal exactly at the extreme points.
 These are the only floating-point quantities in the package; equality-style
-identities carry a 1e-9 tolerance and strictness checks a 1e-12 slack.
+identities carry a 1e-9 tolerance and strictness checks a 1e-12 slack; the
+local-maximum verdict is exact (`certify_local_max_mi`).
 
 Mutual information is evaluated from integer weights over a common
 denominator: ``float(w)`` is taken as ``n / D`` and ``float(w / w_ind)`` as
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, CorrpolyError, NotInCorrelationSetError
-from .linalg import integer_numerators, nullspace
-from .polytope import CorrelationSet, sample_member
+from .linalg import integer_numerators
+from .polytope import CorrelationSet, face_basis, sample_member
 from .polytope import mix  # noqa: F401  (still importable from corrpoly.info)
 from .space import JointDistribution, Marginal
 
@@ -136,15 +137,15 @@ def _max_step(p: JointDistribution, direction) -> Fraction:
     return Fraction(1) if bound is None else bound
 
 
-def _probe_points(cs, p, probes, rng):
+def _probe_points(cs, p, probes, rng, face):
     """Seeded probe points spanning the feasible directions at ``p``.
 
     Random couplings explore directions that leave the support of ``p``;
     each is paired with its reflection through ``p`` whenever that is
-    feasible.  Directions inside the support face (random combinations of
-    the kernel of the system restricted to the support) are probed in both
-    senses.  At an extreme point the restricted kernel is trivial and no
-    reflection is feasible, so only outward directions remain.
+    feasible.  Directions inside the face of ``p`` (the vectors of ``face``,
+    `polytope.face_basis`, and random combinations of them) are probed in
+    both senses.  At an extreme point the face is trivial and no reflection
+    is feasible, so only outward directions remain.
     """
     points = []
 
@@ -161,23 +162,14 @@ def _probe_points(cs, p, probes, rng):
             weights = tuple(w + t * d for w, d in zip(p.weights, back))
             push(JointDistribution(p.space, weights))
 
-    support = [k for k, w in enumerate(p.weights) if w > 0]
-    restricted = [[row[k] for k in support] for row in cs.system.matrix]
-    face_basis = nullspace(restricted)
     resolution = 8
-    face_directions = [list(fv) for fv in face_basis]
-    for _ in range(4 if face_basis else 0):
-        coeffs = [Fraction(rng.randint(-resolution, resolution), resolution) for _ in face_basis]
-        combo = [
-            sum(c * fv[pos] for c, fv in zip(coeffs, face_basis)) for pos in range(len(support))
-        ]
-        face_directions.append(combo)
-    for fv in face_directions:
-        if all(x == 0 for x in fv):
+    face_directions = list(face)
+    for _ in range(4 if face else 0):
+        coeffs = [Fraction(rng.randint(-resolution, resolution), resolution) for _ in face]
+        face_directions.append([sum(c * x for c, x in zip(coeffs, xs)) for xs in zip(*face)])
+    for direction in face_directions:
+        if all(x == 0 for x in direction):
             continue
-        direction = [Fraction(0)] * cs.space.total_size
-        for pos, k in enumerate(support):
-            direction[k] = fv[pos]
         for sign in (1, -1):
             d = [sign * x for x in direction]
             t = _max_step(p, d)
@@ -194,21 +186,23 @@ def certify_local_max_mi(
     step: Fraction = Fraction(1, 8),
     seed: int = 0,
 ) -> MutualInformationReport:
-    """Seeded local-maximality certificate for mutual information.
+    """Local-maximality certificate for mutual information at the member ``p``.
 
-    Walks the segment from ``p`` toward each probe point (random couplings,
-    their feasible reflections through ``p``, and directions inside the
-    support face; see ``_probe_points``).  Mutual information is strictly
-    convex along any such segment, so a direction is locally decreasing
-    exactly when three consecutive step lengths in a geometric ladder all
-    strictly decrease it; the ladder starts at ``step`` and shrinks because
-    a fixed coarse step can overshoot the neighborhood of a
-    low-information extreme point when the marginals are skewed.  The
-    certificate holds when every probed direction is locally decreasing:
-    true at extreme points (information blows up toward the support
-    boundary), false anywhere else because some two-sided feasible segment
-    through ``p`` exists and strict convexity makes one of its senses
-    non-decreasing.
+    The verdict is exact: ``p`` is a local maximum iff it is a vertex, iff
+    `polytope.face_basis` is empty.  On the set MI is sum_k p_k log p_k plus
+    a linear term (the product of the marginals is fixed).  At a vertex
+    every feasible direction charges a state where p is 0, where the
+    one-sided slope of t log t is -inf.  Elsewhere a face direction d is
+    feasible in both senses and MI has second derivative
+    sum_k d_k^2 / p_k > 0 along it, so one sense does not decrease MI.
+
+    The seeded ladder fills ``probe_count`` and ``max_observed_increase``:
+    toward each probe point (see ``_probe_points``) it tries the mixing
+    weights ``step``, ``step / 2``, ...; a direction decreases when three
+    consecutive rungs lower MI by more than ``STRICTNESS_SLACK``, and the
+    ladder stops at the first that does not, which at a vertex is the float
+    limit of skewed marginals.  Decreasing along every probe at a
+    non-vertex contradicts the argument above: `ConsistencyError`.
     """
     step = Fraction(step)
     if probes < 0:
@@ -217,14 +211,14 @@ def certify_local_max_mi(
         raise CorrpolyError(f"the first mixing weight (step) must be positive, got {step}")
     if not cs.contains(p):
         raise NotInCorrelationSetError("distribution does not have the prescribed marginals")
+    face = face_basis(cs, p)
     mutual_info = _mi_kernel(cs)
     a, a_denom = integer_numerators(p.weights)
     base = mutual_info(a, a_denom)
     rng = random.Random(seed)
-    is_local_max = True
     max_increase = 0.0
     evaluated = 0
-    for q in _probe_points(cs, p, probes, rng):
+    for q in _probe_points(cs, p, probes, rng, face):
         evaluated += 1
         if not cs.contains(q):
             raise NotInCorrelationSetError("probe point does not have the prescribed marginals")
@@ -251,11 +245,17 @@ def certify_local_max_mi(
                 break
             t *= 2
         if not decreases_somewhere:
-            is_local_max = False
             break
+    else:  # every probe direction decreases
+        if face:
+            raise ConsistencyError(
+                "MI decreased along every probe at a point that is not a vertex",
+                **cs.reproducer(),
+                weights=[str(w) for w in p.weights],
+            )
     return MutualInformationReport(
         value=base,
-        is_local_max=is_local_max,
+        is_local_max=not face,
         probe_count=evaluated,
         max_observed_increase=max_increase,
     )

@@ -5,15 +5,15 @@ plus nonnegativity, so it is a convex polytope containing the independent
 product.  This module builds the constraint system, a rectangle-shift basis
 of its homogeneous kernel, the polytope dimension (closed form cross-checked
 against an exact rank computation), and the extreme points via support
-pattern search: a member is a vertex exactly when no other member vanishes
-everywhere it does, i.e. when the system restricted to its support pins it
-down uniquely.
+pattern search.  It alone decides "is p a vertex": `restricted_rows` is the
+one restriction of the marginal system to a set of states, and
+`face_basis(cs, p)`, the kernel of those rows on supp(p), is empty exactly
+when p is a vertex.  `is_maximally_zero` and the MI verdict in `info` read it.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -198,28 +198,23 @@ def reduced_sizes(cs: CorrelationSet) -> tuple[int, ...]:
     return tuple(sum(1 for w in m.weights if w > 0) for m in cs.marginals)
 
 
+def restricted_rows(cs: CorrelationSet, columns: Sequence[int]) -> list[list[int]]:
+    """The marginal system's rows on the given flat state indices, in order."""
+    return [[row[k] for k in columns] for row in cs.system.matrix]
+
+
 def dimension(cs: CorrelationSet) -> int:
     """Dimension of the correlation set: closed form, cross-checked by rank.
 
     The closed form is total states minus one minus the marginal degrees of
     freedom, independent of the marginal values.  Zero-weight marginal states
-    force zero mass on their cylinders, so the dimension is reported for the
-    reduced shape (with a warning).  Disagreement between formula and exact
-    rank is a hard internal failure.
+    force zero mass on their cylinders, so the dimension is that of the
+    reduced shape.  Disagreement between formula and exact rank is a hard
+    internal failure.
     """
-    red = reduced_sizes(cs)
-    if red != cs.space.subspace_sizes:
-        warnings.warn(
-            "marginals have zero-weight states; dimension refers to the "
-            f"reduced shape {red}",
-            stacklevel=2,
-        )
-    closed = dimension_formula(red)
+    closed = dimension_formula(reduced_sizes(cs))
     positive_cols = positive_state_columns(cs)
-    restricted = [
-        tuple(row[k] for k in positive_cols) for row in cs.system.matrix
-    ]
-    rank_based = len(positive_cols) - linalg.rank(restricted)
+    rank_based = len(positive_cols) - linalg.rank(restricted_rows(cs, positive_cols))
     if closed != rank_based:
         raise ConsistencyError(
             f"dimension formula {closed} != rank computation {rank_based}", **cs.reproducer()
@@ -247,9 +242,10 @@ def enumerate_extreme_points(
     system cannot have a unique solution).  The search walks candidate states
     in flat order, eliminating each accepted column incrementally and cutting
     off any branch that goes linearly dependent; at every fully covering
-    node it solves the restricted system and keeps strictly positive unique
-    solutions.  Output is deduplicated and sorted lexicographically by the
-    exact weight vectors.
+    node it solves the restricted system and keeps strictly positive
+    solutions.  Independent columns make a solution unique, so a positive
+    one has exactly its support and no vertex is found twice.  Output is
+    sorted lexicographically by the exact weight vectors.
     """
     n = cs.space.total_size
     if n > guard:
@@ -272,22 +268,16 @@ def enumerate_extreme_points(
         col_mask[k] = mask
         col_vec[k] = [Fraction(matrix[r][k]) for r in range(n_rows)]
 
-    found: dict[tuple[Fraction, ...], JointDistribution] = {}
+    found: list[tuple[Fraction, ...]] = []
 
     def solve_support(support: tuple[int, ...]) -> None:
-        cols = [[matrix[r][k] for k in support] for r in range(n_rows)]
-        res = linalg.solve_affine(cols, rhs)
-        if res is None:
-            return
-        sol, basis = res
-        if basis or any(x <= 0 for x in sol):
+        res = linalg.solve_affine(restricted_rows(cs, support), rhs)
+        if res is None or any(x <= 0 for x in res[0]):
             return
         weights = [Fraction(0)] * n
-        for k, x in zip(support, sol):
+        for k, x in zip(support, res[0]):
             weights[k] = x
-        key = tuple(weights)
-        if key not in found:
-            found[key] = JointDistribution(cs.space, key)
+        found.append(tuple(weights))
 
     def reduce_column(vec: list[Fraction], pivots: list[tuple[int, list[Fraction]]]):
         v = list(vec)
@@ -322,18 +312,28 @@ def enumerate_extreme_points(
 
     recurse(0, (), 0, [])
     del recurse  # it refers to itself: a cycle that would keep cs alive until a collection
-    return [found[key] for key in sorted(found)]
+    return [JointDistribution(cs.space, key) for key in sorted(found)]
+
+
+def face_basis(cs: CorrelationSet, p: JointDistribution) -> list[tuple[Fraction, ...]]:
+    """The directions along which the member ``p`` moves inside its face: a
+    kernel basis of `restricted_rows` on supp(p), as vectors on all states.
+    Empty exactly when ``p`` is a vertex.  The caller checks membership."""
+    support = [k for k, w in enumerate(p.weights) if w > 0]
+    basis = []
+    for v in linalg.nullspace(restricted_rows(cs, support)):
+        on_support = iter(v)
+        basis.append(tuple(next(on_support) if w > 0 else Fraction(0) for w in p.weights))
+    return basis
 
 
 def is_maximally_zero(cs: CorrelationSet, p: JointDistribution) -> bool:
     """True iff no other coupling vanishes on every state where ``p`` does,
     i.e. the marginal system restricted to the support of ``p`` has a unique
-    solution (which is then ``p`` itself)."""
+    solution (which is then ``p`` itself): ``p`` is a vertex."""
     if not cs.contains(p):
         raise NotInCorrelationSetError("distribution does not have the prescribed marginals")
-    support = [k for k, w in enumerate(p.weights) if w > 0]
-    cols = [[cs.system.matrix[r][k] for k in support] for r in range(len(cs.system.matrix))]
-    return linalg.rank(cols) == len(support)
+    return not face_basis(cs, p)
 
 
 def decompose(cs: CorrelationSet, p: JointDistribution):

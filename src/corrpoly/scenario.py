@@ -555,7 +555,7 @@ def serialize(scenario: Scenario) -> str:
         labels = (
             space.state_labels[i]
             if space.state_labels is not None
-            else tuple(str(c) for c in range(space.subspace_sizes[i]))
+            else tuple(f"x{c}" for c in range(space.subspace_sizes[i]))
         )
         out.append(f"{name}: {' '.join(labels)}")
     out.append("")

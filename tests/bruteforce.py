@@ -181,6 +181,7 @@ def certify_local_max_mi_reference(
 
     from corrpoly import MutualInformationReport, mix
     from corrpoly.info import _probe_points
+    from corrpoly.polytope import face_basis
 
     base = mutual_information_reference(cs, p)
     rng = random.Random(seed)
@@ -188,7 +189,7 @@ def certify_local_max_mi_reference(
     is_local_max = True
     max_increase = 0.0
     evaluated = 0
-    for q in _probe_points(cs, p, probes, rng):
+    for q in _probe_points(cs, p, probes, rng, face_basis(cs, p)):
         evaluated += 1
         decreases_somewhere = False
         lam = step

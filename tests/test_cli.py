@@ -7,6 +7,8 @@ import pytest
 from corrpoly.cli import main
 from conftest import SCENARIO_DIR
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
 CLIMATE = str(SCENARIO_DIR / "climate.scn")
 FINANCE = str(SCENARIO_DIR / "finance.scn")
 INSURANCE = str(SCENARIO_DIR / "insurance.scn")
@@ -73,6 +75,25 @@ def test_mi_subcommand(capsys):
     code, out, _ = run(capsys, "mi", CLIMATE, "--weights", "1/12 1/4 1/6 1/2")
     assert code == 0
     assert "False" in out  # the independent product is the global minimum
+
+
+def test_mi_is_exact_on_tiny_marginals(capsys):
+    # the float ladder alone rejects this vertex; the verdict is exact
+    code, out, err = run(capsys, "mi", str(FIXTURES / "tiny_marginals.scn"), "--vertex", "0")
+    assert (code, err) == (0, "")
+    assert out == (FIXTURES / "tiny_marginals_mi_vertex0.txt").read_text()
+    assert out.splitlines()[-3].split() == ["is_local_max", "True"]
+
+
+def test_mi_needs_at_only_where_it_reads_the_prior(capsys):
+    for args in (("--vertex", "0"), ("--weights", "1/24 1/8 1/24 1/8 1/12 1/4 1/12 1/4")):
+        code, out, err = run(capsys, "mi", FINANCE, *args, "--probes", "2")
+        assert (code, err) == (0, ""), args
+        assert "is_local_max" in out
+        code, out, err = run(capsys, "mi", FINANCE, *args, "--at", "abc")
+        assert code == 1 and out == "" and err.startswith("error: "), args
+    code, out, err = run(capsys, "mi", FINANCE)
+    assert code == 1 and out == "" and "pass --at VALUE" in err
 
 
 def test_independence_subcommand_exit_codes(capsys):
@@ -269,7 +290,6 @@ def test_non_utf8_scenario_is_an_error(capsys, tmp_path, args):
     assert "not UTF-8" in err
 
 
-@pytest.mark.filterwarnings("ignore:marginals have zero-weight states")
 def test_zero_weight_states_have_restricted_dimensions(capsys, tmp_path):
     path = tmp_path / "zero.scn"
     path.write_text(
@@ -277,9 +297,9 @@ def test_zero_weight_states_have_restricted_dimensions(capsys, tmp_path):
         "MARGINALS\na: 1/2 1/2\nb: 1 0\nc: 1/2 1/2\n\n"
         "ACTS\nf: 1 2 3 4 5 6 7 8\n\nPRIOR\npartition: {1,2},{3}\n"
     )
-    code, out, _ = run(capsys, "dim", str(path), "--collection", "{1},{3}", "--format", "csv")
-    assert (code, out) == (0, 'quantity,value\ndimension,1\n"dimension[{1},{3}]",0\n')
-    code, out, _ = run(capsys, "independence", str(path), "--collection", "{1,2},{3}")
-    assert code == 0 and out.splitlines()[-1].split() == ["dimension", "0"]
-    code, out, _ = run(capsys, "evaluate", str(path), "--format", "csv")
-    assert (code, out.splitlines()[1]) == (0, "f,7/2,7/2,3.5,3,3,0")
+    code, out, err = run(capsys, "dim", str(path), "--collection", "{1},{3}", "--format", "csv")
+    assert (code, out, err) == (0, 'quantity,value\ndimension,1\n"dimension[{1},{3}]",0\n', "")
+    code, out, err = run(capsys, "independence", str(path), "--collection", "{1,2},{3}")
+    assert code == 0 and out.splitlines()[-1].split() == ["dimension", "0"] and err == ""
+    code, out, err = run(capsys, "evaluate", str(path), "--format", "csv")
+    assert (code, out.splitlines()[1], err) == (0, "f,7/2,7/2,3.5,3,3,0", "")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -337,7 +338,8 @@ def test_partitions_with_zero_weight_states():
     )
     coll = Collection.of({0, 1}, {2})
     assert restricted_dimension(cs, Collection.of({0}, {2})) == 0
-    with pytest.warns(UserWarning, match="reduced shape"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert dimension(cs) == 1
         assert [dimension(comp) for comp in partition_factorize(cs, coll)] == [0, 0]
         p = sample_partition_member(cs, coll, random.Random(5))

@@ -1,8 +1,12 @@
+import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrpoly import (
     ConsistencyError,
@@ -15,13 +19,20 @@ from corrpoly import (
     certify_local_max_mi,
     entropy,
     finance_belief,
+    is_maximally_zero,
     kl_divergence,
+    linalg,
     mix,
     mutual_information,
     sample_member,
 )
+from corrpoly.polytope import face_basis
 from conftest import random_correlation_set
-from bruteforce import certify_local_max_mi_reference, mutual_information_reference
+from bruteforce import (
+    certify_local_max_mi_reference,
+    mutual_information_reference,
+    oracle_vertices,
+)
 
 F = Fraction
 
@@ -130,6 +141,36 @@ def test_certificate_handles_skewed_marginals():
     )
     for v in cs.vertices():
         assert certify_local_max_mi(cs, v).is_local_max
+
+
+def _tiny_marginals(eps):
+    """The (2,2) set with both marginals (eps, 1 - eps): two vertices, and
+    the product lies at mixing weight about eps from vertex 0."""
+    return CorrelationSet(
+        ProductSpace((2, 2)), [Marginal(i, (eps, 1 - eps)) for i in range(2)]
+    )
+
+
+@pytest.mark.parametrize("eps", [F(1, 100000), F(1, 200000), F(1, 1000000)])
+def test_certificate_is_exact_on_tiny_marginals(eps):
+    cs = _tiny_marginals(eps)
+    assert len(cs.vertices()) == 2
+    for v in cs.vertices():
+        assert certify_local_max_mi(cs, v).is_local_max
+    assert not certify_local_max_mi(cs, cs.independent_product).is_local_max
+
+
+@pytest.mark.parametrize("eps", [F(1, 200000), F(1, 1000000)])
+def test_float_reference_parts_from_the_exact_verdict_on_tiny_marginals(eps):
+    # along an edge from vertex 0 the last rungs lower mutual information by
+    # only 1e-13 to 1e-11 bits, around the 1e-12 strictness slack, so the
+    # float ladder of the reference rejects a true vertex; the library
+    # reports the same probes and increase with the exact verdict
+    cs = _tiny_marginals(eps)
+    vertex = cs.vertices()[0]
+    want = certify_local_max_mi_reference(cs, vertex)
+    assert not want.is_local_max
+    assert certify_local_max_mi(cs, vertex) == dataclasses.replace(want, is_local_max=True)
 
 
 def test_certificate_trivial_singleton():
@@ -280,3 +321,84 @@ def test_decomposition_mismatch_carries_reproducer(skew_2x2, monkeypatch):
         "marginals": [["1/3", "2/3"], ["1/4", "3/4"]],
         "weights": ["1/12", "1/4", "1/6", "1/2"],
     }
+
+
+def test_certificate_computes_the_face_once(skew_2x2, monkeypatch):
+    calls = []
+    nullspace = linalg.nullspace
+
+    def counted(rows):
+        calls.append(rows)
+        return nullspace(rows)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    a, b = skew_2x2.vertices()
+    for p in (a, skew_2x2.independent_product, mix(a, b, F(1, 3))):
+        calls.clear()
+        certify_local_max_mi(skew_2x2, p, probes=4)
+        assert len(calls) == 1
+
+
+def test_ladder_certifying_a_non_vertex_is_a_consistency_error(skew_2x2, monkeypatch):
+    # a ladder that sees mutual information fall along every probe would
+    # contradict strict convexity along the two-sided face directions
+    import corrpoly.info as info
+
+    def falling_kernel(cs):
+        values = itertools.count(0, -1)
+        return lambda nums, denom: float(next(values))
+
+    monkeypatch.setattr(info, "_mi_kernel", falling_kernel)
+    with pytest.raises(ConsistencyError, match="not a vertex") as exc:
+        certify_local_max_mi(skew_2x2, skew_2x2.independent_product, probes=2)
+    assert exc.value.context == {
+        "shape": (2, 2),
+        "marginals": [["1/3", "2/3"], ["1/4", "3/4"]],
+        "weights": ["1/12", "1/4", "1/6", "1/2"],
+    }
+
+
+@st.composite
+def _degenerate_marginals(draw):
+    """Shapes with a 1-state subspace, tied marginals, a zero weight or a
+    point mass, with positive weights skewed up to 1:1000."""
+    counts = st.integers(1, 1000)
+
+    def weights(size):
+        return [draw(counts) for _ in range(size)]
+
+    kind = draw(st.sampled_from(["1x3", "2x2 tied", "2x3 zero", "2x2x2 point mass"]))
+    if kind == "1x3":
+        sizes, raw = (1, 3), [[1], weights(3)]
+    elif kind == "2x2 tied":
+        tied = weights(2)
+        sizes, raw = (2, 2), [tied, list(tied)]
+    elif kind == "2x3 zero":
+        zeroed = weights(3)
+        zeroed[draw(st.integers(0, 2))] = 0
+        sizes, raw = (2, 3), [weights(2), zeroed]
+    else:
+        sizes, raw = (2, 2, 2), [weights(2), weights(2), weights(2)]
+        raw[draw(st.integers(0, 2))] = draw(st.sampled_from([[1, 0], [0, 1]]))
+    return sizes, [tuple(F(c, sum(ws)) for c in ws) for ws in raw]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_degenerate_marginals())
+def test_face_is_trivial_exactly_at_oracle_vertices(case):
+    sizes, marginals = case
+    cs = CorrelationSet(ProductSpace(sizes), [Marginal(i, w) for i, w in enumerate(marginals)])
+    expected = oracle_vertices(sizes, marginals)
+    vertices = cs.vertices()
+    assert [v.weights for v in vertices] == sorted(expected)  # each vertex once, in order
+    points = [*vertices, cs.independent_product]
+    points += [mix(a, b, F(1, 2)) for a, b in zip(vertices, vertices[1:])]
+    for p in points:
+        face = face_basis(cs, p)
+        for d in face:  # directions inside the face of p
+            assert not any(linalg.mat_vec(cs.system.matrix, d))
+            assert all(x == 0 for x, w in zip(d, p.weights) if w == 0)
+        at_vertex = p.weights in expected
+        assert (not face) == at_vertex
+        assert is_maximally_zero(cs, p) == at_vertex
+        assert certify_local_max_mi(cs, p, probes=8).is_local_max == at_vertex

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -58,7 +59,8 @@ def test_dimension_zero_weight_marginal_reduces_shape():
             Marginal(1, (F(1, 2), F(0), F(1, 2))),
         ],
     )
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert dimension(cs) == dimension_formula((2, 2)) == 1
 
 

@@ -169,10 +169,12 @@ def test_serialize_names_an_unlabeled_space():
         ProductSpace((2, 3)),
         (Marginal(0, (F(1, 2), F(1, 2))), Marginal(1, (F(1, 3), F(1, 3), F(1, 3)))),
     )
-    assert sc.serialize(scn) == (
-        "SPACE\ns0: 0 1\ns1: 0 1 2\n\nMARGINALS\ns0: 1/2 1/2\ns1: 1/3 1/3 1/3\n\n"
+    text = sc.serialize(scn)
+    assert text == (
+        "SPACE\ns0: x0 x1\ns1: x0 x1 x2\n\nMARGINALS\ns0: 1/2 1/2\ns1: 1/3 1/3 1/3\n\n"
         "PRIOR\nfull\n\nUTILITY\nidentity\n"
     )
+    assert sc.serialize(sc.loads(text)) == text
 
 
 @pytest.mark.parametrize("tail", [
@@ -433,3 +435,34 @@ def canonical_scenarios(draw):
 @given(canonical_scenarios())
 def test_canonical_scenarios_round_trip(text):
     assert sc.serialize(sc.loads(text)) == text
+
+
+@st.composite
+def unlabeled_scenarios(draw):
+    """Scenarios built in Python on a space without names or labels."""
+    from corrpoly import Marginal, ProductSpace
+
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    marginals = []
+    for i, size in enumerate(sizes):
+        counts = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+        counts[0] += 1
+        marginals.append(Marginal(i, tuple(F(c, sum(counts)) for c in counts)))
+    total = math.prod(sizes)
+    acts = draw(st.lists(_names, max_size=2, unique=True))
+    act_exprs = {
+        a: tuple(sc.LinExpr(draw(_rationals)) for _ in range(total)) for a in acts
+    }
+    prior = sc.PriorSpec(draw(st.sampled_from(["full", "independent"])))
+    return sc.Scenario(ProductSpace(tuple(sizes)), tuple(marginals), act_exprs, prior=prior)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unlabeled_scenarios())
+def test_unlabeled_scenarios_round_trip(scn):
+    text = sc.serialize(scn)
+    loaded = sc.loads(text)
+    assert sc.serialize(loaded) == text
+    assert loaded.space.subspace_sizes == scn.space.subspace_sizes
+    assert loaded.marginals == scn.marginals
+    assert (loaded.act_exprs, loaded.prior) == (scn.act_exprs, scn.prior)
