@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import ConsistencyError, CorrpolyError, MarginalMismatchError
+from .errors import ConsistencyError, CorrpolyError
 from .preferences import PriorSet, RiskUtility, meu_minimizer
 from .independence import product_of_components
 from .scenario import Scenario
@@ -28,6 +28,7 @@ from .space import (
     ProductSpace,
     expectation,
     marginalize,
+    shared_marginals,
 )
 
 
@@ -177,9 +178,7 @@ def run_insurance(
     if not 0 < x < 1:
         raise CorrpolyError("the double-damage share must lie strictly between 0 and 1")
     p, ph = insurer_belief, insuree_belief
-    for i in range(2):
-        if marginalize(p, [i]).weights != marginalize(ph, [i]).weights:
-            raise MarginalMismatchError("insurer and insuree must agree on the marginals")
+    marginals = shared_marginals([p, ph], "insurer and insuree beliefs")
 
     # payoff tables at price 0, states (B,F), (B,NF), (NB,F), (NB,NF)
     insurer_cover = Act(space, (-x * v, -v, Fraction(0), Fraction(0)))
@@ -195,7 +194,7 @@ def run_insurance(
         "insurer_belief": [str(w) for w in p.weights],
         "insuree_belief": [str(w) for w in ph.weights],
     }
-    p1_burn = marginalize(p, [0]).weights[0]
+    p1_burn = marginals[0].weights[0]
     if insurer_reservation != v * (x * p1_burn + (1 - x) * p.prob((0, 1))):
         raise ConsistencyError(
             "insurer reservation price disagrees with its closed form", **context

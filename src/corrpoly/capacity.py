@@ -35,7 +35,7 @@ from . import lp
 from .errors import ConsistencyError, CorrpolyError
 from .linalg import integer_numerators
 from .polytope import CorrelationSet
-from .space import Act, Event, cylinder, embed_cylinder
+from .space import Act, Event, cylinder, embed_cylinder, require_same_space
 
 
 _ZERO = Fraction(0)
@@ -66,8 +66,7 @@ class Capacity:
         self._context = cs.reproducer()
 
     def value(self, event: Event) -> Fraction:
-        if event.space.subspace_sizes != self.space.subspace_sizes:
-            raise CorrpolyError("event lives on a different space")
+        require_same_space(event.space, self.space, "event")
         return self._mask_value(event.mask)
 
     def _mask_value(self, mask: int) -> Fraction:
@@ -217,8 +216,7 @@ def find_convexity_violation(
 def choquet_integral(cap: Capacity, f: Act) -> Fraction:
     """Choquet integral of an act against the capacity, via descending
     upper level sets: sum of v_j (cap(f >= v_j) - cap(f >= v_{j-1}))."""
-    if f.space.subspace_sizes != cap.space.subspace_sizes:
-        raise CorrpolyError("act lives on a different space")
+    require_same_space(f.space, cap.space, "act")
     level_masks: dict[Fraction, int] = {}
     for k, v in enumerate(f.values):
         level_masks[v] = level_masks.get(v, 0) | 1 << k

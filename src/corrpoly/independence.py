@@ -31,6 +31,7 @@ from .space import (
     ProductSpace,
     embed_cylinder,
     marginalize,
+    require_same_space,
 )
 
 
@@ -91,12 +92,9 @@ def event_family(
     product = Fraction(1)
     for member, ev in zip(coll.members, events):
         idx = sorted(member)
-        sub = p.space.subspace(idx)
-        if ev.space.subspace_sizes != sub.subspace_sizes:
-            raise CorrpolyError("event does not live on its member's sub-product")
+        target = target & embed_cylinder(ev, p.space, idx)
         if not ev.mask:
             raise CorrpolyError("member events must be non-empty")
-        target = target & embed_cylinder(ev, p.space, idx)
         product *= marginalize(p, idx).prob_event(ev)
     return target, product
 
@@ -143,8 +141,7 @@ def product_of_components(
         raise CorrpolyError("need exactly one component distribution per member")
     weights = [Fraction(1)] * space.total_size
     for member, comp in zip(coll.members, components):
-        if comp.space.subspace_sizes != space.subspace(member).subspace_sizes:
-            raise CorrpolyError("component does not live on its member's sub-product")
+        require_same_space(comp.space, space.subspace(member), "component")
         for k, j in enumerate(space.project(member)):
             weights[k] *= comp.weights[j]
     return JointDistribution(space, tuple(weights))

@@ -27,11 +27,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, CorrpolyError, NotInCorrelationSetError
+from .errors import ConsistencyError, CorrpolyError
 from .linalg import integer_numerators
 from .polytope import CorrelationSet, face_basis, sample_member
 from .polytope import mix  # noqa: F401  (still importable from corrpoly.info)
-from .space import JointDistribution, Marginal
+from .space import JointDistribution, Marginal, require_same_space
 
 DECOMPOSITION_TOL = 1e-9
 STRICTNESS_SLACK = 1e-12
@@ -67,6 +67,7 @@ def marginal_entropy(m: Marginal) -> float:
 
 def kl_divergence(p: JointDistribution, q: JointDistribution) -> float:
     """Relative entropy D(p || q) in bits; +inf when supp(p) is not inside supp(q)."""
+    require_same_space(q.space, p.space, "distribution")
     total = 0.0
     for wp, wq in zip(p.weights, q.weights):
         if wp == 0:
@@ -81,8 +82,7 @@ def mutual_information(cs: CorrelationSet, p: JointDistribution) -> float:
     """Divergence of the coupling from the independent product of the
     prescribed marginals, cross-checked against the entropy decomposition
     sum_i H(p_i) - H(p)."""
-    if not cs.contains(p):
-        raise NotInCorrelationSetError("distribution does not have the prescribed marginals")
+    cs.require_member(p)
     return _mi_kernel(cs)(*integer_numerators(p.weights))
 
 
@@ -209,8 +209,7 @@ def certify_local_max_mi(
         raise CorrpolyError(f"probes must be nonnegative, got {probes}")
     if step <= 0:
         raise CorrpolyError(f"the first mixing weight (step) must be positive, got {step}")
-    if not cs.contains(p):
-        raise NotInCorrelationSetError("distribution does not have the prescribed marginals")
+    cs.require_member(p)
     face = face_basis(cs, p)
     mutual_info = _mi_kernel(cs)
     a, a_denom = integer_numerators(p.weights)
@@ -220,8 +219,7 @@ def certify_local_max_mi(
     evaluated = 0
     for q in _probe_points(cs, p, probes, rng, face):
         evaluated += 1
-        if not cs.contains(q):
-            raise NotInCorrelationSetError("probe point does not have the prescribed marginals")
+        cs.require_member(q, "probe point")
         b, b_denom = integer_numerators(q.weights)
         # (1 - s/t) p + (s/t) q has the numerators (t - s) a b_denom + s b a_denom
         # over t a_denom b_denom

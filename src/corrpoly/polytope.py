@@ -19,19 +19,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .errors import (
-    CorrpolyError,
-    GuardExceededError,
-    ConsistencyError,
-    NotInCorrelationSetError,
-    SpaceMismatchError,
-)
+from .errors import CorrpolyError, GuardExceededError, ConsistencyError, NotInCorrelationSetError
 from .space import (
     JointDistribution,
     Marginal,
     ProductSpace,
     independent_product,
     hamming_distance,
+    require_same_space,
+    sorted_marginals,
 )
 
 
@@ -50,23 +46,8 @@ class MarginalSystem:
     rhs: tuple[Fraction, ...]
 
 
-def _sorted_marginals(space: ProductSpace, marginals: Sequence[Marginal]) -> tuple[Marginal, ...]:
-    indices = sorted(m.subspace_index for m in marginals)
-    if indices != list(range(space.n_subspaces)):
-        raise CorrpolyError(
-            f"need one marginal per subspace 0..{space.n_subspaces - 1}, got {indices}"
-        )
-    out = tuple(sorted(marginals, key=lambda m: m.subspace_index))
-    for m in out:
-        if m.size != space.subspace_sizes[m.subspace_index]:
-            raise SpaceMismatchError(
-                f"marginal on subspace {m.subspace_index} has wrong length"
-            )
-    return out
-
-
 def build_marginal_system(space: ProductSpace, marginals: Sequence[Marginal]) -> MarginalSystem:
-    ms = _sorted_marginals(space, marginals)
+    ms = sorted_marginals(space, marginals)
     rows = []
     rhs = []
     for i in range(space.n_subspaces):
@@ -159,8 +140,7 @@ class CorrelationSet:
         """Whether ``p`` has the prescribed marginals: each row of the
         marginal system, summed over the integer weights of ``p`` on their
         common denominator, must equal its right-hand side."""
-        if p.space.subspace_sizes != self.space.subspace_sizes:
-            raise SpaceMismatchError("distribution lives on a different space")
+        require_same_space(p.space, self.space, "distribution")
         if self._rows is None:
             self._rows = tuple(
                 ([k for k, x in enumerate(row) if x], b.numerator, b.denominator)
@@ -172,8 +152,16 @@ class CorrelationSet:
             for states, b_num, b_den in self._rows
         )
 
+    def require_member(self, p: JointDistribution, what: str = "distribution") -> None:
+        """The one membership check: NotInCorrelationSetError naming ``what``
+        unless ``p`` has the prescribed marginals."""
+        if not self.contains(p):
+            raise NotInCorrelationSetError(f"{what} does not have the prescribed marginals")
+
     def vertices(self, guard: int = 4096) -> tuple[JointDistribution, ...]:
-        if self._vertices is None:
+        """The extreme points, enumerated once and cached.  ``guard`` is
+        checked on every call: over it, the enumeration raises before it runs."""
+        if self._vertices is None or self.space.total_size > guard:
             self._vertices = tuple(enumerate_extreme_points(self, guard=guard))
         return self._vertices
 
@@ -331,15 +319,13 @@ def is_maximally_zero(cs: CorrelationSet, p: JointDistribution) -> bool:
     """True iff no other coupling vanishes on every state where ``p`` does,
     i.e. the marginal system restricted to the support of ``p`` has a unique
     solution (which is then ``p`` itself): ``p`` is a vertex."""
-    if not cs.contains(p):
-        raise NotInCorrelationSetError("distribution does not have the prescribed marginals")
+    cs.require_member(p)
     return not face_basis(cs, p)
 
 
 def decompose(cs: CorrelationSet, p: JointDistribution):
     """Split ``p`` into the independent product plus a marginal-free mass shift."""
-    if not cs.contains(p):
-        raise NotInCorrelationSetError("distribution does not have the prescribed marginals")
+    cs.require_member(p)
     p_ind = cs.independent_product
     shift = tuple(a - b for a, b in zip(p.weights, p_ind.weights))
     if any(x != 0 for x in linalg.mat_vec(cs.system.matrix, shift)):
@@ -390,8 +376,7 @@ def sample_member(
 
 def mix(p: JointDistribution, q: JointDistribution, lam: Fraction) -> JointDistribution:
     """The convex combination (1-lam) p + lam q, exactly."""
-    if p.space.subspace_sizes != q.space.subspace_sizes:
-        raise SpaceMismatchError("cannot mix distributions on different spaces")
+    require_same_space(q.space, p.space, "distribution")
     lam = Fraction(lam)
     if not 0 <= lam <= 1:
         raise CorrpolyError("mixing weight must lie in [0, 1]")

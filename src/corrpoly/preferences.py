@@ -34,12 +34,7 @@ from typing import Optional, Sequence
 
 from . import lp
 from .capacity import capacity_of, choquet_integral
-from .errors import (
-    ConsistencyError,
-    CorrpolyError,
-    MarginalMismatchError,
-    SpaceMismatchError,
-)
+from .errors import ConsistencyError, CorrpolyError
 from .independence import event_family, is_independent_on
 from .linalg import integer_numerators
 from .polytope import CorrelationSet
@@ -53,6 +48,8 @@ from .space import (
     expectation,
     independent_product,
     marginalize,
+    require_same_space,
+    shared_marginals,
 )
 
 
@@ -118,8 +115,7 @@ class PriorSet:
         if not vertices:
             raise CorrpolyError("prior set needs at least one vertex")
         for v in vertices:
-            if v.space.subspace_sizes != space.subspace_sizes:
-                raise SpaceMismatchError("prior vertex lives on a different space")
+            require_same_space(v.space, space, "prior vertex")
         unique: dict[tuple, JointDistribution] = {}
         for v in vertices:
             unique.setdefault(v.weights, v)
@@ -138,17 +134,7 @@ class PriorSet:
 
     def shared_marginals(self) -> tuple[Marginal, ...]:
         """The common marginals of all vertices; raises when they disagree."""
-        reference = [
-            marginalize(self.vertices[0], [i]).weights
-            for i in range(self.space.n_subspaces)
-        ]
-        for v in self.vertices[1:]:
-            for i, ref in enumerate(reference):
-                if marginalize(v, [i]).weights != ref:
-                    raise MarginalMismatchError(
-                        "prior vertices do not share marginals"
-                    )
-        return tuple(Marginal(i, w) for i, w in enumerate(reference))
+        return shared_marginals(self.vertices, "prior vertices")
 
     def is_null(self, event: Event) -> bool:
         """Null events carry zero probability under every prior."""
@@ -174,8 +160,7 @@ def meu_value(prior: PriorSet, f: Act) -> Fraction:
 def seu_subspace_value(sp: SubspacePreference, f_i: Act) -> Fraction:
     """Expected utility of a subspace act under the subspace belief, after
     aligning its utility scale."""
-    if f_i.space.n_subspaces != 1 or f_i.space.subspace_sizes[0] != sp.marginal.size:
-        raise SpaceMismatchError("act does not live on the preference's subspace")
+    require_same_space(f_i.space, ProductSpace((sp.marginal.size,)), "act")
     return sum(
         (w * sp.utility.apply(v) for w, v in zip(sp.marginal.weights, f_i.values)),
         Fraction(0),
@@ -548,14 +533,7 @@ def more_correlation_averse(
     marginals, utilities aligned by a positive affine map (carried by
     ``alignment``), and the second prior set contained in the hull of the
     first (exact LP feasibility per vertex)."""
-    if prior.space.subspace_sizes != other.space.subspace_sizes:
-        raise SpaceMismatchError("prior sets live on different spaces")
-    mine = prior.shared_marginals()
-    theirs = other.shared_marginals()
-    if any(a.weights != b.weights for a, b in zip(mine, theirs)):
-        raise MarginalMismatchError(
-            "prior sets with different marginals are incomparable"
-        )
+    shared_marginals(prior.vertices + other.vertices, "prior sets")
     hull = [v.weights for v in prior.vertices]
     return all(lp.in_convex_hull(v.weights, hull) for v in other.vertices)
 
@@ -575,11 +553,7 @@ def compare_revealed_correlation(
     """Order two same-marginal beliefs by the probability they assign to the
     intersection cylinder of the event family."""
     coll.check_space(p.space)
-    if p.space.subspace_sizes != other.space.subspace_sizes:
-        raise SpaceMismatchError("beliefs live on different spaces")
-    for i in range(p.space.n_subspaces):
-        if marginalize(p, [i]).weights != marginalize(other, [i]).weights:
-            raise MarginalMismatchError("beliefs with different marginals are incomparable")
+    shared_marginals([p, other], "beliefs")
     target, _ = event_family(p, coll, events)
     a = p.prob_event(target)
     b = other.prob_event(target)

@@ -322,10 +322,7 @@ class Scenario:
                 for vec in self.prior.vertex_exprs
             ]
             for k, v in enumerate(vertices):
-                if not cs.contains(v):
-                    raise CorrpolyError(
-                        f"prior vertex {k} does not have the declared marginals"
-                    )
+                cs.require_member(v, f"prior vertex {k}")
             return PriorSet(self.space, vertices)
         if self.prior.kind == "partition":
             components = partition_factorize(cs, self.prior.partition)

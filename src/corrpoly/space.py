@@ -18,7 +18,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import CorrpolyError, SpaceMismatchError
+from .errors import CorrpolyError, MarginalMismatchError, SpaceMismatchError
 from .linalg import fraction_tuple
 
 MultiIndex = tuple[int, ...]
@@ -89,6 +89,8 @@ class ProductSpace:
         return flat
 
     def unravel(self, flat: int) -> MultiIndex:
+        if not 0 <= flat < self.total_size:
+            raise CorrpolyError(f"flat index {flat} not in a space of {self.total_size} states")
         coords = []
         for size in reversed(self.subspace_sizes):
             coords.append(flat % size)
@@ -145,9 +147,26 @@ class ProductSpace:
             ) from None
 
 
-def _require_same_space(a: ProductSpace, b: ProductSpace) -> None:
-    if a.subspace_sizes != b.subspace_sizes:
-        raise SpaceMismatchError(f"shapes differ: {a.subspace_sizes} vs {b.subspace_sizes}")
+def require_same_space(space: ProductSpace, expected: ProductSpace, what: str) -> None:
+    """The one check that an object lives on the expected product space:
+    SpaceMismatchError naming ``what`` unless the shapes agree."""
+    if space.subspace_sizes != expected.subspace_sizes:
+        raise SpaceMismatchError(
+            f"{what} lives on a different space: shape {space.subspace_sizes}, "
+            f"expected {expected.subspace_sizes}"
+        )
+
+
+def probability_vector(weights: Iterable, what: str) -> tuple[Fraction, ...]:
+    """``weights`` as Fractions, checked to be nonnegative and to sum to
+    exactly 1: the one probability-vector check of `Marginal` and
+    `JointDistribution`."""
+    weights = fraction_tuple(weights)
+    if any(w < 0 for w in weights):
+        raise CorrpolyError(f"{what} weights must be nonnegative")
+    if sum(weights) != 1:
+        raise CorrpolyError(f"{what} weights must sum to exactly 1")
+    return weights
 
 
 @dataclass(frozen=True)
@@ -162,11 +181,7 @@ class Marginal:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", fraction_tuple(self.weights))
-        if any(w < 0 for w in self.weights):
-            raise CorrpolyError("marginal weights must be nonnegative")
-        if sum(self.weights) != 1:
-            raise CorrpolyError("marginal weights must sum to exactly 1")
+        object.__setattr__(self, "weights", probability_vector(self.weights, "marginal"))
 
     @property
     def size(self) -> int:
@@ -177,7 +192,10 @@ class Marginal:
         return all(w > 0 for w in self.weights)
 
     def prob_of(self, coords: Iterable[int]) -> Fraction:
-        return sum((self.weights[c] for c in set(coords)), Fraction(0))
+        coords = set(coords)
+        if any(not 0 <= c < self.size for c in coords):
+            raise CorrpolyError(f"coordinates {sorted(coords)} not in a subspace of size {self.size}")
+        return sum((self.weights[c] for c in coords), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -188,21 +206,17 @@ class JointDistribution:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", fraction_tuple(self.weights))
+        object.__setattr__(self, "weights", probability_vector(self.weights, "joint"))
         if len(self.weights) != self.space.total_size:
             raise CorrpolyError(
                 f"need {self.space.total_size} weights, got {len(self.weights)}"
             )
-        if any(w < 0 for w in self.weights):
-            raise CorrpolyError("joint weights must be nonnegative")
-        if sum(self.weights) != 1:
-            raise CorrpolyError("joint weights must sum to exactly 1")
 
     def prob(self, state: MultiIndex) -> Fraction:
         return self.weights[self.space.ravel(state)]
 
     def prob_event(self, event: "Event") -> Fraction:
-        _require_same_space(self.space, event.space)
+        require_same_space(event.space, self.space, "event")
         mask = event.mask
         return sum((w for k, w in enumerate(self.weights) if mask >> k & 1), Fraction(0))
 
@@ -260,22 +274,22 @@ class Event:
             return False
 
     def __or__(self, other: "Event") -> "Event":
-        _require_same_space(self.space, other.space)
+        require_same_space(other.space, self.space, "event")
         return Event(self.space, self.mask | other.mask)
 
     def __and__(self, other: "Event") -> "Event":
-        _require_same_space(self.space, other.space)
+        require_same_space(other.space, self.space, "event")
         return Event(self.space, self.mask & other.mask)
 
     def __sub__(self, other: "Event") -> "Event":
-        _require_same_space(self.space, other.space)
+        require_same_space(other.space, self.space, "event")
         return Event(self.space, self.mask & ~other.mask)
 
     def __invert__(self) -> "Event":
         return Event(self.space, self.mask ^ ((1 << self.space.total_size) - 1))
 
     def issubset(self, other: "Event") -> bool:
-        _require_same_space(self.space, other.space)
+        require_same_space(other.space, self.space, "event")
         return self.mask & ~other.mask == 0
 
     def bitmask(self) -> int:
@@ -360,7 +374,7 @@ class Act:
     @classmethod
     def bet(cls, space: ProductSpace, event: Event, win, lose) -> "Act":
         """The binary act paying ``win`` on the event and ``lose`` off it."""
-        _require_same_space(space, event.space)
+        require_same_space(event.space, space, "event")
         w, l = fraction_tuple((win, lose))
         mask = event.mask
         return cls(space, tuple(w if mask >> k & 1 else l for k in range(space.total_size)))
@@ -370,8 +384,8 @@ class Act:
 
     def splice(self, event: Event, other: "Act") -> "Act":
         """The act equal to ``self`` on the event and to ``other`` off it."""
-        _require_same_space(self.space, event.space)
-        _require_same_space(self.space, other.space)
+        require_same_space(event.space, self.space, "event")
+        require_same_space(other.space, self.space, "act")
         mask = event.mask
         values = [
             mine if mask >> k & 1 else theirs
@@ -380,30 +394,59 @@ class Act:
         return Act(self.space, tuple(values))
 
     def __add__(self, other: "Act") -> "Act":
-        _require_same_space(self.space, other.space)
+        require_same_space(other.space, self.space, "act")
         return Act(self.space, tuple(a + b for a, b in zip(self.values, other.values)))
 
 
 def expectation(p: JointDistribution, f: Act) -> Fraction:
-    _require_same_space(p.space, f.space)
+    require_same_space(f.space, p.space, "act")
     return sum((w * v for w, v in zip(p.weights, f.values)), Fraction(0))
+
+
+def sorted_marginals(space: ProductSpace, marginals: Sequence[Marginal]) -> tuple[Marginal, ...]:
+    """The marginals in subspace order, checked to fit ``space``: the one
+    check that there is one marginal per subspace (CorrpolyError otherwise)
+    and that each has its subspace's size (SpaceMismatchError otherwise)."""
+    indices = sorted(m.subspace_index for m in marginals)
+    if indices != list(range(space.n_subspaces)):
+        raise CorrpolyError(
+            f"need one marginal per subspace 0..{space.n_subspaces - 1}, got indices {indices}"
+        )
+    by_index = tuple(sorted(marginals, key=lambda m: m.subspace_index))
+    for i, m in enumerate(by_index):
+        if m.size != space.subspace_sizes[i]:
+            raise SpaceMismatchError(
+                f"marginal on subspace {i} has {m.size} weights for "
+                f"{space.subspace_sizes[i]} states"
+            )
+    return by_index
+
+
+def shared_marginals(
+    distributions: Sequence[JointDistribution], what: str
+) -> tuple[Marginal, ...]:
+    """The one-subspace marginals common to all ``distributions``: the one
+    check that beliefs share their marginals.  Each distribution must live
+    on the first one's space (SpaceMismatchError otherwise), and
+    MarginalMismatchError names the group ``what`` when a marginal differs."""
+    first = distributions[0]
+    reference = [marginalize(first, [i]).weights for i in range(first.space.n_subspaces)]
+    for q in distributions[1:]:
+        require_same_space(q.space, first.space, f"one of the {what}")
+        if any(marginalize(q, [i]).weights != ref for i, ref in enumerate(reference)):
+            raise MarginalMismatchError(f"{what} do not share marginals")
+    return tuple(Marginal(i, w) for i, w in enumerate(reference))
 
 
 def independent_product(
     marginals: Sequence[Marginal], space: Optional[ProductSpace] = None
 ) -> JointDistribution:
-    """The coupling that assigns each state the product of its marginal weights."""
-    indices = sorted(m.subspace_index for m in marginals)
-    if indices != list(range(len(marginals))):
-        raise CorrpolyError(
-            f"need one marginal per subspace 0..{len(marginals) - 1}, got indices {indices}"
-        )
-    by_index = sorted(marginals, key=lambda m: m.subspace_index)
+    """The coupling that assigns each state the product of its marginal
+    weights; the space defaults to the one the marginals' sizes span."""
     if space is None:
+        by_index = sorted(marginals, key=lambda m: m.subspace_index)
         space = ProductSpace(tuple(m.size for m in by_index))
-    else:
-        if tuple(m.size for m in by_index) != space.subspace_sizes:
-            raise SpaceMismatchError("marginal sizes do not match the space shape")
+    by_index = sorted_marginals(space, marginals)
     weights = [Fraction(1)] * space.total_size
     for i, m in enumerate(by_index):
         for k, c in enumerate(space.project([i])):
@@ -429,7 +472,7 @@ def embed_cylinder(
     """Embed an event on the sub-product over ``indices`` as a cylinder in ``space``."""
     idx = sorted(set(indices))
     sub = space.subspace(idx)
-    _require_same_space(sub_event.space, sub)
+    require_same_space(sub_event.space, sub, "event")
     sub_mask = sub_event.mask
     return Event(space, sum(1 << k for k, j in enumerate(space.project(idx)) if sub_mask >> j & 1))
 
@@ -449,7 +492,7 @@ def embed_act(sub_act: Act, space: ProductSpace, indices: Iterable[int]) -> Act:
     """Embed an act on a sub-product as the act on ``space`` that ignores the rest."""
     idx = sorted(set(indices))
     sub = space.subspace(idx)
-    _require_same_space(sub_act.space, sub)
+    require_same_space(sub_act.space, sub, "act")
     return Act(space, tuple(sub_act.values[j] for j in space.project(idx)))
 
 
