@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 from fractions import Fraction
@@ -300,7 +301,12 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of this process, built on the first call (not at
+    import).  Reusing it is safe: every `parse_args` makes a fresh
+    namespace, ``append`` copies its list, and `_Parser.error` raises
+    before any state changes."""
     parser = _Parser(prog="corrpoly", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -207,8 +207,10 @@ def certify_local_max_mi(
     step = Fraction(step)
     if probes < 0:
         raise CorrpolyError(f"probes must be nonnegative, got {probes}")
-    if step <= 0:
-        raise CorrpolyError(f"the first mixing weight (step) must be positive, got {step}")
+    if not 0 < step <= 1:
+        raise CorrpolyError(
+            f"the first mixing weight (step) must be positive and at most 1, got {step}"
+        )
     cs.require_member(p)
     face = face_basis(cs, p)
     mutual_info = _mi_kernel(cs)
@@ -230,8 +232,6 @@ def certify_local_max_mi(
         decreases_somewhere = False
         run = 0
         for _ in range(MAX_HALVINGS + 3):
-            if not 0 <= s <= t:
-                raise CorrpolyError("mixing weight must lie in [0, 1]")
             r = t - s
             mixed = [r * x + s * y for x, y in zip(a_scaled, b_scaled)]
             delta = mutual_info(mixed, t * ab_denom) - base

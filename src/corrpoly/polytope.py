@@ -347,6 +347,8 @@ def sample_member(
     draws divided by ``resolution``); the step is a random multiple
     ``u / resolution`` of the largest feasible one, found by comparing
     the integer weights of the product over their common denominator."""
+    if not isinstance(resolution, int) or resolution < 1:
+        raise CorrpolyError(f"resolution must be an integer >= 1, got {resolution!r}")
     p_ind = cs.independent_product
     if len(cs.kernel) == 0:
         return p_ind

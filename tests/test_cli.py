@@ -1,10 +1,14 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from corrpoly.cli import main
+import corrpoly
+from corrpoly.cli import build_parser, main
 from conftest import SCENARIO_DIR
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -303,3 +307,54 @@ def test_zero_weight_states_have_restricted_dimensions(capsys, tmp_path):
     assert code == 0 and out.splitlines()[-1].split() == ["dimension", "0"] and err == ""
     code, out, err = run(capsys, "evaluate", str(path), "--format", "csv")
     assert (code, out.splitlines()[1], err) == (0, "f,7/2,7/2,3.5,3,3,0", "")
+
+
+# Successes, an exit-2 verdict, argparse errors, help (SystemExit(0)) and an
+# `append` option followed by a call that must not see its values.
+REUSE_SEQUENCE = [
+    ["dim", CLIMATE],
+    ["independence", FINANCE, "--collection", "{1},{2}", "--at", "1/4"],
+    ["capacity", CLIMATE],
+    ["check-axiom", CLIMATE, "--axiom", "no-such-axiom"],
+    ["--help"],
+    ["mi", "--help"],
+    ["dim", FINANCE, "--collection", "{1},{2}", "--collection", "{1},{3}"],
+    ["dim", FINANCE],
+    ["frobnicate", CLIMATE],
+    ["dim", CLIMATE],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(capsys):
+    build_parser.cache_clear()
+    reused = [_outcome(capsys, argv) for argv in REUSE_SEQUENCE]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert reused == fresh
+    codes = [code for code, _, _ in reused]
+    assert codes == [0, 2, 1, 1, ("SystemExit", 0), ("SystemExit", 0), 0, 0, 1, 0]
+    assert "dimension[intersection]" in reused[6][1]
+    assert "dimension[" not in reused[7][1]
+    assert build_parser() is build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(corrpoly.__file__).resolve().parent.parent)
+    probe = "import corrpoly.cli as c; print(c.build_parser.cache_info().currsize)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "0\n"

@@ -283,9 +283,10 @@ def test_certificate_rejects_steps_outside_the_unit_interval(skew_2x2):
         for certify in (certify_local_max_mi, certify_local_max_mi_reference):
             with pytest.raises(CorrpolyError, match="mixing weight"):
                 certify(cs, p, probes=2, step=step)
-    # with no probe point the step is never used, then as now
+    # the step is checked even where no probe point uses it
     singleton = CorrelationSet(ProductSpace((3,)), [Marginal(0, (F(1, 2), F(1, 3), F(1, 6)))])
-    assert certify_local_max_mi(singleton, singleton.vertices()[0], step=F(2)).probe_count == 0
+    with pytest.raises(CorrpolyError, match="mixing weight .* must be positive"):
+        certify_local_max_mi(singleton, singleton.vertices()[0], step=F(2))
 
 
 def test_certificate_rejects_negative_probes_and_nonpositive_steps(skew_2x2):

@@ -7,6 +7,7 @@ import pytest
 from corrpoly import (
     CorrelationSet,
     ConsistencyError,
+    CorrpolyError,
     GuardExceededError,
     JointDistribution,
     Marginal,
@@ -271,3 +272,9 @@ def test_sample_member_matches_fraction_kernel_combination(sizes):
             assert sample_member(cs, a, resolution).weights == \
                 sample_member_reference(cs, b, resolution).weights
             assert a.random() == b.random()  # the same draws were made
+
+
+@pytest.mark.parametrize("resolution", [0, -3, 2.5])
+def test_sample_member_rejects_bad_resolution(uniform_2x2, resolution):
+    with pytest.raises(CorrpolyError, match=f"resolution must be an integer >= 1, got {resolution}"):
+        sample_member(uniform_2x2, random.Random(1), resolution=resolution)
