@@ -2,13 +2,24 @@
 
 All routines take matrices as sequences of rows whose entries are ints or
 ``fractions.Fraction`` and never round: ranks, kernels and solutions are
-exact.  Matrices here are tiny (tens of rows/columns), so the plain dense
-reduced-row-echelon algorithm is the right tool.  `integer_numerators`
-puts exact rationals over one common denominator; it is the one scaling
-that the integer code paths of the other modules start from.
-`fraction_tuple` is the one conversion of input values to Fractions, and
-the one place that turns a value that is no finite rational into
-`CorrpolyError`.
+exact.  A matrix whose rows differ in length raises `CorrpolyError`.
+
+There is one elimination step, and `rref` (so `rank`, `nullspace` and
+`solve_affine`) and the vertex search's column reduction in `polytope` are
+built on it.  `_pivot_entries` normalizes a pivot row and keeps only its
+nonzero entries; `_eliminate` subtracts that row from another on those
+columns alone.  The marginal systems reduced here are 0/1 matrices whose
+rows stay mostly zero, and ``a - f * 0`` is ``a`` exactly, so skipping the
+zero columns gives the dense algorithm's results with a fraction of its
+`Fraction` operations.  The two step functions are private by name because
+they run once per row update: a public name would be wrapped, call by
+call, by tools that wrap every public function (the benchmark's tracer).
+
+`integer_numerators` puts exact rationals over one common denominator; it
+is the one scaling that the integer code paths of the other modules start
+from.  `fraction_tuple` is the one conversion of input values to
+Fractions, and the one place that turns a value that is no finite rational
+into `CorrpolyError`.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from .errors import CorrpolyError
 
 Row = Sequence[Fraction | int]
 Vector = tuple[Fraction, ...]
+Pivot = list[tuple[int, Fraction]]  # a normalized pivot row's nonzero (column, value) pairs
 
 
 def fraction_tuple(values: Iterable) -> tuple[Fraction, ...]:
@@ -39,27 +51,51 @@ def integer_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
+def _pivot_entries(row: Sequence[Fraction], col: int) -> Pivot:
+    """The pivot row ``row`` divided by its entry at ``col``, kept sparse:
+    ``(column, value)`` for each nonzero entry.  Only those are divided."""
+    pv = row[col]
+    if pv == 1:
+        return [(j, x) for j, x in enumerate(row) if x]
+    return [(j, x / pv) for j, x in enumerate(row) if x]
+
+
+def _eliminate(row: list[Fraction], col: int, pivot: Pivot) -> None:
+    """The elimination step: clear ``row[col]`` in place by subtracting
+    ``row[col]`` times the normalized pivot row, given by its nonzero
+    entries ``pivot`` (from `_pivot_entries` at ``col``), on those columns
+    only."""
+    f = row[col]
+    if f:
+        for j, x in pivot:
+            row[j] -= f * x
+
+
 def rref(rows: Sequence[Row]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form.  Returns (reduced matrix, pivot columns)."""
     m = [[Fraction(x) for x in row] for row in rows]
     if not m:
         return m, []
     n_rows, n_cols = len(m), len(m[0])
+    for i, row in enumerate(m):
+        if len(row) != n_cols:
+            raise CorrpolyError(
+                f"ragged matrix: row {i} has {len(row)} entries, row 0 has {n_cols}"
+            )
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            m[r] = [x / pv for x in m[r]]
+        pivot = _pivot_entries(m[r], c)
+        row_r = m[r]
+        for j, x in pivot:
+            row_r[j] = x
         for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                row_r = m[r]
-                m[i] = [a - f * b for a, b in zip(m[i], row_r)]
+            if i != r:
+                _eliminate(m[i], c, pivot)
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -102,6 +138,8 @@ def solve_affine(
     Returns ``None`` if the system is inconsistent, otherwise a particular
     solution together with a kernel basis (empty iff the solution is unique).
     """
+    if len(rhs) != len(rows):
+        raise CorrpolyError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
     if not rows:
         return (), []
     n_cols = len(rows[0])

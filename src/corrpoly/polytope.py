@@ -228,8 +228,9 @@ def enumerate_extreme_points(
     A support can only carry a vertex if it covers every positive marginal
     row and its columns are linearly independent (otherwise the restricted
     system cannot have a unique solution).  The search walks candidate states
-    in flat order, eliminating each accepted column incrementally and cutting
-    off any branch that goes linearly dependent; at every fully covering
+    in flat order, eliminating each accepted column incrementally with
+    `linalg`'s elimination step (each pivot kept as its nonzero rows) and
+    cutting off any branch that goes linearly dependent; at every fully covering
     node it solves the restricted system and keeps strictly positive
     solutions.  Independent columns make a solution unique, so a positive
     one has exactly its support and no vertex is found twice.  Output is
@@ -267,14 +268,10 @@ def enumerate_extreme_points(
             weights[k] = x
         found.append(tuple(weights))
 
-    def reduce_column(vec: list[Fraction], pivots: list[tuple[int, list[Fraction]]]):
+    def reduce_column(vec: list[Fraction], pivots: list[tuple[int, linalg.Pivot]]):
         v = list(vec)
-        for pr, pvec in pivots:
-            f = v[pr]
-            if f != 0:
-                for r in range(n_rows):
-                    if pvec[r] != 0:
-                        v[r] -= f * pvec[r]
+        for pr, pivot in pivots:
+            linalg._eliminate(v, pr, pivot)
         return v
 
     suffix_mask = [0] * (len(candidates) + 1)
@@ -282,7 +279,7 @@ def enumerate_extreme_points(
         suffix_mask[pos] = suffix_mask[pos + 1] | col_mask[candidates[pos]]
 
     def recurse(start: int, support: tuple[int, ...], mask: int,
-                pivots: list[tuple[int, list[Fraction]]]) -> None:
+                pivots: list[tuple[int, linalg.Pivot]]) -> None:
         if mask == required_mask and support:
             solve_support(support)
         for pos in range(start, len(candidates)):
@@ -290,13 +287,11 @@ def enumerate_extreme_points(
                 return  # remaining candidates cannot cover the missing rows
             k = candidates[pos]
             v = reduce_column(col_vec[k], pivots)
-            pr = next((r for r in range(n_rows) if v[r] != 0), None)
+            pr = next((r for r in range(n_rows) if v[r]), None)
             if pr is None:
                 continue  # dependent column: no superset can be uniquely solvable
-            pv = v[pr]
-            if pv != 1:
-                v = [x / pv for x in v]
-            recurse(pos + 1, support + (k,), mask | col_mask[k], pivots + [(pr, v)])
+            pivot = linalg._pivot_entries(v, pr)
+            recurse(pos + 1, support + (k,), mask | col_mask[k], pivots + [(pr, pivot)])
 
     recurse(0, (), 0, [])
     del recurse  # it refers to itself: a cycle that would keep cs alive until a collection

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import corrpoly
 from corrpoly.cli import build_parser, main
 from conftest import SCENARIO_DIR
+from bruteforce import oracle_vertices
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -87,6 +89,19 @@ def test_mi_is_exact_on_tiny_marginals(capsys):
     assert (code, err) == (0, "")
     assert out == (FIXTURES / "tiny_marginals_mi_vertex0.txt").read_text()
     assert out.splitlines()[-3].split() == ["is_local_max", "True"]
+
+
+def test_vertices_csv_is_pinned_on_a_3x4_shape(capsys):
+    # vertex order and exact rationals on a shape larger than the shipped
+    # scenarios, with tied partial sums (1/12 + 1/4 = 1/3); the pinned
+    # vertex set is the oracle's
+    code, out, err = run(capsys, "vertices", str(FIXTURES / "shape_3x4.scn"), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out == (FIXTURES / "shape_3x4_vertices.csv").read_text()
+    pinned = {tuple(Fraction(w) for w in row[1:]) for row in list(csv.reader(io.StringIO(out)))[1:]}
+    marginals = [(Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)),
+                 (Fraction(1, 12), Fraction(1, 4), Fraction(1, 3), Fraction(1, 3))]
+    assert pinned == oracle_vertices((3, 4), marginals)
 
 
 def test_mi_needs_at_only_where_it_reads_the_prior(capsys):
