@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import linalg
-from .errors import ConsistencyError, CorrpolyError, NonlinearCollectionError
-from .polytope import CorrelationSet, dimension, positive_state_columns, restricted_rows
+from .errors import CorrpolyError, NonlinearCollectionError
+from .polytope import CorrelationSet, positive_state_columns, restricted_rows
 from .polytope import sample_member
 from .space import (
     Collection,
@@ -150,8 +150,7 @@ def product_of_components(
 def partition_factorize(cs: CorrelationSet, coll: Collection) -> list[CorrelationSet]:
     """Split the independence-restricted set along a partition into one
     correlation set per member; the restricted set is exactly the product of
-    the components and its dimension is the sum of theirs, which is checked
-    against `restricted_dimension` when at most one member is non-singleton."""
+    the components and its dimension is the sum of theirs."""
     if not coll.is_partition_of(cs.space):
         raise CorrpolyError("collection is not a partition of the subspaces")
     components = []
@@ -162,15 +161,6 @@ def partition_factorize(cs: CorrelationSet, coll: Collection) -> list[Correlatio
             Marginal(pos, cs.marginals[i].weights) for pos, i in enumerate(idx)
         ]
         components.append(CorrelationSet(sub_space, sub_marginals))
-    dim_sum = sum(dimension(comp) for comp in components)
-    if sum(1 for m in coll.members if len(m) >= 2) <= 1:
-        restricted = restricted_dimension(cs, coll)
-        if restricted != dim_sum:
-            raise ConsistencyError(
-                f"partition dimension {dim_sum} disagrees with linear-system rank {restricted}",
-                **cs.reproducer(),
-                collection=[sorted(m) for m in coll.members],
-            )
     return components
 
 

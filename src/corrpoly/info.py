@@ -56,13 +56,12 @@ def _sum_left_to_right(terms) -> float:
     return total
 
 
-def entropy(p: JointDistribution) -> float:
+def entropy(p: JointDistribution | Marginal) -> float:
     """Shannon entropy in bits, with the 0 log 0 = 0 convention."""
     return -_sum_left_to_right(float(w) * math.log2(float(w)) for w in p.weights if w > 0)
 
 
-def marginal_entropy(m: Marginal) -> float:
-    return -_sum_left_to_right(float(w) * math.log2(float(w)) for w in m.weights if w > 0)
+marginal_entropy = entropy
 
 
 def kl_divergence(p: JointDistribution, q: JointDistribution) -> float:

@@ -17,9 +17,11 @@ of a product event E x F is then a cell sum over D, and the worst-case
 value of an act on one subspace, spliced with a constant off a cylinder,
 is a minimum of integer dot products.  Nothing is sampled or skipped: the
 scan still tests every (event, cylinder) pair up to its first violated
-identity, every behavioral trial is evaluated, and every event quadruple
-within ``quad_limit`` is compared.  Events, acts and exact `Fraction`
-values are built only for the witness or counterexample that is returned.
+identity and every behavioral trial is evaluated.  Collection independence
+is decided by `is_independent_on` alone; only a dependent prior has its
+factorization pairs searched, for the witness.  Events, acts and exact
+`Fraction` values are built only for the witness or counterexample that is
+returned.
 """
 
 from __future__ import annotations
@@ -274,6 +276,13 @@ def _prior_context(prior: PriorSet) -> dict:
     }
 
 
+def _nonempty_subsets(size: int) -> list[tuple[int, ...]]:
+    """Non-empty subsets of range(size), by size, then lexicographically."""
+    return [
+        combo for r in range(1, size + 1) for combo in itertools.combinations(range(size), r)
+    ]
+
+
 def _independence_scan(
     prior: PriorSet, marginals: Sequence[Marginal]
 ) -> Optional[AxiomCounterexample]:
@@ -293,27 +302,23 @@ def _independence_scan(
     for i in range(n):
         size = space.subspace_sizes[i]
         tables = _subspace_tables(prior, vertex_nums, i)
-        n_comp = len(tables[0][0])
-        for r in range(1, size):
-            for coords in itertools.combinations(range(size), r):
-                pi = marginals[i].prob_of(coords)
-                for rr in range(1, n_comp + 1):
-                    for chosen in itertools.combinations(range(n_comp), rr):
-                        cols = [[sum(row[b] for b in chosen) for row in t] for t in tables]
-                        betas = [sum(col) for col in cols]
-                        if not any(betas):
-                            continue  # the cylinder is null
-                        beta = min(betas)
-                        alpha = min(sum(col[a] for a in coords) for col in cols)
-                        if beta == 0:
-                            z = (pi + 1) / 2 if pi < 1 else pi / 2
-                        elif alpha * pi.denominator != pi.numerator * beta:
-                            z = (Fraction(alpha, beta) + pi) / 2
-                        else:
-                            continue
-                        return _scan_counterexample(
-                            prior, tables, denom, i, coords, chosen, z
-                        )
+        cylinders = _nonempty_subsets(len(tables[0][0]))
+        for coords in _nonempty_subsets(size)[:-1]:
+            pi = marginals[i].prob_of(coords)
+            for chosen in cylinders:
+                cols = [[sum(row[b] for b in chosen) for row in t] for t in tables]
+                betas = [sum(col) for col in cols]
+                if not any(betas):
+                    continue  # the cylinder is null
+                beta = min(betas)
+                alpha = min(sum(col[a] for a in coords) for col in cols)
+                if beta == 0:
+                    z = (pi + 1) / 2 if pi < 1 else pi / 2
+                elif alpha * pi.denominator != pi.numerator * beta:
+                    z = (Fraction(alpha, beta) + pi) / 2
+                else:
+                    continue
+                return _scan_counterexample(prior, tables, denom, i, coords, chosen, z)
     return None
 
 
@@ -428,54 +433,43 @@ class ProductIdentityWitness:
     rhs: Fraction
 
 
-def _nonempty_subsets(size: int) -> list[tuple[int, ...]]:
-    """Non-empty subsets of range(size), by size, then lexicographically."""
-    return [
-        combo for r in range(1, size + 1) for combo in itertools.combinations(range(size), r)
-    ]
-
-
 def _product_identity_witness(
-    p: JointDistribution, coll: Collection, factorization_only: bool
+    p: JointDistribution, coll: Collection
 ) -> Optional[ProductIdentityWitness]:
-    """The first event quadruple, member by member, that breaks the product
-    identity.  The events are the non-empty subsets of the member's
-    sub-product (E, E') and of the rest of the collection (F, F'), each by
-    size, then lexicographically; with ``factorization_only`` E' and F' are
-    the full events.  Every pair's numerator of p([E x F]) is summed once
-    from the cell table, so each quadruple costs two integer products."""
+    """The first member-versus-rest factorization pair, member by member,
+    that breaks the product identity: E' and F' are the full events, so the
+    identity reads p([E x F]) = p(E) p(F).  E runs over the non-empty
+    subsets of the member's sub-product and F over those of the rest of the
+    collection, each by size, then lexicographically.  Every numerator is a
+    cell sum of the member-versus-rest table, so each pair costs two integer
+    products."""
     space = p.space
     nums, denom = integer_numerators(p.weights)
     for member in coll.members:
         idx = sorted(member)
         j0 = sorted(coll.union() - member)
         table = _cell_table(nums, space, idx, j0)
-        a_events = _nonempty_subsets(len(table))
         b_events = _nonempty_subsets(len(table[0]))
-        mass = []
-        for ea in a_events:
+        col_mass = [sum(col) for col in zip(*table)]
+        b_mass = [sum(col_mass[b] for b in eb) for eb in b_events]
+        for ea in _nonempty_subsets(len(table)):
             row = [sum(col) for col in zip(*(table[a] for a in ea))]
-            mass.append([sum(row[b] for b in eb) for eb in b_events])
-        xs, ys = range(len(a_events)), range(len(b_events))
-        if factorization_only:
-            quads = ((x, xs[-1], y, ys[-1]) for x in xs for y in ys)
-        else:
-            quads = ((x, x2, y, y2) for x in xs for x2 in xs for y in ys for y2 in ys)
-        for x, x2, y, y2 in quads:
-            lhs = mass[x][y] * mass[x2][y2]
-            rhs = mass[x][y2] * mass[x2][y]
-            if lhs != rhs:
-                sub_a = space.subspace(idx)
-                sub_b = space.subspace(j0)
-                return ProductIdentityWitness(
-                    member,
-                    Event(sub_a, sum(1 << a for a in a_events[x])),
-                    Event(sub_a, sum(1 << a for a in a_events[x2])),
-                    Event(sub_b, sum(1 << b for b in b_events[y])),
-                    Event(sub_b, sum(1 << b for b in b_events[y2])),
-                    Fraction(lhs, denom * denom),
-                    Fraction(rhs, denom * denom),
-                )
+            a_mass = sum(row)
+            for eb, mass in zip(b_events, b_mass):
+                lhs = sum(row[b] for b in eb) * denom
+                rhs = a_mass * mass
+                if lhs != rhs:
+                    sub_a = space.subspace(idx)
+                    sub_b = space.subspace(j0)
+                    return ProductIdentityWitness(
+                        member,
+                        Event(sub_a, sum(1 << a for a in ea)),
+                        Event.full(sub_a),
+                        Event(sub_b, sum(1 << b for b in eb)),
+                        Event.full(sub_b),
+                        Fraction(lhs, denom * denom),
+                        Fraction(rhs, denom * denom),
+                    )
     return None
 
 
@@ -489,50 +483,32 @@ def _point_context(p: JointDistribution, coll: Collection) -> dict:
 
 
 def check_collection_independence_axiom(
-    p: JointDistribution, coll: Collection, quad_limit: int = 200000
+    p: JointDistribution, coll: Collection
 ) -> tuple[bool, Optional[ProductIdentityWitness]]:
     """Decide collection independence for a single (expected-utility) prior.
 
-    The axiom holds iff the prior is independent on the collection.  When it
-    holds, the conditioning-invariance product identity is verified on all
-    event quadruples within the budget (a failure would be an internal
-    error); when it fails, a violating quadruple is returned, found among
-    the member-versus-rest factorization pairs first.
+    The axiom holds iff the prior is independent on the collection, which
+    `is_independent_on` decides.  When it fails, the first violating
+    member-versus-rest factorization pair is returned: by the chain rule a
+    dependent prior has a member that is not independent of the rest of the
+    collection, so such a pair exists.
     """
-    coll.check_space(p.space)
-    verdict = is_independent_on(p, coll).holds
-    if not verdict:
-        witness = _product_identity_witness(p, coll, factorization_only=True)
-        if witness is None:
-            witness = _product_identity_witness(p, coll, factorization_only=False)
-        if witness is None:
-            raise ConsistencyError(
-                "dependent distribution admitted no product-identity witness",
-                **_point_context(p, coll),
-            )
-        return False, witness
-    total = 0
-    for member in coll.members:  # quadruples of non-empty events, as compared
-        a = 2 ** p.space.subspace([*member]).total_size - 1
-        b = 2 ** p.space.subspace(sorted(coll.union() - member)).total_size - 1
-        total += a * a * b * b
-    factorization_only = total > quad_limit
-    witness = _product_identity_witness(p, coll, factorization_only=factorization_only)
-    if witness is not None:
+    if is_independent_on(p, coll).holds:
+        return True, None
+    witness = _product_identity_witness(p, coll)
+    if witness is None:
         raise ConsistencyError(
-            "independent distribution violated the product identity",
+            "dependent distribution admitted no product-identity witness",
             **_point_context(p, coll),
         )
-    return True, None
+    return False, witness
 
 
-def more_correlation_averse(
-    prior: PriorSet, other: PriorSet, alignment: UtilityAlignment = UtilityAlignment()
-) -> bool:
+def more_correlation_averse(prior: PriorSet, other: PriorSet) -> bool:
     """Whether the first preference is more correlation averse: same
-    marginals, utilities aligned by a positive affine map (carried by
-    ``alignment``), and the second prior set contained in the hull of the
-    first (exact LP feasibility per vertex)."""
+    marginals and the second prior set contained in the hull of the first
+    (exact LP feasibility per vertex).  Only the prior sets are compared;
+    the two utilities are taken to agree up to a positive affine map."""
     shared_marginals(prior.vertices + other.vertices, "prior sets")
     hull = [v.weights for v in prior.vertices]
     return all(lp.in_convex_hull(v.weights, hull) for v in other.vertices)

@@ -18,7 +18,9 @@ from corrpoly import (
     ProductSpace,
     decimal_string,
     embed_act,
+    expectation,
     finance_belief,
+    meu_minimizer,
     meu_value,
     mix,
     run_climate,
@@ -209,6 +211,40 @@ def test_finance_belief_marginals():
     assert marginalize(belief, [0]).weights == (F(1, 3), F(2, 3))
     assert marginalize(belief, [1]).weights == (F(1, 2), F(1, 2))
     assert marginalize(belief, [2]).weights == (F(1, 4), F(3, 4))
+
+
+def test_hand_built_scenarios_match_their_scn_files():
+    # the Python spellings of the worked scenarios and their .scn files
+    # describe the same space, marginals, acts and priors
+    finance = sc.load(SCENARIO_DIR / "finance.scn")
+    assert applications.finance_space() == finance.space
+    assert tuple(m.weights for m in finance.marginals) == applications.FINANCE_MARGINALS
+    assert finance.acts()["buy_gold"].values == applications.FINANCE_RETURNS
+    cs = finance.correlation_set()
+    for a in finance.sweep.grid:
+        assert finance.prior_set(cs, param_value=a).vertices == (finance_belief(a),)
+
+    climate = sc.load(SCENARIO_DIR / "climate.scn")
+    cs = climate.correlation_set()
+    acts = climate.acts()
+    for prior in (climate.prior_set(cs), PriorSet.singleton(cs.independent_product)):
+        rows = run_climate(F(10), F(2), F(4), F(1), F(8), prior)
+        assert [r.name for r in rows] == list(acts)
+        for row in rows:
+            assert (row.value, row.argmin_vertex) == meu_minimizer(prior, acts[row.name])
+
+    insurance = sc.load(SCENARIO_DIR / "insurance.scn")
+    neglect = sc.load(SCENARIO_DIR / "insurance_neglect.scn")
+    insurer = insurance.prior_set(param_value=F(0)).vertices[0]
+    insuree = neglect.prior_set(param_value=F(0)).vertices[0]
+    acts = insurance.acts(param_value=F(0))
+    report = run_insurance(F(100), F(1, 2), insurer, insuree)
+    assert report.insurer_reservation == expectation(
+        insurer, acts["no_cover_insurer"]
+    ) - expectation(insurer, acts["cover_insurer"])
+    assert report.insuree_reservation == expectation(
+        insuree, acts["cover_insuree"]
+    ) - expectation(insuree, acts["no_cover_insuree"])
 
 
 def test_sweep_rows_and_csv():

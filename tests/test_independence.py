@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from corrpoly import (
     Collection,
-    ConsistencyError,
     CorrelationSet,
     CorrpolyError,
     Event,
@@ -28,9 +27,13 @@ from corrpoly import (
     restricted_dimension,
     sample_partition_member,
 )
-from corrpoly import independence
 from bruteforce import is_independent_on_reference
-from conftest import random_correlation_set, random_marginal
+from conftest import (
+    DEGENERATE_MARGINALS,
+    correlation_set_of,
+    random_correlation_set,
+    random_marginal,
+)
 
 F = Fraction
 
@@ -175,28 +178,32 @@ def test_partition_factorize_dimensions(uniform_cube):
     assert [dimension(c) for c in comps33] == [0, 0]
 
 
+def _linear_partitions(n):
+    """The partitions of range(n) into at least two members, at most one of
+    them non-singleton: those whose restricted dimension is computable."""
+    for r in (0, *range(2, n)):
+        for big in itertools.combinations(range(n), r):
+            singles = [{i} for i in range(n) if i not in big]
+            yield Collection.of(*([big] if big else []), *singles)
+
+
 @pytest.mark.parametrize(
-    "target, name, patched, message",
+    "cs",
     [
-        (independence, "restricted_dimension", lambda cs, coll: 99, "disagrees with linear-system rank"),
+        *(
+            pytest.param(correlation_set_of(weights), id=name)
+            for name, weights in DEGENERATE_MARGINALS.items()
+        ),
+        *(
+            pytest.param(random_correlation_set(sizes, random.Random(7)), id=f"random-{sizes}")
+            for sizes in ((2, 3), (3, 3), (2, 2, 2), (2, 2, 3))
+        ),
     ],
 )
-def test_partition_factorize_errors_carry_the_inputs(
-    skew_2x2, monkeypatch, target, name, patched, message
-):
-    space = ProductSpace((2, 2, 3))
-    cs = CorrelationSet(
-        space,
-        [*skew_2x2.marginals, Marginal(2, (F(1, 2), F(1, 3), F(1, 6)))],
-    )
-    monkeypatch.setattr(target, name, patched)
-    with pytest.raises(ConsistencyError, match=message) as info:
-        partition_factorize(cs, Collection.of({2}, {0, 1}))
-    assert info.value.context == {
-        "shape": (2, 2, 3),
-        "marginals": [["1/3", "2/3"], ["1/4", "3/4"], ["1/2", "1/3", "1/6"]],
-        "collection": [[0, 1], [2]],
-    }
+def test_partition_dimensions_add_up_to_the_restricted_dimension(cs):
+    for coll in _linear_partitions(cs.space.n_subspaces):
+        components = partition_factorize(cs, coll)
+        assert restricted_dimension(cs, coll) == sum(dimension(c) for c in components)
 
 
 def test_partition_factorize_requires_partition(uniform_cube):

@@ -25,7 +25,7 @@ from corrpoly import (
     mix,
     sample_member,
 )
-from conftest import random_correlation_set
+from conftest import DEGENERATE_MARGINALS, correlation_set_of, random_correlation_set
 from bruteforce import contains_reference, oracle_vertices, sample_member_reference
 
 F = Fraction
@@ -150,30 +150,13 @@ def test_vertices_match_bruteforce_oracle(sizes):
         _assert_vertices_match_oracle(random_correlation_set(sizes, rng))
 
 
-def _uniform(*sizes):
-    return [tuple(F(1, s) for _ in range(s)) for s in sizes]
-
-
 # Degenerate inputs: their pivots and reduced columns are mostly zero, the
 # entries the sparse elimination step skips.
 @pytest.mark.parametrize(
-    "weights",
-    [
-        [(F(1, 2), F(1, 2)), (F(1, 3), F(0), F(2, 3))],  # a zero-weight marginal state
-        [(F(0), F(1, 4), F(3, 4)), (F(1, 2), F(0), F(1, 2))],  # one on each subspace
-        [(F(1),), (F(1, 6), F(1, 3), F(1, 2))],  # a 1-state subspace
-        [(F(1, 3), F(2, 3)), (F(1),), (F(1, 4), F(3, 4))],
-        _uniform(3, 3),  # tied partial sums
-        _uniform(2, 2, 2),
-        [(F(1, 3), F(2, 3)), (F(2, 3), F(1, 3))],
-    ],
-    ids=["zero-weight-state", "zero-weight-both", "1x3", "2x1x2",
-         "uniform-3x3", "uniform-2x2x2", "tied-2x2"],
+    "weights", list(DEGENERATE_MARGINALS.values()), ids=list(DEGENERATE_MARGINALS)
 )
 def test_degenerate_vertices_match_bruteforce_oracle(weights):
-    space = ProductSpace(tuple(len(w) for w in weights))
-    cs = CorrelationSet(space, [Marginal(i, w) for i, w in enumerate(weights)])
-    _assert_vertices_match_oracle(cs)
+    _assert_vertices_match_oracle(correlation_set_of(weights))
 
 
 def test_is_maximally_zero(uniform_2x2):

@@ -37,7 +37,7 @@ from corrpoly import (
     seu_subspace_value,
 )
 from corrpoly import preferences
-from conftest import random_correlation_set
+from conftest import DEGENERATE_MARGINALS, correlation_set_of, random_correlation_set
 from bruteforce import (
     check_collection_independence_axiom_reference,
     check_subspace_independence_axiom_reference,
@@ -360,16 +360,13 @@ def test_collection_independence_equals_reference(cs, data):
     points = [cs.independent_product, *cs.vertices()]
     points.append(sample_member(cs, random.Random(data.draw(st.integers(0, 1000)))))
     p = data.draw(st.sampled_from(points))
-    # a budget that keeps every quadruple on (2,2), (2,3), (1,3) and on
-    # (2,2,2) with {0},{1}, {0},{2} or a 4-state member against a 2-state
+    # the reference still sweeps every quadruple on (2,2), (2,3), (1,3) and
+    # on (2,2,2) with {0},{1}, {0},{2} or a 4-state member against a 2-state
     # rest (4 050 quadruples), and the factorization pairs elsewhere
-    got = check_collection_independence_axiom(p, coll, quad_limit=5000)
+    got = check_collection_independence_axiom(p, coll)
     assert got == check_collection_independence_axiom_reference(p, coll, quad_limit=5000)
-    factorization = preferences._product_identity_witness(p, coll, factorization_only=True)
+    factorization = preferences._product_identity_witness(p, coll)
     assert factorization == product_identity_witness_reference(p, coll, True)
-    if not got[0]:  # on an independent point the full search ran in the check
-        full = preferences._product_identity_witness(p, coll, factorization_only=False)
-        assert full == product_identity_witness_reference(p, coll, False)
 
 
 def test_collection_independence_equals_reference_at_the_default_budget():
@@ -381,30 +378,22 @@ def test_collection_independence_equals_reference_at_the_default_budget():
     for p in (cs.independent_product, vertex):
         got = check_collection_independence_axiom(p, coll)
         assert got == check_collection_independence_axiom_reference(p, coll)
-    full = preferences._product_identity_witness(vertex, coll, factorization_only=False)
-    assert full is not None and full == product_identity_witness_reference(vertex, coll, False)
+    witness = preferences._product_identity_witness(vertex, coll)
+    assert witness is not None
+    assert witness == product_identity_witness_reference(vertex, coll, True)
 
 
-def test_collection_budget_counts_the_quadruples_it_compares(uniform_cube, monkeypatch):
-    # {0,1},{2} on (2,2,2), the shape of the finance scenario's {1,2},{3}:
-    # 2 * 15^2 * 3^2 = 4 050 quadruples of non-empty events, so every budget
-    # from 4 050 up (and below 8 192, the count with empty events) runs the
-    # full search
-    searches = []
-    original = preferences._product_identity_witness
-
-    def spy(p, coll, factorization_only):
-        searches.append(factorization_only)
-        return original(p, coll, factorization_only)
-
-    monkeypatch.setattr(preferences, "_product_identity_witness", spy)
-    p = uniform_cube.independent_product
-    coll = Collection.of({0, 1}, {2})
-    for budget, factorization_only in ((4049, True), (4050, False), (5000, False), (8191, False)):
-        searches.clear()
-        assert check_collection_independence_axiom(p, coll, quad_limit=budget) == (True, None)
-        assert check_collection_independence_axiom_reference(p, coll, quad_limit=budget) == (True, None)
-        assert searches == [factorization_only]
+@pytest.mark.parametrize(
+    "weights", list(DEGENERATE_MARGINALS.values()), ids=list(DEGENERATE_MARGINALS)
+)
+def test_collection_independence_equals_reference_on_degenerate_sets(weights):
+    # the reference sweeps every event quadruple on independent points
+    cs = correlation_set_of(weights)
+    points = [cs.independent_product, *cs.vertices(), sample_member(cs, random.Random(3))]
+    for coll in COLLECTIONS[cs.space.n_subspaces]:
+        for p in points:
+            got = check_collection_independence_axiom(p, coll)
+            assert got == check_collection_independence_axiom_reference(p, coll)
 
 
 def _with_table(monkeypatch, change):
@@ -416,11 +405,6 @@ def _with_table(monkeypatch, change):
     monkeypatch.setattr(preferences, "_cell_table", changed)
 
 
-def _bump_first_cell(table):
-    table[0][0] += 1
-    return table
-
-
 def _diagonal(table):
     # the same total mass, all of it on the first and the last cell
     total = sum(map(sum, table))
@@ -428,18 +412,6 @@ def _diagonal(table):
     out[0][0] = total // 2
     out[-1][-1] = total - total // 2
     return out
-
-
-def test_corrupted_table_breaks_the_product_identity(uniform_cube, monkeypatch):
-    _with_table(monkeypatch, _bump_first_cell)
-    p = uniform_cube.independent_product
-    with pytest.raises(ConsistencyError, match="independent distribution violated") as exc:
-        check_collection_independence_axiom(p, Collection.of({0, 1}, {2}))
-    assert exc.value.context == {
-        "shape": (2, 2, 2),
-        "weights": ["1/8"] * 8,
-        "collection": [[0, 1], [2]],
-    }
 
 
 def test_corrupted_table_fails_a_behavioral_trial(uniform_2x2, monkeypatch):
@@ -475,7 +447,7 @@ def test_scan_and_trial_errors_carry_reproducer(uniform_2x2, monkeypatch):
 
 
 def test_missing_witness_carries_reproducer(monkeypatch):
-    monkeypatch.setattr(preferences, "_product_identity_witness", lambda p, coll, factorization_only: None)
+    monkeypatch.setattr(preferences, "_product_identity_witness", lambda p, coll: None)
     diag = JointDistribution(ProductSpace((2, 2)), (F(1, 2), 0, 0, F(1, 2)))
     with pytest.raises(ConsistencyError, match="no product-identity witness") as exc:
         check_collection_independence_axiom(diag, Collection.of({0}, {1}))
