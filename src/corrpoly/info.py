@@ -18,6 +18,12 @@ once per point: `mutual_information` checks its argument, and
 `certify_local_max_mi` checks ``p`` and each probe point once.  The ladder
 points between them are convex combinations of two members, hence
 members, and are evaluated directly from their integer weights.
+
+Probe points are built on demand, as the ladder reaches them: at a point
+that is not a vertex the ladder usually stops at its first direction, and
+the points after it are never built.  A vertex gets no reflected probes:
+no reflection through a vertex is feasible, since a feasible one would put
+the vertex strictly inside a segment of the set.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, CorrpolyError
-from .linalg import integer_numerators
+from .linalg import fraction_tuple, integer_numerators
 from .polytope import CorrelationSet, face_basis, sample_member
 from .polytope import mix  # noqa: F401  (still importable from corrpoly.info)
 from .space import JointDistribution, Marginal, require_same_space
@@ -38,7 +44,7 @@ STRICTNESS_SLACK = 1e-12
 MAX_HALVINGS = 20  # a certificate's step ladder has MAX_HALVINGS + 3 rungs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MutualInformationReport:
     value: float
     is_local_max: bool
@@ -90,12 +96,13 @@ def _mi_kernel(cs: CorrelationSet):
     weights ``nums`` over their common denominator ``denom``.
 
     The per-set constants (the summed marginal entropies and the integer
-    weights of the independent product) are computed once here.  The
+    weights of the independent product, cached on ``cs``) are read once
+    here.  The
     divergence is summed in the order of `kl_divergence`, so the returned
     value equals it bit for bit.  The entropy term is a running sum too; it
     only feeds the decomposition cross-check."""
     marginal_sum = _sum_left_to_right(marginal_entropy(m) for m in cs.marginals)
-    ind, ind_denom = integer_numerators(cs.independent_product.weights)
+    ind, ind_denom = cs.independent_numerators
     log2 = math.log2
 
     def evaluate(nums, denom: int) -> float:
@@ -137,29 +144,31 @@ def _max_step(p: JointDistribution, direction) -> Fraction:
 
 
 def _probe_points(cs, p, probes, rng, face):
-    """Seeded probe points spanning the feasible directions at ``p``.
+    """Seeded probe points spanning the feasible directions at ``p``, built
+    on demand: the ladder stops at the first direction that does not
+    decrease, and no point past it is built.
 
     Random couplings explore directions that leave the support of ``p``;
     each is paired with its reflection through ``p`` whenever that is
     feasible.  Directions inside the face of ``p`` (the vectors of ``face``,
     `polytope.face_basis`, and random combinations of them) are probed in
-    both senses.  At an extreme point the face is trivial and no reflection
-    is feasible, so only outward directions remain.
+    both senses.  At an extreme point (``face`` empty) the face directions
+    are trivial and no reflection is feasible: were p + t (p - q) >= 0 for
+    some t > 0, p would lie strictly inside the segment from q to that
+    point.  So a vertex gets no reflection and only outward directions
+    remain.  The points and the rng draws are those of building every
+    point up front, in the same order.
     """
-    points = []
-
-    def push(q):
-        if q.weights != p.weights:
-            points.append(q)
-
     for _ in range(probes):
         q = sample_member(cs, rng)
-        push(q)
-        back = tuple(a - b for a, b in zip(p.weights, q.weights))
-        t = _max_step(p, back)
-        if t > 0:
-            weights = tuple(w + t * d for w, d in zip(p.weights, back))
-            push(JointDistribution(p.space, weights))
+        if q.weights == p.weights:
+            continue  # its reflection is p itself
+        yield q
+        if face:
+            back = tuple(a - b for a, b in zip(p.weights, q.weights))
+            t = _max_step(p, back)
+            if t > 0:
+                yield JointDistribution(p.space, tuple(w + t * d for w, d in zip(p.weights, back)))
 
     resolution = 8
     face_directions = list(face)
@@ -173,9 +182,7 @@ def _probe_points(cs, p, probes, rng, face):
             d = [sign * x for x in direction]
             t = _max_step(p, d)
             if t > 0:
-                weights = tuple(w + t * x for w, x in zip(p.weights, d))
-                push(JointDistribution(p.space, weights))
-    return points
+                yield JointDistribution(p.space, tuple(w + t * x for w, x in zip(p.weights, d)))
 
 
 def certify_local_max_mi(
@@ -200,10 +207,16 @@ def certify_local_max_mi(
     weights ``step``, ``step / 2``, ...; a direction decreases when three
     consecutive rungs lower MI by more than ``STRICTNESS_SLACK``, and the
     ladder stops at the first that does not, which at a vertex is the float
-    limit of skewed marginals.  Decreasing along every probe at a
-    non-vertex contradicts the argument above: `ConsistencyError`.
+    limit of skewed marginals.  Probe points are built as the ladder reaches
+    them, so none past that stop is built; a vertex gets no reflected
+    probes, because no reflection through a vertex is feasible.  Decreasing
+    along every probe at a non-vertex contradicts the argument above:
+    `ConsistencyError`.  A ``probes`` that is no integer, or a ``step`` that
+    is no finite rational, raises `CorrpolyError`.
     """
-    step = Fraction(step)
+    (step,) = fraction_tuple((step,))
+    if not isinstance(probes, int):
+        raise CorrpolyError(f"probes must be an integer, got {probes!r}")
     if probes < 0:
         raise CorrpolyError(f"probes must be nonnegative, got {probes}")
     if not 0 < step <= 1:

@@ -126,6 +126,7 @@ class CorrelationSet:
         self.marginals = self.system.marginals
         self.kernel = kernel_basis_rectangles(space)
         self._independent_product: Optional[JointDistribution] = None
+        self._independent_numerators: Optional[tuple[tuple[int, ...], int]] = None
         self._vertices: Optional[tuple[JointDistribution, ...]] = None
         self._rows: Optional[tuple[tuple[list[int], int, int], ...]] = None
         self._capacity = None  # attached by corrpoly.capacity
@@ -135,6 +136,15 @@ class CorrelationSet:
         if self._independent_product is None:
             self._independent_product = independent_product(self.marginals, self.space)
         return self._independent_product
+
+    @property
+    def independent_numerators(self) -> tuple[tuple[int, ...], int]:
+        """The independent product's integer weights over their common
+        denominator (`linalg.integer_numerators`), computed once."""
+        if self._independent_numerators is None:
+            nums, denom = linalg.integer_numerators(self.independent_product.weights)
+            self._independent_numerators = (tuple(nums), denom)
+        return self._independent_numerators
 
     def contains(self, p: JointDistribution) -> bool:
         """Whether ``p`` has the prescribed marginals: each row of the
@@ -356,7 +366,7 @@ def sample_member(
                     direction[k] += c * x
     if not any(direction):
         return p_ind
-    ind, denom = linalg.integer_numerators(p_ind.weights)
+    ind, denom = cs.independent_numerators
     # the largest feasible step is resolution * (num / den) / denom
     num = den = None
     for w, d in zip(ind, direction):

@@ -5,8 +5,9 @@ reduction, no pruning beyond what the mathematics forces (a support must
 cover every positive marginal row, and a uniquely solvable support cannot
 exceed the system rank).  Used to freeze expected values and to cross-check
 the production enumeration path.  The mutual-information references at the
-end keep the package's earlier Fraction-based membership test, sampler and
-per-step certificate, which the integer versions must match exactly.  The
+end keep the package's earlier Fraction-based membership test, sampler,
+eager probe construction and per-step certificate, which the integer and
+on-demand versions must match exactly.  The
 axiom-checker references keep the package's earlier Event/Act versions of
 the subspace-independence scan and trials and of the product-identity
 search, and of the element-wise independence test, which the cell-table
@@ -115,8 +116,9 @@ def oracle_vertices(sizes, marginal_weights):
 #
 # The certificate as it was before its ladder moved to integer weights:
 # membership re-checked by marginalizing at every rung, each rung a fresh
-# `mix`, mutual information summed over exact rationals.  The package's
-# `certify_local_max_mi` must report exactly what this reports.
+# `mix`, mutual information summed over exact rationals, every probe point
+# built up front.  The package's `certify_local_max_mi` must report exactly
+# what this reports.
 
 DECOMPOSITION_TOL = 1e-9
 STRICTNESS_SLACK = 1e-12
@@ -173,14 +175,63 @@ def sample_member_reference(cs, rng, resolution=16):
     return JointDistribution(cs.space, weights)
 
 
+def _max_step_reference(p, direction):
+    """Largest t >= 0 with p + t * direction still nonnegative."""
+    bound = None
+    for w, d in zip(p.weights, direction):
+        if d < 0:
+            b = w / -d
+            bound = b if bound is None else min(bound, b)
+    return Fraction(1) if bound is None else bound
+
+
+def probe_points_reference(cs, p, probes, rng, face):
+    """Every probe point of the certificate, built up front in Fractions:
+    each sampled member, its reflection through ``p`` whenever one is
+    feasible (worked out at vertices too, where none is), and both senses
+    of the face directions.  Members are drawn by `sample_member_reference`."""
+    from corrpoly import JointDistribution
+
+    points = []
+
+    def push(q):
+        if q.weights != p.weights:
+            points.append(q)
+
+    for _ in range(probes):
+        q = sample_member_reference(cs, rng)
+        push(q)
+        back = tuple(a - b for a, b in zip(p.weights, q.weights))
+        t = _max_step_reference(p, back)
+        if t > 0:
+            weights = tuple(w + t * d for w, d in zip(p.weights, back))
+            push(JointDistribution(p.space, weights))
+
+    resolution = 8
+    face_directions = list(face)
+    for _ in range(4 if face else 0):
+        coeffs = [Fraction(rng.randint(-resolution, resolution), resolution) for _ in face]
+        face_directions.append([sum(c * x for c, x in zip(coeffs, xs)) for xs in zip(*face)])
+    for direction in face_directions:
+        if all(x == 0 for x in direction):
+            continue
+        for sign in (1, -1):
+            d = [sign * x for x in direction]
+            t = _max_step_reference(p, d)
+            if t > 0:
+                weights = tuple(w + t * x for w, x in zip(p.weights, d))
+                push(JointDistribution(p.space, weights))
+    return points
+
+
 def certify_local_max_mi_reference(
     cs, p, probes=64, step=Fraction(1, 8), seed=0, max_halvings=20
 ):
-    """The certificate evaluating `mix(p, q, lam)` afresh at every rung."""
+    """The certificate evaluating `mix(p, q, lam)` afresh at every rung,
+    toward the eagerly built `probe_points_reference`."""
     import random
 
     from corrpoly import MutualInformationReport, mix
-    from corrpoly.info import _probe_points
     from corrpoly.polytope import face_basis
 
     base = mutual_information_reference(cs, p)
@@ -189,7 +240,7 @@ def certify_local_max_mi_reference(
     is_local_max = True
     max_increase = 0.0
     evaluated = 0
-    for q in _probe_points(cs, p, probes, rng, face_basis(cs, p)):
+    for q in probe_points_reference(cs, p, probes, rng, face_basis(cs, p)):
         evaluated += 1
         decreases_somewhere = False
         lam = step

@@ -32,6 +32,7 @@ from bruteforce import (
     certify_local_max_mi_reference,
     mutual_information_reference,
     oracle_vertices,
+    probe_points_reference,
 )
 
 F = Fraction
@@ -298,6 +299,71 @@ def test_certificate_rejects_negative_probes_and_nonpositive_steps(skew_2x2):
             certify_local_max_mi(skew_2x2, p, step=step)
     # no random probes is valid: the face directions are still probed
     assert certify_local_max_mi(skew_2x2, p, probes=0).value == 0.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"step": "abc"}, {"step": "1/0"}, {"step": float("nan")}, {"step": float("inf")},
+    {"probes": 2.5}, {"probes": "3"}, {"probes": None},
+], ids=repr)
+def test_certificate_rejects_malformed_step_and_probes(skew_2x2, kwargs):
+    # malformed input ends in CorrpolyError, never ValueError,
+    # ZeroDivisionError or TypeError
+    with pytest.raises(CorrpolyError):
+        certify_local_max_mi(skew_2x2, skew_2x2.independent_product, **kwargs)
+
+
+def _probe_sets():
+    """Random and degenerate sets, a 1-state subspace and tied marginals."""
+    third = F(1, 3)
+    yield from _random_sets()
+    yield from _degenerate_sets()
+    yield CorrelationSet(
+        ProductSpace((1, 3)), [Marginal(0, (F(1),)), Marginal(1, (F(1, 6), F(1, 2), third))]
+    )
+    for sizes in ((2, 2), (3, 3)):
+        tied = tuple([F(1, sizes[0])] * sizes[0])
+        yield CorrelationSet(ProductSpace(sizes), [Marginal(0, tied), Marginal(1, tied)])
+    yield CorrelationSet(
+        ProductSpace((2, 3)), [Marginal(0, (third, 2 * third)), Marginal(1, (third, third, third))]
+    )
+
+
+@pytest.mark.parametrize("cs", list(_probe_sets()),
+                         ids=lambda cs: "x".join(map(str, cs.space.subspace_sizes)))
+def test_probe_points_match_the_eager_reference(cs):
+    # built on demand, without reflections at vertices, the probe points are
+    # those of building every point up front, from the same rng draws
+    from corrpoly.info import _probe_points
+
+    vertices = list(cs.vertices())
+    points = vertices + [cs.independent_product]
+    points += [mix(a, b, F(1, 2)) for a, b in zip(vertices, vertices[1:])]
+    for p in points:
+        face = face_basis(cs, p)
+        for probes, seed in ((8, 7), (3, 11)):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = [q.weights for q in _probe_points(cs, p, probes, got_rng, face)]
+            want = [q.weights for q in probe_points_reference(cs, p, probes, want_rng, face)]
+            assert got == want
+            assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_certificate_draws_only_the_probes_its_ladder_reads(skew_2x2, monkeypatch):
+    # at a non-vertex the ladder stops at the first direction that does not
+    # decrease; no sample past it is drawn
+    import corrpoly.info as info
+
+    draws = []
+
+    def counted(cs, rng):
+        draws.append(cs)
+        return sample_member(cs, rng)
+
+    monkeypatch.setattr(info, "sample_member", counted)
+    a, b = skew_2x2.vertices()
+    report = certify_local_max_mi(skew_2x2, mix(a, b, F(1, 3)), probes=64)
+    assert not report.is_local_max
+    assert len(draws) <= report.probe_count
 
 
 def test_certificate_checks_each_probe_point(skew_2x2, monkeypatch):
