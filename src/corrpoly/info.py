@@ -97,10 +97,9 @@ def _mi_kernel(cs: CorrelationSet):
 
     The per-set constants (the summed marginal entropies and the integer
     weights of the independent product, cached on ``cs``) are read once
-    here.  The
-    divergence is summed in the order of `kl_divergence`, so the returned
-    value equals it bit for bit.  The entropy term is a running sum too; it
-    only feeds the decomposition cross-check."""
+    here.  The divergence is summed in the order of `kl_divergence`, so the
+    returned value equals it bit for bit.  The entropy term is a running sum
+    too; it only feeds the decomposition cross-check."""
     marginal_sum = _sum_left_to_right(marginal_entropy(m) for m in cs.marginals)
     ind, ind_denom = cs.independent_numerators
     log2 = math.log2
