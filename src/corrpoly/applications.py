@@ -318,11 +318,8 @@ def run_finance(
     if rho is None:
         buy = expected > 0
     else:
-        if threshold is None:
-            buy = False
-        else:
-            buy = rho <= threshold + 1e-9
         utility = RiskUtility(rho=rho, scale=float(wealth))
+        buy = threshold is not None and rho <= threshold + 1e-9
         eu_buy = sum(
             float(w) * utility.apply(wealth + r)
             for w, r in zip(pair_belief.weights, averaged)

@@ -13,11 +13,11 @@ denominator: ``float(w)`` is taken as ``n / D`` and ``float(w / w_ind)`` as
 ``Fraction.__float__`` is, so every value equals, float for float, the
 divergence computed on the exact rationals; each evaluation still
 cross-checks it, within ``DECOMPOSITION_TOL``, against the entropy
-decomposition.  Membership is checked
-once per point: `mutual_information` checks its argument, and
-`certify_local_max_mi` checks ``p`` and each probe point once.  The ladder
-points between them are convex combinations of two members, hence
-members, and are evaluated directly from their integer weights.
+decomposition.  Membership is checked once per point (`mutual_information`:
+its argument; `certify_local_max_mi`: ``p`` and each probe point), and the
+check returns the integer weights that are evaluated.  The ladder points
+between them are convex combinations of two members, hence members, and
+are evaluated directly from their integer weights.
 
 Probe points are built on demand, as the ladder reaches them: at a point
 that is not a vertex the ladder usually stops at its first direction, and
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, CorrpolyError
-from .linalg import fraction_tuple, integer_numerators
+from .linalg import fraction_tuple
 from .polytope import CorrelationSet, face_basis, sample_member
 from .polytope import mix  # noqa: F401  (still importable from corrpoly.info)
 from .space import JointDistribution, Marginal, require_same_space
@@ -87,8 +87,7 @@ def mutual_information(cs: CorrelationSet, p: JointDistribution) -> float:
     """Divergence of the coupling from the independent product of the
     prescribed marginals, cross-checked against the entropy decomposition
     sum_i H(p_i) - H(p)."""
-    cs.require_member(p)
-    return _mi_kernel(cs)(*integer_numerators(p.weights))
+    return _mi_kernel(cs)(*cs.require_member(p))
 
 
 def _mi_kernel(cs: CorrelationSet):
@@ -222,18 +221,16 @@ def certify_local_max_mi(
         raise CorrpolyError(
             f"the first mixing weight (step) must be positive and at most 1, got {step}"
         )
-    cs.require_member(p)
+    a, a_denom = cs.require_member(p)
     face = face_basis(cs, p)
     mutual_info = _mi_kernel(cs)
-    a, a_denom = integer_numerators(p.weights)
     base = mutual_info(a, a_denom)
     rng = random.Random(seed)
     max_increase = 0.0
     evaluated = 0
     for q in _probe_points(cs, p, probes, rng, face):
         evaluated += 1
-        cs.require_member(q, "probe point")
-        b, b_denom = integer_numerators(q.weights)
+        b, b_denom = cs.require_member(q, "probe point")
         # (1 - s/t) p + (s/t) q has the numerators (t - s) a b_denom + s b a_denom
         # over t a_denom b_denom
         a_scaled = [x * b_denom for x in a]

@@ -147,9 +147,18 @@ class CorrelationSet:
         return self._independent_numerators
 
     def contains(self, p: JointDistribution) -> bool:
-        """Whether ``p`` has the prescribed marginals: each row of the
-        marginal system, summed over the integer weights of ``p`` on their
-        common denominator, must equal its right-hand side."""
+        """Whether ``p`` has the prescribed marginals (`require_member`)."""
+        try:
+            self.require_member(p)
+        except NotInCorrelationSetError:
+            return False
+        return True
+
+    def require_member(self, p: JointDistribution, what: str = "distribution"):
+        """The one membership check: NotInCorrelationSetError naming ``what``
+        unless each row of the marginal system, summed over the integer
+        weights of ``p`` on their common denominator, equals its right-hand
+        side.  Returns those weights and the denominator."""
         require_same_space(p.space, self.space, "distribution")
         if self._rows is None:
             self._rows = tuple(
@@ -157,16 +166,12 @@ class CorrelationSet:
                 for row, b in zip(self.system.matrix, self.system.rhs)
             )
         nums, denom = linalg.integer_numerators(p.weights)
-        return all(
+        if not all(
             sum(nums[k] for k in states) * b_den == b_num * denom
             for states, b_num, b_den in self._rows
-        )
-
-    def require_member(self, p: JointDistribution, what: str = "distribution") -> None:
-        """The one membership check: NotInCorrelationSetError naming ``what``
-        unless ``p`` has the prescribed marginals."""
-        if not self.contains(p):
+        ):
             raise NotInCorrelationSetError(f"{what} does not have the prescribed marginals")
+        return nums, denom
 
     def vertices(self, guard: int = 4096) -> tuple[JointDistribution, ...]:
         """The extreme points, enumerated once and cached.  ``guard`` is

@@ -92,11 +92,18 @@ class RiskUtility:
     constant relative risk aversion with a positive scale normalizer.
 
     The CRRA branch uses the increasing normalization ((c/s)^(1-rho)-1)/(1-rho)
-    (log for rho = 1) and is only defined for positive scaled wealth.
+    (log for rho = 1) and is only defined for positive scaled wealth.  Bad
+    fields and a utility beyond the float range raise `CorrpolyError`.
     """
 
     rho: Optional[float] = None
     scale: float = 1.0
+
+    def __post_init__(self):
+        if self.rho is not None and not math.isfinite(self.rho):
+            raise CorrpolyError(f"CRRA rho must be finite, got {self.rho}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise CorrpolyError(f"CRRA scale must be finite and positive, got {self.scale}")
 
     def apply(self, wealth) -> float:
         c = float(wealth)
@@ -107,7 +114,10 @@ class RiskUtility:
             raise CorrpolyError("CRRA utility needs positive scaled wealth")
         if abs(self.rho - 1.0) < 1e-12:
             return math.log(x)
-        return (x ** (1.0 - self.rho) - 1.0) / (1.0 - self.rho)
+        try:
+            return (x ** (1.0 - self.rho) - 1.0) / (1.0 - self.rho)
+        except OverflowError:
+            raise CorrpolyError(f"CRRA utility of {x} overflows at rho={self.rho}") from None
 
 
 class PriorSet:

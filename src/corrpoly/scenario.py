@@ -1,14 +1,12 @@
 """Scenario files: the package's on-disk interface.
 
 A scenario is a line-oriented text file with explicit section headers
-(SPACE / MARGINALS / ACTS / EVENTS / PRIOR / UTILITY / SWEEP).  All
-probabilities and act payoffs are exact rationals written ``num/den`` (or
-plain integers); floating literals are rejected outside the UTILITY
-section.  Act payoffs and explicit prior vertices may be linear expressions
-in the single sweep parameter.  ``serialize`` emits the canonical form;
-loading a canonical file and serializing it again is byte-identical.
-``UTILITY`` is parsed into a `RiskUtility` and round-tripped, but no
-command applies it: act values are already utilities (see `space.Act`).
+(SPACE / MARGINALS / ACTS / EVENTS / PRIOR / SWEEP).  All probabilities
+and act payoffs (utilities, see `space.Act`) are exact rationals written
+``num/den`` (or plain integers); floats are rejected everywhere.  Act
+payoffs and explicit prior vertices may be linear expressions in the
+single sweep parameter.  ``serialize`` emits the canonical form; loading a
+canonical file and serializing it again is byte-identical.
 
 `loads` collects the ``(line, payload)`` pairs of each section in one
 table and parses each section in one place; an error about a line names
@@ -25,7 +23,6 @@ helper.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,7 +31,7 @@ from typing import Optional
 from .errors import CorrpolyError, ScenarioError
 from .independence import partition_factorize, product_of_components
 from .polytope import CorrelationSet
-from .preferences import PriorSet, RiskUtility
+from .preferences import PriorSet
 from .space import Act, Collection, Event, JointDistribution, Marginal, ProductSpace, cylinder
 
 _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?$")
@@ -42,7 +39,7 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 # a name, an operator, or (group 2) any other character that is not white space
 _EVENT_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|[=\[\],()|&~*])|(\S))")
 
-SECTIONS = ("SPACE", "MARGINALS", "ACTS", "EVENTS", "PRIOR", "UTILITY", "SWEEP")
+SECTIONS = ("SPACE", "MARGINALS", "ACTS", "EVENTS", "PRIOR", "SWEEP")
 
 
 def parse_rational(token: str, line: Optional[int] = None) -> Fraction:
@@ -282,7 +279,6 @@ class Scenario:
     act_exprs: dict[str, tuple[LinExpr, ...]] = field(default_factory=dict)
     events: dict[str, str] = field(default_factory=dict)  # name -> expression text
     prior: PriorSpec = PriorSpec("full")
-    utility: RiskUtility = RiskUtility()
     sweep: Optional[SweepSpec] = None
 
     def parameters(self) -> set[str]:
@@ -350,6 +346,8 @@ def _sections(text: str) -> dict[str, list[tuple[int, str]]]:
             if line in sections:
                 raise ScenarioError(f"duplicate section {line}", lineno)
             current = sections[line] = []
+        elif line.isalpha() and line.isupper():  # no content line is a bare upper-case word
+            raise ScenarioError(f"unknown section {line}", lineno)
         elif current is None:
             raise ScenarioError("content before the first section header", lineno)
         else:
@@ -373,7 +371,6 @@ def loads(text: str) -> Scenario:
         _parse_acts(sections.get("ACTS", []), space),
         _parse_events(sections.get("EVENTS", []), space),
         _parse_prior(sections.get("PRIOR", []), space),
-        _parse_utility(sections.get("UTILITY", [])),
         _parse_sweep(sections.get("SWEEP", [])),
     )
     params = scenario.parameters()
@@ -486,32 +483,6 @@ def _parse_prior(rows, space: ProductSpace) -> PriorSpec:
     return PriorSpec("vertices", vertex_exprs=tuple(vertices))
 
 
-def _parse_utility(rows) -> RiskUtility:
-    if len(rows) > 1:
-        raise ScenarioError("UTILITY takes a single line", rows[1][0])
-    if not rows or rows[0][1] == "identity":
-        return RiskUtility()
-    lineno, payload = rows[0]
-    toks = payload.split()
-    if toks[0] != "crra":
-        raise ScenarioError("UTILITY is 'identity' or 'crra rho=... scale=...'", lineno)
-    fields = {"rho": None, "scale": 1.0}
-    for tok in toks[1:]:
-        key, _, val = tok.partition("=")
-        if key not in fields:
-            raise ScenarioError(f"unknown utility field {key!r}", lineno)
-        try:
-            fields[key] = float(val)
-        except ValueError:
-            raise ScenarioError(f"bad utility number {val!r}", lineno) from None
-    rho, scale = fields["rho"], fields["scale"]
-    if rho is None:
-        raise ScenarioError("crra utility needs rho=...", lineno)
-    if not math.isfinite(rho) or not (math.isfinite(scale) and scale > 0):
-        raise ScenarioError("crra rho must be finite and scale finite and positive", lineno)
-    return RiskUtility(rho=rho, scale=scale)
-
-
 def _parse_sweep(rows) -> Optional[SweepSpec]:
     if not rows:
         return None
@@ -578,12 +549,6 @@ def serialize(scenario: Scenario) -> str:
     else:
         for vec in scenario.prior.vertex_exprs:
             out.append(f"vertex: {' '.join(str(e) for e in vec)}")
-    out.append("")
-    out.append("UTILITY")
-    if scenario.utility.rho is None:
-        out.append("identity")
-    else:
-        out.append(f"crra rho={scenario.utility.rho} scale={scenario.utility.scale}")
     if scenario.sweep is not None:
         out.append("")
         out.append("SWEEP")

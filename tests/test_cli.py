@@ -309,6 +309,16 @@ def test_non_utf8_scenario_is_an_error(capsys, tmp_path, args):
     assert "not UTF-8" in err
 
 
+def test_scenario_with_a_utility_section_is_an_error(capsys, tmp_path):
+    text = Path(CLIMATE).read_text()
+    path = tmp_path / "old_format.scn"
+    path.write_text(text + "\nUTILITY\nidentity\n")
+    code, out, err = run(capsys, "dim", str(path))
+    line = text.count("\n") + 2
+    assert code == 1 and out == ""
+    assert err == f"error: line {line}: unknown section UTILITY\n"
+
+
 def test_zero_weight_states_have_restricted_dimensions(capsys, tmp_path):
     path = tmp_path / "zero.scn"
     path.write_text(

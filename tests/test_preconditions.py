@@ -3,10 +3,12 @@ error: the same product space (`space.require_same_space`,
 SpaceMismatchError), shared marginals (`space.shared_marginals`,
 MarginalMismatchError) and membership of the correlation set
 (`CorrelationSet.require_member`, NotInCorrelationSetError).  Also the
-range checks of `unravel` and `prob_of`, the vertex guard, and the
+CRRA fields (`preferences.RiskUtility`, CorrpolyError), the range checks
+of `unravel` and `prob_of`, the vertex guard, and the
 degenerate shapes that no other test file covers: 1-state subspaces and a
 zero-weight state."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from corrpoly import (
     Act,
     Collection,
+    ConsistencyError,
     CorrelationSet,
     CorrpolyError,
     Event,
@@ -51,6 +54,7 @@ from corrpoly import (
     partition_factorize,
     product_of_components,
     restricted_dimension,
+    run_finance,
     run_insurance,
     seu_subspace_value,
 )
@@ -199,6 +203,27 @@ MEMBERSHIP = {
 def test_non_member_raises_not_in_correlation_set_error(caller):
     with pytest.raises(NotInCorrelationSetError, match="does not have the prescribed marginals"):
         MEMBERSHIP[caller]()
+
+
+# Malformed CRRA input to `run_finance`: `RiskUtility` owns the checks, so
+# each case is a CorrpolyError naming the input, never a silent verdict, an
+# internal ConsistencyError or a Python arithmetic error.
+MALFORMED_CRRA = {
+    "rho=nan": (dict(rho=math.nan), "rho must be finite"),
+    "rho=inf": (dict(rho=math.inf), "rho must be finite"),
+    "rho=-inf": (dict(rho=-math.inf), "rho must be finite"),
+    "wealth=0": (dict(rho=0.5, wealth=F(0)), "scale must be finite and positive"),
+    "rho=2000": (dict(rho=2000.0), "overflows"),
+    "rho=-2000": (dict(rho=-2000.0), "overflows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CRRA))
+def test_malformed_crra_input_raises_corrpoly_error(case):
+    kwargs, message = MALFORMED_CRRA[case]
+    with pytest.raises(CorrpolyError, match=message) as exc:
+        run_finance(F(1, 4), **kwargs)
+    assert not isinstance(exc.value, ConsistencyError)
 
 
 def test_vertex_guard_is_checked_on_cached_vertices():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -260,6 +261,9 @@ def test_risk_utility():
     assert log_u.apply(12) == pytest.approx(0.6931471805599453)
     with pytest.raises(Exception):
         crra.apply(0)
+    for rho, scale in ((math.nan, 1.0), (-math.inf, 1.0), (1.0, 0.0), (1.0, -2.0), (1.0, math.inf)):
+        with pytest.raises(CorrpolyError, match="CRRA"):
+            RiskUtility(rho=rho, scale=scale)
 
 
 @settings(max_examples=25, deadline=None)

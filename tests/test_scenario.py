@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,13 +19,25 @@ from conftest import SCENARIO_DIR
 
 F = Fraction
 
-FIXTURES = ["climate.scn", "insurance.scn", "insurance_neglect.scn", "finance.scn"]
+SCN_FILES = sorted(
+    [*SCENARIO_DIR.glob("*.scn"), *(Path(__file__).resolve().parent / "fixtures").glob("*.scn")]
+)
 
 
 def test_fixture_round_trips_are_byte_identical():
-    for name in FIXTURES:
-        text = (SCENARIO_DIR / name).read_text()
-        assert sc.serialize(sc.loads(text)) == text, name
+    assert len(SCN_FILES) >= 7
+    for path in SCN_FILES:
+        text = path.read_text()
+        assert sc.serialize(sc.loads(text)) == text, path.name
+
+
+def test_readme_scenario_example_loads():
+    readme = (SCENARIO_DIR.parent / "README.md").read_text()
+    section = readme.split("## Scenario file format", 1)[1]
+    example = section.split("```\n", 2)[1]
+    scn = sc.loads(example)
+    assert scn.space.subspace_names == ("inflation", "uncertainty")
+    assert scn.sweep is not None and scn.sweep.param == "a"
 
 
 def test_climate_fixture_contents():
@@ -145,14 +158,6 @@ _B3 = "SPACE\na: x y\nb: u v\nc: s t\n\nMARGINALS\na: 1/2 1/2\nb: 1/2 1/2\nc: 1/
     (_B3 + "\nPRIOR\npartition: {1}{2,3}\n", 12, "malformed collection spec"),
     (_B3 + "\nPRIOR\npartition: {1},{2}\n", 12, "must cover all subspaces"),
     (_B2 + "\nPRIOR\nvertex: 1/2 1/2\n", 10, "prior vertex needs 4 weights"),
-    (_B2 + "\nUTILITY\nidentity\nidentity\n", 11, "single line"),
-    (_B2 + "\nUTILITY\ncrra rho=1 gamma=2\n", 10, "unknown utility field 'gamma'"),
-    (_B2 + "\nUTILITY\ncrra rho=abc\n", 10, "bad utility number 'abc'"),
-    (_B2 + "\nUTILITY\ncrra rho=nan\n", 10, "rho must be finite"),
-    (_B2 + "\nUTILITY\ncrra rho=inf scale=2\n", 10, "rho must be finite"),
-    (_B2 + "\nUTILITY\ncrra rho=1 scale=0\n", 10, "scale finite and positive"),
-    (_B2 + "\nUTILITY\ncrra rho=1 scale=-2\n", 10, "scale finite and positive"),
-    (_B2 + "\nUTILITY\ncrra rho=1 scale=inf\n", 10, "scale finite and positive"),
     (_B2 + "\nSWEEP\nparam: 1a\ngrid: 0\n", 10, "bad parameter name '1a'"),
     (_B2 + "\nSWEEP\nparam: a\nstep: 1\n", 11, "SWEEP lines are"),
 ])
@@ -172,17 +177,17 @@ def test_serialize_names_an_unlabeled_space():
     text = sc.serialize(scn)
     assert text == (
         "SPACE\ns0: x0 x1\ns1: x0 x1 x2\n\nMARGINALS\ns0: 1/2 1/2\ns1: 1/3 1/3 1/3\n\n"
-        "PRIOR\nfull\n\nUTILITY\nidentity\n"
+        "PRIOR\nfull\n"
     )
     assert sc.serialize(sc.loads(text)) == text
 
 
 @pytest.mark.parametrize("tail", [
-    "PRIOR\npartition: {1,3},{2}\n\nUTILITY\nidentity\n",
-    "PRIOR\nfull\n\nUTILITY\ncrra rho=0.5 scale=6.0\n",
-    "PRIOR\nindependent\n\nUTILITY\ncrra rho=2.0 scale=1.0\n",
+    "PRIOR\npartition: {1,3},{2}\n",
+    "PRIOR\nfull\n",
+    "PRIOR\nindependent\n",
 ])
-def test_serialize_round_trips_partitions_and_crra(tail):
+def test_serialize_round_trips_prior_kinds(tail):
     text = _B3 + "\n" + tail
     scn = sc.loads(text)
     assert sc.serialize(scn) == text
@@ -287,15 +292,16 @@ def test_explicit_vertex_prior_requires_valid_weights():
         sc.loads(bad).prior_set()  # vertex breaks the declared marginals
 
 
-def test_utility_section():
-    base = "SPACE\na: x y\n\nMARGINALS\na: 1/2 1/2\n\nUTILITY\n"
-    assert sc.loads(base + "identity\n").utility.rho is None
-    crra = sc.loads(base + "crra rho=0.5 scale=6.0\n").utility
-    assert crra.rho == 0.5 and crra.scale == 6.0
-    with pytest.raises(ScenarioError):
-        sc.loads(base + "crra scale=6.0\n")
-    with pytest.raises(ScenarioError):
-        sc.loads(base + "quadratic\n")
+@pytest.mark.parametrize("text, line, header", [
+    (_B2 + "\nUTILITY\nidentity\n", 9, "UTILITY"),  # the section that left the format
+    (_B2 + "\nPRIOR\nfull\n\nUTILITY\ncrra rho=0.5 scale=6.0\n", 12, "UTILITY"),
+    ("SPACE\na: x y\n\nMARGINAL\na: 1/2 1/2\n", 4, "MARGINAL"),
+    ("PRIORS\nfull\n", 1, "PRIORS"),
+])
+def test_unknown_section_headers_name_their_line(text, line, header):
+    with pytest.raises(ScenarioError, match=f"^line {line}: unknown section {header}$") as exc:
+        sc.loads(text)
+    assert exc.value.line == line
 
 
 def test_sweep_section_errors():
@@ -418,13 +424,6 @@ def canonical_scenarios(draw):
         out += [f"vertex: {exprs()}" for _ in range(draw(st.integers(1, 2)))]
     else:
         out.append(kind)
-    out += ["", "UTILITY"]
-    if draw(st.booleans()):
-        out.append("identity")
-    else:
-        rho = draw(st.floats(allow_nan=False, allow_infinity=False))
-        scale = draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
-        out.append(f"crra rho={rho} scale={scale}")
     if param:
         grid = draw(st.lists(_rationals, min_size=1, max_size=3))
         out += ["", "SWEEP", f"param: {param}", f"grid: {' '.join(map(str, grid))}"]
