@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConsistencyError, CorrpolyError
+from .linalg import fraction_tuple
 from .preferences import PriorSet, RiskUtility, meu_minimizer
 from .independence import product_of_components
 from .scenario import Scenario
@@ -90,9 +91,9 @@ def run_climate(
     space = prior.space
     if space.subspace_sizes != (2, 2):
         raise CorrpolyError("climate scenario needs a 2x2 space")
-    damage, mitigation_cost = Fraction(damage), Fraction(mitigation_cost)
-    mitigated_damage, engineering_cost = Fraction(mitigated_damage), Fraction(engineering_cost)
-    side_loss = Fraction(side_loss)
+    damage, mitigation_cost, mitigated_damage, engineering_cost, side_loss = fraction_tuple(
+        (damage, mitigation_cost, mitigated_damage, engineering_cost, side_loss)
+    )
     marginals = prior.shared_marginals()
     p_bad = marginals[0].weights[0]
 
@@ -173,8 +174,7 @@ def run_insurance(
     space = insurer_belief.space
     if space.subspace_sizes != (2, 2):
         raise CorrpolyError("insurance scenario needs a 2x2 space")
-    v = Fraction(house_value)
-    x = Fraction(double_damage_share)
+    v, x = fraction_tuple((house_value, double_damage_share))
     if not 0 < x < 1:
         raise CorrpolyError("the double-damage share must lie strictly between 0 and 1")
     p, ph = insurer_belief, insuree_belief
@@ -256,7 +256,7 @@ class FinanceReport:
 def finance_belief(a: Fraction) -> JointDistribution:
     """The joint belief: correlated inflation/uncertainty table glued to an
     independent deposit coordinate."""
-    a = Fraction(a)
+    (a,) = fraction_tuple((a,))
     space = finance_space()
     pair_space = space.subspace([0, 1])
     pair = JointDistribution(
@@ -281,7 +281,7 @@ def run_finance(
     threshold rho <= 1 + log2(6a/(1+6a)), which is cross-checked against the
     direct expected-utility comparison.
     """
-    a = Fraction(a)
+    a, wealth = fraction_tuple((a, wealth))
     if not 0 <= a <= Fraction(1, 3):
         raise CorrpolyError("the correlation weight a must lie in [0, 1/3]")
     context = {"a": str(a), "rho": str(rho), "wealth": str(wealth)}
@@ -358,8 +358,7 @@ def sweep_rows(
         grid = spec.grid
     cs = scenario.correlation_set()
     rows = []
-    for value in grid:
-        value = Fraction(value)
+    for value in fraction_tuple(grid):
         prior = scenario.prior_set(cs, param_value=value)
         rows += _maxmin_rows(prior, scenario.acts(param_value=value).items(), value)
     return rows

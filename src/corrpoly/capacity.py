@@ -33,7 +33,7 @@ from typing import Iterable, Optional
 
 from . import lp
 from .errors import ConsistencyError, CorrpolyError
-from .linalg import integer_numerators
+from .linalg import integer_numerators, require_count
 from .polytope import CorrelationSet
 from .space import Act, Event, cylinder, embed_cylinder, require_same_space
 
@@ -128,6 +128,8 @@ def check_exactness(
     The event sweep is exhaustive when 2^N is small and otherwise covers
     all cylinder events plus a seeded random sample.
     """
+    require_count(exhaustive_limit, "exhaustive_limit", 0)
+    require_count(samples, "samples", 0)
     space = cs.space
     n = space.total_size
     value = capacity_of(cs)._mask_value
@@ -187,6 +189,7 @@ def find_convexity_violation(
     found.  Exhaustive over unordered pairs when affordable, else a seeded
     random sample of pairs; nested pairs are skipped (they satisfy the
     inequality with equality)."""
+    require_count(pair_budget, "pair_budget", 0)
     space = cs.space
     n = space.total_size
     value = capacity_of(cs)._mask_value

@@ -3,21 +3,24 @@
 Mutual information of a coupling is its divergence from the independent
 product of its marginals: zero exactly at independence, strictly convex on
 the correlation set, and locally maximal exactly at the extreme points.
-These are the only floating-point quantities in the package; equality-style
-identities carry a 1e-9 tolerance and strictness checks a 1e-12 slack; the
-local-maximum verdict is exact (`certify_local_max_mi`).
+These are the only floating-point quantities in the package; strictness
+checks carry a 1e-12 slack, and the local-maximum verdict is exact
+(`certify_local_max_mi`).
 
-Mutual information is evaluated from integer weights over a common
-denominator: ``float(w)`` is taken as ``n / D`` and ``float(w / w_ind)`` as
-``(n * D_ind) / (D * i)``.  Integer true division is correctly rounded, as
-``Fraction.__float__`` is, so every value equals, float for float, the
-divergence computed on the exact rationals; each evaluation still
-cross-checks it, within ``DECOMPOSITION_TOL``, against the entropy
-decomposition.  Membership is checked once per point (`mutual_information`:
-its argument; `certify_local_max_mi`: ``p`` and each probe point), and the
-check returns the integer weights that are evaluated.  The ladder points
-between them are convex combinations of two members, hence members, and
-are evaluated directly from their integer weights.
+Every float here comes from one loop, `_divergence`, the only place that
+takes a logarithm.  It reads exact rationals as integer weights over a
+common denominator (`linalg.integer_numerators`): ``float(w)`` is taken as
+``n / D`` and ``float(w / q)`` as ``(n * D_q) / (D * m)``.  Integer true
+division is correctly rounded, as ``Fraction.__float__`` is, so each value
+equals, float for float, the sum over the exact rationals.  `kl_divergence`
+is that loop on two distributions, `mutual_information` on a member and the
+independent product, and `entropy` is minus it on a distribution and the
+counting measure.  The identity MI = sum_i H(p_i) - H(p) is a test, not a
+check made on each evaluation.  Membership is checked once per point
+(`mutual_information`: its argument; `certify_local_max_mi`: ``p`` and each
+probe point), and the check returns the integer weights that are evaluated.
+The ladder points between them are convex combinations of two members,
+hence members, and are evaluated directly from their integer weights.
 
 Probe points are built on demand, as the ladder reaches them: at a point
 that is not a vertex the ladder usually stops at its first direction, and
@@ -34,12 +37,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, CorrpolyError
-from .linalg import fraction_tuple
+from .linalg import fraction_tuple, integer_numerators, require_count
 from .polytope import CorrelationSet, face_basis, sample_member
 from .polytope import mix  # noqa: F401  (still importable from corrpoly.info)
 from .space import JointDistribution, Marginal, require_same_space
 
-DECOMPOSITION_TOL = 1e-9
 STRICTNESS_SLACK = 1e-12
 MAX_HALVINGS = 20  # a certificate's step ladder has MAX_HALVINGS + 3 rungs
 
@@ -52,19 +54,28 @@ class MutualInformationReport:
     max_observed_increase: float
 
 
-def _sum_left_to_right(terms) -> float:
-    """The float sum of ``terms`` in their order.  The builtin ``sum``
-    compensates rounding from Python 3.12 on, so it would print different
-    last digits on different supported versions."""
+def _divergence(nums, denom: int, ref, ref_denom: int) -> float:
+    """D(p || q) in bits for the integer weights ``nums`` of p over ``denom``
+    and ``ref`` of q over ``ref_denom``; +inf at the first state that p
+    charges and q does not.  The terms are summed left to right: the builtin
+    ``sum`` compensates rounding from Python 3.12 on, so it would print
+    different last digits on different supported versions."""
+    log2 = math.log2
     total = 0.0
-    for t in terms:
-        total += t
+    for n, m in zip(nums, ref):
+        if n == 0:
+            continue
+        if m == 0:
+            return math.inf
+        total += n / denom * log2(n * ref_denom / (denom * m))
     return total
 
 
 def entropy(p: JointDistribution | Marginal) -> float:
-    """Shannon entropy in bits, with the 0 log 0 = 0 convention."""
-    return -_sum_left_to_right(float(w) * math.log2(float(w)) for w in p.weights if w > 0)
+    """Shannon entropy in bits, with the 0 log 0 = 0 convention: minus the
+    divergence from the counting measure.  A point mass has ``0.0``."""
+    nums, denom = integer_numerators(p.weights)
+    return 0.0 - _divergence(nums, denom, [1] * len(nums), 1)
 
 
 marginal_entropy = entropy
@@ -73,62 +84,13 @@ marginal_entropy = entropy
 def kl_divergence(p: JointDistribution, q: JointDistribution) -> float:
     """Relative entropy D(p || q) in bits; +inf when supp(p) is not inside supp(q)."""
     require_same_space(q.space, p.space, "distribution")
-    total = 0.0
-    for wp, wq in zip(p.weights, q.weights):
-        if wp == 0:
-            continue
-        if wq == 0:
-            return math.inf
-        total += float(wp) * math.log2(float(wp / wq))
-    return total
+    return _divergence(*integer_numerators(p.weights), *integer_numerators(q.weights))
 
 
 def mutual_information(cs: CorrelationSet, p: JointDistribution) -> float:
     """Divergence of the coupling from the independent product of the
-    prescribed marginals, cross-checked against the entropy decomposition
-    sum_i H(p_i) - H(p)."""
-    return _mi_kernel(cs)(*cs.require_member(p))
-
-
-def _mi_kernel(cs: CorrelationSet):
-    """Mutual information on ``cs`` as a function of a member's integer
-    weights ``nums`` over their common denominator ``denom``.
-
-    The per-set constants (the summed marginal entropies and the integer
-    weights of the independent product, cached on ``cs``) are read once
-    here.  The divergence is summed in the order of `kl_divergence`, so the
-    returned value equals it bit for bit.  The entropy term is a running sum
-    too; it only feeds the decomposition cross-check."""
-    marginal_sum = _sum_left_to_right(marginal_entropy(m) for m in cs.marginals)
-    ind, ind_denom = cs.independent_numerators
-    log2 = math.log2
-
-    def evaluate(nums, denom: int) -> float:
-        kl = 0.0
-        unbounded = False
-        plogp = 0
-        for n, i in zip(nums, ind):
-            if n == 0:
-                continue
-            x = n / denom
-            if i == 0:
-                unbounded = True
-            else:
-                kl += x * log2(n * ind_denom / (denom * i))
-            plogp += x * log2(x)
-        value = math.inf if unbounded else kl
-        entropy_p = -plogp
-        decomposition = marginal_sum - entropy_p
-        if abs(value - decomposition) > DECOMPOSITION_TOL:
-            raise ConsistencyError(
-                f"mutual information {value} disagrees with entropy decomposition "
-                f"{decomposition}",
-                **cs.reproducer(),
-                weights=[str(Fraction(n, denom)) for n in nums],
-            )
-        return value
-
-    return evaluate
+    prescribed marginals."""
+    return _divergence(*cs.require_member(p), *cs.independent_numerators)
 
 
 def _max_step(p: JointDistribution, direction) -> Fraction:
@@ -209,22 +171,19 @@ def certify_local_max_mi(
     them, so none past that stop is built; a vertex gets no reflected
     probes, because no reflection through a vertex is feasible.  Decreasing
     along every probe at a non-vertex contradicts the argument above:
-    `ConsistencyError`.  A ``probes`` that is no integer, or a ``step`` that
-    is no finite rational, raises `CorrpolyError`.
+    `ConsistencyError`.  A ``probes`` that is no integer >= 0, or a ``step``
+    that is no finite rational, raises `CorrpolyError`.
     """
     (step,) = fraction_tuple((step,))
-    if not isinstance(probes, int):
-        raise CorrpolyError(f"probes must be an integer, got {probes!r}")
-    if probes < 0:
-        raise CorrpolyError(f"probes must be nonnegative, got {probes}")
+    require_count(probes, "probes", 0)
     if not 0 < step <= 1:
         raise CorrpolyError(
             f"the first mixing weight (step) must be positive and at most 1, got {step}"
         )
     a, a_denom = cs.require_member(p)
     face = face_basis(cs, p)
-    mutual_info = _mi_kernel(cs)
-    base = mutual_info(a, a_denom)
+    ind, ind_denom = cs.independent_numerators
+    base = _divergence(a, a_denom, ind, ind_denom)
     rng = random.Random(seed)
     max_increase = 0.0
     evaluated = 0
@@ -242,7 +201,7 @@ def certify_local_max_mi(
         for _ in range(MAX_HALVINGS + 3):
             r = t - s
             mixed = [r * x + s * y for x, y in zip(a_scaled, b_scaled)]
-            delta = mutual_info(mixed, t * ab_denom) - base
+            delta = _divergence(mixed, t * ab_denom, ind, ind_denom) - base
             if delta > max_increase:
                 max_increase = delta
             run = run + 1 if delta < -STRICTNESS_SLACK else 0

@@ -19,7 +19,7 @@ call, by tools that wrap every public function (the benchmark's tracer).
 is the one scaling that the integer code paths of the other modules start
 from.  `fraction_tuple` is the one conversion of input values to
 Fractions, and the one place that turns a value that is no finite rational
-into `CorrpolyError`.
+into `CorrpolyError`; `require_count` is the one check of a count argument.
 """
 
 from __future__ import annotations
@@ -43,6 +43,12 @@ def fraction_tuple(values: Iterable) -> tuple[Fraction, ...]:
         return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
     except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
         raise CorrpolyError(f"not a finite rational: {exc}") from None
+
+
+def require_count(value, name: str, minimum: int) -> None:
+    """CorrpolyError unless ``value`` is an integer of at least ``minimum``."""
+    if not isinstance(value, int) or value < minimum:
+        raise CorrpolyError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def integer_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:

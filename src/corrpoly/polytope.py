@@ -176,6 +176,7 @@ class CorrelationSet:
     def vertices(self, guard: int = 4096) -> tuple[JointDistribution, ...]:
         """The extreme points, enumerated once and cached.  ``guard`` is
         checked on every call: over it, the enumeration raises before it runs."""
+        linalg.require_count(guard, "guard", 0)
         if self._vertices is None or self.space.total_size > guard:
             self._vertices = tuple(enumerate_extreme_points(self, guard=guard))
         return self._vertices
@@ -251,6 +252,7 @@ def enumerate_extreme_points(
     one has exactly its support and no vertex is found twice.  Output is
     sorted lexicographically by the exact weight vectors.
     """
+    linalg.require_count(guard, "guard", 0)
     n = cs.space.total_size
     if n > guard:
         raise GuardExceededError(f"support enumeration guarded at {guard} states, space has {n}")
@@ -357,8 +359,7 @@ def sample_member(
     draws divided by ``resolution``); the step is a random multiple
     ``u / resolution`` of the largest feasible one, found by comparing
     the integer weights of the product over their common denominator."""
-    if not isinstance(resolution, int) or resolution < 1:
-        raise CorrpolyError(f"resolution must be an integer >= 1, got {resolution!r}")
+    linalg.require_count(resolution, "resolution", 1)
     p_ind = cs.independent_product
     if len(cs.kernel) == 0:
         return p_ind
@@ -389,7 +390,7 @@ def sample_member(
 def mix(p: JointDistribution, q: JointDistribution, lam: Fraction) -> JointDistribution:
     """The convex combination (1-lam) p + lam q, exactly."""
     require_same_space(q.space, p.space, "distribution")
-    lam = Fraction(lam)
+    (lam,) = linalg.fraction_tuple((lam,))
     if not 0 <= lam <= 1:
         raise CorrpolyError("mixing weight must lie in [0, 1]")
     weights = tuple((1 - lam) * a + lam * b for a, b in zip(p.weights, q.weights))

@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,7 @@ from . import lp
 from .capacity import capacity_of, choquet_integral
 from .errors import ConsistencyError, CorrpolyError
 from .independence import event_family, is_independent_on
-from .linalg import integer_numerators
+from .linalg import fraction_tuple, integer_numerators, require_count
 from .polytope import CorrelationSet
 from .space import (
     Act,
@@ -63,13 +64,14 @@ class UtilityAlignment:
     shift: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "scale", Fraction(self.scale))
-        object.__setattr__(self, "shift", Fraction(self.shift))
+        scale, shift = fraction_tuple((self.scale, self.shift))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "shift", shift)
         if self.scale <= 0:
             raise CorrpolyError("utility alignment scale must be positive")
 
     def apply(self, value: Fraction) -> Fraction:
-        return self.scale * Fraction(value) + self.shift
+        return self.scale * fraction_tuple((value,))[0] + self.shift
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,10 @@ class SubspacePreference:
             raise CorrpolyError("marginal belongs to a different subspace")
 
 
+def _finite_real(x) -> bool:
+    return isinstance(x, numbers.Real) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class RiskUtility:
     """Bernoulli utility over monetary outcomes: identity (risk neutral) or
@@ -100,10 +106,10 @@ class RiskUtility:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.rho is not None and not math.isfinite(self.rho):
-            raise CorrpolyError(f"CRRA rho must be finite, got {self.rho}")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise CorrpolyError(f"CRRA scale must be finite and positive, got {self.scale}")
+        if self.rho is not None and not _finite_real(self.rho):
+            raise CorrpolyError(f"CRRA rho must be finite, got {self.rho!r}")
+        if not (_finite_real(self.scale) and self.scale > 0):
+            raise CorrpolyError(f"CRRA scale must be finite and positive, got {self.scale!r}")
 
     def apply(self, wealth) -> float:
         c = float(wealth)
@@ -403,8 +409,7 @@ def check_subspace_independence_axiom(
     holds, ``trials`` seeded random act tuples corroborate that no violation
     exists (any hit would be an internal error, not a verdict change).
     """
-    if trials < 0:
-        raise CorrpolyError(f"trials must be nonnegative, got {trials}")
+    require_count(trials, "trials", 0)
     marginals = prior.shared_marginals()
     p_ind = independent_product(marginals, prior.space)
     verdict = len(prior.vertices) == 1 and prior.vertices[0].weights == p_ind.weights

@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CorrpolyError, ScenarioError
+from .linalg import fraction_tuple
 from .independence import partition_factorize, product_of_components
 from .polytope import CorrelationSet
 from .preferences import PriorSet
@@ -68,7 +69,7 @@ class LinExpr:
             return self.const
         if value is None:
             raise CorrpolyError(f"unbound parameter {self.param!r}")
-        return self.const + self.coeff * Fraction(value)
+        return self.const + self.coeff * fraction_tuple((value,))[0]
 
     def __str__(self) -> str:
         if self.coeff == 0:

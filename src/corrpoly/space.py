@@ -237,9 +237,9 @@ class Event:
     mask: int
 
     def __post_init__(self):
-        if not 0 <= self.mask < 1 << self.space.total_size:
+        if not isinstance(self.mask, int) or not 0 <= self.mask < 1 << self.space.total_size:
             raise CorrpolyError(
-                f"mask {self.mask} is not an event of a space with "
+                f"mask {self.mask!r} is not an event of a space with "
                 f"{self.space.total_size} states"
             )
 
@@ -299,8 +299,8 @@ class Event:
 
 def event_from_mask(space: ProductSpace, mask: int) -> Event:
     """The event whose members are the states with a set bit in ``mask``
-    (the inverse of `Event.bitmask`).  Raises CorrpolyError unless
-    0 <= mask < 2^N."""
+    (the inverse of `Event.bitmask`).  Raises CorrpolyError unless ``mask``
+    is an integer with 0 <= mask < 2^N."""
     return Event(space, mask)
 
 

@@ -5,9 +5,9 @@ reduction, no pruning beyond what the mathematics forces (a support must
 cover every positive marginal row, and a uniquely solvable support cannot
 exceed the system rank).  Used to freeze expected values and to cross-check
 the production enumeration path.  The mutual-information references at the
-end keep the package's earlier Fraction-based membership test, sampler,
-eager probe construction and per-step certificate, which the integer and
-on-demand versions must match exactly.  The
+end keep the package's earlier Fraction-based divergence and entropy
+loops, membership test, sampler, eager probe construction and per-step
+certificate, which the integer and on-demand versions must match exactly.  The
 axiom-checker references keep the package's earlier Event/Act versions of
 the subspace-independence scan and trials and of the product-identity
 search, and of the element-wise independence test, which the cell-table
@@ -133,15 +133,40 @@ def contains_reference(cs, p):
     )
 
 
+def kl_divergence_reference(p, q):
+    """D(p || q) in bits, each term taken from the exact rationals by
+    ``Fraction.__float__`` and summed left to right."""
+    import math
+
+    total = 0.0
+    for wp, wq in zip(p.weights, q.weights):
+        if wp == 0:
+            continue
+        if wq == 0:
+            return math.inf
+        total += float(wp) * math.log2(float(wp / wq))
+    return total
+
+
+def entropy_reference(p):
+    """Shannon entropy in bits, summed left to right over the Fractions."""
+    import math
+
+    total = 0.0
+    for w in p.weights:
+        if w > 0:
+            total += float(w) * math.log2(float(w))
+    return -total
+
+
 def mutual_information_reference(cs, p):
     """D(p || independent product), cross-checked by the entropy decomposition."""
-    from corrpoly import NotInCorrelationSetError, entropy, kl_divergence
-    from corrpoly.info import marginal_entropy
+    from corrpoly import NotInCorrelationSetError
 
     if not contains_reference(cs, p):
         raise NotInCorrelationSetError("distribution does not have the prescribed marginals")
-    value = kl_divergence(p, cs.independent_product)
-    decomposition = sum(marginal_entropy(m) for m in cs.marginals) - entropy(p)
+    value = kl_divergence_reference(p, cs.independent_product)
+    decomposition = sum(entropy_reference(m) for m in cs.marginals) - entropy_reference(p)
     if abs(value - decomposition) > DECOMPOSITION_TOL:
         raise AssertionError(f"decomposition {decomposition} != divergence {value}")
     return value

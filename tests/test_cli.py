@@ -283,7 +283,7 @@ def test_mi_bad_input_is_an_error(capsys):
 def test_check_axiom_rejects_negative_trials(capsys):
     args = ("check-axiom", FINANCE, "--axiom", "subspace-independence", "--at", "1/6")
     code, out, err = run(capsys, *args, "--trials", "-5")
-    assert code == 1 and out == "" and "trials must be nonnegative" in err
+    assert code == 1 and out == "" and "trials must be an integer >= 0" in err
     code, out, _ = run(capsys, *args, "--trials", "0")
     assert code == 0 and out == "holds: True\n"
 

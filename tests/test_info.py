@@ -27,9 +27,11 @@ from corrpoly import (
     sample_member,
 )
 from corrpoly.polytope import face_basis
-from conftest import random_correlation_set
+from conftest import DEGENERATE_MARGINALS, correlation_set_of, random_correlation_set
 from bruteforce import (
     certify_local_max_mi_reference,
+    entropy_reference,
+    kl_divergence_reference,
     mutual_information_reference,
     oracle_vertices,
     probe_points_reference,
@@ -44,7 +46,9 @@ def _joint(space, *weights):
 
 def test_entropy_basics():
     space = ProductSpace((4,))
-    assert entropy(_joint(space, 1, 0, 0, 0)) == 0.0
+    # a point mass has entropy 0.0, not -0.0
+    assert entropy(_joint(space, 1, 0, 0, 0)).hex() == "0x0.0p+0"
+    assert entropy(_joint(ProductSpace((1,)), 1)).hex() == "0x0.0p+0"
     assert entropy(_joint(space, F(1, 4), F(1, 4), F(1, 4), F(1, 4))) == pytest.approx(2.0)
     assert entropy(_joint(space, F(1, 2), F(1, 2), 0, 0)) == pytest.approx(1.0)
 
@@ -277,6 +281,46 @@ def test_certificate_equals_per_step_reference(cs):
             assert got == want
 
 
+def _information_sets():
+    """Random, degenerate and conftest's degenerate sets, and a (2,3) set
+    whose denominators reach 10**30."""
+    yield from _random_sets()
+    yield from _degenerate_sets()
+    for weights in DEGENERATE_MARGINALS.values():
+        yield correlation_set_of(weights)
+    tiny = F(1, 10 ** 30)
+    yield correlation_set_of([(tiny, 1 - tiny), (F(1, 3), F(1, 3) - tiny, F(1, 3) + tiny)])
+
+
+@pytest.mark.parametrize("cs", list(_information_sets()),
+                         ids=lambda cs: "x".join(map(str, cs.space.subspace_sizes)))
+def test_divergence_and_entropy_equal_the_fraction_loops(cs):
+    # the integer loop returns, bit for bit, what summing the Fraction terms
+    # does; pairs of members with different supports cover inf
+    # (+ 0.0: the Fraction loop gives a point mass -0.0, the package 0.0)
+    points = _certificate_points(cs, random.Random(33))
+    for p in points:
+        assert entropy(p).hex() == (entropy_reference(p) + 0.0).hex()
+        for q in points:
+            assert kl_divergence(p, q).hex() == kl_divergence_reference(p, q).hex()
+        assert mutual_information(cs, p).hex() == kl_divergence_reference(
+            p, cs.independent_product).hex()
+    for m in cs.marginals:
+        assert entropy(m).hex() == (entropy_reference(m) + 0.0).hex()
+    if cs.vertices()[0].weights != cs.independent_product.weights:
+        assert kl_divergence(cs.independent_product, cs.vertices()[0]) == math.inf
+
+
+@pytest.mark.parametrize("cs", list(_information_sets()),
+                         ids=lambda cs: "x".join(map(str, cs.space.subspace_sizes)))
+def test_mutual_information_is_the_entropy_decomposition(cs):
+    # MI = sum_i H(p_i) - H(p) on vertices, the product, midpoints and samples
+    marginal_sum = sum(entropy(m) for m in cs.marginals)
+    for p in _certificate_points(cs, random.Random(34)):
+        assert mutual_information(cs, p) == pytest.approx(
+            marginal_sum - entropy(p), rel=0, abs=1e-9)
+
+
 def test_certificate_rejects_steps_outside_the_unit_interval(skew_2x2):
     cs = skew_2x2
     p = cs.independent_product
@@ -292,7 +336,7 @@ def test_certificate_rejects_steps_outside_the_unit_interval(skew_2x2):
 
 def test_certificate_rejects_negative_probes_and_nonpositive_steps(skew_2x2):
     p = skew_2x2.independent_product
-    with pytest.raises(CorrpolyError, match="probes must be nonnegative"):
+    with pytest.raises(CorrpolyError, match="probes must be an integer >= 0"):
         certify_local_max_mi(skew_2x2, p, probes=-3)
     for step in (F(0), F(-1, 8)):
         with pytest.raises(CorrpolyError, match="must be positive"):
@@ -370,19 +414,6 @@ def test_certificate_checks_each_probe_point(skew_2x2, monkeypatch):
         certify_local_max_mi(skew_2x2, skew_2x2.independent_product, probes=1)
 
 
-def test_decomposition_mismatch_carries_reproducer(skew_2x2, monkeypatch):
-    import corrpoly.info as info
-
-    monkeypatch.setattr(info, "marginal_entropy", lambda m: 1.0)
-    with pytest.raises(ConsistencyError, match="entropy decomposition") as exc:
-        mutual_information(skew_2x2, skew_2x2.independent_product)
-    assert exc.value.context == {
-        "shape": (2, 2),
-        "marginals": [["1/3", "2/3"], ["1/4", "3/4"]],
-        "weights": ["1/12", "1/4", "1/6", "1/2"],
-    }
-
-
 def test_certificate_computes_the_face_once(skew_2x2, monkeypatch):
     calls = []
     nullspace = linalg.nullspace
@@ -404,11 +435,8 @@ def test_ladder_certifying_a_non_vertex_is_a_consistency_error(skew_2x2, monkeyp
     # contradict strict convexity along the two-sided face directions
     import corrpoly.info as info
 
-    def falling_kernel(cs):
-        values = itertools.count(0, -1)
-        return lambda nums, denom: float(next(values))
-
-    monkeypatch.setattr(info, "_mi_kernel", falling_kernel)
+    values = itertools.count(0, -1)
+    monkeypatch.setattr(info, "_divergence", lambda *weights: float(next(values)))
     with pytest.raises(ConsistencyError, match="not a vertex") as exc:
         certify_local_max_mi(skew_2x2, skew_2x2.independent_product, probes=2)
     assert exc.value.context == {

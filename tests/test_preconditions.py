@@ -3,8 +3,10 @@ error: the same product space (`space.require_same_space`,
 SpaceMismatchError), shared marginals (`space.shared_marginals`,
 MarginalMismatchError) and membership of the correlation set
 (`CorrelationSet.require_member`, NotInCorrelationSetError).  Also the
-CRRA fields (`preferences.RiskUtility`, CorrpolyError), the range checks
-of `unravel` and `prob_of`, the vertex guard, and the
+CRRA fields (`preferences.RiskUtility`, CorrpolyError), malformed rational
+and count arguments (`linalg.fraction_tuple`, `linalg.require_count`,
+CorrpolyError), the range checks of `unravel` and `prob_of`, the vertex
+guard, and the
 degenerate shapes that no other test file covers: 1-state subspaces and a
 zero-weight state."""
 
@@ -27,25 +29,32 @@ from corrpoly import (
     NotInCorrelationSetError,
     PriorSet,
     ProductSpace,
+    RiskUtility,
     SpaceMismatchError,
     SubspacePreference,
+    UtilityAlignment,
     absolute_revealed_correlation,
     capacity_of,
     ceu_value,
     certify_local_max_mi,
     check_event_level_independence,
     check_exactness,
+    check_subspace_independence_axiom,
     choquet_integral,
     compare_revealed_correlation,
     decompose,
     dimension,
     embed_act,
     embed_cylinder,
+    enumerate_extreme_points,
     event_from_mask,
     expectation,
+    finance_belief,
+    find_convexity_violation,
     independent_product,
     is_maximally_zero,
     kl_divergence,
+    load,
     loads,
     meu_value,
     mix,
@@ -54,13 +63,16 @@ from corrpoly import (
     partition_factorize,
     product_of_components,
     restricted_dimension,
+    run_climate,
     run_finance,
     run_insurance,
     seu_subspace_value,
+    sweep_rows,
 )
 from corrpoly.independence import event_family
 from corrpoly.space import shared_marginals
 from bruteforce import oracle_vertices
+from conftest import SCENARIO_DIR
 
 F = Fraction
 
@@ -224,6 +236,64 @@ def test_malformed_crra_input_raises_corrpoly_error(case):
     with pytest.raises(CorrpolyError, match=message) as exc:
         run_finance(F(1, 4), **kwargs)
     assert not isinstance(exc.value, ConsistencyError)
+
+
+# Malformed rational and count arguments: each is a CorrpolyError from the
+# one conversion (`linalg.fraction_tuple`) or the one count check
+# (`linalg.require_count`), never a ValueError or TypeError.
+FINANCE = SCENARIO_DIR / "finance.scn"
+
+MALFORMED_ARGUMENTS = {
+    "mix lam='x'": lambda: mix(P, P, "x"),
+    "mix lam=nan": lambda: mix(P, P, math.nan),
+    "sweep_rows grid=['x']": lambda: sweep_rows(load(FINANCE), grid=["x"]),
+    "sweep_rows grid=[nan]": lambda: sweep_rows(load(FINANCE), grid=[math.nan]),
+    "Scenario.prior_set param_value=nan": lambda: load(FINANCE).prior_set(param_value=math.nan),
+    "run_climate damage='x'": lambda: run_climate(
+        "x", 1, 1, 1, 1, PriorSet.from_correlation_set(_cs(S22))
+    ),
+    "run_insurance house_value=nan": lambda: run_insurance(math.nan, F(1, 2), P, P),
+    "run_finance a='abc'": lambda: run_finance("abc"),
+    "run_finance a=nan": lambda: run_finance(math.nan),
+    "run_finance wealth='x'": lambda: run_finance(F(1, 4), rho=0.5, wealth="x"),
+    "finance_belief a='x'": lambda: finance_belief("x"),
+    "UtilityAlignment scale='x'": lambda: UtilityAlignment(scale="x"),
+    "UtilityAlignment shift=nan": lambda: UtilityAlignment(shift=math.nan),
+    "UtilityAlignment.apply value='x'": lambda: UtilityAlignment().apply("x"),
+    "RiskUtility rho='x'": lambda: RiskUtility(rho="x"),
+    "RiskUtility scale='x'": lambda: RiskUtility(scale="x"),
+    "check_subspace_independence_axiom trials=2.5": lambda: check_subspace_independence_axiom(
+        PriorSet.singleton(P), trials=2.5
+    ),
+    "check_subspace_independence_axiom trials='3'": lambda: check_subspace_independence_axiom(
+        PriorSet.singleton(P), trials="3"
+    ),
+    "enumerate_extreme_points guard='x'": lambda: enumerate_extreme_points(_cs(S22), guard="x"),
+    "CorrelationSet.vertices guard=None": lambda: _cs(S22).vertices(guard=None),
+    "check_exactness exhaustive_limit='a'": lambda: check_exactness(
+        _cs(S22), exhaustive_limit="a"
+    ),
+    "check_exactness samples='a'": lambda: check_exactness(_cs(S22), samples="a"),
+    "find_convexity_violation pair_budget=2.5": lambda: find_convexity_violation(
+        _cs(S22), pair_budget=2.5
+    ),
+    "Event mask=1.5": lambda: Event(S22, 1.5),
+    "event_from_mask mask=1.5": lambda: event_from_mask(S22, 1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ARGUMENTS))
+def test_malformed_arguments_raise_corrpoly_error(case):
+    with pytest.raises(CorrpolyError) as exc:
+        MALFORMED_ARGUMENTS[case]()
+    assert not isinstance(exc.value, ConsistencyError)
+
+
+def test_count_arguments_name_their_bound():
+    with pytest.raises(CorrpolyError, match=r"pair_budget must be an integer >= 0, got 2\.5"):
+        find_convexity_violation(_cs(S22), pair_budget=2.5)
+    with pytest.raises(CorrpolyError, match=r"guard must be an integer >= 0, got None"):
+        _cs(S22).vertices(guard=None)
 
 
 def test_vertex_guard_is_checked_on_cached_vertices():

@@ -466,7 +466,7 @@ def test_subspace_independence_rejects_negative_trials(uniform_2x2):
     product = PriorSet.singleton(uniform_2x2.independent_product)
     full = PriorSet.from_correlation_set(uniform_2x2)
     for prior in (product, full):
-        with pytest.raises(CorrpolyError, match="trials must be nonnegative"):
+        with pytest.raises(CorrpolyError, match="trials must be an integer >= 0"):
             check_subspace_independence_axiom(prior, trials=-5)
     assert check_subspace_independence_axiom(product, trials=0) == (True, None)
     # a single subspace has no complement to condition on
