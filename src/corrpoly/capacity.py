@@ -12,14 +12,19 @@ the state with flat index k is in E), and the sweeps below
 
 Every value is an exact LP minimum over the set's marginal system.  Simplex
 phase 1 does not depend on the event, so a `Capacity` runs it once, when it
-is built, and keeps the start, which checks itself once, on the first miss
-(see `lp.FeasibleStart`).  Each miss then goes through `lp.phase2`, the one
-door into phase 2 that `lp.solve_lp_min` uses too, with the event's 0/1
-indicator as its integer cost: no `LinearProgram` and no Fraction
-minimizer or dual.  Each solve checks its exact dual certificate in
-integers (see `lp`).  The value is also cross-checked against the minimum
-over the enumerated extreme points, an integer sum of vertex weights over
-the event's states, and the two must agree.
+is built, and keeps the start (see `lp.FeasibleStart`).  Each miss then goes
+through `lp.phase2`, the one door into phase 2 that `lp.solve_lp_min` uses
+too, with the event's 0/1 indicator as its integer cost: no
+`LinearProgram` and no Fraction minimizer or dual.  Phase 2 walks the
+start's cache of bases, so the events of one set share the pivots they
+have in common; the cache is the start's, and goes with the capacity and
+its set.  Each basis passed the primal half of the LP certificate when it
+entered the cache, and each solve checks the dual half (see `lp`).  The
+value is also cross-checked against the minimum over the enumerated
+extreme points, an integer sum of vertex weights over the event's states,
+and the two must agree.  A failed check raises ConsistencyError with the
+set's shape and marginals, the event's mask and, when the LP certificate
+failed, the basis where it did.
 """
 
 from __future__ import annotations
@@ -80,16 +85,15 @@ class Capacity:
     def _solve(self, mask: int) -> Fraction:
         """min p(E) by phase 2 from the cached start, certified, and checked
         against the vertex minimum."""
-        members = [k for k in range(self.space.total_size) if mask >> k & 1]
-        cost = [0] * self.space.total_size
-        for k in members:
-            cost[k] = 1
+        cost = [mask >> k & 1 for k in range(self.space.total_size)]
         try:
             cx, _, x_scale, _, _ = lp.phase2(self._start, cost)
         except ConsistencyError as exc:
-            raise ConsistencyError(f"capacity {exc}", **self._reproducer(mask)) from exc
+            raise ConsistencyError(
+                f"capacity {exc.reason}", **self._reproducer(mask), **exc.context
+            ) from exc
         denom, columns = self._vertex_columns
-        vertex_min = min(map(sum, zip(*[columns[k] for k in members])))
+        vertex_min = min(map(sum, zip(*itertools.compress(columns, cost))))
         if cx * denom != vertex_min * x_scale:
             raise ConsistencyError(
                 f"LP capacity {Fraction(cx, x_scale)} disagrees with vertex minimum "

@@ -47,9 +47,11 @@ class ConsistencyError(CorrpolyError):
     computations of the same quantity
     disagree or a certificate fails; always indicates a bug, never bad user
     input.  Keyword ``context`` (the inputs that reproduce the failure) is
-    appended to the message and kept as the ``context`` attribute."""
+    appended to the message and kept as the ``context`` attribute; the
+    message without it is the ``reason`` attribute."""
 
     def __init__(self, message: str, **context):
+        self.reason = message
         if context:
             message += " (" + ", ".join(f"{k}={v}" for k, v in context.items()) + ")"
         super().__init__(message)

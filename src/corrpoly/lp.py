@@ -1,42 +1,59 @@
 """Exact linear programming over the rationals.
 
-A small dense two-phase simplex in standard equality form (min c.x subject
-to A x = b, x >= 0) with Bland's anti-cycling rule.  The tableau is kept
+A two-phase simplex in standard equality form (min c.x subject to A x = b,
+x >= 0) with Bland's anti-cycling rule.  The tableau is kept
 fraction-free: each row is an integer vector, the row of the rational
 tableau scaled by the lcm of its denominators, so its basic entry is its
 positive scale.  A pivot combines integer rows without division, as in
 Bareiss (1968), and then divides each changed row by its gcd (rows keep
 their own scales, so there is no common previous pivot to divide by).
-Bland's rule reads only signs: the reduced costs form one more integer
-row of positive scale, and the ratio test compares rhs/entry ratios by
+So each row is the primitive integer multiple of its rational row, and a
+tableau is a function of its ordered basis alone.  Bland's rule reads
+only signs: the reduced costs form one more integer row of positive
+scale, and the ratio test compares rhs/entry ratios by
 cross-multiplication, ties going to the lower basis index.  So the pivots
 are those of the simplex on Fractions, optima and minimizers are exact,
 and the returned minimizer is a basic feasible solution, i.e. a vertex of
-the feasible polytope.  Problem sizes here are tiny; no sparsity or
-revised-simplex machinery is warranted.
+the feasible polytope.  One pivot routine (`_pivot`) and one Bland loop
+(`_bland`) serve both phases.
 
 Phase 1 ignores the objective, so it is its own step: `feasible_start`
 runs it once for a system ``A x = b`` and returns the basic feasible
-integer tableau it ends on.  A `FeasibleStart` checks itself, once, on
-first use: its `tableau` is a feasible integer basis or raises.  `phase2`
-is the one door into phase 2: it runs the simplex from a start for an
-integer cost and certifies the result against the start's own
-constraints.  `solve_lp_min` is `feasible_start`, then `phase2`, then
-Fractions.  The capacity of a correlation set minimizes many 0/1 costs
-over one system: it keeps one start and calls `phase2` with each event's
-indicator, with no `LinearProgram` and no Fractions per solve.  There is
-one phase 2, so every caller ends on the same vertex for the same
-objective.
+integer tableau it ends on.  `phase2` is the one door into phase 2: it
+runs the simplex from a start for an integer cost and certifies the
+result against the start's own constraints.  `solve_lp_min` is
+`feasible_start`, then `phase2`, then Fractions.  The capacity of a
+correlation set minimizes many 0/1 costs over one system: it keeps one
+start and calls `phase2` with each event's indicator, with no
+`LinearProgram` and no Fractions per solve.  There is one phase 2, so
+every caller ends on the same vertex for the same objective.
 
-Every solve is certified.  The reduced costs of the artificial columns
-give the exact dual ``y``; rows negated to make ``b >= 0`` negate their
-dual entry, and redundant rows dropped in phase 1 carry no basic cost, so
-they add nothing to ``y``.  The solve then checks ``A x = b``, ``x >= 0``,
-``A^T y <= c`` and ``b.y = c.x`` in integers over one common denominator,
-which together prove ``x`` optimal (Applegate, Cook, Dash & Espinoza
-2007).  Fractions are built only for the returned `LPSolution`.  A failed
-check can only come from a start that does not belong to the program, and
-raises ConsistencyError.
+A `FeasibleStart` caches the feasible bases that phase 2 reaches from it,
+keyed by the ordered basis.  An entry holds the pivoted integer tableau
+(immutable tuples), its basic solution ``xs / x_scale`` and the pivots
+already taken from it (entering column to leaving row and next basis).
+Phase 2 prices the cost on the start's entry and walks Bland's rule
+through the cache, computing a pivot only towards a basis not reached
+before; the reduced costs follow each step from the pivot row.  Many
+costs over one system, as a capacity's events are, meet the same few
+bases.  The cache lives and dies with its start: it holds no reference
+back, and the entries name each other by basis only.
+
+Every returned optimum is certified, in integers over one common
+denominator (Applegate, Cook, Dash & Espinoza 2007), in two halves.  The
+primal half, ``x >= 0`` and ``A x = b``, does not depend on the cost: it
+is checked once per basis, when the basis enters the cache, so a basis
+that fails it never enters and fails again on the next solve that reaches
+it.  The start checks first that its own tableau is a feasible integer
+basis.  The dual half is checked on every solve, from the sparse columns
+of the system: the reduced costs of the artificial columns give the exact
+dual ``y`` (rows negated to make ``b >= 0`` negate their dual entry, and
+redundant rows dropped in phase 1 carry no basic cost, so they add
+nothing to ``y``), and the solve checks ``A^T y <= c`` and ``b.y = c.x``.
+With the primal half these prove ``x`` optimal.  Fractions are built only
+for the returned `LPSolution`.  A failed check can only come from a start
+that does not belong to the program, and raises ConsistencyError, which
+names the basis where the certificate failed.
 """
 
 from __future__ import annotations
@@ -84,23 +101,57 @@ class LPSolution:
     dual: tuple[Fraction, ...]
 
 
+class _Line(NamedTuple):
+    """The nonzero entries of one row or column: their indices and values."""
+
+    indices: tuple[int, ...]
+    values: tuple[int, ...]
+
+    def dot(self, vector: Sequence[int]) -> int:
+        return sum(map(mul, self.values, map(vector.__getitem__, self.indices)))
+
+
 class _IntegerSystem(NamedTuple):
     """The constraints ``A x = b`` of a program, scaled by the common
-    denominator ``scale`` of all their entries."""
+    denominator ``scale`` of all their entries, with ``A`` stored by sparse
+    rows and by sparse columns."""
 
     scale: int
-    rows: tuple[tuple[int, ...], ...]
-    columns: tuple[tuple[int, ...], ...]
+    rows: tuple[_Line, ...]
+    columns: tuple[_Line, ...]
     rhs: tuple[int, ...]
+
+
+def _line(entries: Sequence[int]) -> _Line:
+    indices = tuple(k for k, a in enumerate(entries) if a)
+    return _Line(indices, tuple(entries[k] for k in indices))
 
 
 def _integer_system(lp: LinearProgram) -> _IntegerSystem:
     n, m = len(lp.objective), len(lp.eq_rhs)
     flat, scale = integer_numerators([*chain.from_iterable(lp.eq_matrix), *lp.eq_rhs])
-    rows = tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(m))
-    rhs = tuple(flat[m * n :])
-    columns = tuple(zip(*rows)) if rows else ((),) * len(lp.objective)
-    return _IntegerSystem(scale, rows, columns, rhs)
+    rows = tuple(_line(flat[r * n : (r + 1) * n]) for r in range(m))
+    columns = tuple(_line(flat[j : m * n : n]) for j in range(n))
+    return _IntegerSystem(scale, rows, columns, tuple(flat[m * n :]))
+
+
+class _Tableau(NamedTuple):
+    """Integer rows, rhs last, with their ordered basis: the entry of row r
+    in column ``basis[r]`` is its positive scale."""
+
+    rows: tuple[tuple[int, ...], ...]
+    basis: tuple[int, ...]
+
+
+class _Basis(NamedTuple):
+    """A feasible basis in the cache of a start: its tableau, its basic
+    solution ``xs / x_scale`` (which passed the primal check) and the pivots
+    taken from it so far, entering column -> (leaving row, next basis)."""
+
+    tableau: _Tableau
+    xs: tuple[int, ...]
+    x_scale: int
+    moves: dict[int, tuple[int, tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -116,6 +167,10 @@ class FeasibleStart:
     and rows found redundant are dropped.  Every column in ``basis`` is an
     original one.  ``system`` is the program's constraints that the start
     was built for, and that every solve from it is certified against.
+
+    The start also holds the cache of bases that `phase2` reaches from it
+    (see the module docstring); a copy made with `dataclasses.replace`
+    starts an empty one.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -125,14 +180,52 @@ class FeasibleStart:
     system: _IntegerSystem
 
     @cached_property
-    def tableau(self) -> tuple[tuple[int, ...], ...]:
-        """The rows with their rhs appended, which `phase2` starts from,
-        checked on first use to form a feasible integer basis.  Raises
-        ConsistencyError, without context, when they do not."""
-        rows = tuple(row + (b,) for row, b in zip(self.rows, self.rhs))
-        if not _is_feasible_basis(rows, self.basis, len(self.system.columns)):
-            raise ConsistencyError("LP start is not a feasible integer basis")
-        return rows
+    def _bases(self) -> dict[tuple[int, ...], _Basis]:
+        return {}
+
+    def _root(self) -> _Basis:
+        """The entry of the start's own basis.  On first use it checks that
+        the rows with their rhs appended form a feasible integer basis, and
+        raises ConsistencyError, without context, when they do not."""
+        root = self._bases.get(self.basis)
+        if root is None:
+            rows = tuple(row + (b,) for row, b in zip(self.rows, self.rhs))
+            if not _is_feasible_basis(rows, self.basis, len(self.system.columns)):
+                raise ConsistencyError("LP start is not a feasible integer basis")
+            root = self._enter(_Tableau(rows, self.basis))
+        return root
+
+    def _enter(self, tab: _Tableau) -> _Basis:
+        """Cache ``tab`` once its basic solution passes the primal check."""
+        scales = [row[bv] for row, bv in zip(tab.rows, tab.basis)]
+        x_scale = math.lcm(*scales)
+        xs = [0] * len(self.system.columns)
+        for row, bv, s in zip(tab.rows, tab.basis, scales):
+            xs[bv] = row[-1] * (x_scale // s)
+        if min(xs, default=0) < 0:
+            failure = "x has a negative entry"
+        elif any(
+            row.dot(xs) != b * x_scale for row, b in zip(self.system.rows, self.system.rhs)
+        ):
+            failure = "A x != b"
+        else:
+            entry = self._bases[tab.basis] = _Basis(tab, tuple(xs), x_scale, {})
+            return entry
+        raise ConsistencyError(f"LP certificate failed: {failure}", basis=tab.basis)
+
+    def _move(self, entry: _Basis, col: int) -> tuple[tuple[int, ...], _Basis]:
+        """Bland's pivot on ``col`` from ``entry``: the pivot row and the
+        entry of the next basis, pivoted and entered only if not cached."""
+        move = entry.moves.get(col)
+        if move is None:
+            tab = entry.tableau
+            row = _leaving(tab, col)
+            basis = tab.basis[:row] + (col,) + tab.basis[row + 1 :]
+            if basis not in self._bases:
+                self._enter(_pivot(tab, row, col))
+            move = entry.moves[col] = (row, basis)
+        row, basis = move
+        return entry.tableau.rows[row], self._bases[basis]
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -140,70 +233,79 @@ def _primitive(row: list[int]) -> list[int]:
     return [a // g for a in row] if g > 1 else row
 
 
-class _Tableau:
-    """Integer rows, rhs last, and the objective row ``z`` whose entries
-    are the reduced costs (the rhs the negated objective) times ``1/scale``."""
+def _price(tab: _Tableau, cost: Sequence[int]) -> tuple[list[int], int]:
+    """The reduced costs of ``cost`` (one entry per column) and their scale:
+    z_j = c_j - sum_r c_B(r) a_rj / s_r, scaled by the lcm of the scales s_r
+    of the priced rows, with the negated objective in the rhs entry."""
+    priced = [(row, cost[bv], row[bv]) for row, bv in zip(*tab) if cost[bv]]
+    lcm = math.lcm(*(s for _, _, s in priced))
+    z = [c * lcm for c in cost] + [0]
+    for row, cb, s in priced:
+        f = cb * (lcm // s)
+        z = [a - f * b for a, b in zip(z, row)]
+    g = math.gcd(lcm, *z)
+    return ([a // g for a in z], lcm // g) if g > 1 else (z, lcm)
 
-    def __init__(self, rows: list[Sequence[int]], basis: list[int]):
-        self.rows = rows
-        self.basis = basis
-        self.z: list[int] = []
-        self.scale = 1
 
-    def price(self, cost: Sequence[int]) -> None:
-        """Set ``z`` to the reduced costs of ``cost``, one entry per column:
-        z_j = c_j - sum_r c_B(r) a_rj / s_r, scaled by the lcm of the
-        scales s_r of the priced rows."""
-        priced = [(row, cost[bv], row[bv]) for row, bv in zip(self.rows, self.basis) if cost[bv]]
-        lcm = math.lcm(*(s for _, _, s in priced))
-        z = [c * lcm for c in cost] + [0]
-        for row, cb, s in priced:
-            f = cb * (lcm // s)
-            z = [a - f * b for a, b in zip(z, row)]
-        g = math.gcd(lcm, *z)
-        self.z = [a // g for a in z]
-        self.scale = lcm // g
+def _pivot(tab: _Tableau, row: int, col: int) -> _Tableau:
+    """The tableau with ``col`` entering the basis at ``row``."""
+    prow = tab.rows[row]
+    p = prow[col]
+    if p < 0:
+        prow = tuple(-a for a in prow)
+        p = -p
+    rows = [
+        other if not (f := other[col]) or r == row
+        else tuple(_primitive([p * a - f * b for a, b in zip(other, prow)]))
+        for r, other in enumerate(tab.rows)
+    ]
+    rows[row] = prow
+    return _Tableau(tuple(rows), tab.basis[:row] + (col,) + tab.basis[row + 1 :])
 
-    def pivot(self, row: int, col: int) -> None:
-        prow = self.rows[row]
-        p = prow[col]
-        if p < 0:
-            prow = self.rows[row] = [-a for a in prow]
-            p = -p
-        for r, other in enumerate(self.rows):
-            f = other[col]
-            if f and r != row:
-                self.rows[r] = _primitive([p * a - f * b for a, b in zip(other, prow)])
-        f = self.z[col] if self.z else 0
-        if f:
-            z = [p * a - f * b for a, b in zip(self.z, prow)]
-            g = math.gcd(self.scale * p, *z)
-            self.z = [a // g for a in z]
-            self.scale = self.scale * p // g
-        self.basis[row] = col
 
-    def run_simplex(self, entering_limit: int) -> None:
-        """Minimize by Bland's rule over entering columns ``< entering_limit``.
-        Raises UnboundedError when a negative reduced-cost column has no
-        positive entry."""
-        while True:
-            z = self.z
-            entering = next((j for j in range(entering_limit) if z[j] < 0), None)
-            if entering is None:
-                return
-            leaving = None
-            for r, row in enumerate(self.rows):
-                a = row[entering]
-                if a > 0:
-                    if leaving is None:
-                        leaving, best_rhs, best_a = r, row[-1], a
-                        continue
-                    lhs, rhs = row[-1] * best_a, best_rhs * a
-                    if lhs < rhs or (lhs == rhs and self.basis[r] < self.basis[leaving]):
-                        leaving, best_rhs, best_a = r, row[-1], a
+def _leaving(tab: _Tableau, col: int) -> int:
+    """Bland's ratio test for entering column ``col``: the row of least
+    rhs/entry over positive entries, ties to the lower basis index.  Raises
+    UnboundedError when the column has no positive entry."""
+    leaving = None
+    for r, row in enumerate(tab.rows):
+        a = row[col]
+        if a > 0:
             if leaving is None:
-                raise UnboundedError("objective is unbounded below")
-            self.pivot(leaving, entering)
+                leaving, best_rhs, best_a = r, row[-1], a
+                continue
+            lhs, rhs = row[-1] * best_a, best_rhs * a
+            if lhs < rhs or (lhs == rhs and tab.basis[r] < tab.basis[leaving]):
+                leaving, best_rhs, best_a = r, row[-1], a
+    if leaving is None:
+        raise UnboundedError("objective is unbounded below")
+    return leaving
+
+
+def _bland(node, z: list[int], scale: int, entering_limit: int, step):
+    """Minimize by Bland's rule over entering columns ``< entering_limit``,
+    from ``node`` with reduced costs ``z / scale``.  ``step(node, col)``
+    returns the pivot row, from which the reduced costs follow, and the
+    node after the pivot.  Returns the last node and its reduced costs."""
+    while True:
+        for col in range(entering_limit):
+            if z[col] < 0:
+                break
+        else:
+            return node, z, scale
+        prow, node = step(node, col)
+        p, f = prow[col], z[col]
+        z = [p * a - f * b for a, b in zip(z, prow)]
+        scale *= p
+        g = math.gcd(scale, *z)
+        if g > 1:
+            z = [a // g for a in z]
+            scale //= g
+
+
+def _phase1_step(tab: _Tableau, col: int) -> tuple[tuple[int, ...], _Tableau]:
+    row = _leaving(tab, col)
+    return tab.rows[row], _pivot(tab, row, col)
 
 
 def feasible_start(lp: LinearProgram) -> FeasibleStart:
@@ -217,30 +319,32 @@ def feasible_start(lp: LinearProgram) -> FeasibleStart:
     system = _integer_system(lp)
     flipped = tuple(b < 0 for b in system.rhs)
     rows = []
-    for r, (row, b, flip) in enumerate(zip(system.rows, system.rhs, flipped)):
+    for r, (line, b, flip) in enumerate(zip(system.rows, system.rhs, flipped)):
         sign = -1 if flip else 1
-        artificial = [system.scale if i == r else 0 for i in range(m)]
-        rows.append(_primitive([sign * a for a in row] + artificial + [sign * b]))
-    tab = _Tableau(rows, list(range(n, n + m)))
-    tab.price([0] * n + [1] * m)
-    tab.run_simplex(n + m)
-    if tab.z[-1] != 0:
+        row = [0] * (n + m + 1)
+        for j, a in zip(*line):
+            row[j] = sign * a
+        row[n + r], row[-1] = system.scale, sign * b
+        rows.append(tuple(_primitive(row)))
+    tab = _Tableau(tuple(rows), tuple(range(n, n + m)))
+    z, scale = _price(tab, [0] * n + [1] * m)
+    tab, z, _ = _bland(tab, z, scale, n + m, _phase1_step)
+    if z[-1] != 0:
         raise InfeasibleError("equality constraints admit no nonnegative solution")
 
     # drive remaining artificials out of the basis; drop redundant rows
-    tab.z = []
     for r in range(len(tab.rows) - 1, -1, -1):
         if tab.basis[r] >= n:
             row = tab.rows[r]
             col = next((j for j in range(n) if row[j] != 0), None)
             if col is None:
-                del tab.rows[r], tab.basis[r]
+                tab = _Tableau(tab.rows[:r] + tab.rows[r + 1 :], tab.basis[:r] + tab.basis[r + 1 :])
             else:
-                tab.pivot(r, col)
+                tab = _pivot(tab, r, col)
     return FeasibleStart(
-        tuple(tuple(row[:-1]) for row in tab.rows),
+        tuple(row[:-1] for row in tab.rows),
         tuple(row[-1] for row in tab.rows),
-        tuple(tab.basis),
+        tab.basis,
         flipped,
         system,
     )
@@ -259,7 +363,7 @@ def solve_lp_min(lp: LinearProgram) -> LPSolution:
     try:
         cx, xs, x_scale, ys, y_scale = phase2(feasible_start(lp), cost)
     except ConsistencyError as exc:
-        _fail(lp, str(exc))
+        _fail(lp, exc)
     return LPSolution(
         Fraction(cx, cost_scale * x_scale),
         tuple(Fraction(v, x_scale) if v else _ZERO for v in xs),
@@ -269,31 +373,32 @@ def solve_lp_min(lp: LinearProgram) -> LPSolution:
 
 def phase2(
     start: FeasibleStart, cost: Sequence[int]
-) -> tuple[int, list[int], int, list[int], int]:
+) -> tuple[int, tuple[int, ...], int, list[int], int]:
     """Phase 2 for the integer ``cost`` (one entry per original column)
-    from ``start``, certified against the start's constraints, all in
-    integers.
+    from ``start``, through the start's cache of bases, certified against
+    the start's constraints, all in integers.
 
     Returns ``(cx, xs, x_scale, ys, y_scale)``: the minimizer is
     ``xs / x_scale``, the dual ``ys / y_scale`` and the optimum
     ``cx / x_scale``.  Raises UnboundedError when the cost has no finite
-    minimum and ConsistencyError, without context, when the start is not a
-    feasible integer basis or the certificate fails.
+    minimum and ConsistencyError when the start is not a feasible integer
+    basis (without context) or the certificate fails (naming the basis).
     """
     n, m = len(cost), len(start.flipped)
-    tab = _Tableau(list(start.tableau), list(start.basis))
-    tab.price([*cost, *[0] * m])
-    tab.run_simplex(n)
-
-    scales = [row[bv] for row, bv in zip(tab.rows, tab.basis)]
-    x_scale = math.lcm(*scales)
-    xs = [0] * n
-    for row, bv, s in zip(tab.rows, tab.basis, scales):
-        xs[bv] = row[-1] * (x_scale // s)
-    ys = [z if flip else -z for z, flip in zip(tab.z[n:n + m], start.flipped)]
+    root = start._root()
+    z, scale = _price(root.tableau, [*cost, *[0] * m])
+    entry, z, scale = _bland(root, z, scale, n, start._move)
+    xs, x_scale, basis = entry.xs, entry.x_scale, entry.tableau.basis
+    ys = [v if flip else -v for v, flip in zip(z[n:n + m], start.flipped)]
     cx = sum(map(mul, cost, xs))
-    _certify(start.system, xs, x_scale, ys, tab.scale, cost, cx)
-    return cx, xs, x_scale, ys, tab.scale
+    dual_bound = start.system.scale * scale
+    if any(column.dot(ys) > dual_bound * c for column, c in zip(start.system.columns, cost)):
+        failure = "A^T y <= c fails"
+    elif x_scale * sum(map(mul, start.system.rhs, ys)) != dual_bound * cx:
+        failure = "b.y != c.x"
+    else:
+        return cx, xs, x_scale, ys, scale
+    raise ConsistencyError(f"LP certificate failed: {failure}", basis=basis)
 
 
 def _is_feasible_basis(rows: Sequence[Sequence], basis: Sequence[int], n: int) -> bool:
@@ -311,48 +416,14 @@ def _is_feasible_basis(rows: Sequence[Sequence], basis: Sequence[int], n: int) -
     return True
 
 
-def _certify(
-    system: _IntegerSystem,
-    xs: Sequence[int],
-    x_scale: int,
-    ys: Sequence[int],
-    y_scale: int,
-    cost: Sequence[int],
-    cx: int,
-) -> None:
-    """Raise ConsistencyError unless x is feasible, y is dual feasible and
-    their objectives agree: weak duality then makes both optimal.
-
-    With A = rows / L, b = rhs / L, x = xs / X and y = ys / Y the four
-    conditions read, over integers: xs >= 0, rows . xs = rhs * X,
-    columns . ys <= L * Y * cost and X * (rhs . ys) = L * Y * (cost . xs).
-    """
-    dual_bound = system.scale * y_scale
-    if min(xs, default=0) < 0:
-        failure = "x has a negative entry"
-    elif any(
-        sum(map(mul, row, xs)) != b * x_scale for row, b in zip(system.rows, system.rhs)
-    ):
-        failure = "A x != b"
-    elif any(
-        sum(map(mul, column, ys)) > dual_bound * c
-        for column, c in zip(system.columns, cost)
-    ):
-        failure = "A^T y <= c fails"
-    elif x_scale * sum(map(mul, system.rhs, ys)) != dual_bound * cx:
-        failure = "b.y != c.x"
-    else:
-        return
-    raise ConsistencyError(f"LP certificate failed: {failure}")
-
-
-def _fail(lp: LinearProgram, message: str) -> NoReturn:
+def _fail(lp: LinearProgram, exc: ConsistencyError) -> NoReturn:
     raise ConsistencyError(
-        message,
+        exc.reason,
         size=f"{len(lp.eq_rhs)}x{len(lp.objective)}",
         objective=[str(c) for c in lp.objective],
         eq_rhs=[str(b) for b in lp.eq_rhs],
-    )
+        **exc.context,
+    ) from exc
 
 
 def in_convex_hull(

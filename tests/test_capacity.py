@@ -30,7 +30,7 @@ from corrpoly import (
 )
 from corrpoly import lp
 from bruteforce import oracle_vertices, solve_lp_min_reference
-from conftest import random_correlation_set
+from conftest import DEGENERATE_MARGINALS, random_correlation_set
 
 F = Fraction
 
@@ -252,25 +252,37 @@ def test_lp_vertex_agreement_full_sweep():
         ((2, 3), [(F(1, 4), F(3, 4)), (F(1, 2), F(0), F(1, 2))]),
         ((2, 2, 2), [(F(1), F(0)), (F(1, 3), F(2, 3)), (F(1, 2), F(1, 2))]),
         ((2, 2, 2), [(F(0), F(1)), (F(1), F(0)), (F(0), F(1))]),
+        *(
+            pytest.param(tuple(map(len, weights)), weights, id=name)
+            for name, weights in DEGENERATE_MARGINALS.items()
+        ),
     ],
 )
 def test_capacity_matches_oracle_on_degenerate_sets(sizes, weights):
-    # a 1-state subspace, a zero-weight state, a point-mass marginal and a
-    # set whose one vertex is a point mass; the sweep of the mask path
-    # includes the empty and the full event, and each value is also the
-    # optimum of the Fraction reference simplex
+    # 1-state subspaces, zero-weight states, point-mass marginals, a set
+    # whose one vertex is a point mass and tied marginals; the sweep of the
+    # mask path includes the empty and the full event, and each value is
+    # also the optimum of the Fraction reference simplex.  A second sweep
+    # with the memo cleared solves every event again through the cache of
+    # bases, which the first sweep completed.
     space = ProductSpace(sizes)
     cs = CorrelationSet(space, [Marginal(i, w) for i, w in enumerate(weights)])
     vertices = oracle_vertices(sizes, weights)
     cap = capacity_of(cs)
+    expected = {}
     for mask in range(2 ** space.total_size):
-        expected = min(
+        expected[mask] = min(
             sum((w for k, w in enumerate(v) if mask >> k & 1), F(0)) for v in vertices
         )
         indicator = tuple(mask >> k & 1 for k in range(space.total_size))
         program = LinearProgram(indicator, cs.system.matrix, cs.system.rhs)
-        assert solve_lp_min_reference(program).optimum == expected
-        assert cap.value(event_from_mask(space, mask)) == expected
+        assert solve_lp_min_reference(program).optimum == expected[mask]
+        assert cap.value(event_from_mask(space, mask)) == expected[mask]
+    bases = dict(cap._start._bases)
+    cap._memo.clear()
+    for mask, value in expected.items():
+        assert cap.value(event_from_mask(space, mask)) == value
+    assert cap._start._bases == bases
 
 
 def test_event_from_mask_is_the_inverse_of_bitmask():
@@ -295,15 +307,17 @@ def test_an_unreferenced_set_is_freed_without_the_cycle_collector():
         lambda cs: capacity_value(cs, event_from_mask(cs.space, 0b010110)),  # one miss
         lambda cs: capacity_value(cs, Event.empty(cs.space)),  # no miss
         capacity_of,  # no query
+        # every event: the start's cache of bases fills, and goes with it
+        lambda cs: [capacity_value(cs, event_from_mask(cs.space, m)) for m in range(2 ** 6)],
     ]
     gc.disable()
     try:
         for query in queries:
             cs = random_correlation_set((2, 3), rng)
             query(cs)
-            set_ref, capacity_ref = weakref.ref(cs), weakref.ref(capacity_of(cs))
+            refs = weakref.ref(cs), weakref.ref(capacity_of(cs)), weakref.ref(capacity_of(cs)._start)
             del cs
-            assert set_ref() is None and capacity_ref() is None
+            assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
 
@@ -369,11 +383,37 @@ def test_capacity_certificate_fails_on_an_integer_corrupted_start(uniform_cube):
     cap = capacity_of(uniform_cube)
     space = uniform_cube.space
     cap.value(event_from_mask(space, 0b1))
-    cap._start = dataclasses.replace(cap._start, rhs=(cap._start.rhs[0] + 1,) + cap._start.rhs[1:])
-    with pytest.raises(ConsistencyError, match="certificate failed") as info:
-        cap.value(event_from_mask(space, 0b10010110))
-    assert info.value.context["mask"] == 0b10010110
-    assert 0b10010110 not in cap._memo
+    start = cap._start = dataclasses.replace(cap._start, rhs=(cap._start.rhs[0] + 1,) + cap._start.rhs[1:])
+    for _ in range(2):  # the failing basis never enters the cache
+        with pytest.raises(ConsistencyError, match="certificate failed: A x != b") as info:
+            cap.value(event_from_mask(space, 0b10010110))
+        assert info.value.context == {
+            "shape": (2, 2, 2),
+            "marginals": [["1/2", "1/2"]] * 3,
+            "mask": 0b10010110,
+            "basis": start.basis,
+        }
+        assert 0b10010110 not in cap._memo
+        assert not start._bases
+
+
+def test_capacity_dual_certificate_failure_names_the_optimal_basis(uniform_cube):
+    # a bumped artificial-column entry leaves every basic solution intact,
+    # so each basis passes the primal check and enters the cache, and the
+    # dual check of the solve names the optimal basis
+    cap = capacity_of(uniform_cube)
+    space = uniform_cube.space
+    cap.value(event_from_mask(space, 0b1))
+    rows = [list(row) for row in cap._start.rows]
+    rows[0][8] += 1
+    start = cap._start = dataclasses.replace(cap._start, rows=tuple(map(tuple, rows)))
+    with pytest.raises(ConsistencyError, match=r"certificate failed: (A\^T y <= c fails|b\.y != c\.x)") as info:
+        for mask in range(1, 2 ** 8):
+            cap.value(event_from_mask(space, mask))
+    context = info.value.context
+    assert context["mask"] == mask and context["shape"] == (2, 2, 2)
+    assert context["basis"] in start._bases
+    assert mask not in cap._memo
 
 
 def test_capacity_vertex_disagreement_names_the_event(uniform_2x2):

@@ -175,6 +175,67 @@ def test_certificate_with_negated_rows(m, n, seed):
     _assert_certified(program, sol)
 
 
+@st.composite
+def _costs_over_one_system(draw):
+    """One feasible system and a shuffled list of costs, some repeated: the
+    marginal system of a seeded set, or an integer ``A x = A x0`` whose
+    negative entries negate rows of ``b`` and whose last row, the sum of
+    two others, is redundant."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    if draw(st.booleans()):
+        cs = random_correlation_set(draw(st.sampled_from([(2, 2, 2), (3, 3), (2, 4), (1, 3)])), rng)
+        matrix, rhs, n = cs.system.matrix, cs.system.rhs, cs.space.total_size
+    else:
+        m, n = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+        matrix = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        matrix.append([a + b for a, b in zip(matrix[0], matrix[-1])])
+        x0 = [rng.randint(0, 2) for _ in range(n)]
+        rhs = [sum(a * v for a, v in zip(row, x0)) for row in matrix]
+    costs = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(5)]
+    costs += [[rng.randint(0, 1) for _ in range(n)] for _ in range(5)]
+    costs += rng.sample(costs, 4)
+    rng.shuffle(costs)
+    return LinearProgram(tuple(costs[0]), matrix, rhs), costs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_costs_over_one_system())
+def test_solves_through_one_cache_equal_solves_from_fresh_starts(drawn):
+    program, costs = drawn
+    start = feasible_start(program)
+    for cost in costs:
+        changed = LinearProgram(tuple(cost), program.eq_matrix, program.eq_rhs)
+        cached = _outcome(lambda p: _solve_from(start, p), changed)
+        assert cached == _outcome(solve_lp_min, changed)
+    assert start.basis in start._bases
+
+
+def test_a_basis_that_fails_the_primal_check_stays_out_of_the_cache():
+    # a bumped entry in a non-basic column leaves the start's own basis
+    # feasible, but the basis that the column enters no longer solves A x = b
+    rng = random.Random(17)
+    cs = random_correlation_set((3, 3), rng)
+    start = feasible_start(_program(cs, [0] * 9))
+    rows = [list(r) for r in start.rows]
+    rows[0][0] += 1
+    corrupt = dataclasses.replace(start, rows=tuple(map(tuple, rows)))
+    costs = [[mask >> k & 1 for k in range(9)] for mask in range(1, 2 ** 9)]
+    sweeps = []
+    for _ in range(2):
+        failed = []
+        for mask, cost in enumerate(costs, 1):
+            try:
+                lp.phase2(corrupt, cost)
+            except ConsistencyError as exc:
+                assert exc.reason == "LP certificate failed: A x != b"
+                failed.append((mask, exc.context["basis"]))
+        assert corrupt.basis in corrupt._bases
+        assert not {basis for _, basis in failed} & set(corrupt._bases)
+        sweeps.append(failed)
+    assert sweeps[0] == sweeps[1]
+    assert (4, (2, 5, 7, 6, 0)) in sweeps[0]
+
+
 def test_redundant_rows_are_dropped():
     # zero-weight states and one redundant row per extra subspace
     space = ProductSpace((2, 3))
@@ -249,8 +310,12 @@ def test_integer_corrupted_start_fails_the_certificate():
         (bump(0, 9), "A^T y <= c fails"),
         (bump(2, 9), "b.y != c.x"),
     ):
-        with pytest.raises(ConsistencyError, match=f"LP certificate failed: {re.escape(failure)}"):
+        with pytest.raises(ConsistencyError, match=f"LP certificate failed: {re.escape(failure)}") as info:
             _solve_from(corrupt, program)
+        # the failing basis is named: the start's own, whose primal check
+        # fails, or the optimal one, which passed it and entered the cache
+        basis = info.value.context["basis"]
+        assert basis == start.basis if failure == "A x != b" else basis in corrupt._bases
 
 
 def test_unconstrained_program():
