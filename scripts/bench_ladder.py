@@ -1,10 +1,10 @@
 """Time vertex enumeration and a capacity sweep on a ladder of shapes.
 
-    python scripts/bench_ladder.py [--rungs K] [--timeout S] [--seed N]
+    python scripts/bench_ladder.py [--rungs K]
 
 For each shape of the ladder, smallest first, the set is the one that
-`tests/conftest.py`'s `random_correlation_set` draws with `random.Random(N)`
-(denominator 12, full support).  Two measurements run, each in a fresh
+`tests/conftest.py`'s `random_correlation_set` draws with `random.Random(SEED)`,
+SEED = 1 (denominator 12, full support).  Two measurements run, each in a fresh
 Python process that imports corrpoly from this checkout's `src/`:
 
 * `vertices`: one `cs.vertices()`, the enumeration of the extreme points;
@@ -13,7 +13,7 @@ Python process that imports corrpoly from this checkout's `src/`:
   seeded sample beyond.  The process reports the events swept and the
   bases in the capacity's phase-2 cache.
 
-A measurement that takes longer than `--timeout` seconds is stopped and
+A measurement that takes longer than `TIMEOUT_S` = 60 s is stopped and
 recorded as "did not finish".  `--rungs K` runs the K smallest shapes.
 The result is one JSON object on stdout.  Only the standard library is
 needed.  Exit code 1 when a measurement fails, else 0.
@@ -30,6 +30,8 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+TIMEOUT_S = 60.0
+SEED = 1
 
 LADDER = (
     (2, 2),
@@ -80,18 +82,18 @@ else:
 """
 
 
-def measure(task: str, sizes: tuple[int, ...], seed: int, timeout: float) -> dict:
+def measure(task: str, sizes: tuple[int, ...]) -> dict:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     try:
         done = subprocess.run(
-            [sys.executable, "-c", CHILD, json.dumps([task, sizes, seed])],
+            [sys.executable, "-c", CHILD, json.dumps([task, sizes, SEED])],
             capture_output=True,
             text=True,
-            timeout=timeout,
+            timeout=TIMEOUT_S,
             env=env,
         )
     except subprocess.TimeoutExpired:
-        return {"status": "did not finish", "timeout_s": timeout}
+        return {"status": "did not finish", "timeout_s": TIMEOUT_S}
     if done.returncode != 0:
         return {"status": "failed", "stderr": done.stderr.strip().splitlines()[-1:]}
     return {"status": "ok", **json.loads(done.stdout)}
@@ -100,22 +102,20 @@ def measure(task: str, sizes: tuple[int, ...], seed: int, timeout: float) -> dic
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rungs", type=int, default=len(LADDER), help="run the K smallest shapes")
-    parser.add_argument("--timeout", type=float, default=60.0, help="seconds per measurement")
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if not 1 <= args.rungs <= len(LADDER) or args.timeout <= 0:
-        parser.error(f"--rungs must lie in 1..{len(LADDER)} and --timeout be positive")
+    if not 1 <= args.rungs <= len(LADDER):
+        parser.error(f"--rungs must lie in 1..{len(LADDER)}")
 
     rungs = []
     for sizes in LADDER[: args.rungs]:
         rung = {"shape": list(sizes)}
         for task in ("vertices", "exactness"):
-            rung[task] = measure(task, sizes, args.seed, args.timeout)
+            rung[task] = measure(task, sizes)
         rungs.append(rung)
     result = {
         "python": platform.python_version(),
-        "seed": args.seed,
-        "timeout_s": args.timeout,
+        "seed": SEED,
+        "timeout_s": TIMEOUT_S,
         "rungs": rungs,
     }
     print(json.dumps(result, indent=1))

@@ -30,14 +30,13 @@ every caller ends on the same vertex for the same objective.
 
 A `FeasibleStart` caches the feasible bases that phase 2 reaches from it,
 keyed by the ordered basis.  An entry holds the pivoted integer tableau
-(immutable tuples), its basic solution ``xs / x_scale`` and the pivots
-already taken from it (entering column to leaving row and next basis).
-Phase 2 prices the cost on the start's entry and walks Bland's rule
-through the cache, computing a pivot only towards a basis not reached
-before; the reduced costs follow each step from the pivot row.  Many
-costs over one system, as a capacity's events are, meet the same few
-bases.  The cache lives and dies with its start: it holds no reference
-back, and the entries name each other by basis only.
+(immutable tuples) and its basic solution ``xs / x_scale``.  Phase 2
+prices the cost on the start's entry and walks Bland's rule through the
+cache: each step runs the ratio test on the entry's tableau and computes
+a pivot only towards a basis not reached before; the reduced costs follow
+each step from the pivot row.  Many costs over one system, as a
+capacity's events are, meet the same few bases.  The cache lives and dies
+with its start: it holds no reference back.
 
 Every returned optimum is certified, in integers over one common
 denominator (Applegate, Cook, Dash & Espinoza 2007), in two halves.  The
@@ -144,14 +143,12 @@ class _Tableau(NamedTuple):
 
 
 class _Basis(NamedTuple):
-    """A feasible basis in the cache of a start: its tableau, its basic
-    solution ``xs / x_scale`` (which passed the primal check) and the pivots
-    taken from it so far, entering column -> (leaving row, next basis)."""
+    """A feasible basis in the cache of a start: its tableau and its basic
+    solution ``xs / x_scale``, which passed the primal check."""
 
     tableau: _Tableau
     xs: tuple[int, ...]
     x_scale: int
-    moves: dict[int, tuple[int, tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -209,23 +206,19 @@ class FeasibleStart:
         ):
             failure = "A x != b"
         else:
-            entry = self._bases[tab.basis] = _Basis(tab, tuple(xs), x_scale, {})
+            entry = self._bases[tab.basis] = _Basis(tab, tuple(xs), x_scale)
             return entry
         raise ConsistencyError(f"LP certificate failed: {failure}", basis=tab.basis)
 
     def _move(self, entry: _Basis, col: int) -> tuple[tuple[int, ...], _Basis]:
         """Bland's pivot on ``col`` from ``entry``: the pivot row and the
         entry of the next basis, pivoted and entered only if not cached."""
-        move = entry.moves.get(col)
-        if move is None:
-            tab = entry.tableau
-            row = _leaving(tab, col)
-            basis = tab.basis[:row] + (col,) + tab.basis[row + 1 :]
-            if basis not in self._bases:
-                self._enter(_pivot(tab, row, col))
-            move = entry.moves[col] = (row, basis)
-        row, basis = move
-        return entry.tableau.rows[row], self._bases[basis]
+        tab = entry.tableau
+        row = _leaving(tab, col)
+        after = self._bases.get(tab.basis[:row] + (col,) + tab.basis[row + 1 :])
+        if after is None:
+            after = self._enter(_pivot(tab, row, col))
+        return tab.rows[row], after
 
 
 def _primitive(row: list[int]) -> list[int]:
