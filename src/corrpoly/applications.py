@@ -59,6 +59,26 @@ class ReportRow:
         return cls(name, value, decimal_string(value), argmin_vertex, param)
 
 
+def _render(columns: Sequence[str], rows: Sequence[Sequence], fmt: str) -> str:
+    """``rows`` under ``columns`` as CSV (``fmt == "csv"``) or as a table of
+    left-aligned columns; every cell is written as its ``str``."""
+    cells = [[str(c) for c in row] for row in rows]
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(cells)
+        return buf.getvalue()
+    widths = [len(c) for c in columns]
+    for row in cells:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
+    for row in cells:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
 def _maxmin_rows(
     prior: PriorSet, acts: Iterable[tuple[str, Act]], param: Optional[Fraction] = None
 ) -> list[ReportRow]:
@@ -238,6 +258,8 @@ FINANCE_MARGINALS = (
 )
 # returns indexed (inflation, uncertainty, deposit), deposit fastest
 FINANCE_RETURNS = (3, 7, -9, 3, -6, 2, -12, 0)
+# wealth before the trade: the CRRA threshold of `run_finance` is exact there
+FINANCE_WEALTH = 6
 
 
 def finance_space() -> ProductSpace:
@@ -267,9 +289,7 @@ def finance_belief(a: Fraction) -> JointDistribution:
     return product_of_components(space, Collection.of({0, 1}, {2}), [pair, deposit])
 
 
-def run_finance(
-    a: Fraction, rho: Optional[float] = None, wealth: Fraction = Fraction(6)
-) -> FinanceReport:
+def run_finance(a: Fraction, rho: Optional[float] = None) -> FinanceReport:
     """Evaluate buying the asset when inflation and economic uncertainty are
     correlated with joint weight ``a`` on the doubly-high state but both are
     independent of deposit discovery.
@@ -277,14 +297,15 @@ def run_finance(
     The deposit coordinate is averaged out first (the averaged table must be
     exactly (6, 0, 0, -3)); risk-neutral expected return is then linear in
     ``a`` and zero at the independent value 1/6.  Under constant relative
-    risk aversion on ``wealth + return`` the buy verdict has the closed-form
-    threshold rho <= 1 + log2(6a/(1+6a)), which is cross-checked against the
-    direct expected-utility comparison.
+    risk aversion on wealth 6 plus the return (``FINANCE_WEALTH``, the one
+    wealth where the closed form holds) the buy verdict has the threshold
+    rho <= 1 + log2(6a/(1+6a)), which is cross-checked against the direct
+    expected-utility comparison.
     """
-    a, wealth = fraction_tuple((a, wealth))
+    (a,) = fraction_tuple((a,))
     if not 0 <= a <= Fraction(1, 3):
         raise CorrpolyError("the correlation weight a must lie in [0, 1/3]")
-    context = {"a": str(a), "rho": str(rho), "wealth": str(wealth)}
+    context = {"a": str(a), "rho": str(rho)}
     space = finance_space()
     full_act = Act(space, FINANCE_RETURNS)
     deposit_weights = FINANCE_MARGINALS[2]
@@ -318,13 +339,13 @@ def run_finance(
     if rho is None:
         buy = expected > 0
     else:
-        utility = RiskUtility(rho=rho, scale=float(wealth))
+        utility = RiskUtility(rho=rho, scale=FINANCE_WEALTH)
         buy = threshold is not None and rho <= threshold + 1e-9
         eu_buy = sum(
-            float(w) * utility.apply(wealth + r)
+            float(w) * utility.apply(FINANCE_WEALTH + r)
             for w, r in zip(pair_belief.weights, averaged)
         )
-        eu_keep = utility.apply(wealth)
+        eu_keep = utility.apply(FINANCE_WEALTH)
         direct_buy = eu_buy >= eu_keep - 1e-12
         margin = math.inf if threshold is None else abs(rho - threshold)
         if margin > 1e-9 and direct_buy != buy:
@@ -341,12 +362,9 @@ def run_finance(
 SWEEP_CSV_HEADER = ("param", "act", "value_rational", "value_decimal", "argmin_vertex")
 
 
-def sweep_rows(
-    scenario: Scenario,
-    parameter: Optional[str] = None,
-    grid: Optional[Sequence[Fraction]] = None,
-) -> list[ReportRow]:
-    """One maxmin report row per grid point per act, ordered by grid index."""
+def sweep_rows(scenario: Scenario, parameter: Optional[str] = None) -> list[ReportRow]:
+    """One maxmin report row per grid point of the scenario's sweep per act,
+    ordered by grid index."""
     spec = scenario.sweep
     if parameter is None:
         if spec is None:
@@ -354,26 +372,17 @@ def sweep_rows(
         parameter = spec.param
     if spec is None or spec.param != parameter:
         raise CorrpolyError(f"parameter {parameter!r} is not bound in the scenario")
-    if grid is None:
-        grid = spec.grid
     cs = scenario.correlation_set()
     rows = []
-    for value in fraction_tuple(grid):
+    for value in spec.grid:
         prior = scenario.prior_set(cs, param_value=value)
         rows += _maxmin_rows(prior, scenario.acts(param_value=value).items(), value)
     return rows
 
 
-def sweep_csv(
-    scenario: Scenario,
-    parameter: Optional[str] = None,
-    grid: Optional[Sequence[Fraction]] = None,
-) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_HEADER)
-    for row in sweep_rows(scenario, parameter, grid):
-        writer.writerow(
-            [str(row.param), row.name, str(row.value), row.value_decimal, row.argmin_vertex]
-        )
-    return buf.getvalue()
+def sweep_csv(scenario: Scenario, parameter: Optional[str] = None) -> str:
+    rows = [
+        [row.param, row.name, row.value, row.value_decimal, row.argmin_vertex]
+        for row in sweep_rows(scenario, parameter)
+    ]
+    return _render(SWEEP_CSV_HEADER, rows, "csv")

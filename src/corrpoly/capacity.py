@@ -116,42 +116,46 @@ def capacity_value(cs: CorrelationSet, event: Event) -> Fraction:
     return capacity_of(cs).value(event)
 
 
-def check_exactness(
-    cs: CorrelationSet,
-    exhaustive_limit: int = 65536,
-    samples: int = 10000,
-    seed: int = 0,
-) -> bool:
-    """Whether the core of the lower envelope recovers the correlation set.
+def check_exactness(cs: CorrelationSet, exhaustive_limit: int = 65536) -> bool:
+    """Whether the core of the lower envelope recovers the correlation set:
+    True, or ConsistencyError, since every coupling set passes.
 
-    Every vertex must dominate the capacity event-wise, and the capacity of
-    each single-coordinate cylinder must equal the marginal weight (which
-    forces any core member back onto the prescribed marginals).  Each value
-    is checked against the minimum over the vertices as it is computed, so
-    a vertex below the capacity on a swept event raises ConsistencyError.
-    The event sweep is exhaustive when 2^N is small and otherwise covers
-    all cylinder events plus a seeded random sample.
+    The capacity of the full event must be 1 and that of each
+    single-coordinate cylinder its marginal weight (which forces any core
+    member back onto the prescribed marginals), and every vertex must
+    dominate the capacity event-wise: each swept value is checked against
+    the minimum over the vertices as it is computed.  A failure names the
+    set and the event's mask.  The sweep is exhaustive when 2^N is at most
+    ``exhaustive_limit`` and otherwise covers all cylinder events plus
+    10 000 random events drawn from seed 0.
     """
     require_count(exhaustive_limit, "exhaustive_limit", 0)
-    require_count(samples, "samples", 0)
     space = cs.space
     n = space.total_size
-    value = capacity_of(cs)._mask_value
+    cap = capacity_of(cs)
+    value = cap._mask_value
 
-    if value((1 << n) - 1) != 1:
-        return False
     coordinate_masks = [
         [cylinder(space, {i: c}).mask for c in range(size)]
         for i, size in enumerate(space.subspace_sizes)
     ]
-    for m, masks_i in zip(cs.marginals, coordinate_masks):
-        if [value(mask) for mask in masks_i] != list(m.weights):
-            return False
+    required = [((1 << n) - 1, 1)] + [
+        (mask, weight)
+        for m, masks_i in zip(cs.marginals, coordinate_masks)
+        for mask, weight in zip(masks_i, m.weights)
+    ]
+    for mask, weight in required:
+        if value(mask) != weight:
+            raise ConsistencyError(
+                f"capacity {value(mask)} of the full event or a single-coordinate "
+                f"cylinder differs from its weight {weight}",
+                **cap._reproducer(mask),
+            )
 
     if 2 ** n <= exhaustive_limit:
         masks: Iterable[int] = range(2 ** n)
     else:
-        rng = random.Random(seed)
+        rng = random.Random(0)
         cylinder_masks = [
             functools.reduce(operator.or_, coords)
             for masks_i in coordinate_masks
@@ -159,7 +163,7 @@ def check_exactness(
             for coords in itertools.combinations(masks_i, r)
         ]
         masks = itertools.chain(
-            cylinder_masks, (rng.getrandbits(n) for _ in range(samples))
+            cylinder_masks, (rng.getrandbits(n) for _ in range(10000))
         )
     for mask in masks:
         value(mask)
@@ -187,12 +191,12 @@ def cylinder_additivity_check(
 
 
 def find_convexity_violation(
-    cs: CorrelationSet, pair_budget: int = 200000, seed: int = 0
+    cs: CorrelationSet, pair_budget: int = 200000
 ) -> Optional[tuple[Event, Event]]:
     """A pair of events with v(E u F) + v(E n F) < v(E) + v(F), if one can be
-    found.  Exhaustive over unordered pairs when affordable, else a seeded
-    random sample of pairs; nested pairs are skipped (they satisfy the
-    inequality with equality)."""
+    found.  Exhaustive over unordered pairs when affordable, else
+    ``pair_budget`` random pairs drawn from seed 0; nested pairs are skipped
+    (they satisfy the inequality with equality)."""
     require_count(pair_budget, "pair_budget", 0)
     space = cs.space
     n = space.total_size
@@ -211,7 +215,7 @@ def find_convexity_violation(
                 if violates(emask, fmask):
                     return Event(space, emask), Event(space, fmask)
         return None
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for _ in range(pair_budget):
         emask = rng.getrandbits(n)
         fmask = rng.getrandbits(n)

@@ -13,15 +13,13 @@ reaches a negative verdict, 1 on any error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import applications, capacity, independence, info, polytope, preferences, scenario
-from .applications import decimal_string
+from .applications import _render, decimal_string
 from .errors import CorrpolyError, NonlinearCollectionError
 from .scenario import parse_collection_spec, parse_event, parse_family_spec
 from .space import Event, JointDistribution, expectation
@@ -30,24 +28,6 @@ from .space import Event, JointDistribution, expectation
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; keep 2 for verdicts only
         raise CorrpolyError(message)
-
-
-def _render(columns: Sequence[str], rows: Sequence[Sequence], fmt: str) -> str:
-    cells = [[str(c) for c in row] for row in rows]
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(cells)
-        return buf.getvalue()
-    widths = [len(c) for c in columns]
-    for row in cells:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
-    for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
 
 
 def _param_value(scn: scenario.Scenario, raw: Optional[str]) -> Optional[Fraction]:
@@ -153,7 +133,7 @@ def cmd_mi(args) -> int:
         ["entropy_bits", info.entropy(p)],
     ]
     for i, m in enumerate(cs.marginals):
-        rows.append([f"marginal_entropy_bits[{i}]", info.marginal_entropy(m)])
+        rows.append([f"marginal_entropy_bits[{i}]", info.entropy(m)])
     rows += [
         ["is_local_max", report.is_local_max],
         ["probe_count", report.probe_count],
@@ -246,22 +226,21 @@ def cmd_check_axiom(args) -> int:
                 f"{ce.conditioned_values[0]} vs {ce.conditioned_values[1]}"
             )
         return 0 if holds else 2
-    if args.axiom == "collection-independence":
-        if not args.collection:
-            raise CorrpolyError("collection-independence needs --collection")
-        coll = parse_collection_spec(args.collection, scn.space.n_subspaces)
-        p = _single_vertex(prior, "collection independence is checked for a singleton prior")
-        holds, witness = preferences.check_collection_independence_axiom(p, coll)
-        print(f"holds: {holds}")
-        if witness is not None:
-            print(f"witness on member {sorted(witness.anchor_member)}:")
-            print(f"  E   = {sorted(witness.e.members)}")
-            print(f"  E'  = {sorted(witness.e_prime.members)}")
-            print(f"  F   = {sorted(witness.f.members)}")
-            print(f"  F'  = {sorted(witness.f_prime.members)}")
-            print(f"  p(ExF) p(E'xF') = {witness.lhs} != {witness.rhs} = p(ExF') p(E'xF)")
-        return 0 if holds else 2
-    raise CorrpolyError(f"unknown axiom {args.axiom!r}")
+    # collection-independence, the last of the choices that argparse admits
+    if not args.collection:
+        raise CorrpolyError("collection-independence needs --collection")
+    coll = parse_collection_spec(args.collection, scn.space.n_subspaces)
+    p = _single_vertex(prior, "collection independence is checked for a singleton prior")
+    holds, witness = preferences.check_collection_independence_axiom(p, coll)
+    print(f"holds: {holds}")
+    if witness is not None:
+        print(f"witness on member {sorted(witness.anchor_member)}:")
+        print(f"  E   = {sorted(witness.e.members)}")
+        print(f"  E'  = {sorted(witness.e_prime.members)}")
+        print(f"  F   = {sorted(witness.f.members)}")
+        print(f"  F'  = {sorted(witness.f_prime.members)}")
+        print(f"  p(ExF) p(E'xF') = {witness.lhs} != {witness.rhs} = p(ExF') p(E'xF)")
+    return 0 if holds else 2
 
 
 def cmd_compare(args) -> int:

@@ -78,9 +78,6 @@ def entropy(p: JointDistribution | Marginal) -> float:
     return 0.0 - _divergence(nums, denom, [1] * len(nums), 1)
 
 
-marginal_entropy = entropy
-
-
 def kl_divergence(p: JointDistribution, q: JointDistribution) -> float:
     """Relative entropy D(p || q) in bits; +inf when supp(p) is not inside supp(q)."""
     require_same_space(q.space, p.space, "distribution")

@@ -349,21 +349,22 @@ def decompose(cs: CorrelationSet, p: JointDistribution):
     return p_ind, shift
 
 
-def sample_member(
-    cs: CorrelationSet, rng: random.Random, resolution: int = 16
-) -> JointDistribution:
+# the grid of `sample_member`'s kernel coefficients and step fractions
+_RESOLUTION = 16
+
+
+def sample_member(cs: CorrelationSet, rng: random.Random) -> JointDistribution:
     """A random coupling: a kernel perturbation of the independent product,
     scaled back to feasibility.  Exact rationals; deterministic given ``rng``.
 
     The direction is an integer combination of the rectangle kernel (the
-    draws divided by ``resolution``); the step is a random multiple
-    ``u / resolution`` of the largest feasible one, found by comparing
+    draws divided by ``_RESOLUTION``); the step is a random multiple
+    ``u / _RESOLUTION`` of the largest feasible one, found by comparing
     the integer weights of the product over their common denominator."""
-    linalg.require_count(resolution, "resolution", 1)
     p_ind = cs.independent_product
     if len(cs.kernel) == 0:
         return p_ind
-    coeffs = [rng.randint(-resolution, resolution) for _ in range(len(cs.kernel))]
+    coeffs = [rng.randint(-_RESOLUTION, _RESOLUTION) for _ in range(len(cs.kernel))]
     direction = [0] * cs.space.total_size
     for c, vec in zip(coeffs, cs.kernel.basis_vectors):
         if c:
@@ -373,15 +374,15 @@ def sample_member(
     if not any(direction):
         return p_ind
     ind, denom = cs.independent_numerators
-    # the largest feasible step is resolution * (num / den) / denom
+    # the largest feasible step is _RESOLUTION * (num / den) / denom
     num = den = None
     for w, d in zip(ind, direction):
         if d < 0 and (num is None or w * den < num * -d):
             num, den = w, -d
     if num is None or num == 0:
         return p_ind
-    u = rng.randint(0, resolution)
-    scale = den * resolution
+    u = rng.randint(0, _RESOLUTION)
+    scale = den * _RESOLUTION
     return JointDistribution(cs.space, tuple(
         Fraction(w * scale + num * u * d, scale * denom) for w, d in zip(ind, direction)
     ))

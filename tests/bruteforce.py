@@ -172,8 +172,9 @@ def mutual_information_reference(cs, p):
     return value
 
 
-def sample_member_reference(cs, rng, resolution=16):
+def sample_member_reference(cs, rng):
     """`sample_member` with every kernel combination taken in Fractions."""
+    resolution = 16
     from corrpoly import JointDistribution
 
     p_ind = cs.independent_product

@@ -16,6 +16,7 @@ from corrpoly import (
     MarginalMismatchError,
     PriorSet,
     ProductSpace,
+    RiskUtility,
     decimal_string,
     embed_act,
     expectation,
@@ -167,8 +168,8 @@ def test_insurance_errors_carry_the_inputs(monkeypatch):
 def test_finance_errors_carry_the_inputs(monkeypatch):
     monkeypatch.setattr(applications, "expectation", lambda belief, act: F(99))
     with pytest.raises(ConsistencyError, match="expected return") as info:
-        run_finance(F(1, 12), rho=0.5, wealth=F(7))
-    assert info.value.context == {"a": "1/12", "rho": "0.5", "wealth": "7"}
+        run_finance(F(1, 12), rho=0.5)
+    assert info.value.context == {"a": "1/12", "rho": "0.5"}
 
 
 def test_finance_expected_return_is_linear_in_a():
@@ -202,6 +203,26 @@ def test_finance_threshold_agrees_with_direct_expectation_on_grid():
         a = F(num, 24)
         for rho in (0.05, 0.3, 0.7, 0.95, 1.0, 1.5, 2.5):
             run_finance(a, rho=rho)
+
+
+@pytest.mark.parametrize("a", [F(1, 24), F(1, 12), F(1, 6), F(1, 4), F(1, 3)])
+def test_finance_crra_threshold_is_the_expected_utility_crossing(a):
+    # at wealth 6 the averaged returns (6, 0, 0, -3) scale to outcomes
+    # 2, 1, 1, 1/2, and buying pays in expected CRRA utility exactly up to
+    # the closed-form threshold
+    threshold = run_finance(a).crra_threshold
+    weights = (a, F(1, 3) - a, F(1, 2) - a, F(1, 6) + a)
+
+    def gain(rho):
+        utility = RiskUtility(rho=rho, scale=6.0)
+        return sum(
+            float(w) * (utility.apply(6 + r) - utility.apply(6))
+            for w, r in zip(weights, (6, 0, 0, -3))
+        )
+
+    for rho, buy in ((threshold - 1e-6, True), (threshold + 1e-6, False)):
+        assert (gain(rho) > 0) is buy
+        assert run_finance(a, rho=rho).buy is buy
 
 
 def test_finance_belief_marginals():
@@ -265,8 +286,10 @@ def test_sweep_rows_and_csv():
 
 
 def test_sweep_empty_grid_gives_header_only():
-    scn = sc.load(SCENARIO_DIR / "finance.scn")
-    text = sweep_csv(scn, grid=[])
+    text = (SCENARIO_DIR / "finance.scn").read_text(encoding="utf-8")
+    scn = sc.loads(text.replace("grid: 0 1/12 1/6 1/4 1/3", "grid:"))
+    assert scn.sweep.grid == ()
+    text = sweep_csv(scn)
     assert text == ",".join(SWEEP_CSV_HEADER) + "\n"
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from corrpoly import (
     Act,
+    Capacity,
     ConsistencyError,
     CorrelationSet,
     CorrpolyError,
@@ -93,12 +94,26 @@ def test_exactness_checks_vertex_dominance(uniform_2x2):
 
 def test_exactness_sampled_branch(uniform_2x2):
     # force the cylinder-plus-random-events path of the sweep
-    assert check_exactness(uniform_2x2, exhaustive_limit=4, samples=60, seed=5)
+    assert check_exactness(uniform_2x2, exhaustive_limit=4)
+
+
+def test_exactness_raises_when_a_required_value_is_off(uniform_2x2, monkeypatch):
+    # every coupling puts mass 1 on the full event, so a capacity that
+    # does not is a library bug, reported with the set and the event
+    original = Capacity._mask_value
+
+    def broken(self, mask):
+        return F(1, 2) if mask == 0b1111 else original(self, mask)
+
+    monkeypatch.setattr(Capacity, "_mask_value", broken)
+    with pytest.raises(ConsistencyError, match="full event") as exc:
+        check_exactness(uniform_2x2)
+    assert exc.value.context == {**uniform_2x2.reproducer(), "mask": 0b1111}
 
 
 def test_convexity_violation_sampled_branch(uniform_cube):
     # a tiny pair budget switches to seeded random pair sampling
-    find_convexity_violation(uniform_cube, pair_budget=50, seed=3)
+    find_convexity_violation(uniform_cube, pair_budget=50)
 
 
 def test_capacity_monotone_under_inclusion(uniform_cube):

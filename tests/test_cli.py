@@ -288,6 +288,56 @@ def test_check_axiom_rejects_negative_trials(capsys):
     assert code == 0 and out == "holds: True\n"
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_mi_seed_reaches_the_certificate(capsys, seed):
+    scn = corrpoly.load(CLIMATE)
+    p = corrpoly.JointDistribution(
+        scn.space, tuple(Fraction(w) for w in ("1/12", "1/4", "1/6", "1/2"))
+    )
+    code, out, err = run(
+        capsys, "mi", CLIMATE, "--weights", "1/12 1/4 1/6 1/2", "--seed", str(seed)
+    )
+    assert (code, err) == (0, "")
+    values = dict(line.split() for line in out.splitlines()[1:])
+    report = corrpoly.certify_local_max_mi(scn.correlation_set(), p, seed=seed)
+    assert values["probe_count"] == str(report.probe_count)
+    assert values["max_observed_increase"] == str(report.max_observed_increase)
+
+
+def test_check_axiom_seed_reaches_the_checker(capsys, monkeypatch):
+    from corrpoly import preferences
+
+    original = preferences.check_subspace_independence_axiom
+    seeds = []
+
+    def recording(prior, trials, seed):
+        seeds.append(seed)
+        return original(prior, trials=trials, seed=seed)
+
+    monkeypatch.setattr(preferences, "check_subspace_independence_axiom", recording)
+    code, out, _ = run(
+        capsys, "check-axiom", FINANCE, "--axiom", "subspace-independence", "--at", "1/6",
+        "--seed", "5", "--trials", "50",
+    )
+    assert (code, out) == (0, "holds: True\n")
+    assert seeds == [5]
+
+
+@pytest.mark.parametrize("guard, code, expected", [
+    ("3", 1, "guarded at 3 states"),
+    ("4", 0, None),
+    ("-1", 1, "guard must be an integer >= 0"),
+])
+def test_vertices_guard(capsys, guard, code, expected):
+    # the climate space has 4 states and 2 vertices
+    result, out, err = run(capsys, "vertices", CLIMATE, "--guard", guard, "--format", "csv")
+    assert result == code
+    if expected is None:
+        assert err == "" and len(list(csv.reader(io.StringIO(out)))) == 3  # header + both
+    else:
+        assert out == "" and expected in err
+
+
 def test_compare_bad_family_index_is_an_error(capsys):
     code, out, err = run(
         capsys, "compare", INSURANCE, NEGLECT, "--at", "0", "--at-second", "0",

@@ -67,7 +67,6 @@ from corrpoly import (
     run_finance,
     run_insurance,
     seu_subspace_value,
-    sweep_rows,
 )
 from corrpoly.independence import event_family
 from corrpoly.space import shared_marginals
@@ -224,7 +223,6 @@ MALFORMED_CRRA = {
     "rho=nan": (dict(rho=math.nan), "rho must be finite"),
     "rho=inf": (dict(rho=math.inf), "rho must be finite"),
     "rho=-inf": (dict(rho=-math.inf), "rho must be finite"),
-    "wealth=0": (dict(rho=0.5, wealth=F(0)), "scale must be finite and positive"),
     "rho=2000": (dict(rho=2000.0), "overflows"),
     "rho=-2000": (dict(rho=-2000.0), "overflows"),
 }
@@ -246,8 +244,6 @@ FINANCE = SCENARIO_DIR / "finance.scn"
 MALFORMED_ARGUMENTS = {
     "mix lam='x'": lambda: mix(P, P, "x"),
     "mix lam=nan": lambda: mix(P, P, math.nan),
-    "sweep_rows grid=['x']": lambda: sweep_rows(load(FINANCE), grid=["x"]),
-    "sweep_rows grid=[nan]": lambda: sweep_rows(load(FINANCE), grid=[math.nan]),
     "Scenario.prior_set param_value=nan": lambda: load(FINANCE).prior_set(param_value=math.nan),
     "run_climate damage='x'": lambda: run_climate(
         "x", 1, 1, 1, 1, PriorSet.from_correlation_set(_cs(S22))
@@ -255,7 +251,6 @@ MALFORMED_ARGUMENTS = {
     "run_insurance house_value=nan": lambda: run_insurance(math.nan, F(1, 2), P, P),
     "run_finance a='abc'": lambda: run_finance("abc"),
     "run_finance a=nan": lambda: run_finance(math.nan),
-    "run_finance wealth='x'": lambda: run_finance(F(1, 4), rho=0.5, wealth="x"),
     "finance_belief a='x'": lambda: finance_belief("x"),
     "UtilityAlignment scale='x'": lambda: UtilityAlignment(scale="x"),
     "UtilityAlignment shift=nan": lambda: UtilityAlignment(shift=math.nan),
@@ -273,7 +268,6 @@ MALFORMED_ARGUMENTS = {
     "check_exactness exhaustive_limit='a'": lambda: check_exactness(
         _cs(S22), exhaustive_limit="a"
     ),
-    "check_exactness samples='a'": lambda: check_exactness(_cs(S22), samples="a"),
     "find_convexity_violation pair_budget=2.5": lambda: find_convexity_violation(
         _cs(S22), pair_budget=2.5
     ),
