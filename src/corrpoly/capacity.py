@@ -6,9 +6,8 @@ correlation set) but in general not convex, which is what drives a wedge
 between Choquet and maxmin evaluation of acts.
 
 Queries are answered on the event's bitmask (`Event.mask`: bit k set when
-the state with flat index k is in E), and the sweeps below
-(`check_exactness`, `find_convexity_violation`, the level sets of
-`choquet_integral`) build no `Event` per query.
+the state with flat index k is in E), so the level sets of
+`choquet_integral` build no `Event` per query.
 
 Every value is an exact LP minimum over the set's marginal system.  Simplex
 phase 1 does not depend on the event, so a `Capacity` runs it once, when it
@@ -29,16 +28,13 @@ failed, the basis where it did.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
-import random
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import lp
 from .errors import ConsistencyError, CorrpolyError
-from .linalg import integer_numerators, require_count
+from .linalg import integer_numerators
 from .polytope import CorrelationSet
 from .space import Act, Event, cylinder, embed_cylinder, require_same_space
 
@@ -116,57 +112,37 @@ def capacity_value(cs: CorrelationSet, event: Event) -> Fraction:
     return capacity_of(cs).value(event)
 
 
-def check_exactness(cs: CorrelationSet, exhaustive_limit: int = 65536) -> bool:
+def check_exactness(cs: CorrelationSet) -> bool:
     """Whether the core of the lower envelope recovers the correlation set:
     True, or ConsistencyError, since every coupling set passes.
 
-    The capacity of the full event must be 1 and that of each
-    single-coordinate cylinder its marginal weight (which forces any core
-    member back onto the prescribed marginals), and every vertex must
-    dominate the capacity event-wise: each swept value is checked against
-    the minimum over the vertices as it is computed.  A failure names the
-    set and the event's mask.  The sweep is exhaustive when 2^N is at most
-    ``exhaustive_limit`` and otherwise covers all cylinder events plus
-    10 000 random events drawn from seed 0.
+    The proof needs 1 + sum of the subspace sizes capacity values, and these
+    are the ones checked.  Each coupling p has p(E) >= b.y = v(E) for every
+    event E, where y is the dual certificate that each capacity value
+    carries and is checked against (see `lp`), so every coupling lies in the
+    core.  Conversely a core member q has q(E) >= v(E) = P_i(c) on each
+    single-coordinate cylinder E = {X_i = c}, and q(full) = 1 = v(full);
+    the cylinders of one subspace partition the space and their weights sum
+    to 1, so every inequality is an equality and q has the marginals.  The
+    check is that the full event's capacity is 1 and each such cylinder's its
+    marginal weight; a value off raises ConsistencyError with the set and the
+    event's mask.
     """
-    require_count(exhaustive_limit, "exhaustive_limit", 0)
     space = cs.space
-    n = space.total_size
     cap = capacity_of(cs)
-    value = cap._mask_value
-
-    coordinate_masks = [
-        [cylinder(space, {i: c}).mask for c in range(size)]
-        for i, size in enumerate(space.subspace_sizes)
-    ]
-    required = [((1 << n) - 1, 1)] + [
-        (mask, weight)
-        for m, masks_i in zip(cs.marginals, coordinate_masks)
-        for mask, weight in zip(masks_i, m.weights)
+    required = [((1 << space.total_size) - 1, 1)] + [
+        (cylinder(space, {i: c}).mask, weight)
+        for i, m in enumerate(cs.marginals)
+        for c, weight in enumerate(m.weights)
     ]
     for mask, weight in required:
-        if value(mask) != weight:
+        value = cap._mask_value(mask)
+        if value != weight:
             raise ConsistencyError(
-                f"capacity {value(mask)} of the full event or a single-coordinate "
+                f"capacity {value} of the full event or a single-coordinate "
                 f"cylinder differs from its weight {weight}",
                 **cap._reproducer(mask),
             )
-
-    if 2 ** n <= exhaustive_limit:
-        masks: Iterable[int] = range(2 ** n)
-    else:
-        rng = random.Random(0)
-        cylinder_masks = [
-            functools.reduce(operator.or_, coords)
-            for masks_i in coordinate_masks
-            for r in range(1, len(masks_i) + 1)
-            for coords in itertools.combinations(masks_i, r)
-        ]
-        masks = itertools.chain(
-            cylinder_masks, (rng.getrandbits(n) for _ in range(10000))
-        )
-    for mask in masks:
-        value(mask)
     return True
 
 
@@ -190,38 +166,36 @@ def cylinder_additivity_check(
     return cap.value(event) == marginal_part + cap._mask_value(rest)
 
 
-def find_convexity_violation(
-    cs: CorrelationSet, pair_budget: int = 200000
-) -> Optional[tuple[Event, Event]]:
-    """A pair of events with v(E u F) + v(E n F) < v(E) + v(F), if one can be
-    found.  Exhaustive over unordered pairs when affordable, else
-    ``pair_budget`` random pairs drawn from seed 0; nested pairs are skipped
-    (they satisfy the inequality with equality)."""
-    require_count(pair_budget, "pair_budget", 0)
+def find_convexity_violation(cs: CorrelationSet) -> Optional[tuple[Event, Event]]:
+    """A pair of events with v(E u F) + v(E n F) < v(E) + v(F), or None when
+    there is none, which holds iff the set has dimension 0.
+
+    The pair is the first pair of crossing cylinders E = {X_i = a} and
+    F = {X_j = c}: i and j are the first two subspaces with at least two
+    positive-weight states, and a and c the first positive state of each.
+    By Frechet's bounds v(E u F) + v(E n F) = max(P(a), P(c)) +
+    max(0, P(a) + P(c) - 1), which is below P(a) + P(c) = v(E) + v(F)
+    whenever both weights lie strictly between 0 and 1.  With fewer than two
+    such subspaces the set holds one coupling and the capacity is additive.
+    The strict inequality is checked on the four capacity values; a failure
+    raises ConsistencyError with the set and both masks.
+    """
     space = cs.space
-    n = space.total_size
-    value = capacity_of(cs)._mask_value
-    n_events = 2 ** n
-
-    def violates(emask: int, fmask: int) -> bool:
-        both = emask & fmask
-        if both == emask or both == fmask:
-            return False  # nested
-        return value(emask | fmask) + value(both) < value(emask) + value(fmask)
-
-    if n_events * (n_events - 1) // 2 <= pair_budget:
-        for emask in range(1, n_events):
-            for fmask in range(emask + 1, n_events):
-                if violates(emask, fmask):
-                    return Event(space, emask), Event(space, fmask)
+    positive = ([c for c, w in enumerate(m.weights) if w > 0] for m in cs.marginals)
+    crossing = [
+        cylinder(space, {i: states[0]}) for i, states in enumerate(positive) if len(states) > 1
+    ][:2]
+    if len(crossing) < 2:
         return None
-    rng = random.Random(0)
-    for _ in range(pair_budget):
-        emask = rng.getrandbits(n)
-        fmask = rng.getrandbits(n)
-        if emask and fmask and violates(emask, fmask):
-            return Event(space, emask), Event(space, fmask)
-    return None
+    e, f = crossing
+    value = capacity_of(cs)._mask_value
+    if not value(e.mask | f.mask) + value(e.mask & f.mask) < value(e.mask) + value(f.mask):
+        raise ConsistencyError(
+            "crossing cylinders satisfy the convexity inequality",
+            **cs.reproducer(),
+            masks=[e.mask, f.mask],
+        )
+    return e, f
 
 
 def choquet_integral(cap: Capacity, f: Act) -> Fraction:

@@ -168,8 +168,10 @@ def certify_local_max_mi(
     them, so none past that stop is built; a vertex gets no reflected
     probes, because no reflection through a vertex is feasible.  Decreasing
     along every probe at a non-vertex contradicts the argument above:
-    `ConsistencyError`.  A ``probes`` that is no integer >= 0, or a ``step``
-    that is no finite rational, raises `CorrpolyError`.
+    `ConsistencyError`, whose context holds the set, ``p``'s weights and the
+    ``seed``, ``probes`` and ``step`` that drew the probes.  A ``probes``
+    that is no integer >= 0, or a ``step`` that is no finite rational,
+    raises `CorrpolyError`.
     """
     (step,) = fraction_tuple((step,))
     require_count(probes, "probes", 0)
@@ -214,6 +216,9 @@ def certify_local_max_mi(
                 "MI decreased along every probe at a point that is not a vertex",
                 **cs.reproducer(),
                 weights=[str(w) for w in p.weights],
+                seed=seed,
+                probes=probes,
+                step=str(step),
             )
     return MutualInformationReport(
         value=base,

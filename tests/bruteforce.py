@@ -4,7 +4,11 @@ Deliberately separate from the package implementation: its own row
 reduction, no pruning beyond what the mathematics forces (a support must
 cover every positive marginal row, and a uniquely solvable support cannot
 exceed the system rank).  Used to freeze expected values and to cross-check
-the production enumeration path.  The mutual-information references at the
+the production enumeration path.  The capacity references sweep every
+event, and every pair of events, on capacities taken from the vertex
+oracle: they are the exhaustive versions of the package's exactness check
+and non-convexity witness, which read the few values their proofs need.
+The mutual-information references at the
 end keep the package's earlier Fraction-based divergence and entropy
 loops, membership test, sampler, eager probe construction and per-step
 certificate, which the integer and on-demand versions must match exactly.  The
@@ -110,6 +114,57 @@ def oracle_vertices(sizes, marginal_weights):
                     "oracle found a member whose zero set strictly contains another's"
                 )
     return set(found)
+
+
+# -- capacity references ---------------------------------------------------
+#
+# The event sweeps that `check_exactness` and `find_convexity_violation`
+# made before they were decided by their theorems, exhaustive only, with
+# each capacity the minimum over `oracle_vertices`.
+
+
+def capacity_table_reference(cs):
+    """The capacity of every event of ``cs``, indexed by its mask: the
+    minimum over `oracle_vertices` of the weight on the event's states."""
+    masses = []
+    for v in oracle_vertices(cs.space.subspace_sizes, [m.weights for m in cs.marginals]):
+        mass = [Fraction(0)]  # v's mass on each event of the states read so far
+        for w in v:
+            mass += [x + w for x in mass]
+        masses.append(mass)
+    return [min(values) for values in zip(*masses)]
+
+
+def check_exactness_reference(cs):
+    """True when the package's capacity of every event equals its
+    `capacity_table_reference` value, the full event's is 1 and each
+    single-coordinate cylinder's is its marginal weight."""
+    from corrpoly import capacity_of
+
+    table = capacity_table_reference(cs)
+    value = capacity_of(cs)._mask_value
+    if any(value(mask) != v for mask, v in enumerate(table)):
+        return False
+    states = list(itertools.product(*(range(s) for s in cs.space.subspace_sizes)))
+    cylinders = [
+        (sum(1 << k for k, s in enumerate(states) if s[i] == c), weight)
+        for i, m in enumerate(cs.marginals)
+        for c, weight in enumerate(m.weights)
+    ]
+    return table[-1] == 1 and all(table[mask] == weight for mask, weight in cylinders)
+
+
+def find_convexity_violation_reference(cs):
+    """The first pair of event masks (e, f), e < f, with v(e | f) + v(e & f)
+    < v(e) + v(f) by `capacity_table_reference`, or None.  Nested pairs
+    satisfy the inequality with equality and are skipped."""
+    v = capacity_table_reference(cs)
+    for e in range(1, len(v)):
+        for f in range(e + 1, len(v)):
+            both = e & f
+            if both != e and both != f and v[e | f] + v[both] < v[e] + v[f]:
+                return e, f
+    return None
 
 
 # -- mutual-information certificate references ----------------------------

@@ -52,7 +52,7 @@ from corrpoly import (
 )
 from corrpoly import scenario as sc
 from conftest import SCENARIO_DIR, random_correlation_set
-from bruteforce import oracle_vertices
+from bruteforce import check_exactness_reference, oracle_vertices
 
 F = Fraction
 
@@ -174,7 +174,8 @@ def test_criterion_04_exact_capacity():
             ),
         ]
         for cs in instances:
-            assert check_exactness(cs)  # exhaustive event sweep at these sizes
+            assert check_exactness(cs)
+            assert check_exactness_reference(cs)  # every event, against the vertex oracle
             space = cs.space
             for i in range(space.n_subspaces):
                 size = space.subspace_sizes[i]

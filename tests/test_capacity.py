@@ -24,14 +24,26 @@ from corrpoly import (
     check_exactness,
     choquet_integral,
     cylinder_additivity_check,
+    dimension,
     event_from_mask,
     expectation,
     feasible_start,
     find_convexity_violation,
 )
 from corrpoly import lp
-from bruteforce import oracle_vertices, solve_lp_min_reference
-from conftest import DEGENERATE_MARGINALS, random_correlation_set
+from bruteforce import (
+    capacity_table_reference,
+    check_exactness_reference,
+    find_convexity_violation_reference,
+    oracle_vertices,
+    solve_lp_min_reference,
+)
+from conftest import (
+    DEGENERATE_MARGINALS,
+    correlation_set_of,
+    random_correlation_set,
+    random_marginal,
+)
 
 F = Fraction
 
@@ -80,9 +92,10 @@ def test_exactness_singleton_set():
 
 
 def test_exactness_checks_vertex_dominance(uniform_2x2):
-    # every swept value is checked against the vertex minimum as it is
+    # each required value is checked against the vertex minimum as it is
     # computed, so a vertex that puts less mass on an event than the LP
-    # minimum (here a point mass on (0, 0)) makes the sweep raise
+    # minimum (here a point mass on (0, 0), which misses the cylinder
+    # X_0 = 1) makes the check raise
     cap = capacity_of(uniform_2x2)
     cap.value(_event(uniform_2x2.space, (0, 0)))  # builds the vertex table
     denom, columns = cap._vertex_columns
@@ -90,11 +103,6 @@ def test_exactness_checks_vertex_dominance(uniform_2x2):
     cap._vertex_columns = (denom, [col + (w,) for col, w in zip(columns, point_mass)])
     with pytest.raises(ConsistencyError, match="vertex minimum"):
         check_exactness(uniform_2x2)
-
-
-def test_exactness_sampled_branch(uniform_2x2):
-    # force the cylinder-plus-random-events path of the sweep
-    assert check_exactness(uniform_2x2, exhaustive_limit=4)
 
 
 def test_exactness_raises_when_a_required_value_is_off(uniform_2x2, monkeypatch):
@@ -109,11 +117,6 @@ def test_exactness_raises_when_a_required_value_is_off(uniform_2x2, monkeypatch)
     with pytest.raises(ConsistencyError, match="full event") as exc:
         check_exactness(uniform_2x2)
     assert exc.value.context == {**uniform_2x2.reproducer(), "mask": 0b1111}
-
-
-def test_convexity_violation_sampled_branch(uniform_cube):
-    # a tiny pair budget switches to seeded random pair sampling
-    find_convexity_violation(uniform_cube, pair_budget=50)
 
 
 def test_capacity_monotone_under_inclusion(uniform_cube):
@@ -164,10 +167,10 @@ def test_convexity_violation_uniform(uniform_2x2):
     cs = uniform_2x2
     space = cs.space
     witness = find_convexity_violation(cs)
-    assert witness is not None
     # the canonical pair: two crossing cylinders, gap exactly 1/2
     e = _event(space, (0, 0), (0, 1))
     f = _event(space, (0, 0), (1, 0))
+    assert witness == (e, f)
     cap = capacity_of(cs)
     assert cap.value(e | f) + cap.value(e & f) == F(1, 2)
     assert cap.value(e) + cap.value(f) == 1
@@ -183,6 +186,69 @@ def test_convexity_violation_absent_for_singleton():
 
 def test_convexity_violation_cube(uniform_cube):
     assert find_convexity_violation(uniform_cube) is not None
+
+
+def test_convexity_violation_raises_when_the_cylinders_do_not_cross(uniform_2x2, monkeypatch):
+    # crossing cylinders of positive weights below 1 always violate
+    # convexity, so a capacity that says otherwise is a library bug
+    original = Capacity._mask_value
+
+    def broken(self, mask):
+        return F(1) if mask == 0b0001 else original(self, mask)
+
+    monkeypatch.setattr(Capacity, "_mask_value", broken)
+    with pytest.raises(ConsistencyError, match="crossing cylinders") as exc:
+        find_convexity_violation(uniform_2x2)
+    assert exc.value.context == {**uniform_2x2.reproducer(), "masks": [0b0011, 0b0101]}
+
+
+def _random_weights(sizes, seed):
+    rng = random.Random(seed)
+    return [random_marginal(i, size, rng).weights for i, size in enumerate(sizes)]
+
+
+# Degenerate sets, a dimension-0 set of 12 states and seeded random sets.
+VERDICT_SETS = {
+    **DEGENERATE_MARGINALS,
+    "uniform-12": [tuple(F(1, 12) for _ in range(12))],
+    "point-mass-2x2": [(F(1), F(0)), (F(1, 2), F(1, 2))],
+    **{
+        f"random-{'x'.join(map(str, sizes))}-{seed}": _random_weights(sizes, seed)
+        for sizes, seeds in (
+            ((2, 2), (1, 2, 3)),
+            ((2, 3), (1, 2, 3)),
+            ((3, 2), (1,)),
+            ((2, 4), (1, 2)),
+            ((3, 3), (1, 2, 3)),
+            ((3, 4), (1,)),
+            ((4, 4), (1,)),
+            ((1, 3), (1, 2)),
+            ((2, 1, 2), (1, 2)),
+        )
+        for seed in seeds
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_SETS))
+def test_convexity_and_exactness_verdicts_follow_their_theorems(name):
+    # the witness exists iff the set has positive dimension; on small sets
+    # it violates convexity by oracle-vertex capacities and matches the
+    # verdict of the sweep over every pair of events, and exactness holds
+    # on every set and agrees with the sweep over every event
+    cs = correlation_set_of(VERDICT_SETS[name])
+    n = cs.space.total_size
+    witness = find_convexity_violation(cs)
+    assert (witness is None) == (dimension(cs) == 0)
+    if witness is not None and n <= 12:
+        v = capacity_table_reference(cs)
+        e, f = (event.mask for event in witness)
+        assert v[e | f] + v[e & f] < v[e] + v[f]
+    if n <= 9:
+        assert (find_convexity_violation_reference(cs) is None) == (witness is None)
+    assert check_exactness(cs) is True
+    if n <= 12:
+        assert check_exactness_reference(cs) is True
 
 
 def test_superadditive_on_disjoint_events(uniform_2x2):

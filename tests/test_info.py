@@ -443,6 +443,9 @@ def test_ladder_certifying_a_non_vertex_is_a_consistency_error(skew_2x2, monkeyp
         "shape": (2, 2),
         "marginals": [["1/3", "2/3"], ["1/4", "3/4"]],
         "weights": ["1/12", "1/4", "1/6", "1/2"],
+        "seed": 0,
+        "probes": 2,
+        "step": "1/8",
     }
 
 

@@ -50,7 +50,6 @@ from corrpoly import (
     event_from_mask,
     expectation,
     finance_belief,
-    find_convexity_violation,
     independent_product,
     is_maximally_zero,
     kl_divergence,
@@ -265,12 +264,6 @@ MALFORMED_ARGUMENTS = {
     ),
     "enumerate_extreme_points guard='x'": lambda: enumerate_extreme_points(_cs(S22), guard="x"),
     "CorrelationSet.vertices guard=None": lambda: _cs(S22).vertices(guard=None),
-    "check_exactness exhaustive_limit='a'": lambda: check_exactness(
-        _cs(S22), exhaustive_limit="a"
-    ),
-    "find_convexity_violation pair_budget=2.5": lambda: find_convexity_violation(
-        _cs(S22), pair_budget=2.5
-    ),
     "Event mask=1.5": lambda: Event(S22, 1.5),
     "event_from_mask mask=1.5": lambda: event_from_mask(S22, 1.5),
 }
@@ -284,8 +277,8 @@ def test_malformed_arguments_raise_corrpoly_error(case):
 
 
 def test_count_arguments_name_their_bound():
-    with pytest.raises(CorrpolyError, match=r"pair_budget must be an integer >= 0, got 2\.5"):
-        find_convexity_violation(_cs(S22), pair_budget=2.5)
+    with pytest.raises(CorrpolyError, match=r"probes must be an integer >= 0, got 2\.5"):
+        certify_local_max_mi(_cs(S22), _cs(S22).independent_product, probes=2.5)
     with pytest.raises(CorrpolyError, match=r"guard must be an integer >= 0, got None"):
         _cs(S22).vertices(guard=None)
 
