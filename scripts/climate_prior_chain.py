@@ -23,7 +23,7 @@ def main():
     for k in range(11):
         t = F(k, 10)
         prior = PriorSet(cs.space, [mix(p_ind, v, t) for v in cs.vertices()])
-        rows = {r.name: r.value for r in run_climate(F(10), F(2), F(4), F(1), F(8), prior)}
+        rows = {r.name: r.value for r in run_climate(scn, prior)}
         print(
             f"{str(t):>6s} {str(rows['business_as_usual']):>10s} "
             f"{str(rows['mitigation']):>10s} {str(rows['climate_engineering']):>11s}"

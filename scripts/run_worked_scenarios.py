@@ -27,7 +27,7 @@ def climate():
         ("independent", PriorSet.singleton(cs.independent_product)),
         ("full correlation set", scn.prior_set(cs)),
     ):
-        rows = run_climate(F(10), F(2), F(4), F(1), F(8), prior)
+        rows = run_climate(scn, prior)
         print(f"prior = {prior_name}:")
         for row in rows:
             print(f"  {row.name:22s} {str(row.value):>8s}  ({row.value_decimal})")
@@ -38,7 +38,7 @@ def insurance():
     neglect = sc.load(SCENARIOS / "insurance_neglect.scn")
     insurer = scn.prior_set(param_value=F(0)).vertices[0]
     insuree = neglect.prior_set(param_value=F(0)).vertices[0]
-    report = run_insurance(F(100), F(1, 2), insurer, insuree)
+    report = run_insurance(scn, insurer, insuree)
     print("== insurance ==")
     print(f"insurer reservation price: {report.insurer_reservation}")
     print(f"insuree reservation price: {report.insuree_reservation}")

@@ -1,9 +1,11 @@
 """Three worked decision scenarios and the sweep engine.
 
 Everything here is evaluated through the generic machinery (acts, maxmin
-values over prior sets, exact expectations); the closed-form identities the
-scenarios are known to satisfy are asserted as internal cross-checks, so a
-disagreement raises instead of silently reporting either number.
+values over prior sets, exact expectations).  The climate and insurance
+runners evaluate the acts of their loaded scenario files and check every
+number against the 2x2 coupling identity; the finance runner keeps its
+tables and asserts their closed forms.  A disagreement raises instead of
+silently reporting either number.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .space import (
     Act,
     Collection,
     JointDistribution,
+    Marginal,
     ProductSpace,
     expectation,
     marginalize,
@@ -87,76 +90,72 @@ def _maxmin_rows(
     return [ReportRow.of(name, *meu_minimizer(prior, act), param=param) for name, act in acts]
 
 
+def _require_2x2_identity(
+    what: str,
+    value: Fraction,
+    f: Act,
+    marginals: Sequence[Marginal],
+    beliefs: Sequence[JointDistribution],
+    **context,
+) -> None:
+    """Check that ``value`` is the least expectation of ``f`` over
+    ``beliefs`` on a 2x2 space whose beliefs all have ``marginals``.
+
+    Every such belief is p_ind + d*(1, -1, -1, 1), with p_ind the product of
+    the marginals and d = p(0,0) - p_ind(0,0), so
+    E_p[f] = E_ind[f] + d*(f00 - f01 - f10 + f11).  The identity holds for
+    every valid input, so a miss raises ConsistencyError with the values
+    of ``f`` and ``context``.
+    """
+    (a0, a1), (b0, b1) = (m.weights for m in marginals)
+    f00, f01, f10, f11 = f.values
+    independent = a0 * b0 * f00 + a0 * b1 * f01 + a1 * b0 * f10 + a1 * b1 * f11
+    interaction = f00 - f01 - f10 + f11
+    expected = min(independent + (p.prob((0, 0)) - a0 * b0) * interaction for p in beliefs)
+    if value != expected:
+        raise ConsistencyError(
+            f"{what} disagrees with the 2x2 coupling identity",
+            values=[str(x) for x in f.values],
+            **context,
+        )
+
+
+def _scenario_acts(
+    scenario: Scenario, what: str, param_value: Optional[Fraction] = None
+) -> dict[str, Act]:
+    """The scenario's acts, checked to live on a 2x2 space."""
+    sizes = scenario.space.subspace_sizes
+    if sizes != (2, 2):
+        raise CorrpolyError(f"{what} scenario needs a 2x2 space, got shape {sizes}")
+    return scenario.acts(param_value)
+
+
 # ---------------------------------------------------------------------------
 # climate: mitigation versus an engineering option with correlated side risk
 
 
-def run_climate(
-    damage: Fraction,
-    mitigation_cost: Fraction,
-    mitigated_damage: Fraction,
-    engineering_cost: Fraction,
-    side_loss: Fraction,
-    prior: PriorSet,
-) -> list[ReportRow]:
-    """Evaluate the three climate strategies at worst-case expected payoff.
+def run_climate(scenario: Scenario, prior: PriorSet) -> list[ReportRow]:
+    """Evaluate the climate scenario's acts at worst-case expected payoff.
 
-    The space is 2x2 with coordinate 0 the adverse state on each subspace
-    (high climate sensitivity; fragile atmosphere).  Inaction and mitigation
-    only depend on the first subspace, so every prior with the same
-    marginals values them identically; the engineering option loses an extra
-    ``side_loss`` exactly on the doubly adverse state, so its worst case
-    charges the highest probability the prior set puts there.
+    One row per act of ``scenario`` (``climate.scn``: business_as_usual,
+    mitigation, climate_engineering), in the file's order.  The space is
+    2x2 with coordinate 0 the adverse state on each subspace (high climate
+    sensitivity; fragile atmosphere).  Acts that only depend on the first
+    subspace are valued identically by every prior with the same marginals;
+    the engineering option loses extra payoff exactly on the doubly adverse
+    state, so its worst case charges the highest probability the prior set
+    puts there.  Each value is checked against the 2x2 coupling identity at
+    the prior's vertices.
     """
-    space = prior.space
-    if space.subspace_sizes != (2, 2):
-        raise CorrpolyError("climate scenario needs a 2x2 space")
-    damage, mitigation_cost, mitigated_damage, engineering_cost, side_loss = fraction_tuple(
-        (damage, mitigation_cost, mitigated_damage, engineering_cost, side_loss)
-    )
+    acts = _scenario_acts(scenario, "climate")
     marginals = prior.shared_marginals()
-    p_bad = marginals[0].weights[0]
-
-    bau = Act(space, (-damage, -damage, Fraction(0), Fraction(0)))
-    mitigation = Act(
-        space,
-        (
-            -mitigated_damage - mitigation_cost,
-            -mitigated_damage - mitigation_cost,
-            -mitigation_cost,
-            -mitigation_cost,
-        ),
-    )
-    engineering = Act(
-        space,
-        (
-            -side_loss - engineering_cost,
-            -engineering_cost,
-            -engineering_cost,
-            -engineering_cost,
-        ),
-    )
-
-    rows = _maxmin_rows(prior, [
-        ("business_as_usual", bau),
-        ("mitigation", mitigation),
-        ("climate_engineering", engineering),
-    ])
-    context = {
-        "damage": str(damage),
-        "mitigation_cost": str(mitigation_cost),
-        "mitigated_damage": str(mitigated_damage),
-        "engineering_cost": str(engineering_cost),
-        "side_loss": str(side_loss),
-        "vertices": [[str(w) for w in v.weights] for v in prior.vertices],
-    }
-    if rows[0].value != -p_bad * damage:
-        raise ConsistencyError("inaction value disagrees with its closed form", **context)
-    if rows[1].value != -mitigation_cost - p_bad * mitigated_damage:
-        raise ConsistencyError("mitigation value disagrees with its closed form", **context)
-    worst_joint = max(v.prob((0, 0)) for v in prior.vertices)
-    if rows[2].value != -engineering_cost - side_loss * worst_joint:
-        raise ConsistencyError("engineering value disagrees with its closed form", **context)
+    rows = _maxmin_rows(prior, acts.items())
+    vertices = [[str(w) for w in v.weights] for v in prior.vertices]
+    for row in rows:
+        _require_2x2_identity(
+            f"maxmin value of {row.name}", row.value, acts[row.name], marginals,
+            prior.vertices, act=row.name, vertices=vertices,
+        )
     return rows
 
 
@@ -180,66 +179,51 @@ class InsuranceReport:
 
 
 def run_insurance(
-    house_value: Fraction,
-    double_damage_share: Fraction,
+    scenario: Scenario,
     insurer_belief: JointDistribution,
     insuree_belief: JointDistribution,
 ) -> InsuranceReport:
     """Reservation prices and trade verdict for fire cover on a 2x2 space
-    (coordinate 0: burn; flood).  Both beliefs must share marginals; the
-    verdict then flips exactly at equal joint probability of the double
-    damage state.  Prices are derived from the payoff tables through exact
-    expectations and cross-checked against their closed forms.
+    (coordinate 0: burn; flood).
+
+    The acts of ``scenario`` (``insurance.scn``) are read at price 0.  The
+    insurer's transfer is ``no_cover_insurer - cover_insurer``, the
+    insuree's ``cover_insuree - no_cover_insuree``, and each reservation
+    price is the expectation of its transfer under its own belief, checked
+    against the 2x2 coupling identity.  Both beliefs must share marginals;
+    the insurer's profit at the insuree's price is the price gap, and the
+    verdict is read from its sign.  With the shipped payoffs both transfers
+    are (50, 100, 0, 0), so the verdict flips exactly at equal joint
+    probability of the double-damage state.
     """
-    space = insurer_belief.space
-    if space.subspace_sizes != (2, 2):
-        raise CorrpolyError("insurance scenario needs a 2x2 space")
-    v, x = fraction_tuple((house_value, double_damage_share))
-    if not 0 < x < 1:
-        raise CorrpolyError("the double-damage share must lie strictly between 0 and 1")
-    p, ph = insurer_belief, insuree_belief
-    marginals = shared_marginals([p, ph], "insurer and insuree beliefs")
+    acts = _scenario_acts(scenario, "insurance", param_value=Fraction(0))
+    for name in ("no_cover_insurer", "cover_insurer", "no_cover_insuree", "cover_insuree"):
+        if name not in acts:
+            raise CorrpolyError(f"insurance scenario has no act {name!r}")
+    marginals = shared_marginals([insurer_belief, insuree_belief], "insurer and insuree beliefs")
 
-    # payoff tables at price 0, states (B,F), (B,NF), (NB,F), (NB,NF)
-    insurer_cover = Act(space, (-x * v, -v, Fraction(0), Fraction(0)))
-    insuree_no_cover = Act(space, (-v, -v, -v, Fraction(0)))
-    insuree_cover = Act(space, (-(1 - x) * v, Fraction(0), -v, Fraction(0)))
-
-    insurer_reservation = -expectation(p, insurer_cover)
-    insuree_reservation = expectation(ph, insuree_cover) - expectation(ph, insuree_no_cover)
-
-    context = {
-        "house_value": str(v),
-        "double_damage_share": str(x),
-        "insurer_belief": [str(w) for w in p.weights],
-        "insuree_belief": [str(w) for w in ph.weights],
-    }
-    p1_burn = marginals[0].weights[0]
-    if insurer_reservation != v * (x * p1_burn + (1 - x) * p.prob((0, 1))):
-        raise ConsistencyError(
-            "insurer reservation price disagrees with its closed form", **context
+    prices = []
+    for who, belief, gain, loss in (
+        ("insurer", insurer_belief, acts["no_cover_insurer"], acts["cover_insurer"]),
+        ("insuree", insuree_belief, acts["cover_insuree"], acts["no_cover_insuree"]),
+    ):
+        f = Act(gain.space, tuple(g - l for g, l in zip(gain.values, loss.values)))
+        price = expectation(belief, f)
+        _require_2x2_identity(
+            f"{who} reservation price", price, f, marginals, [belief],
+            transfer=who, belief=[str(w) for w in belief.weights],
         )
-    if insuree_reservation != v * (x * p1_burn + (1 - x) * ph.prob((0, 1))):
-        raise ConsistencyError(
-            "insuree reservation price disagrees with its closed form", **context
-        )
+        prices.append(price)
+    insurer_reservation, insuree_reservation = prices
 
-    both = p.prob((0, 0))
-    both_hat = ph.prob((0, 0))
-    if both == both_hat:
+    profit = insuree_reservation - insurer_reservation
+    if profit == 0:
         verdict = InsuranceVerdict.UNIQUE_PRICE
-    elif both > both_hat:
+    elif profit > 0:
         verdict = InsuranceVerdict.POSITIVE_PROFIT
     else:
         verdict = InsuranceVerdict.MARKET_FAILURE
-    interval = None
-    if insurer_reservation <= insuree_reservation:
-        interval = (insurer_reservation, insuree_reservation)
-    profit = v * (1 - x) * (ph.prob((0, 1)) - p.prob((0, 1)))
-    if profit != insuree_reservation - insurer_reservation:
-        raise ConsistencyError(
-            "profit at the insuree's price disagrees with the price gap", **context
-        )
+    interval = (insurer_reservation, insuree_reservation) if profit >= 0 else None
     return InsuranceReport(
         insurer_reservation, insuree_reservation, interval, verdict, profit
     )

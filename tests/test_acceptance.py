@@ -333,15 +333,16 @@ def test_criterion_09_insurance_fixture():
                 space, (joint_bf, b - joint_bf, f - joint_bf, 1 - b - f + joint_bf)
             )
 
+        scn = sc.load(SCENARIO_DIR / "insurance.scn")
         p = belief(F(1, 8))
-        equal = run_insurance(F(100), F(1, 2), p, belief(F(1, 8)))
+        equal = run_insurance(scn, p, belief(F(1, 8)))
         assert equal.verdict is InsuranceVerdict.UNIQUE_PRICE
         lo, hi = equal.trade_interval
         assert lo == hi
         assert equal.insurer_profit_at_insuree_price == 0
         for eps in (F(1, 1000), F(1, 10 ** 9)):
-            under = run_insurance(F(100), F(1, 2), p, belief(F(1, 8) - eps))
-            over = run_insurance(F(100), F(1, 2), p, belief(F(1, 8) + eps))
+            under = run_insurance(scn, p, belief(F(1, 8) - eps))
+            over = run_insurance(scn, p, belief(F(1, 8) + eps))
             assert under.verdict is InsuranceVerdict.POSITIVE_PROFIT
             assert under.insurer_profit_at_insuree_price > 0
             assert over.verdict is InsuranceVerdict.MARKET_FAILURE
@@ -358,10 +359,9 @@ def test_criterion_10_climate_fixture():
         chain = []
         for t in (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)):
             chain.append(PriorSet(cs.space, [mix(p_ind, v, t) for v in cs.vertices()]))
-        args = (F(10), F(2), F(4), F(1), F(8))
         engineering = []
         for prior in chain:
-            rows = {r.name: r.value for r in run_climate(*args, prior)}
+            rows = {r.name: r.value for r in run_climate(scn, prior)}
             assert rows["business_as_usual"] == -F(1, 3) * 10
             assert rows["mitigation"] == -2 - F(1, 3) * 4
             engineering.append(rows["climate_engineering"])

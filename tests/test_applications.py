@@ -10,6 +10,7 @@ from corrpoly import (
     Act,
     ConsistencyError,
     CorrelationSet,
+    CorrpolyError,
     InsuranceVerdict,
     JointDistribution,
     Marginal,
@@ -19,9 +20,7 @@ from corrpoly import (
     RiskUtility,
     decimal_string,
     embed_act,
-    expectation,
     finance_belief,
-    meu_minimizer,
     meu_value,
     mix,
     run_climate,
@@ -30,12 +29,17 @@ from corrpoly import (
     sweep_csv,
     sweep_rows,
 )
-from corrpoly import applications
+from corrpoly import applications, cli
 from corrpoly import scenario as sc
 from corrpoly.applications import SWEEP_CSV_HEADER
-from conftest import SCENARIO_DIR
+from bruteforce import oracle_vertices
+from conftest import DEGENERATE_MARGINALS, SCENARIO_DIR, correlation_set_of
 
 F = Fraction
+
+CLIMATE = sc.load(SCENARIO_DIR / "climate.scn")
+INSURANCE = sc.load(SCENARIO_DIR / "insurance.scn")
+NEGLECT = sc.load(SCENARIO_DIR / "insurance_neglect.scn")
 
 
 def _climate_cs():
@@ -65,11 +69,10 @@ def test_decimal_string_rendering():
 
 def test_climate_values_and_prior_invariance():
     cs = _climate_cs()
-    args = (F(10), F(2), F(4), F(1), F(8))
     chain = _nested_priors(cs)
     values = []
     for prior in chain:
-        rows = run_climate(*args, prior)
+        rows = run_climate(CLIMATE, prior)
         by_name = {r.name: r.value for r in rows}
         # strategies that ignore the second subspace are prior-independent
         assert by_name["business_as_usual"] == -F(1, 3) * 10
@@ -88,21 +91,18 @@ def test_climate_requires_2x2():
         space,
         [Marginal(0, (F(1, 2), F(1, 2))), Marginal(1, (F(1, 3), F(1, 3), F(1, 3)))],
     )
-    with pytest.raises(Exception):
-        run_climate(F(10), F(2), F(4), F(1), F(8), PriorSet.from_correlation_set(cs))
+    with pytest.raises(CorrpolyError):
+        run_climate(CLIMATE, PriorSet.from_correlation_set(cs))
 
 
 def test_climate_errors_carry_the_inputs(monkeypatch):
     prior = PriorSet.from_correlation_set(_climate_cs())
     monkeypatch.setattr(applications, "meu_minimizer", lambda prior, f: (F(99), 0))
-    with pytest.raises(ConsistencyError, match="inaction value") as info:
-        run_climate(F(10), F(2), F(4), F(1), F(8), prior)
+    with pytest.raises(ConsistencyError, match="maxmin value of business_as_usual") as info:
+        run_climate(CLIMATE, prior)
     assert info.value.context == {
-        "damage": "10",
-        "mitigation_cost": "2",
-        "mitigated_damage": "4",
-        "engineering_cost": "1",
-        "side_loss": "8",
+        "values": ["-10", "-10", "0", "0"],
+        "act": "business_as_usual",
         "vertices": [[str(w) for w in v.weights] for v in prior.vertices],
     }
 
@@ -116,7 +116,7 @@ def _insurance_beliefs(joint_bf):
 
 def test_insurance_unique_price_and_zero_profit():
     p = _insurance_beliefs(F(1, 8))
-    report = run_insurance(F(100), F(1, 2), p, p)
+    report = run_insurance(INSURANCE, p, p)
     assert report.verdict is InsuranceVerdict.UNIQUE_PRICE
     assert report.trade_interval == (report.insurer_reservation, report.insurer_reservation)
     assert report.insurer_profit_at_insuree_price == 0
@@ -126,16 +126,16 @@ def test_insurance_verdict_flips_exactly_at_equal_joint_weight():
     p = _insurance_beliefs(F(1, 8))
     below = _insurance_beliefs(F(1, 8) - F(1, 100))
     above = _insurance_beliefs(F(1, 8) + F(1, 100))
-    assert run_insurance(F(100), F(1, 2), p, below).verdict is InsuranceVerdict.POSITIVE_PROFIT
-    assert run_insurance(F(100), F(1, 2), p, above).verdict is InsuranceVerdict.MARKET_FAILURE
-    assert run_insurance(F(100), F(1, 2), p, p).verdict is InsuranceVerdict.UNIQUE_PRICE
+    assert run_insurance(INSURANCE, p, below).verdict is InsuranceVerdict.POSITIVE_PROFIT
+    assert run_insurance(INSURANCE, p, above).verdict is InsuranceVerdict.MARKET_FAILURE
+    assert run_insurance(INSURANCE, p, p).verdict is InsuranceVerdict.UNIQUE_PRICE
 
 
 def test_insurance_neglect_profit_formula():
     # insuree ignoring positive correlation: independent belief underestimates (B, F)
     p = _insurance_beliefs(F(1, 8))
     neglect = _insurance_beliefs(F(1, 16))  # = product of the 1/4 marginals
-    report = run_insurance(F(100), F(1, 2), p, neglect)
+    report = run_insurance(INSURANCE, p, neglect)
     assert report.verdict is InsuranceVerdict.POSITIVE_PROFIT
     assert report.insurer_profit_at_insuree_price == 100 * F(1, 2) * (F(3, 16) - F(2, 16))
     assert report.trade_interval is not None
@@ -148,7 +148,7 @@ def test_insurance_marginal_mismatch_rejected():
     space = p.space
     other = JointDistribution(space, (F(1, 3), F(1, 6), F(1, 6), F(1, 3)))
     with pytest.raises(MarginalMismatchError):
-        run_insurance(F(100), F(1, 2), p, other)
+        run_insurance(INSURANCE, p, other)
 
 
 def test_insurance_errors_carry_the_inputs(monkeypatch):
@@ -156,13 +156,104 @@ def test_insurance_errors_carry_the_inputs(monkeypatch):
     ph = _insurance_beliefs(F(1, 16))
     monkeypatch.setattr(applications, "expectation", lambda belief, act: F(0))
     with pytest.raises(ConsistencyError, match="insurer reservation price") as info:
-        run_insurance(F(100), F(1, 2), p, ph)
+        run_insurance(INSURANCE, p, ph)
     assert info.value.context == {
-        "house_value": "100",
-        "double_damage_share": "1/2",
-        "insurer_belief": ["1/8", "1/8", "1/8", "5/8"],
-        "insuree_belief": ["1/16", "3/16", "3/16", "9/16"],
+        "values": ["50", "100", "0", "0"],
+        "transfer": "insurer",
+        "belief": ["1/8", "1/8", "1/8", "5/8"],
     }
+
+
+def _evaluate_csv(capsys, name, *args):
+    assert cli.main(["evaluate", str(SCENARIO_DIR / name), *args, "--format", "csv"]) == 0
+    return {row["act"]: row for row in csv.DictReader(io.StringIO(capsys.readouterr().out))}
+
+
+def test_runners_agree_with_cli_evaluate(capsys):
+    # the CLI evaluates the same files without the runners
+    table = _evaluate_csv(capsys, "climate.scn")
+    rows = run_climate(CLIMATE, CLIMATE.prior_set())
+    assert [(r.name, str(r.value), str(r.argmin_vertex)) for r in rows] == [
+        (name, row["meu"], row["argmin_vertex"]) for name, row in table.items()
+    ]
+
+    insurer = _evaluate_csv(capsys, "insurance.scn", "--at", "0")
+    insuree = _evaluate_csv(capsys, "insurance_neglect.scn", "--at", "0")
+    report = run_insurance(
+        INSURANCE,
+        INSURANCE.prior_set(param_value=F(0)).vertices[0],
+        NEGLECT.prior_set().vertices[0],
+    )
+    assert report.insurer_reservation == (
+        F(insurer["no_cover_insurer"]["seu"]) - F(insurer["cover_insurer"]["seu"])
+    )
+    assert report.insuree_reservation == (
+        F(insuree["cover_insuree"]["seu"]) - F(insuree["no_cover_insuree"]["seu"])
+    )
+
+
+CLIMATE_DEGENERATE_MARGINALS = {
+    "point-mass-first": [(F(1), F(0)), (F(1, 4), F(3, 4))],
+    "point-mass-second": [(F(1, 3), F(2, 3)), (F(0), F(1))],
+    "point-masses": [(F(1), F(0)), (F(0), F(1))],
+    "tied-halves": [(F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))],
+    "tied-2x2": DEGENERATE_MARGINALS["tied-2x2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLIMATE_DEGENERATE_MARGINALS))
+def test_climate_identity_on_degenerate_marginals(case):
+    weights = CLIMATE_DEGENERATE_MARGINALS[case]
+    cs = correlation_set_of(weights)
+    p_ind = cs.independent_product
+    oracle = oracle_vertices((2, 2), weights)
+    acts = CLIMATE.acts()
+    for t, prior in (
+        (F(0), PriorSet.singleton(p_ind)),
+        (F(1, 2), PriorSet(cs.space, [mix(p_ind, v, F(1, 2)) for v in cs.vertices()])),
+        (F(1), PriorSet.from_correlation_set(cs)),
+    ):
+        for row in run_climate(CLIMATE, prior):
+            assert row.value == min(
+                sum(((1 - t) * i + t * w) * f
+                    for i, w, f in zip(p_ind.weights, vertex, acts[row.name].values))
+                for vertex in oracle
+            )
+
+
+def test_insurance_identity_at_both_ends_of_the_double_damage_weight():
+    # with burn and flood marginals 1/4 the double-damage weight ranges over
+    # [0, 1/4]; the oracle's two vertices are its ends
+    oracle = sorted(oracle_vertices((2, 2), [(F(1, 4), F(3, 4))] * 2))
+    assert [w[0] for w in oracle] == [0, F(1, 4)]
+    ends = [_insurance_beliefs(w[0]) for w in oracle]
+    acts = INSURANCE.acts(param_value=F(0))
+
+    def price(belief, gain, loss):
+        return sum(
+            w * (g - l)
+            for w, g, l in zip(belief.weights, acts[gain].values, acts[loss].values)
+        )
+
+    for p in ends:
+        for ph in ends:
+            report = run_insurance(INSURANCE, p, ph)
+            assert report.insurer_reservation == price(p, "no_cover_insurer", "cover_insurer")
+            assert report.insuree_reservation == price(ph, "cover_insuree", "no_cover_insuree")
+            assert (report.verdict is InsuranceVerdict.POSITIVE_PROFIT) == (
+                p.prob((0, 0)) > ph.prob((0, 0))
+            )
+
+
+def test_runners_reject_the_wrong_scenario():
+    belief = NEGLECT.prior_set().vertices[0]
+    with pytest.raises(CorrpolyError, match="no act 'no_cover_insurer'") as info:
+        run_insurance(NEGLECT, belief, belief)
+    assert not isinstance(info.value, ConsistencyError)
+    finance = sc.load(SCENARIO_DIR / "finance.scn")
+    with pytest.raises(CorrpolyError, match=r"needs a 2x2 space, got shape \(2, 2, 2\)") as info:
+        run_climate(finance, finance.prior_set(param_value=F(0)))
+    assert not isinstance(info.value, ConsistencyError)
 
 
 def test_finance_errors_carry_the_inputs(monkeypatch):
@@ -235,7 +326,7 @@ def test_finance_belief_marginals():
 
 
 def test_hand_built_scenarios_match_their_scn_files():
-    # the Python spellings of the worked scenarios and their .scn files
+    # the Python spelling of the finance scenario and its .scn file
     # describe the same space, marginals, acts and priors
     finance = sc.load(SCENARIO_DIR / "finance.scn")
     assert applications.finance_space() == finance.space
@@ -244,28 +335,6 @@ def test_hand_built_scenarios_match_their_scn_files():
     cs = finance.correlation_set()
     for a in finance.sweep.grid:
         assert finance.prior_set(cs, param_value=a).vertices == (finance_belief(a),)
-
-    climate = sc.load(SCENARIO_DIR / "climate.scn")
-    cs = climate.correlation_set()
-    acts = climate.acts()
-    for prior in (climate.prior_set(cs), PriorSet.singleton(cs.independent_product)):
-        rows = run_climate(F(10), F(2), F(4), F(1), F(8), prior)
-        assert [r.name for r in rows] == list(acts)
-        for row in rows:
-            assert (row.value, row.argmin_vertex) == meu_minimizer(prior, acts[row.name])
-
-    insurance = sc.load(SCENARIO_DIR / "insurance.scn")
-    neglect = sc.load(SCENARIO_DIR / "insurance_neglect.scn")
-    insurer = insurance.prior_set(param_value=F(0)).vertices[0]
-    insuree = neglect.prior_set(param_value=F(0)).vertices[0]
-    acts = insurance.acts(param_value=F(0))
-    report = run_insurance(F(100), F(1, 2), insurer, insuree)
-    assert report.insurer_reservation == expectation(
-        insurer, acts["no_cover_insurer"]
-    ) - expectation(insurer, acts["cover_insurer"])
-    assert report.insuree_reservation == expectation(
-        insuree, acts["cover_insuree"]
-    ) - expectation(insuree, acts["no_cover_insuree"])
 
 
 def test_sweep_rows_and_csv():

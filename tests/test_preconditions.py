@@ -62,7 +62,6 @@ from corrpoly import (
     partition_factorize,
     product_of_components,
     restricted_dimension,
-    run_climate,
     run_finance,
     run_insurance,
     seu_subspace_value,
@@ -79,6 +78,7 @@ S23 = ProductSpace((2, 3))
 LINE2 = ProductSpace((2,))
 LINE3 = ProductSpace((3,))
 PAIR = Collection.of({0}, {1})
+INSURANCE = load(SCENARIO_DIR / "insurance.scn")
 
 
 def _uniform(space):
@@ -144,7 +144,7 @@ SPACE_MISMATCHES = {
     "compare_revealed_correlation": lambda: compare_revealed_correlation(
         _uniform(S22), _uniform(S23), PAIR, [Event.full(LINE2), Event.full(LINE2)]
     ),
-    "run_insurance": lambda: run_insurance(F(100), F(1, 2), _uniform(S22), _uniform(S23)),
+    "run_insurance": lambda: run_insurance(INSURANCE, _uniform(S22), _uniform(S23)),
 }
 
 
@@ -180,7 +180,7 @@ MARGINAL_MISMATCHES = {
     "compare_revealed_correlation": lambda: compare_revealed_correlation(
         P, Q, PAIR, [Event.full(LINE2), Event.full(LINE2)]
     ),
-    "run_insurance": lambda: run_insurance(F(100), F(1, 2), P, Q),
+    "run_insurance": lambda: run_insurance(INSURANCE, P, Q),
 }
 
 
@@ -244,10 +244,6 @@ MALFORMED_ARGUMENTS = {
     "mix lam='x'": lambda: mix(P, P, "x"),
     "mix lam=nan": lambda: mix(P, P, math.nan),
     "Scenario.prior_set param_value=nan": lambda: load(FINANCE).prior_set(param_value=math.nan),
-    "run_climate damage='x'": lambda: run_climate(
-        "x", 1, 1, 1, 1, PriorSet.from_correlation_set(_cs(S22))
-    ),
-    "run_insurance house_value=nan": lambda: run_insurance(math.nan, F(1, 2), P, P),
     "run_finance a='abc'": lambda: run_finance("abc"),
     "run_finance a=nan": lambda: run_finance(math.nan),
     "finance_belief a='x'": lambda: finance_belief("x"),
