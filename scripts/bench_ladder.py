@@ -17,23 +17,39 @@ Python process that imports corrpoly from this checkout's `src/`:
 
 A measurement that takes longer than `TIMEOUT_S` = 60 s is stopped and
 recorded as "did not finish".  `--rungs K` runs the K smallest shapes.
-The result is one JSON object on stdout.  Only the standard library is
-needed.  Exit code 1 when a measurement fails, else 0.
+
+The `acceptance` key holds each acceptance criterion's time as a share of
+its budget: `tests/test_acceptance.py` runs once under pytest in a child
+with `PYTHONPATH=src` and a timeout of `ACCEPTANCE_TIMEOUT_S` = 300 s, and
+each `ACCEPTANCE n: PASS (x s < y s)` line it prints gives criterion n's
+seconds x, budget y and share x / y.  Without pytest it reads "not run".
+
+The result is one JSON object on stdout.  The ladder needs only the
+standard library.  Exit code 1 when a measurement or an acceptance
+criterion fails, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+ACCEPTANCE_TESTS = ROOT / "tests" / "test_acceptance.py"
 TIMEOUT_S = 60.0
+ACCEPTANCE_TIMEOUT_S = 300.0
 SEED = 1
+# the lines that `tests/test_acceptance.py`'s `criterion` prints
+PASS_LINE = re.compile(r"ACCEPTANCE (\d+): PASS \(([\d.]+)s < ([\d.e+]+)s\)")
+FAIL_LINE = re.compile(r"ACCEPTANCE (\d+): FAIL")
 
 LADDER = (
     (2, 2),
@@ -97,21 +113,56 @@ else:
 """
 
 
-def measure(task: str, sizes: tuple[int, ...]) -> dict:
+def child(args: list[str], timeout: float) -> subprocess.CompletedProcess | None:
+    """``python args`` with this checkout's `src/` first on the path, from
+    the checkout's root; None when it runs past ``timeout`` seconds."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     try:
-        done = subprocess.run(
-            [sys.executable, "-c", CHILD, json.dumps([task, sizes, SEED])],
-            capture_output=True,
-            text=True,
-            timeout=TIMEOUT_S,
-            env=env,
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env, cwd=ROOT
         )
     except subprocess.TimeoutExpired:
+        return None
+
+
+def measure(task: str, sizes: tuple[int, ...]) -> dict:
+    done = child(["-c", CHILD, json.dumps([task, sizes, SEED])], TIMEOUT_S)
+    if done is None:
         return {"status": "did not finish", "timeout_s": TIMEOUT_S}
     if done.returncode != 0:
         return {"status": "failed", "stderr": done.stderr.strip().splitlines()[-1:]}
     return {"status": "ok", **json.loads(done.stdout)}
+
+
+def acceptance() -> dict:
+    """Each acceptance criterion's seconds, budget and share of its budget,
+    from one pytest run of `tests/test_acceptance.py`."""
+    if importlib.util.find_spec("pytest") is None:
+        return {"status": "not run", "reason": "pytest is not installed"}
+    done = child(
+        ["-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", str(ACCEPTANCE_TESTS)],
+        ACCEPTANCE_TIMEOUT_S,
+    )
+    if done is None:
+        return {"status": "did not finish", "timeout_s": ACCEPTANCE_TIMEOUT_S}
+    criteria = []
+    for line in done.stdout.splitlines():
+        if m := PASS_LINE.search(line):
+            seconds, budget = float(m[2]), float(m[3])
+            criteria.append({
+                "criterion": int(m[1]),
+                "status": "ok",
+                "seconds": seconds,
+                "budget_s": budget,
+                "share": round(seconds / budget, 4),
+            })
+        elif m := FAIL_LINE.search(line):
+            criteria.append({"criterion": int(m[1]), "status": "failed", "line": line[m.start():]})
+    ok = done.returncode == 0 and all(c["status"] == "ok" for c in criteria)
+    result = {"status": "ok" if ok else "failed", "criteria": criteria}
+    if done.returncode != 0:
+        result["pytest"] = done.stdout.strip().splitlines()[-1:]
+    return result
 
 
 def main(argv=None) -> int:
@@ -132,10 +183,11 @@ def main(argv=None) -> int:
         "seed": SEED,
         "timeout_s": TIMEOUT_S,
         "rungs": rungs,
+        "acceptance": acceptance(),
     }
     print(json.dumps(result, indent=1))
     failed = any(r[task]["status"] == "failed" for r in rungs for task in ("vertices", "exactness"))
-    return 1 if failed else 0
+    return 1 if failed or result["acceptance"]["status"] == "failed" else 0
 
 
 if __name__ == "__main__":

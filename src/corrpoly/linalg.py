@@ -4,16 +4,21 @@ All routines take matrices as sequences of rows whose entries are ints or
 ``fractions.Fraction`` and never round: ranks, kernels and solutions are
 exact.  A matrix whose rows differ in length raises `CorrpolyError`.
 
-There is one elimination step, and `rref` (so `rank`, `nullspace` and
-`solve_affine`) and the vertex search's column reduction in `polytope` are
-built on it.  `_pivot_entries` normalizes a pivot row and keeps only its
-nonzero entries; `_eliminate` subtracts that row from another on those
-columns alone.  The marginal systems reduced here are 0/1 matrices whose
-rows stay mostly zero, and ``a - f * 0`` is ``a`` exactly, so skipping the
-zero columns gives the dense algorithm's results with a fraction of its
-`Fraction` operations.  The two step functions are private by name because
-they run once per row update: a public name would be wrapped, call by
-call, by tools that wrap every public function (the benchmark's tracer).
+There is one elimination step, and `_reduce` (so `rref`, `rank`,
+`nullspace` and `solve_affine`) and the vertex search's column reduction in
+`polytope` are built on it.  `_pivot_entries` normalizes a pivot row and
+keeps only its nonzero entries; `_eliminate` subtracts that row from
+another on those columns alone.  The marginal systems reduced here are 0/1
+matrices whose rows stay mostly zero, and ``a - f * 0`` is ``a`` exactly,
+so skipping the zero columns gives the dense algorithm's results with a
+fraction of its `Fraction` operations.  Entries are kept as given: an int
+stays an int through every subtraction, and a `Fraction` appears only where
+a pivot other than 1 divides.  So a 0/1 system whose pivots are all 1 is
+reduced in Python ints alone.  `rref` returns Fractions, and so do the
+vectors of `nullspace` and `solve_affine`.  `_reduce` and the two step
+functions are private by name because they run once per row update or per
+support of the vertex search: a public name would be wrapped, call by call,
+by tools that wrap every public function (the benchmark's tracer).
 
 `integer_numerators` puts exact rationals over one common denominator; it
 is the one scaling that the integer code paths of the other modules start
@@ -32,7 +37,7 @@ from .errors import CorrpolyError
 
 Row = Sequence[Fraction | int]
 Vector = tuple[Fraction, ...]
-Pivot = list[tuple[int, Fraction]]  # a normalized pivot row's nonzero (column, value) pairs
+Pivot = list[tuple[int, Fraction | int]]  # a normalized pivot row's nonzero (column, value) pairs
 
 
 def fraction_tuple(values: Iterable) -> tuple[Fraction, ...]:
@@ -46,8 +51,9 @@ def fraction_tuple(values: Iterable) -> tuple[Fraction, ...]:
 
 
 def require_count(value, name: str, minimum: int) -> None:
-    """CorrpolyError unless ``value`` is an integer of at least ``minimum``."""
-    if not isinstance(value, int) or value < minimum:
+    """CorrpolyError unless ``value`` is an integer, not a bool, of at least
+    ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise CorrpolyError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
@@ -57,16 +63,18 @@ def integer_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
-def _pivot_entries(row: Sequence[Fraction], col: int) -> Pivot:
+def _pivot_entries(row: Sequence[Fraction | int], col: int) -> Pivot:
     """The pivot row ``row`` divided by its entry at ``col``, kept sparse:
-    ``(column, value)`` for each nonzero entry.  Only those are divided."""
+    ``(column, value)`` for each nonzero entry.  Only those are divided, and
+    as Fractions: an int pivot of 1 keeps the row's ints."""
     pv = row[col]
     if pv == 1:
         return [(j, x) for j, x in enumerate(row) if x]
+    pv = Fraction(pv)  # int / int would be a float
     return [(j, x / pv) for j, x in enumerate(row) if x]
 
 
-def _eliminate(row: list[Fraction], col: int, pivot: Pivot) -> None:
+def _eliminate(row: list[Fraction | int], col: int, pivot: Pivot) -> None:
     """The elimination step: clear ``row[col]`` in place by subtracting
     ``row[col]`` times the normalized pivot row, given by its nonzero
     entries ``pivot`` (from `_pivot_entries` at ``col``), on those columns
@@ -77,11 +85,12 @@ def _eliminate(row: list[Fraction], col: int, pivot: Pivot) -> None:
             row[j] -= f * x
 
 
-def rref(rows: Sequence[Row]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.  Returns (reduced matrix, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def _reduce(m: list[list[Fraction | int]]) -> list[int]:
+    """Bring ``m`` to reduced row echelon form in place, with its entries
+    kept as given: ints stay ints until a pivot other than 1 divides.
+    Returns the pivot columns."""
     if not m:
-        return m, []
+        return []
     n_rows, n_cols = len(m), len(m[0])
     for i, row in enumerate(m):
         if len(row) != n_cols:
@@ -106,23 +115,35 @@ def rref(rows: Sequence[Row]) -> tuple[list[list[Fraction]], list[int]]:
         r += 1
         if r == n_rows:
             break
-    return m, pivots
+    return pivots
+
+
+def _fraction(x: Fraction | int) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def rref(rows: Sequence[Row]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form, with Fraction entries.  Returns (reduced
+    matrix, pivot columns)."""
+    m = [list(row) for row in rows]
+    pivots = _reduce(m)
+    return [[_fraction(x) for x in row] for row in m], pivots
 
 
 def rank(rows: Sequence[Row]) -> int:
-    return len(rref(rows)[1])
+    return len(_reduce([list(row) for row in rows]))
 
 
 def nullspace(rows: Sequence[Row]) -> list[Vector]:
     """Basis of the kernel, one vector per free column of the rref."""
     if not rows:
         return []
-    m, pivots = rref(rows)
-    return _kernel(m, pivots, len(rows[0]))
+    m = [list(row) for row in rows]
+    return _kernel(m, _reduce(m), len(rows[0]))
 
 
-def _kernel(m: list[list[Fraction]], pivots: list[int], n_cols: int) -> list[Vector]:
-    """The kernel basis of the first ``n_cols`` columns of an rref ``m``,
+def _kernel(m: list[list[Fraction | int]], pivots: list[int], n_cols: int) -> list[Vector]:
+    """The kernel basis of the first ``n_cols`` columns of a reduced ``m``,
     one vector per free column."""
     pivot_set = set(pivots)
     free_cols = [c for c in range(n_cols) if c not in pivot_set]
@@ -131,7 +152,7 @@ def _kernel(m: list[list[Fraction]], pivots: list[int], n_cols: int) -> list[Vec
         v = [Fraction(0)] * n_cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+            v[pc] = _fraction(-m[r][fc])
         basis.append(tuple(v))
     return basis
 
@@ -150,13 +171,13 @@ def solve_affine(
         return (), []
     n_cols = len(rows[0])
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
+    pivots = _reduce(aug)
     if n_cols in pivots:
         return None
     sol = [Fraction(0)] * n_cols
     for r, pc in enumerate(pivots):
-        sol[pc] = m[r][n_cols]
-    return tuple(sol), _kernel(m, pivots, n_cols)
+        sol[pc] = _fraction(aug[r][n_cols])
+    return tuple(sol), _kernel(aug, pivots, n_cols)
 
 
 def mat_vec(rows: Sequence[Row], x: Sequence[Fraction | int]) -> Vector:

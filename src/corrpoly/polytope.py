@@ -272,7 +272,7 @@ def enumerate_extreme_points(
             if matrix[r][k]:
                 mask |= 1 << r
         col_mask[k] = mask
-        col_vec[k] = [Fraction(matrix[r][k]) for r in range(n_rows)]
+        col_vec[k] = [matrix[r][k] for r in range(n_rows)]
 
     found: list[tuple[Fraction, ...]] = []
 
@@ -285,7 +285,7 @@ def enumerate_extreme_points(
             weights[k] = x
         found.append(tuple(weights))
 
-    def reduce_column(vec: list[Fraction], pivots: list[tuple[int, linalg.Pivot]]):
+    def reduce_column(vec: list[Fraction | int], pivots: list[tuple[int, linalg.Pivot]]):
         v = list(vec)
         for pr, pivot in pivots:
             linalg._eliminate(v, pr, pivot)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CorrpolyError, MarginalMismatchError, SpaceMismatchError
-from .linalg import fraction_tuple
+from .linalg import fraction_tuple, integer_numerators
 
 MultiIndex = tuple[int, ...]
 
@@ -34,7 +34,10 @@ class ProductSpace:
 
     def __post_init__(self):
         try:
-            sizes = tuple(operator.index(s) for s in self.subspace_sizes)
+            sizes = tuple(self.subspace_sizes)
+            if any(isinstance(s, bool) for s in sizes):
+                raise TypeError("a bool is not a size")
+            sizes = tuple(map(operator.index, sizes))
         except TypeError:
             raise CorrpolyError(
                 f"subspace sizes must be integers, got {self.subspace_sizes!r}"
@@ -160,11 +163,14 @@ def require_same_space(space: ProductSpace, expected: ProductSpace, what: str) -
 def probability_vector(weights: Iterable, what: str) -> tuple[Fraction, ...]:
     """``weights`` as Fractions, checked to be nonnegative and to sum to
     exactly 1: the one probability-vector check of `Marginal` and
-    `JointDistribution`."""
+    `JointDistribution`.  Both checks run in integers, on the numerators
+    over the common denominator (`integer_numerators`): they are
+    nonnegative, and they sum to that denominator."""
     weights = fraction_tuple(weights)
-    if any(w < 0 for w in weights):
+    nums, denom = integer_numerators(weights)
+    if min(nums, default=0) < 0:
         raise CorrpolyError(f"{what} weights must be nonnegative")
-    if sum(weights) != 1:
+    if sum(nums) != denom:
         raise CorrpolyError(f"{what} weights must sum to exactly 1")
     return weights
 
@@ -237,7 +243,12 @@ class Event:
     mask: int
 
     def __post_init__(self):
-        if not isinstance(self.mask, int) or not 0 <= self.mask < 1 << self.space.total_size:
+        mask = self.mask
+        if (
+            not isinstance(mask, int)
+            or isinstance(mask, bool)
+            or not 0 <= mask < 1 << self.space.total_size
+        ):
             raise CorrpolyError(
                 f"mask {self.mask!r} is not an event of a space with "
                 f"{self.space.total_size} states"

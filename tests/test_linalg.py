@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corrpoly import CorrpolyError, linalg
+from corrpoly import CorrpolyError, dimension, enumerate_extreme_points, linalg, mix
+from corrpoly.polytope import face_basis
 from bruteforce import _rref as rref_reference
+from conftest import DEGENERATE_MARGINALS, correlation_set_of, random_correlation_set
 
 F = Fraction
 
@@ -118,3 +121,143 @@ def test_solve_affine_recovers_consistent_systems(system):
         assert all(e == 0 for e in linalg.mat_vec(matrix, v))
     # rank-nullity on the coefficient matrix
     assert len(basis) == len(matrix[0]) - linalg.rank(matrix)
+
+
+# Integer elimination: ints stay ints until a pivot other than 1 divides,
+# and every public result is a Fraction equal to the Fraction reference's.
+@st.composite
+def leading_pivot_matrices(draw, entries, leads):
+    """Matrices of 1-5 rows and 1-5 columns, about half their entries zero,
+    whose first entry is one of ``leads``: a pivot other than 1."""
+    n_rows = draw(st.integers(min_value=1, max_value=5))
+    n_cols = draw(st.integers(min_value=1, max_value=5))
+    entry = st.one_of(st.just(0), entries)
+    m = [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+    m[0][0] = draw(st.sampled_from(leads))
+    return m
+
+
+MIXED = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.builds(F, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3)),
+)
+MATRICES = st.one_of(
+    leading_pivot_matrices(st.integers(min_value=-3, max_value=3), (-1, 2, 3)),
+    leading_pivot_matrices(MIXED, (-1, 2, 3, F(1, 3))),
+)
+PIVOT_EXAMPLES = (
+    [[-1, 1, 0], [1, 1, 1]],
+    [[2, 1], [1, 3]],
+    [[3, 0, 1], [0, 2, 1]],
+    [[F(1, 3), 1], [1, 0]],
+    [[0, 1, 1], [1, 0, 1], [1, 1, 0]],  # pivots 1, 1, then -2
+)
+
+
+def _with_pivot_examples(test):
+    for m in PIVOT_EXAMPLES:
+        test = example(m)(test)
+    return test
+
+
+@st.composite
+def systems(draw):
+    m = draw(MATRICES)
+    return m, [draw(MIXED) for _ in m]
+
+
+def _reference_kernel(red, pivots, n_cols):
+    """The kernel basis that `bruteforce._rref`'s reduced matrix gives."""
+    basis = []
+    for fc in (c for c in range(n_cols) if c not in pivots):
+        v = [F(0)] * n_cols
+        v[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _all_fractions(vectors):
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MATRICES)
+@_with_pivot_examples
+def test_rank_and_nullspace_match_the_reference_in_fractions(m):
+    ref_red, ref_pivots = rref_reference(m)
+    assert linalg.rank(m) == len(ref_pivots)
+    basis = linalg.nullspace(m)
+    assert basis == _reference_kernel(ref_red, ref_pivots, len(m[0]))
+    assert _all_fractions(basis)
+    red, pivots = linalg.rref(m)
+    assert (red, pivots) == (ref_red, ref_pivots) and _all_fractions(red)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+@example(([[2, 1], [1, 3]], [1, 1]))
+@example(([[3, 0, 1], [0, 2, 1]], [F(1, 2), 1]))
+@example(([[-1, 1, 0], [1, 1, 1]], [1, 0]))
+@example(([[F(1, 3), 1], [1, 0]], [2, 3]))
+@example(([[1, 1], [1, 1]], [0, 1]))  # inconsistent
+def test_solve_affine_matches_the_reference_in_fractions(system):
+    m, rhs = system
+    n_cols = len(m[0])
+    ref_red, ref_pivots = rref_reference([[*row, b] for row, b in zip(m, rhs)])
+    res = linalg.solve_affine(m, rhs)
+    if n_cols in ref_pivots:
+        assert res is None
+        return
+    sol, basis = res
+    ref_sol = [F(0)] * n_cols
+    for r, pc in enumerate(ref_pivots):
+        ref_sol[pc] = ref_red[r][n_cols]
+    assert sol == tuple(ref_sol)
+    assert basis == _reference_kernel(ref_red, ref_pivots, n_cols)
+    assert _all_fractions([sol, *basis])
+
+
+@settings(max_examples=200, deadline=None)
+@given(MATRICES)
+@_with_pivot_examples
+def test_elimination_makes_no_float(m):
+    reduced = [list(row) for row in m]
+    pivots = linalg._reduce(reduced)
+    assert all(type(x) in (int, Fraction) for row in reduced for x in row)
+    assert all(reduced[r][c] == 1 for r, c in enumerate(pivots))
+
+
+def test_unit_pivots_keep_ints_and_other_pivots_divide_as_fractions():
+    # every pivot is 1, so no Fraction is made
+    m = [[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]]
+    assert linalg._reduce(m) == [0, 1, 2]
+    assert m == [[1, 0, 0, 2], [0, 1, 0, -1], [0, 0, 1, 1]]
+    assert all(type(x) is int for row in m for x in row)
+    for row, col, expected in [
+        ([0, -1, 3], 1, [(1, 1), (2, -3)]),
+        ([2, 1], 0, [(0, 1), (1, F(1, 2))]),
+        ([3, 0, 1], 0, [(0, 1), (2, F(1, 3))]),
+        ([F(1, 3), 1], 0, [(0, 1), (1, 3)]),
+    ]:
+        pivot = linalg._pivot_entries(row, col)
+        assert pivot == expected and all(type(x) is Fraction for _, x in pivot)
+
+
+@pytest.mark.parametrize("weights", [
+    *DEGENERATE_MARGINALS.values(),
+    *(
+        [m.weights for m in random_correlation_set(shape, random.Random(seed)).marginals]
+        for shape, seed in [((2, 2), 1), ((2, 3), 2), ((3, 3), 3), ((2, 2, 2), 4), ((2, 2, 3), 5)]
+    ),
+])
+def test_vertices_and_face_bases_hold_fractions_only(weights):
+    cs = correlation_set_of(weights)
+    vertices = enumerate_extreme_points(cs)
+    assert vertices and _all_fractions(v.weights for v in vertices)
+    points = [*vertices, cs.independent_product, mix(vertices[0], vertices[-1], F(1, 3))]
+    for p in points:
+        assert _all_fractions(face_basis(cs, p))
+    assert all(face_basis(cs, v) == [] for v in vertices)
+    assert len(face_basis(cs, cs.independent_product)) == dimension(cs)

@@ -277,6 +277,15 @@ def test_count_arguments_name_their_bound():
         certify_local_max_mi(_cs(S22), _cs(S22).independent_product, probes=2.5)
     with pytest.raises(CorrpolyError, match=r"guard must be an integer >= 0, got None"):
         _cs(S22).vertices(guard=None)
+    # a bool is no count, though it is an int to isinstance
+    with pytest.raises(CorrpolyError, match=r"probes must be an integer >= 0, got True"):
+        certify_local_max_mi(_cs(S22), _cs(S22).independent_product, probes=True)
+    with pytest.raises(CorrpolyError, match=r"guard must be an integer >= 0, got True"):
+        _cs(S22).vertices(guard=True)
+    with pytest.raises(CorrpolyError, match=r"guard must be an integer >= 0, got False"):
+        enumerate_extreme_points(_cs(S22), guard=False)
+    with pytest.raises(CorrpolyError, match=r"trials must be an integer >= 0, got True"):
+        check_subspace_independence_axiom(PriorSet.singleton(P), trials=True)
 
 
 def test_vertex_guard_is_checked_on_cached_vertices():

@@ -66,6 +66,103 @@ def test_joint_validation():
         JointDistribution(space, (F(1, 2), F(1, 2), F(1, 2), F(-1, 2)))
 
 
+def test_bools_are_no_sizes_and_no_masks():
+    for sizes in [(True, 2), (2, False), (True,)]:
+        with pytest.raises(CorrpolyError, match="subspace sizes must be integers"):
+            ProductSpace(sizes)
+    space = ProductSpace((2, 2))
+    for mask in [True, False]:
+        with pytest.raises(CorrpolyError, match=f"mask {mask} is not an event of a space with 4 states"):
+            Event(space, mask)
+    assert ProductSpace((1, 2)).subspace_sizes == (1, 2)
+    assert ProductSpace(iter((2, 3))).subspace_sizes == (2, 3)
+    assert len(Event(space, 1)) == 1 and len(Event(space, 0)) == 0
+
+
+EPS = F(1, 10**30)
+NONNEGATIVE = "weights must be nonnegative"
+SUM = "weights must sum to exactly 1"
+NOT_RATIONAL = "not a finite rational"
+
+# (weights of a 3-state marginal or a (3,)-space joint, the parent's message
+# or None when the vector is valid); the negativity check comes first
+PROBABILITY_VECTORS = {
+    "negative offset by the others": ((F(-1, 3), F(2, 3), F(2, 3)), NONNEGATIVE),
+    "negative and short of 1": ((F(-1, 2), F(1, 2), 0), NONNEGATIVE),
+    "tiny negative offset": ((-EPS, F(1, 2) + EPS, F(1, 2)), NONNEGATIVE),
+    "sum 1 + 1e-30": ((F(1, 2) + EPS, F(1, 4), F(1, 4)), SUM),
+    "sum 1 - 1e-30": ((F(1, 2) - EPS, F(1, 4), F(1, 4)), SUM),
+    "empty": ((), SUM),
+    "zero weights": ((0, 0, 0), SUM),
+    "point mass": ((0, 1, 0), None),
+    "point mass as Fractions": ((F(0), F(0), F(1)), None),
+    "zero-weight state": ((F(1, 3), 0, F(2, 3)), None),
+    "int, str and Fraction": ((0, "1/3", F(2, 3)), None),
+    "int, str and Fraction, negative": ((1, "-1/2", F(1, 2)), NONNEGATIVE),
+    "int, str and Fraction, short": (("1/2", 0, F(1, 3)), SUM),
+    "str over 1": (("2/3", "1/3", "1/3"), SUM),
+    "not a number": (("x", "1/2", "1/2"), NOT_RATIONAL),
+    "zero denominator": (("1/0", 0, 0), NOT_RATIONAL),
+    "nan": ((float("nan"), 0, 0), NOT_RATIONAL),
+    "inf": ((float("inf"), 0, 0), NOT_RATIONAL),
+    "None": ((None, 1, 0), NOT_RATIONAL),
+}
+
+
+@pytest.mark.parametrize("weights, message", PROBABILITY_VECTORS.values(), ids=PROBABILITY_VECTORS)
+@pytest.mark.parametrize("what", ["marginal", "joint"])
+def test_probability_vectors_are_checked_in_integers(weights, message, what):
+    if what == "marginal":
+        make = lambda: Marginal(0, weights)
+    else:
+        make = lambda: JointDistribution(ProductSpace((max(len(weights), 1),)), weights)
+    if message is None:
+        made = make()
+        assert made.weights == tuple(F(w) for w in weights)
+        assert all(type(w) is Fraction for w in made.weights)
+        return
+    prefix = "" if message == NOT_RATIONAL else f"{what} "
+    with pytest.raises(CorrpolyError, match=f"^{prefix}{message}"):
+        make()
+
+
+def _fraction_sum_verdict(weights):
+    """The check as a Fraction sum: the oracle of the integer check."""
+    if any(w < 0 for w in weights):
+        return NONNEGATIVE
+    if sum(weights) != 1:
+        return SUM
+    return None
+
+
+@st.composite
+def weight_vectors(draw):
+    """Short rational vectors; half of them scaled to sum to 1 when they can be."""
+    entry = st.builds(
+        F, st.integers(min_value=-2, max_value=6), st.sampled_from([1, 2, 3, 6, 10**30])
+    )
+    weights = draw(st.lists(entry, min_size=1, max_size=5))
+    total = sum(weights)
+    if draw(st.booleans()) and total:
+        weights = [w / total for w in weights]
+    return weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_vectors())
+def test_the_integer_check_agrees_with_a_fraction_sum(weights):
+    expected = _fraction_sum_verdict(weights)
+    for make, what in [
+        (lambda: Marginal(0, weights), "marginal"),
+        (lambda: JointDistribution(ProductSpace((len(weights),)), weights), "joint"),
+    ]:
+        if expected is None:
+            assert make().weights == tuple(weights)
+        else:
+            with pytest.raises(CorrpolyError, match=f"^{what} {expected}$"):
+                make()
+
+
 def test_independent_product_uniform():
     ps = [Marginal(0, (F(1, 2), F(1, 2))), Marginal(1, (F(1, 2), F(1, 2)))]
     p = independent_product(ps)
