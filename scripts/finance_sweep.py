@@ -18,7 +18,7 @@ def main():
     print(f"wrote {out_path}")
     print(f"{'a':>5s} {'E[return]':>9s} {'threshold rho':>13s}")
     for a in scn.sweep.grid:
-        report = run_finance(a)
+        report = run_finance(scn, a)
         threshold = "-inf" if report.crra_threshold is None else f"{report.crra_threshold:.6f}"
         print(f"{str(a):>5s} {str(report.expected_return):>9s} {threshold:>13s}")
 

@@ -47,9 +47,10 @@ def insurance():
 
 
 def finance():
+    scn = sc.load(SCENARIOS / "finance.scn")
     print("== finance ==")
-    for a in (F(0), F(1, 12), F(1, 6), F(1, 4), F(1, 3)):
-        report = run_finance(a, rho=0.25)
+    for a in scn.sweep.grid:
+        report = run_finance(scn, a, rho=0.25)
         threshold = "-inf" if report.crra_threshold is None else f"{report.crra_threshold:.4f}"
         print(
             f"a = {str(a):>4s}: expected return {str(report.expected_return):>5s} "

@@ -112,7 +112,6 @@ from .applications import (
     InsuranceVerdict,
     ReportRow,
     decimal_string,
-    finance_belief,
     run_climate,
     run_finance,
     run_insurance,

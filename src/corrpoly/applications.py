@@ -1,11 +1,11 @@
 """Three worked decision scenarios and the sweep engine.
 
-Everything here is evaluated through the generic machinery (acts, maxmin
-values over prior sets, exact expectations).  The climate and insurance
-runners evaluate the acts of their loaded scenario files and check every
-number against the 2x2 coupling identity; the finance runner keeps its
-tables and asserts their closed forms.  A disagreement raises instead of
-silently reporting either number.
+Each runner evaluates the acts and beliefs of its loaded scenario file
+with the generic machinery and checks every number against a closed form:
+the 2x2 coupling identity for climate and insurance, the gold return and
+CRRA threshold for finance.  A file outside a runner's assumptions raises
+CorrpolyError; a disagreement raises ConsistencyError instead of silently
+reporting either number.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from typing import Iterable, Optional, Sequence
 from .errors import ConsistencyError, CorrpolyError
 from .linalg import fraction_tuple
 from .preferences import PriorSet, RiskUtility, meu_minimizer
-from .independence import product_of_components
+from .independence import is_independent_on
 from .scenario import Scenario
 from .space import (
     Act,
     Collection,
     JointDistribution,
     Marginal,
-    ProductSpace,
     expectation,
     marginalize,
     shared_marginals,
@@ -121,13 +120,21 @@ def _require_2x2_identity(
 
 
 def _scenario_acts(
-    scenario: Scenario, what: str, param_value: Optional[Fraction] = None
+    scenario: Scenario, what: str, shape: tuple[int, ...], param_value: Optional[Fraction] = None
 ) -> dict[str, Act]:
-    """The scenario's acts, checked to live on a 2x2 space."""
+    """The scenario's acts, checked to live on a space of ``shape``."""
     sizes = scenario.space.subspace_sizes
-    if sizes != (2, 2):
-        raise CorrpolyError(f"{what} scenario needs a 2x2 space, got shape {sizes}")
+    if sizes != shape:
+        shown = "x".join(map(str, shape))
+        raise CorrpolyError(f"{what} scenario needs a {shown} space, got shape {sizes}")
     return scenario.acts(param_value)
+
+
+def _single_vertex(prior: PriorSet, message: str) -> JointDistribution:
+    """The one vertex of a singleton prior set; ``message`` is the error otherwise."""
+    if len(prior.vertices) != 1:
+        raise CorrpolyError(message)
+    return prior.vertices[0]
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +154,7 @@ def run_climate(scenario: Scenario, prior: PriorSet) -> list[ReportRow]:
     puts there.  Each value is checked against the 2x2 coupling identity at
     the prior's vertices.
     """
-    acts = _scenario_acts(scenario, "climate")
+    acts = _scenario_acts(scenario, "climate", (2, 2))
     marginals = prior.shared_marginals()
     rows = _maxmin_rows(prior, acts.items())
     vertices = [[str(w) for w in v.weights] for v in prior.vertices]
@@ -196,7 +203,7 @@ def run_insurance(
     are (50, 100, 0, 0), so the verdict flips exactly at equal joint
     probability of the double-damage state.
     """
-    acts = _scenario_acts(scenario, "insurance", param_value=Fraction(0))
+    acts = _scenario_acts(scenario, "insurance", (2, 2), param_value=Fraction(0))
     for name in ("no_cover_insurer", "cover_insurer", "no_cover_insuree", "cover_insuree"):
         if name not in acts:
             raise CorrpolyError(f"insurance scenario has no act {name!r}")
@@ -233,21 +240,8 @@ def run_insurance(
 # finance: gold returns under correlated inflation and uncertainty
 
 
-FINANCE_LABELS = (("H_infl", "L_infl"), ("H_unc", "L_unc"), ("G", "NG"))
-FINANCE_NAMES = ("inflation", "uncertainty", "deposit")
-FINANCE_MARGINALS = (
-    (Fraction(1, 3), Fraction(2, 3)),
-    (Fraction(1, 2), Fraction(1, 2)),
-    (Fraction(1, 4), Fraction(3, 4)),
-)
-# returns indexed (inflation, uncertainty, deposit), deposit fastest
-FINANCE_RETURNS = (3, 7, -9, 3, -6, 2, -12, 0)
 # wealth before the trade: the CRRA threshold of `run_finance` is exact there
 FINANCE_WEALTH = 6
-
-
-def finance_space() -> ProductSpace:
-    return ProductSpace((2, 2, 2), FINANCE_LABELS, FINANCE_NAMES)
 
 
 @dataclass(frozen=True)
@@ -259,83 +253,59 @@ class FinanceReport:
     buy: bool
 
 
-def finance_belief(a: Fraction) -> JointDistribution:
-    """The joint belief: correlated inflation/uncertainty table glued to an
-    independent deposit coordinate."""
-    (a,) = fraction_tuple((a,))
-    space = finance_space()
-    pair_space = space.subspace([0, 1])
-    pair = JointDistribution(
-        pair_space,
-        (a, Fraction(1, 3) - a, Fraction(1, 2) - a, Fraction(1, 6) + a),
-    )
-    deposit = JointDistribution(space.subspace([2]), FINANCE_MARGINALS[2])
-    return product_of_components(space, Collection.of({0, 1}, {2}), [pair, deposit])
+def run_finance(scenario: Scenario, a: Fraction, rho: Optional[float] = None) -> FinanceReport:
+    """Evaluate ``buy_gold`` of ``scenario`` (``finance.scn``) at parameter ``a``.
 
-
-def run_finance(a: Fraction, rho: Optional[float] = None) -> FinanceReport:
-    """Evaluate buying the asset when inflation and economic uncertainty are
-    correlated with joint weight ``a`` on the doubly-high state but both are
-    independent of deposit discovery.
-
-    The deposit coordinate is averaged out first (the averaged table must be
-    exactly (6, 0, 0, -3)); risk-neutral expected return is then linear in
-    ``a`` and zero at the independent value 1/6.  Under constant relative
-    risk aversion on wealth 6 plus the return (``FINANCE_WEALTH``, the one
-    wealth where the closed form holds) the buy verdict has the threshold
-    rho <= 1 + log2(6a/(1+6a)), which is cross-checked against the direct
-    expected-utility comparison.
+    The prior at ``a`` must be one belief with the deposit independent of
+    the pair (inflation, uncertainty), and the deposit-averaged returns must
+    be (6, 0, 0, -3); else CorrpolyError.  With p_HH and p_LL the pair's
+    weights on (H, H) and (L, L), the expected return is 6*p_HH - 3*p_LL, and
+    CRRA on wealth ``FINANCE_WEALTH`` buys iff rho <= 1 + log2(p_HH/p_LL),
+    checked against the direct expected utility.
     """
     (a,) = fraction_tuple((a,))
-    if not 0 <= a <= Fraction(1, 3):
-        raise CorrpolyError("the correlation weight a must lie in [0, 1/3]")
     context = {"a": str(a), "rho": str(rho)}
-    space = finance_space()
-    full_act = Act(space, FINANCE_RETURNS)
-    deposit_weights = FINANCE_MARGINALS[2]
+    acts = _scenario_acts(scenario, "finance", (2, 2, 2), param_value=a)
+    if "buy_gold" not in acts:
+        raise CorrpolyError("finance scenario has no act 'buy_gold'")
+    gold = acts["buy_gold"]
+    message = f"finance scenario needs one prior vertex at a={a}"
+    belief = _single_vertex(scenario.prior_set(param_value=a), message)
+    if not is_independent_on(belief, Collection.of({0, 1}, {2})).holds:
+        raise CorrpolyError("finance belief must make the deposit independent of the pair")
 
-    averaged = []
-    pair_space = space.subspace([0, 1])
-    for w1, w2 in pair_space.states():
-        avg = sum(
-            (deposit_weights[w3] * full_act.value((w1, w2, w3)) for w3 in range(2)),
-            Fraction(0),
-        )
-        averaged.append(avg)
-    averaged = tuple(averaged)
-    if averaged != (Fraction(6), Fraction(0), Fraction(0), Fraction(-3)):
-        raise ConsistencyError("averaged return table disagrees with (6, 0, 0, -3)", **context)
-
-    belief = finance_belief(a)
-    expected = expectation(belief, full_act)
-    pair_belief = marginalize(belief, [0, 1])
-    averaged_expected = sum(
-        (w * r for w, r in zip(pair_belief.weights, averaged)), Fraction(0)
+    deposit = scenario.marginals[2].weights
+    averaged = tuple(
+        sum((w * r for w, r in zip(deposit, gold.values[2 * k : 2 * k + 2])), Fraction(0))
+        for k in range(4)
     )
-    if expected != averaged_expected or expected != 3 * a - Fraction(1, 2):
-        raise ConsistencyError(
-            "expected return disagrees with its closed form 3a - 1/2", **context
-        )
+    if averaged != (6, 0, 0, -3):
+        shown = ", ".join(map(str, averaged))
+        raise CorrpolyError(f"finance deposit-averaged returns are ({shown}), not (6, 0, 0, -3)")
 
-    threshold = None
-    if a > 0:
-        threshold = 1.0 + math.log2(6 * float(a) / (1 + 6 * float(a)))
+    pair = marginalize(belief, [0, 1]).weights
+    p_hh, p_ll = pair[0], pair[3]
+    expected = expectation(belief, gold)
+    averaged_expected = sum((w * r for w, r in zip(pair, averaged)), Fraction(0))
+    if not expected == averaged_expected == 6 * p_hh - 3 * p_ll:
+        raise ConsistencyError("expected return disagrees with 6*p_HH - 3*p_LL", **context)
+
+    threshold = None  # no rho buys a trade that can only lose
+    if p_ll == 0:
+        threshold = math.inf  # and none declines one that cannot lose
+    elif p_hh > 0:
+        threshold = 1.0 + math.log2(p_hh / p_ll)
     if rho is None:
         buy = expected > 0
     else:
         utility = RiskUtility(rho=rho, scale=FINANCE_WEALTH)
         buy = threshold is not None and rho <= threshold + 1e-9
-        eu_buy = sum(
-            float(w) * utility.apply(FINANCE_WEALTH + r)
-            for w, r in zip(pair_belief.weights, averaged)
-        )
+        eu_buy = sum(float(w) * utility.apply(FINANCE_WEALTH + r) for w, r in zip(pair, averaged))
         eu_keep = utility.apply(FINANCE_WEALTH)
         direct_buy = eu_buy >= eu_keep - 1e-12
         margin = math.inf if threshold is None else abs(rho - threshold)
         if margin > 1e-9 and direct_buy != buy:
-            raise ConsistencyError(
-                "threshold verdict disagrees with the direct expected-utility check", **context
-            )
+            raise ConsistencyError("threshold disagrees with direct expected utility", **context)
     return FinanceReport(averaged, expected, rho, threshold, buy)
 
 

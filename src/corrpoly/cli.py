@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import applications, capacity, independence, info, polytope, preferences, scenario
-from .applications import _render, decimal_string
+from .applications import _render, _single_vertex, decimal_string
 from .errors import CorrpolyError, NonlinearCollectionError
 from .scenario import parse_collection_spec, parse_event, parse_family_spec
 from .space import Event, JointDistribution, expectation
@@ -45,13 +45,6 @@ def _prior_at(
 ) -> preferences.PriorSet:
     """The scenario's prior set with the sweep parameter bound to ``--at``."""
     return scn.prior_set(cs, param_value=_param_value(scn, raw))
-
-
-def _single_vertex(prior: preferences.PriorSet, message: str) -> JointDistribution:
-    """The one vertex of a singleton prior set; ``message`` is the error otherwise."""
-    if len(prior.vertices) != 1:
-        raise CorrpolyError(message)
-    return prior.vertices[0]
 
 
 def _restricted_dimension(cs: polytope.CorrelationSet, collections) -> int | str:

@@ -42,12 +42,19 @@ Pivot = list[tuple[int, Fraction | int]]  # a normalized pivot row's nonzero (co
 
 def fraction_tuple(values: Iterable) -> tuple[Fraction, ...]:
     """``values`` as Fractions; a value that already is one is kept.  A value
-    that is no finite rational (``"abc"``, ``"1/0"``, nan, inf, None) raises
-    CorrpolyError."""
+    that is no finite rational (``"abc"``, ``"1/0"``, nan, inf, None, or a
+    bool, which Python counts as an int) raises CorrpolyError."""
     try:
-        return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+        return tuple(
+            v if type(v) is Fraction else _reject_bool(v) if type(v) is bool else Fraction(v)
+            for v in values
+        )
     except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
         raise CorrpolyError(f"not a finite rational: {exc}") from None
+
+
+def _reject_bool(value: bool):
+    raise TypeError(f"{value!r} is a bool")
 
 
 def require_count(value, name: str, minimum: int) -> None:

@@ -89,7 +89,7 @@ class SubspacePreference:
 
 
 def _finite_real(x) -> bool:
-    return isinstance(x, numbers.Real) and math.isfinite(x)
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ the production enumeration path.  The capacity references sweep every
 event, and every pair of events, on capacities taken from the vertex
 oracle: they are the exhaustive versions of the package's exactness check
 and non-convexity witness, which read the few values their proofs need.
+Fréchet's bound gives the capacity of a rectangle in closed form, with no
+vertex, on any shape.
 The mutual-information references at the
 end keep the package's earlier Fraction-based divergence and entropy
 loops, membership test, sampler, eager probe construction and per-step
@@ -165,6 +167,17 @@ def find_convexity_violation_reference(cs):
             if both != e and both != f and v[e | f] + v[both] < v[e] + v[f]:
                 return e, f
     return None
+
+
+def frechet_rectangle_value(marginal_weights, sides):
+    """The capacity of the rectangle A_1 x ... x A_k, given as one collection
+    of state indices per subspace: Fréchet's lower bound
+    max(0, sum_i P_i(A_i) - (k - 1)), which some coupling of the marginals
+    attains.  Needs no vertex, so it reaches every shape."""
+    total = sum(
+        Fraction(weights[s]) for weights, side in zip(marginal_weights, sides) for s in side
+    )
+    return max(Fraction(0), total - (len(marginal_weights) - 1))
 
 
 # -- mutual-information certificate references ----------------------------

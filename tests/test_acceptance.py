@@ -38,7 +38,6 @@ from corrpoly import (
     enumerate_extreme_points,
     event_from_mask,
     find_convexity_violation,
-    finance_belief,
     is_maximally_zero,
     meu_value,
     mix,
@@ -55,6 +54,7 @@ from conftest import SCENARIO_DIR, random_correlation_set
 from bruteforce import check_exactness_reference, oracle_vertices
 
 F = Fraction
+FINANCE = sc.load(SCENARIO_DIR / "finance.scn")
 
 
 @contextmanager
@@ -278,7 +278,7 @@ def test_criterion_07_subspace_independence_axiom():
 def _finance_threshold_by_bisection(a: Fraction) -> float:
     """Independent oracle: solve the CRRA indifference in rho by bisection
     on the direct expected-utility comparison over the averaged table."""
-    belief = finance_belief(a)
+    belief = FINANCE.prior_set(param_value=a).vertices[0]
     from corrpoly import marginalize
 
     pair = marginalize(belief, [0, 1])
@@ -304,19 +304,18 @@ def test_criterion_08_finance_fixture():
     with criterion(
         8, "averaged returns, linear expected return, CRRA buy threshold", 30.0
     ):
-        report = run_finance(F(1, 6))
+        report = run_finance(FINANCE, F(1, 6))
         assert report.averaged_returns == (F(6), F(0), F(0), F(-3))
         assert report.expected_return == 0
-        scn = sc.load(SCENARIO_DIR / "finance.scn")
-        for a in scn.sweep.grid:
-            assert run_finance(a).expected_return == 3 * a - F(1, 2)
-        rows = [r for r in sweep_rows(scn) if r.name == "buy_gold"]
-        assert [r.value for r in rows] == [3 * a - F(1, 2) for a in scn.sweep.grid]
+        for a in FINANCE.sweep.grid:
+            assert run_finance(FINANCE, a).expected_return == 3 * a - F(1, 2)
+        rows = [r for r in sweep_rows(FINANCE) if r.name == "buy_gold"]
+        assert [r.value for r in rows] == [3 * a - F(1, 2) for a in FINANCE.sweep.grid]
         for a in (F(1, 12), F(1, 6), F(5, 24), F(1, 4), F(1, 3)):
             formula = 1 + math.log2(6 * float(a) / (1 + 6 * float(a)))
             oracle = _finance_threshold_by_bisection(a)
             assert abs(formula - oracle) <= 1e-9
-            assert run_finance(a, rho=0.9).crra_threshold == pytest.approx(
+            assert run_finance(FINANCE, a, rho=0.9).crra_threshold == pytest.approx(
                 formula, abs=1e-12
             )
 

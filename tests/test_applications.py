@@ -20,7 +20,7 @@ from corrpoly import (
     RiskUtility,
     decimal_string,
     embed_act,
-    finance_belief,
+    marginalize,
     meu_value,
     mix,
     run_climate,
@@ -40,6 +40,29 @@ F = Fraction
 CLIMATE = sc.load(SCENARIO_DIR / "climate.scn")
 INSURANCE = sc.load(SCENARIO_DIR / "insurance.scn")
 NEGLECT = sc.load(SCENARIO_DIR / "insurance_neglect.scn")
+FINANCE_TEXT = (SCENARIO_DIR / "finance.scn").read_text(encoding="utf-8")
+FINANCE = sc.loads(FINANCE_TEXT)
+FINANCE_VERTEX = (
+    "vertex: 1/4*a 3/4*a 1/12-1/4*a 1/4-3/4*a 1/8-1/4*a 3/8-3/4*a 1/24+1/4*a 1/8+3/4*a"
+)
+
+
+def _finance_with(*replacements):
+    """``finance.scn`` with each ``(old, new)`` text replaced."""
+    text = FINANCE_TEXT
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    return sc.loads(text)
+
+
+# a valid gold scenario with other numbers: inflation marginal (1/4, 3/4),
+# so the pair table is (a, 1/4 - a, 1/2 - a, 1/4 + a) for a in [0, 1/4]
+FINANCE_SKEWED = _finance_with(
+    ("inflation: 1/3 2/3", "inflation: 1/4 3/4"),
+    (FINANCE_VERTEX,
+     "vertex: 1/4*a 3/4*a 1/16-1/4*a 3/16-3/4*a 1/8-1/4*a 3/8-3/4*a 1/16+1/4*a 3/16+3/4*a"),
+)
 
 
 def _climate_cs():
@@ -250,59 +273,105 @@ def test_runners_reject_the_wrong_scenario():
     with pytest.raises(CorrpolyError, match="no act 'no_cover_insurer'") as info:
         run_insurance(NEGLECT, belief, belief)
     assert not isinstance(info.value, ConsistencyError)
-    finance = sc.load(SCENARIO_DIR / "finance.scn")
     with pytest.raises(CorrpolyError, match=r"needs a 2x2 space, got shape \(2, 2, 2\)") as info:
-        run_climate(finance, finance.prior_set(param_value=F(0)))
+        run_climate(FINANCE, FINANCE.prior_set(param_value=F(0)))
+    assert not isinstance(info.value, ConsistencyError)
+
+
+# Valid files that break one assumption of `run_finance` each: the input is
+# rejected, and never reported as an internal ConsistencyError.
+FINANCE_REJECTIONS = {
+    "shape": (lambda: CLIMATE, r"needs a 2x2x2 space, got shape \(2, 2\)"),
+    "no buy_gold": (lambda: _finance_with(("buy_gold:", "sell_gold:")), "no act 'buy_gold'"),
+    "prior set": (lambda: _finance_with((FINANCE_VERTEX, "full")), "one prior vertex at a=1/4"),
+    # at a = 1/6 the pair is independent; 1/24 moves from (HH, NG) and
+    # (LL, G) to (HH, G) and (LL, NG), which keeps every marginal
+    "deposit dependence": (
+        lambda: _finance_with((FINANCE_VERTEX, "vertex: 1/12 1/12 1/24 1/8 1/12 1/4 1/24 7/24")),
+        "deposit independent",
+    ),
+    "averaged table": (
+        lambda: _finance_with(("-12 0", "-12 1")),
+        r"are \(6, 0, 0, -9/4\), not \(6, 0, 0, -3\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FINANCE_REJECTIONS))
+def test_finance_rejects_a_scenario_outside_its_assumptions(case):
+    scenario, message = FINANCE_REJECTIONS[case]
+    with pytest.raises(CorrpolyError, match=message) as info:
+        run_finance(scenario(), F(1, 4))
     assert not isinstance(info.value, ConsistencyError)
 
 
 def test_finance_errors_carry_the_inputs(monkeypatch):
     monkeypatch.setattr(applications, "expectation", lambda belief, act: F(99))
     with pytest.raises(ConsistencyError, match="expected return") as info:
-        run_finance(F(1, 12), rho=0.5)
+        run_finance(FINANCE, F(1, 12), rho=0.5)
     assert info.value.context == {"a": "1/12", "rho": "0.5"}
 
 
 def test_finance_expected_return_is_linear_in_a():
-    assert run_finance(F(1, 6)).expected_return == 0
-    assert run_finance(F(1, 4)).expected_return == F(1, 4)
-    assert run_finance(F(0)).expected_return == -F(1, 2)
-    assert run_finance(F(1, 3)).expected_return == F(1, 2)
-    with pytest.raises(Exception):
-        run_finance(F(1, 2))
+    assert run_finance(FINANCE, F(1, 6)).expected_return == 0
+    assert run_finance(FINANCE, F(1, 4)).expected_return == F(1, 4)
+    assert run_finance(FINANCE, F(0)).expected_return == -F(1, 2)
+    assert run_finance(FINANCE, F(1, 3)).expected_return == F(1, 2)
+    # outside [0, 1/3] the prior vertex has a negative weight
+    for a in (F(-1, 12), F(1, 2)):
+        with pytest.raises(CorrpolyError, match="nonnegative") as info:
+            run_finance(FINANCE, a)
+        assert not isinstance(info.value, ConsistencyError)
 
 
 def test_finance_risk_neutral_buy_verdicts():
-    assert not run_finance(F(1, 6)).buy  # indifferent: no strict gain
-    assert run_finance(F(1, 4)).buy
-    assert not run_finance(F(1, 12)).buy
+    assert not run_finance(FINANCE, F(1, 6)).buy  # indifferent: no strict gain
+    assert run_finance(FINANCE, F(1, 4)).buy
+    assert not run_finance(FINANCE, F(1, 12)).buy
 
 
 def test_finance_crra_threshold_and_verdict():
-    report = run_finance(F(1, 4), rho=0.5)
+    report = run_finance(FINANCE, F(1, 4), rho=0.5)
     assert report.crra_threshold == pytest.approx(1 + math.log2(1.5 / 2.5), abs=1e-12)
     assert not report.buy  # 0.5 > 0.263
-    assert run_finance(F(1, 4), rho=0.2).buy
-    assert run_finance(F(1, 4), rho=0.26).buy
-    assert not run_finance(F(1, 4), rho=0.27).buy
-    assert not run_finance(F(0), rho=0.1).buy
+    assert run_finance(FINANCE, F(1, 4), rho=0.2).buy
+    assert run_finance(FINANCE, F(1, 4), rho=0.26).buy
+    assert not run_finance(FINANCE, F(1, 4), rho=0.27).buy
+    assert not run_finance(FINANCE, F(0), rho=0.1).buy
 
 
-def test_finance_threshold_agrees_with_direct_expectation_on_grid():
+FINANCE_FILES = [
+    pytest.param(FINANCE, F(1, 3), id="finance.scn"),
+    pytest.param(FINANCE_SKEWED, F(1, 4), id="inflation-1/4"),
+]
+
+
+@pytest.mark.parametrize("scenario, a_max", FINANCE_FILES)
+def test_finance_threshold_agrees_with_direct_expectation_on_grid(scenario, a_max):
     # the internal cross-check raises on disagreement; sweep a grid to exercise it
-    for num in range(1, 9):
+    for num in range(1, int(24 * a_max) + 1):
         a = F(num, 24)
         for rho in (0.05, 0.3, 0.7, 0.95, 1.0, 1.5, 2.5):
-            run_finance(a, rho=rho)
+            run_finance(scenario, a, rho=rho)
 
 
-@pytest.mark.parametrize("a", [F(1, 24), F(1, 12), F(1, 6), F(1, 4), F(1, 3)])
-def test_finance_crra_threshold_is_the_expected_utility_crossing(a):
+@pytest.mark.parametrize(
+    "scenario, a",
+    [
+        *(pytest.param(FINANCE, a, id=f"finance.scn-{a}")
+          for a in (F(1, 24), F(1, 12), F(1, 6), F(1, 4), F(1, 3))),
+        *(pytest.param(FINANCE_SKEWED, a, id=f"inflation-1/4-{a}")
+          for a in (F(1, 24), F(1, 12), F(1, 6), F(1, 4))),
+    ],
+)
+def test_finance_crra_threshold_is_the_expected_utility_crossing(scenario, a):
     # at wealth 6 the averaged returns (6, 0, 0, -3) scale to outcomes
     # 2, 1, 1, 1/2, and buying pays in expected CRRA utility exactly up to
     # the closed-form threshold
-    threshold = run_finance(a).crra_threshold
-    weights = (a, F(1, 3) - a, F(1, 2) - a, F(1, 6) + a)
+    threshold = run_finance(scenario, a).crra_threshold
+    belief = scenario.prior_set(param_value=a).vertices[0]
+    weights = marginalize(belief, [0, 1]).weights
+    assert threshold == 1 + math.log2(weights[0] / weights[3])
 
     def gain(rho):
         utility = RiskUtility(rho=rho, scale=6.0)
@@ -313,28 +382,25 @@ def test_finance_crra_threshold_is_the_expected_utility_crossing(a):
 
     for rho, buy in ((threshold - 1e-6, True), (threshold + 1e-6, False)):
         assert (gain(rho) > 0) is buy
-        assert run_finance(a, rho=rho).buy is buy
+        assert run_finance(scenario, a, rho=rho).buy is buy
 
 
-def test_finance_belief_marginals():
-    belief = finance_belief(F(1, 4))
-    from corrpoly import marginalize
-
-    assert marginalize(belief, [0]).weights == (F(1, 3), F(2, 3))
-    assert marginalize(belief, [1]).weights == (F(1, 2), F(1, 2))
-    assert marginalize(belief, [2]).weights == (F(1, 4), F(3, 4))
-
-
-def test_hand_built_scenarios_match_their_scn_files():
-    # the Python spelling of the finance scenario and its .scn file
-    # describe the same space, marginals, acts and priors
-    finance = sc.load(SCENARIO_DIR / "finance.scn")
-    assert applications.finance_space() == finance.space
-    assert tuple(m.weights for m in finance.marginals) == applications.FINANCE_MARGINALS
-    assert finance.acts()["buy_gold"].values == applications.FINANCE_RETURNS
-    cs = finance.correlation_set()
-    for a in finance.sweep.grid:
-        assert finance.prior_set(cs, param_value=a).vertices == (finance_belief(a),)
+@pytest.mark.parametrize(
+    "inflation, vertex",
+    [
+        # buying cannot lose
+        pytest.param("3/4 1/4", "1/16 3/16 1/8 3/8 1/16 3/16 0 0", id="p_HH=1/4,p_LL=0"),
+        # buying changes nothing
+        pytest.param("1/2 1/2", "0 0 1/8 3/8 1/8 3/8 0 0", id="p_HH=p_LL=0"),
+    ],
+)
+def test_finance_threshold_is_infinite_when_the_trade_cannot_lose(inflation, vertex):
+    scenario = _finance_with(
+        ("inflation: 1/3 2/3", f"inflation: {inflation}"), (FINANCE_VERTEX, f"vertex: {vertex}")
+    )
+    assert run_finance(scenario, F(0)).crra_threshold == math.inf
+    for rho in (-2.5, 0.5, 1.0, 3.0):
+        assert run_finance(scenario, F(0), rho=rho).buy
 
 
 def test_sweep_rows_and_csv():

@@ -35,6 +35,7 @@ from bruteforce import (
     capacity_table_reference,
     check_exactness_reference,
     find_convexity_violation_reference,
+    frechet_rectangle_value,
     oracle_vertices,
     solve_lp_min_reference,
 )
@@ -364,6 +365,22 @@ def test_capacity_matches_oracle_on_degenerate_sets(sizes, weights):
     for mask, value in expected.items():
         assert cap.value(event_from_mask(space, mask)) == value
     assert cap._start._bases == bases
+
+
+@pytest.mark.parametrize(
+    "sizes", [(2, 2), (3, 3), (2, 2, 2), (3, 4), (2, 2, 3), (4, 4), (2, 2, 2, 2)]
+)
+def test_capacity_of_a_rectangle_is_frechets_bound(sizes):
+    # 60 seeded rectangles on one set per shape; each state joins its side
+    # with probability 3/4, so that most bounds lie strictly between 0 and 1
+    # even on four subspaces, and some sides are empty
+    rng = random.Random(14)
+    cs = random_correlation_set(sizes, rng)
+    weights = [m.weights for m in cs.marginals]
+    for _ in range(60):
+        sides = [[s for s in range(size) if rng.getrandbits(2)] for size in sizes]
+        event = Event.from_states(cs.space, itertools.product(*sides))
+        assert capacity_value(cs, event) == frechet_rectangle_value(weights, sides)
 
 
 def test_event_from_mask_is_the_inverse_of_bitmask():

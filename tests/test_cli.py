@@ -1,14 +1,20 @@
+import contextlib
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corrpoly
+from corrpoly import dimension_formula
 from corrpoly.cli import build_parser, main
 from conftest import SCENARIO_DIR
 from bruteforce import oracle_vertices
@@ -382,6 +388,57 @@ def test_zero_weight_states_have_restricted_dimensions(capsys, tmp_path):
     assert code == 0 and out.splitlines()[-1].split() == ["dimension", "0"] and err == ""
     code, out, err = run(capsys, "evaluate", str(path), "--format", "csv")
     assert (code, out.splitlines()[1], err) == (0, "f,7/2,7/2,3.5,3,3,0", "")
+
+
+_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+
+
+@st.composite
+def small_scenarios(draw):
+    """Scenario text in the style of `test_scenario.canonical_scenarios`, with
+    its subspace sizes and marginal weights: at most 9 states, 1-state
+    subspaces and zero-weight states included."""
+    sizes = draw(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda s: math.prod(s) <= 9)
+    )
+    names = draw(st.lists(_names, min_size=len(sizes), max_size=len(sizes), unique=True))
+    out = ["SPACE"]
+    for name, size in zip(names, sizes):
+        labels = draw(st.lists(_names, min_size=size, max_size=size, unique=True))
+        out.append(f"{name}: {' '.join(labels)}")
+    out += ["", "MARGINALS"]
+    weights = []
+    for name, size in zip(names, sizes):
+        counts = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+        counts[draw(st.integers(0, size - 1))] += 1
+        weights.append(tuple(Fraction(c, sum(counts)) for c in counts))
+        out.append(f"{name}: {' '.join(map(str, weights[-1]))}")
+    return "\n".join(out) + "\n", tuple(sizes), weights
+
+
+def _main_in_process(*argv):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_scenarios())
+def test_dim_and_vertices_match_their_oracles_on_drawn_scenarios(drawn):
+    text, sizes, weights = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.scn")
+        Path(path).write_text(text, encoding="utf-8")
+        dim = _main_in_process("dim", path, "--format", "csv")
+        vertices = _main_in_process("vertices", path, "--format", "csv")
+    reduced = [sum(1 for w in ws if w > 0) for ws in weights]
+    assert dim == (0, f"quantity,value\ndimension,{dimension_formula(reduced)}\n", "")
+    code, out, err = vertices
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert {tuple(Fraction(w) for w in row[1:]) for row in rows} == oracle_vertices(sizes, weights)
 
 
 # Successes, an exit-2 verdict, argparse errors, help (SystemExit(0)) and an

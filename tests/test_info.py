@@ -18,16 +18,21 @@ from corrpoly import (
     ProductSpace,
     certify_local_max_mi,
     entropy,
-    finance_belief,
     is_maximally_zero,
     kl_divergence,
     linalg,
+    load,
     mix,
     mutual_information,
     sample_member,
 )
 from corrpoly.polytope import face_basis
-from conftest import DEGENERATE_MARGINALS, correlation_set_of, random_correlation_set
+from conftest import (
+    DEGENERATE_MARGINALS,
+    SCENARIO_DIR,
+    correlation_set_of,
+    random_correlation_set,
+)
 from bruteforce import (
     certify_local_max_mi_reference,
     entropy_reference,
@@ -56,7 +61,7 @@ def test_entropy_basics():
 def test_entropy_sums_left_to_right():
     # on the finance belief at a = 1/12 a compensated sum (the builtin
     # ``sum`` from Python 3.12 on) rounds to 2.63628933528331
-    p = finance_belief(F(1, 12))
+    p = load(SCENARIO_DIR / "finance.scn").prior_set(param_value=F(1, 12)).vertices[0]
     expected = 0.0
     for w in p.weights:
         expected += float(w) * math.log2(float(w))

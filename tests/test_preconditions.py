@@ -49,7 +49,6 @@ from corrpoly import (
     enumerate_extreme_points,
     event_from_mask,
     expectation,
-    finance_belief,
     independent_product,
     is_maximally_zero,
     kl_divergence,
@@ -79,6 +78,7 @@ LINE2 = ProductSpace((2,))
 LINE3 = ProductSpace((3,))
 PAIR = Collection.of({0}, {1})
 INSURANCE = load(SCENARIO_DIR / "insurance.scn")
+FINANCE = load(SCENARIO_DIR / "finance.scn")
 
 
 def _uniform(space):
@@ -231,27 +231,35 @@ MALFORMED_CRRA = {
 def test_malformed_crra_input_raises_corrpoly_error(case):
     kwargs, message = MALFORMED_CRRA[case]
     with pytest.raises(CorrpolyError, match=message) as exc:
-        run_finance(F(1, 4), **kwargs)
+        run_finance(FINANCE, F(1, 4), **kwargs)
     assert not isinstance(exc.value, ConsistencyError)
 
 
 # Malformed rational and count arguments: each is a CorrpolyError from the
 # one conversion (`linalg.fraction_tuple`) or the one count check
-# (`linalg.require_count`), never a ValueError or TypeError.
-FINANCE = SCENARIO_DIR / "finance.scn"
-
+# (`linalg.require_count`), never a ValueError or TypeError.  A bool is an
+# int to Python but no rational here: `Marginal(0, (True, False))` would
+# otherwise be a point mass.
 MALFORMED_ARGUMENTS = {
     "mix lam='x'": lambda: mix(P, P, "x"),
     "mix lam=nan": lambda: mix(P, P, math.nan),
-    "Scenario.prior_set param_value=nan": lambda: load(FINANCE).prior_set(param_value=math.nan),
-    "run_finance a='abc'": lambda: run_finance("abc"),
-    "run_finance a=nan": lambda: run_finance(math.nan),
-    "finance_belief a='x'": lambda: finance_belief("x"),
+    "mix lam=True": lambda: mix(P, P, True),
+    "Marginal weights=(True, False)": lambda: Marginal(0, (True, False)),
+    "JointDistribution weights=(True, 0, 0, 0)": lambda: JointDistribution(S22, (True, 0, 0, 0)),
+    "Act values=(True, 0, 0, 0)": lambda: Act(S22, (True, 0, 0, 0)),
+    "Scenario.prior_set param_value=nan": lambda: FINANCE.prior_set(param_value=math.nan),
+    "Scenario.prior_set param_value='x'": lambda: FINANCE.prior_set(param_value="x"),
+    "Scenario.prior_set param_value=False": lambda: FINANCE.prior_set(param_value=False),
+    "run_finance a='abc'": lambda: run_finance(FINANCE, "abc"),
+    "run_finance a=nan": lambda: run_finance(FINANCE, math.nan),
+    "run_finance a=True": lambda: run_finance(FINANCE, True),
     "UtilityAlignment scale='x'": lambda: UtilityAlignment(scale="x"),
     "UtilityAlignment shift=nan": lambda: UtilityAlignment(shift=math.nan),
     "UtilityAlignment.apply value='x'": lambda: UtilityAlignment().apply("x"),
     "RiskUtility rho='x'": lambda: RiskUtility(rho="x"),
     "RiskUtility scale='x'": lambda: RiskUtility(scale="x"),
+    "RiskUtility rho=True": lambda: RiskUtility(rho=True),
+    "RiskUtility scale=True": lambda: RiskUtility(scale=True),
     "check_subspace_independence_axiom trials=2.5": lambda: check_subspace_independence_axiom(
         PriorSet.singleton(P), trials=2.5
     ),

@@ -31,6 +31,7 @@ from corrpoly import (
     embed_act,
     expectation,
     is_independent_of,
+    load,
     meu_minimizer,
     meu_value,
     more_correlation_averse,
@@ -38,7 +39,12 @@ from corrpoly import (
     seu_subspace_value,
 )
 from corrpoly import preferences
-from conftest import DEGENERATE_MARGINALS, correlation_set_of, random_correlation_set
+from conftest import (
+    DEGENERATE_MARGINALS,
+    SCENARIO_DIR,
+    correlation_set_of,
+    random_correlation_set,
+)
 from bruteforce import (
     check_collection_independence_axiom_reference,
     check_subspace_independence_axiom_reference,
@@ -47,6 +53,7 @@ from bruteforce import (
 )
 
 F = Fraction
+FINANCE = load(SCENARIO_DIR / "finance.scn")
 
 
 def _paper_acts(space):
@@ -237,12 +244,10 @@ def test_absolute_revealed_correlation_signs(uniform_2x2):
 
 def test_absolute_revealed_correlation_high_pair_belief():
     # correlated inflation/uncertainty belief: positive exactly when a > 1/6
-    from corrpoly import finance_belief
-
     space_pair = Collection.of({0}, {1})
     events = None
     for a, sign in ((F(1, 4), 1), (F(1, 6), 0), (F(1, 12), -1)):
-        belief = finance_belief(a)
+        belief = FINANCE.prior_set(param_value=a).vertices[0]
         sub0 = belief.space.subspace([0])
         sub1 = belief.space.subspace([1])
         events = [
