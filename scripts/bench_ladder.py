@@ -7,7 +7,10 @@ For each shape of the ladder, smallest first, the set is the one that
 SEED = 1 (denominator 12, full support).  Two measurements run, each in a fresh
 Python process that imports corrpoly from this checkout's `src/`:
 
-* `vertices`: one `cs.vertices()`, the enumeration of the extreme points;
+* `vertices`: one `cs.vertices()`, the enumeration of the extreme points,
+  and, after the timing, `bytes_per_vertex`: the bytes of the set and its
+  vertices (`sys.getsizeof` summed over each object reachable from the set
+  once, classes, modules and functions not counted) over the vertex count;
 * `exactness`: one `check_exactness(cs)` after an untimed enumeration,
   then a sweep of capacity values through the set's `Capacity`: every
   event up to 2^16 of them, beyond that the cylinders of each subspace
@@ -66,7 +69,7 @@ LADDER = (
 
 # Runs in the child: argv[1] is a JSON [task, sizes, seed]; prints JSON.
 CHILD = """
-import itertools, json, random, sys, time
+import gc, itertools, json, random, sys, time, types
 from fractions import Fraction
 from corrpoly import CorrelationSet, Marginal, ProductSpace, capacity_of, check_exactness, cylinder
 
@@ -80,11 +83,33 @@ for i, size in enumerate(sizes):
         if all(p > 0 for p in parts):
             break
     marginals.append(Marginal(i, tuple(Fraction(p, 12) for p in parts)))
+
+
+def held_bytes(root):
+    # each object reachable from root once; classes, modules and functions
+    # are neither counted nor walked
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, stack, total = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
 cs = CorrelationSet(ProductSpace(tuple(sizes)), marginals)
 if task == "vertices":
     t0 = time.perf_counter()
     vertices = cs.vertices()
-    print(json.dumps({"seconds": time.perf_counter() - t0, "vertices": len(vertices)}))
+    seconds = time.perf_counter() - t0
+    print(json.dumps({
+        "seconds": seconds,
+        "vertices": len(vertices),
+        "bytes_per_vertex": round(held_bytes(cs) / len(vertices), 1),
+    }))
 else:
     cs.vertices()
     t0 = time.perf_counter()

@@ -260,8 +260,10 @@ def run_finance(scenario: Scenario, a: Fraction, rho: Optional[float] = None) ->
     the pair (inflation, uncertainty), and the deposit-averaged returns must
     be (6, 0, 0, -3); else CorrpolyError.  With p_HH and p_LL the pair's
     weights on (H, H) and (L, L), the expected return is 6*p_HH - 3*p_LL, and
-    CRRA on wealth ``FINANCE_WEALTH`` buys iff rho <= 1 + log2(p_HH/p_LL),
-    checked against the direct expected utility.
+    CRRA on wealth ``FINANCE_WEALTH`` buys iff rho < 1 + log2(p_HH/p_LL),
+    checked against the direct expected utility.  Both verdicts buy only on
+    a strict gain, so an indifferent investor keeps the cash and ``rho=0``
+    decides as ``rho=None`` does.
     """
     (a,) = fraction_tuple((a,))
     context = {"a": str(a), "rho": str(rho)}
@@ -290,19 +292,18 @@ def run_finance(scenario: Scenario, a: Fraction, rho: Optional[float] = None) ->
     if not expected == averaged_expected == 6 * p_hh - 3 * p_ll:
         raise ConsistencyError("expected return disagrees with 6*p_HH - 3*p_LL", **context)
 
-    threshold = None  # no rho buys a trade that can only lose
-    if p_ll == 0:
-        threshold = math.inf  # and none declines one that cannot lose
-    elif p_hh > 0:
-        threshold = 1.0 + math.log2(p_hh / p_ll)
+    threshold = None  # no rho buys a trade that cannot gain
+    if p_hh > 0:
+        # and none declines one that gains and cannot lose
+        threshold = math.inf if p_ll == 0 else 1.0 + math.log2(p_hh / p_ll)
     if rho is None:
         buy = expected > 0
     else:
         utility = RiskUtility(rho=rho, scale=FINANCE_WEALTH)
-        buy = threshold is not None and rho <= threshold + 1e-9
+        buy = threshold is not None and rho < threshold
         eu_buy = sum(float(w) * utility.apply(FINANCE_WEALTH + r) for w, r in zip(pair, averaged))
         eu_keep = utility.apply(FINANCE_WEALTH)
-        direct_buy = eu_buy >= eu_keep - 1e-12
+        direct_buy = eu_buy > eu_keep + 1e-12
         margin = math.inf if threshold is None else abs(rho - threshold)
         if margin > 1e-9 and direct_buy != buy:
             raise ConsistencyError("threshold disagrees with direct expected utility", **context)

@@ -9,10 +9,20 @@ pattern search.  It alone decides "is p a vertex": `restricted_rows` is the
 one restriction of the marginal system to a set of states, and
 `face_basis(cs, p)`, the kernel of those rows on supp(p), is empty exactly
 when p is a vertex.  `is_maximally_zero` and the MI verdict in `info` read it.
+
+A set and its vertex list cost what they hold.  Structure that depends only
+on the shape (the 0/1 marginal matrix, the rectangle kernel basis and each
+row's state list) is built once per shape, under a small fixed-size
+`functools.lru_cache` keyed on the subspace sizes, and shared by every set
+of that shape; the cache holds integer tuples (and the `KernelBasis` that
+wraps some), no set and no space.
+The vertices of one enumeration share their weight objects: one `Fraction`
+per distinct value, and one zero for all.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +41,10 @@ from .space import (
 )
 
 
+# the weight of every zero state of an enumerated vertex
+_ZERO = Fraction(0)
+
+
 @dataclass(frozen=True)
 class MarginalSystem:
     """The 0/1 equation system ``M p = rhs`` whose solutions in the simplex
@@ -46,16 +60,33 @@ class MarginalSystem:
     rhs: tuple[Fraction, ...]
 
 
-def build_marginal_system(space: ProductSpace, marginals: Sequence[Marginal]) -> MarginalSystem:
-    ms = sorted_marginals(space, marginals)
+# shapes whose shape-only structure is kept; a fixed size, not a setting
+_SHAPE_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _marginal_rows(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The 0/1 marginal matrix of a shape, row ``(i, w_i)`` in subspace and
+    coordinate order: built once per shape and shared by its sets."""
+    space = ProductSpace(sizes)
     rows = []
-    rhs = []
     for i in range(space.n_subspaces):
         proj = space.project([i])
-        for coord in range(space.subspace_sizes[i]):
+        for coord in range(sizes[i]):
             rows.append(tuple(1 if c == coord else 0 for c in proj))
-            rhs.append(ms[i].weights[coord])
-    return MarginalSystem(space, ms, tuple(rows), tuple(rhs))
+    return tuple(rows)
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _row_states(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Each row of `_marginal_rows` as the flat indices of its ones."""
+    return tuple(tuple(k for k, x in enumerate(row) if x) for row in _marginal_rows(sizes))
+
+
+def build_marginal_system(space: ProductSpace, marginals: Sequence[Marginal]) -> MarginalSystem:
+    ms = sorted_marginals(space, marginals)
+    rhs = tuple(w for m in ms for w in m.weights)
+    return MarginalSystem(space, ms, _marginal_rows(space.subspace_sizes), rhs)
 
 
 @dataclass(frozen=True)
@@ -86,8 +117,23 @@ def kernel_basis_rectangles(space: ProductSpace) -> KernelBasis:
     the opposite corner, -1 on the two adjacent corners.  Each shift cancels
     in every marginal, the vectors are triangular with respect to Hamming
     distance (hence independent), and their count equals the polytope
-    dimension, so they form a basis.
+    dimension, so they form a basis.  The basis is built once per shape
+    (`_rectangle_basis`); its count is checked against `dimension_formula`
+    on every call.
     """
+    basis = _rectangle_basis(space.subspace_sizes)
+    expected = dimension_formula(space.subspace_sizes)
+    if len(basis) != expected:
+        raise ConsistencyError(
+            f"rectangle basis has {len(basis)} vectors, expected {expected}",
+            shape=space.subspace_sizes,
+        )
+    return basis
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _rectangle_basis(sizes: tuple[int, ...]) -> KernelBasis:
+    space = ProductSpace(sizes)
     anchor = (0,) * space.n_subspaces
     n = space.total_size
     vectors = []
@@ -108,17 +154,18 @@ def kernel_basis_rectangles(space: ProductSpace) -> KernelBasis:
         v[space.ravel(tuple(corner_i))] -= 1
         v[space.ravel(tuple(corner_j))] -= 1
         vectors.append(tuple(v))
-    expected = dimension_formula(space.subspace_sizes)
-    if len(vectors) != expected:
-        raise ConsistencyError(
-            f"rectangle basis has {len(vectors)} vectors, expected {expected}",
-            shape=space.subspace_sizes,
-        )
     return KernelBasis(tuple(vectors))
 
 
 class CorrelationSet:
-    """All couplings of the given marginals, with lazy vertex enumeration."""
+    """All couplings of the given marginals, with lazy vertex enumeration.
+
+    A set holds only what depends on its marginals: the right-hand side of
+    its `MarginalSystem` (and, once `require_member` has run, as integer
+    pairs), its vertices and the caches of its product.  The 0/1 matrix,
+    the rectangle `KernelBasis` and the rows' state lists that
+    `require_member` sums are built once per shape and shared by every set
+    of that shape."""
 
     def __init__(self, space: ProductSpace, marginals: Sequence[Marginal]):
         self.space = space
@@ -128,7 +175,7 @@ class CorrelationSet:
         self._independent_product: Optional[JointDistribution] = None
         self._independent_numerators: Optional[tuple[tuple[int, ...], int]] = None
         self._vertices: Optional[tuple[JointDistribution, ...]] = None
-        self._rows: Optional[tuple[tuple[list[int], int, int], ...]] = None
+        self._rows: Optional[tuple[tuple[tuple[int, ...], int, int], ...]] = None
         self._capacity = None  # attached by corrpoly.capacity
 
     @property
@@ -160,10 +207,10 @@ class CorrelationSet:
         weights of ``p`` on their common denominator, equals its right-hand
         side.  Returns those weights and the denominator."""
         require_same_space(p.space, self.space, "distribution")
-        if self._rows is None:
+        if self._rows is None:  # the shape's state lists, with this set's rhs
             self._rows = tuple(
-                ([k for k, x in enumerate(row) if x], b.numerator, b.denominator)
-                for row, b in zip(self.system.matrix, self.system.rhs)
+                (states, b.numerator, b.denominator)
+                for states, b in zip(_row_states(self.space.subspace_sizes), self.system.rhs)
             )
         nums, denom = linalg.integer_numerators(p.weights)
         if not all(
@@ -250,7 +297,9 @@ def enumerate_extreme_points(
     node it solves the restricted system and keeps strictly positive
     solutions.  Independent columns make a solution unique, so a positive
     one has exactly its support and no vertex is found twice.  Output is
-    sorted lexicographically by the exact weight vectors.
+    sorted lexicographically by the exact weight vectors.  The vertices
+    share their weight objects: one `Fraction` per distinct value in the
+    list, and `_ZERO` for every zero.
     """
     linalg.require_count(guard, "guard", 0)
     n = cs.space.total_size
@@ -275,14 +324,15 @@ def enumerate_extreme_points(
         col_vec[k] = [matrix[r][k] for r in range(n_rows)]
 
     found: list[tuple[Fraction, ...]] = []
+    shared: dict[Fraction, Fraction] = {}  # one object per distinct weight
 
     def solve_support(support: tuple[int, ...]) -> None:
         res = linalg.solve_affine(restricted_rows(cs, support), rhs)
         if res is None or any(x <= 0 for x in res[0]):
             return
-        weights = [Fraction(0)] * n
+        weights = [_ZERO] * n
         for k, x in zip(support, res[0]):
-            weights[k] = x
+            weights[k] = shared.setdefault(x, x)
         found.append(tuple(weights))
 
     def reduce_column(vec: list[Fraction | int], pivots: list[tuple[int, linalg.Pivot]]):

@@ -204,9 +204,10 @@ class Marginal:
         return sum((self.weights[c] for c in coords), Fraction(0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JointDistribution:
-    """A probability distribution on the whole product space, row-major."""
+    """A probability distribution on the whole product space, row-major.
+    Slotted: a vertex list holds many of them, so none has a ``__dict__``."""
 
     space: ProductSpace
     weights: tuple[Fraction, ...]

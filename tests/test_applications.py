@@ -390,8 +390,6 @@ def test_finance_crra_threshold_is_the_expected_utility_crossing(scenario, a):
     [
         # buying cannot lose
         pytest.param("3/4 1/4", "1/16 3/16 1/8 3/8 1/16 3/16 0 0", id="p_HH=1/4,p_LL=0"),
-        # buying changes nothing
-        pytest.param("1/2 1/2", "0 0 1/8 3/8 1/8 3/8 0 0", id="p_HH=p_LL=0"),
     ],
 )
 def test_finance_threshold_is_infinite_when_the_trade_cannot_lose(inflation, vertex):
@@ -401,6 +399,28 @@ def test_finance_threshold_is_infinite_when_the_trade_cannot_lose(inflation, ver
     assert run_finance(scenario, F(0)).crra_threshold == math.inf
     for rho in (-2.5, 0.5, 1.0, 3.0):
         assert run_finance(scenario, F(0), rho=rho).buy
+
+
+def test_finance_declines_a_trade_that_changes_nothing():
+    # p_HH = p_LL = 0: every outcome is the wealth kept, so no investor gains
+    scenario = _finance_with(
+        ("inflation: 1/3 2/3", "inflation: 1/2 1/2"),
+        (FINANCE_VERTEX, "vertex: 0 0 1/8 3/8 1/8 3/8 0 0"),
+    )
+    report = run_finance(scenario, F(0))
+    assert report.expected_return == 0 and report.crra_threshold is None
+    assert not report.buy
+    for rho in (-2.5, 0.0, 0.5, 1.0, 3.0):
+        assert not run_finance(scenario, F(0), rho=rho).buy
+
+
+def test_finance_crra_at_rho_zero_decides_as_risk_neutral():
+    # one rule for both verdicts: buy only on a strict gain, so the
+    # indifferent a = 1/6 buys under neither
+    grid = FINANCE.sweep.grid
+    for a in grid:
+        assert run_finance(FINANCE, a).buy == run_finance(FINANCE, a, rho=0.0).buy
+    assert [run_finance(FINANCE, a, rho=0.0).buy for a in grid] == [False, False, False, True, True]
 
 
 def test_sweep_rows_and_csv():

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import warnings
 from fractions import Fraction
@@ -156,6 +159,93 @@ def test_vertices_match_bruteforce_oracle(sizes):
 )
 def test_degenerate_vertices_match_bruteforce_oracle(weights):
     _assert_vertices_match_oracle(correlation_set_of(weights))
+
+
+# Sets of one shape built back to back share the shape's structure; each
+# still answers for its own marginals and its own space.
+SHARED_SHAPE_MARGINALS = {
+    (2, 3): [
+        [(F(1, 2), F(1, 2)), (F(1, 3), F(0), F(2, 3))],  # a zero-weight state
+        [(F(1, 3), F(2, 3)), (F(1, 3), F(1, 3), F(1, 3))],  # tied partial sums
+        [(F(0), F(1)), (F(1, 6), F(1, 3), F(1, 2))],  # a zero-weight row
+        [(F(1, 4), F(3, 4)), (F(1, 2), F(1, 4), F(1, 4))],
+    ],
+    (2, 1, 2): [  # a 1-state subspace
+        [(F(1, 3), F(2, 3)), (F(1),), (F(1, 4), F(3, 4))],
+        [(F(1, 2), F(1, 2)), (F(1),), (F(1, 2), F(1, 2))],
+    ],
+}
+
+
+def _reduced_dimension(weights):
+    return dimension_formula(tuple(sum(1 for w in ws if w > 0) for ws in weights))
+
+
+@pytest.mark.parametrize("labelled", [False, True], ids=["unlabelled", "labelled"])
+def test_sets_of_one_shape_built_back_to_back(labelled):
+    built = []
+    for _ in range(2):  # the second pass reads every shape from the cache
+        for sizes, cases in SHARED_SHAPE_MARGINALS.items():
+            for weights in cases:
+                labels = tuple(tuple(f"s{i}_{c}" for c in range(s)) for i, s in enumerate(sizes))
+                names = tuple(f"x{i}" for i in range(len(sizes)))
+                space = ProductSpace(sizes, labels, names) if labelled else ProductSpace(sizes)
+                cs = CorrelationSet(space, [Marginal(i, w) for i, w in enumerate(weights)])
+                built.append(cs)
+                assert cs.space is space and cs.system.space is space
+                assert cs.system.rhs == tuple(w for ws in weights for w in ws)
+                assert {v.weights for v in cs.vertices()} == oracle_vertices(sizes, weights)
+                assert dimension(cs) == _reduced_dimension(weights)
+                assert len(cs.kernel) == dimension_formula(sizes)
+                assert all(cs.contains(v) for v in cs.vertices())
+    for sizes in SHARED_SHAPE_MARGINALS:
+        same_shape = [cs for cs in built if cs.space.subspace_sizes == sizes]
+        assert all(cs.system.matrix is same_shape[0].system.matrix for cs in same_shape)
+        assert all(cs.kernel is same_shape[0].kernel for cs in same_shape)
+
+
+def test_shapes_beyond_the_cache_are_rebuilt_alike():
+    # more shapes than the cache keeps: the first ones are evicted, then rebuilt
+    first = random_correlation_set((2, 3), random.Random(4))
+    expected = oracle_vertices((2, 3), [m.weights for m in first.marginals])
+    for k in range(1, 41):
+        sizes = (k, 2)
+        cs = correlation_set_of([(F(1, k),) * k, (F(1, 2), F(1, 2))])
+        states = list(cs.space.states())
+        assert cs.system.matrix == tuple(
+            tuple(int(s[i] == c) for s in states) for i in range(2) for c in range(sizes[i])
+        )
+        assert len(cs.kernel) == dimension_formula(sizes)
+    again = CorrelationSet(ProductSpace((2, 3)), first.marginals)
+    assert again.system.matrix == first.system.matrix
+    assert again.kernel == first.kernel
+    assert {v.weights for v in again.vertices()} == expected
+
+
+def _shared_weight_sets():
+    rng = random.Random(26)
+    yield from (random_correlation_set(sizes, rng) for sizes in ((2, 2), (2, 2, 3), (3, 4), (4, 4)))
+    yield from (correlation_set_of(w) for w in DEGENERATE_MARGINALS.values())
+
+
+def test_a_vertex_list_holds_one_fraction_per_distinct_weight():
+    for cs in _shared_weight_sets():
+        weights = [w for v in cs.vertices() for w in v.weights]
+        assert all(type(w) is Fraction for w in weights)
+        assert len({id(w) for w in weights}) == len(set(weights))
+
+
+def test_a_vertex_survives_pickle_and_copy():
+    cs = random_correlation_set((2, 2, 3), random.Random(7))
+    for v in cs.vertices():
+        for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+            assert type(twin) is JointDistribution
+            assert twin == v and hash(twin) == hash(v)
+            assert twin.space == cs.space and twin.weights == v.weights
+            assert cs.contains(twin) and is_maximally_zero(cs, twin)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.weights = ()
+    assert not hasattr(v, "__dict__")
 
 
 def test_is_maximally_zero(uniform_2x2):
