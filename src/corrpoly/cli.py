@@ -304,8 +304,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mi", help="mutual information and local-max certificate")
     common(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--weights", help="inline distribution, row-major rationals")
-    p.add_argument("--vertex", type=int, help="index into the vertex list")
+    point = p.add_mutually_exclusive_group()
+    point.add_argument("--weights", help="inline distribution, row-major rationals")
+    point.add_argument("--vertex", type=int, help="index into the vertex list")
     p.add_argument("--probes", type=int, default=64)
     p.add_argument("--step", default="1/8")
     p.set_defaults(func=cmd_mi)

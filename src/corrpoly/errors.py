@@ -17,8 +17,9 @@ class MarginalMismatchError(CorrpolyError):
 
 
 class NotInCorrelationSetError(CorrpolyError):
-    """A distribution does not have the marginals of the correlation set:
-    the one check is `polytope.CorrelationSet.require_member`."""
+    """A distribution or a probe point is no member of the correlation set:
+    a negative weight, or not its marginals.  The one check is
+    `polytope.CorrelationSet.require_numerators`, on integer weights."""
 
 
 class GuardExceededError(CorrpolyError):

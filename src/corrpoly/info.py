@@ -12,21 +12,29 @@ takes a logarithm.  It reads exact rationals as integer weights over a
 common denominator (`linalg.integer_numerators`): ``float(w)`` is taken as
 ``n / D`` and ``float(w / q)`` as ``(n * D_q) / (D * m)``.  Integer true
 division is correctly rounded, as ``Fraction.__float__`` is, so each value
-equals, float for float, the sum over the exact rationals.  `kl_divergence`
-is that loop on two distributions, `mutual_information` on a member and the
-independent product, and `entropy` is minus it on a distribution and the
-counting measure.  The identity MI = sum_i H(p_i) - H(p) is a test, not a
-check made on each evaluation.  Membership is checked once per point
+equals, float for float, the sum over the exact rationals, whatever common
+denominator they are written over.  `kl_divergence` is that loop on two
+distributions, `mutual_information` on a member and the independent
+product, and `entropy` is minus it on a distribution and the counting
+measure.  The identity MI = sum_i H(p_i) - H(p) is a test, not a check made
+on each evaluation.  Membership is checked once per point
 (`mutual_information`: its argument; `certify_local_max_mi`: ``p`` and each
 probe point), and the check returns the integer weights that are evaluated.
 The ladder points between them are convex combinations of two members,
 hence members, and are evaluated directly from their integer weights.
 
-Probe points are built on demand, as the ladder reaches them: at a point
-that is not a vertex the ladder usually stops at its first direction, and
-the points after it are never built.  A vertex gets no reflected probes:
-no reflection through a vertex is feasible, since a feasible one would put
-the vertex strictly inside a segment of the set.
+Probe points are integer numerators over one denominator, and no probe
+builds a `JointDistribution`.  Drawn couplings stay integers from the draw
+(`polytope._draw_member`) through the test for equality with ``p`` (by
+cross-multiplication) to the membership check
+(`CorrelationSet.require_numerators`: nonnegativity and every marginal
+row).  The reflections through ``p`` and the face points, which only a
+point that is not a vertex gets, are built in Fractions and scaled once
+as they are yielded.  Probe points are built on demand, as the ladder
+reaches them: at a point that is not a vertex the ladder usually stops at
+its first direction, and the points after it are never built.  A vertex
+gets no reflected probes: no reflection through a vertex is feasible, since
+a feasible one would put the vertex strictly inside a segment of the set.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, CorrpolyError
 from .linalg import fraction_tuple, integer_numerators, require_count
-from .polytope import CorrelationSet, face_basis, sample_member
+from .polytope import CorrelationSet, _draw_member, face_basis
 from .polytope import mix  # noqa: F401  (still importable from corrpoly.info)
 from .space import JointDistribution, Marginal, require_same_space
 
@@ -100,32 +108,38 @@ def _max_step(p: JointDistribution, direction) -> Fraction:
     return Fraction(1) if bound is None else bound
 
 
-def _probe_points(cs, p, probes, rng, face):
-    """Seeded probe points spanning the feasible directions at ``p``, built
-    on demand: the ladder stops at the first direction that does not
-    decrease, and no point past it is built.
+def _probe_points(cs, p, a, a_denom, probes, rng, face):
+    """Seeded probe points spanning the feasible directions at the member
+    ``p``, whose integer weights are ``a`` over ``a_denom``, as integer
+    numerators over one denominator and built on demand: the ladder stops
+    at the first direction that does not decrease, and no point past it is
+    built.
 
     Random couplings explore directions that leave the support of ``p``;
-    each is paired with its reflection through ``p`` whenever that is
-    feasible.  Directions inside the face of ``p`` (the vectors of ``face``,
-    `polytope.face_basis`, and random combinations of them) are probed in
-    both senses.  At an extreme point (``face`` empty) the face directions
-    are trivial and no reflection is feasible: were p + t (p - q) >= 0 for
-    some t > 0, p would lie strictly inside the segment from q to that
-    point.  So a vertex gets no reflection and only outward directions
-    remain.  The points and the rng draws are those of building every
-    point up front, in the same order.
+    they are drawn in integers (`polytope._draw_member`) and compared with
+    ``p`` by cross-multiplication.  Each is paired with its reflection
+    through ``p`` whenever that is feasible.  Directions inside the face of
+    ``p`` (the vectors of ``face``, `polytope.face_basis`, and random
+    combinations of them) are probed in both senses.  Reflections and face
+    points are built from ``p``'s weights in Fractions and scaled to
+    integers once, as they are yielded.  At an extreme point (``face``
+    empty) the face directions are trivial and no reflection is feasible:
+    were p + t (p - q) >= 0 for some t > 0, p would lie strictly inside the
+    segment from q to that point.  So a vertex gets no reflection and only
+    outward directions remain, and its probes are the integer draws alone.
+    The points and the rng draws are those of building every point up
+    front, in the same order.
     """
     for _ in range(probes):
-        q = sample_member(cs, rng)
-        if q.weights == p.weights:
-            continue  # its reflection is p itself
-        yield q
+        b, b_denom = _draw_member(cs, rng)
+        if all(x * b_denom == y * a_denom for x, y in zip(a, b)):
+            continue  # q is p, and so is its reflection
+        yield b, b_denom
         if face:
-            back = tuple(a - b for a, b in zip(p.weights, q.weights))
+            back = [w - Fraction(y, b_denom) for w, y in zip(p.weights, b)]
             t = _max_step(p, back)
             if t > 0:
-                yield JointDistribution(p.space, tuple(w + t * d for w, d in zip(p.weights, back)))
+                yield integer_numerators([w + t * d for w, d in zip(p.weights, back)])
 
     resolution = 8
     face_directions = list(face)
@@ -139,7 +153,7 @@ def _probe_points(cs, p, probes, rng, face):
             d = [sign * x for x in direction]
             t = _max_step(p, d)
             if t > 0:
-                yield JointDistribution(p.space, tuple(w + t * x for w, x in zip(p.weights, d)))
+                yield integer_numerators([w + t * x for w, x in zip(p.weights, d)])
 
 
 def certify_local_max_mi(
@@ -164,14 +178,16 @@ def certify_local_max_mi(
     weights ``step``, ``step / 2``, ...; a direction decreases when three
     consecutive rungs lower MI by more than ``STRICTNESS_SLACK``, and the
     ladder stops at the first that does not, which at a vertex is the float
-    limit of skewed marginals.  Probe points are built as the ladder reaches
-    them, so none past that stop is built; a vertex gets no reflected
-    probes, because no reflection through a vertex is feasible.  Decreasing
-    along every probe at a non-vertex contradicts the argument above:
-    `ConsistencyError`, whose context holds the set, ``p``'s weights and the
-    ``seed``, ``probes`` and ``step`` that drew the probes.  A ``probes``
-    that is no integer >= 0, or a ``step`` that is no finite rational,
-    raises `CorrpolyError`.
+    limit of skewed marginals.  Probe points are integer numerators over one
+    denominator, each checked for membership in integers (nonnegativity and
+    every marginal row, `CorrelationSet.require_numerators`) as it enters
+    the loop; they are built as the ladder reaches them, so none past that
+    stop is built; a vertex gets no reflected probes, because no reflection
+    through a vertex is feasible.  Decreasing along every probe at a
+    non-vertex contradicts the argument above: `ConsistencyError`, whose
+    context holds the set, ``p``'s weights and the ``seed``, ``probes`` and
+    ``step`` that drew the probes.  A ``probes`` that is no integer >= 0, or
+    a ``step`` that is no finite rational, raises `CorrpolyError`.
     """
     (step,) = fraction_tuple((step,))
     require_count(probes, "probes", 0)
@@ -186,9 +202,9 @@ def certify_local_max_mi(
     rng = random.Random(seed)
     max_increase = 0.0
     evaluated = 0
-    for q in _probe_points(cs, p, probes, rng, face):
+    for b, b_denom in _probe_points(cs, p, a, a_denom, probes, rng, face):
         evaluated += 1
-        b, b_denom = cs.require_member(q, "probe point")
+        cs.require_numerators(b, b_denom, "probe point")
         # (1 - s/t) p + (s/t) q has the numerators (t - s) a b_denom + s b a_denom
         # over t a_denom b_denom
         a_scaled = [x * b_denom for x in a]

@@ -202,17 +202,26 @@ class CorrelationSet:
         return True
 
     def require_member(self, p: JointDistribution, what: str = "distribution"):
-        """The one membership check: NotInCorrelationSetError naming ``what``
-        unless each row of the marginal system, summed over the integer
-        weights of ``p`` on their common denominator, equals its right-hand
-        side.  Returns those weights and the denominator."""
+        """The membership check of a distribution: ``p``'s weights scaled
+        once to integers over their common denominator, then
+        `require_numerators`.  Returns those weights and the denominator."""
         require_same_space(p.space, self.space, "distribution")
+        return self.require_numerators(*linalg.integer_numerators(p.weights), what)
+
+    def require_numerators(self, nums, denom: int, what: str = "distribution"):
+        """The one membership check, in integers: NotInCorrelationSetError
+        naming ``what`` unless the weights ``nums / denom`` (``denom`` > 0,
+        one weight per state) are nonnegative and each row of the marginal
+        system, summed over them, equals its right-hand side.  The rows of
+        a subspace cover every state once, so the weights then sum to 1.
+        Returns ``nums`` and ``denom``."""
         if self._rows is None:  # the shape's state lists, with this set's rhs
             self._rows = tuple(
                 (states, b.numerator, b.denominator)
                 for states, b in zip(_row_states(self.space.subspace_sizes), self.system.rhs)
             )
-        nums, denom = linalg.integer_numerators(p.weights)
+        if min(nums, default=0) < 0:
+            raise NotInCorrelationSetError(f"{what} has a negative weight")
         if not all(
             sum(nums[k] for k in states) * b_den == b_num * denom
             for states, b_num, b_den in self._rows
@@ -406,14 +415,23 @@ _RESOLUTION = 16
 def sample_member(cs: CorrelationSet, rng: random.Random) -> JointDistribution:
     """A random coupling: a kernel perturbation of the independent product,
     scaled back to feasibility.  Exact rationals; deterministic given ``rng``.
+    The `JointDistribution` view of `_draw_member`'s integer draw."""
+    nums, denom = _draw_member(cs, rng)
+    return JointDistribution(cs.space, tuple(Fraction(n, denom) for n in nums))
+
+
+def _draw_member(cs: CorrelationSet, rng: random.Random) -> tuple[tuple[int, ...], int]:
+    """The draw behind `sample_member`, as integer numerators over one
+    positive denominator (not reduced).
 
     The direction is an integer combination of the rectangle kernel (the
     draws divided by ``_RESOLUTION``); the step is a random multiple
     ``u / _RESOLUTION`` of the largest feasible one, found by comparing
-    the integer weights of the product over their common denominator."""
-    p_ind = cs.independent_product
+    the integer weights of the product over their common denominator.
+    Where there is no direction, the draw is the product's numerators."""
+    ind, denom = cs.independent_numerators
     if len(cs.kernel) == 0:
-        return p_ind
+        return ind, denom
     coeffs = [rng.randint(-_RESOLUTION, _RESOLUTION) for _ in range(len(cs.kernel))]
     direction = [0] * cs.space.total_size
     for c, vec in zip(coeffs, cs.kernel.basis_vectors):
@@ -422,20 +440,18 @@ def sample_member(cs: CorrelationSet, rng: random.Random) -> JointDistribution:
                 if x:
                     direction[k] += c * x
     if not any(direction):
-        return p_ind
-    ind, denom = cs.independent_numerators
+        return ind, denom
     # the largest feasible step is _RESOLUTION * (num / den) / denom
     num = den = None
     for w, d in zip(ind, direction):
         if d < 0 and (num is None or w * den < num * -d):
             num, den = w, -d
     if num is None or num == 0:
-        return p_ind
+        return ind, denom
     u = rng.randint(0, _RESOLUTION)
     scale = den * _RESOLUTION
-    return JointDistribution(cs.space, tuple(
-        Fraction(w * scale + num * u * d, scale * denom) for w, d in zip(ind, direction)
-    ))
+    step = num * u
+    return tuple(w * scale + step * d for w, d in zip(ind, direction)), scale * denom
 
 
 def mix(p: JointDistribution, q: JointDistribution, lam: Fraction) -> JointDistribution:

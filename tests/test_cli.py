@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -119,6 +120,16 @@ def test_mi_needs_at_only_where_it_reads_the_prior(capsys):
         assert code == 1 and out == "" and err.startswith("error: "), args
     code, out, err = run(capsys, "mi", FINANCE)
     assert code == 1 and out == "" and "pass --at VALUE" in err
+
+
+def test_mi_takes_one_distribution(capsys):
+    # --vertex and --weights each name the distribution to certify; given
+    # both, neither is dropped in silence
+    code, out, err = run(
+        capsys, "mi", CLIMATE, "--vertex", "0", "--weights", "1/12 1/4 1/6 1/2"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "not allowed with argument" in err
 
 
 def test_independence_subcommand_exit_codes(capsys):
@@ -439,6 +450,25 @@ def test_dim_and_vertices_match_their_oracles_on_drawn_scenarios(drawn):
     assert (code, err) == (0, "")
     rows = list(csv.reader(io.StringIO(out)))[1:]
     assert {tuple(Fraction(w) for w in row[1:]) for row in rows} == oracle_vertices(sizes, weights)
+    # the MI verdict is exact: every vertex is a local maximum, and the
+    # independent product is one exactly when it is the only member
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.scn")
+        Path(path).write_text(text, encoding="utf-8")
+        for k in range(len(rows)):
+            assert _mi_verdict(path, "--vertex", str(k), "--probes", "4") == "True"
+        product = [math.prod(ws) for ws in itertools.product(*weights)]
+        verdict = _mi_verdict(path, "--weights", " ".join(map(str, product)), "--probes", "4")
+    assert verdict == str(dimension_formula(reduced) == 0)
+
+
+def _mi_verdict(path, *args):
+    """The ``is_local_max`` cell of one in-process ``mi`` call."""
+    code, out, err = _main_in_process("mi", path, "--format", "csv", *args)
+    assert (code, err) == (0, ""), args
+    verdicts = [row[1] for row in csv.reader(io.StringIO(out)) if row[0] == "is_local_max"]
+    assert len(verdicts) == 1
+    return verdicts[0]
 
 
 # Successes, an exit-2 verdict, argparse errors, help (SystemExit(0)) and an

@@ -373,8 +373,9 @@ def _probe_sets():
 @pytest.mark.parametrize("cs", list(_probe_sets()),
                          ids=lambda cs: "x".join(map(str, cs.space.subspace_sizes)))
 def test_probe_points_match_the_eager_reference(cs):
-    # built on demand, without reflections at vertices, the probe points are
-    # those of building every point up front, from the same rng draws
+    # built on demand as integers, without reflections at vertices, the probe
+    # points are, as exact rationals, those of building every point up front
+    # in Fractions, from the same rng draws
     from corrpoly.info import _probe_points
 
     vertices = list(cs.vertices())
@@ -382,9 +383,13 @@ def test_probe_points_match_the_eager_reference(cs):
     points += [mix(a, b, F(1, 2)) for a, b in zip(vertices, vertices[1:])]
     for p in points:
         face = face_basis(cs, p)
+        a, a_denom = cs.require_member(p)
         for probes, seed in ((8, 7), (3, 11)):
             got_rng, want_rng = random.Random(seed), random.Random(seed)
-            got = [q.weights for q in _probe_points(cs, p, probes, got_rng, face)]
+            got = [
+                tuple(F(n, denom) for n in nums)
+                for nums, denom in _probe_points(cs, p, a, a_denom, probes, got_rng, face)
+            ]
             want = [q.weights for q in probe_points_reference(cs, p, probes, want_rng, face)]
             assert got == want
             assert got_rng.getstate() == want_rng.getstate()
@@ -396,12 +401,13 @@ def test_certificate_draws_only_the_probes_its_ladder_reads(skew_2x2, monkeypatc
     import corrpoly.info as info
 
     draws = []
+    draw = info._draw_member
 
     def counted(cs, rng):
         draws.append(cs)
-        return sample_member(cs, rng)
+        return draw(cs, rng)
 
-    monkeypatch.setattr(info, "sample_member", counted)
+    monkeypatch.setattr(info, "_draw_member", counted)
     a, b = skew_2x2.vertices()
     report = certify_local_max_mi(skew_2x2, mix(a, b, F(1, 3)), probes=64)
     assert not report.is_local_max
@@ -413,10 +419,25 @@ def test_certificate_checks_each_probe_point(skew_2x2, monkeypatch):
     # caught when it enters the loop
     import corrpoly.info as info
 
-    outsider = _joint(skew_2x2.space, 1, 0, 0, 0)
-    monkeypatch.setattr(info, "sample_member", lambda cs, rng: outsider)
+    outsider = ((1, 0, 0, 0), 1)
+    monkeypatch.setattr(info, "_draw_member", lambda cs, rng: outsider)
     with pytest.raises(NotInCorrelationSetError):
         certify_local_max_mi(skew_2x2, skew_2x2.independent_product, probes=1)
+
+
+def test_certificate_rejects_a_probe_point_with_a_negative_weight(skew_2x2, monkeypatch):
+    # probe points are no JointDistribution, so nonnegativity is the
+    # membership check's: skew_2x2's product (1, 3, 2, 6) / 12 shifted along
+    # its rectangle past a zero keeps every marginal sum
+    import corrpoly.info as info
+
+    drawn = ((-1, 5, 4, 4), 12)
+    monkeypatch.setattr(info, "_draw_member", lambda cs, rng: drawn)
+    with pytest.raises(NotInCorrelationSetError, match="negative"):
+        certify_local_max_mi(skew_2x2, skew_2x2.independent_product, probes=1)
+    with pytest.raises(NotInCorrelationSetError, match="negative"):
+        skew_2x2.require_numerators(*drawn)
+    assert skew_2x2.require_numerators((1, 3, 2, 6), 12) == ((1, 3, 2, 6), 12)
 
 
 def test_certificate_computes_the_face_once(skew_2x2, monkeypatch):

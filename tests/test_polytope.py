@@ -152,6 +152,37 @@ def test_vertices_match_bruteforce_oracle(sizes):
         _assert_vertices_match_oracle(random_correlation_set(sizes, rng))
 
 
+# Vertex counts of seeded sets beyond the oracle's reach, pinned so that a
+# change of enumeration keeps them; (4,4) and (2,2,2,2) take about a second.
+@pytest.mark.parametrize("sizes, count", [((3, 4), 37), ((4, 4), 116), ((2, 2, 2, 2), 72)],
+                         ids=["3x4", "4x4", "2x2x2x2"])
+def test_vertex_counts_are_pinned_beyond_the_oracle(sizes, count):
+    cs = random_correlation_set(sizes, random.Random(1))
+    vertices = cs.vertices()
+    assert len(vertices) == count
+    assert len(set(vertices)) == count
+
+
+@pytest.mark.parametrize("sizes", [(3, 4), (2, 2, 3)], ids=["3x4", "2x2x3"])
+def test_reversing_a_subspace_permutes_the_vertices(sizes):
+    # relabelling subspace i's states c -> s_i - 1 - c maps couplings of the
+    # old marginals onto couplings of the reversed ones, vertices to vertices
+    cs = random_correlation_set(sizes, random.Random(5))
+    space = cs.space
+    weights = [m.weights for m in cs.marginals]
+    old = {v.weights for v in cs.vertices()}
+    for i, size in enumerate(sizes):
+        flipped = correlation_set_of([ws[::-1] if j == i else ws for j, ws in enumerate(weights)])
+        moved = set()
+        for v in old:
+            w = [F(0)] * space.total_size
+            for k, state in enumerate(space.states()):
+                image = state[:i] + (size - 1 - state[i],) + state[i + 1:]
+                w[space.ravel(image)] = v[k]
+            moved.add(tuple(w))
+        assert {v.weights for v in flipped.vertices()} == moved, i
+
+
 # Degenerate inputs: their pivots and reduced columns are mostly zero, the
 # entries the sparse elimination step skips.
 @pytest.mark.parametrize(
