@@ -23,14 +23,18 @@ probe point), and the check returns the integer weights that are evaluated.
 The ladder points between them are convex combinations of two members,
 hence members, and are evaluated directly from their integer weights.
 
-Probe points are integer numerators over one denominator, and no probe
-builds a `JointDistribution`.  Drawn couplings stay integers from the draw
-(`polytope._draw_member`) through the test for equality with ``p`` (by
-cross-multiplication) to the membership check
+Probe points are integer numerators over one denominator, end to end: no
+probe builds a `JointDistribution`, and the face basis is the one
+`Fraction` input, scaled to integers once per certificate.  Drawn couplings
+stay integers from the draw (`polytope._draw_member`) through the test for
+equality with ``p`` (by cross-multiplication) to the membership check
 (`CorrelationSet.require_numerators`: nonnegativity and every marginal
 row).  The reflections through ``p`` and the face points, which only a
-point that is not a vertex gets, are built in Fractions and scaled once
-as they are yielded.  Probe points are built on demand, as the ladder
+point that is not a vertex gets, are integer directions followed to the
+boundary of the simplex by the sampler's own line search
+(`polytope._largest_step`), so there is one least-ratio routine for both.
+Their denominators are not reduced; `_divergence` gives the same floats
+over any common denominator.  Probe points are built on demand, as the ladder
 reaches them: at a point that is not a vertex the ladder usually stops at
 its first direction, and the points after it are never built.  A vertex
 gets no reflected probes: no reflection through a vertex is feasible, since
@@ -46,7 +50,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, CorrpolyError
 from .linalg import fraction_tuple, integer_numerators, require_count
-from .polytope import CorrelationSet, _draw_member, face_basis
+from .polytope import CorrelationSet, _draw_member, _largest_step, face_basis
 from .polytope import mix  # noqa: F401  (still importable from corrpoly.info)
 from .space import JointDistribution, Marginal, require_same_space
 
@@ -98,37 +102,42 @@ def mutual_information(cs: CorrelationSet, p: JointDistribution) -> float:
     return _divergence(*cs.require_member(p), *cs.independent_numerators)
 
 
-def _max_step(p: JointDistribution, direction) -> Fraction:
-    """Largest t >= 0 with p + t * direction still nonnegative."""
-    bound = None
-    for w, d in zip(p.weights, direction):
-        if d < 0:
-            b = w / -d
-            bound = b if bound is None else min(bound, b)
-    return Fraction(1) if bound is None else bound
+def _boundary_point(a, a_denom, direction):
+    """The point a / a_denom + t * direction at the largest t that keeps it
+    nonnegative (`polytope._largest_step`), as (nums, denom); None when
+    that t is 0.  A positive scale of ``direction`` gives the same point."""
+    num, den = _largest_step(a, direction)
+    if num == 0:
+        return None
+    return [x * den + num * d for x, d in zip(a, direction)], a_denom * den
 
 
-def _probe_points(cs, p, a, a_denom, probes, rng, face):
+def _probe_points(cs, a, a_denom, probes, rng, face):
     """Seeded probe points spanning the feasible directions at the member
-    ``p``, whose integer weights are ``a`` over ``a_denom``, as integer
-    numerators over one denominator and built on demand: the ladder stops
-    at the first direction that does not decrease, and no point past it is
-    built.
+    whose integer weights are ``a`` over ``a_denom``, as integer numerators
+    over one denominator (not reduced) and built on demand: the ladder
+    stops at the first direction that does not decrease, and no point past
+    it is built.
 
-    Random couplings explore directions that leave the support of ``p``;
-    they are drawn in integers (`polytope._draw_member`) and compared with
-    ``p`` by cross-multiplication.  Each is paired with its reflection
-    through ``p`` whenever that is feasible.  Directions inside the face of
-    ``p`` (the vectors of ``face``, `polytope.face_basis`, and random
-    combinations of them) are probed in both senses.  Reflections and face
-    points are built from ``p``'s weights in Fractions and scaled to
-    integers once, as they are yielded.  At an extreme point (``face``
-    empty) the face directions are trivial and no reflection is feasible:
-    were p + t (p - q) >= 0 for some t > 0, p would lie strictly inside the
-    segment from q to that point.  So a vertex gets no reflection and only
-    outward directions remain, and its probes are the integer draws alone.
-    The points and the rng draws are those of building every point up
-    front, in the same order.
+    Random couplings explore directions that leave the support of the
+    member; they are drawn in integers (`polytope._draw_member`) and
+    compared with it by cross-multiplication.  Each draw b / b_denom is
+    paired with its reflection through the member whenever that is
+    feasible: the direction a * b_denom - b * a_denom, over
+    a_denom * b_denom, followed to the boundary.  Directions inside the
+    face (the vectors of ``face``, `polytope.face_basis`, and random
+    integer combinations of them) are probed in both senses; the face
+    basis is scaled once to integers by one common denominator, so the
+    combinations keep their directions.  The boundary point of every
+    direction comes from the sampler's line search
+    (`polytope._largest_step`), so reflections and face points never leave
+    the integers.  At an extreme point (``face`` empty) the face directions
+    are trivial and no reflection is feasible: were p + t (p - q) >= 0 for
+    some t > 0, p would lie strictly inside the segment from q to that
+    point.  So a vertex gets no reflection and only outward directions
+    remain, and its probes are the integer draws alone.  The points and the
+    rng draws are those of building every point up front, in the same
+    order.
     """
     for _ in range(probes):
         b, b_denom = _draw_member(cs, rng)
@@ -136,24 +145,26 @@ def _probe_points(cs, p, a, a_denom, probes, rng, face):
             continue  # q is p, and so is its reflection
         yield b, b_denom
         if face:
-            back = [w - Fraction(y, b_denom) for w, y in zip(p.weights, b)]
-            t = _max_step(p, back)
-            if t > 0:
-                yield integer_numerators([w + t * d for w, d in zip(p.weights, back)])
+            back = [x * b_denom - y * a_denom for x, y in zip(a, b)]
+            point = _boundary_point(a, a_denom, back)
+            if point is not None:
+                yield point
+    if not face:
+        return
 
-    resolution = 8
-    face_directions = list(face)
-    for _ in range(4 if face else 0):
-        coeffs = [Fraction(rng.randint(-resolution, resolution), resolution) for _ in face]
-        face_directions.append([sum(c * x for c, x in zip(coeffs, xs)) for xs in zip(*face)])
+    scale = math.lcm(*(x.denominator for xs in face for x in xs))
+    basis = [[x.numerator * (scale // x.denominator) for x in xs] for xs in face]
+    face_directions = list(basis)
+    for _ in range(4):
+        coeffs = [rng.randint(-8, 8) for _ in basis]
+        face_directions.append([sum(c * x for c, x in zip(coeffs, xs)) for xs in zip(*basis)])
     for direction in face_directions:
-        if all(x == 0 for x in direction):
+        if not any(direction):
             continue
         for sign in (1, -1):
-            d = [sign * x for x in direction]
-            t = _max_step(p, d)
-            if t > 0:
-                yield integer_numerators([w + t * x for w, x in zip(p.weights, d)])
+            point = _boundary_point(a, a_denom, [sign * x for x in direction])
+            if point is not None:
+                yield point
 
 
 def certify_local_max_mi(
@@ -179,18 +190,23 @@ def certify_local_max_mi(
     consecutive rungs lower MI by more than ``STRICTNESS_SLACK``, and the
     ladder stops at the first that does not, which at a vertex is the float
     limit of skewed marginals.  Probe points are integer numerators over one
-    denominator, each checked for membership in integers (nonnegativity and
-    every marginal row, `CorrelationSet.require_numerators`) as it enters
-    the loop; they are built as the ladder reaches them, so none past that
-    stop is built; a vertex gets no reflected probes, because no reflection
-    through a vertex is feasible.  Decreasing along every probe at a
-    non-vertex contradicts the argument above: `ConsistencyError`, whose
-    context holds the set, ``p``'s weights and the ``seed``, ``probes`` and
-    ``step`` that drew the probes.  A ``probes`` that is no integer >= 0, or
-    a ``step`` that is no finite rational, raises `CorrpolyError`.
+    denominator from the draw to the ladder: reflections and face points
+    are found by the sampler's line search in integers.  Each is checked
+    for membership in integers (nonnegativity and every marginal row,
+    `CorrelationSet.require_numerators`) as it enters the loop; they are
+    built as the ladder reaches them, so none past that stop is built; a
+    vertex gets no reflected probes, because no reflection through a vertex
+    is feasible.  Decreasing along every probe at a non-vertex contradicts
+    the argument above: `ConsistencyError`, whose context holds the set,
+    ``p``'s weights and the ``seed``, ``probes`` and ``step`` that drew the
+    probes.  A ``probes`` that is no integer >= 0, a ``seed`` that is no
+    integer (``None`` would seed from the operating system, so equal calls
+    could differ), or a ``step`` that is no finite rational, raises
+    `CorrpolyError`.
     """
     (step,) = fraction_tuple((step,))
     require_count(probes, "probes", 0)
+    require_count(seed, "seed", None)
     if not 0 < step <= 1:
         raise CorrpolyError(
             f"the first mixing weight (step) must be positive and at most 1, got {step}"
@@ -202,7 +218,7 @@ def certify_local_max_mi(
     rng = random.Random(seed)
     max_increase = 0.0
     evaluated = 0
-    for b, b_denom in _probe_points(cs, p, a, a_denom, probes, rng, face):
+    for b, b_denom in _probe_points(cs, a, a_denom, probes, rng, face):
         evaluated += 1
         cs.require_numerators(b, b_denom, "probe point")
         # (1 - s/t) p + (s/t) q has the numerators (t - s) a b_denom + s b a_denom

@@ -46,8 +46,10 @@ def fraction_tuple(values: Iterable) -> tuple[Fraction, ...]:
     bool, which Python counts as an int) raises CorrpolyError."""
     try:
         return tuple(
-            v if type(v) is Fraction else _reject_bool(v) if type(v) is bool else Fraction(v)
-            for v in values
+            [
+                v if type(v) is Fraction else _reject_bool(v) if type(v) is bool else Fraction(v)
+                for v in values
+            ]
         )
     except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
         raise CorrpolyError(f"not a finite rational: {exc}") from None
@@ -57,11 +59,16 @@ def _reject_bool(value: bool):
     raise TypeError(f"{value!r} is a bool")
 
 
-def require_count(value, name: str, minimum: int) -> None:
+def require_count(value, name: str, minimum: Optional[int]) -> None:
     """CorrpolyError unless ``value`` is an integer, not a bool, of at least
-    ``minimum``."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise CorrpolyError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    ``minimum`` (of any size when ``minimum`` is None, as a seed is)."""
+    if (
+        not isinstance(value, int)
+        or isinstance(value, bool)
+        or (minimum is not None and value < minimum)
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise CorrpolyError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def integer_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -382,7 +382,7 @@ def face_basis(cs: CorrelationSet, p: JointDistribution) -> list[tuple[Fraction,
     basis = []
     for v in linalg.nullspace(restricted_rows(cs, support)):
         on_support = iter(v)
-        basis.append(tuple(next(on_support) if w > 0 else Fraction(0) for w in p.weights))
+        basis.append(tuple([next(on_support) if w > 0 else Fraction(0) for w in p.weights]))
     return basis
 
 
@@ -442,16 +442,27 @@ def _draw_member(cs: CorrelationSet, rng: random.Random) -> tuple[tuple[int, ...
     if not any(direction):
         return ind, denom
     # the largest feasible step is _RESOLUTION * (num / den) / denom
-    num = den = None
-    for w, d in zip(ind, direction):
-        if d < 0 and (num is None or w * den < num * -d):
-            num, den = w, -d
-    if num is None or num == 0:
+    num, den = _largest_step(ind, direction)
+    if num == 0:
         return ind, denom
     u = rng.randint(0, _RESOLUTION)
     scale = den * _RESOLUTION
     step = num * u
-    return tuple(w * scale + step * d for w, d in zip(ind, direction)), scale * denom
+    return tuple([w * scale + step * d for w, d in zip(ind, direction)]), scale * denom
+
+
+def _largest_step(nums, direction) -> tuple[int, int]:
+    """The largest t = num / den with ``nums + t * direction >= 0``, for
+    integer ``nums >= 0`` and a nonzero integer ``direction`` that sums to
+    0, and so has a negative entry: the least ratio ``w / -d`` over the
+    negative entries, found by cross-multiplication.  ``num`` is 0 when
+    ``direction`` leaves at once through a state where ``nums`` is 0.  The
+    sampler and the MI certificate's reflections and face points share it."""
+    num = den = None
+    for w, d in zip(nums, direction):
+        if d < 0 and (num is None or w * den < num * -d):
+            num, den = w, -d
+    return num, den
 
 
 def mix(p: JointDistribution, q: JointDistribution, lam: Fraction) -> JointDistribution:

@@ -408,8 +408,11 @@ def check_subspace_independence_axiom(
     deterministic scan returns an explicit counterexample tuple; when it
     holds, ``trials`` seeded random act tuples corroborate that no violation
     exists (any hit would be an internal error, not a verdict change).
+    A ``trials`` that is no integer >= 0, or a ``seed`` that is no integer,
+    raises `CorrpolyError`.
     """
     require_count(trials, "trials", 0)
+    require_count(seed, "seed", None)
     marginals = prior.shared_marginals()
     p_ind = independent_product(marginals, prior.space)
     verdict = len(prior.vertices) == 1 and prior.vertices[0].weights == p_ind.weights

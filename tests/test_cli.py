@@ -98,6 +98,17 @@ def test_mi_is_exact_on_tiny_marginals(capsys):
     assert out.splitlines()[-3].split() == ["is_local_max", "True"]
 
 
+def test_mi_face_points_are_pinned(capsys):
+    # with no random probe the ladder reads face points only, so this pins
+    # the boundary points of the face directions on every Python
+    code, out, err = run(
+        capsys, "mi", CLIMATE, "--weights", "1/12 1/4 1/6 1/2", "--probes", "0"
+    )
+    assert (code, err) == (0, "")
+    assert out == (FIXTURES / "climate_mi_face_points.txt").read_text()
+    assert out.splitlines()[-2].split() == ["probe_count", "1"]
+
+
 def test_vertices_csv_is_pinned_on_a_3x4_shape(capsys):
     # vertex order and exact rationals on a shape larger than the shipped
     # scenarios, with tied partial sums (1/12 + 1/4 = 1/3); the pinned
@@ -407,16 +418,19 @@ _names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
 @st.composite
 def small_scenarios(draw):
     """Scenario text in the style of `test_scenario.canonical_scenarios`, with
-    its subspace sizes and marginal weights: at most 9 states, 1-state
-    subspaces and zero-weight states included."""
+    its subspace sizes, marginal weights, event and act: at most 9 states,
+    1-state subspaces and zero-weight states included.  The one event is a
+    tuple atom with ``*`` wildcards, returned as the flat indices of its
+    states; the one act has small integer payoffs."""
     sizes = draw(
         st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda s: math.prod(s) <= 9)
     )
     names = draw(st.lists(_names, min_size=len(sizes), max_size=len(sizes), unique=True))
     out = ["SPACE"]
+    labels = []
     for name, size in zip(names, sizes):
-        labels = draw(st.lists(_names, min_size=size, max_size=size, unique=True))
-        out.append(f"{name}: {' '.join(labels)}")
+        labels.append(draw(st.lists(_names, min_size=size, max_size=size, unique=True)))
+        out.append(f"{name}: {' '.join(labels[-1])}")
     out += ["", "MARGINALS"]
     weights = []
     for name, size in zip(names, sizes):
@@ -424,7 +438,18 @@ def small_scenarios(draw):
         counts[draw(st.integers(0, size - 1))] += 1
         weights.append(tuple(Fraction(c, sum(counts)) for c in counts))
         out.append(f"{name}: {' '.join(map(str, weights[-1]))}")
-    return "\n".join(out) + "\n", tuple(sizes), weights
+    # a coordinate of the event is a state index or None for ``*``
+    pattern = [draw(st.one_of(st.none(), st.integers(0, size - 1))) for size in sizes]
+    cells = list(itertools.product(*(range(size) for size in sizes)))
+    event = {
+        k for k, cell in enumerate(cells)
+        if all(j is None or j == c for j, c in zip(pattern, cell))
+    }
+    atom = ",".join("*" if j is None else ls[j] for j, ls in zip(pattern, labels))
+    payoffs = draw(st.lists(st.integers(-3, 3), min_size=len(cells), max_size=len(cells)))
+    out += ["", "ACTS", f"{draw(_names)}: {' '.join(map(str, payoffs))}"]
+    out += ["", "EVENTS", f"{draw(_names)}: [{atom}]"]
+    return "\n".join(out) + "\n", tuple(sizes), weights, event, payoffs
 
 
 def _main_in_process(*argv):
@@ -438,7 +463,7 @@ def _main_in_process(*argv):
 @settings(max_examples=25, deadline=None)
 @given(small_scenarios())
 def test_dim_and_vertices_match_their_oracles_on_drawn_scenarios(drawn):
-    text, sizes, weights = drawn
+    text, sizes, weights, _, _ = drawn
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "drawn.scn")
         Path(path).write_text(text, encoding="utf-8")
@@ -460,6 +485,30 @@ def test_dim_and_vertices_match_their_oracles_on_drawn_scenarios(drawn):
         product = [math.prod(ws) for ws in itertools.product(*weights)]
         verdict = _mi_verdict(path, "--weights", " ".join(map(str, product)), "--probes", "4")
     assert verdict == str(dimension_formula(reduced) == 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_scenarios())
+def test_capacity_and_evaluate_match_their_oracles_on_drawn_scenarios(drawn):
+    # over the full prior both are minima of a linear function over the
+    # oracle vertices: p(E) for the event and the expectation for the act
+    text, sizes, weights, event, payoffs = drawn
+    vertices = oracle_vertices(sizes, weights)
+    event_name = text.splitlines()[-1].split(":")[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.scn")
+        Path(path).write_text(text, encoding="utf-8")
+        capacity = _main_in_process("capacity", path, "--event", event_name, "--format", "csv")
+        evaluate = _main_in_process("evaluate", path, "--format", "csv")
+    code, out, err = capacity
+    assert (code, err) == (0, "")
+    (row,) = list(csv.reader(io.StringIO(out)))[1:]
+    assert row[0] == event_name
+    assert Fraction(row[1]) == min(sum(v[k] for k in event) for v in vertices)
+    code, out, err = evaluate
+    assert (code, err) == (0, "")
+    (row,) = list(csv.DictReader(io.StringIO(out)))
+    assert Fraction(row["meu"]) == min(sum(w * x for w, x in zip(v, payoffs)) for v in vertices)
 
 
 def _mi_verdict(path, *args):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrpoly import (
@@ -361,6 +361,33 @@ def test_certificate_rejects_malformed_step_and_probes(skew_2x2, kwargs):
         certify_local_max_mi(skew_2x2, skew_2x2.independent_product, **kwargs)
 
 
+_weights = st.one_of(st.just(0), st.integers(1, 10**24))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_weights, _weights), min_size=1, max_size=9),
+    st.integers(1, 10**24),
+    st.integers(1, 10**24),
+    st.integers(1, 10**12),
+)
+@example([(1, 0), (0, 1)], 1, 1, 3)  # +inf: p charges a state that q does not
+@example([(0, 0), (0, 5)], 7, 5, 2)  # no term at all: 0.0
+def test_divergence_does_not_depend_on_the_common_denominator(pairs, denom, ref_denom, k):
+    # probe points come over unreduced denominators; scaling the numerators
+    # and their denominator alike must not move a single bit
+    from corrpoly.info import _divergence
+
+    nums, ref = [n for n, _ in pairs], [m for _, m in pairs]
+    want = _divergence(nums, denom, ref, ref_denom)
+    scaled = [k * n for n in nums]
+    assert _divergence(scaled, k * denom, ref, ref_denom).hex() == want.hex()
+    scaled_ref = [k * m for m in ref]
+    assert _divergence(nums, denom, scaled_ref, k * ref_denom).hex() == want.hex()
+    if any(n and not m for n, m in pairs):
+        assert want == math.inf
+
+
 def _probe_sets():
     """Random sets (a (1,3) among them), degenerate sets and tied marginals."""
     yield from _random_sets()
@@ -388,7 +415,7 @@ def test_probe_points_match_the_eager_reference(cs):
             got_rng, want_rng = random.Random(seed), random.Random(seed)
             got = [
                 tuple(F(n, denom) for n in nums)
-                for nums, denom in _probe_points(cs, p, a, a_denom, probes, got_rng, face)
+                for nums, denom in _probe_points(cs, a, a_denom, probes, got_rng, face)
             ]
             want = [q.weights for q in probe_points_reference(cs, p, probes, want_rng, face)]
             assert got == want

@@ -296,6 +296,25 @@ def test_count_arguments_name_their_bound():
         check_subspace_independence_axiom(PriorSet.singleton(P), trials=True)
 
 
+@pytest.mark.parametrize("seed", [None, 1.5, "3", [1], True], ids=repr)
+def test_a_seed_must_be_an_integer(seed):
+    # None would seed from the operating system, so two equal calls could
+    # return different reports; the others fail inside `random` or pass as 1
+    with pytest.raises(CorrpolyError, match=r"seed must be an integer, got ") as exc:
+        certify_local_max_mi(_cs(S22), _cs(S22).independent_product, seed=seed)
+    assert not isinstance(exc.value, ConsistencyError)
+    with pytest.raises(CorrpolyError, match=r"seed must be an integer, got ") as exc:
+        check_subspace_independence_axiom(PriorSet.singleton(P), seed=seed)
+    assert not isinstance(exc.value, ConsistencyError)
+
+
+def test_a_negative_seed_is_a_seed():
+    cs = _cs(S22)
+    reports = {certify_local_max_mi(cs, cs.independent_product, seed=-5) for _ in range(3)}
+    assert len(reports) == 1
+    assert check_subspace_independence_axiom(PriorSet.singleton(P), trials=3, seed=-5)[0]
+
+
 def test_vertex_guard_is_checked_on_cached_vertices():
     cs = _cs(S22)
     assert len(cs.vertices()) == 2
