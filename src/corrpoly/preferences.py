@@ -16,12 +16,12 @@ and one column per state of another, the rest summed out.  The probability
 of a product event E x F is then a cell sum over D, and the worst-case
 value of an act on one subspace, spliced with a constant off a cylinder,
 is a minimum of integer dot products.  Nothing is sampled or skipped: the
-scan still tests every (event, cylinder) pair up to its first violated
-identity and every behavioral trial is evaluated.  Collection independence
-is decided by `is_independent_on` alone; only a dependent prior has its
-factorization pairs searched, for the witness.  Events, acts and exact
-`Fraction` values are built only for the witness or counterexample that is
-returned.
+scan still tests every (event, cylinder) pair, drawn one at a time, up to
+its first violated identity, and every behavioral trial is evaluated.
+Collection independence is decided by `is_independent_on` alone; only a
+dependent prior has its tables scanned, for the witness: the first
+dependent cell.  Events, acts and exact `Fraction` values are built only
+for the witness or counterexample that is returned.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import lp
 from .capacity import capacity_of, choquet_integral
@@ -292,11 +292,11 @@ def _prior_context(prior: PriorSet) -> dict:
     }
 
 
-def _nonempty_subsets(size: int) -> list[tuple[int, ...]]:
-    """Non-empty subsets of range(size), by size, then lexicographically."""
-    return [
-        combo for r in range(1, size + 1) for combo in itertools.combinations(range(size), r)
-    ]
+def _nonempty_subsets(size: int) -> Iterator[tuple[int, ...]]:
+    """Non-empty subsets of range(size), by size, then lexicographically,
+    drawn one at a time."""
+    for r in range(1, size + 1):
+        yield from itertools.combinations(range(size), r)
 
 
 def _independence_scan(
@@ -318,10 +318,11 @@ def _independence_scan(
     for i in range(n):
         size = space.subspace_sizes[i]
         tables = _subspace_tables(prior, vertex_nums, i)
-        cylinders = _nonempty_subsets(len(tables[0][0]))
-        for coords in _nonempty_subsets(size)[:-1]:
+        for coords in _nonempty_subsets(size):
+            if len(coords) == size:
+                break  # the bets stop short of the whole subspace
             pi = marginals[i].prob_of(coords)
-            for chosen in cylinders:
+            for chosen in _nonempty_subsets(len(tables[0][0])):
                 cols = [[sum(row[b] for b in chosen) for row in t] for t in tables]
                 betas = [sum(col) for col in cols]
                 if not any(betas):
@@ -456,37 +457,34 @@ def _product_identity_witness(
 ) -> Optional[ProductIdentityWitness]:
     """The first member-versus-rest factorization pair, member by member,
     that breaks the product identity: E' and F' are the full events, so the
-    identity reads p([E x F]) = p(E) p(F).  E runs over the non-empty
-    subsets of the member's sub-product and F over those of the rest of the
-    collection, each by size, then lexicographically.  Every numerator is a
-    cell sum of the member-versus-rest table, so each pair costs two integer
-    products."""
+    identity reads p([E x F]) = p(E) p(F).  Its defect is bilinear in
+    (E, F), the sum of the cell defects of the member-versus-rest table over
+    E x F, so some pair breaks it exactly when some cell does.  The witness
+    is the first dependent cell (a, b), rows slowest, as the singleton
+    events E = {a} and F = {b}: the first pair when E and F each run over
+    the non-empty subsets by size, then lexicographically.  Each cell costs
+    two integer products."""
     space = p.space
     nums, denom = integer_numerators(p.weights)
     for member in coll.members:
         idx = sorted(member)
         j0 = sorted(coll.union() - member)
         table = _cell_table(nums, space, idx, j0)
-        b_events = _nonempty_subsets(len(table[0]))
         col_mass = [sum(col) for col in zip(*table)]
-        b_mass = [sum(col_mass[b] for b in eb) for eb in b_events]
-        for ea in _nonempty_subsets(len(table)):
-            row = [sum(col) for col in zip(*(table[a] for a in ea))]
-            a_mass = sum(row)
-            for eb, mass in zip(b_events, b_mass):
-                lhs = sum(row[b] for b in eb) * denom
-                rhs = a_mass * mass
-                if lhs != rhs:
+        for a, row in enumerate(table):
+            row_mass = sum(row)
+            for b, (cell, mass) in enumerate(zip(row, col_mass)):
+                if cell * denom != row_mass * mass:
                     sub_a = space.subspace(idx)
                     sub_b = space.subspace(j0)
                     return ProductIdentityWitness(
                         member,
-                        Event(sub_a, sum(1 << a for a in ea)),
+                        Event(sub_a, 1 << a),
                         Event.full(sub_a),
-                        Event(sub_b, sum(1 << b for b in eb)),
+                        Event(sub_b, 1 << b),
                         Event.full(sub_b),
-                        Fraction(lhs, denom * denom),
-                        Fraction(rhs, denom * denom),
+                        Fraction(cell, denom),
+                        Fraction(row_mass * mass, denom * denom),
                     )
     return None
 
@@ -506,10 +504,10 @@ def check_collection_independence_axiom(
     """Decide collection independence for a single (expected-utility) prior.
 
     The axiom holds iff the prior is independent on the collection, which
-    `is_independent_on` decides.  When it fails, the first violating
-    member-versus-rest factorization pair is returned: by the chain rule a
-    dependent prior has a member that is not independent of the rest of the
-    collection, so such a pair exists.
+    `is_independent_on` decides.  When it fails, the first dependent cell of
+    a member-versus-rest table is returned, as singleton events: by the
+    chain rule a dependent prior has a member that is not independent of the
+    rest of the collection, so such a cell exists.
     """
     if is_independent_on(p, coll).holds:
         return True, None

@@ -314,10 +314,15 @@ class Scenario:
         if self.prior.kind == "independent":
             return PriorSet.singleton(cs.independent_product)
         if self.prior.kind == "vertices":
-            vertices = [
-                JointDistribution(self.space, tuple(e.evaluate(param_value) for e in vec))
-                for vec in self.prior.vertex_exprs
-            ]
+            vertices = []
+            for k, vec in enumerate(self.prior.vertex_exprs):
+                weights = tuple(e.evaluate(param_value) for e in vec)
+                try:
+                    vertices.append(JointDistribution(self.space, weights))
+                except CorrpolyError as exc:
+                    params = {e.param for e in vec if e.param}
+                    at = f" at {params.pop()}={param_value}" if params else ""
+                    raise CorrpolyError(f"prior vertex {k}{at}: {exc}") from None
             for k, v in enumerate(vertices):
                 cs.require_member(v, f"prior vertex {k}")
             return PriorSet(self.space, vertices)

@@ -4,6 +4,8 @@ import io
 import itertools
 import math
 import os
+import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -15,10 +17,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrpoly
-from corrpoly import dimension_formula
+from corrpoly import (
+    Collection,
+    CorrelationSet,
+    JointDistribution,
+    Marginal,
+    PriorSet,
+    ProductSpace,
+    dimension_formula,
+    sample_member,
+)
 from corrpoly.cli import build_parser, main
 from conftest import SCENARIO_DIR
-from bruteforce import oracle_vertices
+from bruteforce import (
+    check_collection_independence_axiom_reference,
+    check_subspace_independence_axiom_reference,
+    is_independent_on_reference,
+    oracle_vertices,
+)
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -282,6 +298,34 @@ def test_error_paths(capsys):
     assert code == 1 and "--at" in err
 
 
+def test_a_prior_vertex_error_names_the_vertex_and_the_parameter(capsys):
+    code, out, err = run(capsys, "independence", FINANCE, "--collection", "{1},{2}", "--at", "99")
+    assert (code, out) == (1, "")
+    assert err == "error: prior vertex 0 at a=99: joint weights must be nonnegative\n"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+
+@pytest.mark.parametrize("axiom, args", [
+    ("collection", ["--axiom", "collection-independence", "--collection", "{1},{2,3,4}"]),
+    ("subspace", ["--axiom", "subspace-independence", "--trials", "0"]),
+])
+def test_independence_axioms_are_pinned_on_a_3x3x3x3_shape(axiom, args):
+    # the rest of one subspace has 27 states: the list of its 2^27 - 1
+    # subsets would not fit in the 1 GB of address space the call is given
+    src = str(Path(corrpoly.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "corrpoly.cli", "check-axiom",
+         str(FIXTURES / "independence_3x3x3x3.scn"), *args],
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=_limit_address_space,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (2, "")
+    assert done.stdout == (FIXTURES / f"independence_3x3x3x3_{axiom}.txt").read_text()
+
+
 @pytest.mark.parametrize("args", [
     ("evaluate", FINANCE, "--at", "1/" + "3" * 5000),
     ("dim", FINANCE, "--collection", "{" + "1" * 5000 + "},{2}"),
@@ -509,6 +553,82 @@ def test_capacity_and_evaluate_match_their_oracles_on_drawn_scenarios(drawn):
     assert (code, err) == (0, "")
     (row,) = list(csv.DictReader(io.StringIO(out)))
     assert Fraction(row["meu"]) == min(sum(w * x for w, x in zip(v, payoffs)) for v in vertices)
+
+
+def _witness_lines(holds, w):
+    """What ``check-axiom --axiom collection-independence`` prints."""
+    lines = [f"holds: {holds}"]
+    if w is not None:
+        lines += [
+            f"witness on member {sorted(w.anchor_member)}:",
+            f"  E   = {sorted(w.e.members)}",
+            f"  E'  = {sorted(w.e_prime.members)}",
+            f"  F   = {sorted(w.f.members)}",
+            f"  F'  = {sorted(w.f_prime.members)}",
+            f"  p(ExF) p(E'xF') = {w.lhs} != {w.rhs} = p(ExF') p(E'xF)",
+        ]
+    return "".join(line + "\n" for line in lines)
+
+
+def _counterexample_lines(holds, ce):
+    """What ``check-axiom --axiom subspace-independence`` prints."""
+    lines = [f"holds: {holds}"]
+    if ce is not None:
+        lines += [
+            f"counterexample: subspace {ce.subspace_index}",
+            f"  f_i values: {[str(v) for v in ce.f_i.values]}",
+            f"  g_i values: {[str(v) for v in ce.g_i.values]}",
+            f"  conditioning event: {sorted(ce.conditioning_event.members)}",
+            f"  outside value: {ce.outside_value}",
+            f"  base ranking {ce.base_values[0]} vs {ce.base_values[1]}; "
+            f"conditioned {ce.conditioned_values[0]} vs {ce.conditioned_values[1]}",
+        ]
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_scenarios().filter(lambda drawn: len(drawn[1]) >= 2), st.data())
+def test_independence_verdicts_match_their_oracles_on_drawn_scenarios(drawn, data):
+    # one explicit belief: an oracle vertex, the independent product or a
+    # sampled member, tested on the first two subspaces
+    text, sizes, weights, _, _ = drawn
+    space = ProductSpace(sizes)
+    cs = CorrelationSet(space, [Marginal(i, ws) for i, ws in enumerate(weights)])
+    rng = random.Random(data.draw(st.integers(0, 1000)))
+    beliefs = [
+        *sorted(oracle_vertices(sizes, weights)),
+        tuple(math.prod(ws) for ws in itertools.product(*weights)),
+        sample_member(cs, rng).weights,
+    ]
+    belief = data.draw(st.sampled_from(beliefs))
+    text += f"\nPRIOR\nvertex: {' '.join(map(str, belief))}\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.scn")
+        Path(path).write_text(text, encoding="utf-8")
+        verdict = _main_in_process(
+            "independence", path, "--collection", "{1},{2}", "--format", "csv"
+        )
+        collection = _main_in_process(
+            "check-axiom", path, "--axiom", "collection-independence", "--collection", "{1},{2}"
+        )
+        subspace = _main_in_process(
+            "check-axiom", path, "--axiom", "subspace-independence", "--trials", "0"
+        )
+    p = JointDistribution(space, belief)
+    coll = Collection.of({0}, {1})
+    want = is_independent_on_reference(p, coll)
+    code, out, err = verdict
+    assert (code, err) == (0 if want.holds else 2, "")
+    rows = dict(list(csv.reader(io.StringIO(out)))[1:])
+    assert rows["holds"] == str(want.holds)
+    assert rows["max_abs_defect"] == str(want.max_abs_defect)
+    assert rows.get("witness") == (
+        None if want.witness is None else " x ".join(str(t) for t in want.witness)
+    )
+    holds, witness = check_collection_independence_axiom_reference(p, coll)
+    assert collection == (0 if holds else 2, _witness_lines(holds, witness), "")
+    holds, ce = check_subspace_independence_axiom_reference(PriorSet.singleton(p), trials=0)
+    assert subspace == (0 if holds else 2, _counterexample_lines(holds, ce), "")
 
 
 def _mi_verdict(path, *args):

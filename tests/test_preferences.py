@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -403,6 +404,66 @@ def test_collection_independence_equals_reference_on_degenerate_sets(weights):
         for p in points:
             got = check_collection_independence_axiom(p, coll)
             assert got == check_collection_independence_axiom_reference(p, coll)
+
+
+def _dependent_row(n_rows, n_cols, row):
+    """Uniform marginals on (n_rows, n_cols), with the rows before ``row``
+    independent of the columns: ``row`` moves 1/(n_rows n_cols) from its
+    column 1 to its column 0, and the last row moves it back."""
+    u = F(1, n_rows * n_cols)
+    table = [[u] * n_cols for _ in range(n_rows)]
+    table[row][0] += u
+    table[row][1] -= u
+    table[-1][0] -= u
+    table[-1][1] += u
+    return JointDistribution(ProductSpace((n_rows, n_cols)), tuple(w for r in table for w in r))
+
+
+@pytest.mark.parametrize("n_cols", [4, 6])
+def test_collection_witness_passes_an_independent_row(n_cols):
+    # every cell of row 0 factorizes, so the witness is the first cell of row 1
+    p = _dependent_row(3, n_cols, 1)
+    coll = Collection.of({0}, {1})
+    witness = preferences._product_identity_witness(p, coll)
+    assert witness == product_identity_witness_reference(p, coll, True)
+    assert sorted(witness.e.members) == [(1,)] and sorted(witness.f.members) == [(0,)]
+    assert check_collection_independence_axiom(p, coll) == (False, witness)
+
+
+def _peak_bytes(call):
+    """The result of ``call()`` and the peak of memory it traced."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape, row, e, lhs, rhs", [
+    ((2, 20), 0, (0,), F(1, 20), F(1, 40)),
+    ((3, 20), 1, (1,), F(1, 30), F(1, 60)),
+])
+def test_collection_witness_builds_no_subset_list(shape, row, e, lhs, rhs):
+    # the rest has 20 states, so a list of its event subsets would hold 2^20 - 1
+    p = _dependent_row(*shape, row)
+    witness, peak = _peak_bytes(
+        lambda: preferences._product_identity_witness(p, Collection.of({0}, {1}))
+    )
+    assert peak < 10 * 2**20
+    assert sorted(witness.e.members) == [e] and sorted(witness.f.members) == [(0,)]
+    assert (witness.lhs, witness.rhs) == (lhs, rhs)
+
+
+def test_subspace_scan_draws_its_subsets_one_at_a_time():
+    subsets = preferences._nonempty_subsets(3)
+    assert iter(subsets) is subsets
+    assert list(subsets) == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    prior = PriorSet.singleton(_dependent_row(2, 20, 0))
+    (holds, counterexample), peak = _peak_bytes(
+        lambda: check_subspace_independence_axiom(prior, trials=0)
+    )
+    assert peak < 10 * 2**20
+    assert not holds and sorted(counterexample.conditioning_event.members) == [(0,)]
 
 
 def _with_table(monkeypatch, change):

@@ -292,6 +292,22 @@ def test_explicit_vertex_prior_requires_valid_weights():
         sc.loads(bad).prior_set()  # vertex breaks the declared marginals
 
 
+@pytest.mark.parametrize("text, value, message", [
+    # finance's vertex has a negative weight outside [0, 1/3]
+    ((SCENARIO_DIR / "finance.scn").read_text(), F(99),
+     "prior vertex 0 at a=99: joint weights must be nonnegative"),
+    ((SCENARIO_DIR / "finance.scn").read_text(), F(-1, 12),
+     "prior vertex 0 at a=-1/12: joint weights must be nonnegative"),
+    # a vertex without the parameter is named without a value
+    (_B2 + "\nPRIOR\nvertex: 1/4 1/4 1/4 1/4\nvertex: 1/2 0 0 1/4\n", None,
+     "prior vertex 1: joint weights must sum to exactly 1"),
+], ids=["a=99", "a=-1/12", "constant"])
+def test_prior_vertex_errors_name_the_vertex(text, value, message):
+    with pytest.raises(CorrpolyError) as info:
+        sc.loads(text).prior_set(param_value=value)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("text, line, header", [
     (_B2 + "\nUTILITY\nidentity\n", 9, "UTILITY"),  # the section that left the format
     (_B2 + "\nPRIOR\nfull\n\nUTILITY\ncrra rho=0.5 scale=6.0\n", 12, "UTILITY"),
