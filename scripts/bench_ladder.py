@@ -1,10 +1,10 @@
-"""Time vertex enumeration and a capacity sweep on a ladder of shapes.
+"""Time vertex enumeration, a capacity sweep and MI certificates on a ladder of shapes.
 
     python scripts/bench_ladder.py [--rungs K]
 
 For each shape of the ladder, smallest first, the set is the one that
 `tests/conftest.py`'s `random_correlation_set` draws with `random.Random(SEED)`,
-SEED = 1 (denominator 12, full support).  Two measurements run, each in a fresh
+SEED = 1 (denominator 12, full support).  Three measurements run, each in a fresh
 Python process that imports corrpoly from this checkout's `src/`:
 
 * `vertices`: one `cs.vertices()`, the enumeration of the extreme points,
@@ -16,7 +16,12 @@ Python process that imports corrpoly from this checkout's `src/`:
   event up to 2^16 of them, beyond that the cylinders of each subspace
   plus 10 000 events drawn from `random.Random(0)`.  The process reports
   the events whose capacity is memoized and the bases in the capacity's
-  phase-2 cache.
+  phase-2 cache;
+* `mi`: after an untimed enumeration, `certify_local_max_mi(cs, p,
+  probes=8, seed=7)` (the benchmark's `mi-certificate` settings) at every
+  vertex, the independent product and the midpoint of the first and last
+  vertex, in whole passes over these points until at least 0.5 s have
+  passed, reported as certificates per second.
 
 A measurement that takes longer than `TIMEOUT_S` = 60 s is stopped and
 recorded as "did not finish".  `--rungs K` runs the K smallest shapes.
@@ -54,6 +59,7 @@ SEED = 1
 PASS_LINE = re.compile(r"ACCEPTANCE (\d+): PASS \(([\d.]+)s < ([\d.e+]+)s\)")
 FAIL_LINE = re.compile(r"ACCEPTANCE (\d+): FAIL")
 
+TASKS = ("vertices", "exactness", "mi")
 LADDER = (
     (2, 2),
     (2, 2, 2),
@@ -71,7 +77,10 @@ LADDER = (
 CHILD = """
 import gc, itertools, json, random, sys, time, types
 from fractions import Fraction
-from corrpoly import CorrelationSet, Marginal, ProductSpace, capacity_of, check_exactness, cylinder
+from corrpoly import (
+    CorrelationSet, Marginal, ProductSpace, capacity_of, certify_local_max_mi, check_exactness,
+    cylinder, mix,
+)
 
 task, sizes, seed = json.loads(sys.argv[1])
 rng = random.Random(seed)
@@ -109,6 +118,20 @@ if task == "vertices":
         "seconds": seconds,
         "vertices": len(vertices),
         "bytes_per_vertex": round(held_bytes(cs) / len(vertices), 1),
+    }))
+elif task == "mi":
+    vertices = cs.vertices()
+    points = [*vertices, cs.independent_product, mix(vertices[0], vertices[-1], Fraction(1, 2))]
+    done, t0 = 0, time.perf_counter()
+    while done == 0 or seconds < 0.5:  # whole passes over the points, for at least 0.5 s
+        for p in points:
+            certify_local_max_mi(cs, p, probes=8, seed=7)
+        done += len(points)
+        seconds = time.perf_counter() - t0
+    print(json.dumps({
+        "seconds": seconds,
+        "certificates": done,
+        "certificates_per_s": round(done / seconds, 1),
     }))
 else:
     cs.vertices()
@@ -200,7 +223,7 @@ def main(argv=None) -> int:
     rungs = []
     for sizes in LADDER[: args.rungs]:
         rung = {"shape": list(sizes)}
-        for task in ("vertices", "exactness"):
+        for task in TASKS:
             rung[task] = measure(task, sizes)
         rungs.append(rung)
     result = {
@@ -211,7 +234,7 @@ def main(argv=None) -> int:
         "acceptance": acceptance(),
     }
     print(json.dumps(result, indent=1))
-    failed = any(r[task]["status"] == "failed" for r in rungs for task in ("vertices", "exactness"))
+    failed = any(r[task]["status"] == "failed" for r in rungs for task in TASKS)
     return 1 if failed or result["acceptance"]["status"] == "failed" else 0
 
 

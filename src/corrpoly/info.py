@@ -24,8 +24,9 @@ The ladder points between them are convex combinations of two members,
 hence members, and are evaluated directly from their integer weights.
 
 Probe points are integer numerators over one denominator, end to end: no
-probe builds a `JointDistribution`, and the face basis is the one
-`Fraction` input, scaled to integers once per certificate.  Drawn couplings
+probe builds a `JointDistribution`, and the probe path builds no `Fraction`,
+since the face is read in integers (`polytope._face_directions`: the face
+basis times the least common denominator of its entries).  Drawn couplings
 stay integers from the draw (`polytope._draw_member`) through the test for
 equality with ``p`` (by cross-multiplication) to the membership check
 (`CorrelationSet.require_numerators`: nonnegativity and every marginal
@@ -50,7 +51,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, CorrpolyError
 from .linalg import fraction_tuple, integer_numerators, require_count
-from .polytope import CorrelationSet, _draw_member, _largest_step, face_basis
+from .polytope import CorrelationSet, _draw_member, _face_directions, _largest_step
 from .polytope import mix  # noqa: F401  (still importable from corrpoly.info)
 from .space import JointDistribution, Marginal, require_same_space
 
@@ -125,10 +126,10 @@ def _probe_points(cs, a, a_denom, probes, rng, face):
     paired with its reflection through the member whenever that is
     feasible: the direction a * b_denom - b * a_denom, over
     a_denom * b_denom, followed to the boundary.  Directions inside the
-    face (the vectors of ``face``, `polytope.face_basis`, and random
-    integer combinations of them) are probed in both senses; the face
-    basis is scaled once to integers by one common denominator, so the
-    combinations keep their directions.  The boundary point of every
+    face (the integer vectors of ``face``, `polytope._face_directions`:
+    the face basis times one common denominator, so the combinations keep
+    their directions, and random integer combinations of them) are probed
+    in both senses.  The boundary point of every
     direction comes from the sampler's line search
     (`polytope._largest_step`), so reflections and face points never leave
     the integers.  At an extreme point (``face`` empty) the face directions
@@ -152,12 +153,10 @@ def _probe_points(cs, a, a_denom, probes, rng, face):
     if not face:
         return
 
-    scale = math.lcm(*(x.denominator for xs in face for x in xs))
-    basis = [[x.numerator * (scale // x.denominator) for x in xs] for xs in face]
-    face_directions = list(basis)
+    face_directions = list(face)
     for _ in range(4):
-        coeffs = [rng.randint(-8, 8) for _ in basis]
-        face_directions.append([sum(c * x for c, x in zip(coeffs, xs)) for xs in zip(*basis)])
+        coeffs = [rng.randint(-8, 8) for _ in face]
+        face_directions.append([sum(c * x for c, x in zip(coeffs, xs)) for xs in zip(*face)])
     for direction in face_directions:
         if not any(direction):
             continue
@@ -177,8 +176,9 @@ def certify_local_max_mi(
     """Local-maximality certificate for mutual information at the member ``p``.
 
     The verdict is exact: ``p`` is a local maximum iff it is a vertex, iff
-    `polytope.face_basis` is empty.  On the set MI is sum_k p_k log p_k plus
-    a linear term (the product of the marginals is fixed).  At a vertex
+    its face (`polytope.face_basis`, read in integers) is trivial.  On the
+    set MI is sum_k p_k log p_k plus a linear term (the product of the
+    marginals is fixed).  At a vertex
     every feasible direction charges a state where p is 0, where the
     one-sided slope of t log t is -inf.  Elsewhere a face direction d is
     feasible in both senses and MI has second derivative
@@ -212,7 +212,7 @@ def certify_local_max_mi(
             f"the first mixing weight (step) must be positive and at most 1, got {step}"
         )
     a, a_denom = cs.require_member(p)
-    face = face_basis(cs, p)
+    face, _ = _face_directions(cs, a)
     ind, ind_denom = cs.independent_numerators
     base = _divergence(a, a_denom, ind, ind_denom)
     rng = random.Random(seed)

@@ -4,21 +4,27 @@ All routines take matrices as sequences of rows whose entries are ints or
 ``fractions.Fraction`` and never round: ranks, kernels and solutions are
 exact.  A matrix whose rows differ in length raises `CorrpolyError`.
 
-There is one elimination step, and `_reduce` (so `rref`, `rank`,
-`nullspace` and `solve_affine`) and the vertex search's column reduction in
-`polytope` are built on it.  `_pivot_entries` normalizes a pivot row and
-keeps only its nonzero entries; `_eliminate` subtracts that row from
-another on those columns alone.  The marginal systems reduced here are 0/1
-matrices whose rows stay mostly zero, and ``a - f * 0`` is ``a`` exactly,
-so skipping the zero columns gives the dense algorithm's results with a
-fraction of its `Fraction` operations.  Entries are kept as given: an int
-stays an int through every subtraction, and a `Fraction` appears only where
-a pivot other than 1 divides.  So a 0/1 system whose pivots are all 1 is
-reduced in Python ints alone.  `rref` returns Fractions, and so do the
-vectors of `nullspace` and `solve_affine`.  `_reduce` and the two step
-functions are private by name because they run once per row update or per
-support of the vertex search: a public name would be wrapped, call by call,
-by tools that wrap every public function (the benchmark's tracer).
+`rank`, `nullspace` and `rref` reduce on one integer pivot step,
+`_pivot_step`, which `lp`'s simplex pivots on too: fraction-free, as in
+Bareiss (1968), on integer rows that it keeps primitive.  Rational rows are
+first scaled to integer rows, which changes no rank, kernel or rref.  The
+kernel comes out as `_integer_kernel`: the rref's kernel basis times the
+least common denominator of its entries, with that denominator beside it;
+`nullspace` and `rref` are Fraction views of the integer results.
+
+`solve_affine` and the vertex search's column reduction in `polytope` keep
+a sparse Fraction step, on which `_reduce` is built.  `_pivot_entries`
+normalizes a pivot row and keeps only its nonzero entries; `_eliminate`
+subtracts that row from another on those columns alone.  The marginal
+systems reduced there are 0/1 matrices whose rows stay mostly zero, and
+``a - f * 0`` is ``a`` exactly, so skipping the zero columns gives the
+dense algorithm's results with a fraction of its `Fraction` operations.
+Entries are kept as given: an int stays an int through every subtraction,
+and a `Fraction` appears only where a pivot other than 1 divides.  The
+vectors of `solve_affine` are Fractions.  The step functions are private
+by name because they run once per row update or per support of the vertex
+search: a public name would be wrapped, call by call, by tools that wrap
+every public function (the benchmark's tracer).
 
 `integer_numerators` puts exact rationals over one common denominator; it
 is the one scaling that the integer code paths of the other modules start
@@ -105,12 +111,8 @@ def _reduce(m: list[list[Fraction | int]]) -> list[int]:
     Returns the pivot columns."""
     if not m:
         return []
+    _require_rectangular(m)
     n_rows, n_cols = len(m), len(m[0])
-    for i, row in enumerate(m):
-        if len(row) != n_cols:
-            raise CorrpolyError(
-                f"ragged matrix: row {i} has {len(row)} entries, row 0 has {n_cols}"
-            )
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
@@ -132,28 +134,115 @@ def _reduce(m: list[list[Fraction | int]]) -> list[int]:
     return pivots
 
 
+def _require_rectangular(m: Sequence[Sequence]) -> None:
+    n_cols = len(m[0])
+    for i, row in enumerate(m):
+        if len(row) != n_cols:
+            raise CorrpolyError(
+                f"ragged matrix: row {i} has {len(row)} entries, row 0 has {n_cols}"
+            )
+
+
 def _fraction(x: Fraction | int) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """An integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _pivot_step(rows: Sequence[Sequence[int]], r: int, col: int) -> list[Sequence[int]]:
+    """The fraction-free pivot on the integer entry ``rows[r][col]``: the
+    pivot row, negated if that entry is negative so that it is the positive
+    ``p``, and each other row with an entry ``f`` in ``col`` replaced by the
+    tuple ``primitive(p * row - f * pivot row)``.  Rows with a zero in
+    ``col`` are kept as they are.  Returns the new list of rows."""
+    prow = rows[r]
+    p = prow[col]
+    if p < 0:
+        prow = tuple(-a for a in prow)
+        p = -p
+    out = [
+        other if not (f := other[col]) or i == r
+        else tuple(_primitive([p * a - f * b for a, b in zip(other, prow)]))
+        for i, other in enumerate(rows)
+    ]
+    out[r] = prow
+    return out
+
+
+def _integer_reduce(rows: Sequence[Row]) -> tuple[list[Sequence[int]], list[int]]:
+    """The reduced row echelon form of ``rows`` as integer rows, by
+    `_pivot_step`: a row with a `Fraction` is first scaled to integers
+    (which changes no rank, kernel or rref), and row r of the result is the
+    rref's row r times the positive entry it has in the r-th pivot column;
+    the rows past the pivots are zero.  Returns (rows, pivot columns)."""
+    if not rows:
+        return [], []
+    _require_rectangular(rows)
+    m = [
+        list(row) if all(type(x) is int for x in row) else integer_numerators(row)[0]
+        for row in rows
+    ]
+    n_rows = len(m)
+    pivots: list[int] = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        m = _pivot_step(m, r, c)
+        pivots.append(c)
+        if r + 1 == n_rows:
+            break
+    return m, pivots
 
 
 def rref(rows: Sequence[Row]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form, with Fraction entries.  Returns (reduced
     matrix, pivot columns)."""
-    m = [list(row) for row in rows]
-    pivots = _reduce(m)
-    return [[_fraction(x) for x in row] for row in m], pivots
+    m, pivots = _integer_reduce(rows)
+    scales = [row[c] for row, c in zip(m, pivots)] + [1] * (len(m) - len(pivots))
+    return [[Fraction(x, s) for x in row] for row, s in zip(m, scales)], pivots
 
 
 def rank(rows: Sequence[Row]) -> int:
-    return len(_reduce([list(row) for row in rows]))
+    return len(_integer_reduce(rows)[1])
 
 
 def nullspace(rows: Sequence[Row]) -> list[Vector]:
-    """Basis of the kernel, one vector per free column of the rref."""
-    if not rows:
-        return []
-    m = [list(row) for row in rows]
-    return _kernel(m, _reduce(m), len(rows[0]))
+    """Basis of the kernel, one vector per free column of the rref: the
+    Fraction view of `_integer_kernel`."""
+    basis, scale = _integer_kernel(rows)
+    return [tuple([Fraction(x, scale) for x in v]) for v in basis]
+
+
+def _integer_kernel(rows: Sequence[Row]) -> tuple[list[list[int]], int]:
+    """The kernel basis of `nullspace` times the least common denominator
+    ``L`` of its entries, and ``L``: integer vectors whose entries have gcd
+    1 over the whole basis (each vector has ``L`` in its free column).
+    ``([], 1)`` when the kernel is trivial."""
+    m, pivots = _integer_reduce(rows)
+    if not m:
+        return [], 1
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(len(m[0])) if c not in pivot_set]
+    pivot_rows = list(zip(m, pivots))
+    # rref entry row[fc] / row[pc] has the denominator row[pc] / gcd(row[pc], row[fc])
+    scale = math.lcm(
+        *(row[pc] // math.gcd(row[pc], *(row[fc] for fc in free_cols)) for row, pc in pivot_rows)
+    )
+    basis = []
+    for fc in free_cols:
+        v = [0] * len(m[0])
+        v[fc] = scale
+        for row, pc in pivot_rows:
+            v[pc] = -row[fc] * scale // row[pc]
+        basis.append(v)
+    return basis, scale
 
 
 def _kernel(m: list[list[Fraction | int]], pivots: list[int], n_cols: int) -> list[Vector]:

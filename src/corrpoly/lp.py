@@ -14,8 +14,9 @@ scale, and the ratio test compares rhs/entry ratios by
 cross-multiplication, ties going to the lower basis index.  So the pivots
 are those of the simplex on Fractions, optima and minimizers are exact,
 and the returned minimizer is a basic feasible solution, i.e. a vertex of
-the feasible polytope.  One pivot routine (`_pivot`) and one Bland loop
-(`_bland`) serve both phases.
+the feasible polytope.  One pivot routine (`_pivot`, on the integer
+pivot step `linalg._pivot_step` that `linalg`'s rank and kernel share) and
+one Bland loop (`_bland`) serve both phases.
 
 Phase 1 ignores the objective, so it is its own step: `feasible_start`
 runs it once for a system ``A x = b`` and returns the basic feasible
@@ -66,7 +67,7 @@ from operator import mul
 from typing import NamedTuple, NoReturn, Sequence
 
 from .errors import ConsistencyError, CorrpolyError, InfeasibleError, UnboundedError
-from .linalg import fraction_tuple, integer_numerators
+from .linalg import _pivot_step, _primitive, fraction_tuple, integer_numerators
 
 _ZERO = Fraction(0)
 
@@ -221,11 +222,6 @@ class FeasibleStart:
         return tab.rows[row], after
 
 
-def _primitive(row: list[int]) -> list[int]:
-    g = math.gcd(*row)
-    return [a // g for a in row] if g > 1 else row
-
-
 def _price(tab: _Tableau, cost: Sequence[int]) -> tuple[list[int], int]:
     """The reduced costs of ``cost`` (one entry per column) and their scale:
     z_j = c_j - sum_r c_B(r) a_rj / s_r, scaled by the lcm of the scales s_r
@@ -241,18 +237,9 @@ def _price(tab: _Tableau, cost: Sequence[int]) -> tuple[list[int], int]:
 
 
 def _pivot(tab: _Tableau, row: int, col: int) -> _Tableau:
-    """The tableau with ``col`` entering the basis at ``row``."""
-    prow = tab.rows[row]
-    p = prow[col]
-    if p < 0:
-        prow = tuple(-a for a in prow)
-        p = -p
-    rows = [
-        other if not (f := other[col]) or r == row
-        else tuple(_primitive([p * a - f * b for a, b in zip(other, prow)]))
-        for r, other in enumerate(tab.rows)
-    ]
-    rows[row] = prow
+    """The tableau with ``col`` entering the basis at ``row``, by
+    `linalg._pivot_step`."""
+    rows = _pivot_step(tab.rows, row, col)
     return _Tableau(tuple(rows), tab.basis[:row] + (col,) + tab.basis[row + 1 :])
 
 

@@ -8,7 +8,9 @@ against an exact rank computation), and the extreme points via support
 pattern search.  It alone decides "is p a vertex": `restricted_rows` is the
 one restriction of the marginal system to a set of states, and
 `face_basis(cs, p)`, the kernel of those rows on supp(p), is empty exactly
-when p is a vertex.  `is_maximally_zero` and the MI verdict in `info` read it.
+when p is a vertex.  `is_maximally_zero` reads it, and the MI verdict in
+`info` reads the same kernel in integers (`_face_directions`), of which
+`face_basis` is the Fraction view.
 
 A set and its vertex list cost what they hold.  Structure that depends only
 on the shape (the 0/1 marginal matrix, the rectangle kernel basis and each
@@ -377,13 +379,27 @@ def enumerate_extreme_points(
 def face_basis(cs: CorrelationSet, p: JointDistribution) -> list[tuple[Fraction, ...]]:
     """The directions along which the member ``p`` moves inside its face: a
     kernel basis of `restricted_rows` on supp(p), as vectors on all states.
-    Empty exactly when ``p`` is a vertex.  The caller checks membership."""
-    support = [k for k, w in enumerate(p.weights) if w > 0]
-    basis = []
-    for v in linalg.nullspace(restricted_rows(cs, support)):
-        on_support = iter(v)
-        basis.append(tuple([next(on_support) if w > 0 else Fraction(0) for w in p.weights]))
-    return basis
+    Empty exactly when ``p`` is a vertex.  The Fraction view of
+    `_face_directions`.  The caller checks membership."""
+    directions, scale = _face_directions(cs, p.weights)
+    return [tuple([Fraction(x, scale) for x in d]) for d in directions]
+
+
+def _face_directions(cs: CorrelationSet, weights) -> tuple[list[list[int]], int]:
+    """The face basis behind `face_basis` at the point whose support is
+    where ``weights`` (rationals or integer numerators) are positive, in
+    integers: the integer kernel of `restricted_rows` on that support
+    (`linalg._integer_kernel`), spread to all states, and its scale ``L``.
+    So the face basis is these vectors over ``L``; their entries have gcd 1."""
+    support = [k for k, w in enumerate(weights) if w > 0]
+    kernel, scale = linalg._integer_kernel(restricted_rows(cs, support))
+    directions = []
+    for v in kernel:
+        d = [0] * len(weights)
+        for k, x in zip(support, v):
+            d[k] = x
+        directions.append(d)
+    return directions, scale
 
 
 def is_maximally_zero(cs: CorrelationSet, p: JointDistribution) -> bool:

@@ -9,7 +9,9 @@ event, and every pair of events, on capacities taken from the vertex
 oracle: they are the exhaustive versions of the package's exactness check
 and non-convexity witness, which read the few values their proofs need.
 Fréchet's bound gives the capacity of a rectangle in closed form, with no
-vertex, on any shape.
+vertex, on any shape, and Strassen's theorem the capacity of any event of
+two subspaces, by an integer max flow.  `face_basis_reference` is the face
+at a point from `_rref`.
 The mutual-information references at the
 end keep the package's earlier Fraction-based divergence and entropy
 loops, membership test, sampler, eager probe construction and per-step
@@ -25,6 +27,7 @@ whose phase-1 tableau and solutions the integer simplex must match.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -178,6 +181,78 @@ def frechet_rectangle_value(marginal_weights, sides):
         Fraction(weights[s]) for weights, side in zip(marginal_weights, sides) for s in side
     )
     return max(Fraction(0), total - (len(marginal_weights) - 1))
+
+
+def strassen_capacity_value(marginal_weights, states):
+    """The capacity of an event E of two subspaces, given as its states
+    (i, j), by Strassen's theorem: v(E) = 1 - max p(E^c), where max p(F)
+    over the couplings of mu and nu is the maximum flow from a source
+    through row i (capacity mu_i) along each (i, j) in F to column j
+    (capacity nu_j) to a sink.  The marginals are scaled to integers over
+    their common denominator, and the flow is found by shortest augmenting
+    paths (Edmonds & Karp 1972) in integers.  Needs no vertex and no LP."""
+    mu, nu = (tuple(Fraction(w) for w in weights) for weights in marginal_weights)
+    denom = math.lcm(*(w.denominator for w in mu + nu))
+    rows = [w.numerator * (denom // w.denominator) for w in mu]
+    cols = [w.numerator * (denom // w.denominator) for w in nu]
+    in_event = set(map(tuple, states))
+    complement = [
+        (i, j) for i in range(len(rows)) for j in range(len(cols)) if (i, j) not in in_event
+    ]
+    return Fraction(denom - _max_flow(rows, cols, complement), denom)
+
+
+def _max_flow(row_caps, col_caps, edges):
+    """The value of a maximum flow from a source through row nodes (with
+    capacities ``row_caps``) along ``edges`` (row, column) to column nodes
+    (with capacities ``col_caps``) to a sink; the edges between rows and
+    columns carry up to the total row capacity."""
+    n_rows = len(row_caps)
+    source, sink = 0, n_rows + len(col_caps) + 1
+    cap = [[0] * (sink + 1) for _ in range(sink + 1)]
+    for i, c in enumerate(row_caps):
+        cap[source][1 + i] = c
+    for j, c in enumerate(col_caps):
+        cap[1 + n_rows + j][sink] = c
+    for i, j in edges:
+        cap[1 + i][1 + n_rows + j] = sum(row_caps)
+    flow = 0
+    while True:
+        parent = {source: source}
+        queue = [source]
+        for u in queue:
+            for v in range(sink + 1):
+                if v not in parent and cap[u][v] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            return flow
+        path = [sink]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        push = min(cap[u][v] for v, u in zip(path, path[1:]))
+        for v, u in zip(path, path[1:]):
+            cap[u][v] -= push
+            cap[v][u] += push
+        flow += push
+
+
+def face_basis_reference(cs, p):
+    """The kernel of the marginal system restricted to supp(p), from
+    `_rref` in Fractions, one vector per free column, spread to all states."""
+    support = [k for k, w in enumerate(p.weights) if w > 0]
+    red, pivots = _rref([[row[k] for k in support] for row in cs.system.matrix])
+    basis = []
+    for fc in (c for c in range(len(support)) if c not in pivots):
+        v = [Fraction(0)] * len(support)
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        spread = [Fraction(0)] * len(p.weights)
+        for k, x in zip(support, v):
+            spread[k] = x
+        basis.append(tuple(spread))
+    return basis
 
 
 # -- mutual-information certificate references ----------------------------

@@ -38,6 +38,7 @@ from bruteforce import (
     frechet_rectangle_value,
     oracle_vertices,
     solve_lp_min_reference,
+    strassen_capacity_value,
 )
 from conftest import (
     DEGENERATE_MARGINALS,
@@ -381,6 +382,23 @@ def test_capacity_of_a_rectangle_is_frechets_bound(sizes):
         sides = [[s for s in range(size) if rng.getrandbits(2)] for size in sizes]
         event = Event.from_states(cs.space, itertools.product(*sides))
         assert capacity_value(cs, event) == frechet_rectangle_value(weights, sides)
+
+
+@pytest.mark.parametrize("sizes", [(3, 4), (2, 6), (3, 5), (4, 4)])
+def test_capacity_of_two_subspaces_is_strassens_bound(sizes):
+    # 24 seeded events per set, past the vertex oracle's 12 states on
+    # (3,5) and (4,4): each state joins the event with probability 3/4 or
+    # 1/2 in turn, so that most values lie strictly between 0 and 1
+    rng = random.Random(30)
+    cs = random_correlation_set(sizes, rng)
+    weights = [m.weights for m in cs.marginals]
+    values = set()
+    for n in range(24):
+        states = [s for s in cs.space.states() if rng.getrandbits(2 - n % 2)]
+        value = capacity_value(cs, Event.from_states(cs.space, states))
+        assert value == strassen_capacity_value(weights, states)
+        values.add(value)
+    assert len(values - {0, 1}) >= 4
 
 
 def test_event_from_mask_is_the_inverse_of_bitmask():

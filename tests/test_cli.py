@@ -125,6 +125,20 @@ def test_mi_face_points_are_pinned(capsys):
     assert out.splitlines()[-2].split() == ["probe_count", "1"]
 
 
+def test_mi_face_points_are_pinned_on_a_face_with_halves(capsys):
+    # on this (2,2,2,2) point the face basis has entries 1/2 (its least
+    # common denominator is 2), so an integer face direction that is scaled
+    # wrongly leaves the face and changes the pinned bytes; the (2,2) climate
+    # point cannot show that, since all of its pivots are 1 or -1
+    weights = "1/18 0 0 1/6 1/36 0 0 0 0 13/36 1/12 1/12 0 2/9 0 0"
+    code, out, err = run(
+        capsys, "mi", str(FIXTURES / "face_2x2x2x2.scn"), "--weights", weights, "--probes", "0"
+    )
+    assert (code, err) == (0, "")
+    assert out == (FIXTURES / "face_2x2x2x2_mi_face_points.txt").read_text()
+    assert out.splitlines()[-2].split() == ["probe_count", "2"]
+
+
 def test_vertices_csv_is_pinned_on_a_3x4_shape(capsys):
     # vertex order and exact rationals on a shape larger than the shipped
     # scenarios, with tied partial sums (1/12 + 1/4 = 1/3); the pinned

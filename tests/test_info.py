@@ -422,6 +422,35 @@ def test_probe_points_match_the_eager_reference(cs):
             assert got_rng.getstate() == want_rng.getstate()
 
 
+def test_probe_points_of_the_integer_face_match_the_eager_reference():
+    # the certificate's face is integer; where its denominator L is 2 (the
+    # 1/3-midpoints of this set whose face has halves), its random
+    # combinations must still point where the Fraction reference's do
+    from corrpoly.info import _probe_points
+    from corrpoly.polytope import _face_directions
+
+    cs = random_correlation_set((2, 2, 2, 2), random.Random(3))
+    vertices, rng = cs.vertices(), random.Random(0)
+    faces_with_halves = 0
+    for _ in range(40):
+        i, j = rng.sample(range(len(vertices)), 2)
+        p = mix(vertices[i], vertices[j], F(1, 3))
+        a, a_denom = cs.require_member(p)
+        face, scale = _face_directions(cs, a)
+        if scale == 1:
+            continue
+        faces_with_halves += 1
+        got_rng, want_rng = random.Random(5), random.Random(5)
+        got = [
+            tuple(F(n, denom) for n in nums)
+            for nums, denom in _probe_points(cs, a, a_denom, 2, got_rng, face)
+        ]
+        want = [q.weights for q in probe_points_reference(cs, p, 2, want_rng, face_basis(cs, p))]
+        assert got == want
+        assert got_rng.getstate() == want_rng.getstate()
+    assert faces_with_halves == 5
+
+
 def test_certificate_draws_only_the_probes_its_ladder_reads(skew_2x2, monkeypatch):
     # at a non-vertex the ladder stops at the first direction that does not
     # decrease; no sample past it is drawn
@@ -469,13 +498,13 @@ def test_certificate_rejects_a_probe_point_with_a_negative_weight(skew_2x2, monk
 
 def test_certificate_computes_the_face_once(skew_2x2, monkeypatch):
     calls = []
-    nullspace = linalg.nullspace
+    integer_kernel = linalg._integer_kernel
 
     def counted(rows):
         calls.append(rows)
-        return nullspace(rows)
+        return integer_kernel(rows)
 
-    monkeypatch.setattr(linalg, "nullspace", counted)
+    monkeypatch.setattr(linalg, "_integer_kernel", counted)
     a, b = skew_2x2.vertices()
     for p in (a, skew_2x2.independent_product, mix(a, b, F(1, 3))):
         calls.clear()

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -261,3 +262,51 @@ def test_vertices_and_face_bases_hold_fractions_only(weights):
         assert _all_fractions(face_basis(cs, p))
     assert all(face_basis(cs, v) == [] for v in vertices)
     assert len(face_basis(cs, cs.independent_product)) == dimension(cs)
+
+
+# The integer kernel: `rank`, `nullspace` and `rref` reduce on primitive
+# integer rows with `_pivot_step`, and the kernel is the reference kernel
+# times its least common denominator.
+INTEGER_KERNEL_EXAMPLES = (
+    [[F(0), F(2), F(0), F(-1, 3)]],  # one row
+    [[F(0)], [F(3, 2)], [F(0)], [F(-1)]],  # one column
+    [[0, 0, 0], [-2, 4, 6], [0, 0, 0], [3, -1, F(1, 2)]],  # zero rows, pivot -2
+    [[3, 1, 0, 2], [0, 2, 1, 1]],  # pivots 3 and 2: the kernel has thirds and sixths
+    [[-1, 1, 0], [1, 1, 1]],
+)
+
+
+def _with_integer_kernel_examples(test):
+    for m in INTEGER_KERNEL_EXAMPLES:
+        test = example(m)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(MATRICES, sparse_matrices()))
+@_with_integer_kernel_examples
+def test_integer_kernel_is_the_reference_kernel_times_its_least_common_denominator(m):
+    n_cols = len(m[0]) if m else 0
+    ref_red, ref_pivots = rref_reference(m)
+    reference = _reference_kernel(ref_red, ref_pivots, n_cols) if m else []
+    rows, pivots = linalg._integer_reduce(m)
+    assert pivots == ref_pivots and linalg.rank(m) == len(ref_pivots)
+    for r, (row, pc) in enumerate(zip(rows, pivots)):
+        # each pivot row is the rref's row times its positive pivot entry
+        assert row[pc] > 0 and [F(x, row[pc]) for x in row] == ref_red[r]
+    assert all(not any(row) for row in rows[len(pivots):])
+    basis, scale = linalg._integer_kernel(m)
+    assert all(type(x) is int for v in basis for x in v) and type(scale) is int
+    assert scale == math.lcm(*(x.denominator for v in reference for x in v))
+    assert [tuple(x * scale for x in v) for v in reference] == [tuple(v) for v in basis]
+    assert math.gcd(*(x for v in basis for x in v)) == (1 if basis else 0)
+    assert linalg.rref(m) == (ref_red, ref_pivots)
+
+
+def test_pivot_step_makes_the_pivot_row_positive_and_the_other_rows_primitive():
+    rows = [(2, 4, 6), (-3, 1, 0), (0, 5, 5)]
+    out = linalg._pivot_step(rows, 1, 0)
+    # 3 * (2, 4, 6) + 2 * (-3, 1, 0) = (0, 14, 18) = 2 * (0, 7, 9)
+    assert out == [(0, 7, 9), (3, -1, 0), (0, 5, 5)]
+    assert out[2] is rows[2]  # a zero in the pivot column keeps the row
+    assert linalg._pivot_step(rows, 0, 0)[0] is rows[0]  # a positive pivot row too

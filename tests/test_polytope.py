@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import pickle
 import random
 import warnings
@@ -28,7 +29,13 @@ from corrpoly import (
     sample_member,
 )
 from conftest import DEGENERATE_MARGINALS, correlation_set_of, random_correlation_set
-from bruteforce import contains_reference, oracle_vertices, sample_member_reference
+from bruteforce import (
+    contains_reference,
+    face_basis_reference,
+    oracle_vertices,
+    sample_member_reference,
+)
+from corrpoly.polytope import _face_directions, face_basis
 
 F = Fraction
 
@@ -403,3 +410,69 @@ def test_sample_member_matches_fraction_kernel_combination(sizes):
         a, b = random.Random(seed), random.Random(seed)
         assert sample_member(cs, a).weights == sample_member_reference(cs, b).weights
         assert a.random() == b.random()  # the same draws were made
+
+
+def _face_scale(cs, p):
+    """The scale of the integer face at ``p``, after checking it: the face
+    basis is the reference face in Fractions, and the integer directions
+    (from the weights or from their numerators) are that basis times the
+    least common denominator of its entries, with gcd 1."""
+    reference = face_basis_reference(cs, p)
+    assert face_basis(cs, p) == reference
+    directions, scale = _face_directions(cs, p.weights)
+    assert _face_directions(cs, cs.require_member(p)[0]) == (directions, scale)
+    assert scale == math.lcm(*(x.denominator for v in reference for x in v))
+    assert directions == [[x * scale for x in v] for v in reference]
+    assert all(type(x) is int for d in directions for x in d)
+    assert math.gcd(*(x for d in directions for x in d)) == (1 if directions else 0)
+    return scale
+
+
+def _vertices_product_and_thirds(cs, rng, midpoints):
+    vertices = cs.vertices()
+    points = [*vertices, cs.independent_product]
+    for _ in range(midpoints):
+        a, b = rng.sample(range(len(vertices)), 2)
+        points.append(mix(vertices[a], vertices[b], F(1, 3)))
+    return points
+
+
+@pytest.mark.parametrize("sizes, seed, faces_with_halves", [
+    ((2, 2, 3), 1, 0),
+    ((2, 2, 2, 2), 3, 5),  # five of the 40 midpoints have a face with L = 2
+])
+def test_integer_face_is_the_reference_face_times_its_denominator(sizes, seed, faces_with_halves):
+    cs = random_correlation_set(sizes, random.Random(seed))
+    points = _vertices_product_and_thirds(cs, random.Random(0), 40)
+    scales = [_face_scale(cs, p) for p in points]
+    assert sum(scale > 1 for scale in scales) == faces_with_halves
+    assert all(_face_directions(cs, v.weights) == ([], 1) for v in cs.vertices())
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_MARGINALS))
+def test_integer_face_on_degenerate_sets(name):
+    # zero-weight states, 1-state subspaces and tied marginals
+    cs = correlation_set_of(DEGENERATE_MARGINALS[name])
+    points = _vertices_product_and_thirds(cs, random.Random(0), 6 if len(cs.vertices()) > 1 else 0)
+    for p in points:
+        _face_scale(cs, p)
+    directions, _ = _face_directions(cs, cs.independent_product.weights)
+    assert len(directions) == dimension(cs)
+
+
+# the sets of the benchmark's mi-certificate workload (perfbench/workloads.py,
+# MiCertificate), drawn from one random.Random(seed) in the same order
+MI_CERTIFICATE_SETS = {(2, 2): 8, (2, 3): 6, (3, 3): 4, (2, 2, 2): 4, (2, 4): 4, (3, 4): 6}
+
+
+@pytest.mark.parametrize("seed", [1, 9001])
+def test_every_mi_certificate_item_has_an_integral_face(seed):
+    # each set's vertices, its product and one midpoint of two vertices
+    rng = random.Random(seed)
+    for sizes, n_sets in MI_CERTIFICATE_SETS.items():
+        for _ in range(n_sets):
+            cs = random_correlation_set(sizes, rng)
+            vertices = cs.vertices()
+            a, b = rng.sample(range(len(vertices)), 2)
+            for p in [*vertices, cs.independent_product, mix(vertices[a], vertices[b], F(1, 2))]:
+                assert _face_scale(cs, p) == 1
