@@ -15,8 +15,10 @@ Python process that imports corrpoly from this checkout's `src/`:
   then a sweep of capacity values through the set's `Capacity`: every
   event up to 2^16 of them, beyond that the cylinders of each subspace
   plus 10 000 events drawn from `random.Random(0)`.  The process reports
-  the events whose capacity is memoized and the bases in the capacity's
-  phase-2 cache;
+  the events whose capacity is memoized, `events_per_s` (those events
+  over the timed seconds: nearly all of them are misses on the capacity's
+  one phase-1 start, so this is the rate of the warm capacity query) and
+  the bases in the capacity's phase-2 cache;
 * `mi`: after an untimed enumeration, `certify_local_max_mi(cs, p,
   probes=8, seed=7)` (the benchmark's `mi-certificate` settings) at every
   vertex, the independent product and the midpoint of the first and last
@@ -156,6 +158,7 @@ else:
         "seconds": seconds,
         "exact": exact,
         "events": len(cap._memo),
+        "events_per_s": round(len(cap._memo) / seconds, 1),
         "cached_bases": len(cap._start._bases),
     }))
 """

@@ -14,11 +14,13 @@ phase 1 does not depend on the event, so a `Capacity` runs it once, when it
 is built, and keeps the start (see `lp.FeasibleStart`).  Each miss then goes
 through `lp.phase2`, the one door into phase 2 that `lp.solve_lp_min` uses
 too, with the event's 0/1 indicator as its integer cost: no
-`LinearProgram` and no Fraction minimizer or dual.  Phase 2 walks the
-start's cache of bases, so the events of one set share the pivots they
-have in common; the cache is the start's, and goes with the capacity and
-its set.  Each basis passed the primal half of the LP certificate when it
-entered the cache, and each solve checks the dual half (see `lp`).  The
+`LinearProgram` and no Fraction minimizer or dual.  Phase 2 prices the
+indicator on the start's pricing table, which the start builds once, and
+walks the start's cache of bases, so the events of one set share the
+pivots they have in common; table and cache are the start's, and go with
+the capacity and its set.  Each basis passed the primal half of the LP
+certificate when it entered the cache, and each solve checks the dual
+half against the set's own marginal rows (see `lp`).  The
 value is also cross-checked against the minimum over the enumerated
 extreme points, an integer sum of vertex weights over the event's states,
 and the two must agree.  A failed check raises ConsistencyError with the
@@ -40,6 +42,9 @@ from .space import Act, Event, cylinder, embed_cylinder, require_same_space
 
 
 _ZERO = Fraction(0)
+# the bits of each byte value, lowest first: an event's 0/1 indicator is
+# read from its mask a byte at a time
+_BITS = [tuple(b >> k & 1 for k in range(8)) for b in range(256)]
 
 
 class Capacity:
@@ -81,7 +86,10 @@ class Capacity:
     def _solve(self, mask: int) -> Fraction:
         """min p(E) by phase 2 from the cached start, certified, and checked
         against the vertex minimum."""
-        cost = [mask >> k & 1 for k in range(self.space.total_size)]
+        n = self.space.total_size
+        indicator = map(_BITS.__getitem__, mask.to_bytes(-(-n // 8), "little"))
+        cost = [*itertools.chain.from_iterable(indicator)]
+        del cost[n:]
         try:
             cx, _, x_scale, _, _ = lp.phase2(self._start, cost)
         except ConsistencyError as exc:

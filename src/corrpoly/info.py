@@ -125,20 +125,21 @@ def _probe_points(cs, a, a_denom, probes, rng, face):
     compared with it by cross-multiplication.  Each draw b / b_denom is
     paired with its reflection through the member whenever that is
     feasible: the direction a * b_denom - b * a_denom, over
-    a_denom * b_denom, followed to the boundary.  Directions inside the
-    face (the integer vectors of ``face``, `polytope._face_directions`:
-    the face basis times one common denominator, so the combinations keep
-    their directions, and random integer combinations of them) are probed
-    in both senses.  The boundary point of every
-    direction comes from the sampler's line search
-    (`polytope._largest_step`), so reflections and face points never leave
-    the integers.  At an extreme point (``face`` empty) the face directions
-    are trivial and no reflection is feasible: were p + t (p - q) >= 0 for
-    some t > 0, p would lie strictly inside the segment from q to that
-    point.  So a vertex gets no reflection and only outward directions
-    remain, and its probes are the integer draws alone.  The points and the
-    rng draws are those of building every point up front, in the same
-    order.
+    a_denom * b_denom, followed to the boundary.  The first direction
+    inside the face (the first integer vector of ``face``,
+    `polytope._face_directions`) is probed last, in both senses.  MI is
+    strictly convex along it, so its one-sided slopes in the two senses
+    are g and -g, and in one sense no point of the segment lowers MI: the
+    ladder stops there at the latest, and no further face direction could
+    change a report.  The boundary point of every direction comes from the
+    sampler's line search (`polytope._largest_step`), so reflections and
+    face points never leave the integers.  At an extreme point (``face``
+    empty) there is no face direction and no reflection is feasible: were
+    p + t (p - q) >= 0 for some t > 0, p would lie strictly inside the
+    segment from q to that point.  So a vertex gets no reflection and only
+    outward directions remain, and its probes are the integer draws alone.
+    The points and the rng draws are those of building every point up
+    front, in the same order.
     """
     for _ in range(probes):
         b, b_denom = _draw_member(cs, rng)
@@ -150,16 +151,7 @@ def _probe_points(cs, a, a_denom, probes, rng, face):
             point = _boundary_point(a, a_denom, back)
             if point is not None:
                 yield point
-    if not face:
-        return
-
-    face_directions = list(face)
-    for _ in range(4):
-        coeffs = [rng.randint(-8, 8) for _ in face]
-        face_directions.append([sum(c * x for c, x in zip(coeffs, xs)) for xs in zip(*face)])
-    for direction in face_directions:
-        if not any(direction):
-            continue
+    for direction in face[:1]:
         for sign in (1, -1):
             point = _boundary_point(a, a_denom, [sign * x for x in direction])
             if point is not None:

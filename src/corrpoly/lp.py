@@ -32,12 +32,16 @@ every caller ends on the same vertex for the same objective.
 A `FeasibleStart` caches the feasible bases that phase 2 reaches from it,
 keyed by the ordered basis.  An entry holds the pivoted integer tableau
 (immutable tuples) and its basic solution ``xs / x_scale``.  Phase 2
-prices the cost on the start's entry and walks Bland's rule through the
-cache: each step runs the ratio test on the entry's tableau and computes
-a pivot only towards a basis not reached before; the reduced costs follow
-each step from the pivot row.  Many costs over one system, as a
-capacity's events are, meet the same few bases.  The cache lives and dies
-with its start: it holds no reference back.
+prices the cost on the start's pricing table: the start's rows, each
+scaled once so that every basic entry is their lcm L, so a cost c is
+priced as L c - sum_r c_B(r) row_r and one gcd, with no per-cost lcm or
+row scaling.  Phase 1 prices its cost by the same routine.  Phase 2 then
+walks Bland's rule through the cache: each step runs the ratio test on
+the entry's tableau and computes a pivot only towards a basis not
+reached before; the reduced costs follow each step from the pivot row.
+Many costs over one system, as a capacity's events are, meet the same
+few bases.  The cache and the table live and die with their start: they
+hold no reference back.
 
 Every returned optimum is certified, in integers over one common
 denominator (Applegate, Cook, Dash & Espinoza 2007), in two halves.  The
@@ -45,11 +49,13 @@ primal half, ``x >= 0`` and ``A x = b``, does not depend on the cost: it
 is checked once per basis, when the basis enters the cache, so a basis
 that fails it never enters and fails again on the next solve that reaches
 it.  The start checks first that its own tableau is a feasible integer
-basis.  The dual half is checked on every solve, from the sparse columns
-of the system: the reduced costs of the artificial columns give the exact
-dual ``y`` (rows negated to make ``b >= 0`` negate their dual entry, and
-redundant rows dropped in phase 1 carry no basic cost, so they add
-nothing to ``y``), and the solve checks ``A^T y <= c`` and ``b.y = c.x``.
+basis.  The dual half is checked on every solve, against the system's own
+rows and not the pricing table: the reduced costs of the artificial
+columns give the exact dual ``y`` (rows negated to make ``b >= 0`` negate
+their dual entry, and redundant rows dropped in phase 1 carry no basic
+cost, so they add nothing to ``y``), ``A^T y`` is summed in one pass over
+the sparse rows whose dual entry is nonzero, and the solve checks
+``A^T y <= c`` and ``b.y = c.x``.
 With the primal half these prove ``x`` optimal.  Fractions are built only
 for the returned `LPSolution`.  A failed check can only come from a start
 that does not belong to the program, and raises ConsistencyError, which
@@ -63,7 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import mul
+from operator import gt, mul, sub
 from typing import NamedTuple, NoReturn, Sequence
 
 from .errors import ConsistencyError, CorrpolyError, InfeasibleError, UnboundedError
@@ -113,12 +119,12 @@ class _Line(NamedTuple):
 
 class _IntegerSystem(NamedTuple):
     """The constraints ``A x = b`` of a program, scaled by the common
-    denominator ``scale`` of all their entries, with ``A`` stored by sparse
-    rows and by sparse columns."""
+    denominator ``scale`` of all their entries, with the ``width`` columns
+    of ``A`` stored by sparse rows."""
 
     scale: int
+    width: int
     rows: tuple[_Line, ...]
-    columns: tuple[_Line, ...]
     rhs: tuple[int, ...]
 
 
@@ -131,8 +137,7 @@ def _integer_system(lp: LinearProgram) -> _IntegerSystem:
     n, m = len(lp.objective), len(lp.eq_rhs)
     flat, scale = integer_numerators([*chain.from_iterable(lp.eq_matrix), *lp.eq_rhs])
     rows = tuple(_line(flat[r * n : (r + 1) * n]) for r in range(m))
-    columns = tuple(_line(flat[j : m * n : n]) for j in range(n))
-    return _IntegerSystem(scale, rows, columns, tuple(flat[m * n :]))
+    return _IntegerSystem(scale, n, rows, tuple(flat[m * n :]))
 
 
 class _Tableau(NamedTuple):
@@ -141,6 +146,15 @@ class _Tableau(NamedTuple):
 
     rows: tuple[tuple[int, ...], ...]
     basis: tuple[int, ...]
+
+
+class _PricingTable(NamedTuple):
+    """The rows of a tableau, rhs last, each scaled so that its basic entry
+    is the lcm ``scale`` of the basic entries, with the tableau's basis."""
+
+    rows: tuple[tuple[int, ...], ...]
+    basis: tuple[int, ...]
+    scale: int
 
 
 class _Basis(NamedTuple):
@@ -167,8 +181,9 @@ class FeasibleStart:
     was built for, and that every solve from it is certified against.
 
     The start also holds the cache of bases that `phase2` reaches from it
-    (see the module docstring); a copy made with `dataclasses.replace`
-    starts an empty one.
+    and the pricing table of its own tableau (see the module docstring); a
+    copy made with `dataclasses.replace` starts an empty cache and builds
+    its own table.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -181,6 +196,12 @@ class FeasibleStart:
     def _bases(self) -> dict[tuple[int, ...], _Basis]:
         return {}
 
+    @cached_property
+    def _table(self) -> _PricingTable:
+        """The pricing table of the start's own tableau, built on first use
+        once the tableau passed its check."""
+        return _pricing_table(self._root().tableau)
+
     def _root(self) -> _Basis:
         """The entry of the start's own basis.  On first use it checks that
         the rows with their rhs appended form a feasible integer basis, and
@@ -188,7 +209,7 @@ class FeasibleStart:
         root = self._bases.get(self.basis)
         if root is None:
             rows = tuple(row + (b,) for row, b in zip(self.rows, self.rhs))
-            if not _is_feasible_basis(rows, self.basis, len(self.system.columns)):
+            if not _is_feasible_basis(rows, self.basis, self.system.width):
                 raise ConsistencyError("LP start is not a feasible integer basis")
             root = self._enter(_Tableau(rows, self.basis))
         return root
@@ -197,7 +218,7 @@ class FeasibleStart:
         """Cache ``tab`` once its basic solution passes the primal check."""
         scales = [row[bv] for row, bv in zip(tab.rows, tab.basis)]
         x_scale = math.lcm(*scales)
-        xs = [0] * len(self.system.columns)
+        xs = [0] * self.system.width
         for row, bv, s in zip(tab.rows, tab.basis, scales):
             xs[bv] = row[-1] * (x_scale // s)
         if min(xs, default=0) < 0:
@@ -222,16 +243,33 @@ class FeasibleStart:
         return tab.rows[row], after
 
 
-def _price(tab: _Tableau, cost: Sequence[int]) -> tuple[list[int], int]:
-    """The reduced costs of ``cost`` (one entry per column) and their scale:
-    z_j = c_j - sum_r c_B(r) a_rj / s_r, scaled by the lcm of the scales s_r
-    of the priced rows, with the negated objective in the rhs entry."""
-    priced = [(row, cost[bv], row[bv]) for row, bv in zip(*tab) if cost[bv]]
-    lcm = math.lcm(*(s for _, _, s in priced))
-    z = [c * lcm for c in cost] + [0]
-    for row, cb, s in priced:
-        f = cb * (lcm // s)
-        z = [a - f * b for a, b in zip(z, row)]
+def _pricing_table(tab: _Tableau) -> _PricingTable:
+    """The rows of ``tab`` scaled to the lcm of their basic entries: the
+    table from which `_price` prices every cost on ``tab``."""
+    scales = [row[bv] for row, bv in zip(*tab)]
+    lcm = math.lcm(*scales)
+    rows = tuple(
+        row if s == lcm else tuple(a * (lcm // s) for a in row)
+        for row, s in zip(tab.rows, scales)
+    )
+    return _PricingTable(rows, tab.basis, lcm)
+
+
+def _price(table: _PricingTable, cost: Sequence[int]) -> tuple[list[int], int]:
+    """The reduced costs of ``cost`` (one entry per column) on the table's
+    tableau, with the negated objective in the rhs entry: z_j = c_j -
+    sum_r c_B(r) a_rj / s_r, as the primitive integer row ``z`` over its
+    positive ``scale``.  The table's rows are the rows a_r / s_r times its
+    lcm L, so ``z`` is L c - sum_r c_B(r) row_r, divided by one gcd."""
+    rows, basis, lcm = table
+    z = [c * lcm for c in cost]
+    z.append(0)
+    for row, bv in zip(rows, basis):
+        cb = cost[bv]
+        if cb == 1:
+            z = list(map(sub, z, row))
+        elif cb:
+            z = [a - cb * b for a, b in zip(z, row)]
     g = math.gcd(lcm, *z)
     return ([a // g for a in z], lcm // g) if g > 1 else (z, lcm)
 
@@ -307,7 +345,7 @@ def feasible_start(lp: LinearProgram) -> FeasibleStart:
         row[n + r], row[-1] = system.scale, sign * b
         rows.append(tuple(_primitive(row)))
     tab = _Tableau(tuple(rows), tuple(range(n, n + m)))
-    z, scale = _price(tab, [0] * n + [1] * m)
+    z, scale = _price(_pricing_table(tab), [0] * n + [1] * m)
     tab, z, _ = _bland(tab, z, scale, n + m, _phase1_step)
     if z[-1] != 0:
         raise InfeasibleError("equality constraints admit no nonnegative solution")
@@ -365,14 +403,18 @@ def phase2(
     basis (without context) or the certificate fails (naming the basis).
     """
     n, m = len(cost), len(start.flipped)
-    root = start._root()
-    z, scale = _price(root.tableau, [*cost, *[0] * m])
-    entry, z, scale = _bland(root, z, scale, n, start._move)
+    z, scale = _price(start._table, [*cost, *[0] * m])
+    entry, z, scale = _bland(start._root(), z, scale, n, start._move)
     xs, x_scale, basis = entry.xs, entry.x_scale, entry.tableau.basis
     ys = [v if flip else -v for v, flip in zip(z[n:n + m], start.flipped)]
     cx = sum(map(mul, cost, xs))
     dual_bound = start.system.scale * scale
-    if any(column.dot(ys) > dual_bound * c for column, c in zip(start.system.columns, cost)):
+    aty = [0] * n
+    for (indices, values), y in zip(start.system.rows, ys):
+        if y:
+            for j, a in zip(indices, values):
+                aty[j] += a * y
+    if any(map(gt, aty, [dual_bound * c for c in cost])):
         failure = "A^T y <= c fails"
     elif x_scale * sum(map(mul, start.system.rhs, ys)) != dual_bound * cx:
         failure = "b.y != c.x"

@@ -311,17 +311,34 @@ def _independence_scan(
 
     The worst cases alpha and beta are minima of cell sums of each vertex's
     table (subspace i against the rest); the acts, the conditioning event
-    and the exact values are built only for the first violated identity."""
+    and the exact values are built only for the first violated identity.
+
+    A block (i, A) is skipped, before its exponentially many sets S of rest
+    states, when no identity in it can fail.  Each vertex's defect
+    alpha_v(A, S) - pi * beta_v(S) is additive in S.  If it is zero on
+    every single rest state, then alpha_v = pi * beta_v for every S, so
+    min alpha_v = pi * min beta_v.  If moreover every vertex's rest
+    marginal has the same support, then min beta_v(S) = 0 only where every
+    beta_v(S) is 0, a null cylinder.  So the skip leaves the first
+    violation, in the scan's own order, unchanged."""
     space = prior.space
     n = space.n_subspaces
     vertex_nums, denom = _prior_numerators(prior)
     for i in range(n):
         size = space.subspace_sizes[i]
         tables = _subspace_tables(prior, vertex_nums, i)
+        rest_marginals = [[sum(col) for col in zip(*t)] for t in tables]
+        same_support = len({tuple(w > 0 for w in m) for m in rest_marginals}) == 1
         for coords in _nonempty_subsets(size):
             if len(coords) == size:
                 break  # the bets stop short of the whole subspace
             pi = marginals[i].prob_of(coords)
+            if same_support and all(
+                sum(t[a][b] for a in coords) * pi.denominator == pi.numerator * w
+                for t, m in zip(tables, rest_marginals)
+                for b, w in enumerate(m)
+            ):
+                continue  # every singleton defect is zero: no identity fails
             for chosen in _nonempty_subsets(len(tables[0][0])):
                 cols = [[sum(row[b] for b in chosen) for row in t] for t in tables]
                 betas = [sum(col) for col in cols]

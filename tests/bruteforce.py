@@ -358,7 +358,8 @@ def probe_points_reference(cs, p, probes, rng, face):
     """Every probe point of the certificate, built up front in Fractions:
     each sampled member, its reflection through ``p`` whenever one is
     feasible (worked out at vertices too, where none is), and both senses
-    of the face directions.  Members are drawn by `sample_member_reference`."""
+    of the first face direction.  Members are drawn by
+    `sample_member_reference`."""
     from corrpoly import JointDistribution
 
     points = []
@@ -376,14 +377,7 @@ def probe_points_reference(cs, p, probes, rng, face):
             weights = tuple(w + t * d for w, d in zip(p.weights, back))
             push(JointDistribution(p.space, weights))
 
-    resolution = 8
-    face_directions = list(face)
-    for _ in range(4 if face else 0):
-        coeffs = [Fraction(rng.randint(-resolution, resolution), resolution) for _ in face]
-        face_directions.append([sum(c * x for c, x in zip(coeffs, xs)) for xs in zip(*face)])
-    for direction in face_directions:
-        if all(x == 0 for x in direction):
-            continue
+    for direction in face[:1]:
         for sign in (1, -1):
             d = [sign * x for x in direction]
             t = _max_step_reference(p, d)

@@ -340,6 +340,24 @@ def test_independence_axioms_are_pinned_on_a_3x3x3x3_shape(axiom, args):
     assert done.stdout == (FIXTURES / f"independence_3x3x3x3_{axiom}.txt").read_text()
 
 
+@pytest.mark.parametrize("n", [6, 8])
+def test_subspace_independence_is_pinned_on_a_prior_independent_in_subspace_0(n):
+    # (2,)^n with uniform marginals and two vertices, the product and one
+    # coupling of the second and third coordinates: subspace 0 is independent
+    # of the rest under both, so none of the 2 * (2^(2^(n-1)) - 1) identities
+    # of subspace 0 fails, and the witness lies in subspace 1
+    src = str(Path(corrpoly.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "corrpoly.cli", "check-axiom",
+         str(FIXTURES / f"independence_binary{n}.scn"),
+         "--axiom", "subspace-independence", "--trials", "0"],
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=_limit_address_space,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (2, "")
+    assert done.stdout == (FIXTURES / f"independence_binary{n}_subspace.txt").read_text()
+
+
 @pytest.mark.parametrize("args", [
     ("evaluate", FINANCE, "--at", "1/" + "3" * 5000),
     ("dim", FINANCE, "--collection", "{" + "1" * 5000 + "},{2}"),

@@ -400,32 +400,37 @@ def _probe_sets():
 @pytest.mark.parametrize("cs", list(_probe_sets()),
                          ids=lambda cs: "x".join(map(str, cs.space.subspace_sizes)))
 def test_probe_points_match_the_eager_reference(cs):
-    # built on demand as integers, without reflections at vertices, the probe
-    # points are, as exact rationals, those of building every point up front
-    # in Fractions, from the same rng draws
+    # built on demand as integers from the integer face, without reflections
+    # at vertices, the probe points are, as exact rationals, those of
+    # building every point up front in Fractions from the Fraction face, from
+    # the same rng draws
     from corrpoly.info import _probe_points
+    from corrpoly.polytope import _face_directions
 
     vertices = list(cs.vertices())
     points = vertices + [cs.independent_product]
     points += [mix(a, b, F(1, 2)) for a, b in zip(vertices, vertices[1:])]
     for p in points:
-        face = face_basis(cs, p)
         a, a_denom = cs.require_member(p)
+        face = _face_directions(cs, a)[0]
         for probes, seed in ((8, 7), (3, 11)):
             got_rng, want_rng = random.Random(seed), random.Random(seed)
             got = [
                 tuple(F(n, denom) for n in nums)
                 for nums, denom in _probe_points(cs, a, a_denom, probes, got_rng, face)
             ]
-            want = [q.weights for q in probe_points_reference(cs, p, probes, want_rng, face)]
+            want = [
+                q.weights
+                for q in probe_points_reference(cs, p, probes, want_rng, face_basis(cs, p))
+            ]
             assert got == want
             assert got_rng.getstate() == want_rng.getstate()
 
 
 def test_probe_points_of_the_integer_face_match_the_eager_reference():
     # the certificate's face is integer; where its denominator L is 2 (the
-    # 1/3-midpoints of this set whose face has halves), its random
-    # combinations must still point where the Fraction reference's do
+    # 1/3-midpoints of this set whose face has halves), its first direction
+    # must still point where the Fraction reference's does
     from corrpoly.info import _probe_points
     from corrpoly.polytope import _face_directions
 
@@ -449,6 +454,38 @@ def test_probe_points_of_the_integer_face_match_the_eager_reference():
         assert got == want
         assert got_rng.getstate() == want_rng.getstate()
     assert faces_with_halves == 5
+
+
+def test_no_certificate_reads_past_the_first_face_direction(monkeypatch):
+    # MI is strictly convex along a face direction, so in one of its two
+    # senses no rung lowers MI: at a point that is not a vertex the ladder
+    # stops by the first face direction at the latest, whatever the draws
+    import corrpoly.info as info
+
+    probe_points = info._probe_points
+
+    def bounded(cs, a, a_denom, probes, rng, face):
+        yield from probe_points(cs, a, a_denom, probes, rng, face)
+        raise AssertionError("the ladder read past the first face direction")
+
+    monkeypatch.setattr(info, "_probe_points", bounded)
+    rng = random.Random(31)
+    certified = 0
+    counts = {(2, 2): 3, (2, 3): 3, (3, 3): 3, (2, 2, 2): 3, (2, 4): 3, (2, 2, 2, 2): 1}
+    for sizes, count in counts.items():
+        for _ in range(count):
+            cs = random_correlation_set(sizes, rng)
+            vertices = cs.vertices()
+            i, j = rng.sample(range(len(vertices)), 2)
+            points = [cs.independent_product, sample_member(cs, rng)]
+            points.append(mix(vertices[i], vertices[j], F(1, 3)))
+            for p in points:
+                at_vertex = not face_basis(cs, p)
+                for probes, seed in ((0, 0), (4, 1), (16, 7)):
+                    report = certify_local_max_mi(cs, p, probes=probes, seed=seed)
+                    assert report.is_local_max == at_vertex
+                    certified += not at_vertex
+    assert certified >= 120
 
 
 def test_certificate_draws_only_the_probes_its_ladder_reads(skew_2x2, monkeypatch):

@@ -14,6 +14,7 @@ from corrpoly import (
     CorrpolyError,
     InfeasibleError,
     LinearProgram,
+    LPSolution,
     Marginal,
     ProductSpace,
     CorrelationSet,
@@ -234,6 +235,103 @@ def test_a_basis_that_fails_the_primal_check_stays_out_of_the_cache():
         sweeps.append(failed)
     assert sweeps[0] == sweeps[1]
     assert (4, (2, 5, 7, 6, 0)) in sweeps[0]
+
+
+def _assert_phase2_matches_the_reference(program, costs):
+    """The start's pricing table is its root tableau with each row scaled to
+    the lcm L of the basic entries, and `phase2` from the start, priced on
+    that table, and `solve_lp_min` return the Fraction reference's
+    `LPSolution` for every integer cost, or raise its UnboundedError."""
+    start = feasible_start(program)
+    table = start._table
+    root = start._root().tableau
+    scales = [row[bv] for row, bv in zip(*root)]
+    assert table.basis == root.basis and table.scale == math.lcm(*scales)
+    assert table.rows == tuple(
+        tuple(a * (table.scale // s) for a in row) for row, s in zip(root.rows, scales)
+    )
+    for cost in costs:
+        changed = LinearProgram(tuple(cost), program.eq_matrix, program.eq_rhs)
+        expected = _outcome(solve_lp_min_reference, changed)
+        try:
+            cx, xs, x_scale, ys, y_scale = lp.phase2(start, cost)
+        except UnboundedError:
+            assert expected is UnboundedError
+        else:
+            assert LPSolution(
+                F(cx, x_scale), tuple(F(v, x_scale) for v in xs), tuple(F(v, y_scale) for v in ys)
+            ) == expected
+        assert _outcome(solve_lp_min, changed) == expected
+    assert start._table is table
+
+
+@settings(max_examples=60, deadline=None)
+@given(_costs_over_one_system(), st.data())
+def test_table_priced_phase2_matches_the_fraction_reference(drawn, data):
+    # negative and non-0/1 costs, some unbounded, over marginal systems and
+    # integer systems with negated rows and a dropped redundant row
+    program, costs = drawn
+    n = len(program.objective)
+    costs += data.draw(st.lists(st.lists(st.integers(-40, 40), min_size=n, max_size=n), max_size=3))
+    _assert_phase2_matches_the_reference(program, costs)
+
+
+def test_table_priced_phase2_on_negated_and_redundant_rows():
+    # x = (t, t + 1, t + 2) solves all three rows for every t >= 0: every
+    # rhs entry is negative, so every row is negated, the third row is the
+    # sum of the first two and is dropped, and a cost that falls with t is
+    # unbounded
+    matrix = [[1, -1, 0], [0, 1, -1], [1, 0, -1]]
+    program = LinearProgram((0, 0, 0), matrix, (-1, -1, -2))
+    start = feasible_start(program)
+    assert start.flipped == (True, True, True) and len(start.rows) == 2
+    _assert_phase2_matches_the_reference(
+        program, [[1, 2, 3], [-1, 0, 0], [0, 0, 0], [5, -7, 3], [-2, 1, 1], [7, 0, 0]]
+    )
+
+
+def test_a_bumped_pricing_table_fails_the_dual_certificate():
+    # the certificate reads the system's rows, not the table: one bumped
+    # artificial-column entry of a priced row moves the dual y alone, and
+    # the dual half of the certificate fails
+    rng = random.Random(17)
+    cs = random_correlation_set((3, 3), rng)
+    cost = [1, 0, 1, 0, 0, 1, 1, 1, 0]
+    start = feasible_start(_program(cs, cost))
+    table = start._table
+    priced = next(r for r, bv in enumerate(table.basis) if cost[bv])
+    for row in range(len(table.rows)):
+        bumped = [list(r) for r in table.rows]
+        bumped[row][9] += 1
+        corrupt = dataclasses.replace(start)
+        vars(corrupt)["_table"] = table._replace(rows=tuple(map(tuple, bumped)))
+        if row == priced:
+            with pytest.raises(ConsistencyError, match=r"A\^T y <= c fails|b\.y != c\.x") as info:
+                lp.phase2(corrupt, cost)
+            assert info.value.context["basis"] in corrupt._bases
+        elif not cost[table.basis[row]]:
+            # an unpriced row does not enter the reduced costs
+            assert lp.phase2(corrupt, cost) == lp.phase2(start, cost)
+
+
+def test_a_start_builds_its_pricing_table_once(monkeypatch):
+    built = []
+
+    def counted(tab):
+        built.append(tab.basis)
+        return pricing_table(tab)
+
+    pricing_table = lp._pricing_table
+    cs = random_correlation_set((2, 3), random.Random(3))
+    start = feasible_start(_program(cs, [0] * 6))
+    monkeypatch.setattr(lp, "_pricing_table", counted)
+    for objective in ([1, 0, 0, 0, 1, 1], [0, 1, 1, 0, 0, 0], [2, -1, 0, 1, 0, 3]):
+        lp.phase2(start, objective)
+    assert built == [start.basis]
+    copy = dataclasses.replace(start)
+    assert lp.phase2(copy, [1, 0, 0, 0, 1, 1]) == lp.phase2(start, [1, 0, 0, 0, 1, 1])
+    assert built == [start.basis] * 2
+    assert copy._table == start._table and copy._table is not start._table
 
 
 def test_redundant_rows_are_dropped():
