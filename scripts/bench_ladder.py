@@ -4,8 +4,11 @@
 
 For each shape of the ladder, smallest first, the set is the one that
 `tests/conftest.py`'s `random_correlation_set` draws with `random.Random(SEED)`,
-SEED = 1 (denominator 12, full support).  Three measurements run, each in a fresh
-Python process that imports corrpoly from this checkout's `src/`:
+SEED = 1 (denominator 12, full support).  Three measurements run, each `RUNS` = 3
+times, every run in a fresh Python process that imports corrpoly from this
+checkout's `src/`.  A measurement reports its run with the median `seconds`,
+and all three times as `runs_s`, so that two commits' ladders can be
+ordered by more than one sample each:
 
 * `vertices`: one `cs.vertices()`, the enumeration of the extreme points,
   and, after the timing, `bytes_per_vertex`: the bytes of the set and its
@@ -25,8 +28,9 @@ Python process that imports corrpoly from this checkout's `src/`:
   vertex, in whole passes over these points until at least 0.5 s have
   passed, reported as certificates per second.
 
-A measurement that takes longer than `TIMEOUT_S` = 60 s is stopped and
-recorded as "did not finish".  `--rungs K` runs the K smallest shapes.
+A run that takes longer than `TIMEOUT_S` = 60 s is stopped and recorded as
+"did not finish"; a run that fails or does not finish ends its measurement
+and is not repeated.  `--rungs K` runs the K smallest shapes.
 
 The `acceptance` key holds each acceptance criterion's time as a share of
 its budget: `tests/test_acceptance.py` runs once under pytest in a child
@@ -55,6 +59,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 ACCEPTANCE_TESTS = ROOT / "tests" / "test_acceptance.py"
 TIMEOUT_S = 60.0
+RUNS = 3  # fresh processes per measurement; a constant, not a flag
 ACCEPTANCE_TIMEOUT_S = 300.0
 SEED = 1
 # the lines that `tests/test_acceptance.py`'s `criterion` prints
@@ -177,12 +182,19 @@ def child(args: list[str], timeout: float) -> subprocess.CompletedProcess | None
 
 
 def measure(task: str, sizes: tuple[int, ...]) -> dict:
-    done = child(["-c", CHILD, json.dumps([task, sizes, SEED])], TIMEOUT_S)
-    if done is None:
-        return {"status": "did not finish", "timeout_s": TIMEOUT_S}
-    if done.returncode != 0:
-        return {"status": "failed", "stderr": done.stderr.strip().splitlines()[-1:]}
-    return {"status": "ok", **json.loads(done.stdout)}
+    """``task`` on ``sizes`` in `RUNS` fresh processes: the run with the
+    median seconds, and every run's seconds as ``runs_s``.  A run that
+    fails or does not finish is reported as it is and not repeated."""
+    runs = []
+    for _ in range(RUNS):
+        done = child(["-c", CHILD, json.dumps([task, sizes, SEED])], TIMEOUT_S)
+        if done is None:
+            return {"status": "did not finish", "timeout_s": TIMEOUT_S}
+        if done.returncode != 0:
+            return {"status": "failed", "stderr": done.stderr.strip().splitlines()[-1:]}
+        runs.append(json.loads(done.stdout))
+    median = sorted(runs, key=lambda run: run["seconds"])[len(runs) // 2]
+    return {"status": "ok", **median, "runs_s": [run["seconds"] for run in runs]}
 
 
 def acceptance() -> dict:

@@ -293,9 +293,14 @@ def run_finance(scenario: Scenario, a: Fraction, rho: Optional[float] = None) ->
         raise ConsistencyError("expected return disagrees with 6*p_HH - 3*p_LL", **context)
 
     threshold = None  # no rho buys a trade that cannot gain
-    if p_hh > 0:
-        # and none declines one that gains and cannot lose
-        threshold = math.inf if p_ll == 0 else 1.0 + math.log2(p_hh / p_ll)
+    if p_hh > 0 and p_ll == 0:
+        threshold = math.inf  # and none declines one that gains and cannot lose
+    elif p_hh > 0:
+        ratio = p_hh / p_ll
+        try:
+            threshold = 1.0 + math.log2(ratio)
+        except (OverflowError, ValueError):  # the ratio is outside the float range
+            threshold = 1.0 + (math.log2(ratio.numerator) - math.log2(ratio.denominator))
     if rho is None:
         buy = expected > 0
     else:

@@ -72,7 +72,9 @@ def _divergence(nums, denom: int, ref, ref_denom: int) -> float:
     and ``ref`` of q over ``ref_denom``; +inf at the first state that p
     charges and q does not.  The terms are summed left to right: the builtin
     ``sum`` compensates rounding from Python 3.12 on, so it would print
-    different last digits on different supported versions."""
+    different last digits on different supported versions.  A ratio whose
+    quotient overflows a float, or underflows to 0.0, has its log taken as
+    the difference of the logs of its integer numerator and denominator."""
     log2 = math.log2
     total = 0.0
     for n, m in zip(nums, ref):
@@ -80,7 +82,10 @@ def _divergence(nums, denom: int, ref, ref_denom: int) -> float:
             continue
         if m == 0:
             return math.inf
-        total += n / denom * log2(n * ref_denom / (denom * m))
+        try:
+            total += n / denom * log2(n * ref_denom / (denom * m))
+        except (OverflowError, ValueError):  # the quotient is outside the float range
+            total += n / denom * (log2(n * ref_denom) - log2(denom * m))
     return total
 
 

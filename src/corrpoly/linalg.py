@@ -12,17 +12,17 @@ kernel comes out as `_integer_kernel`: the rref's kernel basis times the
 least common denominator of its entries, with that denominator beside it;
 `nullspace` and `rref` are Fraction views of the integer results.
 
-`solve_affine` and the vertex search's column reduction in `polytope` keep
-a sparse Fraction step, on which `_reduce` is built.  `_pivot_entries`
-normalizes a pivot row and keeps only its nonzero entries; `_eliminate`
-subtracts that row from another on those columns alone.  The marginal
-systems reduced there are 0/1 matrices whose rows stay mostly zero, and
-``a - f * 0`` is ``a`` exactly, so skipping the zero columns gives the
-dense algorithm's results with a fraction of its `Fraction` operations.
-Entries are kept as given: an int stays an int through every subtraction,
-and a `Fraction` appears only where a pivot other than 1 divides.  The
-vectors of `solve_affine` are Fractions.  The step functions are private
-by name because they run once per row update or per support of the vertex
+A sparse Fraction step serves only the vertex search in `polytope`: its
+column reduction, and `_reduce`, which solves each covering support's
+augmented system once.  `_pivot_entries` normalizes a pivot row and keeps
+only its nonzero entries; `_eliminate` subtracts that row from another on
+those columns alone.  The marginal systems reduced there are 0/1 matrices
+whose rows stay mostly zero, and ``a - f * 0`` is ``a`` exactly, so
+skipping the zero columns gives the dense algorithm's results with a
+fraction of its `Fraction` operations.  Entries are kept as given: an int
+stays an int through every subtraction, and a `Fraction` appears only
+where a pivot other than 1 divides.  The step functions are private by
+name because they run once per row update or per support of the vertex
 search: a public name would be wrapped, call by call, by tools that wrap
 every public function (the benchmark's tracer).
 
@@ -143,10 +143,6 @@ def _require_rectangular(m: Sequence[Sequence]) -> None:
             )
 
 
-def _fraction(x: Fraction | int) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
-
-
 def _primitive(row: list[int]) -> list[int]:
     """An integer row divided by the gcd of its entries."""
     g = math.gcd(*row)
@@ -243,44 +239,6 @@ def _integer_kernel(rows: Sequence[Row]) -> tuple[list[list[int]], int]:
             v[pc] = -row[fc] * scale // row[pc]
         basis.append(v)
     return basis, scale
-
-
-def _kernel(m: list[list[Fraction | int]], pivots: list[int], n_cols: int) -> list[Vector]:
-    """The kernel basis of the first ``n_cols`` columns of a reduced ``m``,
-    one vector per free column."""
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = _fraction(-m[r][fc])
-        basis.append(tuple(v))
-    return basis
-
-
-def solve_affine(
-    rows: Sequence[Row], rhs: Sequence[Fraction | int]
-) -> Optional[tuple[Vector, list[Vector]]]:
-    """Solve ``rows @ x = rhs`` exactly.
-
-    Returns ``None`` if the system is inconsistent, otherwise a particular
-    solution together with a kernel basis (empty iff the solution is unique).
-    """
-    if len(rhs) != len(rows):
-        raise CorrpolyError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
-    if not rows:
-        return (), []
-    n_cols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots = _reduce(aug)
-    if n_cols in pivots:
-        return None
-    sol = [Fraction(0)] * n_cols
-    for r, pc in enumerate(pivots):
-        sol[pc] = _fraction(aug[r][n_cols])
-    return tuple(sol), _kernel(aug, pivots, n_cols)
 
 
 def mat_vec(rows: Sequence[Row], x: Sequence[Fraction | int]) -> Vector:

@@ -6,11 +6,10 @@ product.  This module builds the constraint system, a rectangle-shift basis
 of its homogeneous kernel, the polytope dimension (closed form cross-checked
 against an exact rank computation), and the extreme points via support
 pattern search.  It alone decides "is p a vertex": `restricted_rows` is the
-one restriction of the marginal system to a set of states, and
-`face_basis(cs, p)`, the kernel of those rows on supp(p), is empty exactly
-when p is a vertex.  `is_maximally_zero` reads it, and the MI verdict in
-`info` reads the same kernel in integers (`_face_directions`), of which
-`face_basis` is the Fraction view.
+one restriction of the marginal system to a set of states, and the kernel
+of those rows on supp(p) is empty exactly when p is a vertex.
+`is_maximally_zero` and the MI verdict in `info` read that kernel in
+integers (`_face_directions`); `face_basis(cs, p)` is its Fraction view.
 
 A set and its vertex list cost what they hold.  Structure that depends only
 on the shape (the 0/1 marginal matrix, the rectangle kernel basis and each
@@ -304,13 +303,14 @@ def enumerate_extreme_points(
     system cannot have a unique solution).  The search walks candidate states
     in flat order, eliminating each accepted column incrementally with
     `linalg`'s elimination step (each pivot kept as its nonzero rows) and
-    cutting off any branch that goes linearly dependent; at every fully covering
-    node it solves the restricted system and keeps strictly positive
-    solutions.  Independent columns make a solution unique, so a positive
-    one has exactly its support and no vertex is found twice.  Output is
-    sorted lexicographically by the exact weight vectors.  The vertices
-    share their weight objects: one `Fraction` per distinct value in the
-    list, and `_ZERO` for every zero.
+    cutting off any branch that goes linearly dependent; at every fully
+    covering node it reduces the restricted system's augmented rows once
+    (`linalg._reduce`), reads the solution off the reduced rhs column and
+    keeps strictly positive solutions.  Independent columns make a solution
+    unique, so a positive one has exactly its support and no vertex is
+    found twice.  Output is sorted lexicographically by the exact weight
+    vectors.  The vertices share their weight objects: one `Fraction` per
+    distinct value in the list, and `_ZERO` for every zero.
     """
     linalg.require_count(guard, "guard", 0)
     n = cs.space.total_size
@@ -338,11 +338,19 @@ def enumerate_extreme_points(
     shared: dict[Fraction, Fraction] = {}  # one object per distinct weight
 
     def solve_support(support: tuple[int, ...]) -> None:
-        res = linalg.solve_affine(restricted_rows(cs, support), rhs)
-        if res is None or any(x <= 0 for x in res[0]):
+        # the support's columns are independent, so the pivots are columns
+        # 0..|S|-1 and row r's last entry is the weight of support[r]; the
+        # rhs column is a pivot too exactly when the system is inconsistent
+        aug = restricted_rows(cs, support)
+        for row, b in zip(aug, rhs):
+            row.append(b)
+        if linalg._reduce(aug)[-1] == len(support):
+            return
+        solution = [row[-1] for row in aug[: len(support)]]
+        if any(x <= 0 for x in solution):
             return
         weights = [_ZERO] * n
-        for k, x in zip(support, res[0]):
+        for k, x in zip(support, solution):
             weights[k] = shared.setdefault(x, x)
         found.append(tuple(weights))
 
@@ -405,9 +413,9 @@ def _face_directions(cs: CorrelationSet, weights) -> tuple[list[list[int]], int]
 def is_maximally_zero(cs: CorrelationSet, p: JointDistribution) -> bool:
     """True iff no other coupling vanishes on every state where ``p`` does,
     i.e. the marginal system restricted to the support of ``p`` has a unique
-    solution (which is then ``p`` itself): ``p`` is a vertex."""
-    cs.require_member(p)
-    return not face_basis(cs, p)
+    solution (which is then ``p`` itself): ``p`` is a vertex.  Read off the
+    integer face (`_face_directions`) of the checked weights."""
+    return not _face_directions(cs, cs.require_member(p)[0])[0]
 
 
 def decompose(cs: CorrelationSet, p: JointDistribution):

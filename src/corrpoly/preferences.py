@@ -18,10 +18,11 @@ value of an act on one subspace, spliced with a constant off a cylinder,
 is a minimum of integer dot products.  Nothing is sampled or skipped: the
 scan still tests every (event, cylinder) pair, drawn one at a time, up to
 its first violated identity, and every behavioral trial is evaluated.
-Collection independence is decided by `is_independent_on` alone; only a
-dependent prior has its tables scanned, for the witness: the first
-dependent cell.  Events, acts and exact `Fraction` values are built only
-for the witness or counterexample that is returned.
+Collection independence is decided by the member-versus-rest scan alone,
+by the chain rule: the prior is independent on the collection iff each
+member is independent of the union of the others, and the scan stops at
+the first dependent cell, the witness.  Events, acts and exact `Fraction`
+values are built only for the witness or counterexample that is returned.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Iterator, Optional, Sequence
 from . import lp
 from .capacity import capacity_of, choquet_integral
 from .errors import ConsistencyError, CorrpolyError
-from .independence import event_family, is_independent_on
+from .independence import event_family
 from .linalg import fraction_tuple, integer_numerators, require_count
 from .polytope import CorrelationSet
 from .space import (
@@ -112,7 +113,10 @@ class RiskUtility:
             raise CorrpolyError(f"CRRA scale must be finite and positive, got {self.scale!r}")
 
     def apply(self, wealth) -> float:
-        c = float(wealth)
+        try:
+            c = float(wealth)
+        except OverflowError:
+            raise CorrpolyError("wealth is beyond the float range") from None
         if self.rho is None:
             return c
         x = c / self.scale
@@ -506,35 +510,20 @@ def _product_identity_witness(
     return None
 
 
-def _point_context(p: JointDistribution, coll: Collection) -> dict:
-    """The inputs of a collection check, as `ConsistencyError` context."""
-    return {
-        "shape": p.space.subspace_sizes,
-        "weights": [str(w) for w in p.weights],
-        "collection": [sorted(m) for m in coll.members],
-    }
-
-
 def check_collection_independence_axiom(
     p: JointDistribution, coll: Collection
 ) -> tuple[bool, Optional[ProductIdentityWitness]]:
     """Decide collection independence for a single (expected-utility) prior.
 
-    The axiom holds iff the prior is independent on the collection, which
-    `is_independent_on` decides.  When it fails, the first dependent cell of
-    a member-versus-rest table is returned, as singleton events: by the
-    chain rule a dependent prior has a member that is not independent of the
-    rest of the collection, so such a cell exists.
+    The axiom holds iff the prior is independent on the collection, and by
+    the chain rule that holds iff every member is independent of the union
+    of the others: exactly what the member-versus-rest scan
+    (`_product_identity_witness`) tests.  So the scan decides, and when the
+    axiom fails it returns the first dependent cell, as singleton events.
     """
-    if is_independent_on(p, coll).holds:
-        return True, None
+    coll.check_space(p.space)
     witness = _product_identity_witness(p, coll)
-    if witness is None:
-        raise ConsistencyError(
-            "dependent distribution admitted no product-identity witness",
-            **_point_context(p, coll),
-        )
-    return False, witness
+    return witness is None, witness
 
 
 def more_correlation_averse(prior: PriorSet, other: PriorSet) -> bool:

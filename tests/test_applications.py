@@ -330,6 +330,24 @@ def test_finance_risk_neutral_buy_verdicts():
     assert not run_finance(FINANCE, F(1, 12)).buy
 
 
+def test_finance_threshold_of_a_ratio_beyond_the_float_range():
+    # p_LL = 10^-400 makes p_HH / p_LL overflow a float; the threshold is
+    # 1 + log2(p_HH) - log2(p_LL), computed from the ratio's integers
+    eps = F(1, 10**400)
+    pair = (F(1, 2) + eps, F(1, 4) - eps, F(1, 4) - eps, eps)
+    vertex = " ".join(str(w * d) for w in pair for d in (F(1, 4), F(3, 4)))
+    scenario = _finance_with(
+        ("inflation: 1/3 2/3", "inflation: 3/4 1/4"),
+        ("uncertainty: 1/2 1/2", "uncertainty: 3/4 1/4"),
+        (FINANCE_VERTEX, f"vertex: {vertex}"),
+    )
+    for rho in (None, 0.5, 2.0):
+        report = run_finance(scenario, F(0), rho=rho)
+        # p_HH / p_LL = 10^400 / 2 + 1
+        assert report.crra_threshold == pytest.approx(400 * math.log2(10), rel=1e-12)
+        assert report.buy and report.expected_return == 6 * pair[0] - 3 * eps
+
+
 def test_finance_crra_threshold_and_verdict():
     report = run_finance(FINANCE, F(1, 4), rho=0.5)
     assert report.crra_threshold == pytest.approx(1 + math.log2(1.5 / 2.5), abs=1e-12)

@@ -114,6 +114,16 @@ def test_mi_is_exact_on_tiny_marginals(capsys):
     assert out.splitlines()[-3].split() == ["is_local_max", "True"]
 
 
+def test_mi_of_a_weight_beyond_the_float_range(capsys):
+    # the prior (1/2 - e, e, e, 1/2 - e), e = 10^-400, on uniform marginals:
+    # the ratio of e to its product weight 1/4 underflows a float to 0.0
+    path = str(FIXTURES / "tiny_weight.scn")
+    weights = " ".join(map(str, corrpoly.load(path).prior_set().vertices[0].weights))
+    want = (FIXTURES / "tiny_weight_mi.txt").read_text()
+    assert run(capsys, "mi", path) == (0, want, "")
+    assert run(capsys, "mi", path, "--weights", weights) == (0, want, "")
+
+
 def test_mi_face_points_are_pinned(capsys):
     # with no random probe the ladder reads face points only, so this pins
     # the boundary points of the face directions on every Python
@@ -492,15 +502,15 @@ _names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
 
 
 @st.composite
-def small_scenarios(draw):
+def small_scenarios(draw, n_subspaces=None):
     """Scenario text in the style of `test_scenario.canonical_scenarios`, with
     its subspace sizes, marginal weights, event and act: at most 9 states,
-    1-state subspaces and zero-weight states included.  The one event is a
-    tuple atom with ``*`` wildcards, returned as the flat indices of its
-    states; the one act has small integer payoffs."""
-    sizes = draw(
-        st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda s: math.prod(s) <= 9)
-    )
+    1-state subspaces and zero-weight states included, on 1-3 subspaces or
+    on ``n_subspaces``.  The one event is a tuple atom with ``*``
+    wildcards, returned as the flat indices of its states; the one act has
+    small integer payoffs."""
+    lengths = {"min_size": n_subspaces or 1, "max_size": n_subspaces or 3}
+    sizes = draw(st.lists(st.integers(1, 3), **lengths).filter(lambda s: math.prod(s) <= 9))
     names = draw(st.lists(_names, min_size=len(sizes), max_size=len(sizes), unique=True))
     out = ["SPACE"]
     labels = []
@@ -625,14 +635,7 @@ def test_independence_verdicts_match_their_oracles_on_drawn_scenarios(drawn, dat
     # sampled member, tested on the first two subspaces
     text, sizes, weights, _, _ = drawn
     space = ProductSpace(sizes)
-    cs = CorrelationSet(space, [Marginal(i, ws) for i, ws in enumerate(weights)])
-    rng = random.Random(data.draw(st.integers(0, 1000)))
-    beliefs = [
-        *sorted(oracle_vertices(sizes, weights)),
-        tuple(math.prod(ws) for ws in itertools.product(*weights)),
-        sample_member(cs, rng).weights,
-    ]
-    belief = data.draw(st.sampled_from(beliefs))
+    belief = _drawn_belief(sizes, weights, data)
     text += f"\nPRIOR\nvertex: {' '.join(map(str, belief))}\n"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "drawn.scn")
@@ -661,6 +664,44 @@ def test_independence_verdicts_match_their_oracles_on_drawn_scenarios(drawn, dat
     assert collection == (0 if holds else 2, _witness_lines(holds, witness), "")
     holds, ce = check_subspace_independence_axiom_reference(PriorSet.singleton(p), trials=0)
     assert subspace == (0 if holds else 2, _counterexample_lines(holds, ce), "")
+
+
+def _drawn_belief(sizes, weights, data):
+    """One explicit belief: an oracle vertex, the independent product or a
+    sampled member."""
+    cs = CorrelationSet(ProductSpace(sizes), [Marginal(i, ws) for i, ws in enumerate(weights)])
+    rng = random.Random(data.draw(st.integers(0, 1000)))
+    beliefs = [
+        *sorted(oracle_vertices(sizes, weights)),
+        tuple(math.prod(ws) for ws in itertools.product(*weights)),
+        sample_member(cs, rng).weights,
+    ]
+    return data.draw(st.sampled_from(beliefs))
+
+
+THREE_SUBSPACE_COLLECTIONS = {
+    "{1},{2},{3}": Collection.of({0}, {1}, {2}),
+    "{1,3},{2}": Collection.of({0, 2}, {1}),
+    "{1},{2,3}": Collection.of({0}, {1, 2}),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_scenarios(n_subspaces=3), st.data())
+def test_collection_axiom_matches_its_oracle_on_drawn_three_subspace_scenarios(drawn, data):
+    text, sizes, weights, _, _ = drawn
+    belief = _drawn_belief(sizes, weights, data)
+    text += f"\nPRIOR\nvertex: {' '.join(map(str, belief))}\n"
+    p = JointDistribution(ProductSpace(sizes), belief)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.scn")
+        Path(path).write_text(text, encoding="utf-8")
+        for spec, coll in THREE_SUBSPACE_COLLECTIONS.items():
+            got = _main_in_process(
+                "check-axiom", path, "--axiom", "collection-independence", "--collection", spec
+            )
+            holds, witness = check_collection_independence_axiom_reference(p, coll)
+            assert got == (0 if holds else 2, _witness_lines(holds, witness), ""), spec
 
 
 def _mi_verdict(path, *args):

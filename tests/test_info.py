@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import itertools
 import math
 import random
@@ -181,6 +182,44 @@ def test_float_reference_parts_from_the_exact_verdict_on_tiny_marginals(eps):
     want = certify_local_max_mi_reference(cs, vertex)
     assert not want.is_local_max
     assert certify_local_max_mi(cs, vertex) == dataclasses.replace(want, is_local_max=True)
+
+
+def _divergence_in_decimal(p, q):
+    """D(p || q) in bits, in 60-digit decimal arithmetic: an exponent range
+    far beyond a float's."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        ln2 = decimal.Decimal(2).ln()
+        total = decimal.Decimal(0)
+        for a, b in zip(p, q):
+            if a:
+                ratio = decimal.Decimal(a.numerator * b.denominator) / (a.denominator * b.numerator)
+                total += decimal.Decimal(a.numerator) / a.denominator * ratio.ln() / ln2
+        return float(total)
+
+
+def test_divergences_of_ratios_beyond_the_float_range():
+    # on uniform marginals the weight 10^-400 has a ratio to its product
+    # weight that underflows a float to 0.0
+    eps = F(1, 10**400)
+    cs = CorrelationSet(ProductSpace((2, 2)), [Marginal(i, (F(1, 2), F(1, 2))) for i in range(2)])
+    p = JointDistribution(cs.space, (F(1, 2) - eps, eps, eps, F(1, 2) - eps))
+    mi = mutual_information(cs, p)
+    assert mi == kl_divergence(p, cs.independent_product) == pytest.approx(1.0, rel=1e-15)
+    assert mi == pytest.approx(_divergence_in_decimal(p.weights, cs.independent_product.weights))
+    assert entropy(p) == pytest.approx(1.0, rel=1e-15)
+    report = certify_local_max_mi(cs, p)
+    assert report.value == mi and not report.is_local_max
+    assert math.isfinite(report.max_observed_increase)
+    # on marginals (10^-200, 1 - 10^-200) the vertex that charges (0,0,0)
+    # has 10^-200 there against the product's 10^-600: the ratio overflows
+    t = F(1, 10**200)
+    cs = CorrelationSet(ProductSpace((2, 2, 2)), [Marginal(i, (t, 1 - t)) for i in range(3)])
+    (vertex,) = [v for v in cs.vertices() if v.weights[0] > 0]
+    mi = mutual_information(cs, vertex)
+    assert mi == pytest.approx(_divergence_in_decimal(vertex.weights, cs.independent_product.weights), rel=1e-12)
+    assert 0 < mi < 1e-190
+    assert certify_local_max_mi(cs, vertex).is_local_max
 
 
 def test_certificate_trivial_singleton():

@@ -30,18 +30,13 @@ def test_rref_and_rank():
 def test_rref_rejects_ragged_rows():
     with pytest.raises(CorrpolyError, match="ragged matrix: row 1 has 2 entries, row 0 has 3"):
         linalg.rref([[1, 2, 3], [4, 5]])
+    with pytest.raises(CorrpolyError, match="ragged matrix: row 1 has 1 entries, row 0 has 2"):
+        linalg._reduce([[1, 0], [0]])
 
 
 def test_nullspace_rejects_ragged_rows():
     with pytest.raises(CorrpolyError, match="ragged matrix: row 1 has 3 entries, row 0 has 2"):
         linalg.nullspace([[1, 2], [3, 4, 5]])
-
-
-def test_solve_affine_rejects_a_missing_right_hand_side():
-    with pytest.raises(CorrpolyError, match="2 equations but 1 right-hand sides"):
-        linalg.solve_affine([[1, 0], [0, 1]], [1])
-    with pytest.raises(CorrpolyError, match="ragged matrix"):
-        linalg.solve_affine([[1, 0], [0]], [1, 1])
 
 
 @st.composite
@@ -82,46 +77,6 @@ def test_nullspace_dimensions():
     assert len(basis) == 2
     for v in basis:
         assert all(x == 0 for x in linalg.mat_vec(m, v))
-
-
-def test_solve_affine_unique_and_underdetermined():
-    m = [[1, 0], [0, 1]]
-    assert linalg.solve_affine(m, [F(1, 2), F(1, 3)]) == ((F(1, 2), F(1, 3)), [])
-    wide = [[1, 1]]
-    res = linalg.solve_affine(wide, [F(1)])
-    assert res is not None
-    sol, basis = res
-    assert sum(sol) == 1 and len(basis) == 1
-    assert linalg.solve_affine(wide, [F(1)])[1] != []  # not unique
-    inconsistent = [[1, 0], [1, 0]]
-    assert linalg.solve_affine(inconsistent, [F(1), F(2)]) is None
-
-
-@st.composite
-def small_systems(draw):
-    rows = draw(st.integers(min_value=1, max_value=4))
-    cols = draw(st.integers(min_value=1, max_value=4))
-    matrix = [
-        [F(draw(st.integers(min_value=-3, max_value=3))) for _ in range(cols)]
-        for _ in range(rows)
-    ]
-    x = [F(draw(st.integers(min_value=-3, max_value=3)), 2) for _ in range(cols)]
-    return matrix, x
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_systems())
-def test_solve_affine_recovers_consistent_systems(system):
-    matrix, x = system
-    rhs = linalg.mat_vec(matrix, x)
-    res = linalg.solve_affine(matrix, rhs)
-    assert res is not None
-    sol, basis = res
-    assert linalg.mat_vec(matrix, sol) == tuple(rhs)
-    for v in basis:
-        assert all(e == 0 for e in linalg.mat_vec(matrix, v))
-    # rank-nullity on the coefficient matrix
-    assert len(basis) == len(matrix[0]) - linalg.rank(matrix)
 
 
 # Integer elimination: ints stay ints until a pivot other than 1 divides,
@@ -196,28 +151,29 @@ def test_rank_and_nullspace_match_the_reference_in_fractions(m):
     assert (red, pivots) == (ref_red, ref_pivots) and _all_fractions(red)
 
 
-@settings(max_examples=200, deadline=None)
-@given(systems())
-@example(([[2, 1], [1, 3]], [1, 1]))
-@example(([[3, 0, 1], [0, 2, 1]], [F(1, 2), 1]))
-@example(([[-1, 1, 0], [1, 1, 1]], [1, 0]))
-@example(([[F(1, 3), 1], [1, 0]], [2, 3]))
-@example(([[1, 1], [1, 1]], [0, 1]))  # inconsistent
-def test_solve_affine_matches_the_reference_in_fractions(system):
-    m, rhs = system
-    n_cols = len(m[0])
-    ref_red, ref_pivots = rref_reference([[*row, b] for row, b in zip(m, rhs)])
-    res = linalg.solve_affine(m, rhs)
-    if n_cols in ref_pivots:
-        assert res is None
-        return
-    sol, basis = res
-    ref_sol = [F(0)] * n_cols
-    for r, pc in enumerate(ref_pivots):
-        ref_sol[pc] = ref_red[r][n_cols]
-    assert sol == tuple(ref_sol)
-    assert basis == _reference_kernel(ref_red, ref_pivots, n_cols)
-    assert _all_fractions([sol, *basis])
+@st.composite
+def augmented_systems(draw):
+    """The augmented rows [A | b] of a system from `systems`."""
+    m, rhs = draw(systems())
+    return [[*row, b] for row, b in zip(m, rhs)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(MATRICES, sparse_matrices(), augmented_systems()))
+@_with_pivot_examples
+@example([[2, 1, 1], [1, 3, 1]])
+@example([[3, 0, 1, F(1, 2)], [0, 2, 1, 1]])
+@example([[F(1, 3), 1, 2], [1, 0, 3]])
+@example([[1, 1, 0], [1, 1, 1]])  # inconsistent: the rhs column is a pivot
+@example([])
+@example([[]])
+def test_reduce_matches_the_reference_in_fractions(m):
+    # the vertex search reads each support's solution off this reduction
+    reduced = [list(row) for row in m]
+    pivots = linalg._reduce(reduced)
+    ref_red, ref_pivots = rref_reference(m)
+    assert pivots == ref_pivots
+    assert reduced == ref_red  # entry for entry, as rationals
 
 
 @settings(max_examples=200, deadline=None)

@@ -108,11 +108,14 @@ def test_kernel_basis_spans_member_differences():
     rng = random.Random(3)
     cs = random_correlation_set((2, 3), rng)
     basis_matrix = [list(v) for v in zip(*cs.kernel.basis_vectors)]  # columns = basis
+    full_rank = linalg.rank(basis_matrix)
+    assert full_rank == len(cs.kernel)
     for _ in range(10):
         p = sample_member(cs, rng)
         q = sample_member(cs, rng)
         diff = [a - b for a, b in zip(p.weights, q.weights)]
-        assert linalg.solve_affine(basis_matrix, diff) is not None
+        # p - q lies in the span: appending it as a column keeps the rank
+        assert linalg.rank([[*row, d] for row, d in zip(basis_matrix, diff)]) == full_rank
 
 
 def test_enumerate_extreme_points_uniform(uniform_2x2):

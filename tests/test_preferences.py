@@ -32,6 +32,7 @@ from corrpoly import (
     embed_act,
     expectation,
     is_independent_of,
+    is_independent_on,
     load,
     meu_minimizer,
     meu_value,
@@ -273,6 +274,12 @@ def test_risk_utility():
             RiskUtility(rho=rho, scale=scale)
 
 
+def test_risk_utility_of_wealth_beyond_the_float_range_is_an_error():
+    for utility in (RiskUtility(), RiskUtility(rho=2.0, scale=6.0)):
+        with pytest.raises(CorrpolyError, match="beyond the float range"):
+            utility.apply(10**400)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=-8, max_value=8), min_size=8, max_size=8), st.integers(0, 10 ** 6))
 def test_ceu_never_exceeds_meu_on_full_prior(values, seed):
@@ -443,6 +450,55 @@ def test_collection_independence_equals_reference_on_degenerate_sets(weights):
             assert got == check_collection_independence_axiom_reference(p, coll)
 
 
+CHAIN_SHAPES = [(2, 2, 2), (2, 3, 2), (2, 2, 2, 2)]
+
+
+@st.composite
+def factored_priors(draw):
+    """A prior on one of `CHAIN_SHAPES`: the product of drawn integer tables,
+    zero cells included, one per block of a drawn partition of the
+    subspaces, so that it is independent on some collections and not on
+    others."""
+    sizes = draw(st.sampled_from(CHAIN_SHAPES))
+    space = ProductSpace(sizes)
+    block_of = draw(st.lists(st.integers(0, len(sizes) - 1), min_size=len(sizes), max_size=len(sizes)))
+    blocks = [[i for i in range(len(sizes)) if block_of[i] == b] for b in sorted(set(block_of))]
+    tables = [
+        draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+        for n in (math.prod(sizes[i] for i in block) for block in blocks)
+    ]
+    projections = [space.project(block) for block in blocks]
+    nums = [math.prod(t[c] for t, c in zip(tables, cells)) for cells in zip(*projections)]
+    return JointDistribution(space, tuple(F(x, sum(nums)) for x in nums))
+
+
+@st.composite
+def chain_collections(draw, n_subspaces):
+    """Two to four members, interleaved ones such as {0,2},{1},{3} included:
+    each subspace joins one of four members or none."""
+    labels = draw(st.lists(st.integers(0, 4), min_size=n_subspaces, max_size=n_subspaces).filter(
+        lambda ls: len(set(ls) - {4}) >= 2
+    ))
+    return Collection(tuple(
+        frozenset(i for i, x in enumerate(labels) if x == m) for m in sorted(set(labels) - {4})
+    ))
+
+
+@settings(max_examples=80, deadline=None)
+@given(factored_priors(), st.data())
+def test_collection_scan_decides_by_the_chain_rule(p, data):
+    # independent on the collection iff each member is independent of the
+    # union of the others: the scan's verdict is the element-wise test's
+    n = p.space.n_subspaces
+    collections = [data.draw(chain_collections(n))]
+    if n == 4:
+        collections += [Collection.of({0, 2}, {1}, {3}), Collection.of({0}, {1}, {2}, {3})]
+    for coll in collections:
+        got = check_collection_independence_axiom(p, coll)
+        assert got[0] == is_independent_on(p, coll).holds
+        assert got == check_collection_independence_axiom_reference(p, coll, quad_limit=5000)
+
+
 def _dependent_row(n_rows, n_cols, row):
     """Uniform marginals on (n_rows, n_cols), with the rows before ``row``
     independent of the columns: ``row`` moves 1/(n_rows n_cols) from its
@@ -551,18 +607,6 @@ def test_scan_and_trial_errors_carry_reproducer(uniform_2x2, monkeypatch):
     with pytest.raises(ConsistencyError, match="no violating tuple") as exc:
         check_subspace_independence_axiom(full, trials=0)
     assert exc.value.context == {"shape": (2, 2), "vertices": vertices}
-
-
-def test_missing_witness_carries_reproducer(monkeypatch):
-    monkeypatch.setattr(preferences, "_product_identity_witness", lambda p, coll: None)
-    diag = JointDistribution(ProductSpace((2, 2)), (F(1, 2), 0, 0, F(1, 2)))
-    with pytest.raises(ConsistencyError, match="no product-identity witness") as exc:
-        check_collection_independence_axiom(diag, Collection.of({0}, {1}))
-    assert exc.value.context == {
-        "shape": (2, 2),
-        "weights": ["1/2", "0", "0", "1/2"],
-        "collection": [[0], [1]],
-    }
 
 
 def test_subspace_independence_rejects_negative_trials(uniform_2x2):
