@@ -7,8 +7,11 @@ For each shape of the ladder, smallest first, the set is the one that
 SEED = 1 (denominator 12, full support).  Three measurements run, each `RUNS` = 3
 times, every run in a fresh Python process that imports corrpoly from this
 checkout's `src/`.  A measurement reports its run with the median `seconds`,
-and all three times as `runs_s`, so that two commits' ladders can be
-ordered by more than one sample each:
+each rate (`events_per_s`, `certificates_per_s`) as the median of the three
+runs' rates, and all three times as `runs_s`, so that two commits' ladders
+can be ordered by more than one sample each.  The rate is a median of its
+own because the `mi` runs all last about 0.5 s, so the run with the median
+seconds is an arbitrary one of them:
 
 * `vertices`: one `cs.vertices()`, the enumeration of the extreme points,
   and, after the timing, `bytes_per_vertex`: the bytes of the set and its
@@ -51,6 +54,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -183,8 +187,9 @@ def child(args: list[str], timeout: float) -> subprocess.CompletedProcess | None
 
 def measure(task: str, sizes: tuple[int, ...]) -> dict:
     """``task`` on ``sizes`` in `RUNS` fresh processes: the run with the
-    median seconds, and every run's seconds as ``runs_s``.  A run that
-    fails or does not finish is reported as it is and not repeated."""
+    median seconds, each ``*_per_s`` rate as the median of the runs' rates,
+    and every run's seconds as ``runs_s``.  A run that fails or does not
+    finish is reported as it is and not repeated."""
     runs = []
     for _ in range(RUNS):
         done = child(["-c", CHILD, json.dumps([task, sizes, SEED])], TIMEOUT_S)
@@ -194,7 +199,10 @@ def measure(task: str, sizes: tuple[int, ...]) -> dict:
             return {"status": "failed", "stderr": done.stderr.strip().splitlines()[-1:]}
         runs.append(json.loads(done.stdout))
     median = sorted(runs, key=lambda run: run["seconds"])[len(runs) // 2]
-    return {"status": "ok", **median, "runs_s": [run["seconds"] for run in runs]}
+    rates = {
+        key: statistics.median(run[key] for run in runs) for key in median if key.endswith("_per_s")
+    }
+    return {"status": "ok", **median, **rates, "runs_s": [run["seconds"] for run in runs]}
 
 
 def acceptance() -> dict:

@@ -61,8 +61,7 @@ def _event_from_arg(scn: scenario.Scenario, text: str) -> Event:
     return parse_event(scn.space, text)
 
 
-def cmd_dim(args) -> int:
-    scn = scenario.load(args.scenario)
+def cmd_dim(scn: scenario.Scenario, args) -> int:
     cs = scn.correlation_set()
     rows = [["dimension", polytope.dimension(cs)]]
     colls = [parse_collection_spec(c, scn.space.n_subspaces) for c in args.collection or []]
@@ -74,8 +73,7 @@ def cmd_dim(args) -> int:
     return 0
 
 
-def cmd_vertices(args) -> int:
-    scn = scenario.load(args.scenario)
+def cmd_vertices(scn: scenario.Scenario, args) -> int:
     cs = scn.correlation_set()
     vertices = cs.vertices(guard=args.guard)
     if args.format == "prior":
@@ -90,8 +88,7 @@ def cmd_vertices(args) -> int:
     return 0
 
 
-def cmd_capacity(args) -> int:
-    scn = scenario.load(args.scenario)
+def cmd_capacity(scn: scenario.Scenario, args) -> int:
     cs = scn.correlation_set()
     event = _event_from_arg(scn, args.event)
     value = capacity.capacity_value(cs, event)
@@ -100,8 +97,7 @@ def cmd_capacity(args) -> int:
     return 0
 
 
-def cmd_mi(args) -> int:
-    scn = scenario.load(args.scenario)
+def cmd_mi(scn: scenario.Scenario, args) -> int:
     cs = scn.correlation_set()
     if args.at is not None:
         scenario.parse_rational(args.at)  # parsed even where --weights or --vertex leave it unused
@@ -136,8 +132,7 @@ def cmd_mi(args) -> int:
     return 0
 
 
-def cmd_independence(args) -> int:
-    scn = scenario.load(args.scenario)
+def cmd_independence(scn: scenario.Scenario, args) -> int:
     cs = scn.correlation_set()
     prior = _prior_at(scn, args.at, cs)
     coll = parse_collection_spec(args.collection, scn.space.n_subspaces)
@@ -154,8 +149,7 @@ def cmd_independence(args) -> int:
     return 0 if verdict.holds else 2
 
 
-def cmd_evaluate(args) -> int:
-    scn = scenario.load(args.scenario)
+def cmd_evaluate(scn: scenario.Scenario, args) -> int:
     cs = scn.correlation_set()
     value = _param_value(scn, args.at)
     prior = scn.prior_set(cs, param_value=value)
@@ -190,8 +184,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_check_axiom(args) -> int:
-    scn = scenario.load(args.scenario)
+def cmd_check_axiom(scn: scenario.Scenario, args) -> int:
     prior = _prior_at(scn, args.at)
     if args.axiom == "subspace-consistency":
         subs = [
@@ -236,8 +229,7 @@ def cmd_check_axiom(args) -> int:
     return 0 if holds else 2
 
 
-def cmd_compare(args) -> int:
-    first = scenario.load(args.scenario)
+def cmd_compare(first: scenario.Scenario, args) -> int:
     second = scenario.load(args.second)
     prior_a = _prior_at(first, args.at)
     prior_b = _prior_at(second, args.at_second)
@@ -258,8 +250,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    scn = scenario.load(args.scenario)
+def cmd_sweep(scn: scenario.Scenario, args) -> int:
     text = applications.sweep_csv(scn, parameter=args.param)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -353,7 +344,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(scenario.load(args.scenario), args)
     except (CorrpolyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

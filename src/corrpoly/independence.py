@@ -91,11 +91,11 @@ def event_family(
     target = Event.full(p.space)
     product = Fraction(1)
     for member, ev in zip(coll.members, events):
-        idx = sorted(member)
-        target = target & embed_cylinder(ev, p.space, idx)
+        cyl = embed_cylinder(ev, p.space, sorted(member))
         if not ev.mask:
             raise CorrpolyError("member events must be non-empty")
-        product *= marginalize(p, idx).prob_event(ev)
+        target = target & cyl
+        product *= p.prob_event(cyl)
     return target, product
 
 

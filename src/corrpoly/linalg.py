@@ -4,13 +4,14 @@ All routines take matrices as sequences of rows whose entries are ints or
 ``fractions.Fraction`` and never round: ranks, kernels and solutions are
 exact.  A matrix whose rows differ in length raises `CorrpolyError`.
 
-`rank`, `nullspace` and `rref` reduce on one integer pivot step,
-`_pivot_step`, which `lp`'s simplex pivots on too: fraction-free, as in
-Bareiss (1968), on integer rows that it keeps primitive.  Rational rows are
-first scaled to integer rows, which changes no rank, kernel or rref.  The
-kernel comes out as `_integer_kernel`: the rref's kernel basis times the
-least common denominator of its entries, with that denominator beside it;
-`nullspace` and `rref` are Fraction views of the integer results.
+`rank`, `_integer_reduce` and `_integer_kernel` reduce on one integer
+pivot step, `_pivot_step`, which `lp`'s simplex pivots on too:
+fraction-free, as in Bareiss (1968), on integer rows that it keeps
+primitive.  Rational rows are first scaled to integer rows, which changes
+no rank, kernel or rref.  `_integer_reduce` returns the rref as integer
+rows, each the rref's row times its pivot entry, and `_integer_kernel` the
+rref's kernel basis times the least common denominator of its entries,
+with that denominator beside it.
 
 A sparse Fraction step serves only the vertex search in `polytope`: its
 column reduction, and `_reduce`, which solves each covering support's
@@ -197,30 +198,16 @@ def _integer_reduce(rows: Sequence[Row]) -> tuple[list[Sequence[int]], list[int]
     return m, pivots
 
 
-def rref(rows: Sequence[Row]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form, with Fraction entries.  Returns (reduced
-    matrix, pivot columns)."""
-    m, pivots = _integer_reduce(rows)
-    scales = [row[c] for row, c in zip(m, pivots)] + [1] * (len(m) - len(pivots))
-    return [[Fraction(x, s) for x in row] for row, s in zip(m, scales)], pivots
-
-
 def rank(rows: Sequence[Row]) -> int:
     return len(_integer_reduce(rows)[1])
 
 
-def nullspace(rows: Sequence[Row]) -> list[Vector]:
-    """Basis of the kernel, one vector per free column of the rref: the
-    Fraction view of `_integer_kernel`."""
-    basis, scale = _integer_kernel(rows)
-    return [tuple([Fraction(x, scale) for x in v]) for v in basis]
-
-
 def _integer_kernel(rows: Sequence[Row]) -> tuple[list[list[int]], int]:
-    """The kernel basis of `nullspace` times the least common denominator
-    ``L`` of its entries, and ``L``: integer vectors whose entries have gcd
-    1 over the whole basis (each vector has ``L`` in its free column).
-    ``([], 1)`` when the kernel is trivial."""
+    """The kernel basis read off the rref (one vector per free column,
+    with 1 there and the negated rref entries in the pivot columns) times
+    the least common denominator ``L`` of its entries, and ``L``: integer
+    vectors whose entries have gcd 1 over the whole basis (each vector has
+    ``L`` in its free column).  ``([], 1)`` when the kernel is trivial."""
     m, pivots = _integer_reduce(rows)
     if not m:
         return [], 1

@@ -452,15 +452,20 @@ def in_convex_hull(
     point: Sequence[Fraction], vertices: Sequence[Sequence[Fraction]]
 ) -> bool:
     """Exact membership of ``point`` in the convex hull of ``vertices``:
-    whether some convex weights on the vertices sum to it."""
+    whether some convex weights on the vertices sum to it.  That is the
+    feasibility of the weights, so phase 1 decides it, and the start's
+    primal check certifies a positive verdict."""
     if not vertices:
         return False
     if any(len(v) != len(point) for v in vertices):
         raise CorrpolyError("every vertex needs as many coordinates as the point")
     matrix = [[v[k] for v in vertices] for k in range(len(point))]
     matrix.append([1] * len(vertices))
+    program = LinearProgram((0,) * len(vertices), matrix, (*point, 1))
     try:
-        solve_lp_min(LinearProgram((0,) * len(vertices), matrix, (*point, 1)))
+        feasible_start(program)._root()
     except InfeasibleError:
         return False
+    except ConsistencyError as exc:
+        _fail(program, exc)
     return True

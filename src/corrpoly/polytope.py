@@ -173,26 +173,28 @@ class CorrelationSet:
         self.system = build_marginal_system(space, marginals)
         self.marginals = self.system.marginals
         self.kernel = kernel_basis_rectangles(space)
-        self._independent_product: Optional[JointDistribution] = None
-        self._independent_numerators: Optional[tuple[tuple[int, ...], int]] = None
         self._vertices: Optional[tuple[JointDistribution, ...]] = None
-        self._rows: Optional[tuple[tuple[tuple[int, ...], int, int], ...]] = None
         self._capacity = None  # attached by corrpoly.capacity
 
-    @property
+    @functools.cached_property
     def independent_product(self) -> JointDistribution:
-        if self._independent_product is None:
-            self._independent_product = independent_product(self.marginals, self.space)
-        return self._independent_product
+        return independent_product(self.marginals, self.space)
 
-    @property
+    @functools.cached_property
     def independent_numerators(self) -> tuple[tuple[int, ...], int]:
         """The independent product's integer weights over their common
         denominator (`linalg.integer_numerators`), computed once."""
-        if self._independent_numerators is None:
-            nums, denom = linalg.integer_numerators(self.independent_product.weights)
-            self._independent_numerators = (tuple(nums), denom)
-        return self._independent_numerators
+        nums, denom = linalg.integer_numerators(self.independent_product.weights)
+        return tuple(nums), denom
+
+    @functools.cached_property
+    def _rows(self) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+        """The shape's state lists, one per row of the marginal system, with
+        this set's right-hand side as integer pairs."""
+        return tuple(
+            (states, b.numerator, b.denominator)
+            for states, b in zip(_row_states(self.space.subspace_sizes), self.system.rhs)
+        )
 
     def contains(self, p: JointDistribution) -> bool:
         """Whether ``p`` has the prescribed marginals (`require_member`)."""
@@ -216,11 +218,6 @@ class CorrelationSet:
         system, summed over them, equals its right-hand side.  The rows of
         a subspace cover every state once, so the weights then sum to 1.
         Returns ``nums`` and ``denom``."""
-        if self._rows is None:  # the shape's state lists, with this set's rhs
-            self._rows = tuple(
-                (states, b.numerator, b.denominator)
-                for states, b in zip(_row_states(self.space.subspace_sizes), self.system.rhs)
-            )
         if min(nums, default=0) < 0:
             raise NotInCorrelationSetError(f"{what} has a negative weight")
         if not all(

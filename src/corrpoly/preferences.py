@@ -118,16 +118,19 @@ class RiskUtility:
         except OverflowError:
             raise CorrpolyError("wealth is beyond the float range") from None
         if self.rho is None:
-            return c
-        x = c / self.scale
-        if x <= 0:
+            u = c
+        elif (x := c / self.scale) <= 0:  # x is inf when the quotient overflows
             raise CorrpolyError("CRRA utility needs positive scaled wealth")
-        if abs(self.rho - 1.0) < 1e-12:
-            return math.log(x)
-        try:
-            return (x ** (1.0 - self.rho) - 1.0) / (1.0 - self.rho)
-        except OverflowError:
-            raise CorrpolyError(f"CRRA utility of {x} overflows at rho={self.rho}") from None
+        elif abs(self.rho - 1.0) < 1e-12:
+            u = math.log(x)
+        else:
+            try:
+                u = (x ** (1.0 - self.rho) - 1.0) / (1.0 - self.rho)
+            except OverflowError:
+                raise CorrpolyError(f"CRRA utility of {x} overflows at rho={self.rho}") from None
+        if not math.isfinite(u):
+            raise CorrpolyError(f"the utility of wealth {c} is beyond the float range")
+        return u
 
 
 class PriorSet:

@@ -10,8 +10,9 @@ oracle: they are the exhaustive versions of the package's exactness check
 and non-convexity witness, which read the few values their proofs need.
 Fréchet's bound gives the capacity of a rectangle in closed form, with no
 vertex, on any shape, and Strassen's theorem the capacity of any event of
-two subspaces, by an integer max flow.  `face_basis_reference` is the face
-at a point from `_rref`.
+two subspaces, by an integer max flow.  Klee and Witzgall's forest test
+checks the support of each vertex of two subspaces on any shape, with no
+vertex oracle.  `face_basis_reference` is the face at a point from `_rref`.
 The mutual-information references at the
 end keep the package's earlier Fraction-based divergence and entropy
 loops, membership test, sampler, eager probe construction and per-step
@@ -200,6 +201,34 @@ def strassen_capacity_value(marginal_weights, states):
         (i, j) for i in range(len(rows)) for j in range(len(cols)) if (i, j) not in in_event
     ]
     return Fraction(denom - _max_flow(rows, cols, complement), denom)
+
+
+def support_is_forest(sizes, weights):
+    """Whether the support of a coupling of two subspaces is a forest: the
+    bipartite graph with one node per state of each subspace, and one edge
+    (i, j) per state of positive weight (``weights`` row-major over
+    ``sizes`` = (m, n)), has no cycle.  Every vertex of a two-subspace
+    correlation set, a transportation polytope, has such a support (Klee &
+    Witzgall 1968): along a cycle, alternately adding and subtracting a
+    small amount keeps the marginals, so the point would lie between two
+    couplings.  Reads only which weights are zero; union-find on state
+    indices, no arithmetic on the weights."""
+    m, n = sizes
+    parent = list(range(m + n))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for k, w in enumerate(weights):
+        if w:
+            a, b = root(k // n), root(m + k % n)
+            if a == b:
+                return False
+            parent[a] = b
+    return True
 
 
 def _max_flow(row_caps, col_caps, edges):

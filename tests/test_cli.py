@@ -28,7 +28,7 @@ from corrpoly import (
     sample_member,
 )
 from corrpoly.cli import build_parser, main
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, random_correlation_set, random_marginal
 from bruteforce import (
     check_collection_independence_axiom_reference,
     check_subspace_independence_axiom_reference,
@@ -677,6 +677,72 @@ def _drawn_belief(sizes, weights, data):
         sample_member(cs, rng).weights,
     ]
     return data.draw(st.sampled_from(beliefs))
+
+
+def _prior_text(sizes, weights, vertices):
+    """Scenario text over ``sizes`` with marginal ``weights`` and a PRIOR of
+    ``vertices``; subspace i is ``s<i>``, with states ``s<i>x<j>``."""
+    out = ["SPACE"]
+    out += [f"s{i}: {' '.join(f's{i}x{j}' for j in range(n))}" for i, n in enumerate(sizes)]
+    out += ["", "MARGINALS"]
+    out += [f"s{i}: {' '.join(map(str, ws))}" for i, ws in enumerate(weights)]
+    out += ["", "PRIOR", *(f"vertex: {' '.join(map(str, v))}" for v in vertices)]
+    return "\n".join(out) + "\n"
+
+
+@st.composite
+def multi_vertex_priors(draw):
+    """Sizes, marginal weights and the 2-4 distinct vertices of a prior:
+    oracle vertices and `sample_member` draws of a drawn scenario in which
+    two subspaces have two states of positive weight (so its set is no
+    single point), or a lifted prior, as `test_preferences.lifted_priors`
+    draws them (one marginal on subspace 0 times oracle vertices, the
+    product or draws of a set on two more subspaces, sometimes with one
+    coupled draw of the whole set), under which subspace 0 is independent
+    of the rest."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    if draw(st.booleans()):
+        _, sizes, weights, _, _ = draw(small_scenarios().filter(
+            lambda drawn: sum(sum(w > 0 for w in ws) >= 2 for ws in drawn[2]) >= 2
+        ))
+        cs = CorrelationSet(ProductSpace(sizes), [Marginal(i, ws) for i, ws in enumerate(weights)])
+        members = sorted(oracle_vertices(sizes, weights))
+        members += [sample_member(cs, rng).weights for _ in range(2)]
+        extra = []
+    else:
+        size0 = draw(st.sampled_from([2, 3]))
+        rest = random_correlation_set(draw(st.sampled_from([(2, 2), (2, 3), (3, 2)])), rng)
+        rest_sizes, rest_weights = rest.space.subspace_sizes, [m.weights for m in rest.marginals]
+        mu0 = random_marginal(0, size0, rng).weights
+        sizes, weights = (size0, *rest_sizes), [mu0, *rest_weights]
+        rest_members = [
+            *sorted(oracle_vertices(rest_sizes, rest_weights)),
+            rest.independent_product.weights,
+            *(sample_member(rest, rng).weights for _ in range(2)),
+        ]
+        members = [tuple(a * w for a in mu0 for w in m) for m in rest_members]
+        whole = CorrelationSet(ProductSpace(sizes), [Marginal(i, ws) for i, ws in enumerate(weights)])
+        extra = [sample_member(whole, rng).weights] if draw(st.booleans()) else []
+    members = list(dict.fromkeys(members))
+    picks = draw(st.lists(st.sampled_from(range(len(members))), min_size=2, max_size=3, unique=True))
+    vertices = list(dict.fromkeys([*(members[k] for k in picks), *extra]))
+    return tuple(sizes), weights, vertices
+
+
+@settings(max_examples=25, deadline=None)
+@given(multi_vertex_priors())
+def test_subspace_independence_on_multi_vertex_priors_matches_its_oracle(drawn):
+    sizes, weights, vertices = drawn
+    space = ProductSpace(sizes)
+    prior = PriorSet(space, [JointDistribution(space, v) for v in vertices])
+    holds, ce = check_subspace_independence_axiom_reference(prior, trials=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.scn")
+        Path(path).write_text(_prior_text(sizes, weights, vertices), encoding="utf-8")
+        got = _main_in_process(
+            "check-axiom", path, "--axiom", "subspace-independence", "--trials", "0"
+        )
+    assert got == (0 if holds else 2, _counterexample_lines(holds, ce), "")
 
 
 THREE_SUBSPACE_COLLECTIONS = {

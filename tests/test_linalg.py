@@ -20,23 +20,32 @@ def test_fraction_tuple_rejects_what_is_no_finite_rational(value):
         linalg.fraction_tuple((F(1, 2), value))
 
 
+def _fraction_rref(m):
+    """The rref of ``m`` in Fractions, read off `linalg._integer_reduce`:
+    each pivot row divided by its entry in its pivot column."""
+    rows, pivots = linalg._integer_reduce(m)
+    scales = [row[c] for row, c in zip(rows, pivots)] + [1] * (len(rows) - len(pivots))
+    return [[F(x, s) for x in row] for row, s in zip(rows, scales)], pivots
+
+
 def test_rref_and_rank():
     m = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    red, pivots = linalg.rref(m)
+    rows, pivots = linalg._integer_reduce(m)
     assert pivots == [0, 1]
+    assert rows == [(1, 0, 1), (0, 1, 1), (0, 0, 0)]
     assert linalg.rank(m) == 2
 
 
 def test_rref_rejects_ragged_rows():
     with pytest.raises(CorrpolyError, match="ragged matrix: row 1 has 2 entries, row 0 has 3"):
-        linalg.rref([[1, 2, 3], [4, 5]])
+        linalg._integer_reduce([[1, 2, 3], [4, 5]])
     with pytest.raises(CorrpolyError, match="ragged matrix: row 1 has 1 entries, row 0 has 2"):
         linalg._reduce([[1, 0], [0]])
 
 
 def test_nullspace_rejects_ragged_rows():
     with pytest.raises(CorrpolyError, match="ragged matrix: row 1 has 3 entries, row 0 has 2"):
-        linalg.nullspace([[1, 2], [3, 4, 5]])
+        linalg._integer_kernel([[1, 2], [3, 4, 5]])
 
 
 @st.composite
@@ -64,23 +73,23 @@ def sparse_matrices(draw):
 @example([[F(0)], [F(3, 2)], [F(0)], [F(-1)]])  # n x 1
 @example([[0, 0, 0], [0, 1, 1], [0, 0, 0], [1, 0, 1]])  # a zero row and a zero column
 def test_rref_matches_the_reference_entry_for_entry(m):
-    red, pivots = linalg.rref(m)
+    red, pivots = _fraction_rref(m)
     ref_red, ref_pivots = rref_reference(m)
     assert pivots == ref_pivots
     assert red == ref_red
-    assert all(type(x) is Fraction for row in red for x in row)
+    assert all(type(x) is int for row in linalg._integer_reduce(m)[0] for x in row)
 
 
 def test_nullspace_dimensions():
     m = [[1, 1, 0, 0], [0, 0, 1, 1]]
-    basis = linalg.nullspace(m)
-    assert len(basis) == 2
+    basis, scale = linalg._integer_kernel(m)
+    assert len(basis) == 2 and scale == 1
     for v in basis:
         assert all(x == 0 for x in linalg.mat_vec(m, v))
 
 
 # Integer elimination: ints stay ints until a pivot other than 1 divides,
-# and every public result is a Fraction equal to the Fraction reference's.
+# and every result, read as Fractions, equals the Fraction reference's.
 @st.composite
 def leading_pivot_matrices(draw, entries, leads):
     """Matrices of 1-5 rows and 1-5 columns, about half their entries zero,
@@ -144,11 +153,9 @@ def _all_fractions(vectors):
 def test_rank_and_nullspace_match_the_reference_in_fractions(m):
     ref_red, ref_pivots = rref_reference(m)
     assert linalg.rank(m) == len(ref_pivots)
-    basis = linalg.nullspace(m)
-    assert basis == _reference_kernel(ref_red, ref_pivots, len(m[0]))
-    assert _all_fractions(basis)
-    red, pivots = linalg.rref(m)
-    assert (red, pivots) == (ref_red, ref_pivots) and _all_fractions(red)
+    basis, scale = linalg._integer_kernel(m)
+    assert [tuple(F(x, scale) for x in v) for v in basis] == _reference_kernel(ref_red, ref_pivots, len(m[0]))
+    assert _fraction_rref(m) == (ref_red, ref_pivots)
 
 
 @st.composite
@@ -220,9 +227,9 @@ def test_vertices_and_face_bases_hold_fractions_only(weights):
     assert len(face_basis(cs, cs.independent_product)) == dimension(cs)
 
 
-# The integer kernel: `rank`, `nullspace` and `rref` reduce on primitive
-# integer rows with `_pivot_step`, and the kernel is the reference kernel
-# times its least common denominator.
+# The integer kernel: `rank`, `_integer_reduce` and `_integer_kernel` reduce
+# on primitive integer rows with `_pivot_step`, and the kernel is the
+# reference kernel times its least common denominator.
 INTEGER_KERNEL_EXAMPLES = (
     [[F(0), F(2), F(0), F(-1, 3)]],  # one row
     [[F(0)], [F(3, 2)], [F(0)], [F(-1)]],  # one column
@@ -256,7 +263,7 @@ def test_integer_kernel_is_the_reference_kernel_times_its_least_common_denominat
     assert scale == math.lcm(*(x.denominator for v in reference for x in v))
     assert [tuple(x * scale for x in v) for v in reference] == [tuple(v) for v in basis]
     assert math.gcd(*(x for v in basis for x in v)) == (1 if basis else 0)
-    assert linalg.rref(m) == (ref_red, ref_pivots)
+    assert _fraction_rref(m) == (ref_red, ref_pivots)
 
 
 def test_pivot_step_makes_the_pivot_row_positive_and_the_other_rows_primitive():

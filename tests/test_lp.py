@@ -557,3 +557,41 @@ def test_rational_programs_match_the_fraction_reference(drawn):
 def test_in_convex_hull_rejects_vertices_of_another_length(point, vertices):
     with pytest.raises(CorrpolyError, match="as many coordinates as the point"):
         in_convex_hull(point, vertices)
+
+
+@st.composite
+def _hull_queries(draw):
+    """A point and 1-5 vertices in 1-3 coordinates, repeats allowed: the
+    point is a convex combination of the vertices (some weights zero), that
+    combination moved along one coordinate, or any point."""
+    d, k = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    vertex = st.lists(_SMALL_FRACTIONS, min_size=d, max_size=d)
+    vertices = draw(st.lists(vertex, min_size=k, max_size=k))
+    weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+    point = [sum(w * v[i] for w, v in zip(weights, vertices)) / sum(weights) for i in range(d)]
+    kind = draw(st.sampled_from(["combination", "moved", "any"]))
+    if kind == "moved":
+        point[draw(st.integers(0, d - 1))] += draw(_SMALL_FRACTIONS)
+    elif kind == "any":
+        point = draw(vertex)
+    return point, vertices
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hull_queries())
+def test_in_convex_hull_is_decided_by_phase_1_alone(drawn):
+    # membership is the feasibility of the convex weights, which the
+    # Fraction reference decides by its phase 1
+    point, vertices = drawn
+    matrix = [[v[k] for v in vertices] for k in range(len(point))] + [[1] * len(vertices)]
+    try:
+        solve_lp_min_reference(LinearProgram((0,) * len(vertices), matrix, (*point, 1)))
+        want = True
+    except InfeasibleError:
+        want = False
+
+    def no_phase2(*args):
+        raise AssertionError("a hull membership ran phase 2")
+
+    with mock.patch.object(lp, "phase2", no_phase2), mock.patch.object(lp, "solve_lp_min", no_phase2):
+        assert in_convex_hull(point, vertices) == want

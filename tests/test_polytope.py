@@ -34,6 +34,7 @@ from bruteforce import (
     face_basis_reference,
     oracle_vertices,
     sample_member_reference,
+    support_is_forest,
 )
 from corrpoly.polytope import _face_directions, face_basis
 
@@ -171,6 +172,29 @@ def test_vertex_counts_are_pinned_beyond_the_oracle(sizes, count):
     vertices = cs.vertices()
     assert len(vertices) == count
     assert len(set(vertices)) == count
+
+
+TWO_SUBSPACE_MARGINALS = {
+    **{
+        f"seeded-{a}x{b}": [m.weights for m in random_correlation_set((a, b), random.Random(1)).marginals]
+        for a, b in [(3, 4), (4, 4), (2, 6), (3, 5)]
+    },
+    **{name: ws for name, ws in DEGENERATE_MARGINALS.items() if len(ws) == 2},
+}
+
+
+@pytest.mark.parametrize("weights", list(TWO_SUBSPACE_MARGINALS.values()), ids=list(TWO_SUBSPACE_MARGINALS))
+def test_vertex_supports_of_two_subspaces_are_forests(weights):
+    # Klee & Witzgall: a cycle in the support of a point would let it move
+    # both ways along the cycle, so no vertex has one
+    cs = correlation_set_of(weights)
+    sizes = cs.space.subspace_sizes
+    vertices = cs.vertices()
+    assert vertices and all(support_is_forest(sizes, v.weights) for v in vertices)
+    # the test can fail: a product of two marginals with two positive
+    # weights each has a 4-cycle in its support
+    if all(sum(w > 0 for w in ws) >= 2 for ws in weights):
+        assert not support_is_forest(sizes, cs.independent_product.weights)
 
 
 @pytest.mark.parametrize("sizes", [(3, 4), (2, 2, 3)], ids=["3x4", "2x2x3"])

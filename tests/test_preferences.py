@@ -278,6 +278,11 @@ def test_risk_utility_of_wealth_beyond_the_float_range_is_an_error():
     for utility in (RiskUtility(), RiskUtility(rho=2.0, scale=6.0)):
         with pytest.raises(CorrpolyError, match="beyond the float range"):
             utility.apply(10**400)
+    # the wealth is a float, but wealth / scale overflows to inf, and so
+    # would the utility
+    for rho in (0.5, 1.0):
+        with pytest.raises(CorrpolyError, match="beyond the float range"):
+            RiskUtility(rho=rho, scale=1e-300).apply(1e300)
 
 
 @settings(max_examples=25, deadline=None)
