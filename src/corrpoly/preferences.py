@@ -99,8 +99,9 @@ class RiskUtility:
     constant relative risk aversion with a positive scale normalizer.
 
     The CRRA branch uses the increasing normalization ((c/s)^(1-rho)-1)/(1-rho)
-    (log for rho = 1) and is only defined for positive scaled wealth.  Bad
-    fields and a utility beyond the float range raise `CorrpolyError`.
+    (log for rho = 1) and is only defined for positive wealth; where c/s
+    underflows to 0.0 it is computed from log c - log s.  Bad fields and a
+    utility beyond the float range raise `CorrpolyError`.
     """
 
     rho: Optional[float] = None
@@ -119,9 +120,18 @@ class RiskUtility:
             raise CorrpolyError("wealth is beyond the float range") from None
         if self.rho is None:
             u = c
-        elif (x := c / self.scale) <= 0:  # x is inf when the quotient overflows
+        elif c <= 0:
             raise CorrpolyError("CRRA utility needs positive scaled wealth")
-        elif abs(self.rho - 1.0) < 1e-12:
+        elif (x := c / self.scale) == 0.0:  # the quotient underflows: log x = log c - log scale
+            log_x = math.log(c) - math.log(self.scale)
+            if abs(self.rho - 1.0) < 1e-12:
+                u = log_x
+            else:
+                try:
+                    u = (math.exp((1.0 - self.rho) * log_x) - 1.0) / (1.0 - self.rho)
+                except OverflowError:
+                    u = math.inf
+        elif abs(self.rho - 1.0) < 1e-12:  # x is inf when the quotient overflows
             u = math.log(x)
         else:
             try:

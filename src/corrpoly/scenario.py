@@ -37,13 +37,15 @@ from .space import Act, Collection, Event, JointDistribution, Marginal, ProductS
 
 _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?$")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_SIGN_RE = re.compile(r"([+-])")
 # a name, an operator, or (group 2) any other character that is not white space
 _EVENT_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|[=\[\],()|&~*])|(\S))")
 
 SECTIONS = ("SPACE", "MARGINALS", "ACTS", "EVENTS", "PRIOR", "SWEEP")
 
 
-def parse_rational(token: str, line: Optional[int] = None) -> Fraction:
+def _rational_parts(token: str, line: Optional[int]) -> tuple[int, int]:
+    """The integer numerator and positive denominator that ``token`` writes."""
     if not _RATIONAL_RE.match(token):
         raise ScenarioError(f"not an exact rational: {token!r}", line)
     num, _, den = token.partition("/")
@@ -53,6 +55,11 @@ def parse_rational(token: str, line: Optional[int] = None) -> Fraction:
         raise ScenarioError(f"too many digits in rational {token[:20]}...", line) from None
     if den == 0:
         raise ScenarioError(f"zero denominator in {token!r}", line)
+    return num, den
+
+
+def parse_rational(token: str, line: Optional[int] = None) -> Fraction:
+    num, den = _rational_parts(token, line)
     return Fraction(num, den)
 
 
@@ -83,40 +90,50 @@ class LinExpr:
 
 
 def parse_expr(text: str, line: Optional[int] = None) -> LinExpr:
-    """Parse a rational-linear expression like ``1/6+a``, ``1/2-a`` or ``2*a``."""
+    """Parse a rational-linear expression like ``1/6+a``, ``1/2-a`` or ``2*a``.
+
+    The value is a signed sum of terms ``r``, ``r*name`` and ``name``, with
+    white space allowed around each part and at most one parameter name.
+    One pass over the terms sums the constant and the coefficient as integer
+    numerator/denominator pairs; each is made a `Fraction` once, at the end.
+    Errors name the first bad term, with the sign that precedes it dropped.
+    """
     s = text.strip()
     if not s:
         raise ScenarioError("empty expression", line)
-    terms = re.findall(r"[+-]?[^+-]+", s)
-    if "".join(terms) != s:
+    if _RATIONAL_RE.match(s):  # one constant term, the common case
+        return LinExpr(-parse_rational(s[1:], line) if s[0] == "-" else parse_rational(s, line))
+    parts = _SIGN_RE.split(s)  # [term, sign, term, sign, term, ...]
+    if not all(parts[2::2]):  # a sign followed by another sign or by nothing
         raise ScenarioError(f"stray sign in expression {s!r}", line)
-    const = Fraction(0)
-    coeff = Fraction(0)
+    cn, cd = 0, 1  # the constant, cn / cd
+    kn, kd = 0, 1  # the coefficient of param, kn / kd
     param: Optional[str] = None
-    for term in terms:
-        term = term.strip()
-        sign = Fraction(1)
-        if term.startswith("+"):
-            term = term[1:].strip()
-        elif term.startswith("-"):
-            sign = Fraction(-1)
-            term = term[1:].strip()
+    for k in range(0 if parts[0] else 2, len(parts), 2):
+        term = parts[k].strip()
         if "*" in term:
-            mag, name = (t.strip() for t in term.split("*", 1))
+            mag, name = term.split("*", 1)
+            name = name.strip()
             if not _NAME_RE.match(name):
                 raise ScenarioError(f"bad parameter name {name!r}", line)
         elif _NAME_RE.match(term):
             mag, name = "1", term
         else:
-            const += sign * parse_rational(term, line)
-            continue
-        if param is not None and param != name:
-            raise ScenarioError("at most one parameter per expression", line)
-        param = name
-        coeff += sign * parse_rational(mag, line)
-    if coeff == 0:
-        param = None
-    return LinExpr(const, coeff, param)
+            mag, name = term, None
+        if name is not None:
+            if param is not None and param != name:
+                raise ScenarioError("at most one parameter per expression", line)
+            param = name
+        n, d = _rational_parts(mag.strip(), line)
+        if k and parts[k - 1] == "-":
+            n = -n
+        if name is None:
+            cn, cd = cn * d + n * cd, cd * d
+        else:
+            kn, kd = kn * d + n * kd, kd * d
+    if kn == 0:
+        return LinExpr(Fraction(cn, cd))
+    return LinExpr(Fraction(cn, cd), Fraction(kn, kd), param)
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,16 @@ search, and of the element-wise independence test, which the cell-table
 versions must match field for field.  The LP
 references keep the package's earlier two-phase simplex on Fractions,
 whose phase-1 tableau and solutions the integer simplex must match.
+`parse_expr_reference` keeps the package's earlier scenario expression
+reader, one `Fraction` per term, whose values and error messages the
+integer reader must match.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 
@@ -792,3 +796,69 @@ def solve_lp_min_reference(program):
     )
     assert sum((b * yi for b, yi in zip(program.eq_rhs, y)), Fraction(0)) == optimum
     return LPSolution(optimum, tuple(x), tuple(y))
+
+
+# --- the package's earlier expression reader, kept as the scenario reference -
+
+# `parse_expr` as it was before it summed its terms in integers: one
+# `Fraction` per term and per sign, and `parse_rational` on every rational.
+# The package's reader must return an equal `LinExpr`, or raise a
+# `ScenarioError` with the same message and line, on every token.
+
+_RATIONAL_RE_REFERENCE = re.compile(r"-?\d+(/\d+)?$")
+_NAME_RE_REFERENCE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+
+
+def parse_rational_reference(token, line=None):
+    from corrpoly import ScenarioError
+
+    if not _RATIONAL_RE_REFERENCE.match(token):
+        raise ScenarioError(f"not an exact rational: {token!r}", line)
+    num, _, den = token.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # longer than int()'s digit limit
+        raise ScenarioError(f"too many digits in rational {token[:20]}...", line) from None
+    if den == 0:
+        raise ScenarioError(f"zero denominator in {token!r}", line)
+    return Fraction(num, den)
+
+
+def parse_expr_reference(text, line=None):
+    """Parse a rational-linear expression like ``1/6+a``, ``1/2-a`` or ``2*a``."""
+    from corrpoly import ScenarioError
+    from corrpoly.scenario import LinExpr
+
+    s = text.strip()
+    if not s:
+        raise ScenarioError("empty expression", line)
+    terms = re.findall(r"[+-]?[^+-]+", s)
+    if "".join(terms) != s:
+        raise ScenarioError(f"stray sign in expression {s!r}", line)
+    const = Fraction(0)
+    coeff = Fraction(0)
+    param = None
+    for term in terms:
+        term = term.strip()
+        sign = Fraction(1)
+        if term.startswith("+"):
+            term = term[1:].strip()
+        elif term.startswith("-"):
+            sign = Fraction(-1)
+            term = term[1:].strip()
+        if "*" in term:
+            mag, name = (t.strip() for t in term.split("*", 1))
+            if not _NAME_RE_REFERENCE.match(name):
+                raise ScenarioError(f"bad parameter name {name!r}", line)
+        elif _NAME_RE_REFERENCE.match(term):
+            mag, name = "1", term
+        else:
+            const += sign * parse_rational_reference(term, line)
+            continue
+        if param is not None and param != name:
+            raise ScenarioError("at most one parameter per expression", line)
+        param = name
+        coeff += sign * parse_rational_reference(mag, line)
+    if coeff == 0:
+        param = None
+    return LinExpr(const, coeff, param)

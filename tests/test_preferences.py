@@ -285,6 +285,29 @@ def test_risk_utility_of_wealth_beyond_the_float_range_is_an_error():
             RiskUtility(rho=rho, scale=1e-300).apply(1e300)
 
 
+# 1e-300 / 1e300 is 0.0 in floats, so these utilities take log x = log c - log scale
+
+
+def test_log_utility_of_a_quotient_that_underflows():
+    u = RiskUtility(rho=1.0, scale=1e300).apply(1e-300)
+    assert u == math.log(1e-300) - math.log(1e300) == pytest.approx(-1381.551055796427)
+    # wealth that is not positive is still refused, whatever the scale
+    for wealth in (0, -1e-300):
+        with pytest.raises(CorrpolyError, match="needs positive scaled wealth"):
+            RiskUtility(rho=1.0, scale=1e300).apply(wealth)
+
+
+def test_crra_utility_below_rho_one_of_a_quotient_that_underflows():
+    # x^(1/2) is 0.0 in floats, so (x^(1/2) - 1) / (1/2) is -2
+    assert RiskUtility(rho=0.5, scale=1e300).apply(1e-300) == -2.0
+
+
+def test_crra_utility_above_rho_one_of_a_quotient_that_underflows_is_an_error():
+    # 1 - 1/x, about -10^600, is beyond the float range
+    with pytest.raises(CorrpolyError, match="beyond the float range"):
+        RiskUtility(rho=2.0, scale=1e300).apply(1e-300)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=-8, max_value=8), min_size=8, max_size=8), st.integers(0, 10 ** 6))
 def test_ceu_never_exceeds_meu_on_full_prior(values, seed):
@@ -370,7 +393,7 @@ def lifted_priors(draw):
     is added."""
     rng = random.Random(draw(st.integers(0, 10 ** 6)))
     size0 = draw(st.sampled_from([2, 3]))
-    rest = random_correlation_set(draw(st.sampled_from([(2,), (3,), (2, 2), (1, 3)])), rng)
+    rest = random_correlation_set(draw(st.sampled_from([(2, 2), (2, 3), (3, 2)])), rng)
     members = [*rest.vertices(), rest.independent_product]
     members += [sample_member(rest, rng), sample_member(rest, rng)]
     picks = draw(st.lists(st.sampled_from(range(len(members))), min_size=2, max_size=3, unique=True))

@@ -15,6 +15,7 @@ from corrpoly import (
     check_subspace_consistency,
 )
 from corrpoly import scenario as sc
+from bruteforce import parse_expr_reference
 from conftest import SCENARIO_DIR
 
 F = Fraction
@@ -126,6 +127,64 @@ def test_linear_expressions_round_trip():
 def test_stray_signs_rejected(text):
     with pytest.raises(ScenarioError, match="stray sign"):
         sc.parse_expr(text)
+
+
+def _read_expr(parse, text):
+    """An equal `LinExpr` and its field types, or the error's message and line."""
+    try:
+        expr = parse(text, 7)
+    except ScenarioError as exc:
+        return str(exc), exc.line
+    return expr, type(expr.const), type(expr.coeff)
+
+
+def _shipped_values():
+    """Every white-space separated value after a colon in the shipped files."""
+    return sorted({
+        token
+        for path in SCN_FILES
+        for raw in path.read_text().splitlines()
+        for token in raw.split("#", 1)[0].partition(":")[2].split()
+    })
+
+
+_EXPR_ALPHABET = "0123456789/+-*ab_ "
+_RATIONALS = st.builds(
+    lambda num, den: num + den, st.sampled_from(["0", "1", "3", "36", "9" * 4400]),
+    st.sampled_from(["", "/0", "/1", "/4", "/12", "/", "/" + "7" * 4400]),
+)
+_TERMS = st.one_of(
+    _RATIONALS,
+    st.sampled_from(["a", "b", "_", "a_1", "1a", "a*b", "", " "]),
+    st.builds(lambda r, sp, name: r + sp + "*" + sp + name, _RATIONALS,
+              st.sampled_from(["", " "]), st.sampled_from(["a", "b", "", "2"])),
+)
+_SIGNED_SUMS = st.builds(
+    lambda lead, terms, signs: lead + "".join(s + t for s, t in zip(["", *signs], terms)),
+    st.sampled_from(["", "-", "+", " - "]),
+    st.lists(_TERMS, min_size=1, max_size=4),
+    st.lists(st.sampled_from(["+", "-", " + ", "- ", "--", "+-"]), min_size=3, max_size=3),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(_EXPR_ALPHABET, max_size=14), _SIGNED_SUMS))
+@example("-36/0")
+@example("1/6+1/12")
+@example("1/2 - 3*a + a/4")
+@example("-" + "9" * 4400 + "/2")
+def test_parse_expr_matches_the_reference(text):
+    # the one-pass integer reader returns what the per-term Fraction reader
+    # returned, and fails with its message: the sign before a bad term is
+    # never part of the quoted token
+    assert _read_expr(sc.parse_expr, text) == _read_expr(parse_expr_reference, text)
+
+
+def test_parse_expr_matches_the_reference_on_every_shipped_value():
+    values = _shipped_values()
+    assert {"1/4*a", "-50+c", "1/24+1/4*a", "-10", "175/8"} <= set(values)
+    for text in values:
+        assert _read_expr(sc.parse_expr, text) == _read_expr(parse_expr_reference, text), text
 
 
 def test_second_marginals_line_for_a_subspace_rejected():
