@@ -35,6 +35,14 @@ A run that takes longer than `TIMEOUT_S` = 60 s is stopped and recorded as
 "did not finish"; a run that fails or does not finish ends its measurement
 and is not repeated.  `--rungs K` runs the K smallest shapes.
 
+The `import` key times the package's import as a CLI call pays it: `RUNS`
+fresh processes each time `import corrpoly.cli` with `time.perf_counter`,
+reported like the measurements above (`status`, the median `seconds`,
+`runs_s`) with the child's `sys.dont_write_bytecode`.  When it is true (as
+under `PYTHONDONTWRITEBYTECODE=1`) and no bytecode is cached, every import
+compiles `src/`; otherwise the first run writes the bytecode the others
+read, so the two kinds of figure must not be compared with each other.
+
 The `acceptance` key holds each acceptance criterion's time as a share of
 its budget: `tests/test_acceptance.py` runs once under pytest in a child
 with `PYTHONPATH=src` and a timeout of `ACCEPTANCE_TIMEOUT_S` = 300 s, and
@@ -172,6 +180,15 @@ else:
     }))
 """
 
+# Runs in the child: prints JSON.
+IMPORT_CHILD = """
+import json, sys, time
+t0 = time.perf_counter()
+import corrpoly.cli
+seconds = time.perf_counter() - t0
+print(json.dumps({"seconds": seconds, "dont_write_bytecode": sys.dont_write_bytecode}))
+"""
+
 
 def child(args: list[str], timeout: float) -> subprocess.CompletedProcess | None:
     """``python args`` with this checkout's `src/` first on the path, from
@@ -185,14 +202,15 @@ def child(args: list[str], timeout: float) -> subprocess.CompletedProcess | None
         return None
 
 
-def measure(task: str, sizes: tuple[int, ...]) -> dict:
-    """``task`` on ``sizes`` in `RUNS` fresh processes: the run with the
-    median seconds, each ``*_per_s`` rate as the median of the runs' rates,
-    and every run's seconds as ``runs_s``.  A run that fails or does not
-    finish is reported as it is and not repeated."""
+def measure(args: list[str]) -> dict:
+    """``python args`` in `RUNS` fresh processes, each printing one JSON
+    object with its ``seconds``: the run with the median seconds, each
+    ``*_per_s`` rate as the median of the runs' rates, and every run's
+    seconds as ``runs_s``.  A run that fails or does not finish is reported
+    as it is and not repeated."""
     runs = []
     for _ in range(RUNS):
-        done = child(["-c", CHILD, json.dumps([task, sizes, SEED])], TIMEOUT_S)
+        done = child(args, TIMEOUT_S)
         if done is None:
             return {"status": "did not finish", "timeout_s": TIMEOUT_S}
         if done.returncode != 0:
@@ -247,17 +265,19 @@ def main(argv=None) -> int:
     for sizes in LADDER[: args.rungs]:
         rung = {"shape": list(sizes)}
         for task in TASKS:
-            rung[task] = measure(task, sizes)
+            rung[task] = measure(["-c", CHILD, json.dumps([task, sizes, SEED])])
         rungs.append(rung)
     result = {
         "python": platform.python_version(),
         "seed": SEED,
         "timeout_s": TIMEOUT_S,
         "rungs": rungs,
+        "import": measure(["-c", IMPORT_CHILD]),
         "acceptance": acceptance(),
     }
     print(json.dumps(result, indent=1))
     failed = any(r[task]["status"] == "failed" for r in rungs for task in TASKS)
+    failed = failed or result["import"]["status"] == "failed"
     return 1 if failed or result["acceptance"]["status"] == "failed" else 0
 
 

@@ -15,9 +15,8 @@ import decimal
 import enum
 import io
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ConsistencyError, CorrpolyError
 from .linalg import fraction_tuple
@@ -42,8 +41,7 @@ def decimal_string(value: Fraction) -> str:
     return str(d)
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     name: str
     value: Fraction
     value_decimal: str
@@ -176,8 +174,7 @@ class InsuranceVerdict(enum.Enum):
     MARKET_FAILURE = "market-failure"
 
 
-@dataclass(frozen=True)
-class InsuranceReport:
+class InsuranceReport(NamedTuple):
     insurer_reservation: Fraction
     insuree_reservation: Fraction
     trade_interval: Optional[tuple[Fraction, Fraction]]
@@ -244,8 +241,7 @@ def run_insurance(
 FINANCE_WEALTH = 6
 
 
-@dataclass(frozen=True)
-class FinanceReport:
+class FinanceReport(NamedTuple):
     averaged_returns: tuple[Fraction, ...]
     expected_return: Fraction
     rho: Optional[float]

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import linalg
 from .errors import CorrpolyError, NonlinearCollectionError
@@ -35,8 +34,7 @@ from .space import (
 )
 
 
-@dataclass(frozen=True)
-class IndependenceVerdict:
+class IndependenceVerdict(NamedTuple):
     """Outcome of an element-wise independence test.
 
     ``witness`` is the first cylinder tuple (one coordinate tuple per

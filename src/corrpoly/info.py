@@ -61,6 +61,11 @@ MAX_HALVINGS = 20  # a certificate's step ladder has MAX_HALVINGS + 3 rungs
 
 @dataclass(frozen=True, slots=True)
 class MutualInformationReport:
+    """The mutual information ``value`` (bits) of a member, whether it is a
+    local maximum, the number of probe points the seeded ladder evaluated
+    and the largest increase of MI it saw, 0.0 if none (see
+    `certify_local_max_mi`)."""
+
     value: float
     is_local_max: bool
     probe_count: int

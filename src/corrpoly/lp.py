@@ -97,8 +97,7 @@ class LinearProgram:
             raise CorrpolyError("constraint row length does not match objective length")
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(NamedTuple):
     """An optimal vertex ``argmin`` and the exact dual ``dual`` (one entry
     per equality row) that certifies it."""
 

@@ -27,7 +27,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import CorrpolyError, GuardExceededError, ConsistencyError, NotInCorrelationSetError
@@ -46,8 +46,7 @@ from .space import (
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class MarginalSystem:
+class MarginalSystem(NamedTuple):
     """The 0/1 equation system ``M p = rhs`` whose solutions in the simplex
     are exactly the couplings with the prescribed marginals.
 

@@ -34,7 +34,7 @@ import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import lp
 from .capacity import capacity_of, choquet_integral
@@ -202,8 +202,7 @@ def seu_subspace_value(sp: SubspacePreference, f_i: Act) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     holds: bool
     violations: tuple[tuple[int, int], ...]  # (vertex index, subspace index)
 
@@ -228,8 +227,7 @@ def check_subspace_consistency(
     return ConsistencyReport(not violations, tuple(violations))
 
 
-@dataclass(frozen=True)
-class AxiomCounterexample:
+class AxiomCounterexample(NamedTuple):
     """A tuple witnessing a subspace-independence violation: two subspace
     acts whose ranking flips once conditioned on a cylinder event."""
 
@@ -472,8 +470,7 @@ def check_subspace_independence_axiom(
     return True, None
 
 
-@dataclass(frozen=True)
-class ProductIdentityWitness:
+class ProductIdentityWitness(NamedTuple):
     """Events violating the conditioning-invariance product identity
     p([E x F]) p([E' x F']) = p([E x F']) p([E' x F])."""
 

@@ -26,7 +26,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CorrpolyError, ScenarioError
 from .linalg import fraction_tuple
@@ -35,7 +35,7 @@ from .polytope import CorrelationSet
 from .preferences import PriorSet
 from .space import Act, Collection, Event, JointDistribution, Marginal, ProductSpace, cylinder
 
-_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?$")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _SIGN_RE = re.compile(r"([+-])")
 # a name, an operator, or (group 2) any other character that is not white space
@@ -63,8 +63,7 @@ def parse_rational(token: str, line: Optional[int] = None) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class LinExpr:
+class LinExpr(NamedTuple):
     """const + coeff * param, with at most one parameter name."""
 
     const: Fraction = Fraction(0)
@@ -277,21 +276,22 @@ def format_collection_spec(coll: Collection) -> str:
 # scenario model
 
 
-@dataclass(frozen=True)
-class PriorSpec:
+class PriorSpec(NamedTuple):
     kind: str  # full | independent | vertices | partition
     vertex_exprs: tuple[tuple[LinExpr, ...], ...] = ()
     partition: Optional[Collection] = None
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     param: str
     grid: tuple[Fraction, ...]
 
 
 @dataclass
 class Scenario:
+    """A loaded scenario file: its space and marginals, the act payoffs and
+    named event expressions as written, the prior and the sweep."""
+
     space: ProductSpace
     marginals: tuple[Marginal, ...]
     act_exprs: dict[str, tuple[LinExpr, ...]] = field(default_factory=dict)

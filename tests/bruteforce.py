@@ -805,7 +805,7 @@ def solve_lp_min_reference(program):
 # The package's reader must return an equal `LinExpr`, or raise a
 # `ScenarioError` with the same message and line, on every token.
 
-_RATIONAL_RE_REFERENCE = re.compile(r"-?\d+(/\d+)?$")
+_RATIONAL_RE_REFERENCE = re.compile(r"-?[0-9]+(/[0-9]+)?$")
 _NAME_RE_REFERENCE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 

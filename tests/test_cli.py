@@ -372,6 +372,7 @@ def test_subspace_independence_is_pinned_on_a_prior_independent_in_subspace_0(n)
     ("evaluate", FINANCE, "--at", "1/" + "3" * 5000),
     ("dim", FINANCE, "--collection", "{" + "1" * 5000 + "},{2}"),
     ("capacity", FINANCE, "--event", "inflation=H_infl $ 42"),
+    ("evaluate", FINANCE, "--at", "١/٤"),
 ])
 def test_overlong_numbers_and_unknown_characters_are_errors(capsys, args):
     code, out, err = run(capsys, *args)
@@ -504,11 +505,13 @@ _names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
 @st.composite
 def small_scenarios(draw, n_subspaces=None):
     """Scenario text in the style of `test_scenario.canonical_scenarios`, with
-    its subspace sizes, marginal weights, event and act: at most 9 states,
+    its subspace sizes, marginal weights, events and act: at most 9 states,
     1-state subspaces and zero-weight states included, on 1-3 subspaces or
-    on ``n_subspaces``.  The one event is a tuple atom with ``*``
-    wildcards, returned as the flat indices of its states; the one act has
-    small integer payoffs."""
+    on ``n_subspaces``.  The events are returned by name as the flat indices
+    of their states: the first is a tuple atom with ``*`` wildcards, the
+    second an expression that combines a tuple atom and a cylinder atom
+    ``name=label`` with ``~``, ``&`` and ``|``.  The one act has small
+    integer payoffs."""
     lengths = {"min_size": n_subspaces or 1, "max_size": n_subspaces or 3}
     sizes = draw(st.lists(st.integers(1, 3), **lengths).filter(lambda s: math.prod(s) <= 9))
     names = draw(st.lists(_names, min_size=len(sizes), max_size=len(sizes), unique=True))
@@ -524,18 +527,46 @@ def small_scenarios(draw, n_subspaces=None):
         counts[draw(st.integers(0, size - 1))] += 1
         weights.append(tuple(Fraction(c, sum(counts)) for c in counts))
         out.append(f"{name}: {' '.join(map(str, weights[-1]))}")
-    # a coordinate of the event is a state index or None for ``*``
-    pattern = [draw(st.one_of(st.none(), st.integers(0, size - 1))) for size in sizes]
     cells = list(itertools.product(*(range(size) for size in sizes)))
-    event = {
-        k for k, cell in enumerate(cells)
-        if all(j is None or j == c for j, c in zip(pattern, cell))
-    }
-    atom = ",".join("*" if j is None else ls[j] for j, ls in zip(pattern, labels))
+
+    def atom(kind):
+        """The text of a drawn atom and the flat indices of its states."""
+        if kind == "tuple":  # a coordinate is a state index or None for ``*``
+            pattern = [draw(st.one_of(st.none(), st.integers(0, size - 1))) for size in sizes]
+            text = "[" + ",".join("*" if j is None else ls[j] for j, ls in zip(pattern, labels)) + "]"
+            return text, {
+                k for k, cell in enumerate(cells)
+                if all(j is None or j == c for j, c in zip(pattern, cell))
+            }
+        i = draw(st.integers(0, len(sizes) - 1))
+        j = draw(st.integers(0, sizes[i] - 1))
+        return f"{names[i]}={labels[i][j]}", {k for k, cell in enumerate(cells) if cell[i] == j}
+
+    def complement(term, negated):
+        text, members = term
+        return (f"~{text}", set(range(len(cells))) - members) if negated else term
+
+    # (a & b) | c written without parentheses, or (a | b) & c with them, the
+    # pair first or last; a tuple atom and a cylinder atom among a, b and c,
+    # in a drawn order, and at least one complement, of an atom or the pair
+    kinds = draw(st.permutations(["tuple", "cylinder", draw(st.sampled_from(["tuple", "cylinder"]))]))
+    negated = draw(st.lists(st.booleans(), min_size=4, max_size=4).filter(any))
+    (ta, a), (tb, b), (tc, c) = (complement(atom(k), n) for k, n in zip(kinds, negated))
+    if draw(st.booleans()):
+        pair = complement((f"({ta} & {tb})" if negated[3] else f"{ta} & {tb}", a & b), negated[3])
+        op, members = "|", pair[1] | c
+    else:
+        pair = complement((f"({ta} | {tb})", a | b), negated[3])
+        op, members = "&", pair[1] & c
+    terms = (pair[0], tc) if draw(st.booleans()) else (tc, pair[0])
+    expression = (f" {op} ".join(terms), members)
+    event_names = draw(st.lists(_names, min_size=2, max_size=2, unique=True))
+    drawn = dict(zip(event_names, (atom("tuple"), expression)))
     payoffs = draw(st.lists(st.integers(-3, 3), min_size=len(cells), max_size=len(cells)))
     out += ["", "ACTS", f"{draw(_names)}: {' '.join(map(str, payoffs))}"]
-    out += ["", "EVENTS", f"{draw(_names)}: [{atom}]"]
-    return "\n".join(out) + "\n", tuple(sizes), weights, event, payoffs
+    out += ["", "EVENTS", *(f"{name}: {text}" for name, (text, _) in drawn.items())]
+    events = {name: members for name, (_, members) in drawn.items()}
+    return "\n".join(out) + "\n", tuple(sizes), weights, events, payoffs
 
 
 def _main_in_process(*argv):
@@ -578,19 +609,22 @@ def test_dim_and_vertices_match_their_oracles_on_drawn_scenarios(drawn):
 def test_capacity_and_evaluate_match_their_oracles_on_drawn_scenarios(drawn):
     # over the full prior both are minima of a linear function over the
     # oracle vertices: p(E) for the event and the expectation for the act
-    text, sizes, weights, event, payoffs = drawn
+    text, sizes, weights, events, payoffs = drawn
     vertices = oracle_vertices(sizes, weights)
-    event_name = text.splitlines()[-1].split(":")[0]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "drawn.scn")
         Path(path).write_text(text, encoding="utf-8")
-        capacity = _main_in_process("capacity", path, "--event", event_name, "--format", "csv")
+        capacities = {
+            name: _main_in_process("capacity", path, "--event", name, "--format", "csv")
+            for name in events
+        }
         evaluate = _main_in_process("evaluate", path, "--format", "csv")
-    code, out, err = capacity
-    assert (code, err) == (0, "")
-    (row,) = list(csv.reader(io.StringIO(out)))[1:]
-    assert row[0] == event_name
-    assert Fraction(row[1]) == min(sum(v[k] for k in event) for v in vertices)
+    for name, event in events.items():
+        code, out, err = capacities[name]
+        assert (code, err) == (0, "")
+        (row,) = list(csv.reader(io.StringIO(out)))[1:]
+        assert row[0] == name
+        assert Fraction(row[1]) == min(sum(v[k] for k in event) for v in vertices)
     code, out, err = evaluate
     assert (code, err) == (0, "")
     (row,) = list(csv.DictReader(io.StringIO(out)))

@@ -324,6 +324,19 @@ def test_rationals_beyond_the_int_digit_limit_are_scenario_errors(token):
         sc.loads("SPACE\nx: a b\n\n" + marginals)
 
 
+def test_rationals_in_non_ascii_digits_are_scenario_errors():
+    # int() reads any Unicode decimal digit; a scenario writes ASCII ones only
+    assert sc.parse_rational("12/34") == F(6, 17)
+    for token in ("١/٢", "٣", "1/٢", "１２"):
+        with pytest.raises(ScenarioError, match=re.escape(f"not an exact rational: {token!r}")):
+            sc.parse_rational(token)
+    with pytest.raises(ScenarioError, match=re.escape("line 5: not an exact rational: '١/٢'")):
+        sc.loads("SPACE\nx: a b\n\nMARGINALS\nx: ١/٢ 1/2\n")
+    acts = "SPACE\nx: a b\n\nMARGINALS\nx: 1/2 1/2\n\nACTS\nf: ٣*a 0\n\nSWEEP\nparam: a\ngrid: 0\n"
+    with pytest.raises(ScenarioError, match=re.escape("line 8: not an exact rational: '٣'")):
+        sc.loads(acts)
+
+
 def test_partition_prior_spec():
     text = (
         "SPACE\na: x y\nb: u v\nc: s t\n\n"
