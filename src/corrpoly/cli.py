@@ -30,6 +30,25 @@ class _Parser(argparse.ArgumentParser):
         raise CorrpolyError(message)
 
 
+def _integer_option(name: str, signed: bool = False):
+    """The argparse type of the integer option ``--name``: ASCII digits
+    (``[0-9]+``, with one leading ``-`` where ``signed``), else
+    `CorrpolyError`.  ``int`` alone would also read other Unicode decimal
+    digits, ``_`` separators and surrounding white space."""
+    bound = "" if signed else " >= 0"
+
+    def read(text: str) -> int:
+        digits = text[1:] if signed and text.startswith("-") else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise CorrpolyError(f"--{name} must be an integer{bound}, got {text!r}")
+        try:
+            return int(text)
+        except ValueError:  # longer than int()'s digit limit
+            raise CorrpolyError(f"too many digits in --{name} {text[:20]}...") from None
+
+    return read
+
+
 def _param_value(scn: scenario.Scenario, raw: Optional[str]) -> Optional[Fraction]:
     if raw is None:
         if scn.parameters():
@@ -284,7 +303,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("vertices", help="enumerate extreme points")
     common(p, formats=("csv", "table", "prior"), at=False)
-    p.add_argument("--guard", type=int, default=4096)
+    p.add_argument("--guard", type=_integer_option("guard"), default=4096)
     p.set_defaults(func=cmd_vertices)
 
     p = sub.add_parser("capacity", help="worst-case probability of an event")
@@ -294,11 +313,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mi", help="mutual information and local-max certificate")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer_option("seed", signed=True), default=0)
     point = p.add_mutually_exclusive_group()
     point.add_argument("--weights", help="inline distribution, row-major rationals")
-    point.add_argument("--vertex", type=int, help="index into the vertex list")
-    p.add_argument("--probes", type=int, default=64)
+    point.add_argument(
+        "--vertex", type=_integer_option("vertex"), help="index into the vertex list"
+    )
+    p.add_argument("--probes", type=_integer_option("probes"), default=64)
     p.add_argument("--step", default="1/8")
     p.set_defaults(func=cmd_mi)
 
@@ -314,14 +335,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("check-axiom", help="axiom checkers with counterexamples")
     common(p, formats=())
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer_option("seed", signed=True), default=0)
     p.add_argument(
         "--axiom",
         required=True,
         choices=["subspace-consistency", "subspace-independence", "collection-independence"],
     )
     p.add_argument("--collection")
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_integer_option("trials"), default=10000)
     p.set_defaults(func=cmd_check_axiom)
 
     p = sub.add_parser("compare", help="correlation aversion and revealed correlation")

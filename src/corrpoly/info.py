@@ -27,12 +27,17 @@ Probe points are integer numerators over one denominator, end to end: no
 probe builds a `JointDistribution`, and the probe path builds no `Fraction`,
 since the face is read in integers (`polytope._face_directions`: the face
 basis times the least common denominator of its entries).  Drawn couplings
-stay integers from the draw (`polytope._draw_member`) through the test for
+stay integers from the draw (`polytope._draw_member`, which sums the
+rectangle kernel on each vector's four corners) through the test for
 equality with ``p`` (by cross-multiplication) to the membership check
 (`CorrelationSet.require_numerators`: nonnegativity and every marginal
-row).  The reflections through ``p`` and the face points, which only a
-point that is not a vertex gets, are integer directions followed to the
-boundary of the simplex by the sampler's own line search
+row).  Along a probe, the ladder's mixed numerators pass from one rung to
+the next by one exact integer update (halving the mixing weight s/t adds
+t times ``p``'s scaled numerators), so each rung is the same integers over
+the same denominator as mixing it afresh, and `_divergence` the same float.
+The reflections through ``p`` and the face points, which only a point that
+is not a vertex gets, are integer directions followed to the boundary of
+the simplex by the sampler's own line search
 (`polytope._largest_step`), so there is one least-ratio routine for both.
 Their denominators are not reduced; `_divergence` gives the same floats
 over any common denominator.  Probe points are built on demand, as the ladder
@@ -224,16 +229,17 @@ def certify_local_max_mi(
         evaluated += 1
         cs.require_numerators(b, b_denom, "probe point")
         # (1 - s/t) p + (s/t) q has the numerators (t - s) a b_denom + s b a_denom
-        # over t a_denom b_denom
+        # over t a_denom b_denom; halving s/t (t to 2t) adds t a b_denom to them
         a_scaled = [x * b_denom for x in a]
-        b_scaled = [x * a_denom for x in b]
         ab_denom = a_denom * b_denom
         s, t = step.numerator, step.denominator
+        mixed = [(t - s) * x + s * y * a_denom for x, y in zip(a_scaled, b)]
         decreases_somewhere = False
         run = 0
-        for _ in range(MAX_HALVINGS + 3):
-            r = t - s
-            mixed = [r * x + s * y for x, y in zip(a_scaled, b_scaled)]
+        for rung in range(MAX_HALVINGS + 3):
+            if rung:
+                mixed = [m + t * x for m, x in zip(mixed, a_scaled)]
+                t *= 2
             delta = _divergence(mixed, t * ab_denom, ind, ind_denom) - base
             if delta > max_increase:
                 max_increase = delta
@@ -241,7 +247,6 @@ def certify_local_max_mi(
             if run == 3:
                 decreases_somewhere = True
                 break
-            t *= 2
         if not decreases_somewhere:
             break
     else:  # every probe direction decreases

@@ -12,10 +12,10 @@ of those rows on supp(p) is empty exactly when p is a vertex.
 integers (`_face_directions`); `face_basis(cs, p)` is its Fraction view.
 
 A set and its vertex list cost what they hold.  Structure that depends only
-on the shape (the 0/1 marginal matrix, the rectangle kernel basis and each
-row's state list) is built once per shape, under a small fixed-size
-`functools.lru_cache` keyed on the subspace sizes, and shared by every set
-of that shape; the cache holds integer tuples (and the `KernelBasis` that
+on the shape (the 0/1 marginal matrix, the rectangle kernel basis, its
+vectors' four corners and each row's state list) is built once per shape,
+under a small fixed-size `functools.lru_cache` keyed on the subspace sizes,
+and shared by every set of that shape; the cache holds integer tuples (and the `KernelBasis` that
 wraps some), no set and no space.
 The vertices of one enumeration share their weight objects: one `Fraction`
 per distinct value, and one zero for all.
@@ -157,6 +157,16 @@ def _rectangle_basis(sizes: tuple[int, ...]) -> KernelBasis:
     return KernelBasis(tuple(vectors))
 
 
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _rectangle_corners(sizes: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """Each vector of `_rectangle_basis` in sparse form: the flat indices of
+    its two +1 states, then of its two -1 states.  Built once per shape."""
+    return tuple(
+        tuple([k for k, x in enumerate(v) if x > 0] + [k for k, x in enumerate(v) if x < 0])
+        for v in _rectangle_basis(sizes).basis_vectors
+    )
+
+
 class CorrelationSet:
     """All couplings of the given marginals, with lazy vertex enumeration.
 
@@ -219,8 +229,9 @@ class CorrelationSet:
         Returns ``nums`` and ``denom``."""
         if min(nums, default=0) < 0:
             raise NotInCorrelationSetError(f"{what} has a negative weight")
+        get = nums.__getitem__
         if not all(
-            sum(nums[k] for k in states) * b_den == b_num * denom
+            sum(map(get, states)) * b_den == b_num * denom
             for states, b_num, b_den in self._rows
         ):
             raise NotInCorrelationSetError(f"{what} does not have the prescribed marginals")
@@ -445,27 +456,33 @@ def _draw_member(cs: CorrelationSet, rng: random.Random) -> tuple[tuple[int, ...
     positive denominator (not reduced).
 
     The direction is an integer combination of the rectangle kernel (the
-    draws divided by ``_RESOLUTION``); the step is a random multiple
-    ``u / _RESOLUTION`` of the largest feasible one, found by comparing
-    the integer weights of the product over their common denominator.
-    Where there is no direction, the draw is the product's numerators."""
+    draws divided by ``_RESOLUTION``), summed on each vector's four corners
+    (`_rectangle_corners`) rather than over all states; the step is a
+    random multiple ``u / _RESOLUTION`` of the largest feasible one, found
+    by comparing the integer weights of the product over their common
+    denominator.  Where there is no direction, the draw is the product's
+    numerators.  ``rng.randrange(a, b + 1)`` is the draw that
+    ``rng.randint(a, b)`` makes, so the draws equal those of `randint`."""
     ind, denom = cs.independent_numerators
-    if len(cs.kernel) == 0:
+    corners = _rectangle_corners(cs.space.subspace_sizes)
+    if not corners:
         return ind, denom
-    coeffs = [rng.randint(-_RESOLUTION, _RESOLUTION) for _ in range(len(cs.kernel))]
+    draw = rng.randrange
     direction = [0] * cs.space.total_size
-    for c, vec in zip(coeffs, cs.kernel.basis_vectors):
+    for plus, plus2, minus, minus2 in corners:
+        c = draw(-_RESOLUTION, _RESOLUTION + 1)
         if c:
-            for k, x in enumerate(vec):
-                if x:
-                    direction[k] += c * x
+            direction[plus] += c
+            direction[plus2] += c
+            direction[minus] -= c
+            direction[minus2] -= c
     if not any(direction):
         return ind, denom
     # the largest feasible step is _RESOLUTION * (num / den) / denom
     num, den = _largest_step(ind, direction)
     if num == 0:
         return ind, denom
-    u = rng.randint(0, _RESOLUTION)
+    u = rng.randrange(_RESOLUTION + 1)
     scale = den * _RESOLUTION
     step = num * u
     return tuple([w * scale + step * d for w, d in zip(ind, direction)]), scale * denom

@@ -35,8 +35,8 @@ from .polytope import CorrelationSet
 from .preferences import PriorSet
 from .space import Act, Collection, Event, JointDistribution, Marginal, ProductSpace, cylinder
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?$")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _SIGN_RE = re.compile(r"([+-])")
 # a name, an operator, or (group 2) any other character that is not white space
 _EVENT_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|[=\[\],()|&~*])|(\S))")
@@ -46,7 +46,7 @@ SECTIONS = ("SPACE", "MARGINALS", "ACTS", "EVENTS", "PRIOR", "SWEEP")
 
 def _rational_parts(token: str, line: Optional[int]) -> tuple[int, int]:
     """The integer numerator and positive denominator that ``token`` writes."""
-    if not _RATIONAL_RE.match(token):
+    if not _RATIONAL_RE.fullmatch(token):
         raise ScenarioError(f"not an exact rational: {token!r}", line)
     num, _, den = token.partition("/")
     try:
@@ -100,7 +100,7 @@ def parse_expr(text: str, line: Optional[int] = None) -> LinExpr:
     s = text.strip()
     if not s:
         raise ScenarioError("empty expression", line)
-    if _RATIONAL_RE.match(s):  # one constant term, the common case
+    if _RATIONAL_RE.fullmatch(s):  # one constant term, the common case
         return LinExpr(-parse_rational(s[1:], line) if s[0] == "-" else parse_rational(s, line))
     parts = _SIGN_RE.split(s)  # [term, sign, term, sign, term, ...]
     if not all(parts[2::2]):  # a sign followed by another sign or by nothing
@@ -113,9 +113,9 @@ def parse_expr(text: str, line: Optional[int] = None) -> LinExpr:
         if "*" in term:
             mag, name = term.split("*", 1)
             name = name.strip()
-            if not _NAME_RE.match(name):
+            if not _NAME_RE.fullmatch(name):
                 raise ScenarioError(f"bad parameter name {name!r}", line)
-        elif _NAME_RE.match(term):
+        elif _NAME_RE.fullmatch(term):
             mag, name = "1", term
         else:
             mag, name = term, None
@@ -412,7 +412,7 @@ def _parse_space(rows) -> ProductSpace:
         toks = rest.split()
         if not name or not toks:
             raise ScenarioError("SPACE lines read 'name: label label ...'", lineno)
-        if not _NAME_RE.match(name) or any(not _NAME_RE.match(t) for t in toks):
+        if not _NAME_RE.fullmatch(name) or any(not _NAME_RE.fullmatch(t) for t in toks):
             raise ScenarioError("subspace and state names must be identifiers", lineno)
         if name in names:
             raise ScenarioError(f"duplicate subspace name {name!r}", lineno)
@@ -514,7 +514,7 @@ def _parse_sweep(rows) -> Optional[SweepSpec]:
     for lineno, key, rest in _named(rows):
         if key == "param":
             param = rest
-            if not _NAME_RE.match(param):
+            if not _NAME_RE.fullmatch(param):
                 raise ScenarioError(f"bad parameter name {param!r}", lineno)
         elif key == "grid":
             grid = tuple(parse_rational(t, lineno) for t in rest.split())

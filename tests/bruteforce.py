@@ -18,9 +18,10 @@ end keep the package's earlier Fraction-based divergence and entropy
 loops, membership test, sampler, eager probe construction and per-step
 certificate, which the integer and on-demand versions must match exactly.  The
 axiom-checker references keep the package's earlier Event/Act versions of
-the subspace-independence scan and trials and of the product-identity
-search, and of the element-wise independence test, which the cell-table
-versions must match field for field.  The LP
+the subspace-independence scan and trials, and of the element-wise
+independence test, which the cell-table versions must match field for
+field; the product-identity search sweeps the same event quadruples in the
+same order on its own table of integer event-pair sums.  The LP
 references keep the package's earlier two-phase simplex on Fractions,
 whose phase-1 tableau and solutions the integer simplex must match.
 `parse_expr_reference` keeps the package's earlier scenario expression
@@ -588,48 +589,97 @@ def check_subspace_independence_axiom_reference(prior, trials=10000, seed=0):
     return True, None
 
 
-def product_identity_witness_reference(p, coll, factorization_only):
-    """The first event quadruple breaking p(ExF) p(E'xF') = p(ExF') p(E'xF)."""
-    from corrpoly import Event, ProductIdentityWitness, embed_cylinder
+def _row_major(state, indices, sizes):
+    """The row-major index of ``state`` restricted to ``indices``."""
+    k = 0
+    for i in indices:
+        k = k * sizes[i] + state[i]
+    return k
 
-    space = p.space
+
+def _subset_masks(n):
+    """The nonempty subsets of range(n) as bitmasks, in the order of
+    `itertools.combinations`, smallest subsets first."""
+    return [
+        sum(1 << k for k in combo)
+        for r in range(1, n + 1)
+        for combo in itertools.combinations(range(n), r)
+    ]
+
+
+def _subset_sums(values):
+    """``sums[mask]``: the sum of ``values[k]`` over the bits k of ``mask``."""
+    sums = [0] * (1 << len(values))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
+    return sums
+
+
+def product_identity_witness_reference(p, coll, factorization_only):
+    """The first event quadruple breaking p(ExF) p(E'xF') = p(ExF') p(E'xF).
+
+    For each member, p is read once as a table of integer numerators over
+    one denominator D, a cell per state a of the member's subspaces and b of
+    the rest of the union.  An event is a bitmask of such states, and D p(ExF)
+    is the table summed over ExF, one row of sums over every F per E, built
+    when a quadruple first reads it.  Events are the nonempty state subsets
+    in `itertools.combinations` order, smallest first, and the quadruples
+    (E, E', F, F') run with F' fastest; with ``factorization_only`` E' and
+    F' are the full events.  corrpoly builds only the returned witness."""
+    sizes = p.space.subspace_sizes
+    denom = math.lcm(*(w.denominator for w in p.weights))
+    nums = [w.numerator * (denom // w.denominator) for w in p.weights]
+    states = list(itertools.product(*(range(s) for s in sizes)))
     for member in coll.members:
         idx = sorted(member)
         j0 = sorted(coll.union() - member)
-        sub_a = space.subspace(idx)
-        sub_b = space.subspace(j0)
-        a_events = [
-            Event.from_states(sub_a, combo)
-            for r in range(1, sub_a.total_size + 1)
-            for combo in itertools.combinations(list(sub_a.states()), r)
-        ]
-        b_events = [
-            Event.from_states(sub_b, combo)
-            for r in range(1, sub_b.total_size + 1)
-            for combo in itertools.combinations(list(sub_b.states()), r)
-        ]
-        full_a = Event.full(sub_a)
-        full_b = Event.full(sub_b)
+        n_a = math.prod(sizes[i] for i in idx)
+        n_b = math.prod(sizes[j] for j in j0)
+        cells = [[0] * n_b for _ in range(n_a)]
+        for state, x in zip(states, nums):
+            cells[_row_major(state, idx, sizes)][_row_major(state, j0, sizes)] += x
+        column_sums = [_subset_sums(column) for column in zip(*cells)]
+        rows = {}
+
+        def row(ea):
+            if ea not in rows:
+                rows[ea] = _subset_sums([sums[ea] for sums in column_sums])
+            return rows[ea]
+
+        a_events, b_events = _subset_masks(n_a), _subset_masks(n_b)
         if factorization_only:
-            quads = ((ea, full_a, eb, full_b) for ea in a_events for eb in b_events)
+            a2_events, b2_events = [(1 << n_a) - 1], [(1 << n_b) - 1]
         else:
-            quads = (
-                (ea, ea2, eb, eb2)
-                for ea in a_events
-                for ea2 in a_events
-                for eb in b_events
-                for eb2 in b_events
-            )
-        for ea, ea2, eb, eb2 in quads:
-            pa = embed_cylinder(ea, space, idx)
-            pa2 = embed_cylinder(ea2, space, idx)
-            pb = embed_cylinder(eb, space, j0)
-            pb2 = embed_cylinder(eb2, space, j0)
-            lhs = p.prob_event(pa & pb) * p.prob_event(pa2 & pb2)
-            rhs = p.prob_event(pa & pb2) * p.prob_event(pa2 & pb)
-            if lhs != rhs:
-                return ProductIdentityWitness(member, ea, ea2, eb, eb2, lhs, rhs)
+            a2_events, b2_events = a_events, b_events
+        for ea in a_events:
+            r = row(ea)
+            for ea2 in a2_events:
+                r2 = row(ea2)
+                for eb in b_events:
+                    for eb2 in b2_events:
+                        lhs = r[eb] * r2[eb2]
+                        rhs = r[eb2] * r2[eb]
+                        if lhs != rhs:
+                            return _product_identity_witness(
+                                p, member, idx, j0, (ea, ea2, eb, eb2), lhs, rhs, denom
+                            )
     return None
+
+
+def _product_identity_witness(p, member, idx, j0, masks, lhs, rhs, denom):
+    """The `ProductIdentityWitness` of the event bitmasks ``masks`` (E, E',
+    F, F') and the products ``lhs`` and ``rhs`` over ``denom ** 2``."""
+    from corrpoly import Event, ProductIdentityWitness
+
+    sub_a = p.space.subspace(idx)
+    sub_b = p.space.subspace(j0)
+    ea, ea2, eb, eb2 = masks
+    square = denom * denom
+    return ProductIdentityWitness(
+        member, Event(sub_a, ea), Event(sub_a, ea2), Event(sub_b, eb), Event(sub_b, eb2),
+        Fraction(lhs, square), Fraction(rhs, square),
+    )
 
 
 def check_collection_independence_axiom_reference(p, coll, quad_limit=200000):
@@ -805,14 +855,14 @@ def solve_lp_min_reference(program):
 # The package's reader must return an equal `LinExpr`, or raise a
 # `ScenarioError` with the same message and line, on every token.
 
-_RATIONAL_RE_REFERENCE = re.compile(r"-?[0-9]+(/[0-9]+)?$")
-_NAME_RE_REFERENCE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_RATIONAL_RE_REFERENCE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_NAME_RE_REFERENCE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def parse_rational_reference(token, line=None):
     from corrpoly import ScenarioError
 
-    if not _RATIONAL_RE_REFERENCE.match(token):
+    if not _RATIONAL_RE_REFERENCE.fullmatch(token):
         raise ScenarioError(f"not an exact rational: {token!r}", line)
     num, _, den = token.partition("/")
     try:
@@ -848,9 +898,9 @@ def parse_expr_reference(text, line=None):
             term = term[1:].strip()
         if "*" in term:
             mag, name = (t.strip() for t in term.split("*", 1))
-            if not _NAME_RE_REFERENCE.match(name):
+            if not _NAME_RE_REFERENCE.fullmatch(name):
                 raise ScenarioError(f"bad parameter name {name!r}", line)
-        elif _NAME_RE_REFERENCE.match(term):
+        elif _NAME_RE_REFERENCE.fullmatch(term):
             mag, name = "1", term
         else:
             const += sign * parse_rational_reference(term, line)

@@ -379,6 +379,41 @@ def test_overlong_numbers_and_unknown_characters_are_errors(capsys, args):
     assert code == 1 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("args", [
+    ("mi", CLIMATE, "--vertex", "١", "--probes", "2"),
+    ("mi", CLIMATE, "--vertex", "0_0", "--probes", "1_0"),
+    ("mi", CLIMATE, "--vertex", "0", "--probes", " 2"),
+    ("mi", CLIMATE, "--vertex", "0", "--probes", "+2"),
+    ("mi", CLIMATE, "--vertex", "0", "--seed", "٣"),
+    ("mi", CLIMATE, "--vertex", "0", "--seed", "--3"),
+    ("mi", CLIMATE, "--vertex", "0", "--seed", "3\n"),
+    ("mi", CLIMATE, "--vertex", "0", "--seed", "-"),
+    ("vertices", CLIMATE, "--guard", "４"),
+    ("vertices", CLIMATE, "--guard", ""),
+    ("check-axiom", FINANCE, "--axiom", "subspace-independence", "--at", "1/6",
+     "--trials", "1_0"),
+    ("check-axiom", FINANCE, "--axiom", "subspace-independence", "--at", "1/6",
+     "--seed", "١"),
+    ("evaluate", FINANCE, "--at", "1/4\n"),
+])
+def test_numbers_in_options_are_ascii_digits(capsys, args):
+    # int() alone reads any Unicode decimal digit, "_" separators and
+    # surrounding white space; an option takes ASCII digits only
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == "" and err.startswith("error: "), args
+
+
+def test_integer_options_read_ascii_digits(capsys):
+    code, out, err = run(capsys, "mi", CLIMATE, "--vertex", "01", "--probes", "2", "--seed", "-3")
+    assert (code, err) == (0, "")
+    scn = corrpoly.load(CLIMATE)
+    cs = scn.correlation_set()
+    report = corrpoly.certify_local_max_mi(cs, cs.vertices()[1], probes=2, seed=-3)
+    values = dict(line.split() for line in out.splitlines()[1:])
+    assert values["probe_count"] == str(report.probe_count)
+    assert values["max_observed_increase"] == str(report.max_observed_increase)
+
+
 def test_mi_bad_input_is_an_error(capsys):
     for args in (
         ("--vertex", "0", "--step", "abc"),

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -651,3 +652,40 @@ def test_face_is_trivial_exactly_at_oracle_vertices(case):
         assert (not face) == at_vertex
         assert is_maximally_zero(cs, p) == at_vertex
         assert certify_local_max_mi(cs, p, probes=8).is_local_max == at_vertex
+
+
+MI_REPORTS_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "mi_reports_seeded.txt"
+
+
+def _pinned_report_lines():
+    """The reports of `certify_local_max_mi(cs, p, probes=8, seed=7)` at each
+    vertex, the independent product and the midpoint of the first and last
+    vertices of a seeded (2,2,2) set and a seeded (3,4) set, floats as
+    `float.hex`; then the first three `sample_member` draws of each set."""
+    rng = random.Random(5)
+    lines = []
+    for sizes in ((2, 2, 2), (3, 4)):
+        cs = random_correlation_set(sizes, rng)
+        shape = "x".join(map(str, sizes))
+        vertices = list(cs.vertices())
+        points = [(f"vertex{i}", v) for i, v in enumerate(vertices)]
+        points.append(("product", cs.independent_product))
+        points.append(("midpoint", mix(vertices[0], vertices[-1], F(1, 2))))
+        for name, p in points:
+            report = certify_local_max_mi(cs, p, probes=8, seed=7)
+            lines.append(
+                f"{shape} {name} {report.value.hex()} {report.max_observed_increase.hex()}"
+                f" {report.probe_count} {report.is_local_max}"
+            )
+        draws = random.Random(7)
+        for k in range(3):
+            q = sample_member(cs, draws)
+            lines.append(f"{shape} draw{k} " + " ".join(map(str, q.weights)))
+    return lines
+
+
+def test_certificate_reports_and_draws_are_pinned_bit_for_bit():
+    # the fixture holds the reports and draws of a dense kernel sum and a fresh
+    # mix per rung; the corner sum and the incremental rungs compute the same
+    # integers, so every float and every draw must read as recorded
+    assert _pinned_report_lines() == MI_REPORTS_FIXTURE.read_text().splitlines()

@@ -269,6 +269,24 @@ def test_sets_of_one_shape_built_back_to_back(labelled):
         assert all(cs.kernel is same_shape[0].kernel for cs in same_shape)
 
 
+@pytest.mark.parametrize("sizes", [(1, 3), (2, 2), (3, 4), (2, 2, 2), (2, 3, 2, 2)])
+def test_rectangle_corners_are_the_sparse_kernel(sizes):
+    # the sampler sums each kernel vector on its two +1 and two -1 states
+    from corrpoly.polytope import _rectangle_corners
+
+    basis = CorrelationSet(ProductSpace(sizes), [
+        Marginal(i, (F(1, s),) * s) for i, s in enumerate(sizes)
+    ]).kernel.basis_vectors
+    corners = _rectangle_corners(sizes)
+    assert len(corners) == len(basis)
+    for (plus, plus2, minus, minus2), vec in zip(corners, basis):
+        dense = [0] * len(vec)
+        for k, x in ((plus, 1), (plus2, 1), (minus, -1), (minus2, -1)):
+            dense[k] += x
+        assert tuple(dense) == vec and len({plus, plus2, minus, minus2}) == 4
+    assert _rectangle_corners(sizes) is corners
+
+
 def test_shapes_beyond_the_cache_are_rebuilt_alike():
     # more shapes than the cache keeps: the first ones are evicted, then rebuilt
     first = random_correlation_set((2, 3), random.Random(4))

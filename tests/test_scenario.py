@@ -15,7 +15,7 @@ from corrpoly import (
     check_subspace_consistency,
 )
 from corrpoly import scenario as sc
-from bruteforce import parse_expr_reference
+from bruteforce import parse_expr_reference, parse_rational_reference
 from conftest import SCENARIO_DIR
 
 F = Fraction
@@ -148,7 +148,7 @@ def _shipped_values():
     })
 
 
-_EXPR_ALPHABET = "0123456789/+-*ab_ "
+_EXPR_ALPHABET = "0123456789/+-*ab_ \n١٣１"
 _RATIONALS = st.builds(
     lambda num, den: num + den, st.sampled_from(["0", "1", "3", "36", "9" * 4400]),
     st.sampled_from(["", "/0", "/1", "/4", "/12", "/", "/" + "7" * 4400]),
@@ -173,6 +173,9 @@ _SIGNED_SUMS = st.builds(
 @example("1/6+1/12")
 @example("1/2 - 3*a + a/4")
 @example("-" + "9" * 4400 + "/2")
+@example("3*a\n")
+@example("1/2\n+a")
+@example("١/٢+a")
 def test_parse_expr_matches_the_reference(text):
     # the one-pass integer reader returns what the per-term Fraction reader
     # returned, and fails with its message: the sign before a bad term is
@@ -335,6 +338,16 @@ def test_rationals_in_non_ascii_digits_are_scenario_errors():
     acts = "SPACE\nx: a b\n\nMARGINALS\nx: 1/2 1/2\n\nACTS\nf: ٣*a 0\n\nSWEEP\nparam: a\ngrid: 0\n"
     with pytest.raises(ScenarioError, match=re.escape("line 8: not an exact rational: '٣'")):
         sc.loads(acts)
+
+
+@pytest.mark.parametrize("token", ["1/2\n", "3\n", "-1/4\n", "1\n/2", "1/2 "])
+def test_rationals_end_at_their_last_digit(token):
+    # a pattern ending in "$" also matches before a final newline, and int()
+    # strips white space: the whole token must be the rational
+    with pytest.raises(ScenarioError, match=re.escape(f"not an exact rational: {token!r}")):
+        sc.parse_rational(token)
+    with pytest.raises(ScenarioError, match=re.escape(f"not an exact rational: {token!r}")):
+        parse_rational_reference(token)
 
 
 def test_partition_prior_spec():
