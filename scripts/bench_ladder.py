@@ -43,6 +43,14 @@ under `PYTHONDONTWRITEBYTECODE=1`) and no bytecode is cached, every import
 compiles `src/`; otherwise the first run writes the bytecode the others
 read, so the two kinds of figure must not be compared with each other.
 
+The `cli` key times whole CLI calls as a user makes them: `RUNS` fresh
+processes each of `python -m corrpoly.cli dim scenarios/climate.scn` and
+of `vertices` on the same file, every process timed from start to exit
+by this script with `time.perf_counter`.  `cli.dim` and `cli.vertices`
+are reported like the `import` key; `dont_write_bytecode` says whether
+the environment sets `PYTHONDONTWRITEBYTECODE`, which the calls inherit,
+and `cli.status` is "ok" when both calls are, else the first other status.
+
 The `acceptance` key holds each acceptance criterion's time as a share of
 its budget: `tests/test_acceptance.py` runs once under pytest in a child
 with `PYTHONPATH=src` and a timeout of `ACCEPTANCE_TIMEOUT_S` = 300 s, and
@@ -65,11 +73,13 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 ACCEPTANCE_TESTS = ROOT / "tests" / "test_acceptance.py"
+CLI_SCENARIO = "scenarios/climate.scn"  # relative to ROOT, where every child runs
 TIMEOUT_S = 60.0
 RUNS = 3  # fresh processes per measurement; a constant, not a flag
 ACCEPTANCE_TIMEOUT_S = 300.0
@@ -202,25 +212,43 @@ def child(args: list[str], timeout: float) -> subprocess.CompletedProcess | None
         return None
 
 
-def measure(args: list[str]) -> dict:
+def measure(args: list[str], whole_process: bool = False) -> dict:
     """``python args`` in `RUNS` fresh processes, each printing one JSON
-    object with its ``seconds``: the run with the median seconds, each
+    object with its ``seconds`` (or, with ``whole_process``, each timed
+    from start to exit here): the run with the median seconds, each
     ``*_per_s`` rate as the median of the runs' rates, and every run's
     seconds as ``runs_s``.  A run that fails or does not finish is reported
     as it is and not repeated."""
     runs = []
     for _ in range(RUNS):
+        t0 = time.perf_counter()
         done = child(args, TIMEOUT_S)
+        seconds = time.perf_counter() - t0
         if done is None:
             return {"status": "did not finish", "timeout_s": TIMEOUT_S}
         if done.returncode != 0:
             return {"status": "failed", "stderr": done.stderr.strip().splitlines()[-1:]}
-        runs.append(json.loads(done.stdout))
+        runs.append({"seconds": seconds} if whole_process else json.loads(done.stdout))
     median = sorted(runs, key=lambda run: run["seconds"])[len(runs) // 2]
     rates = {
         key: statistics.median(run[key] for run in runs) for key in median if key.endswith("_per_s")
     }
     return {"status": "ok", **median, **rates, "runs_s": [run["seconds"] for run in runs]}
+
+
+def cli_calls() -> dict:
+    """The process times of the CLI's `dim` and `vertices` on the climate
+    scenario (see the `cli` key in the module docstring)."""
+    calls = {
+        command: measure(["-m", "corrpoly.cli", command, CLI_SCENARIO], whole_process=True)
+        for command in ("dim", "vertices")
+    }
+    statuses = [call["status"] for call in calls.values() if call["status"] != "ok"]
+    return {
+        "status": statuses[0] if statuses else "ok",
+        "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        **calls,
+    }
 
 
 def acceptance() -> dict:
@@ -273,11 +301,12 @@ def main(argv=None) -> int:
         "timeout_s": TIMEOUT_S,
         "rungs": rungs,
         "import": measure(["-c", IMPORT_CHILD]),
+        "cli": cli_calls(),
         "acceptance": acceptance(),
     }
     print(json.dumps(result, indent=1))
     failed = any(r[task]["status"] == "failed" for r in rungs for task in TASKS)
-    failed = failed or result["import"]["status"] == "failed"
+    failed = failed or "failed" in (result["import"]["status"], result["cli"]["status"])
     return 1 if failed or result["acceptance"]["status"] == "failed" else 0
 
 

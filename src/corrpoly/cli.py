@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -47,6 +48,19 @@ def _integer_option(name: str, signed: bool = False):
             raise CorrpolyError(f"too many digits in --{name} {text[:20]}...") from None
 
     return read
+
+
+_STEP_RE = re.compile(r"[0-9]+(/[0-9]+|\.[0-9]+)?")
+
+
+def _step_option(text: str) -> str:
+    """The argparse type of ``--step``: an ASCII rational ``[0-9]+(/[0-9]+)?``
+    or decimal such as ``0.125``, passed on as written, else
+    `CorrpolyError`.  ``Fraction`` alone would also read other Unicode
+    decimal digits, ``_`` separators, exponents and surrounding white space."""
+    if not _STEP_RE.fullmatch(text):
+        raise CorrpolyError(f"--step must be a rational such as 1/8 or 0.125, got {text!r}")
+    return text
 
 
 def _param_value(scn: scenario.Scenario, raw: Optional[str]) -> Optional[Fraction]:
@@ -320,7 +334,7 @@ def build_parser() -> _Parser:
         "--vertex", type=_integer_option("vertex"), help="index into the vertex list"
     )
     p.add_argument("--probes", type=_integer_option("probes"), default=64)
-    p.add_argument("--step", default="1/8")
+    p.add_argument("--step", type=_step_option, default="1/8")
     p.set_defaults(func=cmd_mi)
 
     p = sub.add_parser("independence", help="independence verdict on a collection")

@@ -51,8 +51,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConsistencyError, CorrpolyError
 from .linalg import fraction_tuple, integer_numerators, require_count
@@ -64,8 +64,7 @@ STRICTNESS_SLACK = 1e-12
 MAX_HALVINGS = 20  # a certificate's step ladder has MAX_HALVINGS + 3 rungs
 
 
-@dataclass(frozen=True, slots=True)
-class MutualInformationReport:
+class MutualInformationReport(NamedTuple):
     """The mutual information ``value`` (bits) of a member, whether it is a
     local maximum, the number of probe points the seeded ladder evaluated
     and the largest increase of MI it saw, 0.0 if none (see

@@ -65,36 +65,49 @@ names the basis where the certificate failed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import gt, mul, sub
 from typing import NamedTuple, NoReturn, Sequence
 
+from ._value import FrozenValue
 from .errors import ConsistencyError, CorrpolyError, InfeasibleError, UnboundedError
 from .linalg import _pivot_step, _primitive, fraction_tuple, integer_numerators
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(FrozenValue):
     """min objective . x  subject to  eq_matrix @ x = eq_rhs, x >= 0."""
 
     objective: tuple[Fraction, ...]
     eq_matrix: tuple[tuple[Fraction, ...], ...]
     eq_rhs: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "objective", fraction_tuple(self.objective))
-        object.__setattr__(self, "eq_matrix", tuple(map(fraction_tuple, self.eq_matrix)))
-        object.__setattr__(self, "eq_rhs", fraction_tuple(self.eq_rhs))
-        n = len(self.objective)
-        if len(self.eq_matrix) != len(self.eq_rhs):
+    def __init__(self, objective, eq_matrix, eq_rhs):
+        objective = fraction_tuple(objective)
+        eq_matrix = tuple(map(fraction_tuple, eq_matrix))
+        eq_rhs = fraction_tuple(eq_rhs)
+        if len(eq_matrix) != len(eq_rhs):
             raise CorrpolyError("constraint matrix and rhs sizes differ")
-        if any(len(row) != n for row in self.eq_matrix):
+        if any(len(row) != len(objective) for row in eq_matrix):
             raise CorrpolyError("constraint row length does not match objective length")
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "eq_matrix", eq_matrix)
+        object.__setattr__(self, "eq_rhs", eq_rhs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.objective, self.eq_matrix, self.eq_rhs) == (
+                other.objective,
+                other.eq_matrix,
+                other.eq_rhs,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.objective, self.eq_matrix, self.eq_rhs))
 
 
 class LPSolution(NamedTuple):
@@ -165,8 +178,7 @@ class _Basis(NamedTuple):
     x_scale: int
 
 
-@dataclass(frozen=True)
-class FeasibleStart:
+class FeasibleStart(FrozenValue):
     """The basic feasible tableau that simplex phase 1 ends on for
     ``A x = b, x >= 0``, in integers.
 
@@ -181,8 +193,8 @@ class FeasibleStart:
 
     The start also holds the cache of bases that `phase2` reaches from it
     and the pricing table of its own tableau (see the module docstring); a
-    copy made with `dataclasses.replace` starts an empty cache and builds
-    its own table.
+    copy, built from the fields or made by `copy` or `pickle`, starts an
+    empty cache and builds its own table.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -190,6 +202,27 @@ class FeasibleStart:
     basis: tuple[int, ...]
     flipped: tuple[bool, ...]
     system: _IntegerSystem
+
+    def __init__(self, rows, rhs, basis, flipped, system: _IntegerSystem):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "flipped", flipped)
+        object.__setattr__(self, "system", system)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows, self.rhs, self.basis, self.flipped, self.system) == (
+                other.rows,
+                other.rhs,
+                other.basis,
+                other.flipped,
+                other.system,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows, self.rhs, self.basis, self.flipped, self.system))
 
     @cached_property
     def _bases(self) -> dict[tuple[int, ...], _Basis]:

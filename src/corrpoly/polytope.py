@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
+from ._value import FrozenValue
 from .errors import CorrpolyError, GuardExceededError, ConsistencyError, NotInCorrelationSetError
 from .space import (
     JointDistribution,
@@ -89,13 +89,23 @@ def build_marginal_system(space: ProductSpace, marginals: Sequence[Marginal]) ->
     return MarginalSystem(space, ms, _marginal_rows(space.subspace_sizes), rhs)
 
 
-@dataclass(frozen=True)
-class KernelBasis:
+class KernelBasis(FrozenValue):
     """A basis of the homogeneous system's solution space: mass shifts that
     leave every marginal unchanged.  Entries are the integers 0, 1 and -1;
     ``len`` is the number of vectors."""
 
     basis_vectors: tuple[tuple[int, ...], ...]
+
+    def __init__(self, basis_vectors: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "basis_vectors", basis_vectors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.basis_vectors,) == (other.basis_vectors,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.basis_vectors,))
 
     def __len__(self) -> int:
         return len(self.basis_vectors)

@@ -32,11 +32,11 @@ import itertools
 import math
 import numbers
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import lp
+from ._value import FrozenValue
 from .capacity import capacity_of, choquet_integral
 from .errors import ConsistencyError, CorrpolyError
 from .independence import event_family
@@ -57,44 +57,69 @@ from .space import (
 )
 
 
-@dataclass(frozen=True)
-class UtilityAlignment:
+class UtilityAlignment(FrozenValue):
     """Positive affine map aligning one cardinal utility with another."""
 
-    scale: Fraction = Fraction(1)
-    shift: Fraction = Fraction(0)
+    scale: Fraction
+    shift: Fraction
 
-    def __post_init__(self):
-        scale, shift = fraction_tuple((self.scale, self.shift))
+    def __init__(self, scale=Fraction(1), shift=Fraction(0)):
+        scale, shift = fraction_tuple((scale, shift))
+        if scale <= 0:
+            raise CorrpolyError("utility alignment scale must be positive")
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "shift", shift)
-        if self.scale <= 0:
-            raise CorrpolyError("utility alignment scale must be positive")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.scale, self.shift) == (other.scale, other.shift)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.scale, self.shift))
 
     def apply(self, value: Fraction) -> Fraction:
         return self.scale * fraction_tuple((value,))[0] + self.shift
 
 
-@dataclass(frozen=True)
-class SubspacePreference:
+class SubspacePreference(FrozenValue):
     """Expected-utility preference on one subspace: a marginal belief plus
     the affine alignment of its Bernoulli index with the global one."""
 
     subspace_index: int
     marginal: Marginal
-    utility: UtilityAlignment = UtilityAlignment()
+    utility: UtilityAlignment
 
-    def __post_init__(self):
-        if self.marginal.subspace_index != self.subspace_index:
+    def __init__(
+        self,
+        subspace_index: int,
+        marginal: Marginal,
+        utility: UtilityAlignment = UtilityAlignment(),
+    ):
+        if marginal.subspace_index != subspace_index:
             raise CorrpolyError("marginal belongs to a different subspace")
+        object.__setattr__(self, "subspace_index", subspace_index)
+        object.__setattr__(self, "marginal", marginal)
+        object.__setattr__(self, "utility", utility)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.subspace_index, self.marginal, self.utility) == (
+                other.subspace_index,
+                other.marginal,
+                other.utility,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.subspace_index, self.marginal, self.utility))
 
 
 def _finite_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
-@dataclass(frozen=True)
-class RiskUtility:
+class RiskUtility(FrozenValue):
     """Bernoulli utility over monetary outcomes: identity (risk neutral) or
     constant relative risk aversion with a positive scale normalizer.
 
@@ -104,14 +129,24 @@ class RiskUtility:
     utility beyond the float range raise `CorrpolyError`.
     """
 
-    rho: Optional[float] = None
-    scale: float = 1.0
+    rho: Optional[float]
+    scale: float
 
-    def __post_init__(self):
-        if self.rho is not None and not _finite_real(self.rho):
-            raise CorrpolyError(f"CRRA rho must be finite, got {self.rho!r}")
-        if not (_finite_real(self.scale) and self.scale > 0):
-            raise CorrpolyError(f"CRRA scale must be finite and positive, got {self.scale!r}")
+    def __init__(self, rho: Optional[float] = None, scale: float = 1.0):
+        if rho is not None and not _finite_real(rho):
+            raise CorrpolyError(f"CRRA rho must be finite, got {rho!r}")
+        if not (_finite_real(scale) and scale > 0):
+            raise CorrpolyError(f"CRRA scale must be finite and positive, got {scale!r}")
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "scale", scale)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rho, self.scale) == (other.rho, other.scale)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rho, self.scale))
 
     def apply(self, wealth) -> float:
         try:

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from ._value import Value
 from .errors import CorrpolyError, ScenarioError
 from .linalg import fraction_tuple
 from .independence import partition_factorize, product_of_components
@@ -287,17 +287,46 @@ class SweepSpec(NamedTuple):
     grid: tuple[Fraction, ...]
 
 
-@dataclass
-class Scenario:
+class Scenario(Value):
     """A loaded scenario file: its space and marginals, the act payoffs and
-    named event expressions as written, the prior and the sweep."""
+    named event expressions as written, the prior and the sweep.  Unlike
+    the other value types it is mutable, and so unhashable."""
 
     space: ProductSpace
     marginals: tuple[Marginal, ...]
-    act_exprs: dict[str, tuple[LinExpr, ...]] = field(default_factory=dict)
-    events: dict[str, str] = field(default_factory=dict)  # name -> expression text
-    prior: PriorSpec = PriorSpec("full")
-    sweep: Optional[SweepSpec] = None
+    act_exprs: dict[str, tuple[LinExpr, ...]]
+    events: dict[str, str]  # name -> expression text
+    prior: PriorSpec
+    sweep: Optional[SweepSpec]
+
+    def __init__(
+        self,
+        space: ProductSpace,
+        marginals: tuple[Marginal, ...],
+        act_exprs: Optional[dict[str, tuple[LinExpr, ...]]] = None,
+        events: Optional[dict[str, str]] = None,
+        prior: PriorSpec = PriorSpec("full"),
+        sweep: Optional[SweepSpec] = None,
+    ):
+        self.space = space
+        self.marginals = marginals
+        self.act_exprs = {} if act_exprs is None else act_exprs
+        self.events = {} if events is None else events
+        self.prior = prior
+        self.sweep = sweep
+
+    def __eq__(self, other):  # defined without __hash__: a scenario is unhashable
+        if other.__class__ is self.__class__:
+            mine = (self.space, self.marginals, self.act_exprs, self.events, self.prior, self.sweep)
+            return mine == (
+                other.space,
+                other.marginals,
+                other.act_exprs,
+                other.events,
+                other.prior,
+                other.sweep,
+            )
+        return NotImplemented
 
     def parameters(self) -> set[str]:
         used = set()

@@ -13,55 +13,66 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CorrpolyError, MarginalMismatchError, SpaceMismatchError
+from ._value import FrozenValue
 from .linalg import fraction_tuple, integer_numerators
 
 MultiIndex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ProductSpace:
+class ProductSpace(FrozenValue):
     """Shape of the product space: one size (and optional label list) per subspace."""
 
     subspace_sizes: tuple[int, ...]
-    state_labels: Optional[tuple[tuple[str, ...], ...]] = None
-    subspace_names: Optional[tuple[str, ...]] = None
+    state_labels: Optional[tuple[tuple[str, ...], ...]]
+    subspace_names: Optional[tuple[str, ...]]
 
-    def __post_init__(self):
+    def __init__(self, subspace_sizes, state_labels=None, subspace_names=None):
         try:
-            sizes = tuple(self.subspace_sizes)
+            sizes = tuple(subspace_sizes)
             if any(isinstance(s, bool) for s in sizes):
                 raise TypeError("a bool is not a size")
             sizes = tuple(map(operator.index, sizes))
         except TypeError:
             raise CorrpolyError(
-                f"subspace sizes must be integers, got {self.subspace_sizes!r}"
+                f"subspace sizes must be integers, got {subspace_sizes!r}"
             ) from None
-        object.__setattr__(self, "subspace_sizes", sizes)
-        if len(self.subspace_sizes) < 1:
+        if len(sizes) < 1:
             raise CorrpolyError("a product space needs at least one subspace")
-        if any(s < 1 for s in self.subspace_sizes):
+        if any(s < 1 for s in sizes):
             raise CorrpolyError("subspace sizes must be positive")
-        if self.state_labels is not None:
-            labels = tuple(tuple(ls) for ls in self.state_labels)
-            object.__setattr__(self, "state_labels", labels)
-            if len(labels) != self.n_subspaces:
+        if state_labels is not None:
+            state_labels = tuple(tuple(ls) for ls in state_labels)
+            if len(state_labels) != len(sizes):
                 raise CorrpolyError("one label list per subspace required")
-            for i, ls in enumerate(labels):
-                if len(ls) != self.subspace_sizes[i]:
+            for i, ls in enumerate(state_labels):
+                if len(ls) != sizes[i]:
                     raise CorrpolyError(f"label count mismatch on subspace {i}")
                 if len(set(ls)) != len(ls):
                     raise CorrpolyError(f"duplicate labels on subspace {i}")
-        if self.subspace_names is not None:
-            names = tuple(self.subspace_names)
-            object.__setattr__(self, "subspace_names", names)
-            if len(names) != self.n_subspaces or len(set(names)) != len(names):
+        if subspace_names is not None:
+            subspace_names = tuple(subspace_names)
+            if len(subspace_names) != len(sizes) or len(set(subspace_names)) != len(subspace_names):
                 raise CorrpolyError("subspace names must be unique, one per subspace")
+        object.__setattr__(self, "subspace_sizes", sizes)
+        object.__setattr__(self, "state_labels", state_labels)
+        object.__setattr__(self, "subspace_names", subspace_names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.subspace_sizes, self.state_labels, self.subspace_names) == (
+                other.subspace_sizes,
+                other.state_labels,
+                other.subspace_names,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.subspace_sizes, self.state_labels, self.subspace_names))
 
     @property
     def n_subspaces(self) -> int:
@@ -175,8 +186,7 @@ def probability_vector(weights: Iterable, what: str) -> tuple[Fraction, ...]:
     return weights
 
 
-@dataclass(frozen=True)
-class Marginal:
+class Marginal(FrozenValue):
     """A probability distribution on one subspace.
 
     Zero weights are allowed (the type does not force full support); callers
@@ -186,8 +196,18 @@ class Marginal:
     subspace_index: int
     weights: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", probability_vector(self.weights, "marginal"))
+    def __init__(self, subspace_index: int, weights):
+        weights = probability_vector(weights, "marginal")
+        object.__setattr__(self, "subspace_index", subspace_index)
+        object.__setattr__(self, "weights", weights)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.subspace_index, self.weights) == (other.subspace_index, other.weights)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.subspace_index, self.weights))
 
     @property
     def size(self) -> int:
@@ -204,20 +224,28 @@ class Marginal:
         return sum((self.weights[c] for c in coords), Fraction(0))
 
 
-@dataclass(frozen=True, slots=True)
-class JointDistribution:
+class JointDistribution(FrozenValue):
     """A probability distribution on the whole product space, row-major.
     Slotted: a vertex list holds many of them, so none has a ``__dict__``."""
 
+    __slots__ = ("space", "weights")
     space: ProductSpace
     weights: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", probability_vector(self.weights, "joint"))
-        if len(self.weights) != self.space.total_size:
-            raise CorrpolyError(
-                f"need {self.space.total_size} weights, got {len(self.weights)}"
-            )
+    def __init__(self, space: ProductSpace, weights):
+        weights = probability_vector(weights, "joint")
+        if len(weights) != space.total_size:
+            raise CorrpolyError(f"need {space.total_size} weights, got {len(weights)}")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "weights", weights)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.space, self.weights) == (other.space, other.weights)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.space, self.weights))
 
     def prob(self, state: MultiIndex) -> Fraction:
         return self.weights[self.space.ravel(state)]
@@ -235,25 +263,32 @@ class JointDistribution:
         return Marginal(subspace_index, sub.weights)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(FrozenValue):
     """A set of states, held as a bitmask: bit k of ``mask`` is set iff the
     state with flat index k is a member."""
 
     space: ProductSpace
     mask: int
 
-    def __post_init__(self):
-        mask = self.mask
+    def __init__(self, space: ProductSpace, mask: int):
         if (
             not isinstance(mask, int)
             or isinstance(mask, bool)
-            or not 0 <= mask < 1 << self.space.total_size
+            or not 0 <= mask < 1 << space.total_size
         ):
             raise CorrpolyError(
-                f"mask {self.mask!r} is not an event of a space with "
-                f"{self.space.total_size} states"
+                f"mask {mask!r} is not an event of a space with {space.total_size} states"
             )
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "mask", mask)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.space, self.mask) == (other.space, other.mask)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.space, self.mask))
 
     @classmethod
     def from_states(cls, space: ProductSpace, states: Iterable[MultiIndex]) -> "Event":
@@ -316,15 +351,13 @@ def event_from_mask(space: ProductSpace, mask: int) -> Event:
     return Event(space, mask)
 
 
-@dataclass(frozen=True)
-class Collection:
+class Collection(FrozenValue):
     """A family of at least two non-empty, pairwise disjoint subspace index sets."""
 
     members: tuple[frozenset[int], ...]
 
-    def __post_init__(self):
-        members = tuple(frozenset(m) for m in self.members)
-        members = tuple(sorted(members, key=lambda s: sorted(s)))
+    def __init__(self, members):
+        members = tuple(sorted(map(frozenset, members), key=sorted))
         object.__setattr__(self, "members", members)
         if len(members) < 2:
             raise CorrpolyError("a collection needs at least two members")
@@ -337,6 +370,14 @@ class Collection:
             seen |= m
         if any(i < 0 for i in seen):
             raise CorrpolyError("subspace indices must be nonnegative")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.members,) == (other.members,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.members,))
 
     @classmethod
     def of(cls, *index_sets: Iterable[int]) -> "Collection":
@@ -356,19 +397,26 @@ class Collection:
         return self.union() == frozenset(range(space.n_subspaces))
 
 
-@dataclass(frozen=True)
-class Act:
+class Act(FrozenValue):
     """A map from states to utility values (outcomes already passed through u)."""
 
     space: ProductSpace
     values: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", fraction_tuple(self.values))
-        if len(self.values) != self.space.total_size:
-            raise CorrpolyError(
-                f"need {self.space.total_size} values, got {len(self.values)}"
-            )
+    def __init__(self, space: ProductSpace, values):
+        values = fraction_tuple(values)
+        if len(values) != space.total_size:
+            raise CorrpolyError(f"need {space.total_size} values, got {len(values)}")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.space, self.values) == (other.space, other.values)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.space, self.values))
 
     @classmethod
     def constant(cls, space: ProductSpace, value) -> "Act":

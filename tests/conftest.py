@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from corrpoly import CorrelationSet, Marginal, ProductSpace
+from corrpoly import CorrelationSet, FeasibleStart, Marginal, ProductSpace
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 F = Fraction
@@ -23,6 +23,13 @@ def random_correlation_set(sizes, rng: random.Random) -> CorrelationSet:
     space = ProductSpace(tuple(sizes))
     marginals = [random_marginal(i, s, rng) for i, s in enumerate(sizes)]
     return CorrelationSet(space, marginals)
+
+
+def replaced_start(start: FeasibleStart, **changes) -> FeasibleStart:
+    """A new start, built by the constructor, with the fields of ``start``
+    but those named in ``changes``; its caches start empty."""
+    fields = {name: getattr(start, name) for name in ("rows", "rhs", "basis", "flipped", "system")}
+    return FeasibleStart(**{**fields, **changes})
 
 
 def _uniform(*sizes):

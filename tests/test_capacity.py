@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import random
@@ -45,6 +44,7 @@ from conftest import (
     correlation_set_of,
     random_correlation_set,
     random_marginal,
+    replaced_start,
 )
 
 F = Fraction
@@ -478,9 +478,9 @@ def test_capacity_with_a_corrupted_start_raises(uniform_cube):
     cap.value(event_from_mask(space, 0b1))
     start = cap._start
     for corrupt in (
-        dataclasses.replace(start, rhs=tuple(b + F(1, 5) for b in start.rhs)),
-        dataclasses.replace(start, basis=(start.basis[1], start.basis[0]) + start.basis[2:]),
-        dataclasses.replace(start, rhs=(-1,) + start.rhs[1:]),
+        replaced_start(start, rhs=tuple(b + F(1, 5) for b in start.rhs)),
+        replaced_start(start, basis=(start.basis[1], start.basis[0]) + start.basis[2:]),
+        replaced_start(start, rhs=(-1,) + start.rhs[1:]),
     ):
         cap._start = corrupt
         with pytest.raises(ConsistencyError, match="not a feasible integer basis") as info:
@@ -499,7 +499,7 @@ def test_capacity_certificate_fails_on_an_integer_corrupted_start(uniform_cube):
     cap = capacity_of(uniform_cube)
     space = uniform_cube.space
     cap.value(event_from_mask(space, 0b1))
-    start = cap._start = dataclasses.replace(cap._start, rhs=(cap._start.rhs[0] + 1,) + cap._start.rhs[1:])
+    start = cap._start = replaced_start(cap._start, rhs=(cap._start.rhs[0] + 1,) + cap._start.rhs[1:])
     for _ in range(2):  # the failing basis never enters the cache
         with pytest.raises(ConsistencyError, match="certificate failed: A x != b") as info:
             cap.value(event_from_mask(space, 0b10010110))
@@ -522,7 +522,7 @@ def test_capacity_dual_certificate_failure_names_the_optimal_basis(uniform_cube)
     cap.value(event_from_mask(space, 0b1))
     rows = [list(row) for row in cap._start.rows]
     rows[0][8] += 1
-    start = cap._start = dataclasses.replace(cap._start, rows=tuple(map(tuple, rows)))
+    start = cap._start = replaced_start(cap._start, rows=tuple(map(tuple, rows)))
     with pytest.raises(ConsistencyError, match=r"certificate failed: (A\^T y <= c fails|b\.y != c\.x)") as info:
         for mask in range(1, 2 ** 8):
             cap.value(event_from_mask(space, mask))

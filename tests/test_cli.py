@@ -419,6 +419,10 @@ def test_mi_bad_input_is_an_error(capsys):
         ("--vertex", "0", "--step", "abc"),
         ("--vertex", "0", "--step", "1/0"),
         ("--vertex", "0", "--step", "0"),
+        ("--vertex", "0", "--step", " \u0661/\u0668\n"),  # Arabic-Indic digits, white space
+        ("--vertex", "0", "--step", "1_2e-2"),
+        ("--vertex", "0", "--step", "1e-1"),
+        ("--vertex", "0", "--step", "-1/8"),
         ("--vertex", "0", "--probes", "-3"),
         ("--vertex", "99"),
         ("--vertex", "-1"),

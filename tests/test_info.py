@@ -1,4 +1,3 @@
-import dataclasses
 import decimal
 import itertools
 import math
@@ -182,7 +181,7 @@ def test_float_reference_parts_from_the_exact_verdict_on_tiny_marginals(eps):
     vertex = cs.vertices()[0]
     want = certify_local_max_mi_reference(cs, vertex)
     assert not want.is_local_max
-    assert certify_local_max_mi(cs, vertex) == dataclasses.replace(want, is_local_max=True)
+    assert certify_local_max_mi(cs, vertex) == want._replace(is_local_max=True)
 
 
 def _divergence_in_decimal(p, q):

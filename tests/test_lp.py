@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import re
@@ -27,7 +26,7 @@ from corrpoly import (
 from corrpoly import lp
 from corrpoly.linalg import rank
 from bruteforce import feasible_start_reference, solve_lp_min_reference
-from conftest import random_correlation_set
+from conftest import random_correlation_set, replaced_start
 
 F = Fraction
 
@@ -219,7 +218,7 @@ def test_a_basis_that_fails_the_primal_check_stays_out_of_the_cache():
     start = feasible_start(_program(cs, [0] * 9))
     rows = [list(r) for r in start.rows]
     rows[0][0] += 1
-    corrupt = dataclasses.replace(start, rows=tuple(map(tuple, rows)))
+    corrupt = replaced_start(start, rows=tuple(map(tuple, rows)))
     costs = [[mask >> k & 1 for k in range(9)] for mask in range(1, 2 ** 9)]
     sweeps = []
     for _ in range(2):
@@ -303,7 +302,7 @@ def test_a_bumped_pricing_table_fails_the_dual_certificate():
     for row in range(len(table.rows)):
         bumped = [list(r) for r in table.rows]
         bumped[row][9] += 1
-        corrupt = dataclasses.replace(start)
+        corrupt = replaced_start(start)
         vars(corrupt)["_table"] = table._replace(rows=tuple(map(tuple, bumped)))
         if row == priced:
             with pytest.raises(ConsistencyError, match=r"A\^T y <= c fails|b\.y != c\.x") as info:
@@ -328,7 +327,7 @@ def test_a_start_builds_its_pricing_table_once(monkeypatch):
     for objective in ([1, 0, 0, 0, 1, 1], [0, 1, 1, 0, 0, 0], [2, -1, 0, 1, 0, 3]):
         lp.phase2(start, objective)
     assert built == [start.basis]
-    copy = dataclasses.replace(start)
+    copy = replaced_start(start)
     assert lp.phase2(copy, [1, 0, 0, 0, 1, 1]) == lp.phase2(start, [1, 0, 0, 0, 1, 1])
     assert built == [start.basis] * 2
     assert copy._table == start._table and copy._table is not start._table
@@ -358,9 +357,9 @@ def test_corrupted_start_raises_consistency_error():
     negative_rhs = (-1,) + start.rhs[1:]
     message = "LP start is not a feasible integer basis"
     for corrupt in (
-        dataclasses.replace(start, rhs=bumped_rhs),
-        dataclasses.replace(start, basis=swapped),
-        dataclasses.replace(start, rhs=negative_rhs),
+        replaced_start(start, rhs=bumped_rhs),
+        replaced_start(start, basis=swapped),
+        replaced_start(start, rhs=negative_rhs),
     ):
         with pytest.raises(ConsistencyError, match=message) as info:
             _solve_from(corrupt, program)
@@ -400,9 +399,9 @@ def test_integer_corrupted_start_fails_the_certificate():
     def bump(row, col):  # one artificial-column entry of one row
         rows = [list(r) for r in start.rows]
         rows[row][col] += 1
-        return dataclasses.replace(start, rows=tuple(map(tuple, rows)))
+        return replaced_start(start, rows=tuple(map(tuple, rows)))
 
-    bumped_rhs = dataclasses.replace(start, rhs=start.rhs[:1] + (start.rhs[1] + 1,) + start.rhs[2:])
+    bumped_rhs = replaced_start(start, rhs=start.rhs[:1] + (start.rhs[1] + 1,) + start.rhs[2:])
     for corrupt, failure in (
         (bumped_rhs, "A x != b"),
         (bump(0, 9), "A^T y <= c fails"),
