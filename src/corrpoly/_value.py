@@ -11,7 +11,14 @@ out per class because a shared generic pair is slower.  `Value` gives the
 repr ``Name(field=value, ...)`` and pickles and copies through the
 constructor, so a copy starts with empty `functools.cached_property`
 caches.  `FrozenValue` also refuses assignment and deletion.
+
+A plain result record is a named tuple, declared as a `typing.NamedTuple`
+body under the decorator `record`, which builds it with
+`collections.namedtuple`: the same class, without the `typing.ForwardRef`
+that `typing.NamedTuple` compiles for each field's annotation at import.
 """
+
+import collections
 
 
 class Value:
@@ -42,3 +49,26 @@ class FrozenValue(Value):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+# names in a class body that are not carried over to its record; nor is a
+# name bound to None, such as the ``__doc__`` of a body without a docstring,
+# which would hide namedtuple's own
+_NOT_COPIED = frozenset({"__module__", "__dict__", "__weakref__"})
+
+
+def record(cls):
+    """The class body ``cls`` as a `collections.namedtuple` of the same name
+    and module: its annotated names are the fields, in order, the last of
+    them take their values in the body as defaults, and its docstring (if
+    it has one: else namedtuple's) and methods are set on the record."""
+    body = cls.__dict__
+    fields = tuple(cls.__annotations__)
+    defaults = [body[name] for name in fields if name in body]
+    if any(name not in body for name in fields[len(fields) - len(defaults):]):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+    tpl = collections.namedtuple(cls.__name__, fields, defaults=defaults, module=cls.__module__)
+    for name, value in body.items():
+        if name not in fields and name not in _NOT_COPIED and value is not None:
+            setattr(tpl, name, value)
+    return tpl

@@ -16,8 +16,9 @@ import enum
 import io
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
+from ._value import record
 from .errors import ConsistencyError, CorrpolyError
 from .linalg import fraction_tuple
 from .preferences import PriorSet, RiskUtility, meu_minimizer
@@ -41,7 +42,8 @@ def decimal_string(value: Fraction) -> str:
     return str(d)
 
 
-class ReportRow(NamedTuple):
+@record
+class ReportRow:
     name: str
     value: Fraction
     value_decimal: str
@@ -174,7 +176,8 @@ class InsuranceVerdict(enum.Enum):
     MARKET_FAILURE = "market-failure"
 
 
-class InsuranceReport(NamedTuple):
+@record
+class InsuranceReport:
     insurer_reservation: Fraction
     insuree_reservation: Fraction
     trade_interval: Optional[tuple[Fraction, Fraction]]
@@ -241,7 +244,8 @@ def run_insurance(
 FINANCE_WEALTH = 6
 
 
-class FinanceReport(NamedTuple):
+@record
+class FinanceReport:
     averaged_returns: tuple[Fraction, ...]
     expected_return: Fraction
     rho: Optional[float]

@@ -16,9 +16,10 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import linalg
+from ._value import record
 from .errors import CorrpolyError, NonlinearCollectionError
 from .polytope import CorrelationSet, positive_state_columns, restricted_rows
 from .polytope import sample_member
@@ -34,7 +35,8 @@ from .space import (
 )
 
 
-class IndependenceVerdict(NamedTuple):
+@record
+class IndependenceVerdict:
     """Outcome of an element-wise independence test.
 
     ``witness`` is the first cylinder tuple (one coordinate tuple per

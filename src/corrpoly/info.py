@@ -52,8 +52,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import NamedTuple
 
+from ._value import record
 from .errors import ConsistencyError, CorrpolyError
 from .linalg import fraction_tuple, integer_numerators, require_count
 from .polytope import CorrelationSet, _draw_member, _face_directions, _largest_step
@@ -64,7 +64,8 @@ STRICTNESS_SLACK = 1e-12
 MAX_HALVINGS = 20  # a certificate's step ladder has MAX_HALVINGS + 3 rungs
 
 
-class MutualInformationReport(NamedTuple):
+@record
+class MutualInformationReport:
     """The mutual information ``value`` (bits) of a member, whether it is a
     local maximum, the number of probe points the seeded ladder evaluated
     and the largest increase of MI it saw, 0.0 if none (see

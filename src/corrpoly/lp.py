@@ -69,9 +69,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import gt, mul, sub
-from typing import NamedTuple, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
-from ._value import FrozenValue
+from ._value import FrozenValue, record
 from .errors import ConsistencyError, CorrpolyError, InfeasibleError, UnboundedError
 from .linalg import _pivot_step, _primitive, fraction_tuple, integer_numerators
 
@@ -110,7 +110,8 @@ class LinearProgram(FrozenValue):
         return hash((self.objective, self.eq_matrix, self.eq_rhs))
 
 
-class LPSolution(NamedTuple):
+@record
+class LPSolution:
     """An optimal vertex ``argmin`` and the exact dual ``dual`` (one entry
     per equality row) that certifies it."""
 
@@ -119,7 +120,8 @@ class LPSolution(NamedTuple):
     dual: tuple[Fraction, ...]
 
 
-class _Line(NamedTuple):
+@record
+class _Line:
     """The nonzero entries of one row or column: their indices and values."""
 
     indices: tuple[int, ...]
@@ -129,7 +131,8 @@ class _Line(NamedTuple):
         return sum(map(mul, self.values, map(vector.__getitem__, self.indices)))
 
 
-class _IntegerSystem(NamedTuple):
+@record
+class _IntegerSystem:
     """The constraints ``A x = b`` of a program, scaled by the common
     denominator ``scale`` of all their entries, with the ``width`` columns
     of ``A`` stored by sparse rows."""
@@ -152,7 +155,8 @@ def _integer_system(lp: LinearProgram) -> _IntegerSystem:
     return _IntegerSystem(scale, n, rows, tuple(flat[m * n :]))
 
 
-class _Tableau(NamedTuple):
+@record
+class _Tableau:
     """Integer rows, rhs last, with their ordered basis: the entry of row r
     in column ``basis[r]`` is its positive scale."""
 
@@ -160,7 +164,8 @@ class _Tableau(NamedTuple):
     basis: tuple[int, ...]
 
 
-class _PricingTable(NamedTuple):
+@record
+class _PricingTable:
     """The rows of a tableau, rhs last, each scaled so that its basic entry
     is the lcm ``scale`` of the basic entries, with the tableau's basis."""
 
@@ -169,7 +174,8 @@ class _PricingTable(NamedTuple):
     scale: int
 
 
-class _Basis(NamedTuple):
+@record
+class _Basis:
     """A feasible basis in the cache of a start: its tableau and its basic
     solution ``xs / x_scale``, which passed the primal check."""
 

@@ -11,11 +11,23 @@ of those rows on supp(p) is empty exactly when p is a vertex.
 `is_maximally_zero` and the MI verdict in `info` read that kernel in
 integers (`_face_directions`); `face_basis(cs, p)` is its Fraction view.
 
+The exact eliminations (the vertex search's column reductions and
+per-support solves, the ranks behind `dimension` and
+`independence.restricted_dimension`, the face kernel) read only a basis of
+the marginal rows, `_basis_rows`: every row of the first subspace and all
+but the last row of each later one, Σnᵢ - k + 1 of the Σnᵢ rows.  Each
+subspace's rows sum to the all-ones row and its weights to 1, so each row
+left out, right-hand side included, is implied by the kept ones: ranks,
+kernels, solutions and rrefs are those of all rows.  The membership check
+(`require_numerators`) and the capacity LP (which drops redundant rows in
+its own phase 1) still read every row.
+
 A set and its vertex list cost what they hold.  Structure that depends only
-on the shape (the 0/1 marginal matrix, the rectangle kernel basis, its
-vectors' four corners and each row's state list) is built once per shape,
-under a small fixed-size `functools.lru_cache` keyed on the subspace sizes,
-and shared by every set of that shape; the cache holds integer tuples (and the `KernelBasis` that
+on the shape (the 0/1 marginal matrix, the indices of its basis rows, the
+rectangle kernel basis, its vectors' four corners and each row's state
+list) is built once per shape, under a small fixed-size
+`functools.lru_cache` keyed on the subspace sizes, and shared by every set
+of that shape; the cache holds integer tuples (and the `KernelBasis` that
 wraps some), no set and no space.
 The vertices of one enumeration share their weight objects: one `Fraction`
 per distinct value, and one zero for all.
@@ -26,10 +38,10 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import linalg
-from ._value import FrozenValue
+from ._value import FrozenValue, record
 from .errors import CorrpolyError, GuardExceededError, ConsistencyError, NotInCorrelationSetError
 from .space import (
     JointDistribution,
@@ -46,7 +58,8 @@ from .space import (
 _ZERO = Fraction(0)
 
 
-class MarginalSystem(NamedTuple):
+@record
+class MarginalSystem:
     """The 0/1 equation system ``M p = rhs`` whose solutions in the simplex
     are exactly the couplings with the prescribed marginals.
 
@@ -75,6 +88,23 @@ def _marginal_rows(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         for coord in range(sizes[i]):
             rows.append(tuple(1 if c == coord else 0 for c in proj))
     return tuple(rows)
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _basis_rows(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """The indices of a basis of the rows of `_marginal_rows`: every row of
+    the first subspace and all but the last row of each later one.  The
+    rows of any subspace sum to the all-ones row, so a later subspace's
+    last row is the first subspace's rows summed minus its own other rows;
+    its marginal weights sum to 1 as the first's do, so the right-hand
+    sides obey the same identity.  The kept rows are independent (each
+    later subspace adds its first n - 1 cylinders) and span every row."""
+    kept: list[int] = []
+    start = 0
+    for i, size in enumerate(sizes):
+        kept.extend(range(start, start + size - (i > 0)))
+        start += size
+    return tuple(kept)
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
@@ -277,8 +307,15 @@ def reduced_sizes(cs: CorrelationSet) -> tuple[int, ...]:
 
 
 def restricted_rows(cs: CorrelationSet, columns: Sequence[int]) -> list[list[int]]:
-    """The marginal system's rows on the given flat state indices, in order."""
-    return [[row[k] for k in columns] for row in cs.system.matrix]
+    """The marginal system's basis rows (`_basis_rows`) on the given flat
+    state indices, in order.  The rows left out are sums and differences of
+    the kept ones, so the restriction has the row space, hence the rank,
+    kernel and rref, of all rows on those states, with k - 1 fewer rows
+    for k subspaces.  Membership (`require_numerators`) and the capacity
+    LP still read every row."""
+    matrix = cs.system.matrix
+    rows = [matrix[r] for r in _basis_rows(cs.space.subspace_sizes)]
+    return [[row[k] for k in columns] for row in rows]
 
 
 def dimension(cs: CorrelationSet) -> int:
@@ -323,7 +360,11 @@ def enumerate_extreme_points(
     cutting off any branch that goes linearly dependent; at every fully
     covering node it reduces the restricted system's augmented rows once
     (`linalg._reduce`), reads the solution off the reduced rhs column and
-    keeps strictly positive solutions.  Independent columns make a solution
+    keeps strictly positive solutions.  Column vectors and augmented rows
+    hold only the basis rows (`_basis_rows`), which decide independence,
+    consistency and the solution as all rows would; coverage and its
+    pruning read every row, so the search visits the same nodes in the
+    same order.  Independent columns make a solution
     unique, so a positive one has exactly its support and no vertex is
     found twice.  Output is sorted lexicographically by the exact weight
     vectors.  The vertices share their weight objects: one `Fraction` per
@@ -336,6 +377,8 @@ def enumerate_extreme_points(
     matrix = cs.system.matrix
     rhs = cs.system.rhs
     n_rows = len(matrix)
+    basis = _basis_rows(cs.space.subspace_sizes)
+    basis_rhs = [rhs[r] for r in basis]
     candidates = positive_state_columns(cs)
     required_mask = 0
     for r in range(n_rows):
@@ -349,7 +392,7 @@ def enumerate_extreme_points(
             if matrix[r][k]:
                 mask |= 1 << r
         col_mask[k] = mask
-        col_vec[k] = [matrix[r][k] for r in range(n_rows)]
+        col_vec[k] = [matrix[r][k] for r in basis]
 
     found: list[tuple[Fraction, ...]] = []
     shared: dict[Fraction, Fraction] = {}  # one object per distinct weight
@@ -359,7 +402,7 @@ def enumerate_extreme_points(
         # 0..|S|-1 and row r's last entry is the weight of support[r]; the
         # rhs column is a pivot too exactly when the system is inconsistent
         aug = restricted_rows(cs, support)
-        for row, b in zip(aug, rhs):
+        for row, b in zip(aug, basis_rhs):
             row.append(b)
         if linalg._reduce(aug)[-1] == len(support):
             return
@@ -390,7 +433,7 @@ def enumerate_extreme_points(
                 return  # remaining candidates cannot cover the missing rows
             k = candidates[pos]
             v = reduce_column(col_vec[k], pivots)
-            pr = next((r for r in range(n_rows) if v[r]), None)
+            pr = next((r for r, x in enumerate(v) if x), None)
             if pr is None:
                 continue  # dependent column: no superset can be uniquely solvable
             pivot = linalg._pivot_entries(v, pr)

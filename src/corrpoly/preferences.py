@@ -33,10 +33,10 @@ import math
 import numbers
 import random
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import lp
-from ._value import FrozenValue
+from ._value import FrozenValue, record
 from .capacity import capacity_of, choquet_integral
 from .errors import ConsistencyError, CorrpolyError
 from .independence import event_family
@@ -237,7 +237,8 @@ def seu_subspace_value(sp: SubspacePreference, f_i: Act) -> Fraction:
     )
 
 
-class ConsistencyReport(NamedTuple):
+@record
+class ConsistencyReport:
     holds: bool
     violations: tuple[tuple[int, int], ...]  # (vertex index, subspace index)
 
@@ -262,7 +263,8 @@ def check_subspace_consistency(
     return ConsistencyReport(not violations, tuple(violations))
 
 
-class AxiomCounterexample(NamedTuple):
+@record
+class AxiomCounterexample:
     """A tuple witnessing a subspace-independence violation: two subspace
     acts whose ranking flips once conditioned on a cylinder event."""
 
@@ -505,7 +507,8 @@ def check_subspace_independence_axiom(
     return True, None
 
 
-class ProductIdentityWitness(NamedTuple):
+@record
+class ProductIdentityWitness:
     """Events violating the conditioning-invariance product identity
     p([E x F]) p([E' x F']) = p([E x F']) p([E' x F])."""
 

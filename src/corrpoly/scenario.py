@@ -25,9 +25,9 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from ._value import Value
+from ._value import Value, record
 from .errors import CorrpolyError, ScenarioError
 from .linalg import fraction_tuple
 from .independence import partition_factorize, product_of_components
@@ -63,7 +63,8 @@ def parse_rational(token: str, line: Optional[int] = None) -> Fraction:
     return Fraction(num, den)
 
 
-class LinExpr(NamedTuple):
+@record
+class LinExpr:
     """const + coeff * param, with at most one parameter name."""
 
     const: Fraction = Fraction(0)
@@ -276,13 +277,15 @@ def format_collection_spec(coll: Collection) -> str:
 # scenario model
 
 
-class PriorSpec(NamedTuple):
+@record
+class PriorSpec:
     kind: str  # full | independent | vertices | partition
     vertex_exprs: tuple[tuple[LinExpr, ...], ...] = ()
     partition: Optional[Collection] = None
 
 
-class SweepSpec(NamedTuple):
+@record
+class SweepSpec:
     param: str
     grid: tuple[Fraction, ...]
 

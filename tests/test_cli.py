@@ -162,6 +162,18 @@ def test_vertices_csv_is_pinned_on_a_3x4_shape(capsys):
     assert pinned == oracle_vertices((3, 4), marginals)
 
 
+def test_vertices_csv_is_pinned_on_a_2x2x3_shape(capsys):
+    # three subspaces, so the eliminations leave out two implied marginal
+    # rows; the pinned vertex set is the oracle's
+    code, out, err = run(capsys, "vertices", str(FIXTURES / "shape_2x2x3.scn"), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out == (FIXTURES / "shape_2x2x3_vertices.csv").read_text()
+    pinned = {tuple(Fraction(w) for w in row[1:]) for row in list(csv.reader(io.StringIO(out)))[1:]}
+    marginals = [(Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 4), Fraction(3, 4)),
+                 (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))]
+    assert pinned == oracle_vertices((2, 2, 3), marginals)
+
+
 def test_mi_needs_at_only_where_it_reads_the_prior(capsys):
     for args in (("--vertex", "0"), ("--weights", "1/24 1/8 1/24 1/8 1/12 1/4 1/12 1/4")):
         code, out, err = run(capsys, "mi", FINANCE, *args, "--probes", "2")

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from corrpoly import (
+    Collection,
     CorrelationSet,
     ConsistencyError,
     GuardExceededError,
@@ -21,21 +22,30 @@ from corrpoly import (
     dimension_formula,
     enumerate_extreme_points,
     in_convex_hull,
+    independence,
     is_maximally_zero,
     kernel_basis_rectangles,
     linalg,
     mix,
+    restricted_dimension,
     sample_member,
 )
 from conftest import DEGENERATE_MARGINALS, correlation_set_of, random_correlation_set
 from bruteforce import (
+    _rref,
     contains_reference,
     face_basis_reference,
     oracle_vertices,
     sample_member_reference,
     support_is_forest,
 )
-from corrpoly.polytope import _face_directions, face_basis
+from corrpoly.polytope import (
+    _basis_rows,
+    _face_directions,
+    _marginal_rows,
+    face_basis,
+    positive_state_columns,
+)
 
 F = Fraction
 
@@ -522,3 +532,57 @@ def test_every_mi_certificate_item_has_an_integral_face(seed):
             a, b = rng.sample(range(len(vertices)), 2)
             for p in [*vertices, cs.independent_product, mix(vertices[a], vertices[b], F(1, 2))]:
                 assert _face_scale(cs, p) == 1
+
+
+# The eliminations read a basis of the marginal rows: all rows of the first
+# subspace and all but the last of each later one.
+@pytest.mark.parametrize("sizes", [(2, 2), (1, 3), (3, 1, 2), (2, 2, 3), (2, 2, 2, 2)])
+def test_basis_rows_are_independent_and_span_every_marginal_row(sizes):
+    rows = _marginal_rows(sizes)
+    kept = [rows[r] for r in _basis_rows(sizes)]
+    assert len(kept) == sum(sizes) - len(sizes) + 1
+    assert len(_rref(kept)[1]) == len(kept) == len(_rref(rows)[1])
+
+
+# Sets on which a row choice that loses a row the others do not imply, or
+# keys the choice to the weights, changes some answer.
+BASIS_ROW_MARGINALS = {
+    "dropped-state-zero-2x3": [(F(1, 2), F(1, 2)), (F(1, 3), F(2, 3), F(0))],
+    "dropped-state-zero-2x2x3": [(F(1, 3), F(2, 3)), (F(1, 4), F(3, 4)), (F(1, 6), F(5, 6), F(0))],
+    "first-state-zero-3x2": [(F(0), F(1, 3), F(2, 3)), (F(1, 4), F(3, 4))],
+    "first-last-state-zero-3x3": [(F(1, 3), F(2, 3), F(0)), (F(1, 6), F(1, 3), F(1, 2))],
+    "later-one-state-3x1x2": [(F(1, 6), F(1, 3), F(1, 2)), (F(1),), (F(1, 4), F(3, 4))],
+    "last-one-state-2x2x1": [(F(1, 3), F(2, 3)), (F(1, 4), F(3, 4)), (F(1),)],
+    "first-one-state-1x3": [(F(1),), (F(1, 6), F(1, 3), F(1, 2))],
+}
+
+
+def _all_rows(cs, columns):
+    """Every marginal row on the given states: the reference restriction."""
+    return [[row[k] for k in columns] for row in cs.system.matrix]
+
+
+def _linear_collections(n_subspaces):
+    if n_subspaces == 2:
+        return [Collection.of({0}, {1})]
+    return [
+        Collection.of({0}, {1}),
+        Collection.of({0}, {1, 2}),
+        Collection.of({2}, {0, 1}),
+        Collection.of({0}, {1}, {2}),
+        [Collection.of({0}, {1}), Collection.of({0}, {2})],
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_ROW_MARGINALS))
+def test_basis_row_answers_equal_the_all_row_references(name, monkeypatch):
+    cs = correlation_set_of(BASIS_ROW_MARGINALS[name])
+    _assert_vertices_match_oracle(cs)
+    columns = positive_state_columns(cs)
+    assert dimension(cs) == len(columns) - len(_rref(_all_rows(cs, columns))[1])
+    for p in _vertices_product_and_thirds(cs, random.Random(0), 4 if len(cs.vertices()) > 1 else 0):
+        _face_scale(cs, p)
+    collections = _linear_collections(cs.space.n_subspaces)
+    got = [restricted_dimension(cs, c) for c in collections]
+    monkeypatch.setattr(independence, "restricted_rows", _all_rows)
+    assert got == [restricted_dimension(cs, c) for c in collections]
