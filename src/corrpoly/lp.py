@@ -93,21 +93,7 @@ class LinearProgram(FrozenValue):
             raise CorrpolyError("constraint matrix and rhs sizes differ")
         if any(len(row) != len(objective) for row in eq_matrix):
             raise CorrpolyError("constraint row length does not match objective length")
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "eq_matrix", eq_matrix)
-        object.__setattr__(self, "eq_rhs", eq_rhs)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.objective, self.eq_matrix, self.eq_rhs) == (
-                other.objective,
-                other.eq_matrix,
-                other.eq_rhs,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.objective, self.eq_matrix, self.eq_rhs))
+        self._set(objective, eq_matrix, eq_rhs)
 
 
 @record
@@ -210,25 +196,7 @@ class FeasibleStart(FrozenValue):
     system: _IntegerSystem
 
     def __init__(self, rows, rhs, basis, flipped, system: _IntegerSystem):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "flipped", flipped)
-        object.__setattr__(self, "system", system)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rows, self.rhs, self.basis, self.flipped, self.system) == (
-                other.rows,
-                other.rhs,
-                other.basis,
-                other.flipped,
-                other.system,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rows, self.rhs, self.basis, self.flipped, self.system))
+        self._set(rows, rhs, basis, flipped, system)
 
     @cached_property
     def _bases(self) -> dict[tuple[int, ...], _Basis]:

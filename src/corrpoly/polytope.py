@@ -127,15 +127,7 @@ class KernelBasis(FrozenValue):
     basis_vectors: tuple[tuple[int, ...], ...]
 
     def __init__(self, basis_vectors: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "basis_vectors", basis_vectors)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.basis_vectors,) == (other.basis_vectors,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.basis_vectors,))
+        self._set(basis_vectors)
 
     def __len__(self) -> int:
         return len(self.basis_vectors)

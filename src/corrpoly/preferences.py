@@ -67,16 +67,7 @@ class UtilityAlignment(FrozenValue):
         scale, shift = fraction_tuple((scale, shift))
         if scale <= 0:
             raise CorrpolyError("utility alignment scale must be positive")
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "shift", shift)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.scale, self.shift) == (other.scale, other.shift)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.scale, self.shift))
+        self._set(scale, shift)
 
     def apply(self, value: Fraction) -> Fraction:
         return self.scale * fraction_tuple((value,))[0] + self.shift
@@ -98,21 +89,7 @@ class SubspacePreference(FrozenValue):
     ):
         if marginal.subspace_index != subspace_index:
             raise CorrpolyError("marginal belongs to a different subspace")
-        object.__setattr__(self, "subspace_index", subspace_index)
-        object.__setattr__(self, "marginal", marginal)
-        object.__setattr__(self, "utility", utility)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.subspace_index, self.marginal, self.utility) == (
-                other.subspace_index,
-                other.marginal,
-                other.utility,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.subspace_index, self.marginal, self.utility))
+        self._set(subspace_index, marginal, utility)
 
 
 def _finite_real(x) -> bool:
@@ -137,16 +114,7 @@ class RiskUtility(FrozenValue):
             raise CorrpolyError(f"CRRA rho must be finite, got {rho!r}")
         if not (_finite_real(scale) and scale > 0):
             raise CorrpolyError(f"CRRA scale must be finite and positive, got {scale!r}")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "scale", scale)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rho, self.scale) == (other.rho, other.scale)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rho, self.scale))
+        self._set(rho, scale)
 
     def apply(self, wealth) -> float:
         try:

@@ -234,11 +234,14 @@ def parse_event(space: ProductSpace, text: str) -> Event:
 
 def _subspace_indices(group: str, n_subspaces: int, text: str) -> frozenset[int]:
     """The 0-based subspace indices of a comma-separated list of 1-based
-    ones; white space and empty entries are skipped.  ``text`` is the
-    spec that errors quote."""
+    ones, each ASCII digits ``[0-9]+``; white space and empty entries are
+    skipped.  ``text`` is the spec that errors quote."""
+    entries = [t for t in "".join(group.split()).split(",") if t]
     try:
-        idx = frozenset(int(t) - 1 for t in "".join(group.split()).split(",") if t)
-    except ValueError:  # not an integer, or longer than int()'s digit limit
+        if not all(t.isascii() and t.isdigit() for t in entries):
+            raise ValueError
+        idx = frozenset(int(t) - 1 for t in entries)
+    except ValueError:  # not ASCII digits, or longer than int()'s digit limit
         raise CorrpolyError(f"subspace index not an integer or too long in {text[:40]!r}") from None
     if any(not 0 <= i < n_subspaces for i in idx):
         raise CorrpolyError(f"subspace index out of range in {text[:40]!r}")
@@ -311,25 +314,9 @@ class Scenario(Value):
         prior: PriorSpec = PriorSpec("full"),
         sweep: Optional[SweepSpec] = None,
     ):
-        self.space = space
-        self.marginals = marginals
-        self.act_exprs = {} if act_exprs is None else act_exprs
-        self.events = {} if events is None else events
-        self.prior = prior
-        self.sweep = sweep
-
-    def __eq__(self, other):  # defined without __hash__: a scenario is unhashable
-        if other.__class__ is self.__class__:
-            mine = (self.space, self.marginals, self.act_exprs, self.events, self.prior, self.sweep)
-            return mine == (
-                other.space,
-                other.marginals,
-                other.act_exprs,
-                other.events,
-                other.prior,
-                other.sweep,
-            )
-        return NotImplemented
+        act_exprs = {} if act_exprs is None else act_exprs
+        events = {} if events is None else events
+        self._set(space, marginals, act_exprs, events, prior, sweep)
 
     def parameters(self) -> set[str]:
         used = set()

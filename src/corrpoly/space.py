@@ -19,9 +19,18 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CorrpolyError, MarginalMismatchError, SpaceMismatchError
 from ._value import FrozenValue
-from .linalg import fraction_tuple, integer_numerators
+from .linalg import fraction_tuple, integer_numerators, require_count
 
 MultiIndex = tuple[int, ...]
+
+
+def _index_set(indices: Iterable[int], what: str) -> set[int]:
+    """The set of ``indices``, each checked by `require_count` to be an
+    integer and not a bool: a subspace index or a coordinate."""
+    indices = list(indices)
+    for i in indices:
+        require_count(i, what, None)
+    return set(indices)
 
 
 class ProductSpace(FrozenValue):
@@ -58,21 +67,7 @@ class ProductSpace(FrozenValue):
             subspace_names = tuple(subspace_names)
             if len(subspace_names) != len(sizes) or len(set(subspace_names)) != len(subspace_names):
                 raise CorrpolyError("subspace names must be unique, one per subspace")
-        object.__setattr__(self, "subspace_sizes", sizes)
-        object.__setattr__(self, "state_labels", state_labels)
-        object.__setattr__(self, "subspace_names", subspace_names)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.subspace_sizes, self.state_labels, self.subspace_names) == (
-                other.subspace_sizes,
-                other.state_labels,
-                other.subspace_names,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.subspace_sizes, self.state_labels, self.subspace_names))
+        self._set(sizes, state_labels, subspace_names)
 
     @property
     def n_subspaces(self) -> int:
@@ -103,6 +98,7 @@ class ProductSpace(FrozenValue):
         return flat
 
     def unravel(self, flat: int) -> MultiIndex:
+        require_count(flat, "a flat index", None)
         if not 0 <= flat < self.total_size:
             raise CorrpolyError(f"flat index {flat} not in a space of {self.total_size} states")
         coords = []
@@ -121,7 +117,7 @@ class ProductSpace(FrozenValue):
         """The map from states to the sub-product over ``indices``: entry k
         is the flat index, in ``subspace(indices)``, of the state with flat
         index k.  All zeros when ``indices`` is empty."""
-        idx = set(indices)
+        idx = _index_set(indices, "a subspace index")
         if any(not 0 <= i < self.n_subspaces for i in idx):
             raise CorrpolyError(f"invalid subspace indices {sorted(idx)}")
         flat = [0]
@@ -134,7 +130,7 @@ class ProductSpace(FrozenValue):
 
     def subspace(self, indices: Iterable[int]) -> "ProductSpace":
         """The sub-product over the given subspace indices (ascending order)."""
-        idx = sorted(set(indices))
+        idx = sorted(_index_set(indices, "a subspace index"))
         if not idx or any(not 0 <= i < self.n_subspaces for i in idx):
             raise CorrpolyError(f"invalid subspace indices {sorted(indices)}")
         labels = None
@@ -198,16 +194,7 @@ class Marginal(FrozenValue):
 
     def __init__(self, subspace_index: int, weights):
         weights = probability_vector(weights, "marginal")
-        object.__setattr__(self, "subspace_index", subspace_index)
-        object.__setattr__(self, "weights", weights)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.subspace_index, self.weights) == (other.subspace_index, other.weights)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.subspace_index, self.weights))
+        self._set(subspace_index, weights)
 
     @property
     def size(self) -> int:
@@ -218,7 +205,7 @@ class Marginal(FrozenValue):
         return all(w > 0 for w in self.weights)
 
     def prob_of(self, coords: Iterable[int]) -> Fraction:
-        coords = set(coords)
+        coords = _index_set(coords, "a coordinate")
         if any(not 0 <= c < self.size for c in coords):
             raise CorrpolyError(f"coordinates {sorted(coords)} not in a subspace of size {self.size}")
         return sum((self.weights[c] for c in coords), Fraction(0))
@@ -236,16 +223,7 @@ class JointDistribution(FrozenValue):
         weights = probability_vector(weights, "joint")
         if len(weights) != space.total_size:
             raise CorrpolyError(f"need {space.total_size} weights, got {len(weights)}")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "weights", weights)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.space, self.weights) == (other.space, other.weights)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.space, self.weights))
+        self._set(space, weights)
 
     def prob(self, state: MultiIndex) -> Fraction:
         return self.weights[self.space.ravel(state)]
@@ -279,16 +257,7 @@ class Event(FrozenValue):
             raise CorrpolyError(
                 f"mask {mask!r} is not an event of a space with {space.total_size} states"
             )
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mask", mask)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.space, self.mask) == (other.space, other.mask)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.space, self.mask))
+        self._set(space, mask)
 
     @classmethod
     def from_states(cls, space: ProductSpace, states: Iterable[MultiIndex]) -> "Event":
@@ -357,8 +326,9 @@ class Collection(FrozenValue):
     members: tuple[frozenset[int], ...]
 
     def __init__(self, members):
-        members = tuple(sorted(map(frozenset, members), key=sorted))
-        object.__setattr__(self, "members", members)
+        members = tuple(map(frozenset, members))
+        _index_set(frozenset().union(*members), "a subspace index")
+        members = tuple(sorted(members, key=sorted))
         if len(members) < 2:
             raise CorrpolyError("a collection needs at least two members")
         if any(not m for m in members):
@@ -370,14 +340,7 @@ class Collection(FrozenValue):
             seen |= m
         if any(i < 0 for i in seen):
             raise CorrpolyError("subspace indices must be nonnegative")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.members,) == (other.members,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.members,))
+        self._set(members)
 
     @classmethod
     def of(cls, *index_sets: Iterable[int]) -> "Collection":
@@ -407,16 +370,7 @@ class Act(FrozenValue):
         values = fraction_tuple(values)
         if len(values) != space.total_size:
             raise CorrpolyError(f"need {space.total_size} values, got {len(values)}")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "values", values)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.space, self.values) == (other.space, other.values)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.space, self.values))
+        self._set(space, values)
 
     @classmethod
     def constant(cls, space: ProductSpace, value) -> "Act":
@@ -516,7 +470,7 @@ def independent_product(
 
 def marginalize(p: JointDistribution, indices: Iterable[int]) -> JointDistribution:
     """Marginal distribution of ``p`` on the sub-product over ``indices``."""
-    idx = sorted(set(indices))
+    idx = sorted(_index_set(indices, "a subspace index"))
     if not idx:
         raise CorrpolyError("cannot marginalize onto an empty index set")
     sub = p.space.subspace(idx)
@@ -530,7 +484,7 @@ def embed_cylinder(
     sub_event: Event, space: ProductSpace, indices: Iterable[int]
 ) -> Event:
     """Embed an event on the sub-product over ``indices`` as a cylinder in ``space``."""
-    idx = sorted(set(indices))
+    idx = sorted(_index_set(indices, "a subspace index"))
     sub = space.subspace(idx)
     require_same_space(sub_event.space, sub, "event")
     sub_mask = sub_event.mask
@@ -540,6 +494,8 @@ def embed_cylinder(
 def cylinder(space: ProductSpace, assignment: dict[int, int]) -> Event:
     """The cylinder of states agreeing with ``assignment`` (subspace -> coordinate)."""
     for i, c in assignment.items():
+        require_count(i, "a subspace index", None)
+        require_count(c, "a coordinate", None)
         if not 0 <= i < space.n_subspaces or not 0 <= c < space.subspace_sizes[i]:
             raise CorrpolyError(f"invalid cylinder assignment {assignment}")
     proj = space.project(assignment)
@@ -550,7 +506,7 @@ def cylinder(space: ProductSpace, assignment: dict[int, int]) -> Event:
 
 def embed_act(sub_act: Act, space: ProductSpace, indices: Iterable[int]) -> Act:
     """Embed an act on a sub-product as the act on ``space`` that ignores the rest."""
-    idx = sorted(set(indices))
+    idx = sorted(_index_set(indices, "a subspace index"))
     sub = space.subspace(idx)
     require_same_space(sub_act.space, sub, "act")
     return Act(space, tuple(sub_act.values[j] for j in space.project(idx)))

@@ -32,6 +32,7 @@ from conftest import SCENARIO_DIR, random_correlation_set, random_marginal
 from bruteforce import (
     check_collection_independence_axiom_reference,
     check_subspace_independence_axiom_reference,
+    frechet_rectangle_value,
     is_independent_on_reference,
     oracle_vertices,
 )
@@ -512,6 +513,16 @@ def test_compare_bad_family_index_is_an_error(capsys):
     assert code == 1 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("head", ["\u0661", "+1"], ids=["arabic-indic digit", "plus sign"])
+def test_compare_family_index_takes_ascii_digits_only(capsys, head):
+    # int() reads both as 1; a family head takes the [0-9]+ of --collection
+    code, out, err = run(
+        capsys, "compare", INSURANCE, NEGLECT, "--at", "0", "--at-second", "0",
+        "--family", f"{head}:[B];2:[F]",
+    )
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("args", [
     ("dim",), ("vertices",), ("capacity", "--event", "catastrophe"), ("mi",),
     ("independence", "--collection", "{1},{2}"), ("evaluate",),
@@ -659,7 +670,9 @@ def test_dim_and_vertices_match_their_oracles_on_drawn_scenarios(drawn):
 @given(small_scenarios())
 def test_capacity_and_evaluate_match_their_oracles_on_drawn_scenarios(drawn):
     # over the full prior both are minima of a linear function over the
-    # oracle vertices: p(E) for the event and the expectation for the act
+    # oracle vertices: p(E) for the event and the expectation for the act;
+    # the first event, a tuple atom, is a rectangle, whose capacity is also
+    # Fréchet's lower bound on its sides
     text, sizes, weights, events, payoffs = drawn
     vertices = oracle_vertices(sizes, weights)
     with tempfile.TemporaryDirectory() as tmp:
@@ -676,6 +689,12 @@ def test_capacity_and_evaluate_match_their_oracles_on_drawn_scenarios(drawn):
         (row,) = list(csv.reader(io.StringIO(out)))[1:]
         assert row[0] == name
         assert Fraction(row[1]) == min(sum(v[k] for k in event) for v in vertices)
+    rectangle = next(iter(events))
+    cells = list(itertools.product(*map(range, sizes)))
+    sides = [{cells[k][i] for k in events[rectangle]} for i in range(len(sizes))]
+    assert math.prod(map(len, sides)) == len(events[rectangle])
+    (row,) = list(csv.reader(io.StringIO(capacities[rectangle][1])))[1:]
+    assert Fraction(row[1]) == frechet_rectangle_value(weights, sides)
     code, out, err = evaluate
     assert (code, err) == (0, "")
     (row,) = list(csv.DictReader(io.StringIO(out)))

@@ -5,7 +5,8 @@ MarginalMismatchError) and membership of the correlation set
 (`CorrelationSet.require_member`, NotInCorrelationSetError).  Also the
 CRRA fields (`preferences.RiskUtility`, CorrpolyError), malformed rational
 and count arguments (`linalg.fraction_tuple`, `linalg.require_count`,
-CorrpolyError), the range checks of `unravel` and `prob_of`, the vertex
+CorrpolyError), the range checks of `unravel` and `prob_of`, the type
+checks of subspace indices, coordinates and flat indices, the vertex
 guard, and the
 degenerate shapes that no other test file covers: 1-state subspaces and a
 zero-weight state."""
@@ -42,6 +43,7 @@ from corrpoly import (
     check_subspace_independence_axiom,
     choquet_integral,
     compare_revealed_correlation,
+    cylinder,
     decompose,
     dimension,
     embed_act,
@@ -54,6 +56,7 @@ from corrpoly import (
     kl_divergence,
     load,
     loads,
+    marginalize,
     meu_value,
     mix,
     more_correlation_averse,
@@ -335,6 +338,30 @@ def test_out_of_range_indices_raise_corrpoly_error():
     with pytest.raises(CorrpolyError):
         m.prob_of([-1])
     assert m.prob_of([0, 1, 1]) == 1
+
+
+# A subspace index, coordinate or flat index that is not an int (or is a
+# bool) fails `linalg.require_count`; each of these raised TypeError, or
+# was accepted, before that check.
+MALFORMED_INDICES = {
+    "Marginal.prob_of [0.5]": lambda: Marginal(0, HALF).prob_of([0.5]),
+    "Marginal.prob_of ['0']": lambda: Marginal(0, HALF).prob_of(["0"]),
+    "ProductSpace.project ['a']": lambda: S22.project(["a"]),
+    "ProductSpace.subspace ['a']": lambda: S22.subspace(["a"]),
+    "marginalize [0.5]": lambda: marginalize(P, [0.5]),
+    "embed_act [0.5]": lambda: embed_act(Act.constant(LINE2, 1), S22, [0.5]),
+    "cylinder {'0': 0}": lambda: cylinder(S22, {"0": 0}),
+    "Collection.of {'a'} {1}": lambda: Collection.of({"a"}, {1}),
+    "Collection.of {0.5} {1}": lambda: Collection.of({0.5}, {1}),
+    "ProductSpace.unravel 1.5": lambda: S22.unravel(1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INDICES))
+def test_malformed_indices_raise_corrpoly_error(case):
+    with pytest.raises(CorrpolyError, match=r" must be an integer, got ") as exc:
+        MALFORMED_INDICES[case]()
+    assert type(exc.value) is CorrpolyError
 
 
 DEGENERATE = [

@@ -257,6 +257,30 @@ def test_a_copy_starts_with_empty_caches():
         assert "state_table" not in vars(how(space))
 
 
+def test_a_value_equals_only_a_value_of_exactly_its_type():
+    # a named tuple is left out: it equals the plain tuple of its fields
+    for kind, instances in _instances().items():
+        if issubclass(kind, tuple):
+            continue
+        local = type(f"Local{kind.__name__}", (kind,), {})
+        for x in instances:
+            values = _fields(x)
+            twin = local(*values)
+            assert x == kind(*values) and repr(twin) == "Local" + repr(x)
+            assert x != values and values != x and not x == values
+            assert x != twin and twin != x and not x == twin
+
+
+def test_equality_with_an_unrelated_object_is_not_implemented():
+    for instances in _instances().values():
+        for x in instances:
+            assert x.__eq__(object()) is NotImplemented
+    weights = (F(1, 2), 0, 0, F(1, 2))
+    p, f = JointDistribution(SPACE_2X2, weights), Act(SPACE_2X2, weights)
+    assert p.weights == f.values
+    assert p != f and f != p and not p == f
+
+
 BAD_VALUES = [
     (lambda: ProductSpace(("2",)), "subspace sizes must be integers, got ('2',)"),
     (lambda: ProductSpace((True, 2)), "subspace sizes must be integers, got (True, 2)"),
