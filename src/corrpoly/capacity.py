@@ -20,23 +20,33 @@ walks the start's cache of bases, so the events of one set share the
 pivots they have in common; table and cache are the start's, and go with
 the capacity and its set.  Each basis passed the primal half of the LP
 certificate when it entered the cache, and each solve checks the dual
-half against the set's own marginal rows (see `lp`).  The
-value is also cross-checked against the minimum over the enumerated
-extreme points, an integer sum of vertex weights over the event's states,
-and the two must agree.  A failed check raises ConsistencyError with the
-set's shape and marginals, the event's mask and, when the LP certificate
-failed, the basis where it did.
+half against the set's own marginal rows (see `lp`).
+
+The value is also checked against the enumerated extreme points, once per
+optimum rather than once per event.  When the capacity is built, each
+vertex must pass the set's membership check and is kept as its primitive
+integer vector (numerators, then denominator, gcd 1).  Each optimum that
+phase 2 returns must be one of them; the verdict is memoized on the
+optimum, so the events that share a basis share one lookup.  This implies
+that v(E) is the minimum over the vertices of their mass on E: the dual
+certificate gives p(E) >= v(E) for every member, so for every vertex, and
+the optimum is a listed vertex of mass v(E).  It is also stricter than
+that equality, which still holds when the optimum is a vertex the
+enumeration missed and another listed vertex ties with it.  A failed check
+raises ConsistencyError with the set's shape and marginals and, for a
+solve, the event's mask and, when the LP certificate failed, the basis
+where it did.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import lp
-from .errors import ConsistencyError, CorrpolyError
-from .linalg import integer_numerators
+from .errors import ConsistencyError, CorrpolyError, NotInCorrelationSetError
 from .polytope import CorrelationSet
 from .space import Act, Event, cylinder, embed_cylinder, require_same_space
 
@@ -53,23 +63,31 @@ class Capacity:
     Values are keyed by the event bitmask (a Python int, so any desk-scale
     state count fits).  Queries are pure: identical events return identical
     exact rationals.  Construction builds what every miss reads: the
-    phase-1 start of the marginal system, the vertex weights over their
-    common denominator and the set's reproducer context.  The capacity
-    keeps no reference to the set, so a set and the capacity it holds form
-    no reference cycle and are freed as soon as nothing else refers to them.
+    phase-1 start of the marginal system, the checked vertices as primitive
+    integer vectors and the set's reproducer context.  The capacity keeps
+    no reference to the set, so a set and the capacity it holds form no
+    reference cycle and are freed as soon as nothing else refers to them.
     """
 
     def __init__(self, cs: CorrelationSet):
         self.space = cs.space
         n = self.space.total_size
         self._memo: dict[int, Fraction] = {}
+        self._context = cs.reproducer()
         self._start = lp.feasible_start(
             lp.LinearProgram((_ZERO,) * n, cs.system.matrix, cs.system.rhs)
         )
-        # vertex weights over their common denominator, one tuple per state
-        flat, denom = integer_numerators([w for p in cs.vertices() for w in p.weights])
-        self._vertex_columns = (denom, [tuple(flat[k::n]) for k in range(n)])
-        self._context = cs.reproducer()
+        self._vertex_keys: set[tuple[int, ...]] = set()
+        for k, p in enumerate(cs.vertices()):
+            try:
+                nums, denom = cs.require_member(p, f"enumerated vertex {k}")
+            except NotInCorrelationSetError as exc:
+                raise ConsistencyError(str(exc), **self._context) from exc
+            self._vertex_keys.add(_primitive(nums, denom))
+        # the optima that passed the vertex check, keyed by phase 2's `xs`:
+        # the rows of a subspace sum the weights to 1, so sum(xs) is the
+        # scale and `xs` alone names the point
+        self._optima: set[tuple[int, ...]] = set()
 
     def value(self, event: Event) -> Fraction:
         require_same_space(event.space, self.space, "event")
@@ -84,30 +102,36 @@ class Capacity:
         return val
 
     def _solve(self, mask: int) -> Fraction:
-        """min p(E) by phase 2 from the cached start, certified, and checked
-        against the vertex minimum."""
+        """min p(E) by phase 2 from the cached start, certified, with its
+        optimum checked to be an enumerated vertex."""
         n = self.space.total_size
         indicator = map(_BITS.__getitem__, mask.to_bytes(-(-n // 8), "little"))
         cost = [*itertools.chain.from_iterable(indicator)]
         del cost[n:]
         try:
-            cx, _, x_scale, _, _ = lp.phase2(self._start, cost)
+            cx, xs, x_scale, _, _ = lp.phase2(self._start, cost)
         except ConsistencyError as exc:
             raise ConsistencyError(
                 f"capacity {exc.reason}", **self._reproducer(mask), **exc.context
             ) from exc
-        denom, columns = self._vertex_columns
-        vertex_min = min(map(sum, zip(*itertools.compress(columns, cost))))
-        if cx * denom != vertex_min * x_scale:
-            raise ConsistencyError(
-                f"LP capacity {Fraction(cx, x_scale)} disagrees with vertex minimum "
-                f"{Fraction(vertex_min, denom)}",
-                **self._reproducer(mask),
-            )
+        if xs not in self._optima:
+            if _primitive(xs, x_scale) not in self._vertex_keys:
+                raise ConsistencyError(
+                    f"LP optimum of capacity {Fraction(cx, x_scale)} is no enumerated vertex",
+                    **self._reproducer(mask),
+                )
+            self._optima.add(xs)
         return Fraction(cx, x_scale)
 
     def _reproducer(self, mask: int) -> dict:
         return {**self._context, "mask": mask}
+
+
+def _primitive(nums, denom: int) -> tuple[int, ...]:
+    """The point ``nums / denom`` as its primitive integer vector: the
+    numerators, then the denominator, divided by their gcd."""
+    g = math.gcd(denom, *nums)
+    return (*(v // g for v in nums), denom // g)
 
 
 def capacity_of(cs: CorrelationSet) -> Capacity:

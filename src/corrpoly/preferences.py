@@ -33,6 +33,7 @@ import math
 import numbers
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from . import lp
@@ -87,6 +88,7 @@ class SubspacePreference(FrozenValue):
         marginal: Marginal,
         utility: UtilityAlignment = UtilityAlignment(),
     ):
+        require_count(subspace_index, "subspace index", 0)
         if marginal.subspace_index != subspace_index:
             raise CorrpolyError("marginal belongs to a different subspace")
         self._set(subspace_index, marginal, utility)
@@ -278,22 +280,27 @@ def _subspace_tables(prior: PriorSet, vertex_nums: Sequence[Sequence[int]], i: i
     return [_cell_table(nums, prior.space, [i], others) for nums in vertex_nums]
 
 
-def _meu_values(tables, denom: int, f, g, chosen, outside) -> tuple[int, int, int, int]:
+def _table_sums(tables) -> list[tuple[list[int], list[tuple[int, ...]]]]:
+    """Per vertex table, its row sums and its columns, built once for every
+    act tuple that `_meu_values` prices on them."""
+    return [([sum(row) for row in table], [*zip(*table)]) for table in tables]
+
+
+def _meu_values(sums, denom: int, f, g, chosen, outside) -> tuple[int, int, int, int]:
     """Worst-case expected utilities over the vertices whose subspace tables
-    are ``tables``: of the subspace acts ``f`` and ``g``, then of each spliced
-    with the constant ``outside`` off the cylinder of the ``chosen`` columns.
-    Utilities are integers over a common scale s; the values are integers
-    over s * denom."""
+    have the `_table_sums` ``sums``: of the subspace acts ``f`` and ``g``,
+    then of each spliced with the constant ``outside`` off the cylinder of
+    the ``chosen`` columns.  Utilities are integers over a common scale s;
+    the values are integers over s * denom."""
     best = None
-    for table in tables:
-        marg = [sum(row) for row in table]
-        col = [sum(row[b] for b in chosen) for row in table]
+    for marg, columns in sums:
+        col = [*map(sum, zip(*[columns[b] for b in chosen]))]
         off = outside * (denom - sum(col))
         values = (
-            sum(m * u for m, u in zip(marg, f)),
-            sum(m * u for m, u in zip(marg, g)),
-            sum(m * u for m, u in zip(col, f)) + off,
-            sum(m * u for m, u in zip(col, g)) + off,
+            sum(map(mul, marg, f)),
+            sum(map(mul, marg, g)),
+            sum(map(mul, col, f)) + off,
+            sum(map(mul, col, g)) + off,
         )
         best = values if best is None else tuple(map(min, best, values))
     return best
@@ -387,7 +394,7 @@ def _scan_counterexample(prior, tables, denom, i, coords, chosen, z) -> AxiomCou
     g_i = Act.constant(sub_space, z)
     nums, scale = integer_numerators([*f_i.values, *g_i.values])
     size = len(f_i.values)
-    scaled = _meu_values(tables, denom, nums[:size], nums[size:], chosen, 0)
+    scaled = _meu_values(_table_sums(tables), denom, nums[:size], nums[size:], chosen, 0)
     if not _violation(scaled):
         raise ConsistencyError(
             "constructed tuple failed to witness the violation",
@@ -419,21 +426,22 @@ def _behavioral_trials(prior: PriorSet, trials: int, seed: int):
     if trials > 0 and n < 2:
         raise CorrpolyError("behavioral trials need at least two subspaces")
     vertex_nums, denom = _prior_numerators(prior)
-    tables = [_subspace_tables(prior, vertex_nums, i) for i in range(n)]
+    sums = [_table_sums(_subspace_tables(prior, vertex_nums, i)) for i in range(n)]
     rng = random.Random(seed)
     for trial in range(trials):
         i = rng.randrange(n)
         size = space.subspace_sizes[i]
-        f = [rng.randint(0, 8) for _ in range(size)]
-        g = [rng.randint(0, 8) for _ in range(size)]
-        n_comp = len(tables[i][0][0])
+        # randrange(9) draws what randint(0, 8) draws, one call shallower
+        f = [rng.randrange(9) for _ in range(size)]
+        g = [rng.randrange(9) for _ in range(size)]
+        n_comp = len(sums[i][0][1])
         chosen = [b for b in range(n_comp) if rng.random() < 0.5]
         if not chosen:
             chosen = [rng.randrange(n_comp)]
-        if not any(row[b] for t in tables[i] for row in t for b in chosen):
+        if not any(any(columns[b]) for _, columns in sums[i] for b in chosen):
             continue  # the cylinder is null
-        x = rng.randint(0, 8)
-        yield trial, _meu_values(tables[i], denom, f, g, chosen, x)
+        x = rng.randrange(9)
+        yield trial, _meu_values(sums[i], denom, f, g, chosen, x)
 
 
 def check_subspace_independence_axiom(

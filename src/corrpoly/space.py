@@ -109,7 +109,8 @@ class ProductSpace(FrozenValue):
 
     def check_state(self, state: MultiIndex) -> None:
         if len(state) != self.n_subspaces or any(
-            not isinstance(c, int) or not 0 <= c < s for c, s in zip(state, self.subspace_sizes)
+            not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < s
+            for c, s in zip(state, self.subspace_sizes)
         ):
             raise CorrpolyError(f"state {state} not in a space of shape {self.subspace_sizes}")
 
@@ -193,6 +194,7 @@ class Marginal(FrozenValue):
     weights: tuple[Fraction, ...]
 
     def __init__(self, subspace_index: int, weights):
+        require_count(subspace_index, "subspace index", 0)
         weights = probability_vector(weights, "marginal")
         self._set(subspace_index, weights)
 

@@ -15,6 +15,7 @@ from corrpoly import (
     CorrelationSet,
     CorrpolyError,
     Event,
+    JointDistribution,
     LinearProgram,
     Marginal,
     ProductSpace,
@@ -94,17 +95,16 @@ def test_exactness_singleton_set():
 
 
 def test_exactness_checks_vertex_dominance(uniform_2x2):
-    # each required value is checked against the vertex minimum as it is
-    # computed, so a vertex that puts less mass on an event than the LP
-    # minimum (here a point mass on (0, 0), which misses the cylinder
-    # X_0 = 1) makes the check raise
-    cap = capacity_of(uniform_2x2)
-    cap.value(_event(uniform_2x2.space, (0, 0)))  # builds the vertex table
-    denom, columns = cap._vertex_columns
-    point_mass = (denom, 0, 0, 0)
-    cap._vertex_columns = (denom, [col + (w,) for col, w in zip(columns, point_mass)])
-    with pytest.raises(ConsistencyError, match="vertex minimum"):
-        check_exactness(uniform_2x2)
+    # every enumerated vertex must be a member when the capacity is built,
+    # so a listed point mass on (0, 0), which misses the marginals, makes
+    # the check raise with the set before any value is computed
+    cs = uniform_2x2
+    point_mass = JointDistribution(cs.space, (1, 0, 0, 0))
+    cs._vertices = (*cs.vertices(), point_mass)
+    with pytest.raises(ConsistencyError, match="enumerated vertex 2 does not have") as info:
+        check_exactness(cs)
+    assert info.value.context == {"shape": (2, 2), "marginals": [["1/2", "1/2"]] * 2}
+    assert cs._capacity is None
 
 
 def test_exactness_raises_when_a_required_value_is_off(uniform_2x2, monkeypatch):
@@ -535,7 +535,7 @@ def test_capacity_dual_certificate_failure_names_the_optimal_basis(uniform_cube)
 def test_capacity_vertex_disagreement_names_the_event(uniform_2x2):
     uniform_2x2._vertices = uniform_2x2.vertices()[:1]
     cap = capacity_of(uniform_2x2)
-    with pytest.raises(ConsistencyError, match="vertex minimum") as info:
+    with pytest.raises(ConsistencyError, match="is no enumerated vertex") as info:
         for mask in range(16):
             cap.value(event_from_mask(uniform_2x2.space, mask))
     assert info.value.context == {
@@ -543,3 +543,82 @@ def test_capacity_vertex_disagreement_names_the_event(uniform_2x2):
         "marginals": [["1/2", "1/2"]] * 2,
         "mask": mask,  # the query that failed
     }
+
+
+def _optimum(cap, mask):
+    """The point that phase 2 returns for the event ``mask``, as a tuple of
+    Fractions."""
+    n = cap.space.total_size
+    _, xs, x_scale, _, _ = lp.phase2(cap._start, [mask >> k & 1 for k in range(n)])
+    return tuple(F(x, x_scale) for x in xs)
+
+
+ORACLE_SETS = {
+    "2x2x2": lambda: random_correlation_set((2, 2, 2), random.Random(40)),
+    "3x3": lambda: random_correlation_set((3, 3), random.Random(41)),
+    "2x4": lambda: random_correlation_set((2, 4), random.Random(42)),
+    "1x3": lambda: random_correlation_set((1, 3), random.Random(43)),
+    "zero-weight-state": lambda: correlation_set_of(DEGENERATE_MARGINALS["zero-weight-state"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SETS))
+def test_every_event_equals_the_oracle_vertex_minimum(name):
+    # each optimum is checked to be an enumerated vertex, which with the
+    # dual certificate makes every value the minimum over the vertices
+    cs = ORACLE_SETS[name]()
+    cap = capacity_of(cs)
+    expected = capacity_table_reference(cs)
+    assert [cap._mask_value(mask) for mask in range(len(expected))] == expected
+
+
+def test_a_missing_vertex_raises_at_the_first_event_it_is_the_optimum_of():
+    # with each vertex left out in turn, the sweep raises at the first event
+    # whose phase-2 optimum that vertex is, naming the set and the event
+    marginals = [(F(1, 4), F(3, 4)), (F(1, 6), F(1, 3), F(1, 2))]
+    intact = correlation_set_of(marginals)
+    vertices = intact.vertices()
+    n = intact.space.total_size
+    optima = [_optimum(capacity_of(intact), mask) for mask in range(1, 2 ** n)]
+    for k, vertex in enumerate(vertices):
+        cs = correlation_set_of(marginals)
+        cs._vertices = vertices[:k] + vertices[k + 1:]
+        cap = capacity_of(cs)
+        first = 1 + optima.index(vertex.weights)
+        for mask in range(1, first):
+            cap._mask_value(mask)
+        with pytest.raises(ConsistencyError, match="is no enumerated vertex") as info:
+            cap._mask_value(first)
+        assert info.value.context == {
+            "shape": (2, 3),
+            "marginals": [["1/4", "3/4"], ["1/6", "1/3", "1/2"]],
+            "mask": first,
+        }
+
+
+def test_a_sweep_looks_each_distinct_optimum_up_once(monkeypatch):
+    cs = random_correlation_set((3, 3), random.Random(44))
+    cap = capacity_of(cs)
+    lookups = []
+
+    class CountingSet(set):
+        def __contains__(self, key):
+            lookups.append(key)
+            return super().__contains__(key)
+
+    cap._vertex_keys = CountingSet(cap._vertex_keys)
+    optima = set()
+    phase2 = lp.phase2
+
+    def recording(start, cost):
+        result = phase2(start, cost)
+        optima.add(result[1])
+        return result
+
+    monkeypatch.setattr(lp, "phase2", recording)
+    for mask in range(2 ** cs.space.total_size):
+        cap._mask_value(mask)
+    assert len(cap._memo) == 2 ** 9
+    assert len(lookups) == len(set(lookups)) == len(optima) == len(cap._optima)
+    assert len(optima) < 2 ** 9 - 1  # events share optima
+    assert set(lookups) <= cap._vertex_keys

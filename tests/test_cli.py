@@ -30,6 +30,7 @@ from corrpoly import (
 from corrpoly.cli import build_parser, main
 from conftest import SCENARIO_DIR, random_correlation_set, random_marginal
 from bruteforce import (
+    capacity_table_reference,
     check_collection_independence_axiom_reference,
     check_subspace_independence_axiom_reference,
     frechet_rectangle_value,
@@ -161,6 +162,25 @@ def test_vertices_csv_is_pinned_on_a_3x4_shape(capsys):
     marginals = [(Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)),
                  (Fraction(1, 12), Fraction(1, 4), Fraction(1, 3), Fraction(1, 3))]
     assert pinned == oracle_vertices((3, 4), marginals)
+
+
+def test_evaluate_is_pinned_on_a_3x4_shape(capsys):
+    # each act's Choquet value is built from eleven capacity misses on a
+    # set with many vertices; it is also the Choquet sum over the capacities
+    # of the oracle's vertices
+    path = FIXTURES / "shape_3x4_acts.scn"
+    code, out, err = run(capsys, "evaluate", str(path))
+    assert (code, err) == (0, "")
+    assert out == (FIXTURES / "shape_3x4_acts_evaluate.txt").read_text()
+    scenario = corrpoly.load(path)
+    table = capacity_table_reference(scenario.correlation_set())
+    for line, act in zip(out.splitlines()[1:], scenario.acts().values()):
+        total, mask, prev = Fraction(0), 0, Fraction(0)
+        for v in sorted(set(act.values), reverse=True):
+            mask |= sum(1 << k for k, w in enumerate(act.values) if w == v)
+            total += v * (table[mask] - prev)
+            prev = table[mask]
+        assert Fraction(line.split()[3]) == total
 
 
 def test_vertices_csv_is_pinned_on_a_2x2x3_shape(capsys):

@@ -364,6 +364,39 @@ def test_malformed_indices_raise_corrpoly_error(case):
     assert type(exc.value) is CorrpolyError
 
 
+@pytest.mark.parametrize(
+    "index, weights",
+    [("x", (1,)), (True, (1, 0)), (0.0, (1, 0)), (-1, (1, 0))],
+    ids=repr,
+)
+def test_a_marginal_subspace_index_is_a_count(index, weights):
+    # each of these constructed a marginal before the check; a subspace
+    # preference compared its index to its marginal's by ==, so True and
+    # 1.0 passed for 1
+    with pytest.raises(CorrpolyError, match=r"subspace index must be an integer >= 0, got ") as exc:
+        Marginal(index, weights)
+    assert type(exc.value) is CorrpolyError
+    with pytest.raises(CorrpolyError, match=r"subspace index must be an integer >= 0, got "):
+        SubspacePreference(index, Marginal(1, weights))
+
+
+# A bool coordinate is an int to isinstance, so `ravel((True, 0))` read
+# flat index 2; every state argument goes through `ProductSpace.check_state`.
+BOOL_STATES = {
+    "ProductSpace.ravel": lambda: S22.ravel((True, 0)),
+    "Event.from_states": lambda: Event.from_states(S22, [(0, False)]),
+    "JointDistribution.prob": lambda: P.prob((True, 0)),
+    "Act.value": lambda: Act.constant(S22, 1).value((1, True)),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(BOOL_STATES))
+def test_a_bool_coordinate_is_no_state(caller):
+    with pytest.raises(CorrpolyError, match=r"not in a space of shape \(2, 2\)") as exc:
+        BOOL_STATES[caller]()
+    assert type(exc.value) is CorrpolyError
+
+
 DEGENERATE = [
     ((1, 1), [(1,), (1,)], 0),
     ((1, 3), [(1,), (F(1, 2), F(1, 3), F(1, 6))], 0),
