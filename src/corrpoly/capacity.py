@@ -22,31 +22,32 @@ the capacity and its set.  Each basis passed the primal half of the LP
 certificate when it entered the cache, and each solve checks the dual
 half against the set's own marginal rows (see `lp`).
 
-The value is also checked against the enumerated extreme points, once per
-optimum rather than once per event.  When the capacity is built, each
-vertex must pass the set's membership check and is kept as its primitive
-integer vector (numerators, then denominator, gcd 1).  Each optimum that
-phase 2 returns must be one of them; the verdict is memoized on the
-optimum, so the events that share a basis share one lookup.  This implies
-that v(E) is the minimum over the vertices of their mass on E: the dual
-certificate gives p(E) >= v(E) for every member, so for every vertex, and
-the optimum is a listed vertex of mass v(E).  It is also stricter than
-that equality, which still holds when the optimum is a vertex the
-enumeration missed and another listed vertex ties with it.  A failed check
-raises ConsistencyError with the set's shape and marginals and, for a
-solve, the event's mask and, when the LP certificate failed, the basis
-where it did.
+Each optimum is also checked against the enumerated extreme points, by a
+set lookup rather than a sweep of the vertex list.  When the capacity is
+built, each vertex must pass the set's membership check and is kept as its
+primitive integer vector (numerators, then denominator, gcd 1).  The
+optimum that phase 2 returns, reduced by its gcd, must be one of them; the
+verdict is memoized on the optimum, so the events that share a basis share
+one lookup.  The lookup checks only that the optimum is a listed member
+vertex; that it is optimal rests on the dual certificate alone.  Given the
+certificate, which bounds every member's mass on E below by v(E), v(E) is
+the minimum over the vertices of their mass on E, and the lookup also fails
+when the optimum is a vertex the enumeration missed, even if a listed
+vertex ties with it.  The tests check optimality independently, against the
+vertex minimum of a brute-force enumeration.  A failed check raises
+ConsistencyError with the set's shape and marginals and, for a solve, the
+event's mask and, when the LP certificate failed, the basis where it did.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import lp
 from .errors import ConsistencyError, CorrpolyError, NotInCorrelationSetError
+from .linalg import _primitive
 from .polytope import CorrelationSet
 from .space import Act, Event, cylinder, embed_cylinder, require_same_space
 
@@ -83,7 +84,9 @@ class Capacity:
                 nums, denom = cs.require_member(p, f"enumerated vertex {k}")
             except NotInCorrelationSetError as exc:
                 raise ConsistencyError(str(exc), **self._context) from exc
-            self._vertex_keys.add(_primitive(nums, denom))
+            # over the lcm of the reduced denominators, numerators and
+            # denominator have gcd 1: the vertex's primitive vector
+            self._vertex_keys.add((*nums, denom))
         # the optima that passed the vertex check, keyed by phase 2's `xs`:
         # the rows of a subspace sum the weights to 1, so sum(xs) is the
         # scale and `xs` alone names the point
@@ -115,7 +118,7 @@ class Capacity:
                 f"capacity {exc.reason}", **self._reproducer(mask), **exc.context
             ) from exc
         if xs not in self._optima:
-            if _primitive(xs, x_scale) not in self._vertex_keys:
+            if tuple(_primitive([*xs, x_scale])) not in self._vertex_keys:
                 raise ConsistencyError(
                     f"LP optimum of capacity {Fraction(cx, x_scale)} is no enumerated vertex",
                     **self._reproducer(mask),
@@ -125,13 +128,6 @@ class Capacity:
 
     def _reproducer(self, mask: int) -> dict:
         return {**self._context, "mask": mask}
-
-
-def _primitive(nums, denom: int) -> tuple[int, ...]:
-    """The point ``nums / denom`` as its primitive integer vector: the
-    numerators, then the denominator, divided by their gcd."""
-    g = math.gcd(denom, *nums)
-    return (*(v // g for v in nums), denom // g)
 
 
 def capacity_of(cs: CorrelationSet) -> Capacity:
